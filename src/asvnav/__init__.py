@@ -35,7 +35,6 @@ from .effects import (
     convert_to_coordinate_vectors,
     fit,
     load_model,
-    predict,
     save_model,
 )
 from .env import (
@@ -43,8 +42,7 @@ from .env import (
     FieldSpec,
     ForceVector,
     GustSpec,
-    sample_current,
-    sample_wind,
+    sample_field,
 )
 from .geo import (
     EnuVector,

@@ -93,7 +93,6 @@ class NavGains:
 DEFAULT_GAINS = NavGains(
     heading=PidGains(kp=0.6, ki=0.2, kd=0.0, i_clamp=0.3),
     speed=PidGains(kp=0.5, ki=0.3, kd=0.0, i_clamp=0.9),
-    lookahead_m=25.0,
 )
 
 

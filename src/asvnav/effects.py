@@ -109,6 +109,13 @@ def make_features(f: ForceSample, spd_target: float, h_t: float) -> tuple[float,
     return (ce, cn, we, wn, spd_target, he, hn)
 
 
+def drift_targets(drift_e: float, drift_n: float, h_t: float) -> tuple[float, float, float]:
+    """The three targets of a drift velocity: its east and north components
+    and the along-heading deficit (positive = slows progress)."""
+    he, hn = unit_enu(h_t)
+    return drift_e, drift_n, -(drift_e * he + drift_n * hn)
+
+
 def _prediction_from_drift(drift_e: float, drift_n: float, deficit: float) -> EffectPrediction:
     return EffectPrediction(
         effect_spd=deficit,
@@ -161,19 +168,16 @@ class OracleEffectModel:
     fraction of the wind as the drift, bypassing regression entirely.
 
     Used in tests and paired runs to separate controller error from model
-    error.
+    error. wind_drag_factor is the hull's VehicleParams.wind_drag_factor.
     """
 
-    wind_drag_factor: float = 0.03
+    wind_drag_factor: float
 
     def predict(self, f: ForceSample, spd_target: float, spd_t: float, h_t: float) -> EffectPrediction:
         ce, cn = f.current_enu()
         we, wn = f.wind_enu()
-        drift_e = ce + self.wind_drag_factor * we
-        drift_n = cn + self.wind_drag_factor * wn
-        he, hn = unit_enu(h_t)
-        deficit = -(drift_e * he + drift_n * hn)
-        return _prediction_from_drift(drift_e, drift_n, deficit)
+        drift = drift_targets(ce + self.wind_drag_factor * we, cn + self.wind_drag_factor * wn, h_t)
+        return _prediction_from_drift(*drift)
 
 
 def convert_to_coordinate_vectors(effect_spd_mag: float, effect_dir: float) -> tuple[float, float]:
@@ -221,11 +225,6 @@ def fit(samples: Sequence[TrainingSample], include_intercept: bool = False) -> E
     rmse = tuple(float(v) for v in np.sqrt(np.mean(residuals**2, axis=0)))
     recipe = RECIPE_ENU_INTERCEPT if include_intercept else RECIPE_ENU
     return EffectModel(coef=coef_t.T, recipe=recipe, residual_rmse=rmse)
-
-
-def predict(model, f: ForceSample, spd_target: float, spd_t: float, h_t: float) -> EffectPrediction:
-    """Predict the disturbance effect with a fitted model or the oracle."""
-    return model.predict(f, spd_target, spd_t, h_t)
 
 
 def save_model(model: EffectModel, path: str | os.PathLike) -> None:

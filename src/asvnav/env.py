@@ -236,13 +236,3 @@ def sample_field(field: FieldSpec, p: GeoPoint, t: float) -> ForceVector:
         speed += field.gust.amplitude * math.sin(2.0 * math.pi * t / field.gust.period_s)
         speed = max(0.0, speed)
     return ForceVector(speed, direction)
-
-
-def sample_current(field: FieldSpec, p: GeoPoint, t: float) -> ForceVector:
-    """Water current at (p, t)."""
-    return sample_field(field, p, t)
-
-
-def sample_wind(field: FieldSpec, p: GeoPoint, t: float) -> ForceVector:
-    """Wind at (p, t). Same field semantics as sample_current."""
-    return sample_field(field, p, t)

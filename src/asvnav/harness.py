@@ -8,13 +8,14 @@ outputs, so a run directory is self-describing.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from functools import cache
 from pathlib import Path
-from typing import Optional, Sequence
+from types import UnionType
+from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -24,7 +25,6 @@ from .control import (
     DEFAULT_GAINS,
     NavGains,
     NavigatorState,
-    PidGains,
     Waypoint,
     navigator_step,
 )
@@ -33,14 +33,14 @@ from .effects import (
     TARGET_NAMES,
     OracleEffectModel,
     TrainingSample,
+    drift_targets,
     load_model,
     make_features,
 )
-from .env import Environment, FieldSpec, ForceVector, GustSpec, sample_current, sample_wind
+from .env import Environment, FieldSpec, ForceVector, GustSpec
 from .geo import (
     EnuVector,
     GeoPoint,
-    bearing_of,
     distance_bearing,
     enu_offset,
     offset_point,
@@ -66,6 +66,7 @@ from .vehicle import (
     VehicleParams,
     relative_to_absolute,
     sense,
+    steady_state,
     step,
 )
 
@@ -73,14 +74,12 @@ MISSION_HEADER = "lat,lon,speed_mps"
 TRAINING_HEADER = ",".join(FEATURE_NAMES + TARGET_NAMES)
 
 DEFAULT_DT = 0.1
-DEFAULT_DURATION_LIMIT = 600.0
 DEFAULT_LEG_SPEED = 2.0
-DEFAULT_START_RUNUP = 60.0
-DEFAULT_START_OFFSET = 3.0
+DEFAULT_LEG_LENGTH = 200.0
 
 
 # --------------------------------------------------------------------------
-# field / scenario (de)serialization
+# config (de)serialization
 
 
 def field_to_dict(spec: FieldSpec) -> dict:
@@ -143,6 +142,111 @@ def field_from_dict(data: dict) -> FieldSpec:
     raise ValueError(f"unknown field kind {kind!r}")
 
 
+def _waypoint_to_dict(wp: Waypoint) -> dict:
+    return {"lat": wp.pos.lat, "lon": wp.pos.lon, "speed_mps": wp.spd_target}
+
+
+def _waypoint_from_dict(data: dict) -> Waypoint:
+    return Waypoint(GeoPoint(data["lat"], data["lon"]), data["speed_mps"])
+
+
+# Types whose JSON shape is not their field layout: (encode, decode).
+_CODECS = {
+    FieldSpec: (field_to_dict, field_from_dict),
+    Waypoint: (_waypoint_to_dict, _waypoint_from_dict),
+}
+
+# JSON key of every dataclass field stored under a key other than its name.
+_KEYS = {
+    VehicleParams: {
+        "max_water_speed": "max_water_speed_mps",
+        "thrust_time_constant": "thrust_time_constant_s",
+        "max_turn_rate": "max_turn_rate_deg_s",
+        "steerage_reference_speed": "steerage_reference_speed_mps",
+        "turn_time_constant": "turn_time_constant_s",
+    },
+    NoiseSpec: {"sigma_speed": "sigma_speed_mps", "sigma_dir": "sigma_dir_deg"},
+}
+
+
+@cache
+def _layout(cls) -> dict[str, tuple[str, object, bool]]:
+    """JSON key -> (field name, resolved type hint, required) of a dataclass."""
+    hints = get_type_hints(cls)
+    keys = _KEYS.get(cls, {})
+    return {
+        keys.get(f.name, f.name): (
+            f.name, hints[f.name], f.default is MISSING and f.default_factory is MISSING
+        )
+        for f in fields(cls)
+    }
+
+
+def to_dict(obj):
+    """JSON form of a config value: dataclasses become dicts keyed per _KEYS,
+    tuples become lists. Every field is written, so nothing is hidden."""
+    if type(obj) in _CODECS:
+        return _CODECS[type(obj)][0](obj)
+    if is_dataclass(obj):
+        return {key: to_dict(getattr(obj, name)) for key, (name, _, _) in _layout(type(obj)).items()}
+    if isinstance(obj, tuple):
+        return [to_dict(v) for v in obj]
+    return obj
+
+
+def from_dict(cls, data: dict, base_dir: Path | None = None):
+    """Build config dataclass cls from its JSON form.
+
+    Absent keys take the dataclass defaults; an unknown key raises
+    ValueError naming its dotted path. A string where a mission is expected
+    is a mission CSV path, relative to base_dir.
+    """
+    return _decode(cls, data, "", base_dir)
+
+
+def _decode(hint, value, path: str, base_dir: Path | None):
+    if hint in _CODECS:
+        return _CODECS[hint][1](value)
+    if is_dataclass(hint):
+        if not isinstance(value, dict):
+            raise ValueError(f"config {path or 'file'} must be a JSON object")
+        layout = _layout(hint)
+        prefix = f"{path}." if path else ""
+        unknown = [prefix + key for key in value if key not in layout]
+        if unknown:
+            raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+        missing = [prefix + key for key, (_, _, required) in layout.items()
+                   if required and key not in value]
+        if missing:
+            raise ValueError(f"missing config key(s): {', '.join(missing)}")
+        return hint(**{
+            layout[key][0]: _decode(layout[key][1], v, prefix + key, base_dir)
+            for key, v in value.items()
+        })
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, UnionType):
+        (inner,) = (a for a in args if a is not type(None))
+        return None if value is None else _decode(inner, value, path, base_dir)
+    if origin is tuple:
+        if args[0] is Waypoint and isinstance(value, str):
+            return tuple(read_mission_csv(Path(base_dir or "") / value))
+        return tuple(_decode(args[0], v, f"{path}[{i}]", base_dir) for i, v in enumerate(value))
+    return value
+
+
+def _read_config(path: str | os.PathLike) -> tuple[dict, Path]:
+    """A config file's JSON and the directory its relative paths resolve against."""
+    path = Path(path)
+    with open(path) as fh:
+        return json.load(fh), path.parent
+
+
+def _write_json(data: dict, path: Path) -> None:
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 @dataclass(frozen=True)
 class ControllerSpec:
     """Which navigator drives the run.
@@ -179,12 +283,12 @@ class Scenario:
     controller: ControllerSpec = ControllerSpec()
     gains: NavGains = DEFAULT_GAINS
     augment: AugmentConfig = AugmentConfig()
-    duration_limit_s: float = DEFAULT_DURATION_LIMIT
+    duration_limit_s: float = 600.0
     acceptance_radius_m: float = DEFAULT_ACCEPT_RADIUS
     dt_s: float = DEFAULT_DT
     start: Optional[StartPose] = None
-    start_runup_m: float = DEFAULT_START_RUNUP
-    start_offset_m: float = DEFAULT_START_OFFSET
+    start_runup_m: float = 60.0
+    start_offset_m: float = 3.0
     name: str = "scenario"
 
     def __post_init__(self):
@@ -218,131 +322,8 @@ class Scenario:
         return AsvState.at_rest(offset_point(self.mission[0].pos, delta), leg_bearing)
 
 
-def _gains_to_dict(gains: NavGains) -> dict:
-    def one(g: PidGains) -> dict:
-        return {"kp": g.kp, "ki": g.ki, "kd": g.kd, "i_clamp": g.i_clamp}
-
-    return {"heading": one(gains.heading), "speed": one(gains.speed),
-            "lookahead_m": gains.lookahead_m}
-
-
-def _gains_from_dict(data: dict) -> NavGains:
-    def one(d: dict) -> PidGains:
-        return PidGains(kp=d["kp"], ki=d["ki"], kd=d["kd"], i_clamp=d["i_clamp"])
-
-    return NavGains(heading=one(data["heading"]), speed=one(data["speed"]),
-                    lookahead_m=data.get("lookahead_m", 25.0))
-
-
-def scenario_to_dict(sc: Scenario) -> dict:
-    """Fully-resolved scenario dict; no hidden defaults."""
-    return {
-        "name": sc.name,
-        "mission": [
-            {"lat": wp.pos.lat, "lon": wp.pos.lon, "speed_mps": wp.spd_target}
-            for wp in sc.mission
-        ],
-        "current": field_to_dict(sc.current),
-        "wind": field_to_dict(sc.wind),
-        "vehicle": {
-            "max_water_speed_mps": sc.vehicle.max_water_speed,
-            "thrust_time_constant_s": sc.vehicle.thrust_time_constant,
-            "max_turn_rate_deg_s": sc.vehicle.max_turn_rate,
-            "wind_drag_factor": sc.vehicle.wind_drag_factor,
-            "steerage_reference_speed_mps": sc.vehicle.steerage_reference_speed,
-            "steerage_floor": sc.vehicle.steerage_floor,
-            "turn_time_constant_s": sc.vehicle.turn_time_constant,
-        },
-        "noise": {"sigma_speed_mps": sc.noise.sigma_speed, "sigma_dir_deg": sc.noise.sigma_dir},
-        "seed": sc.seed,
-        "controller": {"kind": sc.controller.kind, "model": sc.controller.model},
-        "gains": _gains_to_dict(sc.gains),
-        "augment": {
-            "gain_k": sc.augment.gain_k,
-            "max_offset_m": sc.augment.max_offset_m,
-            "update_period_s": sc.augment.update_period_s,
-            "reference_speed_floor_mps": sc.augment.reference_speed_floor_mps,
-        },
-        "duration_limit_s": sc.duration_limit_s,
-        "acceptance_radius_m": sc.acceptance_radius_m,
-        "dt_s": sc.dt_s,
-        "start": None
-        if sc.start is None
-        else {"lat": sc.start.lat, "lon": sc.start.lon, "heading_deg": sc.start.heading_deg},
-        "start_runup_m": sc.start_runup_m,
-        "start_offset_m": sc.start_offset_m,
-    }
-
-
-def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
-    mission_field = data["mission"]
-    if isinstance(mission_field, str):
-        path = Path(mission_field)
-        if base_dir is not None and not path.is_absolute():
-            path = base_dir / path
-        mission = tuple(read_mission_csv(path))
-    else:
-        mission = tuple(
-            Waypoint(GeoPoint(w["lat"], w["lon"]), w["speed_mps"]) for w in mission_field
-        )
-    defaults = {
-        "max_water_speed_mps": 6.25,
-        "thrust_time_constant_s": 3.0,
-        "max_turn_rate_deg_s": 30.0,
-        "wind_drag_factor": 0.03,
-        "steerage_reference_speed_mps": 2.0,
-        "steerage_floor": 0.1,
-        "turn_time_constant_s": 1.0,
-    }
-    veh = {**defaults, **data.get("vehicle", {})}
-    noise = data.get("noise", {})
-    aug = data.get("augment", {})
-    ctrl = data.get("controller", {})
-    start = data.get("start")
-    return Scenario(
-        mission=mission,
-        current=field_from_dict(data["current"]) if "current" in data else FieldSpec.calm(),
-        wind=field_from_dict(data["wind"]) if "wind" in data else FieldSpec.calm(),
-        vehicle=VehicleParams(
-            max_water_speed=veh["max_water_speed_mps"],
-            thrust_time_constant=veh["thrust_time_constant_s"],
-            max_turn_rate=veh["max_turn_rate_deg_s"],
-            wind_drag_factor=veh["wind_drag_factor"],
-            steerage_reference_speed=veh["steerage_reference_speed_mps"],
-            steerage_floor=veh["steerage_floor"],
-            turn_time_constant=veh["turn_time_constant_s"],
-        ),
-        noise=NoiseSpec(
-            sigma_speed=noise.get("sigma_speed_mps", 0.0),
-            sigma_dir=noise.get("sigma_dir_deg", 0.0),
-        ),
-        seed=data.get("seed", 0),
-        controller=ControllerSpec(
-            kind=ctrl.get("kind", "baseline"), model=ctrl.get("model", "oracle")
-        ),
-        gains=_gains_from_dict(data["gains"]) if "gains" in data else DEFAULT_GAINS,
-        augment=AugmentConfig(
-            gain_k=aug.get("gain_k", 1.0),
-            max_offset_m=aug.get("max_offset_m", 25.0),
-            update_period_s=aug.get("update_period_s", 1.0),
-            reference_speed_floor_mps=aug.get("reference_speed_floor_mps", 0.2),
-        ),
-        duration_limit_s=data.get("duration_limit_s", DEFAULT_DURATION_LIMIT),
-        acceptance_radius_m=data.get("acceptance_radius_m", DEFAULT_ACCEPT_RADIUS),
-        dt_s=data.get("dt_s", DEFAULT_DT),
-        start=None
-        if start is None
-        else StartPose(start["lat"], start["lon"], start["heading_deg"]),
-        start_runup_m=data.get("start_runup_m", DEFAULT_START_RUNUP),
-        start_offset_m=data.get("start_offset_m", DEFAULT_START_OFFSET),
-        name=data.get("name", "scenario"),
-    )
-
-
 def load_scenario(path: str | os.PathLike) -> Scenario:
-    path = Path(path)
-    with open(path) as fh:
-        return scenario_from_dict(json.load(fh), base_dir=path.parent)
+    return from_dict(Scenario, *_read_config(path))
 
 
 # --------------------------------------------------------------------------
@@ -420,15 +401,12 @@ class RunResult:
         }
 
 
-def _resolve_model(sc: Scenario, base_dir: Path | None = None):
+def _resolve_model(sc: Scenario):
     if sc.controller.kind != "augmented":
         return None
     if sc.controller.model == "oracle":
         return OracleEffectModel(wind_drag_factor=sc.vehicle.wind_drag_factor)
-    path = Path(sc.controller.model)
-    if base_dir is not None and not path.is_absolute():
-        path = base_dir / path
-    return load_model(path)
+    return load_model(sc.controller.model)
 
 
 def run_scenario(
@@ -501,15 +479,11 @@ def run_scenario(
         out.mkdir(parents=True, exist_ok=True)
         log.write_csv(out / "trajectory.csv")
         write_mission_csv(mission, out / "mission.csv")
-        with open(out / "resolved_config.json", "w") as fh:
-            json.dump(scenario_to_dict(sc), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(to_dict(sc), out / "resolved_config.json")
         if series is not None:
             with open(out / "errors.csv", "w", newline="") as fh:
                 fh.write(per_sample_error_csv(series, log))
-        with open(out / "summary.json", "w") as fh:
-            json.dump(result.summary(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(result.summary(), out / "summary.json")
     return result
 
 
@@ -524,7 +498,7 @@ class SuiteSpec:
     center: GeoPoint
     current_axis_bearing_deg: float
     template: Scenario
-    leg_length_m: float = 200.0
+    leg_length_m: float = DEFAULT_LEG_LENGTH
     leg_speed_mps: float = DEFAULT_LEG_SPEED
 
     def __post_init__(self):
@@ -532,15 +506,21 @@ class SuiteSpec:
             raise ValueError("leg length must be at least 20x the acceptance radius")
 
 
+def _straight_leg(center: GeoPoint, bearing: float, length: float,
+                  speed: float) -> tuple[Waypoint, Waypoint]:
+    """Two-waypoint leg of the given length, centred on center."""
+    ue, un = unit_enu(bearing)
+    half = 0.5 * length
+    a = offset_point(center, EnuVector(-half * ue, -half * un))
+    b = offset_point(center, EnuVector(half * ue, half * un))
+    return (Waypoint(a, speed), Waypoint(b, speed))
+
+
 def suite_mission(suite: SuiteSpec, orientation: int) -> tuple[Waypoint, Waypoint]:
     """Straight leg whose bearing differs from the current axis by
     exactly the orientation label."""
     bearing = wrap_angle(suite.current_axis_bearing_deg + orientation)
-    ue, un = unit_enu(bearing)
-    half = 0.5 * suite.leg_length_m
-    a = offset_point(suite.center, EnuVector(-half * ue, -half * un))
-    b = offset_point(suite.center, EnuVector(half * ue, half * un))
-    return (Waypoint(a, suite.leg_speed_mps), Waypoint(b, suite.leg_speed_mps))
+    return _straight_leg(suite.center, bearing, suite.leg_length_m, suite.leg_speed_mps)
 
 
 def suite_scenarios(suite: SuiteSpec) -> list[Scenario]:
@@ -616,9 +596,7 @@ def run_suite(suite: SuiteSpec, out_dir: str | os.PathLike | None = None) -> Sui
             fh.write(table.to_csv())
         with open(out / "report.txt", "w") as fh:
             fh.write(_suite_report_header(suite) + table.to_text())
-        with open(out / "resolved_suite.json", "w") as fh:
-            json.dump(suite_to_dict(suite), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(suite_to_dict(suite), out / "resolved_suite.json")
     return result
 
 
@@ -637,39 +615,25 @@ def _suite_report_header(suite: SuiteSpec) -> str:
 
 
 def suite_to_dict(suite: SuiteSpec) -> dict:
-    template = scenario_to_dict(suite.template)
-    template.pop("mission")
-    template.pop("start")
-    return {
-        "center": {"lat": suite.center.lat, "lon": suite.center.lon},
-        "current_axis_bearing_deg": suite.current_axis_bearing_deg,
-        "leg_length_m": suite.leg_length_m,
-        "leg_speed_mps": suite.leg_speed_mps,
-        "template": template,
-    }
+    """Resolved suite dict. The template's mission and start are left out:
+    the suite generates them for every run."""
+    data = to_dict(suite)
+    del data["template"]["mission"], data["template"]["start"]
+    return data
 
 
 def suite_from_dict(data: dict, base_dir: Path | None = None) -> SuiteSpec:
-    template_data = dict(data.get("template", {}))
     # the template carries no mission of its own; the suite generates them
-    template_data["mission"] = [
+    placeholder = [
         {"lat": 0.0, "lon": 0.0, "speed_mps": 1.0},
         {"lat": 0.001, "lon": 0.0, "speed_mps": 1.0},
     ]
-    template = scenario_from_dict(template_data, base_dir=base_dir)
-    return SuiteSpec(
-        center=GeoPoint(data["center"]["lat"], data["center"]["lon"]),
-        current_axis_bearing_deg=data["current_axis_bearing_deg"],
-        template=template,
-        leg_length_m=data.get("leg_length_m", 200.0),
-        leg_speed_mps=data.get("leg_speed_mps", DEFAULT_LEG_SPEED),
-    )
+    template = {**data.get("template", {}), "mission": placeholder}
+    return from_dict(SuiteSpec, {**data, "template": template}, base_dir)
 
 
 def load_suite(path: str | os.PathLike) -> SuiteSpec:
-    path = Path(path)
-    with open(path) as fh:
-        return suite_from_dict(json.load(fh), base_dir=path.parent)
+    return suite_from_dict(*_read_config(path))
 
 
 # --------------------------------------------------------------------------
@@ -732,25 +696,13 @@ def standard_suite(
         center=RIVER_CENTER,
         current_axis_bearing_deg=axis,
         template=standard_template(current_speed, axis, wind_speed, seed=seed),
-        leg_length_m=200.0,
-        leg_speed_mps=DEFAULT_LEG_SPEED,
     )
-
-
-def _leg_mission(orientation: float, speed: float, axis: float = RIVER_AXIS_DEG,
-                 length: float = 200.0) -> tuple[Waypoint, Waypoint]:
-    bearing = wrap_angle(axis + orientation)
-    ue, un = unit_enu(bearing)
-    half = 0.5 * length
-    a = offset_point(RIVER_CENTER, EnuVector(-half * ue, -half * un))
-    b = offset_point(RIVER_CENTER, EnuVector(half * ue, half * un))
-    return (Waypoint(a, speed), Waypoint(b, speed))
 
 
 def calm_water_scenario(seed: int = 0, controller: str = "baseline") -> Scenario:
     """Straight 200 m leg with zero fields: the sanity benchmark."""
     return Scenario(
-        mission=_leg_mission(0.0, DEFAULT_LEG_SPEED),
+        mission=_straight_leg(RIVER_CENTER, RIVER_AXIS_DEG, DEFAULT_LEG_LENGTH, DEFAULT_LEG_SPEED),
         augment=SCENARIO_AUGMENT,
         controller=ControllerSpec(kind=controller),
         seed=seed,
@@ -769,7 +721,7 @@ def downstream_failure_scenario(seed: int = 0, controller: str = "baseline") -> 
     across the line instead of settling.
     """
     return Scenario(
-        mission=_leg_mission(0.0, 1.6),
+        mission=_straight_leg(RIVER_CENTER, RIVER_AXIS_DEG, DEFAULT_LEG_LENGTH, 1.6),
         current=FieldSpec.uniform(ForceVector(1.0, RIVER_AXIS_DEG)),
         augment=SCENARIO_AUGMENT,
         controller=ControllerSpec(kind=controller),
@@ -810,34 +762,12 @@ class SweepSpec:
             raise ValueError("sweep grid must be non-empty")
 
 
-def _observed_targets(s: AsvState, commanded_speed: float) -> tuple[float, float, float]:
-    """Ground-truth drift (ground velocity minus through-water velocity)
-    and its along-heading deficit."""
-    vg_e, vg_n = s.ground_velocity()
-    he, hn = unit_enu(s.h_t)
-    drift_e = vg_e - s.through_water_speed * he
-    drift_n = vg_n - s.through_water_speed * hn
-    deficit = -(drift_e * he + drift_n * hn)
-    return drift_e, drift_n, deficit
-
-
-def _steady_state(origin: GeoPoint, heading: float, water_speed: float,
-                  environment: Environment, params: VehicleParams) -> AsvState:
-    current = sample_current(environment.current, origin, 0.0)
-    wind = sample_wind(environment.wind, origin, 0.0)
-    ce, cn = current.enu()
-    we, wn = wind.enu()
+def _observed_targets(vg_e: float, vg_n: float, water_speed: float,
+                      heading: float) -> tuple[float, float, float]:
+    """Targets of the ground-truth drift: ground velocity minus the
+    through-water velocity along the heading."""
     he, hn = unit_enu(heading)
-    vg_e = water_speed * he + ce + params.wind_drag_factor * we
-    vg_n = water_speed * hn + cn + params.wind_drag_factor * wn
-    return AsvState(
-        pos=origin,
-        spd_t=math.hypot(vg_e, vg_n),
-        course_t=bearing_of(vg_e, vg_n),
-        h_t=heading,
-        through_water_speed=water_speed,
-        t=0.0,
-    )
+    return drift_targets(vg_e - water_speed * he, vg_n - water_speed * hn, heading)
 
 
 def generate_training_logs(sweep: SweepSpec) -> list[TrainingSample]:
@@ -848,6 +778,17 @@ def generate_training_logs(sweep: SweepSpec) -> list[TrainingSample]:
     """
     rng = np.random.default_rng(sweep.seed)
     samples: list[TrainingSample] = []
+    n_steps = int(round(sweep.duration_s / sweep.dt_s))
+
+    def record(s: AsvState, environment: Environment, speed: float) -> None:
+        force = relative_to_absolute(sense(s, environment, sweep.noise, rng), s)
+        samples.append(
+            TrainingSample(
+                features=make_features(force, speed, s.h_t),
+                targets=_observed_targets(*s.ground_velocity(), s.through_water_speed, s.h_t),
+            )
+        )
+
     run_index = 0
     for current in sweep.currents:
         for heading in sweep.headings:
@@ -859,17 +800,9 @@ def generate_training_logs(sweep: SweepSpec) -> list[TrainingSample]:
                 )
                 thrust = min(1.0, speed / sweep.vehicle.max_water_speed)
                 cmd = ActuatorCommand(thrust=thrust, rudder=0.0)
-                s = _steady_state(sweep.origin, heading, speed, environment, sweep.vehicle)
-                n_steps = int(round(sweep.duration_s / sweep.dt_s))
+                s = steady_state(sweep.origin, heading, speed, environment, sweep.vehicle)
                 for _ in range(n_steps):
-                    frame = sense(s, environment, sweep.noise, rng)
-                    force = relative_to_absolute(frame, s)
-                    samples.append(
-                        TrainingSample(
-                            features=make_features(force, speed, s.h_t),
-                            targets=_observed_targets(s, speed),
-                        )
-                    )
+                    record(s, environment, speed)
                     s = step(s, cmd, environment, sweep.vehicle, sweep.dt_s)
 
     if sweep.include_closed_loop:
@@ -886,18 +819,10 @@ def generate_training_logs(sweep: SweepSpec) -> list[TrainingSample]:
             goal = Waypoint(
                 offset_point(sweep.origin, EnuVector(100.0 * ue, 100.0 * un)), leg_speed
             )
-            s = _steady_state(sweep.origin, heading, leg_speed, environment, sweep.vehicle)
+            s = steady_state(sweep.origin, heading, leg_speed, environment, sweep.vehicle)
             nav = NavigatorState()
-            n_steps = int(round(sweep.duration_s / sweep.dt_s))
             for _ in range(n_steps):
-                frame = sense(s, environment, sweep.noise, rng)
-                force = relative_to_absolute(frame, s)
-                samples.append(
-                    TrainingSample(
-                        features=make_features(force, leg_speed, s.h_t),
-                        targets=_observed_targets(s, leg_speed),
-                    )
-                )
+                record(s, environment, leg_speed)
                 cmd, nav = navigator_step(s, [goal], nav, dt=sweep.dt_s)
                 if nav.active_wp_index >= 1:
                     break
@@ -905,38 +830,8 @@ def generate_training_logs(sweep: SweepSpec) -> list[TrainingSample]:
     return samples
 
 
-def sweep_from_dict(data: dict) -> SweepSpec:
-    veh = data.get("vehicle", {})
-    noise = data.get("noise", {})
-    return SweepSpec(
-        origin=GeoPoint(data["origin"]["lat"], data["origin"]["lon"]),
-        currents=tuple(ForceVector(c["speed"], c["direction"]) for c in data["currents"]),
-        winds=tuple(ForceVector(w["speed"], w["direction"]) for w in data["winds"]),
-        headings=tuple(data["headings"]),
-        speeds=tuple(data["speeds"]),
-        vehicle=VehicleParams(
-            max_water_speed=veh.get("max_water_speed_mps", 6.25),
-            thrust_time_constant=veh.get("thrust_time_constant_s", 3.0),
-            max_turn_rate=veh.get("max_turn_rate_deg_s", 30.0),
-            wind_drag_factor=veh.get("wind_drag_factor", 0.03),
-            steerage_reference_speed=veh.get("steerage_reference_speed_mps", 2.0),
-            steerage_floor=veh.get("steerage_floor", 0.1),
-            turn_time_constant=veh.get("turn_time_constant_s", 1.0),
-        ),
-        noise=NoiseSpec(
-            sigma_speed=noise.get("sigma_speed_mps", 0.0),
-            sigma_dir=noise.get("sigma_dir_deg", 0.0),
-        ),
-        seed=data.get("seed", 0),
-        duration_s=data.get("duration_s", 20.0),
-        dt_s=data.get("dt_s", DEFAULT_DT),
-        include_closed_loop=data.get("include_closed_loop", True),
-    )
-
-
 def load_sweep(path: str | os.PathLike) -> SweepSpec:
-    with open(path) as fh:
-        return sweep_from_dict(json.load(fh))
+    return from_dict(SweepSpec, *_read_config(path))
 
 
 def samples_from_trajectory(
@@ -964,15 +859,10 @@ def samples_from_trajectory(
         # displacement reflects the post-update values
         tw += (r.cmd.thrust * params.max_water_speed - tw) * (dt / params.thrust_time_constant)
         delta = enu_offset(r.state.pos, r_next.state.pos)
-        vg_e, vg_n = delta.east / dt, delta.north / dt
-        he, hn = unit_enu(r_next.state.h_t)
-        drift_e = vg_e - tw * he
-        drift_n = vg_n - tw * hn
-        deficit = -(drift_e * he + drift_n * hn)
         samples.append(
             TrainingSample(
                 features=make_features(r.force, commanded, r.state.h_t),
-                targets=(drift_e, drift_n, deficit),
+                targets=_observed_targets(delta.east / dt, delta.north / dt, tw, r_next.state.h_t),
             )
         )
     return samples

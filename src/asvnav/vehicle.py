@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .effects import ForceSample
-from .env import Environment, ForceVector, sample_current, sample_wind
+from .env import Environment, ForceVector, sample_field
 from .geo import EnuVector, GeoPoint, bearing_of, offset_point, unit_enu, wrap_angle
 
 MAX_STEP_DT = 0.5
@@ -173,14 +173,7 @@ def step(
         dt / params.thrust_time_constant
     )
 
-    current = sample_current(environment.current, s.pos, s.t)
-    wind = sample_wind(environment.wind, s.pos, s.t)
-    ce, cn = current.enu()
-    we, wn = wind.enu()
-    he, hn = unit_enu(heading)
-    vg_e = tw * he + ce + params.wind_drag_factor * we
-    vg_n = tw * hn + cn + params.wind_drag_factor * wn
-
+    vg_e, vg_n = _ground_velocity(tw, heading, environment, s.pos, s.t, params)
     pos = offset_point(s.pos, EnuVector(vg_e * dt, vg_n * dt))
     return AsvState(
         pos=pos,
@@ -191,6 +184,42 @@ def step(
         t=s.t + dt,
         turn_rate=turn_rate,
     )
+
+
+def steady_state(
+    pos: GeoPoint,
+    heading: float,
+    water_speed: float,
+    environment: Environment,
+    params: VehicleParams,
+) -> AsvState:
+    """State at t=0 already moving at water_speed along heading, with the
+    ground velocity the fields impose there (no turn, no thrust lag)."""
+    vg_e, vg_n = _ground_velocity(water_speed, heading, environment, pos, 0.0, params)
+    return AsvState(
+        pos=pos,
+        spd_t=math.hypot(vg_e, vg_n),
+        course_t=bearing_of(vg_e, vg_n),
+        h_t=heading,
+        through_water_speed=water_speed,
+        t=0.0,
+    )
+
+
+def _ground_velocity(
+    tw: float,
+    heading: float,
+    environment: Environment,
+    pos: GeoPoint,
+    t: float,
+    params: VehicleParams,
+) -> tuple[float, float]:
+    """(east, north) ground velocity: the through-water velocity along the
+    heading plus the current plus the wind-drag fraction of the wind."""
+    ce, cn = sample_field(environment.current, pos, t).enu()
+    we, wn = sample_field(environment.wind, pos, t).enu()
+    he, hn = unit_enu(heading)
+    return tw * he + ce + params.wind_drag_factor * we, tw * hn + cn + params.wind_drag_factor * wn
 
 
 def _to_hull_frame(vec_e: float, vec_n: float, heading: float) -> tuple[float, float]:
@@ -214,8 +243,8 @@ def sense(
     velocity. Noise draws are taken in a fixed order (four per call) so
     runs stay reproducible for a given generator.
     """
-    current = sample_current(environment.current, s.pos, s.t)
-    wind = sample_wind(environment.wind, s.pos, s.t)
+    current = sample_field(environment.current, s.pos, s.t)
+    wind = sample_field(environment.wind, s.pos, s.t)
     vg_e, vg_n = s.ground_velocity()
     ce, cn = current.enu()
     we, wn = wind.enu()

@@ -44,6 +44,27 @@ def test_shipped_configs_match_canonical_definitions():
     assert suite.template.wind == reference.template.wind
 
 
+def test_shipped_configs_round_trip_exactly():
+    """Every key of every shipped config maps onto a field and back unchanged."""
+    from asvnav.harness import (
+        SweepSpec,
+        from_dict,
+        load_scenario,
+        load_suite,
+        load_sweep,
+        suite_to_dict,
+        to_dict,
+    )
+
+    for name in ("calm_water", "downstream_failure", "downstream_failure_augmented"):
+        with open(CONFIGS / f"{name}.json") as fh:
+            assert to_dict(load_scenario(CONFIGS / f"{name}.json")) == json.load(fh)
+    with open(CONFIGS / "suite.json") as fh:
+        assert suite_to_dict(load_suite(CONFIGS / "suite.json")) == json.load(fh)
+    sweep = load_sweep(CONFIGS / "training_sweep.json")
+    assert from_dict(SweepSpec, json.loads(json.dumps(to_dict(sweep)))) == sweep
+
+
 def test_suite_command(tmp_path, capsys):
     rc = main(["suite", str(CONFIGS / "suite.json"), "--out", str(tmp_path / "suite")])
     assert rc == 0

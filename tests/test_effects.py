@@ -15,7 +15,6 @@ from asvnav.effects import (
     fit,
     load_model,
     make_features,
-    predict,
     save_model,
 )
 from asvnav.geo import wrap_signed
@@ -91,7 +90,7 @@ def test_fit_names_degenerate_feature():
 
 def test_predict_zero_disturbance_zero_effect():
     model = EffectModel.zero()
-    pred = predict(model, ForceSample(0.0, 0.0, 0.0, 0.0), 2.0, 2.0, 0.0)
+    pred = model.predict(ForceSample(0.0, 0.0, 0.0, 0.0), 2.0, 2.0, 0.0)
     assert pred.effect_spd == 0.0
     assert pred.effect_x == 0.0 and pred.effect_y == 0.0
 

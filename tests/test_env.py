@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from asvnav.env import Environment, FieldSpec, ForceVector, GustSpec, sample_current, sample_wind
+from asvnav.env import Environment, FieldSpec, ForceVector, GustSpec, sample_field
 from asvnav.geo import EnuVector, GeoPoint, offset_point
 
 ORIGIN = GeoPoint(34.0, -81.0)
@@ -13,14 +13,14 @@ def test_uniform_field_everywhere():
     field = FieldSpec.uniform(ForceVector(0.677, 180.0))
     for point in (ORIGIN, offset_point(ORIGIN, EnuVector(500.0, -250.0))):
         for t in (0.0, 17.3, 1e4):
-            v = sample_current(field, point, t)
+            v = sample_field(field, point, t)
             assert v.speed == 0.677
             assert v.direction == 180.0
 
 
 def test_zero_wind_direction_convention():
     field = FieldSpec.uniform(ForceVector(0.0, 123.0))
-    v = sample_wind(field, ORIGIN, 5.0)
+    v = sample_field(field, ORIGIN, 5.0)
     assert v.speed == 0.0
     assert v.direction == 0.0
 
@@ -36,13 +36,13 @@ def _river(half_width=20.0, speed=1.0):
 def test_river_profile_edge_is_zero():
     field = _river()
     edge = offset_point(ORIGIN, EnuVector(20.0, 0.0))
-    assert sample_current(field, edge, 0.0).speed == pytest.approx(0.0, abs=1e-12)
+    assert sample_field(field, edge, 0.0).speed == pytest.approx(0.0, abs=1e-12)
 
 
 def test_river_profile_parabola():
     field = _river()
     off_axis = offset_point(ORIGIN, EnuVector(10.0, 0.0))
-    v = sample_current(field, off_axis, 0.0)
+    v = sample_field(field, off_axis, 0.0)
     assert v.speed == pytest.approx(0.75, rel=1e-9)
     assert v.direction == pytest.approx(0.0)
 
@@ -50,17 +50,17 @@ def test_river_profile_parabola():
 def test_river_profile_beyond_edge_clamps_to_zero():
     field = _river()
     outside = offset_point(ORIGIN, EnuVector(35.0, 0.0))
-    assert sample_current(field, outside, 0.0).speed == 0.0
+    assert sample_field(field, outside, 0.0).speed == 0.0
 
 
 def test_gust_quarter_period_peak():
     field = FieldSpec.uniform(ForceVector(4.0, 90.0), gust=GustSpec(amplitude=1.0, period_s=60.0))
-    assert sample_wind(field, ORIGIN, 15.0).speed == pytest.approx(5.0, rel=1e-12)
+    assert sample_field(field, ORIGIN, 15.0).speed == pytest.approx(5.0, rel=1e-12)
 
 
 def test_gust_zero_at_t0():
     field = FieldSpec.uniform(ForceVector(4.0, 90.0), gust=GustSpec(amplitude=1.0, period_s=60.0))
-    assert sample_wind(field, ORIGIN, 0.0).speed == pytest.approx(4.0, rel=1e-12)
+    assert sample_field(field, ORIGIN, 0.0).speed == pytest.approx(4.0, rel=1e-12)
 
 
 def test_gust_amplitude_must_stay_below_base_speed():
@@ -82,7 +82,7 @@ def test_grid_reproduces_nodes():
     for i in range(3):
         for j in range(3):
             p = GeoPoint(33.99 + 0.01 * i, -81.01 + 0.01 * j)
-            v = sample_current(field, p, 0.0)
+            v = sample_field(field, p, 0.0)
             assert v.speed == pytest.approx(speeds[i][j], abs=1e-12)
             if speeds[i][j] > 0:
                 assert v.direction == pytest.approx(directions[i][j], abs=1e-9)
@@ -91,7 +91,7 @@ def test_grid_reproduces_nodes():
 def test_grid_out_of_domain_names_point():
     field, _, _ = _grid_field()
     with pytest.raises(ValueError, match="outside grid"):
-        sample_current(field, GeoPoint(34.5, -81.0), 0.0)
+        sample_field(field, GeoPoint(34.5, -81.0), 0.0)
 
 
 @pytest.mark.parametrize("make_field", [
@@ -106,16 +106,16 @@ def test_speed_continuity_at_1cm_steps(make_field):
         for de, dn in ((0.01, 0.0), (0.0, 0.01)):
             nearby = offset_point(base, EnuVector(de, dn))
             jump = abs(
-                sample_current(field, base, 0.0).speed
-                - sample_current(field, nearby, 0.0).speed
+                sample_field(field, base, 0.0).speed
+                - sample_field(field, nearby, 0.0).speed
             )
             assert jump < 1e-3
 
 
 def test_environment_calm():
     environment = Environment.calm()
-    assert sample_current(environment.current, ORIGIN, 0.0).speed == 0.0
-    assert sample_wind(environment.wind, ORIGIN, 0.0).speed == 0.0
+    assert sample_field(environment.current, ORIGIN, 0.0).speed == 0.0
+    assert sample_field(environment.wind, ORIGIN, 0.0).speed == 0.0
 
 
 def test_field_parameter_validation():

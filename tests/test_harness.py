@@ -19,6 +19,7 @@ from asvnav.harness import (
     downstream_failure_scenario,
     field_from_dict,
     field_to_dict,
+    from_dict,
     generate_training_logs,
     load_scenario,
     read_mission_csv,
@@ -26,13 +27,12 @@ from asvnav.harness import (
     run_scenario,
     run_suite,
     samples_from_trajectory,
-    scenario_from_dict,
-    scenario_to_dict,
     standard_suite,
     suite_from_dict,
     suite_mission,
     suite_scenarios,
     suite_to_dict,
+    to_dict,
     write_mission_csv,
     write_training_csv,
 )
@@ -99,8 +99,8 @@ def test_scenario_round_trip_through_dict():
         seed=3,
         controller=ControllerSpec(kind="augmented", model="oracle"),
     )
-    data = scenario_to_dict(sc)
-    back = scenario_from_dict(json.loads(json.dumps(data)))
+    data = to_dict(sc)
+    back = from_dict(Scenario, json.loads(json.dumps(data)))
     assert back == sc
 
 
@@ -110,7 +110,7 @@ def test_scenario_round_trip_preserves_vehicle_params():
         wind_drag_factor=0.05, steerage_reference_speed=2.5,
         steerage_floor=0.05, turn_time_constant=1.5,
     ))
-    back = scenario_from_dict(json.loads(json.dumps(scenario_to_dict(sc))))
+    back = from_dict(Scenario, json.loads(json.dumps(to_dict(sc))))
     assert back.vehicle == sc.vehicle
 
 
@@ -136,7 +136,7 @@ def test_load_scenario_from_file(tmp_path):
     sc = _short_scenario(seed=11)
     path = tmp_path / "scenario.json"
     with open(path, "w") as fh:
-        json.dump(scenario_to_dict(sc), fh)
+        json.dump(to_dict(sc), fh)
     assert load_scenario(path) == sc
 
 
@@ -177,6 +177,18 @@ def test_suite_dict_round_trip():
     assert back.leg_length_m == suite.leg_length_m
     assert back.template.seed == 5
     assert back.template.current == suite.template.current
+
+
+def test_from_dict_rejects_unknown_keys():
+    """A misspelled key is an error naming its dotted path, not a silent default."""
+    scenario = to_dict(calm_water_scenario())
+    with pytest.raises(ValueError, match=r"noise\.sigma_speed\b"):
+        from_dict(Scenario, {**scenario, "noise": {"sigma_speed": 0.05}})
+    with pytest.raises(ValueError, match=r"\bduration_s\b"):
+        from_dict(Scenario, {**scenario, "duration_s": 10.0})
+    sweep = to_dict(_small_sweep())
+    with pytest.raises(ValueError, match=r"vehicle\.max_water_speed\b"):
+        from_dict(SweepSpec, {**sweep, "vehicle": {"max_water_speed": 5.0}})
 
 
 def test_zero_current_suite_columns_identical():
@@ -297,8 +309,6 @@ def test_fitted_model_drift_rmse_on_held_out_states():
     """Fit on one sweep, predict on unseen conditions: drift error small."""
     import math as _math
 
-    from asvnav.effects import predict
-
     model = fit(generate_training_logs(_small_sweep(seed=1)))
     rng = np.random.default_rng(77)
     errs = []
@@ -311,7 +321,7 @@ def test_fitted_model_drift_rmse_on_held_out_states():
         we, wn = wind.enu()
         truth = (ce + 0.03 * we, cn + 0.03 * wn)
         sample = ForceSample(current.speed, current.direction, wind.speed, wind.direction)
-        pred = predict(model, sample, rng.uniform(1, 3), rng.uniform(0, 3), rng.uniform(0, 360))
+        pred = model.predict(sample, rng.uniform(1, 3), rng.uniform(0, 3), rng.uniform(0, 360))
         errs.append((pred.effect_x - truth[0]) ** 2 + (pred.effect_y - truth[1]) ** 2)
     rmse = _math.sqrt(float(np.mean(errs)) / 2.0)
     assert rmse < 0.05

@@ -24,11 +24,11 @@ PARAMS = VehicleParams()
 
 def steady_state(heading, water_speed, environment, params=PARAMS, pos=ORIGIN):
     """State whose ground velocity is consistent with the fields at t=0."""
-    from asvnav.env import sample_current, sample_wind
+    from asvnav.env import sample_field
     from asvnav.geo import bearing_of, unit_enu
 
-    ce, cn = sample_current(environment.current, pos, 0.0).enu()
-    we, wn = sample_wind(environment.wind, pos, 0.0).enu()
+    ce, cn = sample_field(environment.current, pos, 0.0).enu()
+    we, wn = sample_field(environment.wind, pos, 0.0).enu()
     he, hn = unit_enu(heading)
     vg_e = water_speed * he + ce + params.wind_drag_factor * we
     vg_n = water_speed * hn + cn + params.wind_drag_factor * wn
