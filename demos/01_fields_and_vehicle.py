@@ -47,8 +47,8 @@ s_cur = AsvState(pos=origin, spd_t=math.hypot(2.0 * math.sin(math.radians(30)) +
 
 T = 60.0
 for _ in range(int(T / 0.1)):
-    s_calm = step(s_calm, cmd, calm, params, 0.1)
-    s_cur = step(s_cur, cmd, drifted, params, 0.1)
+    s_calm = step(s_calm, cmd, calm.sample(s_calm.pos, s_calm.t), params, 0.1)
+    s_cur = step(s_cur, cmd, drifted.sample(s_cur.pos, s_cur.t), params, 0.1)
 
 predicted = offset_point(s_calm.pos, EnuVector(ce * T, cn * T))
 gap, _ = distance_bearing(predicted, s_cur.pos)

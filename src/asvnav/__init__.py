@@ -8,7 +8,6 @@ the baseline, plus the simulation harness and metrics to compare them.
 from .augment import (
     AugmentConfig,
     AugmentState,
-    IntermediateTarget,
     adjusted_speed,
     augmented_navigator_step,
     calc_intermediate_wp,
@@ -42,6 +41,7 @@ from .env import (
     FieldSpec,
     ForceVector,
     GustSpec,
+    LeftDomainError,
     sample_field,
 )
 from .geo import (
@@ -71,6 +71,7 @@ from .harness import (
 from .metrics import (
     ComparisonTable,
     ErrorReport,
+    LegNotAcquiredError,
     LogRecord,
     TrajectoryLog,
     cross_track_series,

@@ -11,7 +11,7 @@ advancement is always judged against the true goal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .control import (
@@ -26,7 +26,7 @@ from .control import (
     steer_toward,
 )
 from .effects import EffectPrediction, ForceSample
-from .geo import EnuVector, GeoPoint, distance_bearing, offset_point
+from .geo import EnuVector, GeoPoint, distance, offset_point
 from .vehicle import ActuatorCommand, AsvState, VehicleParams
 
 # Never command below this fraction of the requested speed: the hull must
@@ -41,18 +41,6 @@ EFFECT_NOISE_FLOOR = 1e-12
 
 def _denoise(value: float) -> float:
     return 0.0 if abs(value) < EFFECT_NOISE_FLOOR else value
-
-
-@dataclass(frozen=True)
-class IntermediateTarget:
-    """Synthetic goal handed to the inner navigator."""
-
-    pos: GeoPoint
-    spd: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.spd) or self.spd <= 0.0:
-            raise ValueError(f"intermediate speed must be > 0, got {self.spd!r}")
 
 
 @dataclass(frozen=True)
@@ -82,14 +70,15 @@ class AugmentConfig:
 class AugmentState:
     """Inner navigator state plus the held feed-forward target.
 
-    anchor is the position at which the held intermediate target was
-    issued; the inner navigator tracks the anchor->target line. It only
-    moves when the target itself changes, so a zero-effect model leaves
-    the steering identical to the baseline's.
+    intermediate is the synthetic goal handed to the inner navigator, a
+    Waypoint like the mission's own. anchor is the position at which it
+    was issued; the inner navigator tracks the anchor->target line. It
+    only moves when the target itself changes, so a zero-effect model
+    leaves the steering identical to the baseline's.
     """
 
     nav: NavigatorState = field(default_factory=NavigatorState)
-    intermediate: Optional[IntermediateTarget] = None
+    intermediate: Optional[Waypoint] = None
     next_update_t: float = -math.inf
     anchor: Optional[GeoPoint] = None
 
@@ -118,7 +107,7 @@ def calc_intermediate_wp(
         raise ValueError(f"non-finite effect components ({effect_x}, {effect_y})")
     if effect_x == 0.0 and effect_y == 0.0:
         return goal.pos
-    d_t, _ = distance_bearing(s.pos, goal.pos)
+    d_t = distance(s.pos, goal.pos)
     if reference_speed is None:
         reference_speed = goal.spd_target
     ref_speed = max(reference_speed, cfg.reference_speed_floor_mps)
@@ -169,20 +158,16 @@ def augmented_navigator_step(
         raise ValueError("mission must contain at least one waypoint")
 
     nav = advance_waypoints(s, mission, aug.nav, radius)
-    if nav.active_wp_index != aug.nav.active_wp_index:
-        # New true goal: drop the held target and refresh right away.
-        aug = AugmentState(nav=nav, intermediate=None, next_update_t=-math.inf, anchor=None)
-    else:
-        aug = AugmentState(nav=nav, intermediate=aug.intermediate,
-                           next_update_t=aug.next_update_t, anchor=aug.anchor)
-
     if mission_complete(nav, mission):
         return ActuatorCommand(0.0, 0.0), AugmentState(nav=nav)
 
+    if nav.active_wp_index != aug.nav.active_wp_index:
+        # New true goal: drop the held target and refresh right away.
+        intermediate, next_update_t, anchor = None, -math.inf, None
+    else:
+        intermediate, next_update_t, anchor = aug.intermediate, aug.next_update_t, aug.anchor
+
     goal = mission[nav.active_wp_index]
-    intermediate = aug.intermediate
-    next_update_t = aug.next_update_t
-    anchor = aug.anchor
     if intermediate is None or s.t >= next_update_t:
         prediction: EffectPrediction = model.predict(force, goal.spd_target, s.spd_t, s.h_t)
         effect_spd = _denoise(prediction.effect_spd)
@@ -190,7 +175,7 @@ def augmented_navigator_step(
         effect_y = _denoise(prediction.effect_y)
         spd = adjusted_speed(effect_spd, goal.spd_target, params)
         pos = calc_intermediate_wp(goal, s, effect_x, effect_y, cfg, reference_speed=spd)
-        refreshed = IntermediateTarget(pos=pos, spd=spd)
+        refreshed = Waypoint(pos, spd)
         # Re-anchor only when the target actually moved; an unchanged
         # target keeps the established tracking line (and keeps a
         # zero-effect model bit-identical to the baseline). A moved
@@ -200,13 +185,11 @@ def augmented_navigator_step(
         if intermediate is None or refreshed != intermediate:
             intermediate = refreshed
             anchor = s.pos
-            nav = replace(nav, heading_pid=PidState())
+            nav = NavigatorState(nav.active_wp_index, PidState(), nav.speed_pid, nav.track_origin)
         next_update_t = s.t + cfg.update_period_s
 
     if anchor is None:
         anchor = s.pos
-    cmd, nav = steer_toward(
-        s, Waypoint(intermediate.pos, intermediate.spd), nav, gains, dt, anchor=anchor
-    )
+    cmd, nav = steer_toward(s, intermediate, nav, gains, dt, anchor=anchor)
     return cmd, AugmentState(nav=nav, intermediate=intermediate,
                              next_update_t=next_update_t, anchor=anchor)

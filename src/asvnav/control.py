@@ -11,10 +11,21 @@ comparison for the feed-forward augmentation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Sequence
 
-from .geo import EnuVector, GeoPoint, distance_bearing, enu_offset, offset_point, unit_enu, wrap_signed
+from .geo import (
+    EnuVector,
+    GeoPoint,
+    bearing_of,
+    distance,
+    distance_bearing,
+    enu_offset,
+    offset_point,
+    unit_enu,
+    wrap_signed,
+)
 from .vehicle import ActuatorCommand, AsvState
 
 DEFAULT_ACCEPT_RADIUS = 2.0
@@ -116,8 +127,7 @@ def waypoint_reached(s: AsvState, wp: Waypoint, radius: float) -> bool:
     """True once the vehicle is within radius of the waypoint (inclusive)."""
     if radius <= 0.0:
         raise ValueError(f"radius must be > 0, got {radius!r}")
-    rng, _ = distance_bearing(s.pos, wp.pos)
-    return rng <= radius
+    return distance(s.pos, wp.pos) <= radius
 
 
 def mission_complete(nav: NavigatorState, mission: Sequence[Waypoint]) -> bool:
@@ -140,6 +150,18 @@ def advance_waypoints(
     return nav
 
 
+@lru_cache(maxsize=64)
+def _leg(anchor: GeoPoint, target: GeoPoint) -> tuple[float, float, float]:
+    """Length and (east, north) unit vector of the anchor->target line.
+
+    Cached: a line holds for many ticks, and the result depends only on
+    the two points' values.
+    """
+    leg_len, leg_bearing = distance_bearing(anchor, target)
+    ue, un = unit_enu(leg_bearing)
+    return leg_len, ue, un
+
+
 def aim_point(
     s: AsvState,
     target: GeoPoint,
@@ -155,8 +177,7 @@ def aim_point(
     """
     if anchor is None:
         return target
-    leg_len, leg_bearing = distance_bearing(anchor, target)
-    ue, un = unit_enu(leg_bearing)
+    leg_len, ue, un = _leg(anchor, target)
     rel = enu_offset(anchor, s.pos)
     along = rel.east * ue + rel.north * un
     ahead = min(along + lookahead_m, leg_len)
@@ -180,15 +201,15 @@ def steer_toward(
     """PID step toward a target: bearing to the lookahead aim point drives
     the rudder, ground-speed error drives the thrust. No waypoint
     bookkeeping."""
-    _, bearing = distance_bearing(s.pos, aim_point(s, target.pos, anchor, gains.lookahead_m))
-    heading_error = wrap_signed(bearing - s.h_t)
+    to_aim = enu_offset(s.pos, aim_point(s, target.pos, anchor, gains.lookahead_m))
+    heading_error = wrap_signed(bearing_of(to_aim.east, to_aim.north) - s.h_t)
     rudder, heading_pid = pid_step(gains.heading, nav.heading_pid, heading_error, dt)
 
     speed_error = target.spd_target - s.spd_t
     thrust, speed_pid = pid_step(gains.speed, nav.speed_pid, speed_error, dt)
 
     cmd = ActuatorCommand(thrust=thrust, rudder=rudder)
-    return cmd, replace(nav, heading_pid=heading_pid, speed_pid=speed_pid)
+    return cmd, NavigatorState(nav.active_wp_index, heading_pid, speed_pid, nav.track_origin)
 
 
 def navigator_step(
@@ -212,6 +233,6 @@ def navigator_step(
     if mission_complete(nav, mission):
         return ActuatorCommand(0.0, 0.0), nav
     if nav.track_origin is None:
-        nav = replace(nav, track_origin=s.pos)
+        nav = NavigatorState(nav.active_wp_index, nav.heading_pid, nav.speed_pid, s.pos)
     return steer_toward(s, mission[nav.active_wp_index], nav, gains, dt,
                         anchor=nav.track_origin)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -175,64 +175,140 @@ def _check_gust(gust: GustSpec | None, base_speed: float) -> None:
         )
 
 
+class LeftDomainError(ValueError):
+    """A point lies outside the domain a field is defined on."""
+
+
+Sampler = Callable[[GeoPoint, float], tuple[float, float]]
+
+# (current east, current north, wind east, wind north) in m/s at one point
+# and time: what Environment.sample returns once per tick, for sense and
+# step to share.
+Flows = tuple[float, float, float, float]
+
+
+def _gust_term(gust: GustSpec, t: float) -> float:
+    return gust.amplitude * math.sin(2.0 * math.pi * t / gust.period_s)
+
+
+def _polar_sampler(field: FieldSpec) -> Sampler:
+    """(speed, direction) of the field at (p, t), gusts included, speed
+    clamped at zero. Everything that does not depend on (p, t) is worked
+    out here, once per field."""
+    gust = field.gust
+    if field.kind == "uniform":
+        be, bn = field.base.enu()
+        base_speed, direction = math.hypot(be, bn), bearing_of(be, bn)
+
+        def uniform(p: GeoPoint, t: float) -> tuple[float, float]:
+            if gust is None:
+                return base_speed, direction
+            return max(0.0, base_speed + _gust_term(gust, t)), direction
+
+        return uniform
+    if field.kind == "river_profile":
+        origin, half_width, center_speed = field.axis_origin, field.half_width, field.base.speed
+        ae, an = unit_enu(field.axis_bearing)
+        ue, un = unit_enu(field.base.direction)
+
+        def river(p: GeoPoint, t: float) -> tuple[float, float]:
+            offset = enu_offset(origin, p)
+            lateral = offset.east * an - offset.north * ae  # signed distance off-axis
+            factor = max(0.0, 1.0 - (lateral / half_width) ** 2)
+            # the gust modulates the centerline speed, so the profile still
+            # takes the flow to zero at the banks and keeps it on the axis
+            speed = center_speed if gust is None else max(0.0, center_speed + _gust_term(gust, t))
+            east = speed * ue * factor
+            north = speed * un * factor
+            return math.hypot(east, north), bearing_of(east, north)
+
+        return river
+    if field.kind == "grid":
+        nodes = np.stack((field.node_east, field.node_north), axis=-1)
+        ni, nj = field.node_east.shape
+        lat0, lon0, dlat, dlon = field.lat0, field.lon0, field.dlat, field.dlon
+        edge_tol = 1e-9  # grid cells; absorbs float noise at the boundary nodes
+
+        def grid(p: GeoPoint, t: float) -> tuple[float, float]:
+            fi = (p.lat - lat0) / dlat
+            fj = (p.lon - lon0) / dlon
+            if fi < -edge_tol or fj < -edge_tol or fi > ni - 1 + edge_tol or fj > nj - 1 + edge_tol:
+                raise LeftDomainError(f"point ({p.lat}, {p.lon}) outside grid field domain")
+            fi = min(max(fi, 0.0), float(ni - 1))
+            fj = min(max(fj, 0.0), float(nj - 1))
+            i = min(int(fi), ni - 2)
+            j = min(int(fj), nj - 2)
+            wi = fi - i
+            wj = fj - j
+            vi = 1 - wi
+            vj = 1 - wj
+            # one read of the 2x2 cell as Python floats: same IEEE arithmetic
+            # as indexing the numpy arrays tap by tap, without the scalars
+            (c00, c01), (c10, c11) = nodes[i : i + 2, j : j + 2].tolist()
+            east = c00[0] * vi * vj + c10[0] * wi * vj + c01[0] * vi * wj + c11[0] * wi * wj
+            north = c00[1] * vi * vj + c10[1] * wi * vj + c01[1] * vi * wj + c11[1] * wi * wj
+            speed = math.hypot(east, north)
+            if gust is not None:
+                speed = max(0.0, speed + _gust_term(gust, t))
+            return speed, bearing_of(east, north)
+
+        return grid
+    raise ValueError(f"unknown field kind {field.kind!r}")
+
+
+def sample_field(field: FieldSpec, p: GeoPoint, t: float) -> ForceVector:
+    """Flow at point p and time t, gusts included, speed clamped at zero.
+
+    Raises LeftDomainError for a point outside a grid field.
+    """
+    return ForceVector(*_polar_sampler(field)(p, t))
+
+
+def _field_sampler(field: FieldSpec) -> Sampler:
+    """(east, north) flow components at (p, t), equal bit for bit to
+    sample_field(field, p, t).enu(). A uniform field without a gust is
+    constant, so its sampler returns a value computed once."""
+    polar = _polar_sampler(field)
+    if field.kind == "uniform" and field.gust is None:
+        value = ForceVector(*polar(None, 0.0)).enu()  # uniform flow ignores p and t
+        return lambda p, t: value
+
+    def sampler(p: GeoPoint, t: float) -> tuple[float, float]:
+        speed, direction = polar(p, t)
+        if speed > 0.0:
+            ue, un = unit_enu(direction)
+            return speed * ue, speed * un
+        return 0.0, 0.0  # ForceVector reports a still flow as direction 0
+
+    return sampler
+
+
 @dataclass(frozen=True)
 class Environment:
-    """The pair of fields a simulation runs in."""
+    """The pair of fields a simulation runs in.
+
+    Each field's sampler is built once, here; sample() is what a
+    simulation step calls.
+    """
 
     current: FieldSpec
     wind: FieldSpec
+
+    def __post_init__(self):
+        object.__setattr__(self, "_current", _field_sampler(self.current))
+        object.__setattr__(self, "_wind", _field_sampler(self.wind))
+
+    def __reduce__(self):
+        # the samplers are closures; pickle the fields and rebuild them
+        return type(self), (self.current, self.wind)
 
     @classmethod
     def calm(cls) -> "Environment":
         return cls(FieldSpec.calm(), FieldSpec.calm())
 
-
-def _base_sample(field: FieldSpec, p: GeoPoint) -> tuple[float, float]:
-    """Ungusted (east, north) flow components at p."""
-    if field.kind == "uniform":
-        return field.base.enu()
-    if field.kind == "river_profile":
-        offset = enu_offset(field.axis_origin, p)
-        ue, un = unit_enu(field.axis_bearing)
-        lateral = offset.east * un - offset.north * ue  # signed distance off-axis
-        factor = max(0.0, 1.0 - (lateral / field.half_width) ** 2)
-        be, bn = field.base.enu()
-        return be * factor, bn * factor
-    if field.kind == "grid":
-        ni, nj = field.node_east.shape
-        fi = (p.lat - field.lat0) / field.dlat
-        fj = (p.lon - field.lon0) / field.dlon
-        edge_tol = 1e-9  # grid cells; absorbs float noise at the boundary nodes
-        if fi < -edge_tol or fj < -edge_tol or fi > ni - 1 + edge_tol or fj > nj - 1 + edge_tol:
-            raise ValueError(f"point ({p.lat}, {p.lon}) outside grid field domain")
-        fi = min(max(fi, 0.0), float(ni - 1))
-        fj = min(max(fj, 0.0), float(nj - 1))
-        i = min(int(fi), ni - 2)
-        j = min(int(fj), nj - 2)
-        wi = fi - i
-        wj = fj - j
-        east = (
-            field.node_east[i, j] * (1 - wi) * (1 - wj)
-            + field.node_east[i + 1, j] * wi * (1 - wj)
-            + field.node_east[i, j + 1] * (1 - wi) * wj
-            + field.node_east[i + 1, j + 1] * wi * wj
-        )
-        north = (
-            field.node_north[i, j] * (1 - wi) * (1 - wj)
-            + field.node_north[i + 1, j] * wi * (1 - wj)
-            + field.node_north[i, j + 1] * (1 - wi) * wj
-            + field.node_north[i + 1, j + 1] * wi * wj
-        )
-        return float(east), float(north)
-    raise ValueError(f"unknown field kind {field.kind!r}")
-
-
-def sample_field(field: FieldSpec, p: GeoPoint, t: float) -> ForceVector:
-    """Flow at point p and time t, gusts included, speed clamped at zero."""
-    east, north = _base_sample(field, p)
-    speed = math.hypot(east, north)
-    direction = bearing_of(east, north)
-    if field.gust is not None:
-        speed += field.gust.amplitude * math.sin(2.0 * math.pi * t / field.gust.period_s)
-        speed = max(0.0, speed)
-    return ForceVector(speed, direction)
+    def sample(self, pos: GeoPoint, t: float) -> Flows:
+        """(current east, current north, wind east, wind north) in m/s at
+        pos and time t. Raises LeftDomainError outside a grid field."""
+        ce, cn = self._current(pos, t)
+        we, wn = self._wind(pos, t)
+        return ce, cn, we, wn

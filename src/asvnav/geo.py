@@ -19,6 +19,11 @@ MAX_LEG_METERS = 10_000.0
 
 def wrap_angle(theta: float) -> float:
     """Wrap an angle in degrees into [0, 360)."""
+    # exact: theta % 360.0 is theta itself on this open interval (+ 0.0
+    # keeps the float result type for int input); -0.0, 360.0, NaN and
+    # inf all fall through to the full path
+    if 0.0 < theta < 360.0:
+        return theta + 0.0
     if not math.isfinite(theta):
         raise ValueError(f"angle must be finite, got {theta!r}")
     wrapped = theta % 360.0
@@ -95,6 +100,11 @@ def enu_offset(a: GeoPoint, b: GeoPoint) -> EnuVector:
     east = dlon * METERS_PER_DEG_LAT * math.cos(math.radians(mid_lat))
     north = (b.lat - a.lat) * METERS_PER_DEG_LAT
     return EnuVector(east, north)
+
+
+def distance(a: GeoPoint, b: GeoPoint) -> float:
+    """Range (m) from a to b: distance_bearing without the bearing."""
+    return enu_offset(a, b).magnitude()
 
 
 def distance_bearing(a: GeoPoint, b: GeoPoint) -> tuple[float, float]:

@@ -37,7 +37,7 @@ from .effects import (
     load_model,
     make_features,
 )
-from .env import Environment, FieldSpec, ForceVector, GustSpec
+from .env import Environment, FieldSpec, Flows, ForceVector, GustSpec, LeftDomainError
 from .geo import (
     EnuVector,
     GeoPoint,
@@ -51,6 +51,7 @@ from .metrics import (
     SUITE_ORIENTATIONS,
     ComparisonTable,
     ErrorReport,
+    LegNotAcquiredError,
     LogRecord,
     TrajectoryLog,
     cross_track_series,
@@ -379,20 +380,31 @@ def read_training_csv(path: str | os.PathLike) -> list[TrainingSample]:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Outcome of one scenario run."""
+    """Outcome of one scenario run.
+
+    outcome says how the run ended: "completed" (every waypoint reached),
+    "incomplete" (duration limit hit) or "left_domain" (the vehicle left a
+    grid field; the log stops at the last tick inside it). report is None
+    when the log holds no scoreable path.
+    """
 
     scenario: Scenario
     log: TrajectoryLog
     report: Optional[ErrorReport]
-    completed: bool
+    outcome: str
     sign_changes_over_1m: int
     duration_s: float
+
+    @property
+    def completed(self) -> bool:
+        return self.outcome == "completed"
 
     def summary(self) -> dict:
         return {
             "name": self.scenario.name,
             "controller": self.scenario.controller.kind,
             "completed": self.completed,
+            "outcome": self.outcome,
             "duration_s": self.duration_s,
             "max_error_m": None if self.report is None else self.report.max_error,
             "pct_over_1m": None if self.report is None else self.report.pct_over_1m,
@@ -414,10 +426,13 @@ def run_scenario(
     out_dir: str | os.PathLike | None = None,
     model=None,
 ) -> RunResult:
-    """Closed-loop simulation to mission completion or the duration limit.
+    """Closed-loop simulation to mission completion, the duration limit or
+    the edge of a grid field.
 
-    Deterministic for a fixed seed. When out_dir is given, writes the
-    trajectory log, per-sample errors, mission file, resolved scenario
+    Each tick samples the fields once at the vehicle, then senses, recovers
+    the absolute forces, navigates, logs and steps, all from that one
+    sample. Deterministic for a fixed seed. When out_dir is given, writes
+    the trajectory log, per-sample errors, mission file, resolved scenario
     and a run summary there.
     """
     if model is None:
@@ -431,10 +446,15 @@ def run_scenario(
     log = TrajectoryLog()
     augmented = sc.controller.kind == "augmented"
 
-    completed = False
+    outcome = "incomplete"
     max_steps = int(round(sc.duration_limit_s / sc.dt_s))
     for _ in range(max_steps + 1):
-        frame = sense(s, environment, sc.noise, rng)
+        try:
+            flows = environment.sample(s.pos, s.t)
+        except LeftDomainError:
+            outcome = "left_domain"
+            break
+        frame = sense(s, flows, sc.noise, rng)
         force = relative_to_absolute(frame, s)
         if augmented:
             cmd, aug = augmented_navigator_step(
@@ -453,24 +473,27 @@ def run_scenario(
         log.append(LogRecord(t=s.t, state=s, wp_index=wp_index,
                              intermediate=intermediate, force=force, cmd=cmd))
         if wp_index >= len(mission):
-            completed = True
+            outcome = "completed"
             break
-        s = step(s, cmd, environment, sc.vehicle, sc.dt_s)
+        s = step(s, cmd, flows, sc.vehicle, sc.dt_s)
 
     report = None
     sign_changes = 0
-    try:
-        series = cross_track_series(log, mission, sc.acceptance_radius_m)
+    series = None
+    if len(mission) >= 2:  # a single waypoint defines no leg to score
+        try:
+            series = cross_track_series(log, mission, sc.acceptance_radius_m)
+        except LegNotAcquiredError:
+            pass  # keep the partial log anyway
+    if series is not None:
         report = score(series.errors, series.weights, label=sc.name)
         sign_changes = sign_changes_over_threshold(series.errors)
-    except ValueError:
-        series = None  # never acquired the leg; keep the partial log anyway
 
     result = RunResult(
         scenario=sc,
         log=log,
         report=report,
-        completed=completed,
+        outcome=outcome,
         sign_changes_over_1m=sign_changes,
         duration_s=log.records[-1].t if log.records else 0.0,
     )
@@ -780,8 +803,8 @@ def generate_training_logs(sweep: SweepSpec) -> list[TrainingSample]:
     samples: list[TrainingSample] = []
     n_steps = int(round(sweep.duration_s / sweep.dt_s))
 
-    def record(s: AsvState, environment: Environment, speed: float) -> None:
-        force = relative_to_absolute(sense(s, environment, sweep.noise, rng), s)
+    def record(s: AsvState, flows: Flows, speed: float) -> None:
+        force = relative_to_absolute(sense(s, flows, sweep.noise, rng), s)
         samples.append(
             TrainingSample(
                 features=make_features(force, speed, s.h_t),
@@ -800,10 +823,12 @@ def generate_training_logs(sweep: SweepSpec) -> list[TrainingSample]:
                 )
                 thrust = min(1.0, speed / sweep.vehicle.max_water_speed)
                 cmd = ActuatorCommand(thrust=thrust, rudder=0.0)
-                s = steady_state(sweep.origin, heading, speed, environment, sweep.vehicle)
+                s = steady_state(sweep.origin, heading, speed,
+                                 environment.sample(sweep.origin, 0.0), sweep.vehicle)
                 for _ in range(n_steps):
-                    record(s, environment, speed)
-                    s = step(s, cmd, environment, sweep.vehicle, sweep.dt_s)
+                    flows = environment.sample(s.pos, s.t)
+                    record(s, flows, speed)
+                    s = step(s, cmd, flows, sweep.vehicle, sweep.dt_s)
 
     if sweep.include_closed_loop:
         # a few navigator-driven legs so the corpus also covers transients
@@ -819,14 +844,16 @@ def generate_training_logs(sweep: SweepSpec) -> list[TrainingSample]:
             goal = Waypoint(
                 offset_point(sweep.origin, EnuVector(100.0 * ue, 100.0 * un)), leg_speed
             )
-            s = steady_state(sweep.origin, heading, leg_speed, environment, sweep.vehicle)
+            s = steady_state(sweep.origin, heading, leg_speed,
+                             environment.sample(sweep.origin, 0.0), sweep.vehicle)
             nav = NavigatorState()
             for _ in range(n_steps):
-                record(s, environment, leg_speed)
+                flows = environment.sample(s.pos, s.t)
+                record(s, flows, leg_speed)
                 cmd, nav = navigator_step(s, [goal], nav, dt=sweep.dt_s)
                 if nav.active_wp_index >= 1:
                     break
-                s = step(s, cmd, environment, sweep.vehicle, sweep.dt_s)
+                s = step(s, cmd, flows, sweep.vehicle, sweep.dt_s)
     return samples
 
 

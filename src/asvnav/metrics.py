@@ -17,10 +17,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .augment import IntermediateTarget
 from .control import Waypoint
 from .effects import ForceSample
-from .geo import GeoPoint, distance_bearing, enu_offset, unit_enu
+from .geo import GeoPoint, distance, distance_bearing, enu_offset, unit_enu
 from .vehicle import ActuatorCommand, AsvState
 
 TRAJECTORY_HEADER = (
@@ -53,7 +52,7 @@ class LogRecord:
     t: float
     state: AsvState
     wp_index: int
-    intermediate: Optional[IntermediateTarget]
+    intermediate: Optional[Waypoint]
     force: ForceSample
     cmd: ActuatorCommand
 
@@ -84,7 +83,7 @@ class TrajectoryLog:
                 else (
                     repr(float(r.intermediate.pos.lat)),
                     repr(float(r.intermediate.pos.lon)),
-                    repr(float(r.intermediate.spd)),
+                    repr(float(r.intermediate.spd_target)),
                 )
             )
             row = (
@@ -126,9 +125,9 @@ class TrajectoryLog:
             for row in reader:
                 inter = None
                 if row["int_lat"]:
-                    inter = IntermediateTarget(
-                        pos=GeoPoint(float(row["int_lat"]), float(row["int_lon"])),
-                        spd=float(row["int_spd"]),
+                    inter = Waypoint(
+                        GeoPoint(float(row["int_lat"]), float(row["int_lon"])),
+                        float(row["int_spd"]),
                     )
                 state = AsvState(
                     pos=GeoPoint(float(row["lat"]), float(row["lon"])),
@@ -184,6 +183,11 @@ class CrossTrackSeries:
     first_scored_record: int
 
 
+class LegNotAcquiredError(ValueError):
+    """No logged sample comes near the start of the first leg (an empty
+    log included), so the run has no path to score."""
+
+
 def cross_track_series(
     log: TrajectoryLog,
     mission: Sequence[Waypoint],
@@ -197,41 +201,36 @@ def cross_track_series(
     path.
     """
     if not log.records:
-        raise ValueError("trajectory log is empty")
+        raise LegNotAcquiredError("trajectory log is empty")
     if len(mission) < 2:
         raise ValueError("need at least two waypoints to define a leg")
     for a, b in zip(mission, mission[1:]):
-        rng, _ = distance_bearing(a.pos, b.pos)
-        if rng == 0.0:
+        if distance(a.pos, b.pos) == 0.0:
             raise ValueError(f"degenerate leg: coincident waypoints at ({a.pos.lat}, {a.pos.lon})")
+    # (east, north) unit vector of each leg, once per leg
+    leg_units = [unit_enu(distance_bearing(a.pos, b.pos)[1]) for a, b in zip(mission, mission[1:])]
 
     start = None
     for i, record in enumerate(log.records):
-        rng, _ = distance_bearing(record.state.pos, mission[0].pos)
-        if rng <= 2.0 * acceptance_radius:
+        if distance(record.state.pos, mission[0].pos) <= 2.0 * acceptance_radius:
             start = i
             break
     if start is None:
-        raise ValueError("vehicle never acquired the first leg; nothing to score")
+        raise LegNotAcquiredError("vehicle never acquired the first leg; nothing to score")
 
     errors = []
     legs = []
     positions = []
     for record in log.records[start:]:
         leg = min(max(record.wp_index, 1), len(mission) - 1)
-        a = mission[leg - 1].pos
-        b = mission[leg].pos
-        offset = enu_offset(a, record.state.pos)
-        _, leg_bearing = distance_bearing(a, b)
-        ue, un = unit_enu(leg_bearing)
+        offset = enu_offset(mission[leg - 1].pos, record.state.pos)
+        ue, un = leg_units[leg - 1]
         # positive to starboard of the leg direction
         errors.append(offset.east * un - offset.north * ue)
         legs.append(leg)
         positions.append(record.state.pos)
 
-    seg = np.array(
-        [distance_bearing(p, q)[0] for p, q in zip(positions, positions[1:])], dtype=float
-    )
+    seg = np.array([distance(p, q) for p, q in zip(positions, positions[1:])], dtype=float)
     n = len(errors)
     weights = np.zeros(n)
     if n > 1:

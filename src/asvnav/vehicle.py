@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .effects import ForceSample
-from .env import Environment, ForceVector, sample_field
+from .env import Flows, ForceVector
 from .geo import EnuVector, GeoPoint, bearing_of, offset_point, unit_enu, wrap_angle
 
 MAX_STEP_DT = 0.5
@@ -145,12 +145,13 @@ class SensorFrame:
 def step(
     s: AsvState,
     cmd: ActuatorCommand,
-    environment: Environment,
+    flows: Flows,
     params: VehicleParams,
     dt: float,
 ) -> AsvState:
     """Advance the vehicle one fixed Euler step.
 
+    flows are the fields sampled at the state's own position and time.
     Heading integrates the lagged turn rate (commanded rate is rudder
     times the speed-scaled turn authority), through-water speed relaxes
     toward thrust * max_water_speed, and the position advances along the
@@ -173,7 +174,7 @@ def step(
         dt / params.thrust_time_constant
     )
 
-    vg_e, vg_n = _ground_velocity(tw, heading, environment, s.pos, s.t, params)
+    vg_e, vg_n = _ground_velocity(tw, heading, flows, params)
     pos = offset_point(s.pos, EnuVector(vg_e * dt, vg_n * dt))
     return AsvState(
         pos=pos,
@@ -190,12 +191,13 @@ def steady_state(
     pos: GeoPoint,
     heading: float,
     water_speed: float,
-    environment: Environment,
+    flows: Flows,
     params: VehicleParams,
 ) -> AsvState:
     """State at t=0 already moving at water_speed along heading, with the
-    ground velocity the fields impose there (no turn, no thrust lag)."""
-    vg_e, vg_n = _ground_velocity(water_speed, heading, environment, pos, 0.0, params)
+    ground velocity the fields impose there (flows sampled at pos, t=0; no
+    turn, no thrust lag)."""
+    vg_e, vg_n = _ground_velocity(water_speed, heading, flows, params)
     return AsvState(
         pos=pos,
         spd_t=math.hypot(vg_e, vg_n),
@@ -206,18 +208,11 @@ def steady_state(
     )
 
 
-def _ground_velocity(
-    tw: float,
-    heading: float,
-    environment: Environment,
-    pos: GeoPoint,
-    t: float,
-    params: VehicleParams,
-) -> tuple[float, float]:
+def _ground_velocity(tw: float, heading: float, flows: Flows,
+                     params: VehicleParams) -> tuple[float, float]:
     """(east, north) ground velocity: the through-water velocity along the
     heading plus the current plus the wind-drag fraction of the wind."""
-    ce, cn = sample_field(environment.current, pos, t).enu()
-    we, wn = sample_field(environment.wind, pos, t).enu()
+    ce, cn, we, wn = flows
     he, hn = unit_enu(heading)
     return tw * he + ce + params.wind_drag_factor * we, tw * hn + cn + params.wind_drag_factor * wn
 
@@ -232,32 +227,31 @@ def _to_hull_frame(vec_e: float, vec_n: float, heading: float) -> tuple[float, f
 
 def sense(
     s: AsvState,
-    environment: Environment,
+    flows: Flows,
     noise: NoiseSpec = NoiseSpec(),
     rng: np.random.Generator | None = None,
 ) -> SensorFrame:
     """Read the simulated sensors at the current state.
 
+    flows are the fields sampled at the state's own position and time.
     The paddle wheel and anemometer physically measure flow relative to
     the moving hull, so both relative vectors subtract the ground
     velocity. Noise draws are taken in a fixed order (four per call) so
     runs stay reproducible for a given generator.
     """
-    current = sample_field(environment.current, s.pos, s.t)
-    wind = sample_field(environment.wind, s.pos, s.t)
+    ce, cn, we, wn = flows
     vg_e, vg_n = s.ground_velocity()
-    ce, cn = current.enu()
-    we, wn = wind.enu()
 
     water_spd, water_dir = _to_hull_frame(ce - vg_e, cn - vg_n, s.h_t)
     wind_spd, wind_dir = _to_hull_frame(we - vg_e, wn - vg_n, s.h_t)
 
     if rng is not None:
-        draws = rng.standard_normal(4)
-        water_spd = max(0.0, water_spd + draws[0] * noise.sigma_speed)
-        water_dir = wrap_angle(water_dir + draws[1] * noise.sigma_dir)
-        wind_spd = max(0.0, wind_spd + draws[2] * noise.sigma_speed)
-        wind_dir = wrap_angle(wind_dir + draws[3] * noise.sigma_dir)
+        # read as Python floats: the same IEEE arithmetic as numpy scalars
+        d_ws, d_wd, d_as, d_ad = rng.standard_normal(4).tolist()
+        water_spd = max(0.0, water_spd + d_ws * noise.sigma_speed)
+        water_dir = wrap_angle(water_dir + d_wd * noise.sigma_dir)
+        wind_spd = max(0.0, wind_spd + d_as * noise.sigma_speed)
+        wind_dir = wrap_angle(wind_dir + d_ad * noise.sigma_dir)
     elif noise.sigma_speed > 0.0 or noise.sigma_dir > 0.0:
         raise ValueError("noisy sensing requires an explicit rng")
 

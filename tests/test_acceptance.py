@@ -75,7 +75,7 @@ def test_criterion_1_inverse_sensing():
             through_water_speed=rng.uniform(0, 5),
             t=rng.uniform(0, 1000),
         )
-        recovered = relative_to_absolute(sense(s, environment), s)
+        recovered = relative_to_absolute(sense(s, environment.sample(s.pos, s.t)), s)
         worst_speed = max(worst_speed, abs(recovered.spd_c - current.speed),
                           abs(recovered.spd_w - wind.speed))
         if current.speed > 1e-6:
@@ -111,8 +111,8 @@ def test_criterion_2_drift_superposition():
     s_calm, s_cur = steady(calm), steady(drifted)
     steps, dt = 600, 0.1
     for _ in range(steps):
-        s_calm = step(s_calm, cmd, calm, PARAMS, dt)
-        s_cur = step(s_cur, cmd, drifted, PARAMS, dt)
+        s_calm = step(s_calm, cmd, calm.sample(s_calm.pos, s_calm.t), PARAMS, dt)
+        s_cur = step(s_cur, cmd, drifted.sample(s_cur.pos, s_cur.t), PARAMS, dt)
     ce, cn = current.enu()
     expected = offset_point(s_calm.pos, EnuVector(ce * steps * dt, cn * steps * dt))
     gap, _ = distance_bearing(expected, s_cur.pos)

@@ -7,7 +7,6 @@ import pytest
 from asvnav.augment import (
     AugmentConfig,
     AugmentState,
-    IntermediateTarget,
     adjusted_speed,
     augmented_navigator_step,
     calc_intermediate_wp,
@@ -127,15 +126,15 @@ def test_zero_effect_steps_bit_identical_to_baseline():
     nav = NavigatorState()
     aug = AugmentState()
     for _ in range(600):
-        frame_b = sense(s_base, environment)
+        frame_b = sense(s_base, environment.sample(s_base.pos, s_base.t))
         force_b = relative_to_absolute(frame_b, s_base)
         cmd_b, nav = navigator_step(s_base, mission, nav, dt=0.1)
         cmd_a, aug = augmented_navigator_step(
             s_aug, mission, aug, model, force_b, dt=0.1, params=PARAMS
         )
         assert cmd_a == cmd_b
-        s_base = step(s_base, cmd_b, environment, PARAMS, 0.1)
-        s_aug = step(s_aug, cmd_a, environment, PARAMS, 0.1)
+        s_base = step(s_base, cmd_b, environment.sample(s_base.pos, s_base.t), PARAMS, 0.1)
+        s_aug = step(s_aug, cmd_a, environment.sample(s_aug.pos, s_aug.t), PARAMS, 0.1)
         assert s_aug == s_base
         if nav.active_wp_index >= len(mission):
             break
@@ -152,7 +151,7 @@ def test_mission_advances_on_true_waypoints_only():
     aug = AugmentState()
     seen = []
     for _ in range(2500):
-        frame = sense(s, environment)
+        frame = sense(s, environment.sample(s.pos, s.t))
         force = relative_to_absolute(frame, s)
         cmd, aug = augmented_navigator_step(
             s, mission, aug, oracle, force, cfg=cfg, params=PARAMS, dt=0.1
@@ -161,7 +160,7 @@ def test_mission_advances_on_true_waypoints_only():
             seen.append(aug.nav.active_wp_index)
         if aug.nav.active_wp_index >= len(mission):
             break
-        s = step(s, cmd, environment, PARAMS, 0.1)
+        s = step(s, cmd, environment.sample(s.pos, s.t), PARAMS, 0.1)
     assert seen == [0, 1, 2]
 
 
@@ -175,7 +174,7 @@ def test_intermediate_target_held_between_updates():
     changes = 0
     previous = None
     for i in range(100):  # 10 seconds at dt 0.1
-        frame = sense(s, environment)
+        frame = sense(s, environment.sample(s.pos, s.t))
         force = relative_to_absolute(frame, s)
         cmd, aug = augmented_navigator_step(
             s, mission, aug, oracle, force, cfg=cfg, params=PARAMS, dt=0.1
@@ -183,10 +182,10 @@ def test_intermediate_target_held_between_updates():
         if previous is not None and aug.intermediate != previous:
             changes += 1
         previous = aug.intermediate
-        s = step(s, cmd, environment, PARAMS, 0.1)
+        s = step(s, cmd, environment.sample(s.pos, s.t), PARAMS, 0.1)
     assert changes <= 11  # one refresh per period, not per step
 
 
 def test_intermediate_speed_positive():
     with pytest.raises(ValueError):
-        IntermediateTarget(pos=ORIGIN, spd=0.0)
+        Waypoint(pos=ORIGIN, spd_target=0.0)

@@ -1,9 +1,12 @@
 """Disturbance fields: profile math, grid interpolation, gusts."""
 
+import hashlib
+import pickle
+
 import numpy as np
 import pytest
 
-from asvnav.env import Environment, FieldSpec, ForceVector, GustSpec, sample_field
+from asvnav.env import Environment, FieldSpec, ForceVector, GustSpec, LeftDomainError, sample_field
 from asvnav.geo import EnuVector, GeoPoint, offset_point
 
 ORIGIN = GeoPoint(34.0, -81.0)
@@ -133,3 +136,86 @@ def test_force_vector_validation():
         ForceVector(-0.1, 0.0)
     v = ForceVector(1.0, 450.0)
     assert v.direction == 90.0
+
+
+def test_river_gust_scales_the_centerline():
+    """A gust modulates the centerline speed; the profile still takes the
+    flow to zero at the banks and keeps it along the axis."""
+    field = FieldSpec.river_profile(
+        axis_origin=ORIGIN, axis_bearing=150.0, centerline=ForceVector(0.677, 150.0),
+        half_width=20.0, gust=GustSpec(amplitude=0.5, period_s=40.0),
+    )
+    peak = 10.0
+    ue, un = -0.8660254037844387, -0.5  # unit vector of bearing 240, across the axis
+    near_bank = sample_field(field, offset_point(ORIGIN, EnuVector(18.0 * ue, 18.0 * un)), peak)
+    assert near_bank.speed == pytest.approx((0.677 + 0.5) * (1.0 - 0.9**2), rel=1e-6)
+    assert near_bank.direction == pytest.approx(150.0, abs=1e-6)
+    bank = offset_point(ORIGIN, EnuVector(20.0 * ue, 20.0 * un))
+    assert sample_field(field, bank, peak).speed == pytest.approx(0.0, abs=1e-12)
+    outside = offset_point(ORIGIN, EnuVector(25.0 * ue, 25.0 * un))
+    assert sample_field(field, outside, peak).speed == 0.0
+    assert Environment(field, FieldSpec.calm()).sample(outside, peak) == (0.0, 0.0, 0.0, 0.0)
+
+
+def test_uniform_and_grid_gusts_unchanged():
+    """Gusted uniform and grid samples, pinned bit for bit (sha256 of their
+    repr) from before the river gust fix and the per-field samplers."""
+    uniform = FieldSpec.uniform(ForceVector(4.0, 90.0), gust=GustSpec(1.0, 60.0))
+    grid = FieldSpec.grid(
+        33.999, -81.001, 0.001, 0.001,
+        [[0.5, 0.7, 0.6], [0.9, 0.8, 1.0], [0.6, 0.75, 0.55]],
+        [[10.0, 30.0, 350.0], [80.0, 120.0, 200.0], [300.0, 45.0, 90.0]],
+        gust=GustSpec(0.4, 9.0),
+    )
+    points = [ORIGIN, GeoPoint(34.00037, -80.99962), GeoPoint(33.99951, -81.00083)]
+    samples = []
+    for field in (uniform, grid):
+        for p in points:
+            for t in (0.0, 2.25, 3.7, 15.0):
+                v = sample_field(field, p, t)
+                samples.append((v.speed, v.direction))
+    digest = hashlib.sha256(repr(samples).encode()).hexdigest()
+    assert digest == "51152bec93b933694b1882fe189fddd0d1e0fabfefd1e8c50d5aed8f4f3f7a41"
+
+
+def test_environment_sample_matches_sample_field():
+    """Environment.sample is sample_field(...).enu() of both fields, bit
+    for bit, for every field kind with and without a gust."""
+    grid, _, _ = _grid_field()
+    gust = GustSpec(0.3, 11.0)
+    fields = [
+        FieldSpec.calm(),
+        FieldSpec.uniform(ForceVector(0.677, 150.0)),
+        FieldSpec.uniform(ForceVector(5.0, 240.0), gust=gust),
+        _river(),
+        FieldSpec.river_profile(ORIGIN, 30.0, ForceVector(1.2, 30.0), 40.0, gust=gust),
+        grid,
+        FieldSpec.grid(33.995, -81.005, 0.01, 0.01, [[0.5, 1.0], [1.0, 2.0]],
+                       [[10.0, 40.0], [350.0, 20.0]], gust=gust),
+    ]
+    rng = np.random.default_rng(3)
+    points = [offset_point(ORIGIN, EnuVector(*rng.uniform(-30.0, 30.0, 2))) for _ in range(5)]
+    for current in fields:
+        for wind in fields[:3]:
+            environment = Environment(current, wind)
+            for p in points:
+                for t in (0.0, 1.3, 2.75):
+                    expected = (*sample_field(current, p, t).enu(), *sample_field(wind, p, t).enu())
+                    assert environment.sample(p, t) == expected
+
+
+def test_grid_out_of_domain_is_left_domain_error():
+    field, _, _ = _grid_field()
+    outside = GeoPoint(34.5, -81.0)
+    with pytest.raises(LeftDomainError, match="outside grid"):
+        sample_field(field, outside, 0.0)
+    with pytest.raises(LeftDomainError):
+        Environment(FieldSpec.calm(), field).sample(outside, 0.0)
+
+
+def test_environment_pickles():
+    field, _, _ = _grid_field()
+    environment = Environment(field, FieldSpec.uniform(ForceVector(3.0, 20.0)))
+    again = pickle.loads(pickle.dumps(environment))
+    assert again == environment
+    assert again.sample(ORIGIN, 2.0) == environment.sample(ORIGIN, 2.0)

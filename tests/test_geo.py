@@ -97,6 +97,30 @@ def test_wrap_angle_idempotent():
         assert wrap_angle(w) == w
 
 
+@pytest.mark.parametrize("theta, expected", [
+    (-0.0, 0.0),
+    (0.0, 0.0),
+    (1e-300, 1e-300),
+    (359.99999999999994, 359.99999999999994),
+    (360.0, 0.0),
+    (-1e-300, 0.0),
+    (45, 45.0),
+])
+def test_wrap_angle_edge_cases(theta, expected):
+    """Exact results, sign of zero and float type included, on both sides
+    of the in-range fast path."""
+    w = wrap_angle(theta)
+    assert type(w) is float
+    assert w == expected
+    assert math.copysign(1.0, w) == 1.0
+
+
+@pytest.mark.parametrize("theta", [float("nan"), float("inf"), -float("inf")])
+def test_wrap_angle_rejects_nan_and_inf(theta):
+    with pytest.raises(ValueError, match="finite"):
+        wrap_angle(theta)
+
+
 def test_wrap_angle_rejects_non_finite():
     with pytest.raises(ValueError):
         wrap_angle(float("nan"))

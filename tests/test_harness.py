@@ -10,7 +10,7 @@ import pytest
 from asvnav.control import Waypoint
 from asvnav.effects import fit
 from asvnav.env import FieldSpec, ForceVector, GustSpec
-from asvnav.geo import EnuVector, GeoPoint, distance_bearing, offset_point, wrap_signed
+from asvnav.geo import METERS_PER_DEG_LAT, EnuVector, GeoPoint, distance_bearing, offset_point, wrap_signed
 from asvnav.harness import (
     ControllerSpec,
     Scenario,
@@ -89,6 +89,53 @@ def test_duration_limit_flags_incomplete():
     result = run_scenario(sc)
     assert not result.completed
     assert len(result.log) == 51  # partial log retained
+
+
+def _box_grid(south_m, north_m, half_width_m, speed=0.2, direction=90.0):
+    """2x2 grid field spanning south_m..north_m and +/- half_width_m
+    around ORIGIN."""
+    m_per_deg_lon = METERS_PER_DEG_LAT * math.cos(math.radians(ORIGIN.lat))
+    return FieldSpec.grid(
+        lat0=ORIGIN.lat + south_m / METERS_PER_DEG_LAT,
+        lon0=ORIGIN.lon - half_width_m / m_per_deg_lon,
+        dlat=(north_m - south_m) / METERS_PER_DEG_LAT,
+        dlon=2.0 * half_width_m / m_per_deg_lon,
+        speeds=[[speed, speed], [speed, speed]],
+        directions=[[direction, direction], [direction, direction]],
+    )
+
+
+def test_leaving_a_grid_is_a_recorded_outcome(tmp_path):
+    # the leg ends 60 m north of ORIGIN; the grid stops 30 m north of it
+    grid = _box_grid(south_m=-100.0, north_m=30.0, half_width_m=50.0)
+    result = run_scenario(_short_scenario(current=grid), out_dir=tmp_path)
+    assert result.outcome == "left_domain"
+    assert not result.completed
+    assert 0 < len(result.log) < 1801  # partial log kept
+    last = result.log.records[-1].state.pos
+    assert last.lat <= grid.lat0 + grid.dlat
+    assert result.report is not None  # the leg was acquired, so it is scored
+    with open(tmp_path / "summary.json") as fh:
+        summary = json.load(fh)
+    assert summary["outcome"] == "left_domain"
+    assert summary["completed"] is False
+    assert summary["max_error_m"] == result.report.max_error
+
+
+def test_suite_survives_runs_that_leave_the_grid():
+    # every run starts 160 m from the centre, outside this grid
+    suite = standard_suite()
+    suite = replace(suite, template=replace(suite.template, current=_box_grid(-50.0, 50.0, 50.0)))
+    result = run_suite(suite)
+    assert set(result.incomplete) == {sc.name for sc in suite_scenarios(suite)}
+    assert all(r.outcome == "left_domain" and len(r.log) == 0 for r in result.runs.values())
+    assert all(math.isinf(v) for v in result.table.baseline_max + result.table.augmented_max)
+
+
+def test_coincident_waypoints_surface_degenerate_leg():
+    sc = _short_scenario(mission=(Waypoint(ORIGIN, 2.0), Waypoint(ORIGIN, 2.0)))
+    with pytest.raises(ValueError, match="degenerate leg"):
+        run_scenario(sc)
 
 
 def test_scenario_round_trip_through_dict():

@@ -45,7 +45,7 @@ def trim_command(water_speed, params=PARAMS):
 def test_step_calm_steady_state():
     environment = Environment.calm()
     s = steady_state(heading=0.0, water_speed=2.0, environment=environment)
-    s2 = step(s, trim_command(2.0), environment, PARAMS, dt=0.1)
+    s2 = step(s, trim_command(2.0), environment.sample(s.pos, s.t), PARAMS, dt=0.1)
     rng, brg = distance_bearing(ORIGIN, s2.pos)
     assert rng == pytest.approx(0.2, abs=1e-7)
     assert brg == pytest.approx(0.0, abs=1e-6)
@@ -56,7 +56,7 @@ def test_step_calm_steady_state():
 def test_step_cross_current_vector_sum():
     environment = Environment(FieldSpec.uniform(ForceVector(0.5, 90.0)), FieldSpec.calm())
     s = steady_state(heading=0.0, water_speed=2.0, environment=environment)
-    s2 = step(s, trim_command(2.0), environment, PARAMS, dt=0.1)
+    s2 = step(s, trim_command(2.0), environment.sample(s.pos, s.t), PARAMS, dt=0.1)
     assert s2.spd_t == pytest.approx(math.sqrt(4.25), rel=1e-12)
     assert s2.course_t == pytest.approx(math.degrees(math.atan2(0.5, 2.0)), rel=1e-9)
     assert s2.course_t == pytest.approx(14.0362, abs=1e-3)
@@ -66,7 +66,7 @@ def test_step_cross_current_vector_sum():
 def test_step_pure_drift():
     environment = Environment(FieldSpec.uniform(ForceVector(1.0, 180.0)), FieldSpec.calm())
     s = steady_state(heading=90.0, water_speed=0.0, environment=environment)
-    s2 = step(s, ActuatorCommand(0.0, 0.0), environment, PARAMS, dt=0.1)
+    s2 = step(s, ActuatorCommand(0.0, 0.0), environment.sample(s.pos, s.t), PARAMS, dt=0.1)
     assert s2.spd_t == pytest.approx(1.0, rel=1e-12)
     assert s2.course_t == pytest.approx(180.0, abs=1e-9)
     rng, brg = distance_bearing(ORIGIN, s2.pos)
@@ -78,9 +78,9 @@ def test_step_rejects_bad_dt_and_commands():
     environment = Environment.calm()
     s = steady_state(0.0, 2.0, environment)
     with pytest.raises(ValueError):
-        step(s, trim_command(2.0), environment, PARAMS, dt=0.0)
+        step(s, trim_command(2.0), environment.sample(s.pos, s.t), PARAMS, dt=0.0)
     with pytest.raises(ValueError):
-        step(s, trim_command(2.0), environment, PARAMS, dt=0.6)
+        step(s, trim_command(2.0), environment.sample(s.pos, s.t), PARAMS, dt=0.6)
     with pytest.raises(ValueError):
         step(s, ActuatorCommand(float("nan"), 0.0), environment, PARAMS, dt=0.1)
 
@@ -90,8 +90,8 @@ def test_step_deterministic():
         FieldSpec.uniform(ForceVector(0.7, 230.0)), FieldSpec.uniform(ForceVector(3.0, 10.0))
     )
     s = steady_state(heading=45.0, water_speed=1.7, environment=environment)
-    a = step(s, ActuatorCommand(0.4, 0.2), environment, PARAMS, dt=0.1)
-    b = step(s, ActuatorCommand(0.4, 0.2), environment, PARAMS, dt=0.1)
+    a = step(s, ActuatorCommand(0.4, 0.2), environment.sample(s.pos, s.t), PARAMS, dt=0.1)
+    b = step(s, ActuatorCommand(0.4, 0.2), environment.sample(s.pos, s.t), PARAMS, dt=0.1)
     assert a == b
 
 
@@ -112,8 +112,8 @@ def test_drift_superposition_exact():
     s_cur = steady_state(heading=30.0, water_speed=2.0, environment=drifted, pos=equator)
     cmd = trim_command(2.0)
     for _ in range(steps):
-        s_calm = step(s_calm, cmd, calm, PARAMS, dt)
-        s_cur = step(s_cur, cmd, drifted, PARAMS, dt)
+        s_calm = step(s_calm, cmd, calm.sample(s_calm.pos, s_calm.t), PARAMS, dt)
+        s_cur = step(s_cur, cmd, drifted.sample(s_cur.pos, s_cur.t), PARAMS, dt)
 
     T = steps * dt
     ce, cn = current.enu()
@@ -125,7 +125,7 @@ def test_drift_superposition_exact():
 def test_sense_stationary_vehicle():
     environment = Environment(FieldSpec.uniform(ForceVector(0.677, 180.0)), FieldSpec.calm())
     s = AsvState.at_rest(ORIGIN, heading=0.0)
-    frame = sense(s, environment)
+    frame = sense(s, environment.sample(s.pos, s.t))
     assert frame.rel_water.speed == pytest.approx(0.677, rel=1e-12)
     assert frame.rel_water.direction == pytest.approx(180.0, abs=1e-9)
 
@@ -133,7 +133,7 @@ def test_sense_stationary_vehicle():
 def test_sense_self_motion_only():
     environment = Environment.calm()
     s = steady_state(heading=0.0, water_speed=2.0, environment=environment)
-    frame = sense(s, environment)
+    frame = sense(s, environment.sample(s.pos, s.t))
     assert frame.rel_water.speed == pytest.approx(2.0, rel=1e-12)
     assert frame.rel_water.direction == pytest.approx(180.0, abs=1e-9)  # from dead ahead
 
@@ -143,8 +143,8 @@ def test_sense_zero_noise_matches_analytic():
         FieldSpec.uniform(ForceVector(0.5, 60.0)), FieldSpec.uniform(ForceVector(2.0, 300.0))
     )
     s = steady_state(heading=120.0, water_speed=1.5, environment=environment)
-    clean = sense(s, environment)
-    seeded = sense(s, environment, NoiseSpec(0.0, 0.0), np.random.default_rng(1))
+    clean = sense(s, environment.sample(s.pos, s.t))
+    seeded = sense(s, environment.sample(s.pos, s.t), NoiseSpec(0.0, 0.0), np.random.default_rng(1))
     assert clean.rel_water == seeded.rel_water
     assert clean.rel_wind == seeded.rel_wind
 
@@ -155,13 +155,13 @@ def test_sense_noise_reproducible_and_applied():
     )
     s = steady_state(heading=120.0, water_speed=1.5, environment=environment)
     noise = NoiseSpec(sigma_speed=0.05, sigma_dir=2.0)
-    a = sense(s, environment, noise, np.random.default_rng(42))
-    b = sense(s, environment, noise, np.random.default_rng(42))
-    c = sense(s, environment, noise, np.random.default_rng(43))
+    a = sense(s, environment.sample(s.pos, s.t), noise, np.random.default_rng(42))
+    b = sense(s, environment.sample(s.pos, s.t), noise, np.random.default_rng(42))
+    c = sense(s, environment.sample(s.pos, s.t), noise, np.random.default_rng(43))
     assert a == b
     assert a != c
     with pytest.raises(ValueError):
-        sense(s, environment, noise, rng=None)
+        sense(s, environment.sample(s.pos, s.t), noise, rng=None)
 
 
 def _random_state(rng):
@@ -183,7 +183,7 @@ def test_inverse_sensing_1000_random_states():
         wind = ForceVector(rng.uniform(0, 10), rng.uniform(0, 360))
         environment = Environment(FieldSpec.uniform(current), FieldSpec.uniform(wind))
         s = _random_state(rng)
-        recovered = relative_to_absolute(sense(s, environment), s)
+        recovered = relative_to_absolute(sense(s, environment.sample(s.pos, s.t)), s)
         assert abs(recovered.spd_c - current.speed) < 1e-9
         assert abs(recovered.spd_w - wind.speed) < 1e-9
         if current.speed > 1e-6:
@@ -195,7 +195,7 @@ def test_inverse_sensing_1000_random_states():
 def test_relative_to_absolute_zero_current_moving_vehicle():
     environment = Environment.calm()
     s = steady_state(heading=77.0, water_speed=3.0, environment=environment)
-    recovered = relative_to_absolute(sense(s, environment), s)
+    recovered = relative_to_absolute(sense(s, environment.sample(s.pos, s.t)), s)
     assert recovered.spd_c < 1e-9
     assert recovered.spd_w < 1e-9
 
@@ -226,10 +226,10 @@ def test_turn_rate_responds_through_lag():
     environment = Environment.calm()
     s = steady_state(heading=0.0, water_speed=2.0, environment=environment)
     cmd = ActuatorCommand(thrust=2.0 / PARAMS.max_water_speed, rudder=1.0)
-    s1 = step(s, cmd, environment, PARAMS, dt=0.1)
+    s1 = step(s, cmd, environment.sample(s.pos, s.t), PARAMS, dt=0.1)
     assert 0.0 < s1.turn_rate < PARAMS.max_turn_rate
     for _ in range(100):
-        s1 = step(s1, cmd, environment, PARAMS, dt=0.1)
+        s1 = step(s1, cmd, environment.sample(s1.pos, s1.t), PARAMS, dt=0.1)
     assert s1.turn_rate == pytest.approx(PARAMS.max_turn_rate, rel=1e-3)
 
 
@@ -240,6 +240,6 @@ def test_low_water_speed_starves_turn_authority():
     cmd_slow = ActuatorCommand(thrust=0.6 / PARAMS.max_water_speed, rudder=1.0)
     cmd_fast = ActuatorCommand(thrust=2.0 / PARAMS.max_water_speed, rudder=1.0)
     for _ in range(50):
-        slow = step(slow, cmd_slow, environment, PARAMS, dt=0.1)
-        fast = step(fast, cmd_fast, environment, PARAMS, dt=0.1)
+        slow = step(slow, cmd_slow, environment.sample(slow.pos, slow.t), PARAMS, dt=0.1)
+        fast = step(fast, cmd_fast, environment.sample(fast.pos, fast.t), PARAMS, dt=0.1)
     assert slow.turn_rate < 0.2 * fast.turn_rate
