@@ -17,17 +17,22 @@ from typing import Optional, Sequence
 from .control import (
     DEFAULT_ACCEPT_RADIUS,
     DEFAULT_GAINS,
+    FRESH_PID,
+    Line,
     NavGains,
     NavigatorState,
+    PidFloats,
     PidState,
     Waypoint,
-    advance_waypoints,
-    mission_complete,
-    steer_toward,
+    _advance,
+    _check_pid_dt,
+    _line,
+    _pid_floats,
+    _steer,
 )
 from .effects import EffectPrediction, ForceSample
 from .geo import EnuVector, GeoPoint, distance, offset_point
-from .vehicle import ActuatorCommand, AsvState, VehicleParams
+from .vehicle import ActuatorCommand, AsvState, StateFloats, VehicleParams, _state_floats
 
 # Never command below this fraction of the requested speed: the hull must
 # keep steerage way even when the disturbance aids progress.
@@ -156,40 +161,80 @@ def augmented_navigator_step(
     """
     if not mission:
         raise ValueError("mission must contain at least one waypoint")
-
-    nav = advance_waypoints(s, mission, aug.nav, radius)
-    if mission_complete(nav, mission):
+    _check_pid_dt(dt)
+    nav, held = aug.nav, aug.intermediate
+    line = None if aug.anchor is None or held is None else _line(aug.anchor, held.pos)
+    thrust, rudder, index, line, heading_pid, speed_pid, intermediate, next_update_t = (
+        _augmented_navigate(
+            _state_floats(s), mission, nav.active_wp_index, line,
+            _pid_floats(nav.heading_pid), _pid_floats(nav.speed_pid), held, aug.next_update_t,
+            model, (force.spd_c, force.dir_c, force.spd_w, force.dir_w), cfg, gains, params,
+            dt, radius,
+        )
+    )
+    # The inner navigator steers along the augmented line; its own
+    # track_origin only records where the active waypoint was taken up.
+    nav = NavigatorState(index, PidState(*heading_pid), PidState(*speed_pid),
+                         s.pos if index != nav.active_wp_index else nav.track_origin)
+    if index >= len(mission):
         return ActuatorCommand(0.0, 0.0), AugmentState(nav=nav)
+    return ActuatorCommand(thrust, rudder), AugmentState(
+        nav=nav, intermediate=intermediate, next_update_t=next_update_t, anchor=line[0]
+    )
 
-    if nav.active_wp_index != aug.nav.active_wp_index:
-        # New true goal: drop the held target and refresh right away.
-        intermediate, next_update_t, anchor = None, -math.inf, None
-    else:
-        intermediate, next_update_t, anchor = aug.intermediate, aug.next_update_t, aug.anchor
 
-    goal = mission[nav.active_wp_index]
-    if intermediate is None or s.t >= next_update_t:
-        prediction: EffectPrediction = model.predict(force, goal.spd_target, s.spd_t, s.h_t)
-        effect_spd = _denoise(prediction.effect_spd)
-        effect_x = _denoise(prediction.effect_x)
-        effect_y = _denoise(prediction.effect_y)
-        spd = adjusted_speed(effect_spd, goal.spd_target, params)
-        pos = calc_intermediate_wp(goal, s, effect_x, effect_y, cfg, reference_speed=spd)
-        refreshed = Waypoint(pos, spd)
-        # Re-anchor only when the target actually moved; an unchanged
-        # target keeps the established tracking line (and keeps a
-        # zero-effect model bit-identical to the baseline). A moved
-        # target is a fresh goto for the inner navigator, so its heading
-        # integrator restarts too: steady-state compensation belongs to
-        # the feed-forward path, not to integral windup fighting it.
-        if intermediate is None or refreshed != intermediate:
-            intermediate = refreshed
-            anchor = s.pos
-            nav = NavigatorState(nav.active_wp_index, PidState(), nav.speed_pid, nav.track_origin)
-        next_update_t = s.t + cfg.update_period_s
+def _augmented_navigate(
+    state: StateFloats, mission: Sequence[Waypoint], index: int, line: Optional[Line],
+    heading_pid: PidFloats, speed_pid: PidFloats, intermediate: Optional[Waypoint], next_update_t: float, model,
+    force: tuple[float, float, float, float], cfg: AugmentConfig, gains: NavGains,
+    params: VehicleParams, dt: float, radius: float,
+) -> tuple[float, float, int, Optional[Line], PidFloats, PidFloats, Optional[Waypoint], float]:
+    """augmented_navigator_step on plain floats, for a dt the caller has
+    checked, with the vehicle state as AsvState's fields and the absolute
+    forces as (spd_c, dir_c, spd_w, dir_w).
 
-    if anchor is None:
-        anchor = s.pos
-    cmd, nav = steer_toward(s, intermediate, nav, gains, dt, anchor=anchor)
-    return cmd, AugmentState(nav=nav, intermediate=intermediate,
-                             next_update_t=next_update_t, anchor=anchor)
+    The navigator's state is the active waypoint index, the line from
+    where the held intermediate target was issued to it, both PID states,
+    the held target and the time of the next update. Returns the clamped (thrust, rudder)
+    and the new state; index == len(mission) once the mission is complete,
+    with an all-zero command and no held target.
+    """
+    pos, spd_t, _, h_t, _, t, _ = state
+    lat, lon = pos.lat, pos.lon
+    reached = _advance(lat, lon, mission, index, radius)
+    if reached != index:
+        # New true goal: both integrators restart, the held target is
+        # dropped and refreshed right away.
+        index = reached
+        heading_pid = speed_pid = FRESH_PID
+        line, intermediate, next_update_t = None, None, -math.inf
+    if index >= len(mission):
+        return 0.0, 0.0, index, None, heading_pid, speed_pid, None, -math.inf
+
+    if intermediate is None or t >= next_update_t:
+        # The feed-forward update: predict -> adjusted speed -> intermediate
+        # waypoint.
+        goal = mission[index]
+        prediction: EffectPrediction = model.predict(ForceSample(*force), goal.spd_target,
+                                                     spd_t, h_t)
+        spd = adjusted_speed(_denoise(prediction.effect_spd), goal.spd_target, params)
+        aim = calc_intermediate_wp(goal, AsvState(*state), _denoise(prediction.effect_x),
+                                   _denoise(prediction.effect_y), cfg, reference_speed=spd)
+        refreshed = Waypoint(aim, spd)
+        # Re-anchor only when the target actually moved; an unchanged target
+        # keeps the established tracking line (and keeps a zero-effect model
+        # bit-identical to the baseline). A moved target is a fresh goto for
+        # the inner navigator, so its heading integrator restarts too:
+        # steady-state compensation belongs to the feed-forward path, not to
+        # integral windup fighting it.
+        if refreshed != intermediate:
+            intermediate, line = refreshed, _line(pos, refreshed.pos)
+            heading_pid = FRESH_PID
+        next_update_t = t + cfg.update_period_s
+    if line is None:
+        line = _line(pos, intermediate.pos)
+    thrust, rudder, heading_pid, speed_pid = _steer(
+        lat, lon, h_t, spd_t, intermediate, line, gains, heading_pid, speed_pid, dt
+    )
+    return thrust, rudder, index, line, heading_pid, speed_pid, intermediate, next_update_t
+

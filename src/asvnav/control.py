@@ -12,21 +12,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from .geo import (
-    EnuVector,
     GeoPoint,
     bearing_of,
-    distance,
-    distance_bearing,
-    enu_offset,
-    offset_point,
+    enu_coords,
+    offset_coords,
+    point_coords,
     unit_enu,
     wrap_signed,
 )
-from .vehicle import ActuatorCommand, AsvState
+from .vehicle import ActuatorCommand, AsvState, _clamped
 
 DEFAULT_ACCEPT_RADIUS = 2.0
 
@@ -61,13 +58,33 @@ def pid_step(gains: PidGains, state: PidState, error: float, dt: float) -> tuple
     The integral term accumulates ki * error * dt and is clamped to
     +/- i_clamp. The derivative is zero on the first call.
     """
+    _check_pid_dt(dt)
+    output, (integral, prev_error) = _pid(gains, _pid_floats(state), error, dt)
+    return output, PidState(integral=integral, prev_error=prev_error)
+
+
+# PidState on plain floats: (integral, prev_error), prev_error None before
+# the first update.
+PidFloats = tuple[float, Optional[float]]
+FRESH_PID: PidFloats = (0.0, None)
+
+
+def _pid_floats(state: PidState) -> PidFloats:
+    return state.integral, state.prev_error
+
+
+def _check_pid_dt(dt: float) -> None:
     if dt <= 0.0:
         raise ValueError(f"dt must be > 0, got {dt!r}")
-    integral = state.integral + gains.ki * error * dt
+
+
+def _pid(gains: PidGains, state: PidFloats, error: float, dt: float) -> tuple[float, PidFloats]:
+    """pid_step on plain floats, for a dt the caller has checked."""
+    integral, prev_error = state
+    integral = integral + gains.ki * error * dt
     integral = min(gains.i_clamp, max(-gains.i_clamp, integral))
-    derivative = 0.0 if state.prev_error is None else (error - state.prev_error) / dt
-    output = gains.kp * error + integral + gains.kd * derivative
-    return output, PidState(integral=integral, prev_error=error)
+    derivative = 0.0 if prev_error is None else (error - prev_error) / dt
+    return gains.kp * error + integral + gains.kd * derivative, (integral, error)
 
 
 @dataclass(frozen=True)
@@ -125,41 +142,60 @@ class NavigatorState:
 
 def waypoint_reached(s: AsvState, wp: Waypoint, radius: float) -> bool:
     """True once the vehicle is within radius of the waypoint (inclusive)."""
+    return _reached(s.pos.lat, s.pos.lon, wp, radius)
+
+
+def _reached(lat: float, lon: float, wp: Waypoint, radius: float) -> bool:
     if radius <= 0.0:
         raise ValueError(f"radius must be > 0, got {radius!r}")
-    return distance(s.pos, wp.pos) <= radius
+    return math.hypot(*enu_coords(lat, lon, wp.pos.lat, wp.pos.lon)) <= radius
+
+
+def _advance(lat: float, lon: float, mission: Sequence[Waypoint], index: int,
+             radius: float) -> int:
+    """Index of the first waypoint from index on that a vehicle at
+    (lat, lon) has not reached."""
+    while index < len(mission) and _reached(lat, lon, mission[index], radius):
+        index += 1
+    return index
 
 
 def mission_complete(nav: NavigatorState, mission: Sequence[Waypoint]) -> bool:
     return nav.active_wp_index >= len(mission)
 
 
-def advance_waypoints(
-    s: AsvState,
-    mission: Sequence[Waypoint],
-    nav: NavigatorState,
-    radius: float = DEFAULT_ACCEPT_RADIUS,
-) -> NavigatorState:
-    """Advance past any reached waypoints, resetting both integrators on
-    each advance so stale integral state never leaks across legs. The
-    tracking line re-anchors at the position where the advance happened."""
-    while nav.active_wp_index < len(mission) and waypoint_reached(
-        s, mission[nav.active_wp_index], radius
-    ):
-        nav = NavigatorState(active_wp_index=nav.active_wp_index + 1, track_origin=s.pos)
-    return nav
+# A tracking line: its anchor, then the length (m) and (east, north) unit
+# vector of the anchor->target leg.
+Line = tuple[GeoPoint, float, float, float]
 
 
-@lru_cache(maxsize=64)
-def _leg(anchor: GeoPoint, target: GeoPoint) -> tuple[float, float, float]:
-    """Length and (east, north) unit vector of the anchor->target line.
+def _line(anchor: GeoPoint, target: GeoPoint) -> Line:
+    """The anchor->target tracking line. It holds for many ticks: callers
+    work it out once per (anchor, target)."""
+    east, north = enu_coords(anchor.lat, anchor.lon, target.lat, target.lon)
+    ue, un = unit_enu(bearing_of(east, north))
+    return anchor, math.hypot(east, north), ue, un
 
-    Cached: a line holds for many ticks, and the result depends only on
-    the two points' values.
-    """
-    leg_len, leg_bearing = distance_bearing(anchor, target)
-    ue, un = unit_enu(leg_bearing)
-    return leg_len, ue, un
+
+def _aim(lat: float, lon: float, target: GeoPoint, line: Optional[Line],
+         lookahead_m: float) -> tuple[float, float]:
+    """aim_point on plain floats, given the line from the anchor to target
+    (None: no anchor): the aim point's coordinates."""
+    if line is None:
+        return target.lat, target.lon
+    anchor, leg_len, ue, un = line
+    east, north = enu_coords(anchor.lat, anchor.lon, lat, lon)
+    along = east * ue + north * un
+    ahead = min(along + lookahead_m, leg_len)
+    if ahead <= 0.0:
+        if leg_len < lookahead_m:
+            return target.lat, target.lon
+        ahead = lookahead_m
+    elif ahead >= leg_len:
+        return target.lat, target.lon
+    # the coordinates of the GeoPoint offset_point would return (ahead > 0,
+    # so the offset is never zero)
+    return point_coords(*offset_coords(anchor.lat, anchor.lon, ahead * ue, ahead * un))
 
 
 def aim_point(
@@ -177,17 +213,23 @@ def aim_point(
     """
     if anchor is None:
         return target
-    leg_len, ue, un = _leg(anchor, target)
-    rel = enu_offset(anchor, s.pos)
-    along = rel.east * ue + rel.north * un
-    ahead = min(along + lookahead_m, leg_len)
-    if ahead <= 0.0:
-        return target if leg_len < lookahead_m else offset_point(
-            anchor, EnuVector(lookahead_m * ue, lookahead_m * un)
-        )
-    if ahead >= leg_len:
-        return target
-    return offset_point(anchor, EnuVector(ahead * ue, ahead * un))
+    return GeoPoint(*_aim(s.pos.lat, s.pos.lon, target, _line(anchor, target), lookahead_m))
+
+
+def _steer(lat: float, lon: float, h_t: float, spd_t: float, target: Waypoint,
+           line: Optional[Line], gains: NavGains, heading_pid: PidFloats,
+           speed_pid: PidFloats, dt: float) -> tuple[float, float, PidFloats, PidFloats]:
+    """steer_toward on plain floats, for a dt the caller has checked and
+    the line from the anchor to target (None: no anchor). Returns the
+    clamped (thrust, rudder) and both PID states."""
+    aim_lat, aim_lon = _aim(lat, lon, target.pos, line, gains.lookahead_m)
+    to_aim_e, to_aim_n = enu_coords(lat, lon, aim_lat, aim_lon)
+    heading_error = wrap_signed(bearing_of(to_aim_e, to_aim_n) - h_t)
+    rudder, heading_pid = _pid(gains.heading, heading_pid, heading_error, dt)
+
+    speed_error = target.spd_target - spd_t
+    thrust, speed_pid = _pid(gains.speed, speed_pid, speed_error, dt)
+    return *_clamped(thrust, rudder), heading_pid, speed_pid
 
 
 def steer_toward(
@@ -201,15 +243,15 @@ def steer_toward(
     """PID step toward a target: bearing to the lookahead aim point drives
     the rudder, ground-speed error drives the thrust. No waypoint
     bookkeeping."""
-    to_aim = enu_offset(s.pos, aim_point(s, target.pos, anchor, gains.lookahead_m))
-    heading_error = wrap_signed(bearing_of(to_aim.east, to_aim.north) - s.h_t)
-    rudder, heading_pid = pid_step(gains.heading, nav.heading_pid, heading_error, dt)
-
-    speed_error = target.spd_target - s.spd_t
-    thrust, speed_pid = pid_step(gains.speed, nav.speed_pid, speed_error, dt)
-
-    cmd = ActuatorCommand(thrust=thrust, rudder=rudder)
-    return cmd, NavigatorState(nav.active_wp_index, heading_pid, speed_pid, nav.track_origin)
+    _check_pid_dt(dt)
+    line = None if anchor is None else _line(anchor, target.pos)
+    thrust, rudder, heading_pid, speed_pid = _steer(
+        s.pos.lat, s.pos.lon, s.h_t, s.spd_t, target, line, gains,
+        _pid_floats(nav.heading_pid), _pid_floats(nav.speed_pid), dt,
+    )
+    return ActuatorCommand(thrust, rudder), NavigatorState(
+        nav.active_wp_index, PidState(*heading_pid), PidState(*speed_pid), nav.track_origin
+    )
 
 
 def navigator_step(
@@ -229,10 +271,45 @@ def navigator_step(
     """
     if not mission:
         raise ValueError("mission must contain at least one waypoint")
-    nav = advance_waypoints(s, mission, nav, radius)
-    if mission_complete(nav, mission):
-        return ActuatorCommand(0.0, 0.0), nav
-    if nav.track_origin is None:
-        nav = NavigatorState(nav.active_wp_index, nav.heading_pid, nav.speed_pid, s.pos)
-    return steer_toward(s, mission[nav.active_wp_index], nav, gains, dt,
-                        anchor=nav.track_origin)
+    _check_pid_dt(dt)
+    index, origin = nav.active_wp_index, nav.track_origin
+    line = None if origin is None or index >= len(mission) else _line(origin, mission[index].pos)
+    thrust, rudder, reached, line, heading_pid, speed_pid = _navigate(
+        s.pos, s.spd_t, s.h_t, mission, index, line, _pid_floats(nav.heading_pid),
+        _pid_floats(nav.speed_pid), gains, dt, radius,
+    )
+    if line is not None:
+        origin = line[0]
+    elif reached != index:
+        origin = s.pos
+    return ActuatorCommand(thrust, rudder), NavigatorState(
+        reached, PidState(*heading_pid), PidState(*speed_pid), origin
+    )
+
+
+def _navigate(pos: GeoPoint, spd_t: float, h_t: float, mission: Sequence[Waypoint],
+              index: int, line: Optional[Line], heading_pid: PidFloats, speed_pid: PidFloats,
+              gains: NavGains, dt: float,
+              radius: float) -> tuple[float, float, int, Optional[Line], PidFloats, PidFloats]:
+    """navigator_step on plain floats, for a dt the caller has checked.
+
+    The state is the active waypoint index, the tracking line (None until
+    the waypoint is first steered at) and both PID states. Returns the
+    clamped (thrust, rudder) and the new state; index == len(mission) once
+    the mission is complete, with an all-zero command.
+    """
+    lat, lon = pos.lat, pos.lon
+    reached = _advance(lat, lon, mission, index, radius)
+    if reached != index:
+        # a new goal: both integrators restart and the line re-anchors here
+        index, line = reached, None
+        heading_pid = speed_pid = FRESH_PID
+    if index >= len(mission):
+        return 0.0, 0.0, index, line, heading_pid, speed_pid
+    target = mission[index]
+    if line is None:
+        line = _line(pos, target.pos)
+    thrust, rudder, heading_pid, speed_pid = _steer(
+        lat, lon, h_t, spd_t, target, line, gains, heading_pid, speed_pid, dt
+    )
+    return thrust, rudder, index, line, heading_pid, speed_pid

@@ -52,11 +52,9 @@ class ForceSample:
     dir_w: float
 
     def __post_init__(self):
-        for name in ("spd_c", "spd_w"):
-            if getattr(self, name) < 0.0 or not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite and >= 0")
-        object.__setattr__(self, "dir_c", wrap_angle(self.dir_c))
-        object.__setattr__(self, "dir_w", wrap_angle(self.dir_w))
+        _, dir_c, _, dir_w = _force_floats(self.spd_c, self.dir_c, self.spd_w, self.dir_w)
+        object.__setattr__(self, "dir_c", dir_c)
+        object.__setattr__(self, "dir_w", dir_w)
 
     def current_enu(self) -> tuple[float, float]:
         ue, un = unit_enu(self.dir_c)
@@ -65,6 +63,16 @@ class ForceSample:
     def wind_enu(self) -> tuple[float, float]:
         ue, un = unit_enu(self.dir_w)
         return self.spd_w * ue, self.spd_w * un
+
+
+def _force_floats(spd_c: float, dir_c: float, spd_w: float,
+                 dir_w: float) -> tuple[float, float, float, float]:
+    """ForceSample's rules on plain floats: finite non-negative speeds,
+    directions wrapped to [0, 360)."""
+    for name, speed in (("spd_c", spd_c), ("spd_w", spd_w)):
+        if speed < 0.0 or not math.isfinite(speed):
+            raise ValueError(f"{name} must be finite and >= 0")
+    return spd_c, wrap_angle(dir_c), spd_w, wrap_angle(dir_w)
 
 
 @dataclass(frozen=True)
@@ -103,10 +111,16 @@ class TrainingSample:
 
 def make_features(f: ForceSample, spd_target: float, h_t: float) -> tuple[float, ...]:
     """Assemble the regression feature vector from raw controller inputs."""
-    ce, cn = f.current_enu()
-    we, wn = f.wind_enu()
+    return _features(f.spd_c, f.dir_c, f.spd_w, f.dir_w, spd_target, h_t)
+
+
+def _features(spd_c: float, dir_c: float, spd_w: float, dir_w: float, spd_target: float,
+              h_t: float) -> tuple[float, ...]:
+    """make_features on the four floats of a ForceSample."""
+    ue, un = unit_enu(dir_c)
+    we, wn = unit_enu(dir_w)
     he, hn = unit_enu(h_t)
-    return (ce, cn, we, wn, spd_target, he, hn)
+    return (spd_c * ue, spd_c * un, spd_w * we, spd_w * wn, spd_target, he, hn)
 
 
 def drift_targets(drift_e: float, drift_n: float, h_t: float) -> tuple[float, float, float]:

@@ -31,13 +31,18 @@ class ForceVector:
     def __post_init__(self):
         if not math.isfinite(self.speed) or self.speed < 0.0:
             raise ValueError(f"speed must be finite and >= 0, got {self.speed!r}")
-        direction = wrap_angle(self.direction) if self.speed > 0.0 else 0.0
-        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "direction", _flow_direction(self.speed, self.direction))
 
     def enu(self) -> tuple[float, float]:
         """(east, north) velocity components in m/s."""
         ue, un = unit_enu(self.direction)
         return self.speed * ue, self.speed * un
+
+
+def _flow_direction(speed: float, direction: float) -> float:
+    """A flow's direction in [0, 360), or 0.0 for a still flow: it points
+    nowhere."""
+    return wrap_angle(direction) if speed > 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -224,7 +229,9 @@ def _polar_sampler(field: FieldSpec) -> Sampler:
 
         return river
     if field.kind == "grid":
-        nodes = np.stack((field.node_east, field.node_north), axis=-1)
+        # node table as nested Python lists, nodes[i][j] = [east, north]:
+        # the same doubles, indexed per tap without numpy scalars
+        nodes = np.stack((field.node_east, field.node_north), axis=-1).tolist()
         ni, nj = field.node_east.shape
         lat0, lon0, dlat, dlon = field.lat0, field.lon0, field.dlat, field.dlon
         edge_tol = 1e-9  # grid cells; absorbs float noise at the boundary nodes
@@ -242,9 +249,8 @@ def _polar_sampler(field: FieldSpec) -> Sampler:
             wj = fj - j
             vi = 1 - wi
             vj = 1 - wj
-            # one read of the 2x2 cell as Python floats: same IEEE arithmetic
-            # as indexing the numpy arrays tap by tap, without the scalars
-            (c00, c01), (c10, c11) = nodes[i : i + 2, j : j + 2].tolist()
+            row0, row1 = nodes[i], nodes[i + 1]
+            c00, c01, c10, c11 = row0[j], row0[j + 1], row1[j], row1[j + 1]
             east = c00[0] * vi * vj + c10[0] * wi * vj + c01[0] * vi * wj + c11[0] * wi * wj
             north = c00[1] * vi * vj + c10[1] * wi * vj + c01[1] * vi * wj + c11[1] * wi * wj
             speed = math.hypot(east, north)

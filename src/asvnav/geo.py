@@ -58,14 +58,23 @@ class GeoPoint:
     lon: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lat) and math.isfinite(self.lon)):
-            raise ValueError(f"non-finite coordinates ({self.lat}, {self.lon})")
-        if not -90.0 <= self.lat <= 90.0:
-            raise ValueError(f"latitude {self.lat} outside [-90, 90]")
-        lon = (self.lon + 180.0) % 360.0 - 180.0
-        if lon == 180.0:
-            lon = -180.0
-        object.__setattr__(self, "lon", lon)
+        object.__setattr__(self, "lon", point_coords(self.lat, self.lon)[1])
+
+
+def point_coords(lat: float, lon: float) -> tuple[float, float]:
+    """GeoPoint's rules on plain floats: finite coordinates, latitude in
+    [-90, 90], longitude wrapped to [-180, 180).
+
+    The wrap is exact to repeat: a wrapped longitude wraps to itself.
+    """
+    if not (math.isfinite(lat) and math.isfinite(lon)):
+        raise ValueError(f"non-finite coordinates ({lat}, {lon})")
+    if not -90.0 <= lat <= 90.0:
+        raise ValueError(f"latitude {lat} outside [-90, 90]")
+    lon = (lon + 180.0) % 360.0 - 180.0
+    if lon == 180.0:
+        lon = -180.0
+    return lat, lon
 
 
 @dataclass(frozen=True)
@@ -83,28 +92,33 @@ class EnuVector:
         return math.hypot(self.east, self.north)
 
 
-def enu_offset(a: GeoPoint, b: GeoPoint) -> EnuVector:
-    """East/north displacement from a to b in the local plane.
+def enu_coords(lat_a: float, lon_a: float, lat_b: float, lon_b: float) -> tuple[float, float]:
+    """East/north displacement (m) from point a to point b in the local plane.
 
     Longitude is scaled by the cosine of the midpoint latitude so the
     result is antisymmetric under swapping a and b, which makes ranges
     exactly symmetric.
     """
-    mid_lat = 0.5 * (a.lat + b.lat)
+    mid_lat = 0.5 * (lat_a + lat_b)
     # branch-based wrap keeps dlon exactly antisymmetric under swapping a/b
-    dlon = b.lon - a.lon
+    dlon = lon_b - lon_a
     if dlon >= 180.0:
         dlon -= 360.0
     elif dlon < -180.0:
         dlon += 360.0
     east = dlon * METERS_PER_DEG_LAT * math.cos(math.radians(mid_lat))
-    north = (b.lat - a.lat) * METERS_PER_DEG_LAT
-    return EnuVector(east, north)
+    north = (lat_b - lat_a) * METERS_PER_DEG_LAT
+    return east, north
+
+
+def enu_offset(a: GeoPoint, b: GeoPoint) -> EnuVector:
+    """East/north displacement from a to b: enu_coords on GeoPoints."""
+    return EnuVector(*enu_coords(a.lat, a.lon, b.lat, b.lon))
 
 
 def distance(a: GeoPoint, b: GeoPoint) -> float:
     """Range (m) from a to b: distance_bearing without the bearing."""
-    return enu_offset(a, b).magnitude()
+    return math.hypot(*enu_coords(a.lat, a.lon, b.lat, b.lon))
 
 
 def distance_bearing(a: GeoPoint, b: GeoPoint) -> tuple[float, float]:
@@ -112,22 +126,35 @@ def distance_bearing(a: GeoPoint, b: GeoPoint) -> tuple[float, float]:
 
     Bearing is 0.0 when the points coincide.
     """
-    enu = enu_offset(a, b)
-    return enu.magnitude(), bearing_of(enu.east, enu.north)
+    east, north = enu_coords(a.lat, a.lon, b.lat, b.lon)
+    return math.hypot(east, north), bearing_of(east, north)
+
+
+def offset_coords(lat: float, lon: float, east: float, north: float) -> tuple[float, float]:
+    """Coordinates of the point east/north meters from (lat, lon), as
+    offset_point computes them, before GeoPoint checks them and wraps the
+    longitude (point_coords)."""
+    magnitude = math.hypot(east, north)
+    if magnitude >= MAX_LEG_METERS:
+        raise ValueError(f"offset {magnitude:.1f} m exceeds {MAX_LEG_METERS:.0f} m")
+    lat_b = lat + north / METERS_PER_DEG_LAT
+    mid_lat = 0.5 * (lat + lat_b)
+    return lat_b, lon + east / (METERS_PER_DEG_LAT * math.cos(math.radians(mid_lat)))
+
+
+def displaced(origin: GeoPoint, east: float, north: float) -> GeoPoint:
+    """Point displaced from origin by east/north meters; origin itself for
+    a zero displacement.
+
+    Inverse of enu_offset: uses the same midpoint-latitude longitude
+    scaling, so distance_bearing(origin, result) recovers the displacement
+    exactly up to float rounding.
+    """
+    if east == 0.0 and north == 0.0:
+        return origin
+    return GeoPoint(*offset_coords(origin.lat, origin.lon, east, north))
 
 
 def offset_point(origin: GeoPoint, delta: EnuVector) -> GeoPoint:
-    """Point displaced from origin by delta meters east/north.
-
-    Inverse of enu_offset: uses the same midpoint-latitude longitude
-    scaling, so distance_bearing(origin, result) recovers delta exactly
-    up to float rounding. A zero delta returns origin itself.
-    """
-    if delta.east == 0.0 and delta.north == 0.0:
-        return origin
-    if delta.magnitude() >= MAX_LEG_METERS:
-        raise ValueError(f"offset {delta.magnitude():.1f} m exceeds {MAX_LEG_METERS:.0f} m")
-    lat = origin.lat + delta.north / METERS_PER_DEG_LAT
-    mid_lat = 0.5 * (origin.lat + lat)
-    lon = origin.lon + delta.east / (METERS_PER_DEG_LAT * math.cos(math.radians(mid_lat)))
-    return GeoPoint(lat, lon)
+    """Point displaced from origin by delta meters east/north (displaced)."""
+    return displaced(origin, delta.east, delta.north)

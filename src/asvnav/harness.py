@@ -19,30 +19,23 @@ from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hin
 
 import numpy as np
 
-from .augment import AugmentConfig, AugmentState, augmented_navigator_step
-from .control import (
-    DEFAULT_ACCEPT_RADIUS,
-    DEFAULT_GAINS,
-    NavGains,
-    NavigatorState,
-    Waypoint,
-    navigator_step,
-)
+from .augment import AugmentConfig, _augmented_navigate
+from .control import DEFAULT_ACCEPT_RADIUS, DEFAULT_GAINS, FRESH_PID, NavGains, Waypoint, _navigate
 from .effects import (
     FEATURE_NAMES,
     TARGET_NAMES,
     OracleEffectModel,
     TrainingSample,
+    _features,
     drift_targets,
     load_model,
-    make_features,
 )
 from .env import Environment, FieldSpec, Flows, ForceVector, GustSpec, LeftDomainError
 from .geo import (
     EnuVector,
     GeoPoint,
     distance_bearing,
-    enu_offset,
+    enu_coords,
     offset_point,
     unit_enu,
     wrap_angle,
@@ -52,7 +45,6 @@ from .metrics import (
     ComparisonTable,
     ErrorReport,
     LegNotAcquiredError,
-    LogRecord,
     TrajectoryLog,
     cross_track_series,
     per_sample_error_csv,
@@ -61,14 +53,17 @@ from .metrics import (
     table_report,
 )
 from .vehicle import (
-    ActuatorCommand,
     AsvState,
     NoiseSpec,
     VehicleParams,
-    relative_to_absolute,
-    sense,
-    steady_state,
-    step,
+    _absolute,
+    _check_dt,
+    _clamped,
+    _sense,
+    _state_floats,
+    _steady_state,
+    _step,
+    _track_velocity,
 )
 
 MISSION_HEADER = "lat,lon,speed_mps"
@@ -421,6 +416,61 @@ def _resolve_model(sc: Scenario):
     return load_model(sc.controller.model)
 
 
+def _closed_loop(sc: Scenario, mission: list[Waypoint], model) -> tuple[TrajectoryLog, str]:
+    """The tick loop of run_scenario, on plain floats: the trajectory log
+    and the outcome.
+
+    Each tick is sense, relative_to_absolute, navigator_step or
+    augmented_navigator_step and step, through the float-level functions
+    those wrap. Checks that can fire here: dt (once), the radius, a
+    non-finite command, a negative or non-finite state, the offset and
+    latitude limits of each move, and LeftDomainError, which ends the run.
+    """
+    dt, params, gains, noise, cfg = sc.dt_s, sc.vehicle, sc.gains, sc.noise, sc.augment
+    radius = sc.acceptance_radius_m
+    max_steps = int(round(sc.duration_limit_s / dt))
+    _check_dt(dt)
+    rng = np.random.default_rng(sc.seed)
+    sample = Environment(current=sc.current, wind=sc.wind).sample
+    augmented = sc.controller.kind == "augmented"
+    state = _state_floats(sc.start_state())
+    index = 0
+    heading_pid = speed_pid = FRESH_PID
+    line, intermediate, next_update_t = None, None, -math.inf
+    rows = []
+    add = rows.append
+
+    outcome = "incomplete"
+    for _ in range(max_steps + 1):
+        pos, spd_t, course_t, h_t, tw, t, turn_rate = state
+        try:
+            flows = sample(pos, t)
+        except LeftDomainError:
+            outcome = "left_domain"
+            break
+        vg_e, vg_n = _track_velocity(spd_t, course_t)
+        water_spd, water_dir, wind_spd, wind_dir = _sense(vg_e, vg_n, h_t, flows, noise, rng)
+        spd_c, dir_c = _absolute(vg_e, vg_n, h_t, water_spd, water_dir)
+        spd_w, dir_w = _absolute(vg_e, vg_n, h_t, wind_spd, wind_dir)
+        if augmented:
+            (thrust, rudder, index, line, heading_pid, speed_pid, intermediate,
+             next_update_t) = _augmented_navigate(
+                state, mission, index, line, heading_pid, speed_pid, intermediate, next_update_t,
+                model, (spd_c, dir_c, spd_w, dir_w), cfg, gains, params, dt, radius,
+            )
+        else:
+            thrust, rudder, index, line, heading_pid, speed_pid = _navigate(
+                pos, spd_t, h_t, mission, index, line, heading_pid, speed_pid, gains, dt, radius
+            )
+        add((t, pos.lat, pos.lon, spd_t, course_t, h_t, tw, turn_rate, index, intermediate,
+             spd_c, dir_c, spd_w, dir_w, thrust, rudder))
+        if index >= len(mission):
+            outcome = "completed"
+            break
+        state = _step(pos, h_t, tw, t, turn_rate, thrust, rudder, flows, params, dt)
+    return TrajectoryLog.from_rows(rows), outcome
+
+
 def run_scenario(
     sc: Scenario,
     out_dir: str | os.PathLike | None = None,
@@ -437,45 +487,8 @@ def run_scenario(
     """
     if model is None:
         model = _resolve_model(sc)
-    rng = np.random.default_rng(sc.seed)
-    environment = Environment(current=sc.current, wind=sc.wind)
     mission = list(sc.mission)
-    s = sc.start_state()
-    nav = NavigatorState()
-    aug = AugmentState()
-    log = TrajectoryLog()
-    augmented = sc.controller.kind == "augmented"
-
-    outcome = "incomplete"
-    max_steps = int(round(sc.duration_limit_s / sc.dt_s))
-    for _ in range(max_steps + 1):
-        try:
-            flows = environment.sample(s.pos, s.t)
-        except LeftDomainError:
-            outcome = "left_domain"
-            break
-        frame = sense(s, flows, sc.noise, rng)
-        force = relative_to_absolute(frame, s)
-        if augmented:
-            cmd, aug = augmented_navigator_step(
-                s, mission, aug, model, force,
-                cfg=sc.augment, gains=sc.gains, params=sc.vehicle,
-                dt=sc.dt_s, radius=sc.acceptance_radius_m,
-            )
-            wp_index = aug.nav.active_wp_index
-            intermediate = aug.intermediate
-        else:
-            cmd, nav = navigator_step(
-                s, mission, nav, gains=sc.gains, dt=sc.dt_s, radius=sc.acceptance_radius_m
-            )
-            wp_index = nav.active_wp_index
-            intermediate = None
-        log.append(LogRecord(t=s.t, state=s, wp_index=wp_index,
-                             intermediate=intermediate, force=force, cmd=cmd))
-        if wp_index >= len(mission):
-            outcome = "completed"
-            break
-        s = step(s, cmd, flows, sc.vehicle, sc.dt_s)
+    log, outcome = _closed_loop(sc, mission, model)
 
     report = None
     sign_changes = 0
@@ -495,7 +508,7 @@ def run_scenario(
         report=report,
         outcome=outcome,
         sign_changes_over_1m=sign_changes,
-        duration_s=log.records[-1].t if log.records else 0.0,
+        duration_s=log.t[-1] if len(log) else 0.0,
     )
     if out_dir is not None:
         out = Path(out_dir)
@@ -797,18 +810,26 @@ def generate_training_logs(sweep: SweepSpec) -> list[TrainingSample]:
     """Run the sweep and emit one training sample per logged control step.
 
     Features come from the same relative-to-absolute sensing path the
-    controller uses; targets are the logged ground-truth drift.
+    controller uses; targets are the logged ground-truth drift. Runs on
+    the float-level functions that sense, relative_to_absolute, step and
+    navigator_step wrap, with one field sample per logged step.
     """
     rng = np.random.default_rng(sweep.seed)
     samples: list[TrainingSample] = []
-    n_steps = int(round(sweep.duration_s / sweep.dt_s))
+    dt, params, noise = sweep.dt_s, sweep.vehicle, sweep.noise
+    n_steps = int(round(sweep.duration_s / dt))
+    if n_steps > 0:
+        _check_dt(dt)
 
-    def record(s: AsvState, flows: Flows, speed: float) -> None:
-        force = relative_to_absolute(sense(s, flows, sweep.noise, rng), s)
+    def record(spd_t: float, course_t: float, h_t: float, tw: float, flows: Flows,
+               speed: float) -> None:
+        vg_e, vg_n = _track_velocity(spd_t, course_t)
+        water_spd, water_dir, wind_spd, wind_dir = _sense(vg_e, vg_n, h_t, flows, noise, rng)
         samples.append(
             TrainingSample(
-                features=make_features(force, speed, s.h_t),
-                targets=_observed_targets(*s.ground_velocity(), s.through_water_speed, s.h_t),
+                features=_features(*_absolute(vg_e, vg_n, h_t, water_spd, water_dir),
+                                   *_absolute(vg_e, vg_n, h_t, wind_spd, wind_dir), speed, h_t),
+                targets=_observed_targets(vg_e, vg_n, tw, h_t),
             )
         )
 
@@ -818,17 +839,21 @@ def generate_training_logs(sweep: SweepSpec) -> list[TrainingSample]:
             for speed in sweep.speeds:
                 wind = sweep.winds[run_index % len(sweep.winds)]
                 run_index += 1
-                environment = Environment(
+                sample = Environment(
                     current=FieldSpec.uniform(current), wind=FieldSpec.uniform(wind)
-                )
-                thrust = min(1.0, speed / sweep.vehicle.max_water_speed)
-                cmd = ActuatorCommand(thrust=thrust, rudder=0.0)
-                s = steady_state(sweep.origin, heading, speed,
-                                 environment.sample(sweep.origin, 0.0), sweep.vehicle)
-                for _ in range(n_steps):
-                    flows = environment.sample(s.pos, s.t)
-                    record(s, flows, speed)
-                    s = step(s, cmd, flows, sweep.vehicle, sweep.dt_s)
+                ).sample
+                thrust, rudder = _clamped(min(1.0, speed / params.max_water_speed), 0.0)
+                # the steady state's sample is the first step's: (origin, t=0)
+                flows = sample(sweep.origin, 0.0)
+                pos, t, turn_rate, tw = sweep.origin, 0.0, 0.0, speed
+                spd_t, course_t, h_t = _steady_state(heading, speed, flows, params)
+                for i in range(n_steps):
+                    if i:
+                        flows = sample(pos, t)
+                    record(spd_t, course_t, h_t, tw, flows, speed)
+                    pos, spd_t, course_t, h_t, tw, t, turn_rate = _step(
+                        pos, h_t, tw, t, turn_rate, thrust, rudder, flows, params, dt
+                    )
 
     if sweep.include_closed_loop:
         # a few navigator-driven legs so the corpus also covers transients
@@ -837,23 +862,31 @@ def generate_training_logs(sweep: SweepSpec) -> list[TrainingSample]:
             current = sweep.currents[run_index % len(sweep.currents)]
             wind = sweep.winds[run_index % len(sweep.winds)]
             run_index += 1
-            environment = Environment(
+            sample = Environment(
                 current=FieldSpec.uniform(current), wind=FieldSpec.uniform(wind)
-            )
+            ).sample
             ue, un = unit_enu(heading)
-            goal = Waypoint(
+            mission = [Waypoint(
                 offset_point(sweep.origin, EnuVector(100.0 * ue, 100.0 * un)), leg_speed
-            )
-            s = steady_state(sweep.origin, heading, leg_speed,
-                             environment.sample(sweep.origin, 0.0), sweep.vehicle)
-            nav = NavigatorState()
-            for _ in range(n_steps):
-                flows = environment.sample(s.pos, s.t)
-                record(s, flows, leg_speed)
-                cmd, nav = navigator_step(s, [goal], nav, dt=sweep.dt_s)
-                if nav.active_wp_index >= 1:
+            )]
+            flows = sample(sweep.origin, 0.0)
+            pos, t, turn_rate, tw = sweep.origin, 0.0, 0.0, leg_speed
+            spd_t, course_t, h_t = _steady_state(heading, leg_speed, flows, params)
+            index, line = 0, None
+            heading_pid = speed_pid = FRESH_PID
+            for i in range(n_steps):
+                if i:
+                    flows = sample(pos, t)
+                record(spd_t, course_t, h_t, tw, flows, leg_speed)
+                thrust, rudder, index, line, heading_pid, speed_pid = _navigate(
+                    pos, spd_t, h_t, mission, index, line, heading_pid, speed_pid, DEFAULT_GAINS,
+                    dt, DEFAULT_ACCEPT_RADIUS,
+                )
+                if index:  # the goal is reached
                     break
-                s = step(s, cmd, flows, sweep.vehicle, sweep.dt_s)
+                pos, spd_t, course_t, h_t, tw, t, turn_rate = _step(
+                    pos, h_t, tw, t, turn_rate, thrust, rudder, flows, params, dt
+                )
     return samples
 
 
@@ -874,22 +907,26 @@ def samples_from_trajectory(
     differencing consecutive positions. Good enough for refitting from
     archived runs; sweeps give exact targets.
     """
-    if len(log.records) < 2:
+    if len(log) < 2:
         raise ValueError("need at least two records to difference positions")
     samples = []
     tw = 0.0
-    for r, r_next in zip(log.records, log.records[1:]):
-        dt = r_next.t - r.t
-        wp = min(max(r.wp_index, 0), len(mission) - 1)
+    for (t, t_next, lat, lon, lat_next, lon_next, h_t, h_next, wp_index, thrust,
+         spd_c, dir_c, spd_w, dir_w) in zip(
+        log.t, log.t[1:], log.lat, log.lon, log.lat[1:], log.lon[1:], log.h_t, log.h_t[1:],
+        log.wp_index, log.thrust, log.spd_c, log.dir_c, log.spd_w, log.dir_w,
+    ):
+        dt = t_next - t
+        wp = min(max(wp_index, 0), len(mission) - 1)
         commanded = mission[wp].spd_target
         # the step applies thrust and heading before moving, so the interval
         # displacement reflects the post-update values
-        tw += (r.cmd.thrust * params.max_water_speed - tw) * (dt / params.thrust_time_constant)
-        delta = enu_offset(r.state.pos, r_next.state.pos)
+        tw += (thrust * params.max_water_speed - tw) * (dt / params.thrust_time_constant)
+        east, north = enu_coords(lat, lon, lat_next, lon_next)
         samples.append(
             TrainingSample(
-                features=make_features(r.force, commanded, r.state.h_t),
-                targets=_observed_targets(delta.east / dt, delta.north / dt, tw, r_next.state.h_t),
+                features=_features(spd_c, dir_c, spd_w, dir_w, commanded, h_t),
+                targets=_observed_targets(east / dt, north / dt, tw, h_next),
             )
         )
     return samples

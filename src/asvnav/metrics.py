@@ -11,16 +11,18 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .control import Waypoint
-from .effects import ForceSample
-from .geo import GeoPoint, distance, distance_bearing, enu_offset, unit_enu
-from .vehicle import ActuatorCommand, AsvState
+from .effects import ForceSample, _force_floats
+from .geo import GeoPoint, distance, distance_bearing, enu_coords, point_coords, unit_enu, wrap_angle
+from .vehicle import ActuatorCommand, AsvState, _check_state, _clamped
 
 TRAJECTORY_HEADER = (
     "t,lat,lon,spd_t,h_t,wp_index,int_lat,int_lon,int_spd,"
@@ -57,51 +59,92 @@ class LogRecord:
     cmd: ActuatorCommand
 
 
-@dataclass
-class TrajectoryLog:
-    """Ordered per-step records; timestamps strictly increase."""
+# The columns of a TrajectoryLog, in the order of a log row: the record's
+# time, the rest of the vehicle state, the active waypoint index, the
+# intermediate target (a Waypoint or None), the recovered forces and the
+# actuator command.
+LOG_COLUMNS = (
+    "t", "lat", "lon", "spd_t", "course_t", "h_t", "through_water_speed", "turn_rate",
+    "wp_index", "intermediate", "spd_c", "dir_c", "spd_w", "dir_w", "thrust", "rudder",
+)
+# Columns that hold Python objects; every other column holds doubles.
+_OBJECT_COLUMNS = ("wp_index", "intermediate")
 
-    records: list[LogRecord] = field(default_factory=list)
+
+class TrajectoryLog:
+    """Ordered per-step log, stored as one column per name in LOG_COLUMNS;
+    timestamps strictly increase and waypoint indices never decrease.
+
+    The columns are the log. records is a LogRecord view of them, built
+    on each access and not kept.
+    """
+
+    __slots__ = LOG_COLUMNS
+
+    def __init__(self) -> None:
+        for name in LOG_COLUMNS:
+            setattr(self, name, [] if name in _OBJECT_COLUMNS else array("d"))
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[tuple]) -> "TrajectoryLog":
+        """Log of rows in LOG_COLUMNS order whose times strictly increase and
+        whose waypoint indices never decrease, as a simulation loop makes
+        them."""
+        log = cls()
+        for name, column in zip(LOG_COLUMNS, zip(*rows)):
+            setattr(log, name, list(column) if name in _OBJECT_COLUMNS else array("d", column))
+        return log
 
     def append(self, record: LogRecord) -> None:
-        if self.records and record.t <= self.records[-1].t:
+        if self.t and record.t <= self.t[-1]:
             raise ValueError("timestamps must be strictly increasing")
-        if self.records and record.wp_index < self.records[-1].wp_index:
+        if self.wp_index and record.wp_index < self.wp_index[-1]:
             raise ValueError("waypoint indices must be non-decreasing")
-        self.records.append(record)
+        s, force, cmd = record.state, record.force, record.cmd
+        if s.t != record.t:
+            raise ValueError(f"record time {record.t} differs from its state's time {s.t}")
+        row = (record.t, s.pos.lat, s.pos.lon, s.spd_t, s.course_t, s.h_t, s.through_water_speed,
+               s.turn_rate, record.wp_index, record.intermediate, force.spd_c, force.dir_c,
+               force.spd_w, force.dir_w, cmd.thrust, cmd.rudder)
+        for name, value in zip(LOG_COLUMNS, row):
+            getattr(self, name).append(value)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.t)
+
+    @property
+    def records(self) -> tuple[LogRecord, ...]:
+        """The log as LogRecords, built from the columns on each access."""
+        return tuple(
+            LogRecord(
+                t=t,
+                state=AsvState(GeoPoint(lat, lon), spd_t, course_t, h_t, tw, t, turn_rate),
+                wp_index=wp_index,
+                intermediate=intermediate,
+                force=ForceSample(spd_c, dir_c, spd_w, dir_w),
+                cmd=ActuatorCommand(thrust, rudder),
+            )
+            for (t, lat, lon, spd_t, course_t, h_t, tw, turn_rate, wp_index, intermediate,
+                 spd_c, dir_c, spd_w, dir_w, thrust, rudder)
+            in zip(*(getattr(self, name) for name in LOG_COLUMNS))
+        )
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write(TRAJECTORY_HEADER + "\n")
-        for r in self.records:
-            inter = (
-                ("", "", "")
-                if r.intermediate is None
-                else (
-                    repr(float(r.intermediate.pos.lat)),
-                    repr(float(r.intermediate.pos.lon)),
-                    repr(float(r.intermediate.spd_target)),
+        held, held_text = None, ",,"
+        for (t, lat, lon, spd_t, h_t, wp_index, intermediate, spd_c, dir_c, spd_w, dir_w,
+             thrust, rudder) in zip(self.t, self.lat, self.lon, self.spd_t, self.h_t,
+                                    self.wp_index, self.intermediate, self.spd_c, self.dir_c,
+                                    self.spd_w, self.dir_w, self.thrust, self.rudder):
+            if intermediate is not held:  # a target is held for many rows
+                held = intermediate
+                held_text = ",," if intermediate is None else (
+                    f"{float(intermediate.pos.lat)!r},{float(intermediate.pos.lon)!r},"
+                    f"{float(intermediate.spd_target)!r}"
                 )
-            )
-            row = (
-                repr(float(r.t)),
-                repr(float(r.state.pos.lat)),
-                repr(float(r.state.pos.lon)),
-                repr(float(r.state.spd_t)),
-                repr(float(r.state.h_t)),
-                str(r.wp_index),
-                *inter,
-                repr(float(r.force.spd_c)),
-                repr(float(r.force.dir_c)),
-                repr(float(r.force.spd_w)),
-                repr(float(r.force.dir_w)),
-                repr(float(r.cmd.thrust)),
-                repr(float(r.cmd.rudder)),
-            )
-            buf.write(",".join(row) + "\n")
+            buf.write(f"{t!r},{lat!r},{lon!r},{spd_t!r},{h_t!r},{wp_index},{held_text},"
+                      f"{spd_c!r},{dir_c!r},{spd_w!r},{dir_w!r},{thrust!r},{rudder!r}\n")
         return buf.getvalue()
 
     def write_csv(self, path: str | os.PathLike) -> None:
@@ -110,49 +153,45 @@ class TrajectoryLog:
 
     @classmethod
     def from_csv(cls, path: str | os.PathLike) -> "TrajectoryLog":
-        """Rebuild a log from its CSV.
+        """Rebuild a log from its CSV, with the checks append makes.
 
-        The CSV schema does not carry course or through-water speed, so
-        those state fields are reconstructed as zero; everything the
-        scoring needs (time, position, waypoint index) survives the
+        The CSV schema does not carry course, through-water speed or turn
+        rate, so those state fields are reconstructed as zero; everything
+        the scoring needs (time, position, waypoint index) survives the
         round trip.
         """
-        log = cls()
+        rows = []
+        last_t, last_wp = -math.inf, None
+        held_text, held = ("", "", ""), None
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames != TRAJECTORY_HEADER.split(","):
-                raise ValueError(f"{path}: unexpected trajectory header {reader.fieldnames}")
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != TRAJECTORY_HEADER.split(","):
+                raise ValueError(f"{path}: unexpected trajectory header {header}")
             for row in reader:
-                inter = None
-                if row["int_lat"]:
-                    inter = Waypoint(
-                        GeoPoint(float(row["int_lat"]), float(row["int_lon"])),
-                        float(row["int_spd"]),
+                if not row:
+                    continue
+                (t, lat, lon, spd_t, h_t, wp_index, int_lat, int_lon, int_spd,
+                 spd_c, dir_c, spd_w, dir_w, thrust, rudder) = row
+                if (int_lat, int_lon, int_spd) != held_text:
+                    held_text = (int_lat, int_lon, int_spd)
+                    held = None if not int_lat else Waypoint(
+                        GeoPoint(float(int_lat), float(int_lon)), float(int_spd)
                     )
-                state = AsvState(
-                    pos=GeoPoint(float(row["lat"]), float(row["lon"])),
-                    spd_t=float(row["spd_t"]),
-                    course_t=0.0,
-                    h_t=float(row["h_t"]),
-                    through_water_speed=0.0,
-                    t=float(row["t"]),
-                )
-                log.append(
-                    LogRecord(
-                        t=float(row["t"]),
-                        state=state,
-                        wp_index=int(row["wp_index"]),
-                        intermediate=inter,
-                        force=ForceSample(
-                            float(row["spd_c"]),
-                            float(row["dir_c"]),
-                            float(row["spd_w"]),
-                            float(row["dir_w"]),
-                        ),
-                        cmd=ActuatorCommand(float(row["thrust"]), float(row["rudder"])),
-                    )
-                )
-        return log
+                t, spd_t, wp_index = float(t), float(spd_t), int(wp_index)
+                lat, lon = point_coords(float(lat), float(lon))
+                _check_state(spd_t, 0.0, t, 0.0)
+                if not t > last_t:
+                    raise ValueError("timestamps must be strictly increasing")
+                if last_wp is not None and wp_index < last_wp:
+                    raise ValueError("waypoint indices must be non-decreasing")
+                last_t, last_wp = t, wp_index
+                rows.append((
+                    t, lat, lon, spd_t, 0.0, wrap_angle(float(h_t)), 0.0, 0.0, wp_index, held,
+                    *_force_floats(float(spd_c), float(dir_c), float(spd_w), float(dir_w)),
+                    *_clamped(float(thrust), float(rudder)),
+                ))
+        return cls.from_rows(rows)
 
 
 @dataclass(frozen=True)
@@ -200,7 +239,7 @@ def cross_track_series(
     not on the line, and that initial approach is not part of the scored
     path.
     """
-    if not log.records:
+    if not len(log):
         raise LegNotAcquiredError("trajectory log is empty")
     if len(mission) < 2:
         raise ValueError("need at least two waypoints to define a leg")
@@ -210,9 +249,10 @@ def cross_track_series(
     # (east, north) unit vector of each leg, once per leg
     leg_units = [unit_enu(distance_bearing(a.pos, b.pos)[1]) for a, b in zip(mission, mission[1:])]
 
+    first = mission[0].pos
     start = None
-    for i, record in enumerate(log.records):
-        if distance(record.state.pos, mission[0].pos) <= 2.0 * acceptance_radius:
+    for i, (lat, lon) in enumerate(zip(log.lat, log.lon)):
+        if math.hypot(*enu_coords(lat, lon, first.lat, first.lon)) <= 2.0 * acceptance_radius:
             start = i
             break
     if start is None:
@@ -220,17 +260,19 @@ def cross_track_series(
 
     errors = []
     legs = []
-    positions = []
-    for record in log.records[start:]:
-        leg = min(max(record.wp_index, 1), len(mission) - 1)
-        offset = enu_offset(mission[leg - 1].pos, record.state.pos)
+    lats, lons = log.lat[start:], log.lon[start:]
+    for lat, lon, wp_index in zip(lats, lons, log.wp_index[start:]):
+        leg = min(max(wp_index, 1), len(mission) - 1)
+        a = mission[leg - 1].pos
+        east, north = enu_coords(a.lat, a.lon, lat, lon)
         ue, un = leg_units[leg - 1]
         # positive to starboard of the leg direction
-        errors.append(offset.east * un - offset.north * ue)
+        errors.append(east * un - north * ue)
         legs.append(leg)
-        positions.append(record.state.pos)
 
-    seg = np.array([distance(p, q) for p, q in zip(positions, positions[1:])], dtype=float)
+    seg = np.array([math.hypot(*enu_coords(lat_p, lon_p, lat_q, lon_q))
+                    for lat_p, lon_p, lat_q, lon_q in zip(lats, lons, lats[1:], lons[1:])],
+                   dtype=float)
     n = len(errors)
     weights = np.zeros(n)
     if n > 1:
@@ -304,12 +346,10 @@ def per_sample_error_csv(series: CrossTrackSeries, log: TrajectoryLog) -> str:
     """Per-sample error table for external plotting."""
     buf = io.StringIO()
     buf.write("t,lat,lon,leg,cross_track_m,arc_weight_m\n")
-    records = log.records[series.first_scored_record :]
-    for record, err, w, leg in zip(records, series.errors, series.weights, series.leg_indices):
-        buf.write(
-            f"{record.t:.3f},{record.state.pos.lat:.9f},{record.state.pos.lon:.9f},"
-            f"{leg},{err:.6f},{w:.6f}\n"
-        )
+    start = series.first_scored_record
+    for t, lat, lon, err, w, leg in zip(log.t[start:], log.lat[start:], log.lon[start:],
+                                        series.errors, series.weights, series.leg_indices):
+        buf.write(f"{t:.3f},{lat:.9f},{lon:.9f},{leg},{err:.6f},{w:.6f}\n")
     return buf.getvalue()
 
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .effects import ForceSample
-from .env import Flows, ForceVector
-from .geo import EnuVector, GeoPoint, bearing_of, offset_point, unit_enu, wrap_angle
+from .env import Flows, ForceVector, _flow_direction
+from .geo import GeoPoint, bearing_of, displaced, unit_enu, wrap_angle
 
 MAX_STEP_DT = 0.5
 
@@ -41,17 +41,13 @@ class AsvState:
     turn_rate: float = 0.0
 
     def __post_init__(self):
-        if self.spd_t < 0.0 or self.through_water_speed < 0.0:
-            raise ValueError("speeds must be >= 0")
-        if not all(map(math.isfinite, (self.spd_t, self.through_water_speed, self.t, self.turn_rate))):
-            raise ValueError("non-finite state component")
+        _check_state(self.spd_t, self.through_water_speed, self.t, self.turn_rate)
         object.__setattr__(self, "course_t", wrap_angle(self.course_t))
         object.__setattr__(self, "h_t", wrap_angle(self.h_t))
 
     def ground_velocity(self) -> tuple[float, float]:
         """(east, north) ground velocity in m/s."""
-        ue, un = unit_enu(self.course_t)
-        return self.spd_t * ue, self.spd_t * un
+        return _track_velocity(self.spd_t, self.course_t)
 
     @classmethod
     def at_rest(cls, pos: GeoPoint, heading: float, t: float = 0.0) -> "AsvState":
@@ -67,10 +63,53 @@ class ActuatorCommand:
     rudder: float
 
     def __post_init__(self):
-        if math.isfinite(self.thrust):
-            object.__setattr__(self, "thrust", min(1.0, max(0.0, self.thrust)))
-        if math.isfinite(self.rudder):
-            object.__setattr__(self, "rudder", min(1.0, max(-1.0, self.rudder)))
+        thrust, rudder = _clamped(self.thrust, self.rudder)
+        object.__setattr__(self, "thrust", thrust)
+        object.__setattr__(self, "rudder", rudder)
+
+
+# AsvState's fields in order: the vehicle state as the closed loops hold it.
+StateFloats = tuple[GeoPoint, float, float, float, float, float, float]
+
+
+def _state_floats(s: AsvState) -> StateFloats:
+    return s.pos, s.spd_t, s.course_t, s.h_t, s.through_water_speed, s.t, s.turn_rate
+
+
+# The float-level kernel of this module. The closed loops in harness run on
+# these directly; AsvState, ActuatorCommand, sense, relative_to_absolute,
+# step and steady_state wrap the same functions, so both paths share every
+# floating-point operation.
+
+
+def _check_state(spd_t: float, through_water_speed: float, t: float, turn_rate: float) -> None:
+    """AsvState's checks on plain floats."""
+    if spd_t < 0.0 or through_water_speed < 0.0:
+        raise ValueError("speeds must be >= 0")
+    if not (math.isfinite(spd_t) and math.isfinite(through_water_speed)
+            and math.isfinite(t) and math.isfinite(turn_rate)):
+        raise ValueError("non-finite state component")
+
+
+def _check_dt(dt: float) -> None:
+    if not 0.0 < dt <= MAX_STEP_DT:
+        raise ValueError(f"dt must be in (0, {MAX_STEP_DT}], got {dt!r}")
+
+
+def _clamped(thrust: float, rudder: float) -> tuple[float, float]:
+    """ActuatorCommand's clamps on plain floats. Non-finite values pass
+    through unclamped, for step to reject."""
+    if math.isfinite(thrust):
+        thrust = min(1.0, max(0.0, thrust))
+    if math.isfinite(rudder):
+        rudder = min(1.0, max(-1.0, rudder))
+    return thrust, rudder
+
+
+def _track_velocity(spd_t: float, course_t: float) -> tuple[float, float]:
+    """(east, north) ground velocity of a ground speed and course."""
+    ue, un = unit_enu(course_t)
+    return spd_t * ue, spd_t * un
 
 
 @dataclass(frozen=True)
@@ -158,33 +197,36 @@ def step(
     summed ground velocity. Deterministic: identical inputs give
     bit-identical outputs.
     """
-    if not 0.0 < dt <= MAX_STEP_DT:
-        raise ValueError(f"dt must be in (0, {MAX_STEP_DT}], got {dt!r}")
-    if not (math.isfinite(cmd.thrust) and math.isfinite(cmd.rudder)):
-        raise ValueError(f"non-finite actuator command {cmd!r}")
+    _check_dt(dt)
+    return AsvState(*_step(s.pos, s.h_t, s.through_water_speed, s.t, s.turn_rate,
+                           cmd.thrust, cmd.rudder, flows, params, dt))
 
-    turn_authority = params.max_turn_rate * params.steerage_effectiveness(s.through_water_speed)
-    commanded_rate = cmd.rudder * turn_authority
+
+def _step(pos: GeoPoint, h_t: float, through_water_speed: float, t: float, turn_rate: float,
+          thrust: float, rudder: float, flows: Flows, params: VehicleParams,
+          dt: float) -> StateFloats:
+    """step on plain floats, for a dt the caller has checked: the next
+    (pos, spd_t, course_t, h_t, through_water_speed, t, turn_rate)."""
+    if not (math.isfinite(thrust) and math.isfinite(rudder)):
+        raise ValueError(f"non-finite actuator command {ActuatorCommand(thrust, rudder)!r}")
+    turn_authority = params.max_turn_rate * params.steerage_effectiveness(through_water_speed)
+    commanded_rate = rudder * turn_authority
     # yaw responds through a first-order lag: the hull cannot reverse a
     # turn instantaneously
-    turn_rate = s.turn_rate + (commanded_rate - s.turn_rate) * (dt / params.turn_time_constant)
-    heading = wrap_angle(s.h_t + turn_rate * dt)
-    target_tw = cmd.thrust * params.max_water_speed
-    tw = s.through_water_speed + (target_tw - s.through_water_speed) * (
+    turn_rate = turn_rate + (commanded_rate - turn_rate) * (dt / params.turn_time_constant)
+    heading = wrap_angle(h_t + turn_rate * dt)
+    target_tw = thrust * params.max_water_speed
+    tw = through_water_speed + (target_tw - through_water_speed) * (
         dt / params.thrust_time_constant
     )
 
     vg_e, vg_n = _ground_velocity(tw, heading, flows, params)
-    pos = offset_point(s.pos, EnuVector(vg_e * dt, vg_n * dt))
-    return AsvState(
-        pos=pos,
-        spd_t=math.hypot(vg_e, vg_n),
-        course_t=bearing_of(vg_e, vg_n),
-        h_t=heading,
-        through_water_speed=tw,
-        t=s.t + dt,
-        turn_rate=turn_rate,
-    )
+    pos = displaced(pos, vg_e * dt, vg_n * dt)
+    spd_t = math.hypot(vg_e, vg_n)
+    course_t = bearing_of(vg_e, vg_n)
+    t = t + dt
+    _check_state(spd_t, tw, t, turn_rate)
+    return pos, spd_t, course_t, heading, tw, t, turn_rate
 
 
 def steady_state(
@@ -197,15 +239,18 @@ def steady_state(
     """State at t=0 already moving at water_speed along heading, with the
     ground velocity the fields impose there (flows sampled at pos, t=0; no
     turn, no thrust lag)."""
+    return AsvState(pos, *_steady_state(heading, water_speed, flows, params), water_speed, 0.0)
+
+
+def _steady_state(heading: float, water_speed: float, flows: Flows,
+                  params: VehicleParams) -> tuple[float, float, float]:
+    """steady_state on plain floats: (spd_t, course_t, h_t), checked as
+    AsvState checks them."""
     vg_e, vg_n = _ground_velocity(water_speed, heading, flows, params)
-    return AsvState(
-        pos=pos,
-        spd_t=math.hypot(vg_e, vg_n),
-        course_t=bearing_of(vg_e, vg_n),
-        h_t=heading,
-        through_water_speed=water_speed,
-        t=0.0,
-    )
+    spd_t = math.hypot(vg_e, vg_n)
+    course_t = bearing_of(vg_e, vg_n)
+    _check_state(spd_t, water_speed, 0.0, 0.0)
+    return spd_t, course_t, wrap_angle(heading)
 
 
 def _ground_velocity(tw: float, heading: float, flows: Flows,
@@ -237,24 +282,11 @@ def sense(
     The paddle wheel and anemometer physically measure flow relative to
     the moving hull, so both relative vectors subtract the ground
     velocity. Noise draws are taken in a fixed order (four per call) so
-    runs stay reproducible for a given generator.
+    runs stay reproducible for a given generator; all-zero noise takes
+    none.
     """
-    ce, cn, we, wn = flows
     vg_e, vg_n = s.ground_velocity()
-
-    water_spd, water_dir = _to_hull_frame(ce - vg_e, cn - vg_n, s.h_t)
-    wind_spd, wind_dir = _to_hull_frame(we - vg_e, wn - vg_n, s.h_t)
-
-    if rng is not None:
-        # read as Python floats: the same IEEE arithmetic as numpy scalars
-        d_ws, d_wd, d_as, d_ad = rng.standard_normal(4).tolist()
-        water_spd = max(0.0, water_spd + d_ws * noise.sigma_speed)
-        water_dir = wrap_angle(water_dir + d_wd * noise.sigma_dir)
-        wind_spd = max(0.0, wind_spd + d_as * noise.sigma_speed)
-        wind_dir = wrap_angle(wind_dir + d_ad * noise.sigma_dir)
-    elif noise.sigma_speed > 0.0 or noise.sigma_dir > 0.0:
-        raise ValueError("noisy sensing requires an explicit rng")
-
+    water_spd, water_dir, wind_spd, wind_dir = _sense(vg_e, vg_n, s.h_t, flows, noise, rng)
     return SensorFrame(
         rel_water=ForceVector(water_spd, water_dir),
         rel_wind=ForceVector(wind_spd, wind_dir),
@@ -264,6 +296,27 @@ def sense(
     )
 
 
+def _sense(vg_e: float, vg_n: float, h_t: float, flows: Flows, noise: NoiseSpec,
+           rng: np.random.Generator | None) -> tuple[float, float, float, float]:
+    """sense on plain floats, given the ground velocity: (water speed,
+    water direction, wind speed, wind direction), hull-relative."""
+    ce, cn, we, wn = flows
+    water_spd, water_dir = _to_hull_frame(ce - vg_e, cn - vg_n, h_t)
+    wind_spd, wind_dir = _to_hull_frame(we - vg_e, wn - vg_n, h_t)
+    if rng is None or (noise.sigma_speed == 0.0 and noise.sigma_dir == 0.0):
+        # zero noise would add d * 0.0 to each reading, which changes
+        # nothing, so no draws are taken
+        if noise.sigma_speed > 0.0 or noise.sigma_dir > 0.0:
+            raise ValueError("noisy sensing requires an explicit rng")
+        return water_spd, water_dir, wind_spd, wind_dir
+    # read as Python floats: the same IEEE arithmetic as numpy scalars
+    d_ws, d_wd, d_as, d_ad = rng.standard_normal(4).tolist()
+    water_spd = max(0.0, water_spd + d_ws * noise.sigma_speed)
+    wind_spd = max(0.0, wind_spd + d_as * noise.sigma_speed)
+    return (water_spd, _flow_direction(water_spd, water_dir + d_wd * noise.sigma_dir),
+            wind_spd, _flow_direction(wind_spd, wind_dir + d_ad * noise.sigma_dir))
+
+
 def relative_to_absolute(frame: SensorFrame, s: AsvState) -> ForceSample:
     """Recover the absolute current and wind from a sensor frame.
 
@@ -271,13 +324,16 @@ def relative_to_absolute(frame: SensorFrame, s: AsvState) -> ForceSample:
     is rotated back by the heading and the ground velocity is added.
     """
     vg_e, vg_n = s.ground_velocity()
+    water, wind = frame.rel_water, frame.rel_wind
+    return ForceSample(*_absolute(vg_e, vg_n, s.h_t, water.speed, water.direction),
+                       *_absolute(vg_e, vg_n, s.h_t, wind.speed, wind.direction))
 
-    def absolute(rel: ForceVector) -> tuple[float, float]:
-        ue, un = unit_enu(wrap_angle(rel.direction + s.h_t))
-        vec_e = rel.speed * ue + vg_e
-        vec_n = rel.speed * un + vg_n
-        return math.hypot(vec_e, vec_n), bearing_of(vec_e, vec_n)
 
-    spd_c, dir_c = absolute(frame.rel_water)
-    spd_w, dir_w = absolute(frame.rel_wind)
-    return ForceSample(spd_c=spd_c, dir_c=dir_c, spd_w=spd_w, dir_w=dir_w)
+def _absolute(vg_e: float, vg_n: float, h_t: float, speed: float,
+              direction: float) -> tuple[float, float]:
+    """relative_to_absolute of one hull-relative flow, on plain floats:
+    its world-frame (speed, direction)."""
+    ue, un = unit_enu(wrap_angle(direction + h_t))
+    vec_e = speed * ue + vg_e
+    vec_n = speed * un + vg_n
+    return math.hypot(vec_e, vec_n), bearing_of(vec_e, vec_n)

@@ -4,6 +4,7 @@ Run with `pytest -s tests/test_acceptance.py` to see the lines as they
 complete. Every tolerance is pinned here, not configured elsewhere.
 """
 
+import hashlib
 import math
 import time
 
@@ -282,3 +283,13 @@ def test_criterion_9_suite_determinism(suite_outcome, tmp_path):
     identical = ((first_dir / "report.csv").read_bytes() == (tmp_path / "report.csv").read_bytes()
                  and (first_dir / "report.txt").read_bytes() == (tmp_path / "report.txt").read_bytes())
     _report(9, "suite determinism", identical, "report files byte-identical", elapsed, 240.0)
+
+
+# sha256 of the full-precision report.csv of run_suite(standard_suite()),
+# pinned before the closed loop ran on plain floats.
+SUITE_REPORT_CSV_SHA256 = "57c3119d1c34209e21d1df1abe55a5e398874f9851adecc2b1960ff9285c37f5"
+
+
+def test_suite_report_csv_pinned(suite_outcome):
+    _, out, _ = suite_outcome
+    assert hashlib.sha256((out / "report.csv").read_bytes()).hexdigest() == SUITE_REPORT_CSV_SHA256

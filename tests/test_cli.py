@@ -1,11 +1,13 @@
 """End-to-end exercise of the command-line surface on the shipped configs."""
 
+import hashlib
 import json
 from pathlib import Path
 
 from asvnav.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+TRAINING_CSV_SHA256 = "b4fb0322804bfc48d1609d7805882e0e1f51676755dd0c4416a47a232543e5d6"
 
 
 def test_run_command_writes_outputs(tmp_path, capsys):
@@ -78,7 +80,8 @@ def test_train_fit_report_chain(tmp_path, capsys):
     rc = main(["train", str(CONFIGS / "training_sweep.json"), "--out", str(tmp_path)])
     assert rc == 0
     training = tmp_path / "training.csv"
-    assert training.exists()
+    # sha256 of the training CSV, pinned before the sweep ran on plain floats
+    assert hashlib.sha256(training.read_bytes()).hexdigest() == TRAINING_CSV_SHA256
 
     model_path = tmp_path / "model.json"
     rc = main(["fit", str(training), "-o", str(model_path)])

@@ -141,6 +141,18 @@ def test_geopoint_validation():
     assert GeoPoint(0.0, -181.0).lon == 179.0
 
 
+def test_longitude_wrap_idempotent():
+    """A log stores wrapped coordinates and its records view wraps them
+    again; that must give the same doubles."""
+    rng = np.random.default_rng(4)
+    edges = [-180.0, -179.99999999999997, -90.00000000000001, -1e-300, 0.0, 1e-300,
+             89.99999999999999, 179.99999999999997, 180.0, 539.9999999999999]
+    for lon in [*edges, *rng.uniform(-1e3, 1e3, size=2000), *rng.uniform(-1e-3, 1e-3, size=200)]:
+        wrapped = GeoPoint(0.0, lon).lon
+        assert -180.0 <= wrapped < 180.0
+        assert repr(GeoPoint(0.0, wrapped).lon) == repr(wrapped)
+
+
 def test_enu_vector_rejects_non_finite():
     with pytest.raises(ValueError):
         EnuVector(float("inf"), 0.0)

@@ -166,6 +166,34 @@ def test_trajectory_csv_round_trip(tmp_path):
     assert a.pct_over_1m == pytest.approx(b.pct_over_1m, abs=1e-12)
 
 
+def test_records_view_is_the_appended_records():
+    records = [
+        LogRecord(
+            t=0.5 * i,
+            state=AsvState(pos=offset_point(ORIGIN, EnuVector(0.5, 2.0 * i + 1.0)), spd_t=2.0,
+                           course_t=10.0 * i, h_t=355.0, through_water_speed=1.5, t=0.5 * i,
+                           turn_rate=-0.25 * i),
+            wp_index=i // 4,
+            intermediate=None if i % 3 else Waypoint(ORIGIN, 1.5),
+            force=ForceSample(0.1 * i, 30.0, 5.0, 200.0),
+            cmd=ActuatorCommand(0.5, -0.1 * i),
+        )
+        for i in range(10)
+    ]
+    log = TrajectoryLog()
+    for record in records[:5]:
+        log.append(record)
+    assert log.records == tuple(records[:5])
+    for record in records[5:]:
+        log.append(record)
+    assert log.records == tuple(records)
+    # the log has one time column: a record's state must share its time
+    late = records[-1]
+    with pytest.raises(ValueError):
+        log.append(LogRecord(t=late.t + 1.0, state=late.state, wp_index=late.wp_index,
+                             intermediate=None, force=late.force, cmd=late.cmd))
+
+
 def test_trajectory_header_exact():
     from asvnav.metrics import TRAJECTORY_HEADER
 

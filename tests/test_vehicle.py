@@ -144,9 +144,12 @@ def test_sense_zero_noise_matches_analytic():
     )
     s = steady_state(heading=120.0, water_speed=1.5, environment=environment)
     clean = sense(s, environment.sample(s.pos, s.t))
-    seeded = sense(s, environment.sample(s.pos, s.t), NoiseSpec(0.0, 0.0), np.random.default_rng(1))
-    assert clean.rel_water == seeded.rel_water
-    assert clean.rel_wind == seeded.rel_wind
+    rng = np.random.default_rng(1)
+    untouched = rng.bit_generator.state
+    seeded = sense(s, environment.sample(s.pos, s.t), NoiseSpec(0.0, 0.0), rng)
+    assert repr(clean) == repr(seeded)
+    # zero noise changes no reading, so it takes no draws
+    assert rng.bit_generator.state == untouched
 
 
 def test_sense_noise_reproducible_and_applied():
