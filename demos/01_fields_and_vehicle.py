@@ -45,10 +45,19 @@ s_cur = AsvState(pos=origin, spd_t=math.hypot(2.0 * math.sin(math.radians(30)) +
                                               2.0 * math.cos(math.radians(30)) + cn),
                  course_t=30.0, h_t=30.0, through_water_speed=2.0, t=0.0)
 
+
+
+def advance(s: AsvState, environment: Environment) -> AsvState:
+    """One 0.1 s step of the hull under cmd, in the flows at its position."""
+    flows = environment.sample(s.pos, s.t)
+    return AsvState(*step(s.pos, s.h_t, s.through_water_speed, s.t, s.turn_rate,
+                          cmd.thrust, cmd.rudder, flows, params, 0.1))
+
+
 T = 60.0
 for _ in range(int(T / 0.1)):
-    s_calm = step(s_calm, cmd, calm.sample(s_calm.pos, s_calm.t), params, 0.1)
-    s_cur = step(s_cur, cmd, drifted.sample(s_cur.pos, s_cur.t), params, 0.1)
+    s_calm = advance(s_calm, calm)
+    s_cur = advance(s_cur, drifted)
 
 predicted = offset_point(s_calm.pos, EnuVector(ce * T, cn * T))
 gap, _ = distance_bearing(predicted, s_cur.pos)

@@ -7,7 +7,6 @@ the baseline, plus the simulation harness and metrics to compare them.
 
 from .augment import (
     AugmentConfig,
-    AugmentState,
     adjusted_speed,
     augmented_navigator_step,
     calc_intermediate_wp,
@@ -15,12 +14,10 @@ from .augment import (
 from .control import (
     DEFAULT_ACCEPT_RADIUS,
     DEFAULT_GAINS,
+    FRESH_PID,
     NavGains,
-    NavigatorState,
     PidGains,
-    PidState,
     Waypoint,
-    mission_complete,
     navigator_step,
     pid_step,
     waypoint_reached,
@@ -84,11 +81,11 @@ from .vehicle import (
     ActuatorCommand,
     AsvState,
     NoiseSpec,
-    SensorFrame,
     VehicleParams,
     relative_to_absolute,
     sense,
     step,
+    track_velocity,
 )
 
 __version__ = "0.1.0"

@@ -11,7 +11,7 @@ advancement is always judged against the true goal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .control import (
@@ -20,19 +20,15 @@ from .control import (
     FRESH_PID,
     Line,
     NavGains,
-    NavigatorState,
     PidFloats,
-    PidState,
     Waypoint,
     _advance,
-    _check_pid_dt,
-    _line,
-    _pid_floats,
-    _steer,
+    steer_toward,
+    tracking_line,
 )
 from .effects import EffectPrediction, ForceSample
 from .geo import EnuVector, GeoPoint, distance, offset_point
-from .vehicle import ActuatorCommand, AsvState, StateFloats, VehicleParams, _state_floats
+from .vehicle import VehicleParams
 
 # Never command below this fraction of the requested speed: the hull must
 # keep steerage way even when the disturbance aids progress.
@@ -71,32 +67,16 @@ class AugmentConfig:
             raise ValueError("update_period_s and reference_speed_floor_mps must be > 0")
 
 
-@dataclass(frozen=True)
-class AugmentState:
-    """Inner navigator state plus the held feed-forward target.
-
-    intermediate is the synthetic goal handed to the inner navigator, a
-    Waypoint like the mission's own. anchor is the position at which it
-    was issued; the inner navigator tracks the anchor->target line. It
-    only moves when the target itself changes, so a zero-effect model
-    leaves the steering identical to the baseline's.
-    """
-
-    nav: NavigatorState = field(default_factory=NavigatorState)
-    intermediate: Optional[Waypoint] = None
-    next_update_t: float = -math.inf
-    anchor: Optional[GeoPoint] = None
-
-
 def calc_intermediate_wp(
     goal: Waypoint,
-    s: AsvState,
+    pos: GeoPoint,
     effect_x: float,
     effect_y: float,
     cfg: AugmentConfig,
     reference_speed: float | None = None,
 ) -> GeoPoint:
-    """Place the intermediate waypoint for the current goal.
+    """Place the intermediate waypoint for the current goal, seen from a
+    vehicle at pos.
 
     The predicted drift per meter of travel is the drift velocity divided
     by the commanded ground speed; the offset opposes it, scaled by the
@@ -112,7 +92,7 @@ def calc_intermediate_wp(
         raise ValueError(f"non-finite effect components ({effect_x}, {effect_y})")
     if effect_x == 0.0 and effect_y == 0.0:
         return goal.pos
-    d_t = distance(s.pos, goal.pos)
+    d_t = distance(pos, goal.pos)
     if reference_speed is None:
         reference_speed = goal.spd_target
     ref_speed = max(reference_speed, cfg.reference_speed_floor_mps)
@@ -140,66 +120,46 @@ def adjusted_speed(effect_spd: float, spd_target: float, params: VehicleParams) 
 
 
 def augmented_navigator_step(
-    s: AsvState,
+    pos: GeoPoint,
+    spd_t: float,
+    h_t: float,
+    t: float,
     mission: Sequence[Waypoint],
-    aug: AugmentState,
+    index: int,
+    line: Optional[Line],
+    heading_pid: PidFloats,
+    speed_pid: PidFloats,
+    intermediate: Optional[Waypoint],
+    next_update_t: float,
     model,
-    force: ForceSample,
+    force: tuple[float, float, float, float],
     cfg: AugmentConfig = AugmentConfig(),
     gains: NavGains = DEFAULT_GAINS,
     params: VehicleParams = VehicleParams(),
     dt: float = 0.1,
     radius: float = DEFAULT_ACCEPT_RADIUS,
-) -> tuple[ActuatorCommand, AugmentState]:
-    """One control step of the feed-forward augmented navigator.
+) -> tuple[float, float, int, Optional[Line], PidFloats, PidFloats, Optional[Waypoint], float]:
+    """One control step of the feed-forward augmented navigator, for a
+    vehicle at pos with ground speed spd_t and heading h_t at time t, and
+    the absolute forces as (spd_c, dir_c, spd_w, dir_w).
 
-    Every update_period_s (and immediately after a waypoint advance) the
-    pipeline runs: predict -> intermediate waypoint -> adjusted speed.
-    Between updates the last intermediate target is held. The inner PID
-    step is identical to the baseline's, just pointed at the intermediate
-    target, so a zero-effect model reproduces the baseline bit for bit.
+    The navigator's state is the active waypoint index, the tracking line
+    from where the held intermediate target was issued to it, both PID
+    states, the held target and the time of the next update; a fresh one
+    is (0, None, FRESH_PID, FRESH_PID, None, -inf). Every update_period_s
+    (and immediately after a waypoint advance) the pipeline runs: predict
+    -> intermediate waypoint -> adjusted speed. Between updates the last
+    intermediate target is held. The inner PID step is the baseline's
+    steer_toward, pointed at the intermediate target, while mission
+    advancement is judged against the true goals, so a zero-effect model
+    reproduces the baseline bit for bit. Returns the clamped (thrust,
+    rudder) and the new state; index == len(mission) once the mission is
+    complete, with an all-zero command and no held target.
     """
     if not mission:
         raise ValueError("mission must contain at least one waypoint")
-    _check_pid_dt(dt)
-    nav, held = aug.nav, aug.intermediate
-    line = None if aug.anchor is None or held is None else _line(aug.anchor, held.pos)
-    thrust, rudder, index, line, heading_pid, speed_pid, intermediate, next_update_t = (
-        _augmented_navigate(
-            _state_floats(s), mission, nav.active_wp_index, line,
-            _pid_floats(nav.heading_pid), _pid_floats(nav.speed_pid), held, aug.next_update_t,
-            model, (force.spd_c, force.dir_c, force.spd_w, force.dir_w), cfg, gains, params,
-            dt, radius,
-        )
-    )
-    # The inner navigator steers along the augmented line; its own
-    # track_origin only records where the active waypoint was taken up.
-    nav = NavigatorState(index, PidState(*heading_pid), PidState(*speed_pid),
-                         s.pos if index != nav.active_wp_index else nav.track_origin)
-    if index >= len(mission):
-        return ActuatorCommand(0.0, 0.0), AugmentState(nav=nav)
-    return ActuatorCommand(thrust, rudder), AugmentState(
-        nav=nav, intermediate=intermediate, next_update_t=next_update_t, anchor=line[0]
-    )
-
-
-def _augmented_navigate(
-    state: StateFloats, mission: Sequence[Waypoint], index: int, line: Optional[Line],
-    heading_pid: PidFloats, speed_pid: PidFloats, intermediate: Optional[Waypoint], next_update_t: float, model,
-    force: tuple[float, float, float, float], cfg: AugmentConfig, gains: NavGains,
-    params: VehicleParams, dt: float, radius: float,
-) -> tuple[float, float, int, Optional[Line], PidFloats, PidFloats, Optional[Waypoint], float]:
-    """augmented_navigator_step on plain floats, for a dt the caller has
-    checked, with the vehicle state as AsvState's fields and the absolute
-    forces as (spd_c, dir_c, spd_w, dir_w).
-
-    The navigator's state is the active waypoint index, the line from
-    where the held intermediate target was issued to it, both PID states,
-    the held target and the time of the next update. Returns the clamped (thrust, rudder)
-    and the new state; index == len(mission) once the mission is complete,
-    with an all-zero command and no held target.
-    """
-    pos, spd_t, _, h_t, _, t, _ = state
+    if dt <= 0.0:
+        raise ValueError(f"dt must be > 0, got {dt!r}")
     lat, lon = pos.lat, pos.lon
     reached = _advance(lat, lon, mission, index, radius)
     if reached != index:
@@ -218,7 +178,7 @@ def _augmented_navigate(
         prediction: EffectPrediction = model.predict(ForceSample(*force), goal.spd_target,
                                                      spd_t, h_t)
         spd = adjusted_speed(_denoise(prediction.effect_spd), goal.spd_target, params)
-        aim = calc_intermediate_wp(goal, AsvState(*state), _denoise(prediction.effect_x),
+        aim = calc_intermediate_wp(goal, pos, _denoise(prediction.effect_x),
                                    _denoise(prediction.effect_y), cfg, reference_speed=spd)
         refreshed = Waypoint(aim, spd)
         # Re-anchor only when the target actually moved; an unchanged target
@@ -228,13 +188,12 @@ def _augmented_navigate(
         # steady-state compensation belongs to the feed-forward path, not to
         # integral windup fighting it.
         if refreshed != intermediate:
-            intermediate, line = refreshed, _line(pos, refreshed.pos)
+            intermediate, line = refreshed, tracking_line(pos, refreshed.pos)
             heading_pid = FRESH_PID
         next_update_t = t + cfg.update_period_s
     if line is None:
-        line = _line(pos, intermediate.pos)
-    thrust, rudder, heading_pid, speed_pid = _steer(
+        line = tracking_line(pos, intermediate.pos)
+    thrust, rudder, heading_pid, speed_pid = steer_toward(
         lat, lon, h_t, spd_t, intermediate, line, gains, heading_pid, speed_pid, dt
     )
     return thrust, rudder, index, line, heading_pid, speed_pid, intermediate, next_update_t
-

@@ -11,7 +11,7 @@ comparison for the feed-forward augmentation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .geo import (
@@ -23,7 +23,7 @@ from .geo import (
     unit_enu,
     wrap_signed,
 )
-from .vehicle import ActuatorCommand, AsvState, _clamped
+from .vehicle import _clamped
 
 DEFAULT_ACCEPT_RADIUS = 2.0
 
@@ -44,42 +44,20 @@ class PidGains:
             raise ValueError("i_clamp must be > 0")
 
 
-@dataclass(frozen=True)
-class PidState:
-    """Integral term (already scaled by ki) and previous error."""
-
-    integral: float = 0.0
-    prev_error: Optional[float] = None
+# A PID state: (integral, prev_error). The integral term is already scaled
+# by ki; prev_error is None before the first update.
+PidFloats = tuple[float, Optional[float]]
+FRESH_PID: PidFloats = (0.0, None)
 
 
-def pid_step(gains: PidGains, state: PidState, error: float, dt: float) -> tuple[float, PidState]:
+def pid_step(gains: PidGains, state: PidFloats, error: float, dt: float) -> tuple[float, PidFloats]:
     """One PID update; returns (output, new state).
 
     The integral term accumulates ki * error * dt and is clamped to
     +/- i_clamp. The derivative is zero on the first call.
     """
-    _check_pid_dt(dt)
-    output, (integral, prev_error) = _pid(gains, _pid_floats(state), error, dt)
-    return output, PidState(integral=integral, prev_error=prev_error)
-
-
-# PidState on plain floats: (integral, prev_error), prev_error None before
-# the first update.
-PidFloats = tuple[float, Optional[float]]
-FRESH_PID: PidFloats = (0.0, None)
-
-
-def _pid_floats(state: PidState) -> PidFloats:
-    return state.integral, state.prev_error
-
-
-def _check_pid_dt(dt: float) -> None:
     if dt <= 0.0:
         raise ValueError(f"dt must be > 0, got {dt!r}")
-
-
-def _pid(gains: PidGains, state: PidFloats, error: float, dt: float) -> tuple[float, PidFloats]:
-    """pid_step on plain floats, for a dt the caller has checked."""
     integral, prev_error = state
     integral = integral + gains.ki * error * dt
     integral = min(gains.i_clamp, max(-gains.i_clamp, integral))
@@ -124,28 +102,9 @@ DEFAULT_GAINS = NavGains(
 )
 
 
-@dataclass(frozen=True)
-class NavigatorState:
-    """Waypoint progress and the two PID states, passed in and out.
-
-    track_origin is the position the vehicle held when the current
-    target was issued; the navigator holds the line from there to the
-    target, the way the stock autopilot tracks the line from the point
-    of waypoint acceptance.
-    """
-
-    active_wp_index: int = 0
-    heading_pid: PidState = field(default_factory=PidState)
-    speed_pid: PidState = field(default_factory=PidState)
-    track_origin: Optional[GeoPoint] = None
-
-
-def waypoint_reached(s: AsvState, wp: Waypoint, radius: float) -> bool:
-    """True once the vehicle is within radius of the waypoint (inclusive)."""
-    return _reached(s.pos.lat, s.pos.lon, wp, radius)
-
-
-def _reached(lat: float, lon: float, wp: Waypoint, radius: float) -> bool:
+def waypoint_reached(lat: float, lon: float, wp: Waypoint, radius: float) -> bool:
+    """True once a vehicle at (lat, lon) is within radius of the waypoint
+    (inclusive)."""
     if radius <= 0.0:
         raise ValueError(f"radius must be > 0, got {radius!r}")
     return math.hypot(*enu_coords(lat, lon, wp.pos.lat, wp.pos.lon)) <= radius
@@ -155,13 +114,9 @@ def _advance(lat: float, lon: float, mission: Sequence[Waypoint], index: int,
              radius: float) -> int:
     """Index of the first waypoint from index on that a vehicle at
     (lat, lon) has not reached."""
-    while index < len(mission) and _reached(lat, lon, mission[index], radius):
+    while index < len(mission) and waypoint_reached(lat, lon, mission[index], radius):
         index += 1
     return index
-
-
-def mission_complete(nav: NavigatorState, mission: Sequence[Waypoint]) -> bool:
-    return nav.active_wp_index >= len(mission)
 
 
 # A tracking line: its anchor, then the length (m) and (east, north) unit
@@ -169,7 +124,7 @@ def mission_complete(nav: NavigatorState, mission: Sequence[Waypoint]) -> bool:
 Line = tuple[GeoPoint, float, float, float]
 
 
-def _line(anchor: GeoPoint, target: GeoPoint) -> Line:
+def tracking_line(anchor: GeoPoint, target: GeoPoint) -> Line:
     """The anchor->target tracking line. It holds for many ticks: callers
     work it out once per (anchor, target)."""
     east, north = enu_coords(anchor.lat, anchor.lon, target.lat, target.lon)
@@ -177,10 +132,15 @@ def _line(anchor: GeoPoint, target: GeoPoint) -> Line:
     return anchor, math.hypot(east, north), ue, un
 
 
-def _aim(lat: float, lon: float, target: GeoPoint, line: Optional[Line],
-         lookahead_m: float) -> tuple[float, float]:
-    """aim_point on plain floats, given the line from the anchor to target
-    (None: no anchor): the aim point's coordinates."""
+def aim_point(lat: float, lon: float, target: GeoPoint, line: Optional[Line],
+              lookahead_m: float) -> tuple[float, float]:
+    """Coordinates of the point a vehicle at (lat, lon) steers at.
+
+    On a tracking line to target the aim point sits on the line,
+    lookahead_m ahead of the vehicle's along-track projection (never past
+    the target itself). Without a line (None: no anchor) the aim point is
+    the target: plain pursuit of the goal.
+    """
     if line is None:
         return target.lat, target.lon
     anchor, leg_len, ue, un = line
@@ -198,106 +158,53 @@ def _aim(lat: float, lon: float, target: GeoPoint, line: Optional[Line],
     return point_coords(*offset_coords(anchor.lat, anchor.lon, ahead * ue, ahead * un))
 
 
-def aim_point(
-    s: AsvState,
-    target: GeoPoint,
-    anchor: Optional[GeoPoint],
-    lookahead_m: float,
-) -> GeoPoint:
-    """Point the navigator steers at.
-
-    With a leg anchor the aim point sits on the anchor->target line,
-    lookahead_m ahead of the vehicle's along-track projection (never past
-    the target itself). Without an anchor (first waypoint of a mission)
-    the aim point is the target: plain pursuit of the goal.
-    """
-    if anchor is None:
-        return target
-    return GeoPoint(*_aim(s.pos.lat, s.pos.lon, target, _line(anchor, target), lookahead_m))
-
-
-def _steer(lat: float, lon: float, h_t: float, spd_t: float, target: Waypoint,
-           line: Optional[Line], gains: NavGains, heading_pid: PidFloats,
-           speed_pid: PidFloats, dt: float) -> tuple[float, float, PidFloats, PidFloats]:
-    """steer_toward on plain floats, for a dt the caller has checked and
-    the line from the anchor to target (None: no anchor). Returns the
-    clamped (thrust, rudder) and both PID states."""
-    aim_lat, aim_lon = _aim(lat, lon, target.pos, line, gains.lookahead_m)
+def steer_toward(lat: float, lon: float, h_t: float, spd_t: float, target: Waypoint,
+                 line: Optional[Line], gains: NavGains, heading_pid: PidFloats,
+                 speed_pid: PidFloats, dt: float) -> tuple[float, float, PidFloats, PidFloats]:
+    """PID step toward a target along its tracking line (None: no
+    anchor): bearing to the lookahead aim point drives the rudder,
+    ground-speed error drives the thrust. No waypoint bookkeeping. Returns
+    the clamped (thrust, rudder) and both PID states; pid_step rejects a
+    dt <= 0."""
+    aim_lat, aim_lon = aim_point(lat, lon, target.pos, line, gains.lookahead_m)
     to_aim_e, to_aim_n = enu_coords(lat, lon, aim_lat, aim_lon)
     heading_error = wrap_signed(bearing_of(to_aim_e, to_aim_n) - h_t)
-    rudder, heading_pid = _pid(gains.heading, heading_pid, heading_error, dt)
+    rudder, heading_pid = pid_step(gains.heading, heading_pid, heading_error, dt)
 
     speed_error = target.spd_target - spd_t
-    thrust, speed_pid = _pid(gains.speed, speed_pid, speed_error, dt)
+    thrust, speed_pid = pid_step(gains.speed, speed_pid, speed_error, dt)
     return *_clamped(thrust, rudder), heading_pid, speed_pid
 
 
-def steer_toward(
-    s: AsvState,
-    target: Waypoint,
-    nav: NavigatorState,
-    gains: NavGains,
-    dt: float,
-    anchor: Optional[GeoPoint] = None,
-) -> tuple[ActuatorCommand, NavigatorState]:
-    """PID step toward a target: bearing to the lookahead aim point drives
-    the rudder, ground-speed error drives the thrust. No waypoint
-    bookkeeping."""
-    _check_pid_dt(dt)
-    line = None if anchor is None else _line(anchor, target.pos)
-    thrust, rudder, heading_pid, speed_pid = _steer(
-        s.pos.lat, s.pos.lon, s.h_t, s.spd_t, target, line, gains,
-        _pid_floats(nav.heading_pid), _pid_floats(nav.speed_pid), dt,
-    )
-    return ActuatorCommand(thrust, rudder), NavigatorState(
-        nav.active_wp_index, PidState(*heading_pid), PidState(*speed_pid), nav.track_origin
-    )
-
-
 def navigator_step(
-    s: AsvState,
+    pos: GeoPoint,
+    spd_t: float,
+    h_t: float,
     mission: Sequence[Waypoint],
-    nav: NavigatorState,
+    index: int,
+    line: Optional[Line],
+    heading_pid: PidFloats,
+    speed_pid: PidFloats,
     gains: NavGains = DEFAULT_GAINS,
     dt: float = 0.1,
     radius: float = DEFAULT_ACCEPT_RADIUS,
-) -> tuple[ActuatorCommand, NavigatorState]:
+) -> tuple[float, float, int, Optional[Line], PidFloats, PidFloats]:
     """One control step of the baseline navigator.
 
-    Advances the active waypoint when reached (integrators reset), then
-    steers at the lookahead point on the line to the active waypoint.
-    Once the mission is exhausted the command is all-zero and the
-    returned state reports completion via mission_complete().
+    The navigator's state is the active waypoint index, the tracking line
+    (None until the waypoint is first steered at) and both PID states; a
+    fresh navigator is (0, None, FRESH_PID, FRESH_PID). It advances the
+    active waypoint when reached (integrators reset, the line re-anchored
+    where the vehicle is, the way the stock autopilot tracks the line from
+    the point of waypoint acceptance), then steers at the lookahead point
+    on the line to the active waypoint. Returns the clamped (thrust,
+    rudder) and the new state; index == len(mission) once the mission is
+    complete, with an all-zero command.
     """
     if not mission:
         raise ValueError("mission must contain at least one waypoint")
-    _check_pid_dt(dt)
-    index, origin = nav.active_wp_index, nav.track_origin
-    line = None if origin is None or index >= len(mission) else _line(origin, mission[index].pos)
-    thrust, rudder, reached, line, heading_pid, speed_pid = _navigate(
-        s.pos, s.spd_t, s.h_t, mission, index, line, _pid_floats(nav.heading_pid),
-        _pid_floats(nav.speed_pid), gains, dt, radius,
-    )
-    if line is not None:
-        origin = line[0]
-    elif reached != index:
-        origin = s.pos
-    return ActuatorCommand(thrust, rudder), NavigatorState(
-        reached, PidState(*heading_pid), PidState(*speed_pid), origin
-    )
-
-
-def _navigate(pos: GeoPoint, spd_t: float, h_t: float, mission: Sequence[Waypoint],
-              index: int, line: Optional[Line], heading_pid: PidFloats, speed_pid: PidFloats,
-              gains: NavGains, dt: float,
-              radius: float) -> tuple[float, float, int, Optional[Line], PidFloats, PidFloats]:
-    """navigator_step on plain floats, for a dt the caller has checked.
-
-    The state is the active waypoint index, the tracking line (None until
-    the waypoint is first steered at) and both PID states. Returns the
-    clamped (thrust, rudder) and the new state; index == len(mission) once
-    the mission is complete, with an all-zero command.
-    """
+    if dt <= 0.0:
+        raise ValueError(f"dt must be > 0, got {dt!r}")
     lat, lon = pos.lat, pos.lon
     reached = _advance(lat, lon, mission, index, radius)
     if reached != index:
@@ -308,8 +215,8 @@ def _navigate(pos: GeoPoint, spd_t: float, h_t: float, mission: Sequence[Waypoin
         return 0.0, 0.0, index, line, heading_pid, speed_pid
     target = mission[index]
     if line is None:
-        line = _line(pos, target.pos)
-    thrust, rudder, heading_pid, speed_pid = _steer(
+        line = tracking_line(pos, target.pos)
+    thrust, rudder, heading_pid, speed_pid = steer_toward(
         lat, lon, h_t, spd_t, target, line, gains, heading_pid, speed_pid, dt
     )
     return thrust, rudder, index, line, heading_pid, speed_pid

@@ -109,14 +109,11 @@ class TrainingSample:
             raise ValueError("training sample contains non-finite values")
 
 
-def make_features(f: ForceSample, spd_target: float, h_t: float) -> tuple[float, ...]:
-    """Assemble the regression feature vector from raw controller inputs."""
-    return _features(f.spd_c, f.dir_c, f.spd_w, f.dir_w, spd_target, h_t)
-
-
-def _features(spd_c: float, dir_c: float, spd_w: float, dir_w: float, spd_target: float,
-              h_t: float) -> tuple[float, ...]:
-    """make_features on the four floats of a ForceSample."""
+def make_features(spd_c: float, dir_c: float, spd_w: float, dir_w: float, spd_target: float,
+                  h_t: float) -> tuple[float, ...]:
+    """Assemble the regression feature vector from raw controller inputs:
+    the absolute forces (a ForceSample's four floats), the commanded speed
+    and the heading."""
     ue, un = unit_enu(dir_c)
     we, wn = unit_enu(dir_w)
     he, hn = unit_enu(h_t)
@@ -163,7 +160,7 @@ class EffectModel:
         return cls(coef=np.zeros((len(TARGET_NAMES), len(FEATURE_NAMES))))
 
     def predict(self, f: ForceSample, spd_target: float, spd_t: float, h_t: float) -> EffectPrediction:
-        x = np.asarray(make_features(f, spd_target, h_t))
+        x = np.asarray(make_features(f.spd_c, f.dir_c, f.spd_w, f.dir_w, spd_target, h_t))
         if self.recipe == RECIPE_ENU_INTERCEPT:
             x = np.append(x, 1.0)
         elif self.recipe != RECIPE_ENU:

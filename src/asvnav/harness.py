@@ -19,16 +19,23 @@ from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hin
 
 import numpy as np
 
-from .augment import AugmentConfig, _augmented_navigate
-from .control import DEFAULT_ACCEPT_RADIUS, DEFAULT_GAINS, FRESH_PID, NavGains, Waypoint, _navigate
+from .augment import AugmentConfig, augmented_navigator_step
+from .control import (
+    DEFAULT_ACCEPT_RADIUS,
+    DEFAULT_GAINS,
+    FRESH_PID,
+    NavGains,
+    Waypoint,
+    navigator_step,
+)
 from .effects import (
     FEATURE_NAMES,
     TARGET_NAMES,
     OracleEffectModel,
     TrainingSample,
-    _features,
     drift_targets,
     load_model,
+    make_features,
 )
 from .env import Environment, FieldSpec, Flows, ForceVector, GustSpec, LeftDomainError
 from .geo import (
@@ -56,14 +63,13 @@ from .vehicle import (
     AsvState,
     NoiseSpec,
     VehicleParams,
-    _absolute,
     _check_dt,
     _clamped,
-    _sense,
-    _state_floats,
-    _steady_state,
-    _step,
-    _track_velocity,
+    relative_to_absolute,
+    sense,
+    steady_state,
+    step,
+    track_velocity,
 )
 
 MISSION_HEADER = "lat,lon,speed_mps"
@@ -110,14 +116,40 @@ def field_to_dict(spec: FieldSpec) -> dict:
     return out
 
 
-def field_from_dict(data: dict) -> FieldSpec:
+def _check_keys(data: dict, known, path: str) -> None:
+    """Raise ValueError naming the dotted path of every key of data, the
+    config value at path, that is not in known."""
+    prefix = f"{path}." if path else ""
+    unknown = [prefix + key for key in data if key not in known]
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+
+
+# JSON keys of each field kind, besides "kind" and "gust".
+_FIELD_KEYS = {
+    "uniform": ("speed", "direction"),
+    "river_profile": ("axis_origin", "axis_bearing", "centerline_speed", "centerline_direction",
+                      "half_width_m"),
+    "grid": ("lat0", "lon0", "dlat", "dlon", "speeds", "directions"),
+}
+
+
+def field_from_dict(data: dict, path: str = "") -> FieldSpec:
+    """FieldSpec of its JSON form. An unknown key raises ValueError naming
+    its dotted path below path, the field's own path in the config."""
+    kind = data["kind"]
+    if kind not in _FIELD_KEYS:
+        raise ValueError(f"unknown field kind {kind!r}")
+    _check_keys(data, ("kind", "gust", *_FIELD_KEYS[kind]), path)
+    prefix = f"{path}." if path else ""
     gust = None
     if data.get("gust"):
+        _check_keys(data["gust"], ("amplitude", "period_s"), prefix + "gust")
         gust = GustSpec(data["gust"]["amplitude"], data["gust"]["period_s"])
-    kind = data["kind"]
     if kind == "uniform":
         return FieldSpec.uniform(ForceVector(data["speed"], data["direction"]), gust=gust)
     if kind == "river_profile":
+        _check_keys(data["axis_origin"], ("lat", "lon"), prefix + "axis_origin")
         return FieldSpec.river_profile(
             axis_origin=GeoPoint(data["axis_origin"]["lat"], data["axis_origin"]["lon"]),
             axis_bearing=data["axis_bearing"],
@@ -125,24 +157,23 @@ def field_from_dict(data: dict) -> FieldSpec:
             half_width=data["half_width_m"],
             gust=gust,
         )
-    if kind == "grid":
-        return FieldSpec.grid(
-            lat0=data["lat0"],
-            lon0=data["lon0"],
-            dlat=data["dlat"],
-            dlon=data["dlon"],
-            speeds=data["speeds"],
-            directions=data["directions"],
-            gust=gust,
-        )
-    raise ValueError(f"unknown field kind {kind!r}")
+    return FieldSpec.grid(
+        lat0=data["lat0"],
+        lon0=data["lon0"],
+        dlat=data["dlat"],
+        dlon=data["dlon"],
+        speeds=data["speeds"],
+        directions=data["directions"],
+        gust=gust,
+    )
 
 
 def _waypoint_to_dict(wp: Waypoint) -> dict:
     return {"lat": wp.pos.lat, "lon": wp.pos.lon, "speed_mps": wp.spd_target}
 
 
-def _waypoint_from_dict(data: dict) -> Waypoint:
+def _waypoint_from_dict(data: dict, path: str) -> Waypoint:
+    _check_keys(data, ("lat", "lon", "speed_mps"), path)
     return Waypoint(GeoPoint(data["lat"], data["lon"]), data["speed_mps"])
 
 
@@ -202,15 +233,13 @@ def from_dict(cls, data: dict, base_dir: Path | None = None):
 
 def _decode(hint, value, path: str, base_dir: Path | None):
     if hint in _CODECS:
-        return _CODECS[hint][1](value)
+        return _CODECS[hint][1](value, path)
     if is_dataclass(hint):
         if not isinstance(value, dict):
             raise ValueError(f"config {path or 'file'} must be a JSON object")
         layout = _layout(hint)
+        _check_keys(value, layout, path)
         prefix = f"{path}." if path else ""
-        unknown = [prefix + key for key in value if key not in layout]
-        if unknown:
-            raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
         missing = [prefix + key for key, (_, _, required) in layout.items()
                    if required and key not in value]
         if missing:
@@ -420,11 +449,13 @@ def _closed_loop(sc: Scenario, mission: list[Waypoint], model) -> tuple[Trajecto
     """The tick loop of run_scenario, on plain floats: the trajectory log
     and the outcome.
 
-    Each tick is sense, relative_to_absolute, navigator_step or
-    augmented_navigator_step and step, through the float-level functions
-    those wrap. Checks that can fire here: dt (once), the radius, a
-    non-finite command, a negative or non-finite state, the offset and
-    latitude limits of each move, and LeftDomainError, which ends the run.
+    Each tick is Environment.sample, sense, relative_to_absolute (current,
+    then wind), navigator_step or augmented_navigator_step and step; a tick
+    that completes the mission takes no step. Checks that can fire here:
+    the dt range (also before the first tick, for a run that takes no
+    step), dt > 0, the radius, a non-finite command, a negative or
+    non-finite state, the offset and latitude limits of each move, and
+    LeftDomainError, which ends the run.
     """
     dt, params, gains, noise, cfg = sc.dt_s, sc.vehicle, sc.gains, sc.noise, sc.augment
     radius = sc.acceptance_radius_m
@@ -433,7 +464,11 @@ def _closed_loop(sc: Scenario, mission: list[Waypoint], model) -> tuple[Trajecto
     rng = np.random.default_rng(sc.seed)
     sample = Environment(current=sc.current, wind=sc.wind).sample
     augmented = sc.controller.kind == "augmented"
-    state = _state_floats(sc.start_state())
+    start = sc.start_state()
+    pos, spd_t, course_t, h_t, tw, t, turn_rate = (
+        start.pos, start.spd_t, start.course_t, start.h_t, start.through_water_speed, start.t,
+        start.turn_rate,
+    )
     index = 0
     heading_pid = speed_pid = FRESH_PID
     line, intermediate, next_update_t = None, None, -math.inf
@@ -442,24 +477,24 @@ def _closed_loop(sc: Scenario, mission: list[Waypoint], model) -> tuple[Trajecto
 
     outcome = "incomplete"
     for _ in range(max_steps + 1):
-        pos, spd_t, course_t, h_t, tw, t, turn_rate = state
         try:
             flows = sample(pos, t)
         except LeftDomainError:
             outcome = "left_domain"
             break
-        vg_e, vg_n = _track_velocity(spd_t, course_t)
-        water_spd, water_dir, wind_spd, wind_dir = _sense(vg_e, vg_n, h_t, flows, noise, rng)
-        spd_c, dir_c = _absolute(vg_e, vg_n, h_t, water_spd, water_dir)
-        spd_w, dir_w = _absolute(vg_e, vg_n, h_t, wind_spd, wind_dir)
+        vg_e, vg_n = track_velocity(spd_t, course_t)
+        water_spd, water_dir, wind_spd, wind_dir = sense(vg_e, vg_n, h_t, flows, noise, rng)
+        spd_c, dir_c = relative_to_absolute(vg_e, vg_n, h_t, water_spd, water_dir)
+        spd_w, dir_w = relative_to_absolute(vg_e, vg_n, h_t, wind_spd, wind_dir)
         if augmented:
             (thrust, rudder, index, line, heading_pid, speed_pid, intermediate,
-             next_update_t) = _augmented_navigate(
-                state, mission, index, line, heading_pid, speed_pid, intermediate, next_update_t,
-                model, (spd_c, dir_c, spd_w, dir_w), cfg, gains, params, dt, radius,
+             next_update_t) = augmented_navigator_step(
+                pos, spd_t, h_t, t, mission, index, line, heading_pid, speed_pid, intermediate,
+                next_update_t, model, (spd_c, dir_c, spd_w, dir_w), cfg, gains, params, dt,
+                radius,
             )
         else:
-            thrust, rudder, index, line, heading_pid, speed_pid = _navigate(
+            thrust, rudder, index, line, heading_pid, speed_pid = navigator_step(
                 pos, spd_t, h_t, mission, index, line, heading_pid, speed_pid, gains, dt, radius
             )
         add((t, pos.lat, pos.lon, spd_t, course_t, h_t, tw, turn_rate, index, intermediate,
@@ -467,7 +502,9 @@ def _closed_loop(sc: Scenario, mission: list[Waypoint], model) -> tuple[Trajecto
         if index >= len(mission):
             outcome = "completed"
             break
-        state = _step(pos, h_t, tw, t, turn_rate, thrust, rudder, flows, params, dt)
+        pos, spd_t, course_t, h_t, tw, t, turn_rate = step(
+            pos, h_t, tw, t, turn_rate, thrust, rudder, flows, params, dt
+        )
     return TrajectoryLog.from_rows(rows), outcome
 
 
@@ -809,26 +846,26 @@ def _observed_targets(vg_e: float, vg_n: float, water_speed: float,
 def generate_training_logs(sweep: SweepSpec) -> list[TrainingSample]:
     """Run the sweep and emit one training sample per logged control step.
 
-    Features come from the same relative-to-absolute sensing path the
-    controller uses; targets are the logged ground-truth drift. Runs on
-    the float-level functions that sense, relative_to_absolute, step and
-    navigator_step wrap, with one field sample per logged step.
+    Features come from the same sense and relative_to_absolute path the
+    controller uses; targets are the logged ground-truth drift. The hull
+    moves by step (and navigator_step on the closed-loop legs), with one
+    field sample per logged step.
     """
     rng = np.random.default_rng(sweep.seed)
     samples: list[TrainingSample] = []
     dt, params, noise = sweep.dt_s, sweep.vehicle, sweep.noise
     n_steps = int(round(sweep.duration_s / dt))
-    if n_steps > 0:
-        _check_dt(dt)
 
     def record(spd_t: float, course_t: float, h_t: float, tw: float, flows: Flows,
                speed: float) -> None:
-        vg_e, vg_n = _track_velocity(spd_t, course_t)
-        water_spd, water_dir, wind_spd, wind_dir = _sense(vg_e, vg_n, h_t, flows, noise, rng)
+        vg_e, vg_n = track_velocity(spd_t, course_t)
+        water_spd, water_dir, wind_spd, wind_dir = sense(vg_e, vg_n, h_t, flows, noise, rng)
         samples.append(
             TrainingSample(
-                features=_features(*_absolute(vg_e, vg_n, h_t, water_spd, water_dir),
-                                   *_absolute(vg_e, vg_n, h_t, wind_spd, wind_dir), speed, h_t),
+                features=make_features(
+                    *relative_to_absolute(vg_e, vg_n, h_t, water_spd, water_dir),
+                    *relative_to_absolute(vg_e, vg_n, h_t, wind_spd, wind_dir), speed, h_t,
+                ),
                 targets=_observed_targets(vg_e, vg_n, tw, h_t),
             )
         )
@@ -846,12 +883,12 @@ def generate_training_logs(sweep: SweepSpec) -> list[TrainingSample]:
                 # the steady state's sample is the first step's: (origin, t=0)
                 flows = sample(sweep.origin, 0.0)
                 pos, t, turn_rate, tw = sweep.origin, 0.0, 0.0, speed
-                spd_t, course_t, h_t = _steady_state(heading, speed, flows, params)
+                spd_t, course_t, h_t = steady_state(heading, speed, flows, params)
                 for i in range(n_steps):
                     if i:
                         flows = sample(pos, t)
                     record(spd_t, course_t, h_t, tw, flows, speed)
-                    pos, spd_t, course_t, h_t, tw, t, turn_rate = _step(
+                    pos, spd_t, course_t, h_t, tw, t, turn_rate = step(
                         pos, h_t, tw, t, turn_rate, thrust, rudder, flows, params, dt
                     )
 
@@ -871,20 +908,20 @@ def generate_training_logs(sweep: SweepSpec) -> list[TrainingSample]:
             )]
             flows = sample(sweep.origin, 0.0)
             pos, t, turn_rate, tw = sweep.origin, 0.0, 0.0, leg_speed
-            spd_t, course_t, h_t = _steady_state(heading, leg_speed, flows, params)
+            spd_t, course_t, h_t = steady_state(heading, leg_speed, flows, params)
             index, line = 0, None
             heading_pid = speed_pid = FRESH_PID
             for i in range(n_steps):
                 if i:
                     flows = sample(pos, t)
                 record(spd_t, course_t, h_t, tw, flows, leg_speed)
-                thrust, rudder, index, line, heading_pid, speed_pid = _navigate(
+                thrust, rudder, index, line, heading_pid, speed_pid = navigator_step(
                     pos, spd_t, h_t, mission, index, line, heading_pid, speed_pid, DEFAULT_GAINS,
                     dt, DEFAULT_ACCEPT_RADIUS,
                 )
                 if index:  # the goal is reached
                     break
-                pos, spd_t, course_t, h_t, tw, t, turn_rate = _step(
+                pos, spd_t, course_t, h_t, tw, t, turn_rate = step(
                     pos, h_t, tw, t, turn_rate, thrust, rudder, flows, params, dt
                 )
     return samples
@@ -925,7 +962,7 @@ def samples_from_trajectory(
         east, north = enu_coords(lat, lon, lat_next, lon_next)
         samples.append(
             TrainingSample(
-                features=_features(spd_c, dir_c, spd_w, dir_w, commanded, h_t),
+                features=make_features(spd_c, dir_c, spd_w, dir_w, commanded, h_t),
                 targets=_observed_targets(east / dt, north / dt, tw, h_next),
             )
         )

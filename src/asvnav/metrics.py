@@ -318,20 +318,6 @@ def score_log(
     return score(series.errors, series.weights, label=label)
 
 
-def score_legs(
-    log: TrajectoryLog,
-    mission: Sequence[Waypoint],
-    acceptance_radius: float = 2.0,
-) -> list[ErrorReport]:
-    """Per-leg reports for multi-leg missions."""
-    series = cross_track_series(log, mission, acceptance_radius)
-    reports = []
-    for leg in sorted(set(series.leg_indices.tolist())):
-        mask = series.leg_indices == leg
-        reports.append(score(series.errors[mask], series.weights[mask], label=f"leg{leg}"))
-    return reports
-
-
 def sign_changes_over_threshold(errors: np.ndarray, threshold: float = ERROR_THRESHOLD_M) -> int:
     """Count sign flips between successive excursions beyond +/- threshold.
 

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .effects import ForceSample
-from .env import Flows, ForceVector, _flow_direction
+from .env import Flows, _flow_direction
 from .geo import GeoPoint, bearing_of, displaced, unit_enu, wrap_angle
 
 MAX_STEP_DT = 0.5
@@ -45,10 +44,6 @@ class AsvState:
         object.__setattr__(self, "course_t", wrap_angle(self.course_t))
         object.__setattr__(self, "h_t", wrap_angle(self.h_t))
 
-    def ground_velocity(self) -> tuple[float, float]:
-        """(east, north) ground velocity in m/s."""
-        return _track_velocity(self.spd_t, self.course_t)
-
     @classmethod
     def at_rest(cls, pos: GeoPoint, heading: float, t: float = 0.0) -> "AsvState":
         return cls(pos=pos, spd_t=0.0, course_t=heading, h_t=heading,
@@ -68,18 +63,9 @@ class ActuatorCommand:
         object.__setattr__(self, "rudder", rudder)
 
 
-# AsvState's fields in order: the vehicle state as the closed loops hold it.
+# AsvState's fields in order: the vehicle state as the closed loops hold it
+# and step returns it.
 StateFloats = tuple[GeoPoint, float, float, float, float, float, float]
-
-
-def _state_floats(s: AsvState) -> StateFloats:
-    return s.pos, s.spd_t, s.course_t, s.h_t, s.through_water_speed, s.t, s.turn_rate
-
-
-# The float-level kernel of this module. The closed loops in harness run on
-# these directly; AsvState, ActuatorCommand, sense, relative_to_absolute,
-# step and steady_state wrap the same functions, so both paths share every
-# floating-point operation.
 
 
 def _check_state(spd_t: float, through_water_speed: float, t: float, turn_rate: float) -> None:
@@ -106,8 +92,9 @@ def _clamped(thrust: float, rudder: float) -> tuple[float, float]:
     return thrust, rudder
 
 
-def _track_velocity(spd_t: float, course_t: float) -> tuple[float, float]:
-    """(east, north) ground velocity of a ground speed and course."""
+def track_velocity(spd_t: float, course_t: float) -> tuple[float, float]:
+    """(east, north) ground velocity of a ground speed and course: the
+    velocity sense and relative_to_absolute take."""
     ue, un = unit_enu(course_t)
     return spd_t * ue, spd_t * un
 
@@ -166,49 +153,23 @@ class NoiseSpec:
             raise ValueError("noise sigmas must be >= 0")
 
 
-@dataclass(frozen=True)
-class SensorFrame:
-    """One synchronized read of the onboard sensors.
+def step(pos: GeoPoint, h_t: float, through_water_speed: float, t: float, turn_rate: float,
+         thrust: float, rudder: float, flows: Flows, params: VehicleParams,
+         dt: float) -> StateFloats:
+    """Advance the vehicle one fixed Euler step: the next
+    (pos, spd_t, course_t, h_t, through_water_speed, t, turn_rate).
 
-    rel_water/rel_wind are flows relative to the hull, with directions
-    measured clockwise from the bow.
-    """
-
-    rel_water: ForceVector
-    rel_wind: ForceVector
-    gps: GeoPoint
-    gps_speed: float
-    compass: float
-
-
-def step(
-    s: AsvState,
-    cmd: ActuatorCommand,
-    flows: Flows,
-    params: VehicleParams,
-    dt: float,
-) -> AsvState:
-    """Advance the vehicle one fixed Euler step.
-
-    flows are the fields sampled at the state's own position and time.
-    Heading integrates the lagged turn rate (commanded rate is rudder
-    times the speed-scaled turn authority), through-water speed relaxes
-    toward thrust * max_water_speed, and the position advances along the
-    summed ground velocity. Deterministic: identical inputs give
-    bit-identical outputs.
+    thrust and rudder are a command in range, as ActuatorCommand and the
+    navigators clamp it; flows are the fields sampled at the state's own
+    position and time. Heading integrates the lagged turn rate (commanded
+    rate is rudder times the speed-scaled turn authority), through-water
+    speed relaxes toward thrust * max_water_speed, and the position
+    advances along the summed ground velocity. Deterministic: identical
+    inputs give bit-identical outputs.
     """
     _check_dt(dt)
-    return AsvState(*_step(s.pos, s.h_t, s.through_water_speed, s.t, s.turn_rate,
-                           cmd.thrust, cmd.rudder, flows, params, dt))
-
-
-def _step(pos: GeoPoint, h_t: float, through_water_speed: float, t: float, turn_rate: float,
-          thrust: float, rudder: float, flows: Flows, params: VehicleParams,
-          dt: float) -> StateFloats:
-    """step on plain floats, for a dt the caller has checked: the next
-    (pos, spd_t, course_t, h_t, through_water_speed, t, turn_rate)."""
     if not (math.isfinite(thrust) and math.isfinite(rudder)):
-        raise ValueError(f"non-finite actuator command {ActuatorCommand(thrust, rudder)!r}")
+        raise ValueError(f"non-finite actuator command (thrust={thrust!r}, rudder={rudder!r})")
     turn_authority = params.max_turn_rate * params.steerage_effectiveness(through_water_speed)
     commanded_rate = rudder * turn_authority
     # yaw responds through a first-order lag: the hull cannot reverse a
@@ -229,23 +190,12 @@ def _step(pos: GeoPoint, h_t: float, through_water_speed: float, t: float, turn_
     return pos, spd_t, course_t, heading, tw, t, turn_rate
 
 
-def steady_state(
-    pos: GeoPoint,
-    heading: float,
-    water_speed: float,
-    flows: Flows,
-    params: VehicleParams,
-) -> AsvState:
-    """State at t=0 already moving at water_speed along heading, with the
-    ground velocity the fields impose there (flows sampled at pos, t=0; no
-    turn, no thrust lag)."""
-    return AsvState(pos, *_steady_state(heading, water_speed, flows, params), water_speed, 0.0)
-
-
-def _steady_state(heading: float, water_speed: float, flows: Flows,
-                  params: VehicleParams) -> tuple[float, float, float]:
-    """steady_state on plain floats: (spd_t, course_t, h_t), checked as
-    AsvState checks them."""
+def steady_state(heading: float, water_speed: float, flows: Flows,
+                 params: VehicleParams) -> tuple[float, float, float]:
+    """(spd_t, course_t, h_t) at t=0 of a hull already moving at
+    water_speed along heading, with the ground velocity the fields impose
+    there (flows sampled at its position at t=0; no turn, no thrust lag).
+    Checked as AsvState checks a state."""
     vg_e, vg_n = _ground_velocity(water_speed, heading, flows, params)
     spd_t = math.hypot(vg_e, vg_n)
     course_t = bearing_of(vg_e, vg_n)
@@ -271,12 +221,17 @@ def _to_hull_frame(vec_e: float, vec_n: float, heading: float) -> tuple[float, f
 
 
 def sense(
-    s: AsvState,
+    vg_e: float,
+    vg_n: float,
+    h_t: float,
     flows: Flows,
     noise: NoiseSpec = NoiseSpec(),
     rng: np.random.Generator | None = None,
-) -> SensorFrame:
-    """Read the simulated sensors at the current state.
+) -> tuple[float, float, float, float]:
+    """Read the simulated flow sensors of a hull with ground velocity
+    (vg_e, vg_n) and heading h_t: (water speed, water direction, wind
+    speed, wind direction), hull-relative, directions measured clockwise
+    from the bow. GPS and compass read the state itself.
 
     flows are the fields sampled at the state's own position and time.
     The paddle wheel and anemometer physically measure flow relative to
@@ -285,21 +240,6 @@ def sense(
     runs stay reproducible for a given generator; all-zero noise takes
     none.
     """
-    vg_e, vg_n = s.ground_velocity()
-    water_spd, water_dir, wind_spd, wind_dir = _sense(vg_e, vg_n, s.h_t, flows, noise, rng)
-    return SensorFrame(
-        rel_water=ForceVector(water_spd, water_dir),
-        rel_wind=ForceVector(wind_spd, wind_dir),
-        gps=s.pos,
-        gps_speed=s.spd_t,
-        compass=s.h_t,
-    )
-
-
-def _sense(vg_e: float, vg_n: float, h_t: float, flows: Flows, noise: NoiseSpec,
-           rng: np.random.Generator | None) -> tuple[float, float, float, float]:
-    """sense on plain floats, given the ground velocity: (water speed,
-    water direction, wind speed, wind direction), hull-relative."""
     ce, cn, we, wn = flows
     water_spd, water_dir = _to_hull_frame(ce - vg_e, cn - vg_n, h_t)
     wind_spd, wind_dir = _to_hull_frame(we - vg_e, wn - vg_n, h_t)
@@ -317,22 +257,14 @@ def _sense(vg_e: float, vg_n: float, h_t: float, flows: Flows, noise: NoiseSpec,
             wind_spd, _flow_direction(wind_spd, wind_dir + d_ad * noise.sigma_dir))
 
 
-def relative_to_absolute(frame: SensorFrame, s: AsvState) -> ForceSample:
-    """Recover the absolute current and wind from a sensor frame.
+def relative_to_absolute(vg_e: float, vg_n: float, h_t: float, speed: float,
+                         direction: float) -> tuple[float, float]:
+    """Recover one absolute flow from its hull-relative reading: its
+    world-frame (speed, direction).
 
-    Exact inverse of sense at zero noise: each hull-frame relative vector
-    is rotated back by the heading and the ground velocity is added.
+    Exact inverse of sense at zero noise: the hull-frame vector is rotated
+    back by the heading and the ground velocity is added.
     """
-    vg_e, vg_n = s.ground_velocity()
-    water, wind = frame.rel_water, frame.rel_wind
-    return ForceSample(*_absolute(vg_e, vg_n, s.h_t, water.speed, water.direction),
-                       *_absolute(vg_e, vg_n, s.h_t, wind.speed, wind.direction))
-
-
-def _absolute(vg_e: float, vg_n: float, h_t: float, speed: float,
-              direction: float) -> tuple[float, float]:
-    """relative_to_absolute of one hull-relative flow, on plain floats:
-    its world-frame (speed, direction)."""
     ue, un = unit_enu(wrap_angle(direction + h_t))
     vec_e = speed * ue + vg_e
     vec_n = speed * un + vg_n

@@ -38,6 +38,7 @@ from asvnav.vehicle import (
     relative_to_absolute,
     sense,
     step,
+    track_velocity,
 )
 
 PARAMS = VehicleParams()
@@ -76,13 +77,17 @@ def test_criterion_1_inverse_sensing():
             through_water_speed=rng.uniform(0, 5),
             t=rng.uniform(0, 1000),
         )
-        recovered = relative_to_absolute(sense(s, environment.sample(s.pos, s.t)), s)
-        worst_speed = max(worst_speed, abs(recovered.spd_c - current.speed),
-                          abs(recovered.spd_w - wind.speed))
+        vg_e, vg_n = track_velocity(s.spd_t, s.course_t)
+        water_spd, water_dir, wind_spd, wind_dir = sense(
+            vg_e, vg_n, s.h_t, environment.sample(s.pos, s.t)
+        )
+        spd_c, dir_c = relative_to_absolute(vg_e, vg_n, s.h_t, water_spd, water_dir)
+        spd_w, dir_w = relative_to_absolute(vg_e, vg_n, s.h_t, wind_spd, wind_dir)
+        worst_speed = max(worst_speed, abs(spd_c - current.speed), abs(spd_w - wind.speed))
         if current.speed > 1e-6:
-            worst_dir = max(worst_dir, abs(wrap_signed(recovered.dir_c - current.direction)))
+            worst_dir = max(worst_dir, abs(wrap_signed(dir_c - current.direction)))
         if wind.speed > 1e-6:
-            worst_dir = max(worst_dir, abs(wrap_signed(recovered.dir_w - wind.direction)))
+            worst_dir = max(worst_dir, abs(wrap_signed(dir_w - wind.direction)))
     elapsed = time.perf_counter() - started
     ok = worst_speed < 1e-9 and worst_dir < 1e-7
     _report(1, "inverse sensing", ok,
@@ -109,11 +114,16 @@ def test_criterion_2_drift_superposition():
                         course_t=bearing_of(vg_e, vg_n), h_t=30.0,
                         through_water_speed=2.0, t=0.0)
 
+    def advance(s, environment):
+        flows = environment.sample(s.pos, s.t)
+        return AsvState(*step(s.pos, s.h_t, s.through_water_speed, s.t, s.turn_rate,
+                              cmd.thrust, cmd.rudder, flows, PARAMS, dt))
+
     s_calm, s_cur = steady(calm), steady(drifted)
     steps, dt = 600, 0.1
     for _ in range(steps):
-        s_calm = step(s_calm, cmd, calm.sample(s_calm.pos, s_calm.t), PARAMS, dt)
-        s_cur = step(s_cur, cmd, drifted.sample(s_cur.pos, s_cur.t), PARAMS, dt)
+        s_calm = advance(s_calm, calm)
+        s_cur = advance(s_cur, drifted)
     ce, cn = current.enu()
     expected = offset_point(s_calm.pos, EnuVector(ce * steps * dt, cn * steps * dt))
     gap, _ = distance_bearing(expected, s_cur.pos)

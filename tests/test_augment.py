@@ -1,32 +1,37 @@
 """Feed-forward augmentation: offset geometry, speed adjustment, and the
 reduction to the baseline when nothing is predicted."""
 
+import math
+
 import numpy as np
 import pytest
 
 from asvnav.augment import (
     AugmentConfig,
-    AugmentState,
     adjusted_speed,
     augmented_navigator_step,
     calc_intermediate_wp,
 )
-from asvnav.control import NavigatorState, Waypoint, navigator_step
-from asvnav.effects import EffectModel, ForceSample, OracleEffectModel
+from asvnav.control import FRESH_PID, Waypoint, navigator_step
+from asvnav.effects import EffectModel, OracleEffectModel
 from asvnav.env import Environment, FieldSpec, ForceVector
 from asvnav.geo import EnuVector, GeoPoint, enu_offset, offset_point
-from asvnav.vehicle import AsvState, VehicleParams, relative_to_absolute, sense, step
+from asvnav.vehicle import (
+    AsvState,
+    VehicleParams,
+    relative_to_absolute,
+    sense,
+    step,
+    track_velocity,
+)
 
 ORIGIN = GeoPoint(34.0, -81.0)
 PARAMS = VehicleParams()
 CFG = AugmentConfig()
-CALM_FORCE = ForceSample(0.0, 0.0, 0.0, 0.0)
-
-
-def _state(pos=None, heading=0.0, speed=2.0):
-    pos = pos or ORIGIN
-    return AsvState(pos=pos, spd_t=speed, course_t=heading, h_t=heading,
-                    through_water_speed=speed, t=0.0)
+# A fresh navigator: (index, line, heading_pid, speed_pid), and for the
+# augmented one also (intermediate, next_update_t).
+FRESH_NAV = (0, None, FRESH_PID, FRESH_PID)
+FRESH_AUG = (*FRESH_NAV, None, -math.inf)
 
 
 def _goal_north(distance=100.0, spd=2.0):
@@ -35,14 +40,14 @@ def _goal_north(distance=100.0, spd=2.0):
 
 def test_zero_effect_returns_goal_exactly():
     goal = _goal_north()
-    result = calc_intermediate_wp(goal, _state(), 0.0, 0.0, CFG)
+    result = calc_intermediate_wp(goal, ORIGIN, 0.0, 0.0, CFG)
     assert result is goal.pos
 
 
 def test_offset_formula_at_clamp_boundary():
     # goal 100 m north, target 2 m/s, drift 0.5 m/s east -> 25 m west
     goal = _goal_north(100.0)
-    result = calc_intermediate_wp(goal, _state(), 0.5, 0.0, CFG)
+    result = calc_intermediate_wp(goal, ORIGIN, 0.5, 0.0, CFG)
     off = enu_offset(goal.pos, result)
     assert off.east == pytest.approx(-25.0, rel=1e-6)
     assert off.north == pytest.approx(0.0, abs=1e-9)
@@ -50,7 +55,7 @@ def test_offset_formula_at_clamp_boundary():
 
 def test_offset_proportional_to_distance():
     goal = _goal_north(10.0)
-    result = calc_intermediate_wp(goal, _state(), 0.5, 0.0, CFG)
+    result = calc_intermediate_wp(goal, ORIGIN, 0.5, 0.0, CFG)
     off = enu_offset(goal.pos, result)
     assert off.east == pytest.approx(-2.5, rel=1e-6)
 
@@ -61,7 +66,7 @@ def test_offset_clamped_to_max():
     rng = np.random.default_rng(5)
     for _ in range(200):
         ex, ey = rng.uniform(-3, 3, size=2)
-        result = calc_intermediate_wp(goal, _state(), ex, ey, cfg)
+        result = calc_intermediate_wp(goal, ORIGIN, ex, ey, cfg)
         off = enu_offset(goal.pos, result)
         assert off.magnitude() <= 25.0 + 1e-6
 
@@ -71,7 +76,7 @@ def test_offset_monotone_in_remaining_distance():
     magnitudes = []
     for d in (200.0, 150.0, 100.0, 50.0, 10.0):
         goal = _goal_north(d)
-        result = calc_intermediate_wp(goal, _state(), 0.4, 0.1, cfg)
+        result = calc_intermediate_wp(goal, ORIGIN, 0.4, 0.1, cfg)
         magnitudes.append(enu_offset(goal.pos, result).magnitude())
     assert all(a >= b - 1e-9 for a, b in zip(magnitudes, magnitudes[1:]))
 
@@ -80,15 +85,15 @@ def test_offset_uses_commanded_speed_normalization():
     """The travel-time triangle divides by the speed actually commanded."""
     goal = _goal_north(100.0)
     cfg = AugmentConfig(max_offset_m=100.0)
-    slow = calc_intermediate_wp(goal, _state(), 0.5, 0.0, cfg, reference_speed=1.0)
-    fast = calc_intermediate_wp(goal, _state(), 0.5, 0.0, cfg, reference_speed=4.0)
+    slow = calc_intermediate_wp(goal, ORIGIN, 0.5, 0.0, cfg, reference_speed=1.0)
+    fast = calc_intermediate_wp(goal, ORIGIN, 0.5, 0.0, cfg, reference_speed=4.0)
     assert enu_offset(goal.pos, slow).magnitude() == pytest.approx(50.0, rel=1e-6)
     assert enu_offset(goal.pos, fast).magnitude() == pytest.approx(12.5, rel=1e-6)
 
 
 def test_offset_rejects_non_finite_effect():
     with pytest.raises(ValueError):
-        calc_intermediate_wp(_goal_north(), _state(), float("nan"), 0.0, CFG)
+        calc_intermediate_wp(_goal_north(), ORIGIN, float("nan"), 0.0, CFG)
 
 
 def test_adjusted_speed_identity_and_compensation():
@@ -112,6 +117,24 @@ def _mission():
     return [Waypoint(a, 2.0), Waypoint(b, 2.0)]
 
 
+def _forces(s, environment):
+    """The absolute (spd_c, dir_c, spd_w, dir_w) sensed and recovered at
+    state s."""
+    vg_e, vg_n = track_velocity(s.spd_t, s.course_t)
+    water_spd, water_dir, wind_spd, wind_dir = sense(
+        vg_e, vg_n, s.h_t, environment.sample(s.pos, s.t)
+    )
+    return (*relative_to_absolute(vg_e, vg_n, s.h_t, water_spd, water_dir),
+            *relative_to_absolute(vg_e, vg_n, s.h_t, wind_spd, wind_dir))
+
+
+def _advance(s, thrust, rudder, environment):
+    """step from state s, in the flows sampled at s."""
+    flows = environment.sample(s.pos, s.t)
+    return AsvState(*step(s.pos, s.h_t, s.through_water_speed, s.t, s.turn_rate,
+                          thrust, rudder, flows, PARAMS, 0.1))
+
+
 def test_zero_effect_steps_bit_identical_to_baseline():
     """A model predicting zero effect must reproduce the baseline commands
     bit for bit, step by step."""
@@ -123,20 +146,21 @@ def test_zero_effect_steps_bit_identical_to_baseline():
     start = offset_point(ORIGIN, EnuVector(2.0, -40.0))
     s_base = AsvState.at_rest(start, heading=0.0)
     s_aug = AsvState.at_rest(start, heading=0.0)
-    nav = NavigatorState()
-    aug = AugmentState()
+    nav, aug = FRESH_NAV, FRESH_AUG
     for _ in range(600):
-        frame_b = sense(s_base, environment.sample(s_base.pos, s_base.t))
-        force_b = relative_to_absolute(frame_b, s_base)
-        cmd_b, nav = navigator_step(s_base, mission, nav, dt=0.1)
-        cmd_a, aug = augmented_navigator_step(
-            s_aug, mission, aug, model, force_b, dt=0.1, params=PARAMS
+        force_b = _forces(s_base, environment)
+        thrust_b, rudder_b, *nav = navigator_step(
+            s_base.pos, s_base.spd_t, s_base.h_t, mission, *nav, dt=0.1
         )
-        assert cmd_a == cmd_b
-        s_base = step(s_base, cmd_b, environment.sample(s_base.pos, s_base.t), PARAMS, 0.1)
-        s_aug = step(s_aug, cmd_a, environment.sample(s_aug.pos, s_aug.t), PARAMS, 0.1)
+        thrust_a, rudder_a, *aug = augmented_navigator_step(
+            s_aug.pos, s_aug.spd_t, s_aug.h_t, s_aug.t, mission, *aug, model, force_b, dt=0.1,
+            params=PARAMS,
+        )
+        assert (thrust_a, rudder_a) == (thrust_b, rudder_b)
+        s_base = _advance(s_base, thrust_b, rudder_b, environment)
+        s_aug = _advance(s_aug, thrust_a, rudder_a, environment)
         assert s_aug == s_base
-        if nav.active_wp_index >= len(mission):
+        if nav[0] >= len(mission):
             break
 
 
@@ -148,19 +172,19 @@ def test_mission_advances_on_true_waypoints_only():
     oracle = OracleEffectModel(wind_drag_factor=PARAMS.wind_drag_factor)
     cfg = AugmentConfig(max_offset_m=100.0)
     s = AsvState.at_rest(offset_point(ORIGIN, EnuVector(1.0, -30.0)), heading=0.0)
-    aug = AugmentState()
+    aug = FRESH_AUG
     seen = []
     for _ in range(2500):
-        frame = sense(s, environment.sample(s.pos, s.t))
-        force = relative_to_absolute(frame, s)
-        cmd, aug = augmented_navigator_step(
-            s, mission, aug, oracle, force, cfg=cfg, params=PARAMS, dt=0.1
+        thrust, rudder, *aug = augmented_navigator_step(
+            s.pos, s.spd_t, s.h_t, s.t, mission, *aug, oracle, _forces(s, environment), cfg=cfg,
+            params=PARAMS, dt=0.1,
         )
-        if not seen or aug.nav.active_wp_index != seen[-1]:
-            seen.append(aug.nav.active_wp_index)
-        if aug.nav.active_wp_index >= len(mission):
+        index = aug[0]
+        if not seen or index != seen[-1]:
+            seen.append(index)
+        if index >= len(mission):
             break
-        s = step(s, cmd, environment.sample(s.pos, s.t), PARAMS, 0.1)
+        s = _advance(s, thrust, rudder, environment)
     assert seen == [0, 1, 2]
 
 
@@ -170,20 +194,32 @@ def test_intermediate_target_held_between_updates():
     oracle = OracleEffectModel(wind_drag_factor=PARAMS.wind_drag_factor)
     cfg = AugmentConfig(max_offset_m=100.0, update_period_s=1.0)
     s = AsvState.at_rest(offset_point(ORIGIN, EnuVector(0.0, -30.0)), heading=0.0)
-    aug = AugmentState()
+    aug = FRESH_AUG
     changes = 0
     previous = None
     for i in range(100):  # 10 seconds at dt 0.1
-        frame = sense(s, environment.sample(s.pos, s.t))
-        force = relative_to_absolute(frame, s)
-        cmd, aug = augmented_navigator_step(
-            s, mission, aug, oracle, force, cfg=cfg, params=PARAMS, dt=0.1
+        thrust, rudder, *aug = augmented_navigator_step(
+            s.pos, s.spd_t, s.h_t, s.t, mission, *aug, oracle, _forces(s, environment), cfg=cfg,
+            params=PARAMS, dt=0.1,
         )
-        if previous is not None and aug.intermediate != previous:
+        intermediate = aug[4]
+        if previous is not None and intermediate != previous:
             changes += 1
-        previous = aug.intermediate
-        s = step(s, cmd, environment.sample(s.pos, s.t), PARAMS, 0.1)
+        previous = intermediate
+        s = _advance(s, thrust, rudder, environment)
     assert changes <= 11  # one refresh per period, not per step
+
+
+def test_augmented_step_rejects_non_positive_dt_and_empty_mission():
+    """Also on the tick that completes the mission and steers no more."""
+    oracle = OracleEffectModel(wind_drag_factor=PARAMS.wind_drag_factor)
+    calm = (0.0, 0.0, 0.0, 0.0)
+    for mission in (_mission()[1:], _mission()[:1]):  # steering, then completing
+        with pytest.raises(ValueError):
+            augmented_navigator_step(ORIGIN, 2.0, 0.0, 0.0, mission, *FRESH_AUG, oracle, calm,
+                                     dt=0.0)
+    with pytest.raises(ValueError):
+        augmented_navigator_step(ORIGIN, 2.0, 0.0, 0.0, [], *FRESH_AUG, oracle, calm)
 
 
 def test_intermediate_speed_positive():

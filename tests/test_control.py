@@ -5,59 +5,59 @@ import pytest
 
 from asvnav.control import (
     DEFAULT_GAINS,
-    NavigatorState,
+    FRESH_PID,
     PidGains,
-    PidState,
     Waypoint,
-    mission_complete,
     navigator_step,
     pid_step,
+    steer_toward,
+    tracking_line,
     waypoint_reached,
 )
 from asvnav.geo import EnuVector, GeoPoint, offset_point
-from asvnav.vehicle import AsvState
 
 ORIGIN = GeoPoint(34.0, -81.0)
 
 
 def test_pid_zero_error_zero_output():
     gains = PidGains(kp=1.0, ki=0.5, kd=0.1, i_clamp=1.0)
-    out, state = pid_step(gains, PidState(), 0.0, dt=1.0)
+    out, (integral, _) = pid_step(gains, FRESH_PID, 0.0, dt=1.0)
     assert out == 0.0
-    assert state.integral == 0.0
+    assert integral == 0.0
 
 
 def test_pid_pure_proportional():
     gains = PidGains(kp=1.0, ki=0.0, kd=0.0, i_clamp=1.0)
-    out, _ = pid_step(gains, PidState(), 10.0, dt=0.1)
+    out, _ = pid_step(gains, FRESH_PID, 10.0, dt=0.1)
     assert out == 10.0
 
 
 def test_pid_integral_rectangle_sum():
     # ki = 0.5, constant error 2 for 4 s at dt = 1 -> integral term 4.0
     gains = PidGains(kp=0.0, ki=0.5, kd=0.0, i_clamp=4.0)
-    state = PidState()
+    state = FRESH_PID
     for _ in range(4):
         out, state = pid_step(gains, state, 2.0, dt=1.0)
-    assert state.integral == pytest.approx(4.0)
+    integral, _ = state
+    assert integral == pytest.approx(4.0)
     assert out == pytest.approx(4.0)
 
 
 def test_pid_integral_clamped():
     gains = PidGains(kp=0.0, ki=1.0, kd=0.0, i_clamp=0.5)
-    state = PidState()
+    state = FRESH_PID
     for _ in range(100):
         _, state = pid_step(gains, state, 10.0, dt=1.0)
-        assert abs(state.integral) <= 0.5
+        assert abs(state[0]) <= 0.5
     # and it unwinds symmetrically
     for _ in range(100):
         _, state = pid_step(gains, state, -10.0, dt=1.0)
-        assert abs(state.integral) <= 0.5
+        assert abs(state[0]) <= 0.5
 
 
 def test_pid_derivative_first_step_is_zero():
     gains = PidGains(kp=0.0, ki=0.0, kd=1.0, i_clamp=1.0)
-    out, state = pid_step(gains, PidState(), 5.0, dt=0.1)
+    out, state = pid_step(gains, FRESH_PID, 5.0, dt=0.1)
     assert out == 0.0
     out, _ = pid_step(gains, state, 6.0, dt=0.1)
     assert out == pytest.approx(10.0)
@@ -66,43 +66,56 @@ def test_pid_derivative_first_step_is_zero():
 def test_pid_rejects_non_positive_dt():
     gains = PidGains(kp=1.0, ki=0.0, kd=0.0, i_clamp=1.0)
     with pytest.raises(ValueError):
-        pid_step(gains, PidState(), 1.0, dt=0.0)
+        pid_step(gains, FRESH_PID, 1.0, dt=0.0)
+
+
+def test_steering_rejects_non_positive_dt():
+    """steer_toward (through pid_step) and navigator_step reject dt <= 0,
+    navigator_step also on the tick that completes the mission."""
+    goal = Waypoint(offset_point(ORIGIN, EnuVector(0.0, 100.0)), 2.0)
+    with pytest.raises(ValueError):
+        steer_toward(ORIGIN.lat, ORIGIN.lon, 0.0, 2.0, goal, None, DEFAULT_GAINS, FRESH_PID,
+                     FRESH_PID, dt=0.0)
+    for mission in ([goal], [Waypoint(ORIGIN, 2.0)]):  # steering, then completing
+        with pytest.raises(ValueError):
+            navigator_step(ORIGIN, 2.0, 0.0, mission, 0, None, FRESH_PID, FRESH_PID, dt=0.0)
 
 
 def test_waypoint_reached_boundary_inclusive():
     from asvnav.geo import distance_bearing
 
     wp = Waypoint(ORIGIN, 2.0)
-    on_top = AsvState.at_rest(ORIGIN, 0.0)
-    assert waypoint_reached(on_top, wp, radius=2.0)
+    assert waypoint_reached(ORIGIN.lat, ORIGIN.lon, wp, radius=2.0)
     # exactly at the radius counts as reached (boundary inclusive)
-    at_radius = AsvState.at_rest(offset_point(ORIGIN, EnuVector(2.0, 0.0)), 0.0)
-    exact_range, _ = distance_bearing(at_radius.pos, wp.pos)
-    assert waypoint_reached(at_radius, wp, radius=exact_range)
-    outside = AsvState.at_rest(offset_point(ORIGIN, EnuVector(2.01, 0.0)), 0.0)
-    assert not waypoint_reached(outside, wp, radius=2.0)
+    at_radius = offset_point(ORIGIN, EnuVector(2.0, 0.0))
+    exact_range, _ = distance_bearing(at_radius, wp.pos)
+    assert waypoint_reached(at_radius.lat, at_radius.lon, wp, radius=exact_range)
+    outside = offset_point(ORIGIN, EnuVector(2.01, 0.0))
+    assert not waypoint_reached(outside.lat, outside.lon, wp, radius=2.0)
 
 
-def _state(pos=ORIGIN, heading=0.0, speed=0.0):
-    return AsvState(pos=pos, spd_t=speed, course_t=heading, h_t=heading,
-                    through_water_speed=speed, t=0.0)
+def _navigate(mission, pos=ORIGIN, heading=0.0, speed=0.0, index=0,
+              heading_pid=FRESH_PID, speed_pid=FRESH_PID, gains=DEFAULT_GAINS):
+    """navigator_step at pos with ground speed and heading, the navigator
+    holding no tracking line: (thrust, rudder, index, line, heading_pid,
+    speed_pid)."""
+    return navigator_step(pos, speed, heading, mission, index, None, heading_pid, speed_pid,
+                          gains)
 
 
 def test_navigator_zero_error_equilibrium():
     """On the bearing line, heading at the goal, at speed: rudder ~ 0."""
     goal = Waypoint(offset_point(ORIGIN, EnuVector(0.0, 100.0)), 2.0)
-    s = _state(heading=0.0, speed=2.0)
-    cmd, _ = navigator_step(s, [goal], NavigatorState())
-    assert cmd.rudder == pytest.approx(0.0, abs=1e-9)
-    assert 0.0 <= cmd.thrust < 0.2  # no speed error: only trim buildup
+    thrust, rudder, *_ = _navigate([goal], heading=0.0, speed=2.0)
+    assert rudder == pytest.approx(0.0, abs=1e-9)
+    assert 0.0 <= thrust < 0.2  # no speed error: only trim buildup
 
 
 def test_navigator_starboard_sign_convention():
     """Waypoint due east while heading north: positive (starboard) rudder."""
     goal = Waypoint(offset_point(ORIGIN, EnuVector(100.0, 0.0)), 2.0)
-    s = _state(heading=0.0, speed=2.0)
-    cmd, _ = navigator_step(s, [goal], NavigatorState())
-    assert cmd.rudder > 0.0
+    _, rudder, *_ = _navigate([goal], heading=0.0, speed=2.0)
+    assert rudder > 0.0
 
 
 def test_navigator_heading_error_wrap_symmetry():
@@ -110,48 +123,46 @@ def test_navigator_heading_error_wrap_symmetry():
     gains = DEFAULT_GAINS
     east_goal = Waypoint(offset_point(ORIGIN, EnuVector(100.0, 0.0)), 2.0)
     # goal bearing 90; heading 271 -> error +179; heading 269 -> error -179
-    cmd_plus, _ = navigator_step(_state(heading=271.0, speed=2.0), [east_goal], NavigatorState(), gains)
-    cmd_minus, _ = navigator_step(_state(heading=269.0, speed=2.0), [east_goal], NavigatorState(), gains)
-    assert cmd_plus.rudder > 0.0 > cmd_minus.rudder
-    assert abs(cmd_plus.rudder) == pytest.approx(abs(cmd_minus.rudder), rel=1e-9)
+    _, rudder_plus, *_ = _navigate([east_goal], heading=271.0, speed=2.0, gains=gains)
+    _, rudder_minus, *_ = _navigate([east_goal], heading=269.0, speed=2.0, gains=gains)
+    assert rudder_plus > 0.0 > rudder_minus
+    assert abs(rudder_plus) == pytest.approx(abs(rudder_minus), rel=1e-9)
 
 
 def test_navigator_advances_and_resets_integrators():
     goal0 = Waypoint(ORIGIN, 2.0)
     goal1 = Waypoint(offset_point(ORIGIN, EnuVector(0.0, 100.0)), 2.0)
-    nav = NavigatorState(
-        active_wp_index=0,
-        heading_pid=PidState(integral=0.3, prev_error=4.0),
-        speed_pid=PidState(integral=0.2, prev_error=1.0),
+    # sitting on goal0
+    _, _, index, _, heading_pid, speed_pid = _navigate(
+        [goal0, goal1], index=0, heading_pid=(0.3, 4.0), speed_pid=(0.2, 1.0)
     )
-    s = _state()  # sitting on goal0
-    _, nav2 = navigator_step(s, [goal0, goal1], nav)
-    assert nav2.active_wp_index == 1
+    assert index == 1
     # integrators were reset when the waypoint advanced, then one PID step ran
-    assert abs(nav2.heading_pid.integral) < 0.01
-    assert nav2.speed_pid.prev_error == pytest.approx(2.0)
+    heading_integral, _ = heading_pid
+    _, speed_prev_error = speed_pid
+    assert abs(heading_integral) < 0.01
+    assert speed_prev_error == pytest.approx(2.0)
 
 
 def test_navigator_mission_complete_zero_command():
-    goal = Waypoint(ORIGIN, 2.0)
-    s = _state()
-    cmd, nav = navigator_step(s, [goal], NavigatorState())
-    assert mission_complete(nav, [goal])
-    assert cmd.thrust == 0.0 and cmd.rudder == 0.0
+    mission = [Waypoint(ORIGIN, 2.0)]
+    thrust, rudder, index, *_ = _navigate(mission)
+    assert index >= len(mission)  # the mission is complete
+    assert thrust == 0.0 and rudder == 0.0
 
 
 def test_navigator_empty_mission_rejected():
     with pytest.raises(ValueError):
-        navigator_step(_state(), [], NavigatorState())
+        _navigate([])
 
 
 def test_integrator_never_exceeds_clamp_random_inputs():
     gains = PidGains(kp=0.5, ki=0.7, kd=0.05, i_clamp=0.4)
-    state = PidState()
+    state = FRESH_PID
     rng = np.random.default_rng(17)
     for err in rng.uniform(-50, 50, size=2000):
         _, state = pid_step(gains, state, float(err), dt=0.1)
-        assert abs(state.integral) <= 0.4
+        assert abs(state[0]) <= 0.4
 
 
 def test_aim_point_sits_on_leg_ahead_of_projection():
@@ -160,8 +171,9 @@ def test_aim_point_sits_on_leg_ahead_of_projection():
 
     anchor = ORIGIN
     target = offset_point(ORIGIN, EnuVector(0.0, 200.0))
-    s = _state(pos=offset_point(ORIGIN, EnuVector(5.0, 50.0)))
-    aim = aim_point(s, target, anchor, lookahead_m=25.0)
+    pos = offset_point(ORIGIN, EnuVector(5.0, 50.0))
+    aim = GeoPoint(*aim_point(pos.lat, pos.lon, target, tracking_line(anchor, target),
+                              lookahead_m=25.0))
     off = enu_offset(anchor, aim)
     assert off.east == pytest.approx(0.0, abs=1e-6)  # on the line
     assert off.north == pytest.approx(75.0, rel=1e-6)  # 50 along + 25 ahead
@@ -172,8 +184,9 @@ def test_aim_point_never_past_target():
 
     anchor = ORIGIN
     target = offset_point(ORIGIN, EnuVector(0.0, 200.0))
-    s = _state(pos=offset_point(ORIGIN, EnuVector(0.0, 190.0)))
-    aim = aim_point(s, target, anchor, lookahead_m=25.0)
+    pos = offset_point(ORIGIN, EnuVector(0.0, 190.0))
+    aim = GeoPoint(*aim_point(pos.lat, pos.lon, target, tracking_line(anchor, target),
+                              lookahead_m=25.0))
     assert aim == target
 
 
@@ -181,5 +194,4 @@ def test_aim_point_without_anchor_is_target():
     from asvnav.control import aim_point
 
     target = offset_point(ORIGIN, EnuVector(0.0, 200.0))
-    s = _state()
-    assert aim_point(s, target, None, lookahead_m=25.0) == target
+    assert GeoPoint(*aim_point(ORIGIN.lat, ORIGIN.lon, target, None, lookahead_m=25.0)) == target

@@ -33,7 +33,8 @@ def _samples_from_linear_map(coef, n, rng, noise=0.0):
         force = _random_force(rng)
         spd_target = rng.uniform(0.5, 4.0)
         heading = rng.uniform(0, 360)
-        x = np.asarray(make_features(force, spd_target, heading))
+        x = np.asarray(make_features(force.spd_c, force.dir_c, force.spd_w, force.dir_w,
+                                     spd_target, heading))
         y = coef @ x + noise * rng.standard_normal(3)
         samples.append(TrainingSample(tuple(x), tuple(y)))
     return samples
@@ -54,8 +55,7 @@ def test_fit_zero_disturbance_is_rank_deficient():
     rng = np.random.default_rng(3)
     samples = []
     for _ in range(100):
-        force = ForceSample(0.0, 0.0, 0.0, 0.0)
-        x = make_features(force, rng.uniform(1, 3), rng.uniform(0, 360))
+        x = make_features(0.0, 0.0, 0.0, 0.0, rng.uniform(1, 3), rng.uniform(0, 360))
         samples.append(TrainingSample(x, (0.0, 0.0, 0.0)))
     with pytest.raises(ValueError, match="rank deficient"):
         fit(samples)
@@ -81,8 +81,9 @@ def test_fit_names_degenerate_feature():
     rng = np.random.default_rng(6)
     samples = []
     for _ in range(200):
-        force = ForceSample(rng.uniform(0, 2), rng.uniform(0, 360), 0.0, 0.0)  # no wind
-        x = make_features(force, rng.uniform(1, 3), rng.uniform(0, 360))
+        # no wind
+        x = make_features(rng.uniform(0, 2), rng.uniform(0, 360), 0.0, 0.0, rng.uniform(1, 3),
+                          rng.uniform(0, 360))
         samples.append(TrainingSample(x, (0.0, 0.0, 0.0)))
     with pytest.raises(ValueError, match="wind_east"):
         fit(samples)

@@ -238,6 +238,33 @@ def test_from_dict_rejects_unknown_keys():
         from_dict(SweepSpec, {**sweep, "vehicle": {"max_water_speed": 5.0}})
 
 
+def test_field_and_waypoint_dicts_reject_unknown_keys():
+    """Field and waypoint JSON, which have their own codecs, reject unknown
+    keys by dotted path too: a misspelled gust is not a field without one."""
+    scenario = to_dict(calm_water_scenario())
+    gusts = {**scenario["current"], "gusts": {"amplitude": 0.5, "period_s": 10.0}}
+    with pytest.raises(ValueError, match=r"current\.gusts\b"):
+        from_dict(Scenario, {**scenario, "current": gusts})
+    river_key = {**scenario["wind"], "half_width_m": 20.0}  # not a uniform field's key
+    with pytest.raises(ValueError, match=r"wind\.half_width_m\b"):
+        from_dict(Scenario, {**scenario, "wind": river_key})
+    gust_typo = {"kind": "uniform", "speed": 1.0, "direction": 0.0,
+                 "gust": {"amplitude": 0.5, "period": 10.0}}
+    with pytest.raises(ValueError, match=r"current\.gust\.period\b"):
+        from_dict(Scenario, {**scenario, "current": gust_typo})
+    mission = [*scenario["mission"][:1], {**scenario["mission"][1], "speed": 2.0}]
+    with pytest.raises(ValueError, match=r"mission\[1\]\.speed\b"):
+        from_dict(Scenario, {**scenario, "mission": mission})
+    river = field_to_dict(FieldSpec.river_profile(
+        axis_origin=ORIGIN, axis_bearing=150.0, centerline=ForceVector(1.0, 150.0),
+        half_width=20.0,
+    ))
+    with pytest.raises(ValueError, match=r"axis_origin\.alt\b"):
+        field_from_dict({**river, "axis_origin": {**river["axis_origin"], "alt": 0.0}})
+    with pytest.raises(ValueError, match=r"\bspeed\b"):
+        field_from_dict({**river, "speed": 1.0})
+
+
 def test_zero_current_suite_columns_identical():
     """With zero fields the augmented controller reduces to the baseline,
     so every paired column matches."""

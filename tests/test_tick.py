@@ -3,21 +3,22 @@ sample per tick, trajectories that stay the same bit for bit, and a loop
 that is the public per-layer API stepped by hand."""
 
 import hashlib
+import importlib
 import math
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from asvnav import harness
-from asvnav.augment import AugmentState, augmented_navigator_step
-from asvnav.control import NavigatorState, navigator_step
-from asvnav.effects import OracleEffectModel
+from asvnav import augment, control, harness, vehicle
+from asvnav.control import FRESH_PID
+from asvnav.effects import ForceSample, OracleEffectModel
 from asvnav.env import Environment, FieldSpec, ForceVector, GustSpec
 from asvnav.geo import METERS_PER_DEG_LAT
 from asvnav.metrics import LogRecord
-from asvnav.vehicle import NoiseSpec, relative_to_absolute, sense, step
+from asvnav.vehicle import ActuatorCommand, AsvState, NoiseSpec, track_velocity
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -66,33 +67,84 @@ def test_baseline_trajectory_digest_pinned():
     _check_digest("baseline", 1.8089182501623675, BASELINE_TRAJECTORY_SHA256)
 
 
+# The public per-layer functions a tick calls, by module.
+LAYER_STEPS = {
+    "vehicle": ("sense", "relative_to_absolute", "step"),
+    "control": ("navigator_step", "steer_toward", "pid_step"),
+    "augment": ("augmented_navigator_step",),
+}
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """The name of every call of the functions in LAYER_STEPS and of
+    Environment.sample, in call order. Each function is replaced in every
+    asvnav module that binds it, so calls between modules are seen too."""
+    names = []
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            names.append(name)
+            return fn(*args, **kwargs)
+        return counted
+
+    modules = [mod for name, mod in sys.modules.items()
+               if mod is not None and (name == "asvnav" or name.startswith("asvnav."))]
+    for layer, fnames in LAYER_STEPS.items():
+        for fname in fnames:
+            original = getattr(importlib.import_module(f"asvnav.{layer}"), fname)
+            wrapper = counting(fname, original)
+            for mod in modules:
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, wrapper)
+    monkeypatch.setattr(Environment, "sample",
+                        counting("Environment.sample", Environment.sample))
+    return names
+
+
 def _by_hand(sc, model):
-    """LogRecords of sc from the public per-layer API, stepped the way
-    run_scenario describes its tick."""
+    """LogRecords of sc from the public per-layer functions, called in the
+    order run_scenario describes its tick. They are looked up on their
+    modules at each call, so the calls fixture sees them."""
     rng = np.random.default_rng(sc.seed)
     environment = Environment(sc.current, sc.wind)
     mission = list(sc.mission)
     s = sc.start_state()
-    nav, aug = NavigatorState(), AugmentState()
+    pos, spd_t, course_t, h_t, tw, t, turn_rate = (
+        s.pos, s.spd_t, s.course_t, s.h_t, s.through_water_speed, s.t, s.turn_rate
+    )
+    index, line, heading_pid, speed_pid = 0, None, FRESH_PID, FRESH_PID
+    intermediate, next_update_t = None, -math.inf
     records = []
     for _ in range(int(round(sc.duration_limit_s / sc.dt_s)) + 1):
-        flows = environment.sample(s.pos, s.t)
-        force = relative_to_absolute(sense(s, flows, sc.noise, rng), s)
+        flows = environment.sample(pos, t)
+        vg_e, vg_n = track_velocity(spd_t, course_t)
+        water_spd, water_dir, wind_spd, wind_dir = vehicle.sense(
+            vg_e, vg_n, h_t, flows, sc.noise, rng
+        )
+        force = (*vehicle.relative_to_absolute(vg_e, vg_n, h_t, water_spd, water_dir),
+                 *vehicle.relative_to_absolute(vg_e, vg_n, h_t, wind_spd, wind_dir))
         if sc.controller.kind == "augmented":
-            cmd, aug = augmented_navigator_step(
-                s, mission, aug, model, force, cfg=sc.augment, gains=sc.gains,
+            (thrust, rudder, index, line, heading_pid, speed_pid, intermediate,
+             next_update_t) = augment.augmented_navigator_step(
+                pos, spd_t, h_t, t, mission, index, line, heading_pid, speed_pid, intermediate,
+                next_update_t, model, force, cfg=sc.augment, gains=sc.gains,
                 params=sc.vehicle, dt=sc.dt_s, radius=sc.acceptance_radius_m,
             )
-            wp_index, intermediate = aug.nav.active_wp_index, aug.intermediate
         else:
-            cmd, nav = navigator_step(s, mission, nav, gains=sc.gains, dt=sc.dt_s,
-                                      radius=sc.acceptance_radius_m)
-            wp_index, intermediate = nav.active_wp_index, None
-        records.append(LogRecord(t=s.t, state=s, wp_index=wp_index,
-                                 intermediate=intermediate, force=force, cmd=cmd))
-        if wp_index >= len(mission):
+            thrust, rudder, index, line, heading_pid, speed_pid = control.navigator_step(
+                pos, spd_t, h_t, mission, index, line, heading_pid, speed_pid, gains=sc.gains,
+                dt=sc.dt_s, radius=sc.acceptance_radius_m,
+            )
+        state = AsvState(pos, spd_t, course_t, h_t, tw, t, turn_rate)
+        records.append(LogRecord(t=t, state=state, wp_index=index, intermediate=intermediate,
+                                 force=ForceSample(*force), cmd=ActuatorCommand(thrust, rudder)))
+        if index >= len(mission):
             break
-        s = step(s, cmd, flows, sc.vehicle, sc.dt_s)
+        pos, spd_t, course_t, h_t, tw, t, turn_rate = vehicle.step(
+            pos, h_t, tw, t, turn_rate, thrust, rudder, flows, sc.vehicle, sc.dt_s
+        )
     return tuple(records)
 
 
@@ -101,15 +153,46 @@ def _by_hand(sc, model):
     _digest_scenario,
     lambda: replace(harness.downstream_failure_scenario(), noise=NoiseSpec(0.05, 2.0), seed=5),
 ], ids=["digest", "completed"])
-def test_loop_is_the_public_api_stepped_by_hand(scenario, controller):
+def test_loop_is_the_public_api_stepped_by_hand(calls, scenario, controller):
     sc = replace(scenario(), controller=harness.ControllerSpec(kind=controller))
     model = OracleEffectModel(wind_drag_factor=sc.vehicle.wind_drag_factor)
     result = harness.run_scenario(sc, model=model)
+    loop_calls = list(calls)
+    calls.clear()
     expected = _by_hand(sc, model)
+    # the loop makes exactly the calls of the hand-stepped pipeline, in order
+    assert loop_calls == calls
     records = tuple(result.log.records)
     assert records == expected
     # repr tells every double apart, -0.0 from 0.0 included: bit for bit
     assert repr(records) == repr(expected)
+
+
+@pytest.mark.parametrize("controller", ["baseline", "augmented"])
+@pytest.mark.parametrize("scenario", [
+    lambda: replace(_digest_scenario(), duration_limit_s=20.0),
+    lambda: replace(harness.downstream_failure_scenario(), noise=NoiseSpec(0.05, 2.0), seed=5),
+], ids=["incomplete", "completed"])
+def test_loop_calls_the_public_layer_functions(calls, scenario, controller):
+    """Each tick runs the public per-layer functions, which per-layer
+    tracing wraps: sample, sense, relative_to_absolute for the current
+    and the wind, the navigator (steer_toward and two pid_step calls on a
+    steering tick) and step, which the completing tick skips."""
+    sc = replace(scenario(), controller=harness.ControllerSpec(kind=controller))
+    result = harness.run_scenario(sc)
+    ticks = len(result.log)
+    navigator = "augmented_navigator_step" if controller == "augmented" else "navigator_step"
+    expected = []
+    for i in range(ticks):
+        expected += ["Environment.sample", "sense", "relative_to_absolute",
+                     "relative_to_absolute", navigator]
+        if not (result.completed and i == ticks - 1):
+            expected += ["steer_toward", "pid_step", "pid_step", "step"]
+    assert calls == expected
+    assert calls.count("sense") == ticks
+    assert calls.count("relative_to_absolute") == 2 * ticks
+    assert calls.count("step") == ticks - result.completed
+    assert calls.count("pid_step") == 2 * calls.count("steer_toward")
 
 
 @pytest.fixture
