@@ -8,6 +8,10 @@ from asvnav.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 TRAINING_CSV_SHA256 = "b4fb0322804bfc48d1609d7805882e0e1f51676755dd0c4416a47a232543e5d6"
+# sha256 of model.json and model_intercept.json fitted from that CSV; the
+# benchmark (perfbench MODEL_SHA256) pins the same files.
+MODEL_SHA256 = "ca5d8fe28ffe0584f2268c563e3df1a1c295b8b91a934aa52e2a6d4efb83a64e"
+MODEL_INTERCEPT_SHA256 = "3044ac1ada9f7780a0572c62e18fa4a3169f20833b906121803139d1107edf8b"
 
 
 def test_run_command_writes_outputs(tmp_path, capsys):
@@ -92,6 +96,11 @@ def test_train_fit_report_chain(tmp_path, capsys):
     # recovered physics: unit current coefficients, wind-drag on wind columns
     assert abs(payload["coef"][0][0] - 1.0) < 1e-3
     assert abs(payload["coef"][0][2] - 0.03) < 1e-3
+    assert hashlib.sha256(model_path.read_bytes()).hexdigest() == MODEL_SHA256
+    intercept_path = tmp_path / "model_intercept.json"
+    rc = main(["fit", str(training), "-o", str(intercept_path), "--intercept"])
+    assert rc == 0
+    assert hashlib.sha256(intercept_path.read_bytes()).hexdigest() == MODEL_INTERCEPT_SHA256
 
     run_dir = tmp_path / "run"
     rc = main(["run", str(CONFIGS / "downstream_failure.json"), "--out", str(run_dir)])

@@ -12,6 +12,7 @@ from asvnav.effects import fit
 from asvnav.env import FieldSpec, ForceVector, GustSpec
 from asvnav.geo import METERS_PER_DEG_LAT, EnuVector, GeoPoint, distance_bearing, offset_point, wrap_signed
 from asvnav.harness import (
+    TRAINING_HEADER,
     ControllerSpec,
     Scenario,
     SweepSpec,
@@ -331,6 +332,45 @@ def test_training_csv_round_trip(tmp_path):
     write_training_csv(samples, path)
     back = read_training_csv(path)
     assert back == samples
+
+
+def _training_csv(tmp_path, *rows, header=TRAINING_HEADER):
+    path = tmp_path / "training.csv"
+    path.write_text("".join(line + "\n" for line in (header, *rows)))
+    return path
+
+
+TRAINING_ROW = [repr(0.1 * i + 0.05) for i in range(10)]
+
+
+def test_read_training_csv_rejects_malformed_files(tmp_path):
+    row = ",".join(TRAINING_ROW)
+    with pytest.raises(ValueError, match="header"):
+        read_training_csv(_training_csv(tmp_path, row, header="x," + TRAINING_HEADER))
+    with pytest.raises(ValueError):  # ragged: one row short of a target
+        read_training_csv(_training_csv(tmp_path, row, ",".join(TRAINING_ROW[:-1])))
+    with pytest.raises(ValueError):  # every row one target short
+        read_training_csv(_training_csv(tmp_path, ",".join(TRAINING_ROW[:-1])))
+    for bad in ("nan", "inf", "-inf"):
+        cells = TRAINING_ROW[:4] + [bad] + TRAINING_ROW[5:]
+        with pytest.raises(ValueError, match="non-finite"):
+            read_training_csv(_training_csv(tmp_path, row, ",".join(cells)))
+    # no comment character: a '#' in a cell or starting a line is bad data
+    cells = TRAINING_ROW[:3] + [TRAINING_ROW[3] + "#note"] + TRAINING_ROW[4:]
+    with pytest.raises(ValueError):
+        read_training_csv(_training_csv(tmp_path, row, ",".join(cells)))
+    with pytest.raises(ValueError):
+        read_training_csv(_training_csv(tmp_path, "# " + row, row))
+
+
+def test_read_training_csv_skips_blank_lines(tmp_path):
+    row = ",".join(TRAINING_ROW)
+    back = read_training_csv(_training_csv(tmp_path, "", row, "   ", "\t", row, " \t ", ""))
+    assert len(back) == 2
+    write_training_csv(back, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_text() == f"{TRAINING_HEADER}\n{row}\n{row}\n"
+    assert len(read_training_csv(_training_csv(tmp_path))) == 0
+    assert len(read_training_csv(_training_csv(tmp_path, "", "  "))) == 0
 
 
 def test_samples_from_trajectory_rebuilds_drift():

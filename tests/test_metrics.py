@@ -7,7 +7,7 @@ import pytest
 
 from asvnav.control import Waypoint
 from asvnav.effects import ForceSample
-from asvnav.geo import EnuVector, GeoPoint, offset_point
+from asvnav.geo import EnuVector, GeoPoint, offset_point, wrap_angle
 from asvnav.metrics import (
     ErrorReport,
     LogRecord,
@@ -164,6 +164,93 @@ def test_trajectory_csv_round_trip(tmp_path):
     b = score_log(loaded, mission)
     assert a.max_error == pytest.approx(b.max_error, abs=1e-12)
     assert a.pct_over_1m == pytest.approx(b.pct_over_1m, abs=1e-12)
+
+
+def _trajectory_lines():
+    """Header and rows of a short log's CSV, split into cells."""
+    log = _log_from_enu([(0.5, n) for n in np.linspace(0.0, 20.0, 6)])
+    return [line.split(",") for line in log.to_csv().splitlines()]
+
+
+def _write_trajectory(path, lines, blank_after=()):
+    path.write_text("".join(",".join(cells) + "\n" + ("\n" if i in blank_after else "")
+                            for i, cells in enumerate(lines)))
+    return path
+
+
+def _edited_trajectory(path, edits):
+    """The short log's CSV with cells replaced: edits maps (row, column
+    name) to text, rows counted from 1 after the header."""
+    lines = _trajectory_lines()
+    for (row, column), text in edits.items():
+        lines[row][lines[0].index(column)] = text
+    return _write_trajectory(path, lines)
+
+
+@pytest.mark.parametrize("edits", [
+    {(0, "t"): "time"},
+    {(3, "t"): "1.0"},
+    {(3, "t"): "0.5"},
+    {(3, "wp_index"): "0"},
+    {(3, "spd_t"): "-0.5"},
+    {(3, "spd_t"): "nan"},
+    {(3, "t"): "inf"},
+    {(3, "lat"): "nan"},
+    {(3, "lon"): "inf"},
+    {(3, "lat"): "90.5"},
+    {(3, "lat"): "-91.0"},
+    {(3, "h_t"): "inf"},
+    {(3, "dir_c"): "nan"},
+    {(3, "dir_w"): "-inf"},
+    {(3, "spd_c"): "-0.1"},
+    {(3, "spd_w"): "nan"},
+    {(3, "rudder"): ""},
+    {(3, "int_lat"): "34.0"},
+], ids=lambda edits: "-".join(f"{c}={t}" for (_, c), t in edits.items()))
+def test_trajectory_csv_rejects_bad_rows(tmp_path, edits):
+    with pytest.raises(ValueError):
+        TrajectoryLog.from_csv(_edited_trajectory(tmp_path / "trajectory.csv", edits))
+
+
+def test_trajectory_csv_reader_wraps_and_clamps(tmp_path):
+    """Out-of-range angles and longitudes are wrapped and commands clamped
+    as on construction; a non-finite command passes through unclamped."""
+    edits = {
+        (1, "lon"): "-181.25", (2, "lon"): "190.0", (3, "lon"): "180.0",
+        (1, "h_t"): "370.5", (2, "h_t"): "-30.0", (3, "h_t"): "360.0", (4, "h_t"): "-0.0",
+        (1, "dir_c"): "-90.0", (2, "dir_w"): "725.0", (3, "dir_c"): "-1e-20",
+        (1, "thrust"): "1.5", (2, "thrust"): "-0.25", (3, "thrust"): "inf",
+        (4, "thrust"): "-0.0", (1, "rudder"): "-3.0", (2, "rudder"): "2.0",
+        (3, "rudder"): "-inf", (4, "rudder"): "-0.0", (5, "thrust"): "nan",
+    }
+    log = TrajectoryLog.from_csv(_edited_trajectory(tmp_path / "trajectory.csv", edits))
+    records = log.records
+    lat = records[0].state.pos.lat
+    assert [r.state.pos.lon for r in records[:3]] == [
+        GeoPoint(lat, v).lon for v in (-181.25, 190.0, 180.0)
+    ]
+    assert records[0].state.pos.lon == 178.75 and records[2].state.pos.lon == -180.0
+    assert [r.state.h_t for r in records[:4]] == [wrap_angle(v) for v in (370.5, -30.0, 360.0, -0.0)]
+    assert math.copysign(1.0, records[3].state.h_t) == 1.0
+    assert (records[0].force.dir_c, records[1].force.dir_w) == (270.0, 5.0)
+    assert records[2].force.dir_c == wrap_angle(-1e-20) == 0.0
+    thrusts = [r.cmd.thrust for r in records]
+    rudders = [r.cmd.rudder for r in records]
+    assert thrusts[:3] == [1.0, 0.0, math.inf] and math.isnan(thrusts[4])
+    assert math.copysign(1.0, thrusts[3]) == 1.0  # -0.0 clamps to the bound 0.0
+    assert rudders[:4] == [-1.0, 1.0, -math.inf, 0.0]
+    assert math.copysign(1.0, rudders[3]) == -1.0  # inside the range: kept as is
+
+
+def test_trajectory_csv_reader_skips_blank_lines(tmp_path):
+    lines = _trajectory_lines()
+    plain = TrajectoryLog.from_csv(_write_trajectory(tmp_path / "plain.csv", lines))
+    spaced = TrajectoryLog.from_csv(_write_trajectory(tmp_path / "spaced.csv", lines,
+                                                      blank_after=(0, 2, 3, len(lines) - 1)))
+    assert len(spaced) == len(lines) - 1
+    assert spaced.records == plain.records
+    empty = TrajectoryLog.from_csv(_write_trajectory(tmp_path / "empty.csv", lines[:1]))
+    assert len(empty) == 0
 
 
 def test_records_view_is_the_appended_records():

@@ -17,7 +17,7 @@ from asvnav.control import FRESH_PID
 from asvnav.effects import ForceSample, OracleEffectModel
 from asvnav.env import Environment, FieldSpec, ForceVector, GustSpec
 from asvnav.geo import METERS_PER_DEG_LAT
-from asvnav.metrics import LogRecord
+from asvnav.metrics import LogRecord, TrajectoryLog
 from asvnav.vehicle import ActuatorCommand, AsvState, NoiseSpec, track_velocity
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -65,6 +65,19 @@ def test_trajectory_digest_pinned():
 
 def test_baseline_trajectory_digest_pinned():
     _check_digest("baseline", 1.8089182501623675, BASELINE_TRAJECTORY_SHA256)
+
+
+# sha256 of repr(log.records) for the log read back from _digest_scenario()'s
+# trajectory.csv, pinned before from_csv read whole columns.
+READ_BACK_RECORDS_SHA256 = "2785b648c8b2d0ed04ccc20bcf49272827d37759e96a6694170bf000668f226e"
+
+
+def test_trajectory_csv_read_back_pinned(tmp_path):
+    harness.run_scenario(_digest_scenario(), out_dir=tmp_path)
+    path = tmp_path / "trajectory.csv"
+    log = TrajectoryLog.from_csv(path)
+    assert hashlib.sha256(repr(log.records).encode()).hexdigest() == READ_BACK_RECORDS_SHA256
+    assert log.to_csv() == path.read_text()
 
 
 # The public per-layer functions a tick calls, by module.
