@@ -29,9 +29,9 @@ sweep = SweepSpec(
 
 for noise, label in ((NoiseSpec(), "noise-free sensors"),
                      (NoiseSpec(sigma_speed=0.05), "sigma_speed = 0.05 m/s")):
-    samples = generate_training_logs(replace(sweep, noise=noise, seed=3))
-    model = fit(samples)
-    print(f"=== fit on {len(samples)} samples, {label} ===")
+    corpus = generate_training_logs(replace(sweep, noise=noise, seed=3))
+    model = fit(corpus)
+    print(f"=== fit on {len(corpus)} samples, {label} ===")
     print(f"  recipe: {model.recipe}")
     header = " ".join(f"{n[:9]:>10s}" for n in FEATURE_NAMES)
     print(f"  {'target':>12s} {header}")

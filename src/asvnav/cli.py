@@ -42,20 +42,20 @@ def _cmd_train(args) -> int:
     sweep = harness.load_sweep(args.sweep)
     if args.seed is not None:
         sweep = replace(sweep, seed=args.seed)
-    samples = harness.generate_training_logs(sweep)
+    corpus = harness.generate_training_logs(sweep)
     out = Path(args.out or ".") / "training.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
-    harness.write_training_csv(samples, out)
-    print(f"wrote {len(samples)} samples to {out}")
+    harness.write_training_csv(corpus, out)
+    print(f"wrote {len(corpus)} samples to {out}")
     return 0
 
 
 def _cmd_fit(args) -> int:
-    samples = harness.read_training_csv(args.training_csv)
-    model = effects.fit(samples, include_intercept=args.intercept)
+    corpus = harness.read_training_csv(args.training_csv)
+    model = effects.fit(corpus, include_intercept=args.intercept)
     effects.save_model(model, args.output)
     rmse = ", ".join(f"{name}={v:.4g}" for name, v in zip(effects.TARGET_NAMES, model.residual_rmse))
-    print(f"fitted {model.recipe} on {len(samples)} samples; residual RMSE: {rmse}")
+    print(f"fitted {model.recipe} on {len(corpus)} samples; residual RMSE: {rmse}")
     print(f"model written to {args.output}")
     return 0
 

@@ -39,6 +39,9 @@ FEATURE_NAMES = (
 
 TARGET_NAMES = ("drift_east", "drift_north", "deficit")
 
+# Columns of a training corpus: FEATURE_NAMES, then TARGET_NAMES.
+CORPUS_WIDTH = len(FEATURE_NAMES) + len(TARGET_NAMES)
+
 MIN_SAMPLES_PER_FEATURE = 10
 
 
@@ -95,7 +98,11 @@ class EffectPrediction:
 
 @dataclass(frozen=True)
 class TrainingSample:
-    """One logged control step: feature vector and observed targets."""
+    """One logged control step: feature vector and observed targets.
+
+    This is one row of a training corpus as a record. The sweep, the
+    training CSV and fit work on the whole corpus array instead.
+    """
 
     features: tuple[float, ...]
     targets: tuple[float, ...]
@@ -107,6 +114,26 @@ class TrainingSample:
             raise ValueError(f"expected {len(TARGET_NAMES)} targets, got {len(self.targets)}")
         if not all(math.isfinite(v) for v in (*self.features, *self.targets)):
             raise ValueError("training sample contains non-finite values")
+
+
+def _check_corpus(corpus) -> np.ndarray:
+    """corpus as a training corpus: a C-contiguous float64 array of shape
+    (n, len(FEATURE_NAMES + TARGET_NAMES)) whose columns are the features,
+    then the targets. An empty sequence is the empty corpus. Raises
+    ValueError on any other shape or on a non-finite value."""
+    corpus = np.ascontiguousarray(corpus, dtype=np.float64)
+    if corpus.shape == (0,):
+        return corpus.reshape(0, CORPUS_WIDTH)
+    if corpus.ndim != 2:
+        raise ValueError(f"a training corpus has one row per sample, got shape {corpus.shape}")
+    n_features, width = len(FEATURE_NAMES), corpus.shape[1]
+    if width < n_features:
+        raise ValueError(f"expected {n_features} features, got {width}")
+    if width != CORPUS_WIDTH:
+        raise ValueError(f"expected {len(TARGET_NAMES)} targets, got {width - n_features}")
+    if not np.isfinite(corpus).all():
+        raise ValueError("training sample contains non-finite values")
+    return corpus
 
 
 def make_features(spd_c: float, dir_c: float, spd_w: float, dir_w: float, spd_target: float,
@@ -210,23 +237,24 @@ def _degenerate_features(x: np.ndarray, names: Sequence[str]) -> list[str]:
     return culprits or list(names)
 
 
-def fit(samples: Sequence[TrainingSample], include_intercept: bool = False) -> EffectModel:
-    """Ordinary-least-squares fit of the effect model.
+def fit(corpus: np.ndarray, include_intercept: bool = False) -> EffectModel:
+    """Ordinary-least-squares fit of the effect model on a training corpus,
+    the (n, 10) array of features and targets (_check_corpus).
 
     Requires at least 10 samples per feature and a full-rank feature
     matrix; rank deficiency raises naming the degenerate feature(s).
     """
+    corpus = _check_corpus(corpus)
     names = list(FEATURE_NAMES)
-    x = np.array([s.features for s in samples], dtype=float)
-    y = np.array([s.targets for s in samples], dtype=float)
+    x, y = corpus[:, :len(FEATURE_NAMES)], corpus[:, len(FEATURE_NAMES):]
     if include_intercept:
         x = np.hstack([x, np.ones((x.shape[0], 1))])
         names.append("intercept")
-    n_features = x.shape[1] if x.ndim == 2 else 0
-    if len(samples) < MIN_SAMPLES_PER_FEATURE * n_features:
+    n_features = x.shape[1]
+    if len(corpus) < MIN_SAMPLES_PER_FEATURE * n_features:
         raise ValueError(
             f"need at least {MIN_SAMPLES_PER_FEATURE * n_features} samples "
-            f"for {n_features} features, got {len(samples)}"
+            f"for {n_features} features, got {len(corpus)}"
         )
     if np.linalg.matrix_rank(x) < n_features:
         culprits = _degenerate_features(x, names)

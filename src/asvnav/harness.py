@@ -32,7 +32,7 @@ from .effects import (
     FEATURE_NAMES,
     TARGET_NAMES,
     OracleEffectModel,
-    TrainingSample,
+    _check_corpus,
     drift_targets,
     load_model,
     make_features,
@@ -125,6 +125,15 @@ def _check_keys(data: dict, known, path: str) -> None:
         raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
 
 
+def _check_required(data: dict, required, path: str) -> None:
+    """Raise ValueError naming the dotted path of every key in required
+    that data, the config value at path, lacks."""
+    prefix = f"{path}." if path else ""
+    missing = [prefix + key for key in required if key not in data]
+    if missing:
+        raise ValueError(f"missing config key(s): {', '.join(missing)}")
+
+
 # JSON keys of each field kind, besides "kind" and "gust".
 _FIELD_KEYS = {
     "uniform": ("speed", "direction"),
@@ -132,24 +141,32 @@ _FIELD_KEYS = {
                       "half_width_m"),
     "grid": ("lat0", "lon0", "dlat", "dlon", "speeds", "directions"),
 }
+_GUST_KEYS = ("amplitude", "period_s")
+_POINT_KEYS = ("lat", "lon")
+_WAYPOINT_KEYS = ("lat", "lon", "speed_mps")
 
 
 def field_from_dict(data: dict, path: str = "") -> FieldSpec:
-    """FieldSpec of its JSON form. An unknown key raises ValueError naming
-    its dotted path below path, the field's own path in the config."""
+    """FieldSpec of its JSON form. An unknown or missing key raises
+    ValueError naming its dotted path below path, the field's own path in
+    the config."""
+    _check_required(data, ("kind",), path)
     kind = data["kind"]
     if kind not in _FIELD_KEYS:
         raise ValueError(f"unknown field kind {kind!r}")
     _check_keys(data, ("kind", "gust", *_FIELD_KEYS[kind]), path)
+    _check_required(data, _FIELD_KEYS[kind], path)
     prefix = f"{path}." if path else ""
     gust = None
     if data.get("gust"):
-        _check_keys(data["gust"], ("amplitude", "period_s"), prefix + "gust")
+        _check_keys(data["gust"], _GUST_KEYS, prefix + "gust")
+        _check_required(data["gust"], _GUST_KEYS, prefix + "gust")
         gust = GustSpec(data["gust"]["amplitude"], data["gust"]["period_s"])
     if kind == "uniform":
         return FieldSpec.uniform(ForceVector(data["speed"], data["direction"]), gust=gust)
     if kind == "river_profile":
-        _check_keys(data["axis_origin"], ("lat", "lon"), prefix + "axis_origin")
+        _check_keys(data["axis_origin"], _POINT_KEYS, prefix + "axis_origin")
+        _check_required(data["axis_origin"], _POINT_KEYS, prefix + "axis_origin")
         return FieldSpec.river_profile(
             axis_origin=GeoPoint(data["axis_origin"]["lat"], data["axis_origin"]["lon"]),
             axis_bearing=data["axis_bearing"],
@@ -173,7 +190,8 @@ def _waypoint_to_dict(wp: Waypoint) -> dict:
 
 
 def _waypoint_from_dict(data: dict, path: str) -> Waypoint:
-    _check_keys(data, ("lat", "lon", "speed_mps"), path)
+    _check_keys(data, _WAYPOINT_KEYS, path)
+    _check_required(data, _WAYPOINT_KEYS, path)
     return Waypoint(GeoPoint(data["lat"], data["lon"]), data["speed_mps"])
 
 
@@ -239,11 +257,9 @@ def _decode(hint, value, path: str, base_dir: Path | None):
             raise ValueError(f"config {path or 'file'} must be a JSON object")
         layout = _layout(hint)
         _check_keys(value, layout, path)
+        _check_required(value, [key for key, (_, _, required) in layout.items() if required],
+                        path)
         prefix = f"{path}." if path else ""
-        missing = [prefix + key for key, (_, _, required) in layout.items()
-                   if required and key not in value]
-        if missing:
-            raise ValueError(f"missing config key(s): {', '.join(missing)}")
         return hint(**{
             layout[key][0]: _decode(layout[key][1], v, prefix + key, base_dir)
             for key, v in value.items()
@@ -376,26 +392,28 @@ def read_mission_csv(path: str | os.PathLike) -> list[Waypoint]:
     return mission
 
 
-def write_training_csv(samples: Sequence[TrainingSample], path: str | os.PathLike) -> None:
+def write_training_csv(corpus: np.ndarray, path: str | os.PathLike) -> None:
+    """Write a training corpus (effects._check_corpus), each value as the
+    repr of its Python float, so read_training_csv gets the same bits back."""
     with open(path, "w", newline="") as fh:
         fh.write(TRAINING_HEADER + "\n")
-        for s in samples:
-            fh.write(",".join(repr(float(v)) for v in (*s.features, *s.targets)) + "\n")
+        for row in _check_corpus(corpus).tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
-def read_training_csv(path: str | os.PathLike) -> list[TrainingSample]:
+def read_training_csv(path: str | os.PathLike) -> np.ndarray:
+    """The training corpus of a training CSV: the header, then one row of
+    FEATURE_NAMES and TARGET_NAMES values per line. Blank and
+    whitespace-only lines are skipped; there is no comment character."""
     with open(path) as fh:
         header = fh.readline().strip()
         if header != TRAINING_HEADER:
             raise ValueError(f"{path}: expected header {TRAINING_HEADER!r}, got {header!r}")
-        samples = []
-        n_feat = len(FEATURE_NAMES)
-        for line in fh:
-            if not line.strip():
-                continue
-            values = [float(v) for v in line.split(",")]
-            samples.append(TrainingSample(tuple(values[:n_feat]), tuple(values[n_feat:])))
-    return samples
+        # np.loadtxt skips empty lines but reads a whitespace-only one as a row
+        lines = [line for line in fh if line.strip()]
+    if not lines:
+        return _check_corpus(())
+    return _check_corpus(np.loadtxt(lines, delimiter=",", comments=None, ndmin=2))
 
 
 # --------------------------------------------------------------------------
@@ -843,8 +861,9 @@ def _observed_targets(vg_e: float, vg_n: float, water_speed: float,
     return drift_targets(vg_e - water_speed * he, vg_n - water_speed * hn, heading)
 
 
-def generate_training_logs(sweep: SweepSpec) -> list[TrainingSample]:
-    """Run the sweep and emit one training sample per logged control step.
+def generate_training_logs(sweep: SweepSpec) -> np.ndarray:
+    """Run the sweep and return its training corpus (effects._check_corpus):
+    one row of features and targets per logged control step.
 
     Features come from the same sense and relative_to_absolute path the
     controller uses; targets are the logged ground-truth drift. The hull
@@ -852,7 +871,7 @@ def generate_training_logs(sweep: SweepSpec) -> list[TrainingSample]:
     field sample per logged step.
     """
     rng = np.random.default_rng(sweep.seed)
-    samples: list[TrainingSample] = []
+    rows: list[tuple[float, ...]] = []
     dt, params, noise = sweep.dt_s, sweep.vehicle, sweep.noise
     n_steps = int(round(sweep.duration_s / dt))
 
@@ -860,15 +879,13 @@ def generate_training_logs(sweep: SweepSpec) -> list[TrainingSample]:
                speed: float) -> None:
         vg_e, vg_n = track_velocity(spd_t, course_t)
         water_spd, water_dir, wind_spd, wind_dir = sense(vg_e, vg_n, h_t, flows, noise, rng)
-        samples.append(
-            TrainingSample(
-                features=make_features(
-                    *relative_to_absolute(vg_e, vg_n, h_t, water_spd, water_dir),
-                    *relative_to_absolute(vg_e, vg_n, h_t, wind_spd, wind_dir), speed, h_t,
-                ),
-                targets=_observed_targets(vg_e, vg_n, tw, h_t),
-            )
-        )
+        rows.append((
+            *make_features(
+                *relative_to_absolute(vg_e, vg_n, h_t, water_spd, water_dir),
+                *relative_to_absolute(vg_e, vg_n, h_t, wind_spd, wind_dir), speed, h_t,
+            ),
+            *_observed_targets(vg_e, vg_n, tw, h_t),
+        ))
 
     run_index = 0
     for current in sweep.currents:
@@ -924,7 +941,7 @@ def generate_training_logs(sweep: SweepSpec) -> list[TrainingSample]:
                 pos, spd_t, course_t, h_t, tw, t, turn_rate = step(
                     pos, h_t, tw, t, turn_rate, thrust, rudder, flows, params, dt
                 )
-    return samples
+    return _check_corpus(rows)
 
 
 def load_sweep(path: str | os.PathLike) -> SweepSpec:
@@ -935,8 +952,9 @@ def samples_from_trajectory(
     log: TrajectoryLog,
     mission: Sequence[Waypoint],
     params: VehicleParams,
-) -> list[TrainingSample]:
-    """Rebuild training samples from a trajectory log alone.
+) -> np.ndarray:
+    """Rebuild a training corpus (effects._check_corpus) from a trajectory
+    log alone, one row per pair of consecutive records.
 
     The log schema does not carry through-water speed, so it is
     reconstructed by integrating the thrust history through the hull's
@@ -946,7 +964,7 @@ def samples_from_trajectory(
     """
     if len(log) < 2:
         raise ValueError("need at least two records to difference positions")
-    samples = []
+    rows = []
     tw = 0.0
     for (t, t_next, lat, lon, lat_next, lon_next, h_t, h_next, wp_index, thrust,
          spd_c, dir_c, spd_w, dir_w) in zip(
@@ -960,10 +978,8 @@ def samples_from_trajectory(
         # displacement reflects the post-update values
         tw += (thrust * params.max_water_speed - tw) * (dt / params.thrust_time_constant)
         east, north = enu_coords(lat, lon, lat_next, lon_next)
-        samples.append(
-            TrainingSample(
-                features=make_features(spd_c, dir_c, spd_w, dir_w, commanded, h_t),
-                targets=_observed_targets(east / dt, north / dt, tw, h_next),
-            )
-        )
-    return samples
+        rows.append((
+            *make_features(spd_c, dir_c, spd_w, dir_w, commanded, h_t),
+            *_observed_targets(east / dt, north / dt, tw, h_next),
+        ))
+    return _check_corpus(rows)

@@ -9,7 +9,6 @@ over-counted.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 import os
@@ -20,9 +19,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .control import Waypoint
-from .effects import ForceSample, _force_floats
-from .geo import GeoPoint, distance, distance_bearing, enu_coords, point_coords, unit_enu, wrap_angle
-from .vehicle import ActuatorCommand, AsvState, _check_state, _clamped
+from .effects import ForceSample
+from .geo import GeoPoint, distance, distance_bearing, enu_coords, unit_enu
+from .vehicle import ActuatorCommand, AsvState
 
 TRAJECTORY_HEADER = (
     "t,lat,lon,spd_t,h_t,wp_index,int_lat,int_lon,int_spd,"
@@ -69,6 +68,13 @@ LOG_COLUMNS = (
 )
 # Columns that hold Python objects; every other column holds doubles.
 _OBJECT_COLUMNS = ("wp_index", "intermediate")
+
+# The trajectory CSV's columns; from_csv reads the float ones with one
+# np.loadtxt and wp_index and the intermediate target's three in a Python pass.
+_CSV_COLUMNS = TRAJECTORY_HEADER.split(",")
+_CSV_WP = _CSV_COLUMNS.index("wp_index")
+_CSV_INT_END = _CSV_COLUMNS.index("int_spd") + 1
+_CSV_FLOAT_INDEX = tuple(i for i in range(len(_CSV_COLUMNS)) if not _CSV_WP <= i < _CSV_INT_END)
 
 
 class TrajectoryLog:
@@ -153,45 +159,99 @@ class TrajectoryLog:
 
     @classmethod
     def from_csv(cls, path: str | os.PathLike) -> "TrajectoryLog":
-        """Rebuild a log from its CSV, with the checks append makes.
+        """Rebuild a log from its CSV, with the checks a state, a force
+        sample, a command and append make, applied to whole columns.
 
         The CSV schema does not carry course, through-water speed or turn
-        rate, so those state fields are reconstructed as zero; everything
-        the scoring needs (time, position, waypoint index) survives the
-        round trip.
+        rate, so those columns are zero; everything the scoring needs
+        (time, position, waypoint index) survives the round trip. Blank
+        lines are skipped.
         """
-        rows = []
-        last_t, last_wp = -math.inf, None
-        held_text, held = ("", "", ""), None
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != TRAJECTORY_HEADER.split(","):
+        with open(path) as fh:
+            header = fh.readline().rstrip("\n").split(",")
+            if header != _CSV_COLUMNS:
                 raise ValueError(f"{path}: unexpected trajectory header {header}")
-            for row in reader:
-                if not row:
-                    continue
-                (t, lat, lon, spd_t, h_t, wp_index, int_lat, int_lon, int_spd,
-                 spd_c, dir_c, spd_w, dir_w, thrust, rudder) = row
-                if (int_lat, int_lon, int_spd) != held_text:
-                    held_text = (int_lat, int_lon, int_spd)
-                    held = None if not int_lat else Waypoint(
-                        GeoPoint(float(int_lat), float(int_lon)), float(int_spd)
-                    )
-                t, spd_t, wp_index = float(t), float(spd_t), int(wp_index)
-                lat, lon = point_coords(float(lat), float(lon))
-                _check_state(spd_t, 0.0, t, 0.0)
-                if not t > last_t:
-                    raise ValueError("timestamps must be strictly increasing")
-                if last_wp is not None and wp_index < last_wp:
-                    raise ValueError("waypoint indices must be non-decreasing")
-                last_t, last_wp = t, wp_index
-                rows.append((
-                    t, lat, lon, spd_t, 0.0, wrap_angle(float(h_t)), 0.0, 0.0, wp_index, held,
-                    *_force_floats(float(spd_c), float(dir_c), float(spd_w), float(dir_w)),
-                    *_clamped(float(thrust), float(rudder)),
-                ))
-        return cls.from_rows(rows)
+            text = fh.read()
+        lines = [line for line in text.split("\n") if line]
+        log = cls()
+        if not lines:
+            return log
+        if text.count(",") != (len(_CSV_COLUMNS) - 1) * len(lines):
+            raise ValueError(f"{path}: every trajectory row has {len(_CSV_COLUMNS)} fields")
+        # np.loadtxt rejects a row short of the last float column, so with the
+        # comma count every row has exactly len(_CSV_COLUMNS) fields
+        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, usecols=_CSV_FLOAT_INDEX)
+        t, lat, lon, spd_t, h_t, spd_c, dir_c, spd_w, dir_w, thrust, rudder = data.T
+
+        wp_index, intermediate = [], []
+        held_text, held = ["", "", ""], None
+        for fields in (line.split(",", _CSV_INT_END) for line in lines):
+            wp_index.append(int(fields[_CSV_WP]))
+            if fields[_CSV_WP + 1:_CSV_INT_END] != held_text:  # a target is held for many rows
+                held_text = fields[_CSV_WP + 1:_CSV_INT_END]
+                int_lat, int_lon, int_spd = held_text
+                held = None if not int_lat else Waypoint(
+                    GeoPoint(float(int_lat), float(int_lon)), float(int_spd)
+                )
+            intermediate.append(held)
+
+        lon = _point_lons(lat, lon)
+        if (spd_t < 0.0).any():
+            raise ValueError("speeds must be >= 0")
+        if not (np.isfinite(spd_t).all() and np.isfinite(t).all()):
+            raise ValueError("non-finite state component")
+        if not (np.diff(t) > 0.0).all():
+            raise ValueError("timestamps must be strictly increasing")
+        if wp_index != sorted(wp_index):
+            raise ValueError("waypoint indices must be non-decreasing")
+        for name, speed in (("spd_c", spd_c), ("spd_w", spd_w)):
+            if not ((speed >= 0.0) & np.isfinite(speed)).all():
+                raise ValueError(f"{name} must be finite and >= 0")
+        zeros = np.zeros(len(lines))
+        columns = {
+            "t": t, "lat": lat, "lon": lon, "spd_t": spd_t, "course_t": zeros, "h_t": _wrapped(h_t),
+            "through_water_speed": zeros, "turn_rate": zeros, "spd_c": spd_c,
+            "dir_c": _wrapped(dir_c), "spd_w": spd_w, "dir_w": _wrapped(dir_w),
+            "thrust": _clamped_column(thrust, 0.0, 1.0),
+            "rudder": _clamped_column(rudder, -1.0, 1.0),
+        }
+        for name, column in columns.items():
+            setattr(log, name, array("d", column.tobytes()))
+        log.wp_index, log.intermediate = wp_index, intermediate
+        return log
+
+
+def _point_lons(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
+    """geo.point_coords on columns: ValueError unless every coordinate is
+    finite and every latitude in [-90, 90]; the longitudes wrapped to
+    [-180, 180) to the same bits."""
+    finite = np.isfinite(lat) & np.isfinite(lon)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"non-finite coordinates ({float(lat[i])}, {float(lon[i])})")
+    inside = (lat >= -90.0) & (lat <= 90.0)
+    if not inside.all():
+        raise ValueError(f"latitude {float(lat[np.argmin(inside)])} outside [-90, 90]")
+    lon = np.remainder(lon + 180.0, 360.0) - 180.0
+    lon[lon == 180.0] = -180.0
+    return lon
+
+
+def _wrapped(theta: np.ndarray) -> np.ndarray:
+    """geo.wrap_angle on a column: ValueError on a non-finite angle, else
+    every angle wrapped into [0, 360) to the same bits."""
+    finite = np.isfinite(theta)
+    if not finite.all():
+        raise ValueError(f"angle must be finite, got {float(theta[np.argmin(finite)])!r}")
+    wrapped = np.remainder(theta, 360.0)
+    wrapped[wrapped == 360.0] = 0.0
+    return wrapped
+
+
+def _clamped_column(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """vehicle._clamped's min(hi, max(lo, x)) on a column, to the same bits
+    (-0.0 clamps to lo = 0.0); a non-finite value passes through unclamped."""
+    return np.where(np.isfinite(x), np.where(x > lo, np.where(x < hi, x, hi), lo), x)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ from asvnav.effects import (
     EffectModel,
     ForceSample,
     OracleEffectModel,
-    TrainingSample,
     convert_to_coordinate_vectors,
     fit,
     load_model,
@@ -28,7 +27,8 @@ def _random_force(rng):
 
 
 def _samples_from_linear_map(coef, n, rng, noise=0.0):
-    samples = []
+    """A training corpus of n random feature rows and their targets coef @ x."""
+    rows = []
     for _ in range(n):
         force = _random_force(rng)
         spd_target = rng.uniform(0.5, 4.0)
@@ -36,8 +36,8 @@ def _samples_from_linear_map(coef, n, rng, noise=0.0):
         x = np.asarray(make_features(force.spd_c, force.dir_c, force.spd_w, force.dir_w,
                                      spd_target, heading))
         y = coef @ x + noise * rng.standard_normal(3)
-        samples.append(TrainingSample(tuple(x), tuple(y)))
-    return samples
+        rows.append((*x, *y))
+    return np.array(rows)
 
 
 def test_fit_recovers_known_linear_map():
@@ -53,19 +53,18 @@ def test_fit_zero_disturbance_is_rank_deficient():
     current/wind columns make the fit refuse rather than silently return
     a model that never saw a disturbance."""
     rng = np.random.default_rng(3)
-    samples = []
+    corpus = []
     for _ in range(100):
         x = make_features(0.0, 0.0, 0.0, 0.0, rng.uniform(1, 3), rng.uniform(0, 360))
-        samples.append(TrainingSample(x, (0.0, 0.0, 0.0)))
+        corpus.append((*x, 0.0, 0.0, 0.0))
     with pytest.raises(ValueError, match="rank deficient"):
-        fit(samples)
+        fit(np.array(corpus))
 
 
 def test_fit_zero_drift_targets_give_zero_drift_coefficients():
     """Full-rank disturbance features with identically zero targets."""
     rng = np.random.default_rng(4)
-    samples = _samples_from_linear_map(np.zeros((3, len(FEATURE_NAMES))), 200, rng)
-    model = fit(samples)
+    model = fit(_samples_from_linear_map(np.zeros((3, len(FEATURE_NAMES))), 200, rng))
     assert np.max(np.abs(model.coef)) < 1e-9
     assert max(model.residual_rmse) < 1e-12
 
@@ -77,16 +76,37 @@ def test_fit_requires_enough_samples():
         fit(_samples_from_linear_map(coef, 30, rng))
 
 
+def test_fit_rejects_malformed_corpus():
+    """A corpus is an (n, 10) array of finite values; an empty one is too
+    small to fit."""
+    rng = np.random.default_rng(13)
+    corpus = _samples_from_linear_map(np.zeros((3, len(FEATURE_NAMES))), 100, rng)
+    with pytest.raises(ValueError, match="expected 3 targets, got 2"):
+        fit(corpus[:, :-1])
+    with pytest.raises(ValueError, match="expected 7 features, got 5"):
+        fit(corpus[:, :5])
+    with pytest.raises(ValueError, match="one row per sample"):
+        fit(corpus[0])
+    for bad in (np.nan, np.inf, -np.inf):
+        broken = corpus.copy()
+        broken[40, 8] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            fit(broken)
+    for empty in ([], np.empty((0, 10))):
+        with pytest.raises(ValueError, match="at least 70 samples for 7 features, got 0"):
+            fit(empty)
+
+
 def test_fit_names_degenerate_feature():
     rng = np.random.default_rng(6)
-    samples = []
+    corpus = []
     for _ in range(200):
         # no wind
         x = make_features(rng.uniform(0, 2), rng.uniform(0, 360), 0.0, 0.0, rng.uniform(1, 3),
                           rng.uniform(0, 360))
-        samples.append(TrainingSample(x, (0.0, 0.0, 0.0)))
+        corpus.append((*x, 0.0, 0.0, 0.0))
     with pytest.raises(ValueError, match="wind_east"):
-        fit(samples)
+        fit(np.array(corpus))
 
 
 def test_predict_zero_disturbance_zero_effect():
@@ -214,9 +234,8 @@ def test_fit_with_intercept():
     rng = np.random.default_rng(12)
     coef = rng.uniform(-1, 1, size=(3, len(FEATURE_NAMES)))
     offset = np.array([0.1, -0.2, 0.05])
-    samples = []
-    for s in _samples_from_linear_map(coef, 300, rng):
-        samples.append(TrainingSample(s.features, tuple(np.array(s.targets) + offset)))
-    model = fit(samples, include_intercept=True)
+    corpus = _samples_from_linear_map(coef, 300, rng)
+    corpus[:, len(FEATURE_NAMES):] += offset
+    model = fit(corpus, include_intercept=True)
     np.testing.assert_allclose(model.coef[:, :-1], coef, atol=1e-9)
     np.testing.assert_allclose(model.coef[:, -1], offset, atol=1e-9)

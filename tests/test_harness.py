@@ -2,13 +2,14 @@
 
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from asvnav.control import Waypoint
-from asvnav.effects import fit
+from asvnav.effects import FEATURE_NAMES, TARGET_NAMES, fit
 from asvnav.env import FieldSpec, ForceVector, GustSpec
 from asvnav.geo import METERS_PER_DEG_LAT, EnuVector, GeoPoint, distance_bearing, offset_point, wrap_signed
 from asvnav.harness import (
@@ -266,6 +267,34 @@ def test_field_and_waypoint_dicts_reject_unknown_keys():
         field_from_dict({**river, "speed": 1.0})
 
 
+def test_field_and_waypoint_dicts_name_missing_keys():
+    """A missing field or waypoint key raises ValueError naming its dotted
+    path, as a missing dataclass key does, not a bare KeyError."""
+    scenario = to_dict(calm_water_scenario())
+    uniform = {"kind": "uniform", "speed": 1.0, "direction": 90.0}
+    river = field_to_dict(FieldSpec.river_profile(
+        axis_origin=ORIGIN, axis_bearing=150.0, centerline=ForceVector(1.0, 150.0),
+        half_width=20.0, gust=GustSpec(0.5, 10.0),
+    ))
+    cases = {
+        r"current\.direction$": {"current": {"kind": "uniform", "speed": 1.0}},
+        r"current\.kind$": {"current": {"speed": 1.0, "direction": 90.0}},
+        r"wind\.gust\.period_s$": {"wind": {**uniform, "gust": {"amplitude": 0.5}}},
+        r"current\.axis_origin\.lat$": {"current": {**river, "axis_origin": {"lon": -81.0}}},
+        r"current\.half_width_m$": {"current": {k: v for k, v in river.items()
+                                                 if k != "half_width_m"}},
+        r"mission\[1\]\.speed_mps$": {"mission": [
+            scenario["mission"][0], {"lat": 34.0, "lon": -81.0},
+        ]},
+        r"start\.heading_deg$": {"start": {"lat": 34.0, "lon": -81.0}},
+    }
+    for path, override in cases.items():
+        with pytest.raises(ValueError, match="missing config key\\(s\\): " + path):
+            from_dict(Scenario, {**scenario, **override})
+    with pytest.raises(ValueError, match=r"missing config key\(s\): kind$"):
+        field_from_dict({"speed": 1.0, "direction": 0.0})
+
+
 def test_zero_current_suite_columns_identical():
     """With zero fields the augmented controller reduces to the baseline,
     so every paired column matches."""
@@ -302,21 +331,23 @@ def test_training_sweep_zero_disturbance_targets():
         duration_s=3.0,
         include_closed_loop=False,
     )
-    samples = generate_training_logs(sweep)
-    targets = np.array([s.targets for s in samples])
+    corpus = generate_training_logs(sweep)
+    targets = corpus[:, len(FEATURE_NAMES):]
     assert np.max(np.abs(targets)) < 1e-9
 
 
 def test_training_sweep_run_count():
     sweep = _small_sweep()
-    samples = generate_training_logs(sweep)
+    corpus = generate_training_logs(sweep)
     # 5 currents x 8 headings x 2 speeds, 40 samples per run
-    assert len(samples) == 5 * 8 * 2 * 40
+    assert corpus.shape == (5 * 8 * 2 * 40, len(FEATURE_NAMES) + len(TARGET_NAMES))
+    assert corpus.dtype == np.float64 and corpus.flags.c_contiguous
+    empty = generate_training_logs(replace(sweep, duration_s=0.04))  # no logged step
+    assert empty.shape == (0, len(FEATURE_NAMES) + len(TARGET_NAMES))
 
 
 def test_fit_on_sweep_recovers_simulator_physics():
-    samples = generate_training_logs(_small_sweep())
-    model = fit(samples)
+    model = fit(generate_training_logs(_small_sweep()))
     # drift = current + wind_drag_factor * wind, exactly
     assert model.coef[0, 0] == pytest.approx(1.0, abs=1e-6)
     assert model.coef[1, 1] == pytest.approx(1.0, abs=1e-6)
@@ -327,11 +358,11 @@ def test_fit_on_sweep_recovers_simulator_physics():
 
 
 def test_training_csv_round_trip(tmp_path):
-    samples = generate_training_logs(_small_sweep())[:100]
+    corpus = generate_training_logs(_small_sweep())[:100]
     path = tmp_path / "training.csv"
-    write_training_csv(samples, path)
+    write_training_csv(corpus, path)
     back = read_training_csv(path)
-    assert back == samples
+    assert back.shape == corpus.shape and back.tobytes() == corpus.tobytes()
 
 
 def _training_csv(tmp_path, *rows, header=TRAINING_HEADER):
@@ -369,15 +400,19 @@ def test_read_training_csv_skips_blank_lines(tmp_path):
     assert len(back) == 2
     write_training_csv(back, tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_text() == f"{TRAINING_HEADER}\n{row}\n{row}\n"
-    assert len(read_training_csv(_training_csv(tmp_path))) == 0
-    assert len(read_training_csv(_training_csv(tmp_path, "", "  "))) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an empty body is no numpy "no data" warning
+        for rows in ((), ("", "  ")):
+            empty = read_training_csv(_training_csv(tmp_path, *rows))
+            assert empty.shape == (0, len(FEATURE_NAMES) + len(TARGET_NAMES))
 
 
 def test_samples_from_trajectory_rebuilds_drift():
     sc = _short_scenario(current=FieldSpec.uniform(ForceVector(0.5, 90.0)))
     result = run_scenario(sc)
-    samples = samples_from_trajectory(result.log, list(sc.mission), sc.vehicle)
-    drift = np.array([s.targets[:2] for s in samples])
+    corpus = samples_from_trajectory(result.log, list(sc.mission), sc.vehicle)
+    assert corpus.shape == (len(result.log) - 1, len(FEATURE_NAMES) + len(TARGET_NAMES))
+    drift = corpus[:, len(FEATURE_NAMES):len(FEATURE_NAMES) + 2]
     # skip the spin-up where the reconstructed water speed still settles
     steady = drift[len(drift) // 2 :]
     assert np.median(steady[:, 0]) == pytest.approx(0.5, abs=0.05)

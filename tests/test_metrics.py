@@ -9,6 +9,7 @@ from asvnav.control import Waypoint
 from asvnav.effects import ForceSample
 from asvnav.geo import EnuVector, GeoPoint, offset_point, wrap_angle
 from asvnav.metrics import (
+    TRAJECTORY_HEADER,
     ErrorReport,
     LogRecord,
     TrajectoryLog,
@@ -180,11 +181,12 @@ def _write_trajectory(path, lines, blank_after=()):
 
 def _edited_trajectory(path, edits):
     """The short log's CSV with cells replaced: edits maps (row, column
-    name) to text, rows counted from 1 after the header."""
+    name) to text, or to None to drop the cell; rows count from 1 after
+    the header."""
     lines = _trajectory_lines()
     for (row, column), text in edits.items():
         lines[row][lines[0].index(column)] = text
-    return _write_trajectory(path, lines)
+    return _write_trajectory(path, [[c for c in cells if c is not None] for cells in lines])
 
 
 @pytest.mark.parametrize("edits", [
@@ -205,6 +207,9 @@ def _edited_trajectory(path, edits):
     {(3, "spd_c"): "-0.1"},
     {(3, "spd_w"): "nan"},
     {(3, "rudder"): ""},
+    {(3, "rudder"): "0.0,0.0"},
+    {(3, "rudder"): None},
+    {(3, "wp_index"): "1.0"},
     {(3, "int_lat"): "34.0"},
 ], ids=lambda edits: "-".join(f"{c}={t}" for (_, c), t in edits.items()))
 def test_trajectory_csv_rejects_bad_rows(tmp_path, edits):
@@ -240,6 +245,42 @@ def test_trajectory_csv_reader_wraps_and_clamps(tmp_path):
     assert math.copysign(1.0, thrusts[3]) == 1.0  # -0.0 clamps to the bound 0.0
     assert rudders[:4] == [-1.0, 1.0, -math.inf, 0.0]
     assert math.copysign(1.0, rudders[3]) == -1.0  # inside the range: kept as is
+
+
+def test_trajectory_csv_reader_matches_the_scalar_rules(tmp_path):
+    """The column-wise wrap and clamp equal point_coords, wrap_angle and
+    _clamped bit for bit on random and edge-case values."""
+    from asvnav.geo import point_coords
+    from asvnav.vehicle import _clamped
+
+    rng = np.random.default_rng(21)
+    n = 2000
+    # -180.00000000000003 wraps through 360.0 to the 180.0 that becomes -180.0
+    edges = [0.0, -0.0, 180.0, -180.0, 360.0, -360.0, 540.0, 1e-300, -1e-300, -1e-20,
+             359.99999999999994, -180.00000000000003]
+    lon = np.concatenate([edges, rng.uniform(-1000.0, 1000.0, n - len(edges))])
+    angles = np.concatenate([edges, rng.uniform(-1000.0, 1000.0, n - len(edges))])
+    commands = np.concatenate([[0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan],
+                               rng.uniform(-3.0, 3.0, n - 7)])
+    lat = rng.uniform(-90.0, 90.0, n)
+    rows = [
+        f"{float(i)!r},{la!r},{lo!r},1.0,{a!r},0,,,,0.5,{a!r},2.0,{-a!r},{c!r},{-c!r}"
+        for i, (la, lo, a, c) in enumerate(zip(lat.tolist(), lon.tolist(), angles.tolist(),
+                                              commands.tolist()))
+    ]
+    path = tmp_path / "trajectory.csv"
+    path.write_text(TRAJECTORY_HEADER + "\n" + "\n".join(rows) + "\n")
+    log = TrajectoryLog.from_csv(path)
+
+    def same(a, b):
+        return np.array(a).tobytes() == np.array(b).tobytes()  # NaN and -0.0 compare by bits
+
+    assert same(log.lon, [point_coords(la, lo)[1] for la, lo in zip(lat.tolist(), lon.tolist())])
+    wrapped = [wrap_angle(a) for a in angles.tolist()]
+    assert same(log.h_t, wrapped) and same(log.dir_c, wrapped)
+    assert same(log.dir_w, [wrap_angle(-a) for a in angles.tolist()])
+    clamped = [_clamped(float(repr(c)), float(repr(-c))) for c in commands.tolist()]  # as written
+    assert same(log.thrust, [c[0] for c in clamped]) and same(log.rudder, [c[1] for c in clamped])
 
 
 def test_trajectory_csv_reader_skips_blank_lines(tmp_path):
