@@ -1,5 +1,6 @@
 """Scenario execution, file formats, determinism, and training sweeps."""
 
+import hashlib
 import json
 import math
 import warnings
@@ -405,6 +406,55 @@ def test_read_training_csv_skips_blank_lines(tmp_path):
         for rows in ((), ("", "  ")):
             empty = read_training_csv(_training_csv(tmp_path, *rows))
             assert empty.shape == (0, len(FEATURE_NAMES) + len(TARGET_NAMES))
+
+
+NOISY_SWEEP_SHA256 = "c01f914bdb456780bf9f958fe77c5d3904211ccb0786f9b482d91e569e08c3db"
+
+
+def test_noisy_training_sweep_pinned():
+    """A noisy sweep draws four normals per row in row order; the corpus
+    bytes pin that stream, so no row may reuse another's draws."""
+    sweep = replace(_small_sweep(NoiseSpec(0.05, 2.0), seed=11), include_closed_loop=True)
+    corpus = generate_training_logs(sweep)
+    assert corpus.shape[0] == 5 * 8 * 2 * 40 + 8 * 40
+    assert not (corpus[1:] == corpus[:-1]).all(axis=1).any()  # no row repeats
+    assert hashlib.sha256(corpus.tobytes()).hexdigest() == NOISY_SWEEP_SHA256
+
+
+def _repeated_rows_corpus():
+    """Runs of equal rows, single rows, and a row holding -0.0 followed by
+    the same row with 0.0."""
+    base = np.array([0.1 * i - 0.35 for i in range(10)])
+    signed = base.copy()
+    signed[3] = -0.0
+    unsigned = signed.copy()
+    unsigned[3] = 0.0
+    rows = [base] * 4 + [base * 3.0] + [signed] * 2 + [unsigned] * 3 + [base] + [base / 7.0] * 2
+    return np.array(rows)
+
+
+def test_write_training_csv_matches_per_row_repr(tmp_path):
+    corpus = _repeated_rows_corpus()
+    path = tmp_path / "training.csv"
+    write_training_csv(corpus, path)
+    expected = TRAINING_HEADER + "\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in corpus.tolist()
+    )
+    assert path.read_bytes() == expected.encode()
+    assert ",-0.0," in expected and read_training_csv(path).tobytes() == corpus.tobytes()
+
+
+def test_read_training_csv_matches_per_line_float(tmp_path):
+    corpus = _repeated_rows_corpus()
+    lines = [",".join(map(repr, row)) for row in corpus.tolist()]
+    body = [lines[0], "", lines[1], lines[2], "  ", lines[3], lines[4], "\t", lines[5], lines[6],
+            lines[7], "", "", lines[8], lines[9], lines[10], lines[11], lines[12]]
+    path = tmp_path / "training.csv"
+    path.write_text(TRAINING_HEADER + "\n" + "\n".join(body))  # no newline after the last line
+    back = read_training_csv(path)
+    reference = np.array([[float(v) for v in line.split(",")] for line in body if line.strip()])
+    assert back.shape == reference.shape == corpus.shape
+    assert back.tobytes() == reference.tobytes() == corpus.tobytes()
 
 
 def test_samples_from_trajectory_rebuilds_drift():
