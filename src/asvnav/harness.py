@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import struct
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import cache
 from pathlib import Path
@@ -29,6 +30,7 @@ from .control import (
     navigator_step,
 )
 from .effects import (
+    CORPUS_WIDTH,
     FEATURE_NAMES,
     TARGET_NAMES,
     OracleEffectModel,
@@ -394,26 +396,64 @@ def read_mission_csv(path: str | os.PathLike) -> list[Waypoint]:
 
 def write_training_csv(corpus: np.ndarray, path: str | os.PathLike) -> None:
     """Write a training corpus (effects._check_corpus), each value as the
-    repr of its Python float, so read_training_csv gets the same bits back."""
+    repr of its Python float, so read_training_csv gets the same bits back.
+
+    A sweep's steady legs repeat rows, so each run of bit-equal
+    consecutive rows is formatted once and its line written once per row.
+    """
+    corpus = _check_corpus(corpus)
+    bits = corpus.view(np.int64)  # bit equality: -0.0 and 0.0 differ
+    new_run = np.ones(len(corpus), dtype=bool)
+    new_run[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    starts = np.flatnonzero(new_run)
+    counts = np.diff(np.r_[starts, len(corpus)])
     with open(path, "w", newline="") as fh:
         fh.write(TRAINING_HEADER + "\n")
-        for row in _check_corpus(corpus).tolist():
-            fh.write(",".join(map(repr, row)) + "\n")
+        for row, count in zip(corpus[starts].tolist(), counts.tolist()):
+            fh.write((",".join(map(repr, row)) + "\n") * count)
 
 
 def read_training_csv(path: str | os.PathLike) -> np.ndarray:
     """The training corpus of a training CSV: the header, then one row of
     FEATURE_NAMES and TARGET_NAMES values per line. Blank and
-    whitespace-only lines are skipped; there is no comment character."""
+    whitespace-only lines are skipped; there is no comment character. A
+    line that is not a row raises ValueError naming its file line.
+
+    Each run of identical consecutive lines is parsed once.
+    """
+    runs = []  # [file line number, text, count] of each run of equal lines
     with open(path) as fh:
         header = fh.readline().strip()
         if header != TRAINING_HEADER:
             raise ValueError(f"{path}: expected header {TRAINING_HEADER!r}, got {header!r}")
-        # np.loadtxt skips empty lines but reads a whitespace-only one as a row
-        lines = [line for line in fh if line.strip()]
-    if not lines:
+        for lineno, line in enumerate(fh, start=2):
+            # np.loadtxt skips empty lines but reads a whitespace-only one as a row
+            if not line.strip():
+                continue
+            if runs and runs[-1][1] == line:
+                runs[-1][2] += 1
+            else:
+                runs.append([lineno, line, 1])
+    if not runs:
         return _check_corpus(())
-    return _check_corpus(np.loadtxt(lines, delimiter=",", comments=None, ndmin=2))
+    linenos, lines, counts = zip(*runs)
+    rows = _training_rows(lines)
+    if rows is None:
+        # the batch parse names no file line, so find the first bad line alone
+        lineno, line = next((n, s) for n, s in zip(linenos, lines) if _training_rows([s]) is None)
+        raise ValueError(f"{path}: line {lineno}: expected {CORPUS_WIDTH} comma-separated "
+                         f"numbers, got {line.strip()!r}")
+    return _check_corpus(np.repeat(rows, counts, axis=0))
+
+
+def _training_rows(lines: Sequence[str]) -> np.ndarray | None:
+    """lines parsed as rows of CORPUS_WIDTH floats, or None when one of
+    them is not such a row."""
+    try:
+        rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return rows if rows.shape[1] == CORPUS_WIDTH else None
 
 
 # --------------------------------------------------------------------------
@@ -470,15 +510,15 @@ def _closed_loop(sc: Scenario, mission: list[Waypoint], model) -> tuple[Trajecto
     Each tick is Environment.sample, sense, relative_to_absolute (current,
     then wind), navigator_step or augmented_navigator_step and step; a tick
     that completes the mission takes no step. Checks that can fire here:
-    the dt range (also before the first tick, for a run that takes no
-    step), dt > 0, the radius, a non-finite command, a negative or
-    non-finite state, the offset and latitude limits of each move, and
-    LeftDomainError, which ends the run.
+    the dt range (first of all: the step count divides by dt), dt > 0,
+    the radius, a non-finite command, a negative or non-finite state, the
+    offset and latitude limits of each move, and LeftDomainError, which
+    ends the run.
     """
     dt, params, gains, noise, cfg = sc.dt_s, sc.vehicle, sc.gains, sc.noise, sc.augment
     radius = sc.acceptance_radius_m
-    max_steps = int(round(sc.duration_limit_s / dt))
     _check_dt(dt)
+    max_steps = int(round(sc.duration_limit_s / dt))
     rng = np.random.default_rng(sc.seed)
     sample = Environment(current=sc.current, wind=sc.wind).sample
     augmented = sc.controller.kind == "augmented"
@@ -851,6 +891,9 @@ class SweepSpec:
     def __post_init__(self):
         if not (self.currents and self.winds and self.headings and self.speeds):
             raise ValueError("sweep grid must be non-empty")
+        if not self.duration_s > 0.0:
+            raise ValueError(f"sweep duration_s must be > 0, got {self.duration_s!r}")
+        _check_dt(self.dt_s)
 
 
 def _observed_targets(vg_e: float, vg_n: float, water_speed: float,
@@ -874,9 +917,22 @@ def generate_training_logs(sweep: SweepSpec) -> np.ndarray:
     rows: list[tuple[float, ...]] = []
     dt, params, noise = sweep.dt_s, sweep.vehicle, sweep.noise
     n_steps = int(round(sweep.duration_s / dt))
+    # Without noise a row is a pure function of record's arguments, and a
+    # steady leg repeats them from its second step on. With noise every row
+    # takes its own four draws.
+    noiseless = noise.sigma_speed == 0.0 and noise.sigma_dir == 0.0
+    pack_inputs = struct.Struct("9d").pack  # record's arguments as bytes
+    last_inputs = None
 
     def record(spd_t: float, course_t: float, h_t: float, tw: float, flows: Flows,
                speed: float) -> None:
+        nonlocal last_inputs
+        if noiseless:
+            inputs = pack_inputs(spd_t, course_t, h_t, tw, *flows, speed)  # bits: -0.0 != 0.0
+            if inputs == last_inputs:
+                rows.append(rows[-1])
+                return
+            last_inputs = inputs
         vg_e, vg_n = track_velocity(spd_t, course_t)
         water_spd, water_dir, wind_spd, wind_dir = sense(vg_e, vg_n, h_t, flows, noise, rng)
         rows.append((

@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from asvnav.cli import main
 from asvnav.control import Waypoint
 from asvnav.effects import FEATURE_NAMES, TARGET_NAMES, fit
 from asvnav.env import FieldSpec, ForceVector, GustSpec
@@ -92,6 +93,13 @@ def test_duration_limit_flags_incomplete():
     result = run_scenario(sc)
     assert not result.completed
     assert len(result.log) == 51  # partial log retained
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.1, 0.6])
+def test_run_rejects_dt_out_of_range(dt):
+    # a zero dt used to divide the duration limit before the check ran
+    with pytest.raises(ValueError, match=r"dt must be in \(0, 0.5\]"):
+        run_scenario(_short_scenario(dt_s=dt))
 
 
 def _box_grid(south_m, north_m, half_width_m, speed=0.2, direction=90.0):
@@ -347,6 +355,22 @@ def test_training_sweep_run_count():
     assert empty.shape == (0, len(FEATURE_NAMES) + len(TARGET_NAMES))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("dt_s", 0.0), ("dt_s", -0.1), ("dt_s", math.nan),
+    ("duration_s", 0.0), ("duration_s", -1.0), ("duration_s", math.nan),
+])
+def test_sweep_rejects_bad_time_step_and_duration(tmp_path, key, value):
+    bad = {key: value}
+    match = "dt must be in" if key == "dt_s" else "duration_s must be > 0"
+    with pytest.raises(ValueError, match=match):
+        replace(_small_sweep(), **bad)
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({**to_dict(_small_sweep()), **bad}))
+    with pytest.raises(ValueError, match=match):  # no header-only training CSV
+        main(["train", str(path), "--out", str(tmp_path)])
+    assert not (tmp_path / "training.csv").exists()
+
+
 def test_fit_on_sweep_recovers_simulator_physics():
     model = fit(generate_training_logs(_small_sweep()))
     # drift = current + wind_drag_factor * wind, exactly
@@ -393,6 +417,24 @@ def test_read_training_csv_rejects_malformed_files(tmp_path):
         read_training_csv(_training_csv(tmp_path, row, ",".join(cells)))
     with pytest.raises(ValueError):
         read_training_csv(_training_csv(tmp_path, "# " + row, row))
+
+
+def test_read_training_csv_names_the_bad_line(tmp_path):
+    row = ",".join(TRAINING_ROW)
+    bad_cells = TRAINING_ROW[:5] + ["x"] + TRAINING_ROW[6:]
+    cases = [  # (body lines, 1-based file line of the bad row)
+        (["", row, "  ", ",".join(bad_cells)], 5),  # after blank lines
+        ([row, row, row, row, ",".join(bad_cells), row], 6),  # after a run of equal rows
+        ([row, row, "", row, ",".join(TRAINING_ROW[:-1])], 6),  # ragged
+        (["", ",".join(TRAINING_ROW[:-1]), ",".join(TRAINING_ROW[:-1])], 3),  # every row short
+        ([row, row + "," + TRAINING_ROW[0], row], 3),  # one field too many
+        ([row, ",".join(TRAINING_ROW[:3] + [TRAINING_ROW[3] + "#note"] + TRAINING_ROW[4:])], 3),
+    ]
+    for body, lineno in cases:
+        path = _training_csv(tmp_path, *body)
+        with pytest.raises(ValueError) as info:
+            read_training_csv(path)
+        assert str(info.value).startswith(f"{path}: line {lineno}: ")
 
 
 def test_read_training_csv_skips_blank_lines(tmp_path):

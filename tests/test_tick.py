@@ -234,3 +234,23 @@ def test_environment_sampled_once_per_tick(sample_calls, controller):
 def test_training_sweep_samples_fields_once_per_sample(sample_calls):
     samples = harness.generate_training_logs(harness.load_sweep(CONFIGS / "training_sweep.json"))
     assert len(sample_calls) == len(samples) == 10_240
+
+
+def test_training_sweep_computes_each_run_of_equal_rows_once(monkeypatch):
+    """Noise off, a steady leg repeats its row from the second step on, and
+    the sweep senses once per run of equal rows; noise on, once per row."""
+    calls = []
+    sense = harness.sense
+
+    def counted(*args):
+        calls.append(args)
+        return sense(*args)
+
+    monkeypatch.setattr(harness, "sense", counted)
+    sweep = harness.load_sweep(CONFIGS / "training_sweep.json")
+    corpus = harness.generate_training_logs(sweep)
+    new_run = np.r_[True, (corpus[1:] != corpus[:-1]).any(axis=1)]
+    assert len(corpus) == 10_240 and len(calls) == new_run.sum() == 760
+    calls.clear()
+    noisy = replace(sweep, noise=vehicle.NoiseSpec(0.05, 2.0), duration_s=1.0)
+    assert len(harness.generate_training_logs(noisy)) == len(calls) == 1_280
