@@ -97,7 +97,7 @@ def test_duration_limit_flags_incomplete():
 
 @pytest.mark.parametrize("dt", [0.0, -0.1, 0.6])
 def test_run_rejects_dt_out_of_range(dt):
-    # a zero dt used to divide the duration limit before the check ran
+    # the dt check runs before the step count divides by dt
     with pytest.raises(ValueError, match=r"dt must be in \(0, 0.5\]"):
         run_scenario(_short_scenario(dt_s=dt))
 
