@@ -1,5 +1,6 @@
 """Trajectory scoring: cross-track geometry, arc-length weighting, table."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -378,3 +379,110 @@ def test_table_report_missing_cell():
     full = _reports({o: (1.0, 10.0) for o in (0, 45, 90, 135, 180, 225, 270, 315)})
     with pytest.raises(ValueError, match="baseline:315"):
         table_report(reports, full)
+
+
+def _series_digest(series):
+    """sha256 of a CrossTrackSeries' array bytes and first scored record."""
+    assert (series.errors.dtype, series.weights.dtype) == (np.float64, np.float64)
+    assert series.leg_indices.dtype == np.int64
+    h = hashlib.sha256()
+    for column in (series.errors, series.weights, series.leg_indices):
+        h.update(np.ascontiguousarray(column).tobytes())
+    h.update(str(series.first_scored_record).encode())
+    return h.hexdigest()
+
+
+def _log_from_points(points, wp_indices):
+    """Log of GeoPoints with their waypoint indices, one second apart."""
+    rows = [(float(i), p.lat, p.lon, 2.0, 0.0, 0.0, 2.0, 0.0, wp, None, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0)
+            for i, (p, wp) in enumerate(zip(points, wp_indices))]
+    return TrajectoryLog.from_rows(rows)
+
+
+def _three_waypoint_run():
+    """An L-shaped three-waypoint mission flown with scatter off the line:
+    the approach logs wp_index 0, and past the last waypoint the log
+    holds wp_index 3, one past the final leg."""
+    rng = np.random.default_rng(7)
+    corner = offset_point(ORIGIN, EnuVector(0.0, 100.0))
+    end = offset_point(ORIGIN, EnuVector(100.0, 100.0))
+    mission = [Waypoint(ORIGIN, 2.0), Waypoint(corner, 2.0), Waypoint(end, 2.0)]
+    enu = [(-1.5 + 0.1 * k, -10.0 + k) for k in range(10)]  # approach
+    enu += [(rng.normal(0.0, 1.5), float(n)) for n in range(0, 100, 2)]
+    enu += [(float(e), 100.0 + rng.normal(0.0, 1.5)) for e in range(0, 120, 3)]
+    wp = [0] * 10 + [1] * 50 + [2] * 34 + [3] * 6
+    return _log_from_points([offset_point(ORIGIN, EnuVector(e, n)) for e, n in enu], wp), mission
+
+
+def _antimeridian_run(east):
+    """A 150 m leg across the antimeridian, flown eastward or westward,
+    with the approach and the line crossing both logged."""
+    rng = np.random.default_rng(3 if east else 4)
+    sign = 1.0 if east else -1.0
+    a = GeoPoint(-12.0, 179.9994 if east else -179.9994)
+    b = offset_point(a, EnuVector(sign * 150.0, 0.0))
+    assert (a.lon > 0.0) == east and (b.lon < 0.0) == east
+    points = [offset_point(a, EnuVector(sign * x, rng.normal(0.0, 0.8)))
+              for x in np.arange(-8.0, 160.0, 1.7)]
+    return _log_from_points(points, [1] * len(points)), [Waypoint(a, 2.0), Waypoint(b, 2.0)]
+
+
+# _series_digest of hand-built logs, pinned before scoring ran on columns.
+HAND_BUILT_SERIES_SHA256 = {
+    "three_waypoints": "1f0d904a0587791b39096f86eb10acdbf2b32e2064289bca114fa0d89dd2a2f3",
+    "antimeridian_east": "dfda3eade0b16d0b7ccfc34801e0b73f67ad1314ab7c313a82aa087c8115e879",
+    "antimeridian_west": "919f2d07e1699e38fc60062b40227f171f9c793ca40cac1a4365cc779d9c3a9a",
+}
+
+
+@pytest.mark.parametrize("case", sorted(HAND_BUILT_SERIES_SHA256))
+def test_hand_built_series_pinned(case):
+    if case == "three_waypoints":
+        log, mission = _three_waypoint_run()
+    else:
+        log, mission = _antimeridian_run(east=case.endswith("east"))
+    series = cross_track_series(log, mission)
+    assert 0 < series.first_scored_record
+    if case == "three_waypoints":
+        assert series.leg_indices.tolist()[-7:] == [2] * 7
+    assert _series_digest(series) == HAND_BUILT_SERIES_SHA256[case]
+
+
+def test_to_csv_matches_per_row_repr():
+    """Force columns that repeat values and alternate -0.0 with 0.0, held
+    and changing intermediate targets, against a per-row f-string."""
+    target = Waypoint(offset_point(ORIGIN, EnuVector(3.0, 40.0)), 1.75)
+    other = Waypoint(offset_point(ORIGIN, EnuVector(-2.0, 80.0)), 2.25)
+    forces = [(0.5, 90.0, 3.0, -0.0), (0.5, 90.0, 3.0, 0.0), (0.5000000000000001, -0.0, 3.0, 0.0),
+              (0.0, 0.0, 3.0, -0.0), (0.5, 90.0, 1e-300, 359.99999999999994)]
+    rows = []
+    for i in range(23):
+        pos = offset_point(ORIGIN, EnuVector(0.1 * i, 1.9 * i))
+        intermediate = (None, target, target, other, None)[i % 5]
+        rows.append((0.1 * i, pos.lat, pos.lon, 2.0 + 0.01 * i, 0.0, (7.0 * i) % 360.0, 2.0, 0.0,
+                     1 + i // 12, intermediate, *forces[(3 * i) % 5], 0.5 + 0.02 * (i % 3),
+                     -0.0 if i % 4 == 0 else 0.1 * (i % 3)))
+    log = TrajectoryLog.from_rows(rows)
+    expected = [TRAJECTORY_HEADER]
+    for t, lat, lon, spd_t, _, h_t, _, _, wp, wp_held, spd_c, dir_c, spd_w, dir_w, thrust, rudder \
+            in rows:
+        held = ",," if wp_held is None else (
+            f"{wp_held.pos.lat!r},{wp_held.pos.lon!r},{wp_held.spd_target!r}")
+        expected.append(f"{t!r},{lat!r},{lon!r},{spd_t!r},{h_t!r},{wp},{held},{spd_c!r},{dir_c!r},"
+                        f"{spd_w!r},{dir_w!r},{thrust!r},{rudder!r}")
+    text = log.to_csv()
+    assert text == "\n".join(expected) + "\n"
+    assert ",-0.0," in text and ",0.0,3.0,-0.0," in text
+
+
+def test_sign_changes_edge_cases():
+    """NaN is never an excursion, and an error of exactly +/- threshold is not one."""
+    nan = math.nan
+    assert sign_changes_over_threshold(np.array([nan, 2.0, nan, -2.0, nan])) == 1
+    assert sign_changes_over_threshold(np.array([1.0, -1.0, 1.0, -1.0])) == 0
+    assert sign_changes_over_threshold(np.array([1.0, -1.0000000000000002, 1.0, 2.0])) == 1
+    assert sign_changes_over_threshold(np.array([-0.5, 0.5, -0.5]), threshold=0.5) == 0
+    assert sign_changes_over_threshold(np.array([0.0, -0.0, 0.1, -0.1]), threshold=0.0) == 1
+    assert sign_changes_over_threshold(np.array([])) == 0
+    assert sign_changes_over_threshold([]) == 0
+    assert type(sign_changes_over_threshold(np.array([2.0, -2.0]))) is int

@@ -17,7 +17,7 @@ from asvnav.control import FRESH_PID
 from asvnav.effects import ForceSample, OracleEffectModel
 from asvnav.env import Environment, FieldSpec, ForceVector, GustSpec
 from asvnav.geo import METERS_PER_DEG_LAT
-from asvnav.metrics import LogRecord, TrajectoryLog
+from asvnav.metrics import LogRecord, TrajectoryLog, cross_track_series, per_sample_error_csv
 from asvnav.vehicle import ActuatorCommand, AsvState, NoiseSpec, track_velocity
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -78,6 +78,51 @@ def test_trajectory_csv_read_back_pinned(tmp_path):
     log = TrajectoryLog.from_csv(path)
     assert hashlib.sha256(repr(log.records).encode()).hexdigest() == READ_BACK_RECORDS_SHA256
     assert log.to_csv() == path.read_text()
+
+
+def _grid_current_run():
+    """A longer noisy baseline run across _digest_scenario()'s grid current,
+    on the suite's 225 degree leg with another noise seed."""
+    suite = harness.standard_suite()
+    return replace(_digest_scenario(), mission=harness.suite_mission(suite, 225), seed=5,
+                   controller=harness.ControllerSpec(kind="baseline"), duration_limit_s=90.0,
+                   name="grid")
+
+
+def _series_digest(series):
+    """sha256 of a CrossTrackSeries' array bytes and first scored record."""
+    assert (series.errors.dtype, series.weights.dtype) == (np.float64, np.float64)
+    assert series.leg_indices.dtype == np.int64
+    h = hashlib.sha256()
+    for column in (series.errors, series.weights, series.leg_indices):
+        h.update(np.ascontiguousarray(column).tobytes())
+    h.update(str(series.first_scored_record).encode())
+    return h.hexdigest()
+
+
+# sha256 of errors.csv and of the cross-track series (_series_digest) of
+# three noisy grid-current runs, pinned before scoring ran on columns.
+ERRORS_PINS = {
+    "augmented": ("de92fcbf3f268dc61fbaa648ee2c89d117b4f6eb84c7eeba7ef3f70f9d60ee68",
+                  "6c3c85eb5a772e8d8b4b515141f0ef0a60761be0b4f7a154a225f405bc51402c"),
+    "baseline": ("f751e38007b7104b01a20dfa7dbb9db9aaace72a040ad5d9b0b204349409c67c",
+                 "e803ba6a124e8c84d9960c89ecd4c86b1286304bac39bc2a35c8ba90b89b4ef7"),
+    "grid": ("7dec23a92b21fc8e892bf0aad2be5dc1aba1e60af018c07cdb615356be0787af",
+             "21dab7de10d56abfe4c7c22c448808af6676c4facc978167f552500bce1ba176"),
+}
+
+
+@pytest.mark.parametrize("run", sorted(ERRORS_PINS))
+def test_errors_csv_and_series_pinned(tmp_path, run):
+    if run == "grid":
+        sc = _grid_current_run()
+    else:
+        sc = replace(_digest_scenario(), controller=harness.ControllerSpec(kind=run))
+    result = harness.run_scenario(sc, out_dir=tmp_path)
+    series = cross_track_series(result.log, list(sc.mission), sc.acceptance_radius_m)
+    errors_csv = (tmp_path / "errors.csv").read_bytes()
+    assert errors_csv.decode() == per_sample_error_csv(series, result.log)
+    assert (hashlib.sha256(errors_csv).hexdigest(), _series_digest(series)) == ERRORS_PINS[run]
 
 
 # The public per-layer functions a tick calls, by module.
