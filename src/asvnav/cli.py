@@ -120,7 +120,11 @@ def main(argv=None) -> int:
     p_report.set_defaults(func=_cmd_report)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:  # a bad config or input file, or a missing one
+        print(f"asvnav: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

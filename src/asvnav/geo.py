@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 # Meters per degree of latitude; longitude shrinks by cos(latitude).
 METERS_PER_DEG_LAT = 111_194.9
 
@@ -107,6 +109,29 @@ def enu_coords(lat_a: float, lon_a: float, lat_b: float, lon_b: float) -> tuple[
     elif dlon < -180.0:
         dlon += 360.0
     east = dlon * METERS_PER_DEG_LAT * math.cos(math.radians(mid_lat))
+    north = (lat_b - lat_a) * METERS_PER_DEG_LAT
+    return east, north
+
+
+def enu_columns(lat_a, lon_a, lat_b, lon_b) -> tuple[np.ndarray, np.ndarray]:
+    """enu_coords on columns: the east and north columns from each point a
+    to its point b, bit for bit what enu_coords gives for each pair. The
+    arguments are float columns of one length, or floats that stand for
+    every row.
+
+    numpy does only the + - * and the two dlon wrap branches; the cosine
+    goes through math, because numpy's SIMD loops need not round
+    transcendentals as math does on every host.
+    """
+    lat_a, lon_a, lat_b, lon_b = np.broadcast_arrays(
+        *(np.asarray(x, dtype=np.float64) for x in (lat_a, lon_a, lat_b, lon_b))
+    )
+    mid_lat = 0.5 * (lat_a + lat_b)
+    dlon = lon_b - lon_a
+    dlon = np.where(dlon >= 180.0, dlon - 360.0, np.where(dlon < -180.0, dlon + 360.0, dlon))
+    cos_mid = np.fromiter(map(math.cos, map(math.radians, mid_lat.tolist())), np.float64,
+                          mid_lat.size)
+    east = dlon * METERS_PER_DEG_LAT * cos_mid
     north = (lat_b - lat_a) * METERS_PER_DEG_LAT
     return east, north
 

@@ -417,7 +417,8 @@ def read_training_csv(path: str | os.PathLike) -> np.ndarray:
     """The training corpus of a training CSV: the header, then one row of
     FEATURE_NAMES and TARGET_NAMES values per line. Blank and
     whitespace-only lines are skipped; there is no comment character. A
-    line that is not a row raises ValueError naming its file line.
+    line that is not a row, or holds a non-finite value, raises ValueError
+    naming its file line.
 
     Each run of identical consecutive lines is parsed once.
     """
@@ -443,6 +444,11 @@ def read_training_csv(path: str | os.PathLike) -> np.ndarray:
         lineno, line = next((n, s) for n, s in zip(linenos, lines) if _training_rows([s]) is None)
         raise ValueError(f"{path}: line {lineno}: expected {CORPUS_WIDTH} comma-separated "
                          f"numbers, got {line.strip()!r}")
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"{path}: line {linenos[i]}: training sample contains non-finite "
+                         f"values, got {lines[i].strip()!r}")
     return _check_corpus(np.repeat(rows, counts, axis=0))
 
 

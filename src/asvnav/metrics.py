@@ -20,7 +20,7 @@ import numpy as np
 
 from .control import Waypoint
 from .effects import ForceSample
-from .geo import GeoPoint, distance, distance_bearing, enu_coords, unit_enu
+from .geo import GeoPoint, distance, distance_bearing, enu_columns, unit_enu
 from .vehicle import ActuatorCommand, AsvState
 
 TRAJECTORY_HEADER = (
@@ -139,10 +139,13 @@ class TrajectoryLog:
         buf = io.StringIO()
         buf.write(TRAJECTORY_HEADER + "\n")
         held, held_text = None, ",,"
-        for (t, lat, lon, spd_t, h_t, wp_index, intermediate, spd_c, dir_c, spd_w, dir_w,
+        # the recovered forces take few distinct values, so their text is ready-made
+        forces = zip(*(_repr_column(getattr(self, name))
+                       for name in ("spd_c", "dir_c", "spd_w", "dir_w")))
+        for (t, lat, lon, spd_t, h_t, wp_index, intermediate, (spd_c, dir_c, spd_w, dir_w),
              thrust, rudder) in zip(self.t, self.lat, self.lon, self.spd_t, self.h_t,
-                                    self.wp_index, self.intermediate, self.spd_c, self.dir_c,
-                                    self.spd_w, self.dir_w, self.thrust, self.rudder):
+                                    self.wp_index, self.intermediate, forces, self.thrust,
+                                    self.rudder):
             if intermediate is not held:  # a target is held for many rows
                 held = intermediate
                 held_text = ",," if intermediate is None else (
@@ -150,7 +153,7 @@ class TrajectoryLog:
                     f"{float(intermediate.spd_target)!r}"
                 )
             buf.write(f"{t!r},{lat!r},{lon!r},{spd_t!r},{h_t!r},{wp_index},{held_text},"
-                      f"{spd_c!r},{dir_c!r},{spd_w!r},{dir_w!r},{thrust!r},{rudder!r}\n")
+                      f"{spd_c},{dir_c},{spd_w},{dir_w},{thrust!r},{rudder!r}\n")
         return buf.getvalue()
 
     def write_csv(self, path: str | os.PathLike) -> None:
@@ -219,6 +222,15 @@ class TrajectoryLog:
             setattr(log, name, array("d", column.tobytes()))
         log.wp_index, log.intermediate = wp_index, intermediate
         return log
+
+
+def _repr_column(column) -> list[str]:
+    """repr of each value of a float column, each distinct bit pattern
+    formatted once (so -0.0 and 0.0 stay apart)."""
+    bits = np.asarray(column, dtype=np.float64).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+    return texts[inverse].tolist()
 
 
 def _point_lons(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
@@ -306,44 +318,41 @@ def cross_track_series(
     for a, b in zip(mission, mission[1:]):
         if distance(a.pos, b.pos) == 0.0:
             raise ValueError(f"degenerate leg: coincident waypoints at ({a.pos.lat}, {a.pos.lon})")
-    # (east, north) unit vector of each leg, once per leg
-    leg_units = [unit_enu(distance_bearing(a.pos, b.pos)[1]) for a, b in zip(mission, mission[1:])]
+    # start point and (east, north) unit vector of each leg, once per leg
+    leg_table = np.array([(a.pos.lat, a.pos.lon, *unit_enu(distance_bearing(a.pos, b.pos)[1]))
+                          for a, b in zip(mission, mission[1:])])
+    lats = np.asarray(log.lat, dtype=np.float64)
+    lons = np.asarray(log.lon, dtype=np.float64)
 
     first = mission[0].pos
-    start = None
-    for i, (lat, lon) in enumerate(zip(log.lat, log.lon)):
-        if math.hypot(*enu_coords(lat, lon, first.lat, first.lon)) <= 2.0 * acceptance_radius:
-            start = i
-            break
-    if start is None:
+    near = _hypot(*enu_columns(lats, lons, first.lat, first.lon)) <= 2.0 * acceptance_radius
+    if not near.any():
         raise LegNotAcquiredError("vehicle never acquired the first leg; nothing to score")
+    start = int(np.argmax(near))
 
-    errors = []
-    legs = []
-    lats, lons = log.lat[start:], log.lon[start:]
-    for lat, lon, wp_index in zip(lats, lons, log.wp_index[start:]):
-        leg = min(max(wp_index, 1), len(mission) - 1)
-        a = mission[leg - 1].pos
-        east, north = enu_coords(a.lat, a.lon, lat, lon)
-        ue, un = leg_units[leg - 1]
-        # positive to starboard of the leg direction
-        errors.append(east * un - north * ue)
-        legs.append(leg)
+    lats, lons = lats[start:], lons[start:]
+    legs = np.clip(np.asarray(log.wp_index[start:], dtype=np.int64), 1, len(mission) - 1)
+    a_lat, a_lon, ue, un = leg_table[legs - 1].T
+    east, north = enu_columns(a_lat, a_lon, lats, lons)
+    # positive to starboard of the leg direction
+    errors = east * un - north * ue
 
-    seg = np.array([math.hypot(*enu_coords(lat_p, lon_p, lat_q, lon_q))
-                    for lat_p, lon_p, lat_q, lon_q in zip(lats, lons, lats[1:], lons[1:])],
-                   dtype=float)
-    n = len(errors)
-    weights = np.zeros(n)
-    if n > 1:
-        weights[:-1] += 0.5 * seg
-        weights[1:] += 0.5 * seg
+    seg = _hypot(*enu_columns(lats[:-1], lons[:-1], lats[1:], lons[1:]))
+    weights = np.zeros(len(errors))
+    weights[:-1] += 0.5 * seg
+    weights[1:] += 0.5 * seg
     return CrossTrackSeries(
-        errors=np.array(errors, dtype=float),
+        errors=errors,
         weights=weights,
-        leg_indices=np.array(legs, dtype=int),
+        leg_indices=legs,
         first_scored_record=start,
     )
+
+
+def _hypot(east: np.ndarray, north: np.ndarray) -> np.ndarray:
+    """math.hypot of each (east, north) pair; np.hypot need not round like
+    it on every host."""
+    return np.fromiter(map(math.hypot, east.tolist(), north.tolist()), np.float64, east.size)
 
 
 def score(errors: np.ndarray, weights: np.ndarray, label: str = "") -> ErrorReport:
@@ -384,19 +393,19 @@ def sign_changes_over_threshold(errors: np.ndarray, threshold: float = ERROR_THR
     This is the oscillation signature: each flip means the vehicle crossed
     the line and overshot it by more than the threshold on the other side.
     """
-    signs = [1 if e > 0 else -1 for e in np.asarray(errors) if abs(e) > threshold]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    errors = np.asarray(errors, dtype=np.float64)
+    positive = errors[np.abs(errors) > threshold] > 0.0  # NaN is never an excursion
+    return int(np.count_nonzero(positive[1:] != positive[:-1]))
 
 
 def per_sample_error_csv(series: CrossTrackSeries, log: TrajectoryLog) -> str:
     """Per-sample error table for external plotting."""
-    buf = io.StringIO()
-    buf.write("t,lat,lon,leg,cross_track_m,arc_weight_m\n")
     start = series.first_scored_record
-    for t, lat, lon, err, w, leg in zip(log.t[start:], log.lat[start:], log.lon[start:],
-                                        series.errors, series.weights, series.leg_indices):
-        buf.write(f"{t:.3f},{lat:.9f},{lon:.9f},{leg},{err:.6f},{w:.6f}\n")
-    return buf.getvalue()
+    rows = zip(log.t[start:], log.lat[start:], log.lon[start:], series.leg_indices.tolist(),
+               series.errors.tolist(), series.weights.tolist())
+    return "t,lat,lon,leg,cross_track_m,arc_weight_m\n" + "".join(
+        ["%.3f,%.9f,%.9f,%d,%.6f,%.6f\n" % row for row in rows]
+    )
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from asvnav.cli import main
@@ -130,3 +133,36 @@ def test_fitted_model_drives_augmented_run(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert out["sign_changes_over_1m"] < 2
+
+
+def _bad_sweep(tmp_path):
+    sweep = json.loads((CONFIGS / "training_sweep.json").read_text())
+    sweep["duration_s"] = 0
+    path = tmp_path / "bad_sweep.json"
+    path.write_text(json.dumps(sweep))
+    return path
+
+
+def test_bad_input_is_one_stderr_line(tmp_path, capsys):
+    assert main(["train", str(_bad_sweep(tmp_path)), "--out", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "asvnav: sweep duration_s must be > 0, got 0\n")
+    assert not (tmp_path / "training.csv").exists()
+
+    missing = tmp_path / "no_such_run"
+    assert main(["report", str(missing)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("asvnav: ") and str(missing / "trajectory.csv") in err
+
+
+def test_console_entry_exits_2_without_a_traceback(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+    for argv in (["train", str(_bad_sweep(tmp_path)), "--out", str(tmp_path)],
+                 ["report", str(tmp_path / "no_such_run")]):
+        done = subprocess.run([sys.executable, "-m", "asvnav.cli", *argv], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 2
+        assert done.stderr.startswith("asvnav: ") and done.stderr.count("\n") == 1

@@ -11,6 +11,8 @@ from asvnav.geo import (
     GeoPoint,
     bearing_of,
     distance_bearing,
+    enu_columns,
+    enu_coords,
     enu_offset,
     offset_point,
     wrap_angle,
@@ -174,3 +176,30 @@ def test_enu_offset_antisymmetric():
     ba = enu_offset(b, a)
     assert ab.east == -ba.east
     assert ab.north == -ba.north
+
+
+def test_enu_columns_match_enu_coords_bit_for_bit():
+    rng = np.random.default_rng(20)
+    n = 100_000
+    lat_a = rng.uniform(-89.0, 89.0, n)
+    lon_a = rng.uniform(-180.0, 180.0, n)
+    lat_b = np.clip(lat_a + rng.normal(0.0, 0.01, n), -90.0, 90.0)
+    lon_b = lon_a + rng.normal(0.0, 0.01, n)
+    # a fifth of the pairs straddle the antimeridian, each way round
+    k = n // 5
+    lon_a[:k] = np.where(np.arange(k) % 2, 179.995, -179.995) + rng.uniform(-0.004, 0.004, k)
+    lon_b[:k] = np.where(np.arange(k) % 2, -179.995, 179.995) + rng.uniform(-0.004, 0.004, k)
+    # and a few land exactly on the +/-180 degree wrap edges
+    lon_a[k:k + 4] = (0.0, 0.0, -90.0, 90.0)
+    lon_b[k:k + 4] = (180.0, -180.0, 90.0, -90.0)
+    lon_b = np.remainder(lon_b + 180.0, 360.0) - 180.0
+    east, north = enu_columns(lat_a, lon_a, lat_b, lon_b)
+    expected = np.array([enu_coords(*pair) for pair in
+                         zip(lat_a.tolist(), lon_a.tolist(), lat_b.tolist(), lon_b.tolist())])
+    assert east.tobytes() == np.ascontiguousarray(expected[:, 0]).tobytes()
+    assert north.tobytes() == np.ascontiguousarray(expected[:, 1]).tobytes()
+    # floats stand for every row
+    east, north = enu_columns(lat_a[:50], lon_a[:50], 34.0, -81.0)
+    expected = [enu_coords(lat, lon, 34.0, -81.0)
+                for lat, lon in zip(lat_a[:50].tolist(), lon_a[:50].tolist())]
+    assert list(zip(east.tolist(), north.tolist())) == expected

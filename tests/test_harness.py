@@ -359,15 +359,17 @@ def test_training_sweep_run_count():
     ("dt_s", 0.0), ("dt_s", -0.1), ("dt_s", math.nan),
     ("duration_s", 0.0), ("duration_s", -1.0), ("duration_s", math.nan),
 ])
-def test_sweep_rejects_bad_time_step_and_duration(tmp_path, key, value):
+def test_sweep_rejects_bad_time_step_and_duration(tmp_path, capsys, key, value):
     bad = {key: value}
     match = "dt must be in" if key == "dt_s" else "duration_s must be > 0"
     with pytest.raises(ValueError, match=match):
         replace(_small_sweep(), **bad)
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps({**to_dict(_small_sweep()), **bad}))
-    with pytest.raises(ValueError, match=match):  # no header-only training CSV
-        main(["train", str(path), "--out", str(tmp_path)])
+    # the command reports the ValueError on one line, and writes no header-only training CSV
+    assert main(["train", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("asvnav: ") and err.count("\n") == 1 and match in err
     assert not (tmp_path / "training.csv").exists()
 
 
@@ -417,6 +419,21 @@ def test_read_training_csv_rejects_malformed_files(tmp_path):
         read_training_csv(_training_csv(tmp_path, row, ",".join(cells)))
     with pytest.raises(ValueError):
         read_training_csv(_training_csv(tmp_path, "# " + row, row))
+
+
+def test_read_training_csv_names_the_non_finite_line(tmp_path):
+    row = ",".join(TRAINING_ROW)
+    for bad in ("nan", "inf", "-inf"):
+        cells = ",".join(TRAINING_ROW[:7] + [bad] + TRAINING_ROW[8:])
+        # header, a row, a blank line, a run of three rows, then the bad row on line 7
+        path = _training_csv(tmp_path, row, "", row, row, row, cells, row)
+        with pytest.raises(ValueError) as err:
+            read_training_csv(path)
+        assert str(err.value) == (f"{path}: line 7: training sample contains non-finite values, "
+                                  f"got {cells!r}")
+        path = _training_csv(tmp_path, cells, cells)
+        with pytest.raises(ValueError, match=f"{path}: line 2: training sample contains non-finite"):
+            read_training_csv(path)
 
 
 def test_read_training_csv_names_the_bad_line(tmp_path):
