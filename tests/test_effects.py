@@ -1,5 +1,7 @@
 """Effect model: OLS recovery, prediction conventions, serialization."""
 
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 from asvnav.effects import (
     FEATURE_NAMES,
+    RECIPE_ENU_INTERCEPT,
     EffectModel,
     ForceSample,
     OracleEffectModel,
@@ -17,6 +20,7 @@ from asvnav.effects import (
     save_model,
 )
 from asvnav.geo import wrap_signed
+from asvnav.vehicle import VehicleParams
 
 
 def _random_force(rng):
@@ -239,3 +243,54 @@ def test_fit_with_intercept():
     model = fit(corpus, include_intercept=True)
     np.testing.assert_allclose(model.coef[:, :-1], coef, atol=1e-9)
     np.testing.assert_allclose(model.coef[:, -1], offset, atol=1e-9)
+
+
+def _predict_inputs():
+    """Seeded predict inputs (spd_c, dir_c, spd_w, dir_w, spd_target, h_t),
+    the forces as relative_to_absolute returns them: zero speeds, zero
+    directions and directions just below 360 on a grid, then random rows."""
+    rng = np.random.default_rng(14)
+    below_360 = math.nextafter(360.0, 0.0)
+    current_speeds = (0.0, 0.677, float(rng.uniform(0, 2)))
+    wind_speeds = (0.0, 5.0, float(rng.uniform(0, 8)))
+    directions = (0.0, 90.0, 359.9, below_360, float(rng.uniform(0, 360)))
+    headings = (0.0, 180.0, below_360, float(rng.uniform(0, 360)))
+    grid = list(itertools.product(current_speeds, directions, wind_speeds, directions,
+                                  (0.5, 2.0), headings))
+    for _ in range(200):
+        grid.append(tuple(float(v) for v in (rng.uniform(0, 2), rng.uniform(0, 360),
+                                            rng.uniform(0, 8), rng.uniform(0, 360),
+                                            rng.uniform(0.5, 4.0), rng.uniform(0, 360))))
+    return grid
+
+
+def _predict_models():
+    rng = np.random.default_rng(15)
+    n = len(FEATURE_NAMES)
+    return {
+        "oracle": OracleEffectModel(wind_drag_factor=VehicleParams().wind_drag_factor),
+        "enu": EffectModel(coef=rng.uniform(-1, 1, size=(3, n))),
+        "enu+intercept": EffectModel(coef=rng.uniform(-1, 1, size=(3, n + 1)),
+                                     recipe=RECIPE_ENU_INTERCEPT),
+    }
+
+
+# sha256 of the (effect_x, effect_y, effect_spd) float64 rows each model
+# predicts over _predict_inputs().
+PREDICT_SHA256 = {
+    "oracle": "5df8f08c4f7686dbe535acc96b45e95f18549740ae45c16e5d0678dd9cc006a1",
+    "enu": "414fb9935916e2aaf0cca6789091cddd1275f6b17d9eaaf5c75603248d2b2771",
+    "enu+intercept": "150c470b0ecf2f85c0907abd93a2e194ba84fc7fb1991bd6b29f053f6131e411",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PREDICT_SHA256))
+def test_predict_outputs_pinned(name):
+    """Every model's drift east, drift north and deficit, bit for bit."""
+    model = _predict_models()[name]
+    rows = []
+    for spd_c, dir_c, spd_w, dir_w, spd_target, h_t in _predict_inputs():
+        pred = model.predict(ForceSample(spd_c, dir_c, spd_w, dir_w), spd_target, 0.0, h_t)
+        rows.append((pred.effect_x, pred.effect_y, pred.effect_spd))
+    digest = hashlib.sha256(np.array(rows, dtype=np.float64).tobytes()).hexdigest()
+    assert digest == PREDICT_SHA256[name]
