@@ -24,11 +24,9 @@ from .control import (
 )
 from .effects import (
     EffectModel,
-    EffectPrediction,
     ForceSample,
     OracleEffectModel,
     TrainingSample,
-    convert_to_coordinate_vectors,
     fit,
     load_model,
     save_model,

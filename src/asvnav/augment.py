@@ -26,9 +26,8 @@ from .control import (
     steer_toward,
     tracking_line,
 )
-from .effects import EffectPrediction, ForceSample
 from .geo import EnuVector, GeoPoint, distance, offset_point
-from .vehicle import VehicleParams
+from .vehicle import DEFAULT_DT, VehicleParams
 
 # Never command below this fraction of the requested speed: the hull must
 # keep steerage way even when the disturbance aids progress.
@@ -136,7 +135,7 @@ def augmented_navigator_step(
     cfg: AugmentConfig = AugmentConfig(),
     gains: NavGains = DEFAULT_GAINS,
     params: VehicleParams = VehicleParams(),
-    dt: float = 0.1,
+    dt: float = DEFAULT_DT,
     radius: float = DEFAULT_ACCEPT_RADIUS,
 ) -> tuple[float, float, int, Optional[Line], PidFloats, PidFloats, Optional[Waypoint], float]:
     """One control step of the feed-forward augmented navigator, for a
@@ -175,11 +174,10 @@ def augmented_navigator_step(
         # The feed-forward update: predict -> adjusted speed -> intermediate
         # waypoint.
         goal = mission[index]
-        prediction: EffectPrediction = model.predict(ForceSample(*force), goal.spd_target,
-                                                     spd_t, h_t)
-        spd = adjusted_speed(_denoise(prediction.effect_spd), goal.spd_target, params)
-        aim = calc_intermediate_wp(goal, pos, _denoise(prediction.effect_x),
-                                   _denoise(prediction.effect_y), cfg, reference_speed=spd)
+        drift_e, drift_n, deficit = model.predict(*force, goal.spd_target, h_t)
+        spd = adjusted_speed(_denoise(deficit), goal.spd_target, params)
+        aim = calc_intermediate_wp(goal, pos, _denoise(drift_e), _denoise(drift_n), cfg,
+                                   reference_speed=spd)
         refreshed = Waypoint(aim, spd)
         # Re-anchor only when the target actually moved; an unchanged target
         # keeps the established tracking line (and keeps a zero-effect model

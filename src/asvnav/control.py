@@ -23,7 +23,7 @@ from .geo import (
     unit_enu,
     wrap_signed,
 )
-from .vehicle import _clamped
+from .vehicle import DEFAULT_DT, _clamped
 
 DEFAULT_ACCEPT_RADIUS = 2.0
 
@@ -186,7 +186,7 @@ def navigator_step(
     heading_pid: PidFloats,
     speed_pid: PidFloats,
     gains: NavGains = DEFAULT_GAINS,
-    dt: float = 0.1,
+    dt: float = DEFAULT_DT,
     radius: float = DEFAULT_ACCEPT_RADIUS,
 ) -> tuple[float, float, int, Optional[Line], PidFloats, PidFloats]:
     """One control step of the baseline navigator.

@@ -1,12 +1,12 @@
-"""Disturbance effect model: fit by ordinary least squares on logged runs,
-predict the drift the environment imposes on the vehicle, and decompose it
-into planar components.
+"""Disturbance effect model: fit by ordinary least squares on logged runs
+and predict the drift the environment imposes on the vehicle.
 
 The default feature recipe works in east/north component space (polar force
 inputs are converted before regression) because regressing on raw angles is
-discontinuous at the 0/360 wrap. Outputs are the drift velocity components
-plus the along-track ground-speed deficit, where positive deficit means the
-disturbance slows progress toward the goal.
+discontinuous at the 0/360 wrap. A prediction is a TARGET_NAMES row: the
+drift velocity's east and north components plus the along-heading
+ground-speed deficit, where positive deficit means the disturbance slows
+progress toward the goal.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geo import bearing_of, unit_enu, wrap_angle
+from .geo import unit_enu, wrap_angle
 
 MODEL_FORMAT = "asvnav-effect-model"
 MODEL_VERSION = 1
@@ -39,6 +39,10 @@ FEATURE_NAMES = (
 
 TARGET_NAMES = ("drift_east", "drift_north", "deficit")
 
+# Feature count of each recipe: FEATURE_NAMES, plus a constant 1.0 for the
+# intercept.
+RECIPE_WIDTHS = {RECIPE_ENU: len(FEATURE_NAMES), RECIPE_ENU_INTERCEPT: len(FEATURE_NAMES) + 1}
+
 # Columns of a training corpus: FEATURE_NAMES, then TARGET_NAMES.
 CORPUS_WIDTH = len(FEATURE_NAMES) + len(TARGET_NAMES)
 
@@ -47,7 +51,8 @@ MIN_SAMPLES_PER_FEATURE = 10
 
 @dataclass(frozen=True)
 class ForceSample:
-    """Absolute (world-frame) current and wind as measured by the vehicle."""
+    """Absolute (world-frame) current and wind as measured by the vehicle:
+    finite non-negative speeds, directions wrapped to [0, 360)."""
 
     spd_c: float
     dir_c: float
@@ -55,45 +60,11 @@ class ForceSample:
     dir_w: float
 
     def __post_init__(self):
-        _, dir_c, _, dir_w = _force_floats(self.spd_c, self.dir_c, self.spd_w, self.dir_w)
-        object.__setattr__(self, "dir_c", dir_c)
-        object.__setattr__(self, "dir_w", dir_w)
-
-    def current_enu(self) -> tuple[float, float]:
-        ue, un = unit_enu(self.dir_c)
-        return self.spd_c * ue, self.spd_c * un
-
-    def wind_enu(self) -> tuple[float, float]:
-        ue, un = unit_enu(self.dir_w)
-        return self.spd_w * ue, self.spd_w * un
-
-
-def _force_floats(spd_c: float, dir_c: float, spd_w: float,
-                 dir_w: float) -> tuple[float, float, float, float]:
-    """ForceSample's rules on plain floats: finite non-negative speeds,
-    directions wrapped to [0, 360)."""
-    for name, speed in (("spd_c", spd_c), ("spd_w", spd_w)):
-        if speed < 0.0 or not math.isfinite(speed):
-            raise ValueError(f"{name} must be finite and >= 0")
-    return spd_c, wrap_angle(dir_c), spd_w, wrap_angle(dir_w)
-
-
-@dataclass(frozen=True)
-class EffectPrediction:
-    """Predicted disturbance effect.
-
-    effect_x/effect_y are the drift velocity components (m/s east/north);
-    effect_dir is the drift's compass direction; effect_spd is the
-    along-track ground-speed deficit (positive = slows progress).
-    """
-
-    effect_spd: float
-    effect_dir: float
-    effect_x: float
-    effect_y: float
-
-    def drift_magnitude(self) -> float:
-        return math.hypot(self.effect_x, self.effect_y)
+        for name in ("spd_c", "spd_w"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
+        object.__setattr__(self, "dir_c", wrap_angle(self.dir_c))
+        object.__setattr__(self, "dir_w", wrap_angle(self.dir_w))
 
 
 @dataclass(frozen=True)
@@ -139,8 +110,8 @@ def _check_corpus(corpus) -> np.ndarray:
 def make_features(spd_c: float, dir_c: float, spd_w: float, dir_w: float, spd_target: float,
                   h_t: float) -> tuple[float, ...]:
     """Assemble the regression feature vector from raw controller inputs:
-    the absolute forces (a ForceSample's four floats), the commanded speed
-    and the heading."""
+    the absolute forces as relative_to_absolute returns them, the
+    commanded speed and the heading."""
     ue, un = unit_enu(dir_c)
     we, wn = unit_enu(dir_w)
     he, hn = unit_enu(h_t)
@@ -152,15 +123,6 @@ def drift_targets(drift_e: float, drift_n: float, h_t: float) -> tuple[float, fl
     and the along-heading deficit (positive = slows progress)."""
     he, hn = unit_enu(h_t)
     return drift_e, drift_n, -(drift_e * he + drift_n * hn)
-
-
-def _prediction_from_drift(drift_e: float, drift_n: float, deficit: float) -> EffectPrediction:
-    return EffectPrediction(
-        effect_spd=deficit,
-        effect_dir=bearing_of(drift_e, drift_n),
-        effect_x=drift_e,
-        effect_y=drift_n,
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,8 +139,13 @@ class EffectModel:
 
     def __post_init__(self):
         coef = np.asarray(self.coef, dtype=float)
-        if coef.shape[0] != len(TARGET_NAMES) or not np.all(np.isfinite(coef)):
+        if coef.ndim != 2 or coef.shape[0] != len(TARGET_NAMES) or not np.all(np.isfinite(coef)):
             raise ValueError(f"coefficient matrix must be finite with {len(TARGET_NAMES)} rows")
+        if self.recipe not in RECIPE_WIDTHS:
+            raise ValueError(f"unknown feature recipe {self.recipe!r}")
+        if coef.shape[1] != RECIPE_WIDTHS[self.recipe]:
+            raise ValueError(f"recipe {self.recipe!r} takes {RECIPE_WIDTHS[self.recipe]} features, "
+                             f"the coefficient matrix has {coef.shape[1]} columns")
         object.__setattr__(self, "coef", coef)
 
     @classmethod
@@ -186,18 +153,15 @@ class EffectModel:
         """Model that predicts no effect for any input."""
         return cls(coef=np.zeros((len(TARGET_NAMES), len(FEATURE_NAMES))))
 
-    def predict(self, f: ForceSample, spd_target: float, spd_t: float, h_t: float) -> EffectPrediction:
-        x = np.asarray(make_features(f.spd_c, f.dir_c, f.spd_w, f.dir_w, spd_target, h_t))
-        if self.recipe == RECIPE_ENU_INTERCEPT:
-            x = np.append(x, 1.0)
-        elif self.recipe != RECIPE_ENU:
-            raise ValueError(f"unknown feature recipe {self.recipe!r}")
-        if self.coef.shape[1] != x.size:
-            raise ValueError(
-                f"model expects {self.coef.shape[1]} features, recipe provides {x.size}"
-            )
-        drift_e, drift_n, deficit = self.coef @ x
-        return _prediction_from_drift(float(drift_e), float(drift_n), float(deficit))
+    def predict(self, spd_c: float, dir_c: float, spd_w: float, dir_w: float, spd_target: float,
+                h_t: float) -> tuple[float, float, float]:
+        """The TARGET_NAMES row (drift_east, drift_north, deficit) for
+        make_features' inputs: the absolute forces as relative_to_absolute
+        returns them (finite speeds >= 0, directions in [0, 360)), the
+        commanded speed and the heading. Nothing here re-checks them."""
+        # the coefficient width, checked against the recipe, keeps the intercept's 1.0
+        x = (*make_features(spd_c, dir_c, spd_w, dir_w, spd_target, h_t), 1.0)[:self.coef.shape[1]]
+        return tuple((self.coef @ x).tolist())
 
 
 @dataclass(frozen=True)
@@ -211,19 +175,13 @@ class OracleEffectModel:
 
     wind_drag_factor: float
 
-    def predict(self, f: ForceSample, spd_target: float, spd_t: float, h_t: float) -> EffectPrediction:
-        ce, cn = f.current_enu()
-        we, wn = f.wind_enu()
-        drift = drift_targets(ce + self.wind_drag_factor * we, cn + self.wind_drag_factor * wn, h_t)
-        return _prediction_from_drift(*drift)
-
-
-def convert_to_coordinate_vectors(effect_spd_mag: float, effect_dir: float) -> tuple[float, float]:
-    """Decompose a drift magnitude and compass direction into (east, north)."""
-    if effect_spd_mag < 0.0:
-        raise ValueError(f"magnitude must be >= 0, got {effect_spd_mag!r}")
-    ue, un = unit_enu(effect_dir)
-    return effect_spd_mag * ue, effect_spd_mag * un
+    def predict(self, spd_c: float, dir_c: float, spd_w: float, dir_w: float, spd_target: float,
+                h_t: float) -> tuple[float, float, float]:
+        """EffectModel.predict on the same inputs, the drift being the
+        current plus wind_drag_factor of the wind."""
+        ce, cn, we, wn, *_ = make_features(spd_c, dir_c, spd_w, dir_w, spd_target, h_t)
+        k = self.wind_drag_factor
+        return drift_targets(ce + k * we, cn + k * wn, h_t)
 
 
 def _degenerate_features(x: np.ndarray, names: Sequence[str]) -> list[str]:
@@ -281,14 +239,19 @@ def save_model(model: EffectModel, path: str | os.PathLike) -> None:
 
 
 def load_model(path: str | os.PathLike) -> EffectModel:
+    """The model in a file save_model wrote; ValueError naming the path for
+    any other file, and for a model EffectModel rejects."""
     with open(path) as fh:
         payload = json.load(fh)
     if payload.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not an effect model file")
     if payload.get("version") != MODEL_VERSION:
         raise ValueError(f"{path}: unsupported model version {payload.get('version')!r}")
-    return EffectModel(
-        coef=np.asarray(payload["coef"], dtype=float),
-        recipe=payload["recipe"],
-        residual_rmse=tuple(payload["residual_rmse"]),
-    )
+    try:
+        return EffectModel(
+            coef=np.asarray(payload["coef"], dtype=float),
+            recipe=payload["recipe"],
+            residual_rmse=tuple(payload["residual_rmse"]),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

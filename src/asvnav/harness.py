@@ -62,6 +62,7 @@ from .metrics import (
     table_report,
 )
 from .vehicle import (
+    DEFAULT_DT,
     AsvState,
     NoiseSpec,
     VehicleParams,
@@ -77,7 +78,6 @@ from .vehicle import (
 MISSION_HEADER = "lat,lon,speed_mps"
 TRAINING_HEADER = ",".join(FEATURE_NAMES + TARGET_NAMES)
 
-DEFAULT_DT = 0.1
 DEFAULT_LEG_SPEED = 2.0
 DEFAULT_LEG_LENGTH = 200.0
 

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .control import Waypoint
+from .control import DEFAULT_ACCEPT_RADIUS, Waypoint
 from .effects import ForceSample
 from .geo import GeoPoint, distance, distance_bearing, enu_columns, unit_enu
 from .vehicle import ActuatorCommand, AsvState
@@ -168,26 +168,75 @@ class TrajectoryLog:
         The CSV schema does not carry course, through-water speed or turn
         rate, so those columns are zero; everything the scoring needs
         (time, position, waypoint index) survives the round trip. Blank
-        lines are skipped.
+        lines are skipped. A rejection raises ValueError naming the path
+        and the file line of the first offending row.
         """
         with open(path) as fh:
             header = fh.readline().rstrip("\n").split(",")
             if header != _CSV_COLUMNS:
-                raise ValueError(f"{path}: unexpected trajectory header {header}")
+                raise ValueError(f"{path}: line 1: unexpected trajectory header {header}")
             text = fh.read()
         lines = [line for line in text.split("\n") if line]
         log = cls()
         if not lines:
             return log
-        if text.count(",") != (len(_CSV_COLUMNS) - 1) * len(lines):
-            raise ValueError(f"{path}: every trajectory row has {len(_CSV_COLUMNS)} fields")
-        # np.loadtxt rejects a row short of the last float column, so with the
-        # comma count every row has exactly len(_CSV_COLUMNS) fields
-        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, usecols=_CSV_FLOAT_INDEX)
-        t, lat, lon, spd_t, h_t, spd_c, dir_c, spd_w, dir_w, thrust, rudder = data.T
+        width = len(_CSV_COLUMNS)
+        try:
+            if text.count(",") != (width - 1) * len(lines):
+                row = next(i for i, line in enumerate(lines) if line.count(",") != width - 1)
+                raise _RowError(row, f"expected {width} fields, got {lines[row].count(',') + 1}")
+            columns, log.wp_index, log.intermediate = _trajectory_columns(lines)
+        except _RowError as exc:
+            # the header is line 1; blank lines count in the file but hold no row
+            lineno = [n for n, line in enumerate(text.split("\n"), start=2) if line][exc.row]
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        for name, column in columns.items():
+            setattr(log, name, array("d", column.tobytes()))
+        return log
 
-        wp_index, intermediate = [], []
-        held_text, held = ["", "", ""], None
+
+class _RowError(ValueError):
+    """A rejected trajectory CSV row; row counts the non-blank lines after
+    the header from 0."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
+def _check_rows(ok: np.ndarray, message: str, offset: int = 0) -> None:
+    """_RowError(offset + the first row where ok is False, message)."""
+    if not ok.all():
+        raise _RowError(offset + int(np.argmin(ok)), message)
+
+
+def _parses(line: str, usecols: Sequence[int]) -> bool:
+    """Whether np.loadtxt reads the usecols fields of line as numbers."""
+    try:
+        np.loadtxt([line], delimiter=",", comments=None, usecols=usecols)
+    except ValueError:
+        return False
+    return True
+
+
+def _trajectory_columns(lines: list[str]) -> tuple[dict[str, np.ndarray], list, list]:
+    """The float columns of a log (LOG_COLUMNS but wp_index and
+    intermediate), then the wp_index and intermediate lists, of the
+    non-blank trajectory CSV lines after the header. Raises _RowError."""
+    # np.loadtxt rejects a row short of the last float column, so with
+    # from_csv's comma count every row has exactly len(_CSV_COLUMNS) fields
+    try:
+        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, usecols=_CSV_FLOAT_INDEX)
+    except ValueError:
+        # numpy's message names no file line, so find the first bad row and cell alone
+        row = next(i for i, line in enumerate(lines) if not _parses(line, _CSV_FLOAT_INDEX))
+        column = next(j for j in _CSV_FLOAT_INDEX if not _parses(lines[row], (j,)))
+        raise _RowError(row, f"{_CSV_COLUMNS[column]} is not a number in {lines[row]!r}") from None
+    t, lat, lon, spd_t, h_t, spd_c, dir_c, spd_w, dir_w, thrust, rudder = data.T
+
+    wp_index, intermediate = [], []
+    held_text, held = ["", "", ""], None
+    try:
         for fields in (line.split(",", _CSV_INT_END) for line in lines):
             wp_index.append(int(fields[_CSV_WP]))
             if fields[_CSV_WP + 1:_CSV_INT_END] != held_text:  # a target is held for many rows
@@ -197,31 +246,26 @@ class TrajectoryLog:
                     GeoPoint(float(int_lat), float(int_lon)), float(int_spd)
                 )
             intermediate.append(held)
+    except ValueError as exc:
+        raise _RowError(len(intermediate), str(exc)) from None  # each row appends its target last
 
-        lon = _point_lons(lat, lon)
-        if (spd_t < 0.0).any():
-            raise ValueError("speeds must be >= 0")
-        if not (np.isfinite(spd_t).all() and np.isfinite(t).all()):
-            raise ValueError("non-finite state component")
-        if not (np.diff(t) > 0.0).all():
-            raise ValueError("timestamps must be strictly increasing")
-        if wp_index != sorted(wp_index):
-            raise ValueError("waypoint indices must be non-decreasing")
-        for name, speed in (("spd_c", spd_c), ("spd_w", spd_w)):
-            if not ((speed >= 0.0) & np.isfinite(speed)).all():
-                raise ValueError(f"{name} must be finite and >= 0")
-        zeros = np.zeros(len(lines))
-        columns = {
-            "t": t, "lat": lat, "lon": lon, "spd_t": spd_t, "course_t": zeros, "h_t": _wrapped(h_t),
-            "through_water_speed": zeros, "turn_rate": zeros, "spd_c": spd_c,
-            "dir_c": _wrapped(dir_c), "spd_w": spd_w, "dir_w": _wrapped(dir_w),
-            "thrust": _clamped_column(thrust, 0.0, 1.0),
-            "rudder": _clamped_column(rudder, -1.0, 1.0),
-        }
-        for name, column in columns.items():
-            setattr(log, name, array("d", column.tobytes()))
-        log.wp_index, log.intermediate = wp_index, intermediate
-        return log
+    lon = _point_lons(lat, lon)
+    _check_rows(~(spd_t < 0.0), "speeds must be >= 0")
+    _check_rows(np.isfinite(spd_t) & np.isfinite(t), "non-finite state component")
+    _check_rows(np.diff(t) > 0.0, "timestamps must be strictly increasing", offset=1)
+    if wp_index != sorted(wp_index):  # the row search runs on the error path only
+        _check_rows(np.diff(wp_index) >= 0, "waypoint indices must be non-decreasing", offset=1)
+    for name, speed in (("spd_c", spd_c), ("spd_w", spd_w)):
+        _check_rows((speed >= 0.0) & np.isfinite(speed), f"{name} must be finite and >= 0")
+    zeros = np.zeros(len(lines))
+    columns = {
+        "t": t, "lat": lat, "lon": lon, "spd_t": spd_t, "course_t": zeros, "h_t": _wrapped(h_t),
+        "through_water_speed": zeros, "turn_rate": zeros, "spd_c": spd_c,
+        "dir_c": _wrapped(dir_c), "spd_w": spd_w, "dir_w": _wrapped(dir_w),
+        "thrust": _clamped_column(thrust, 0.0, 1.0),
+        "rudder": _clamped_column(rudder, -1.0, 1.0),
+    }
+    return columns, wp_index, intermediate
 
 
 def _repr_column(column) -> list[str]:
@@ -234,27 +278,29 @@ def _repr_column(column) -> list[str]:
 
 
 def _point_lons(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
-    """geo.point_coords on columns: ValueError unless every coordinate is
+    """geo.point_coords on columns: _RowError unless every coordinate is
     finite and every latitude in [-90, 90]; the longitudes wrapped to
     [-180, 180) to the same bits."""
     finite = np.isfinite(lat) & np.isfinite(lon)
     if not finite.all():
         i = int(np.argmin(finite))
-        raise ValueError(f"non-finite coordinates ({float(lat[i])}, {float(lon[i])})")
+        raise _RowError(i, f"non-finite coordinates ({float(lat[i])}, {float(lon[i])})")
     inside = (lat >= -90.0) & (lat <= 90.0)
     if not inside.all():
-        raise ValueError(f"latitude {float(lat[np.argmin(inside)])} outside [-90, 90]")
+        i = int(np.argmin(inside))
+        raise _RowError(i, f"latitude {float(lat[i])} outside [-90, 90]")
     lon = np.remainder(lon + 180.0, 360.0) - 180.0
     lon[lon == 180.0] = -180.0
     return lon
 
 
 def _wrapped(theta: np.ndarray) -> np.ndarray:
-    """geo.wrap_angle on a column: ValueError on a non-finite angle, else
+    """geo.wrap_angle on a column: _RowError on a non-finite angle, else
     every angle wrapped into [0, 360) to the same bits."""
     finite = np.isfinite(theta)
     if not finite.all():
-        raise ValueError(f"angle must be finite, got {float(theta[np.argmin(finite)])!r}")
+        i = int(np.argmin(finite))
+        raise _RowError(i, f"angle must be finite, got {float(theta[i])!r}")
     wrapped = np.remainder(theta, 360.0)
     wrapped[wrapped == 360.0] = 0.0
     return wrapped
@@ -302,7 +348,7 @@ class LegNotAcquiredError(ValueError):
 def cross_track_series(
     log: TrajectoryLog,
     mission: Sequence[Waypoint],
-    acceptance_radius: float = 2.0,
+    acceptance_radius: float = DEFAULT_ACCEPT_RADIUS,
 ) -> CrossTrackSeries:
     """Signed per-sample distance to the active leg's infinite line.
 
@@ -379,7 +425,7 @@ def score(errors: np.ndarray, weights: np.ndarray, label: str = "") -> ErrorRepo
 def score_log(
     log: TrajectoryLog,
     mission: Sequence[Waypoint],
-    acceptance_radius: float = 2.0,
+    acceptance_radius: float = DEFAULT_ACCEPT_RADIUS,
     label: str = "",
 ) -> ErrorReport:
     """Aggregate report over every scored sample of a run."""

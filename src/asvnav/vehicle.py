@@ -19,6 +19,8 @@ import numpy as np
 from .env import Flows, _flow_direction
 from .geo import GeoPoint, bearing_of, displaced, unit_enu, wrap_angle
 
+# Simulation time step (s): the default, and the largest one step accepts.
+DEFAULT_DT = 0.1
 MAX_STEP_DT = 0.5
 
 

@@ -2,7 +2,9 @@
 
 import hashlib
 import itertools
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,23 +13,19 @@ from asvnav.effects import (
     FEATURE_NAMES,
     RECIPE_ENU_INTERCEPT,
     EffectModel,
-    ForceSample,
     OracleEffectModel,
-    convert_to_coordinate_vectors,
     fit,
     load_model,
     make_features,
     save_model,
 )
-from asvnav.geo import wrap_signed
+from asvnav.geo import bearing_of
 from asvnav.vehicle import VehicleParams
 
 
 def _random_force(rng):
-    return ForceSample(
-        spd_c=rng.uniform(0, 2), dir_c=rng.uniform(0, 360),
-        spd_w=rng.uniform(0, 8), dir_w=rng.uniform(0, 360),
-    )
+    """(spd_c, dir_c, spd_w, dir_w) of a random current and wind."""
+    return rng.uniform(0, 2), rng.uniform(0, 360), rng.uniform(0, 8), rng.uniform(0, 360)
 
 
 def _samples_from_linear_map(coef, n, rng, noise=0.0):
@@ -37,8 +35,7 @@ def _samples_from_linear_map(coef, n, rng, noise=0.0):
         force = _random_force(rng)
         spd_target = rng.uniform(0.5, 4.0)
         heading = rng.uniform(0, 360)
-        x = np.asarray(make_features(force.spd_c, force.dir_c, force.spd_w, force.dir_w,
-                                     spd_target, heading))
+        x = np.asarray(make_features(*force, spd_target, heading))
         y = coef @ x + noise * rng.standard_normal(3)
         rows.append((*x, *y))
     return np.array(rows)
@@ -115,59 +112,37 @@ def test_fit_names_degenerate_feature():
 
 def test_predict_zero_disturbance_zero_effect():
     model = EffectModel.zero()
-    pred = model.predict(ForceSample(0.0, 0.0, 0.0, 0.0), 2.0, 2.0, 0.0)
-    assert pred.effect_spd == 0.0
-    assert pred.effect_x == 0.0 and pred.effect_y == 0.0
+    effect_x, effect_y, effect_spd = model.predict(0.0, 0.0, 0.0, 0.0, 2.0, 0.0)
+    assert effect_spd == 0.0
+    assert effect_x == 0.0 and effect_y == 0.0
 
 
 def test_oracle_identity_on_current():
     oracle = OracleEffectModel(wind_drag_factor=0.0)
-    pred = oracle.predict(ForceSample(0.677, 90.0, 0.0, 0.0), 2.0, 2.0, 0.0)
-    assert pred.effect_x == pytest.approx(0.677, rel=1e-12)
-    assert pred.effect_y == pytest.approx(0.0, abs=1e-12)
-    assert pred.effect_dir == pytest.approx(90.0)
+    effect_x, effect_y, _ = oracle.predict(0.677, 90.0, 0.0, 0.0, 2.0, 0.0)
+    assert effect_x == pytest.approx(0.677, rel=1e-12)
+    assert effect_y == pytest.approx(0.0, abs=1e-12)
+    assert bearing_of(effect_x, effect_y) == pytest.approx(90.0)
 
 
 def test_oracle_downstream_negative_deficit():
     """Current aligned with heading aids progress: deficit is negative."""
     oracle = OracleEffectModel(wind_drag_factor=0.0)
-    pred = oracle.predict(ForceSample(1.0, 180.0, 0.0, 0.0), 2.0, 2.0, 180.0)
-    assert pred.effect_spd == pytest.approx(-1.0, rel=1e-12)
+    *_, effect_spd = oracle.predict(1.0, 180.0, 0.0, 0.0, 2.0, 180.0)
+    assert effect_spd == pytest.approx(-1.0, rel=1e-12)
 
 
 def test_oracle_upstream_positive_deficit():
     oracle = OracleEffectModel(wind_drag_factor=0.0)
-    pred = oracle.predict(ForceSample(1.0, 180.0, 0.0, 0.0), 2.0, 2.0, 0.0)
-    assert pred.effect_spd == pytest.approx(1.0, rel=1e-12)
+    *_, effect_spd = oracle.predict(1.0, 180.0, 0.0, 0.0, 2.0, 0.0)
+    assert effect_spd == pytest.approx(1.0, rel=1e-12)
 
 
 def test_oracle_includes_wind_drag():
     oracle = OracleEffectModel(wind_drag_factor=0.03)
-    pred = oracle.predict(ForceSample(0.0, 0.0, 10.0, 90.0), 2.0, 2.0, 0.0)
-    assert pred.effect_x == pytest.approx(0.3, rel=1e-12)
-    assert pred.effect_y == pytest.approx(0.0, abs=1e-12)
-
-
-def test_convert_to_coordinate_vectors_examples():
-    assert convert_to_coordinate_vectors(0.0, 123.0) == (0.0, 0.0)
-    x, y = convert_to_coordinate_vectors(1.0, 90.0)
-    assert x == pytest.approx(1.0, rel=1e-12)
-    assert y == pytest.approx(0.0, abs=1e-12)
-    x, y = convert_to_coordinate_vectors(2.0, 225.0)
-    assert x == pytest.approx(-math.sqrt(2), rel=1e-9)
-    assert y == pytest.approx(-math.sqrt(2), rel=1e-9)
-
-
-def test_convert_round_trips_with_atan2_hypot():
-    rng = np.random.default_rng(8)
-    for _ in range(1000):
-        mag = rng.uniform(0, 5)
-        direction = rng.uniform(0, 360)
-        x, y = convert_to_coordinate_vectors(mag, direction)
-        assert math.hypot(x, y) == pytest.approx(mag, abs=1e-9)
-        if mag > 1e-9:
-            recovered = math.degrees(math.atan2(x, y)) % 360
-            assert abs(wrap_signed(recovered - direction)) < 1e-9
+    effect_x, effect_y, _ = oracle.predict(0.0, 0.0, 10.0, 90.0, 2.0, 0.0)
+    assert effect_x == pytest.approx(0.3, rel=1e-12)
+    assert effect_y == pytest.approx(0.0, abs=1e-12)
 
 
 def test_predict_linearity_in_force_components():
@@ -175,44 +150,35 @@ def test_predict_linearity_in_force_components():
     rng = np.random.default_rng(9)
     coef = rng.uniform(-1, 1, size=(3, len(FEATURE_NAMES)))
     model = EffectModel(coef=coef)
-    spd_target, spd_t, h_t = 2.0, 1.8, 40.0
+    spd_target, h_t = 2.0, 40.0
 
     def drift(force):
-        pred = model.predict(force, spd_target, spd_t, h_t)
-        return np.array([pred.effect_x, pred.effect_y])
+        effect_x, effect_y, _ = model.predict(*force, spd_target, h_t)
+        return np.array([effect_x, effect_y])
+
+    def force_enu(force):
+        """(current, wind) east/north components of a force."""
+        ce, cn, we, wn, *_ = make_features(*force, spd_target, h_t)
+        return np.array([ce, cn]), np.array([we, wn])
 
     for _ in range(50):
         f1 = _random_force(rng)
         f2 = _random_force(rng)
         alpha, beta = rng.uniform(-2, 2, size=2)
-        combined_enu = (
-            alpha * np.array(f1.current_enu()) + beta * np.array(f2.current_enu()),
-            alpha * np.array(f1.wind_enu()) + beta * np.array(f2.wind_enu()),
-        )
-        (ce, cn), (we, wn) = combined_enu
-        f12 = ForceSample(
-            spd_c=math.hypot(ce, cn),
-            dir_c=math.degrees(math.atan2(ce, cn)) % 360,
-            spd_w=math.hypot(we, wn),
-            dir_w=math.degrees(math.atan2(we, wn)) % 360,
+        (c1, w1), (c2, w2) = force_enu(f1), force_enu(f2)
+        (ce, cn), (we, wn) = alpha * c1 + beta * c2, alpha * w1 + beta * w2
+        f12 = (
+            math.hypot(ce, cn),
+            math.degrees(math.atan2(ce, cn)) % 360,
+            math.hypot(we, wn),
+            math.degrees(math.atan2(we, wn)) % 360,
         )
         lhs = drift(f12)
         rhs = alpha * drift(f1) + beta * drift(f2)
         # the speed/heading feature contribution is affine and cancels only
         # in the difference of scaled predictions; compare the force part
-        base = drift(ForceSample(0.0, 0.0, 0.0, 0.0))
+        base = drift((0.0, 0.0, 0.0, 0.0))
         np.testing.assert_allclose(lhs - base, (rhs - (alpha + beta) * base), atol=1e-9)
-
-
-def test_prediction_drift_decomposition_consistent():
-    rng = np.random.default_rng(10)
-    coef = rng.uniform(-1, 1, size=(3, len(FEATURE_NAMES)))
-    model = EffectModel(coef=coef)
-    for _ in range(200):
-        pred = model.predict(_random_force(rng), 2.0, 2.0, rng.uniform(0, 360))
-        x, y = convert_to_coordinate_vectors(pred.drift_magnitude(), pred.effect_dir)
-        assert x == pytest.approx(pred.effect_x, abs=1e-9)
-        assert y == pytest.approx(pred.effect_y, abs=1e-9)
 
 
 def test_model_round_trips_through_json(tmp_path):
@@ -231,6 +197,26 @@ def test_load_model_rejects_other_files(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text('{"something": "else"}')
     with pytest.raises(ValueError, match="not an effect model"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("recipe, width, message", [
+    ("polar_v0", len(FEATURE_NAMES), "unknown feature recipe 'polar_v0'"),
+    (RECIPE_ENU_INTERCEPT, len(FEATURE_NAMES), "recipe .* takes 8 features, .* has 7 columns"),
+    ("enu_components_v1", len(FEATURE_NAMES) + 1, "recipe .* takes 7 features, .* has 8 columns"),
+])
+def test_load_model_rejects_recipe_it_cannot_predict_with(tmp_path, recipe, width, message):
+    """A model file whose recipe is unknown, or whose coefficient width does
+    not match its recipe, fails on load naming the file, not at the first
+    feed-forward update of a run."""
+    model = fit(_samples_from_linear_map(np.zeros((3, len(FEATURE_NAMES))), 100,
+                                         np.random.default_rng(16)))
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    payload = json.loads(path.read_text())
+    payload["recipe"], payload["coef"] = recipe, np.zeros((3, width)).tolist()
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
         load_model(path)
 
 
@@ -290,7 +276,6 @@ def test_predict_outputs_pinned(name):
     model = _predict_models()[name]
     rows = []
     for spd_c, dir_c, spd_w, dir_w, spd_target, h_t in _predict_inputs():
-        pred = model.predict(ForceSample(spd_c, dir_c, spd_w, dir_w), spd_target, 0.0, h_t)
-        rows.append((pred.effect_x, pred.effect_y, pred.effect_spd))
+        rows.append(model.predict(spd_c, dir_c, spd_w, dir_w, spd_target, h_t))
     digest = hashlib.sha256(np.array(rows, dtype=np.float64).tobytes()).hexdigest()
     assert digest == PREDICT_SHA256[name]

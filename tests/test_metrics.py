@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -180,42 +181,55 @@ def _write_trajectory(path, lines, blank_after=()):
     return path
 
 
-def _edited_trajectory(path, edits):
+def _edited_trajectory(path, edits, blank_after=()):
     """The short log's CSV with cells replaced: edits maps (row, column
     name) to text, or to None to drop the cell; rows count from 1 after
-    the header."""
+    the header. A blank line follows each row in blank_after."""
     lines = _trajectory_lines()
     for (row, column), text in edits.items():
         lines[row][lines[0].index(column)] = text
-    return _write_trajectory(path, [[c for c in cells if c is not None] for cells in lines])
+    return _write_trajectory(path, [[c for c in cells if c is not None] for cells in lines],
+                             blank_after)
 
 
-@pytest.mark.parametrize("edits", [
-    {(0, "t"): "time"},
-    {(3, "t"): "1.0"},
-    {(3, "t"): "0.5"},
-    {(3, "wp_index"): "0"},
-    {(3, "spd_t"): "-0.5"},
-    {(3, "spd_t"): "nan"},
-    {(3, "t"): "inf"},
-    {(3, "lat"): "nan"},
-    {(3, "lon"): "inf"},
-    {(3, "lat"): "90.5"},
-    {(3, "lat"): "-91.0"},
-    {(3, "h_t"): "inf"},
-    {(3, "dir_c"): "nan"},
-    {(3, "dir_w"): "-inf"},
-    {(3, "spd_c"): "-0.1"},
-    {(3, "spd_w"): "nan"},
-    {(3, "rudder"): ""},
-    {(3, "rudder"): "0.0,0.0"},
-    {(3, "rudder"): None},
-    {(3, "wp_index"): "1.0"},
-    {(3, "int_lat"): "34.0"},
-], ids=lambda edits: "-".join(f"{c}={t}" for (_, c), t in edits.items()))
-def test_trajectory_csv_rejects_bad_rows(tmp_path, edits):
-    with pytest.raises(ValueError):
-        TrajectoryLog.from_csv(_edited_trajectory(tmp_path / "trajectory.csv", edits))
+def _bad_rows(edits, blank_after=()):
+    """A case of test_trajectory_csv_rejects_bad_rows, named by its edits."""
+    name = "-".join(f"{c}={t}" for (_, c), t in edits.items())
+    return pytest.param(edits, blank_after, id=name + ("-after-blank-lines" if blank_after else ""))
+
+
+@pytest.mark.parametrize("edits, blank_after", [
+    _bad_rows({(0, "t"): "time"}),
+    _bad_rows({(3, "t"): "1.0"}),
+    _bad_rows({(3, "t"): "0.5"}),
+    _bad_rows({(3, "wp_index"): "0"}),
+    _bad_rows({(3, "spd_t"): "-0.5"}),
+    _bad_rows({(3, "spd_t"): "nan"}),
+    _bad_rows({(3, "t"): "inf"}),
+    _bad_rows({(3, "lat"): "nan"}),
+    _bad_rows({(3, "lon"): "inf"}),
+    _bad_rows({(3, "lat"): "90.5"}),
+    _bad_rows({(3, "lat"): "-91.0"}),
+    _bad_rows({(3, "h_t"): "inf"}),
+    _bad_rows({(3, "dir_c"): "nan"}),
+    _bad_rows({(3, "dir_w"): "-inf"}),
+    _bad_rows({(3, "spd_c"): "-0.1"}),
+    _bad_rows({(3, "spd_w"): "nan"}),
+    _bad_rows({(3, "rudder"): ""}),
+    _bad_rows({(3, "rudder"): "0.0,0.0"}),
+    _bad_rows({(3, "rudder"): None}),
+    _bad_rows({(3, "wp_index"): "1.0"}),
+    _bad_rows({(3, "int_lat"): "34.0"}),
+    _bad_rows({(3, "t"): "1.0"}, blank_after=(0, 1, 2)),
+])
+def test_trajectory_csv_rejects_bad_rows(tmp_path, edits, blank_after):
+    """The rejection names the file and the file line of the edited row,
+    counting the header and blank lines."""
+    path = _edited_trajectory(tmp_path / "trajectory.csv", edits, blank_after)
+    row = max(row for row, _ in edits)
+    line = 1 + row + sum(1 for after in blank_after if after < row)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line {line}: "):
+        TrajectoryLog.from_csv(path)
 
 
 def test_trajectory_csv_reader_wraps_and_clamps(tmp_path):
