@@ -11,6 +11,7 @@ import pytest
 
 from asvnav.effects import (
     FEATURE_NAMES,
+    RECIPE_ENU,
     RECIPE_ENU_INTERCEPT,
     EffectModel,
     OracleEffectModel,
@@ -203,16 +204,14 @@ def test_load_model_rejects_other_files(tmp_path):
 @pytest.mark.parametrize("recipe, width, message", [
     ("polar_v0", len(FEATURE_NAMES), "unknown feature recipe 'polar_v0'"),
     (RECIPE_ENU_INTERCEPT, len(FEATURE_NAMES), "recipe .* takes 8 features, .* has 7 columns"),
-    ("enu_components_v1", len(FEATURE_NAMES) + 1, "recipe .* takes 7 features, .* has 8 columns"),
+    (RECIPE_ENU, len(FEATURE_NAMES) + 1, "recipe .* takes 7 features, .* has 8 columns"),
 ])
 def test_load_model_rejects_recipe_it_cannot_predict_with(tmp_path, recipe, width, message):
     """A model file whose recipe is unknown, or whose coefficient width does
     not match its recipe, fails on load naming the file, not at the first
     feed-forward update of a run."""
-    model = fit(_samples_from_linear_map(np.zeros((3, len(FEATURE_NAMES))), 100,
-                                         np.random.default_rng(16)))
     path = tmp_path / "model.json"
-    save_model(model, path)
+    save_model(EffectModel.zero(), path)
     payload = json.loads(path.read_text())
     payload["recipe"], payload["coef"] = recipe, np.zeros((3, width)).tolist()
     path.write_text(json.dumps(payload))
