@@ -18,6 +18,7 @@ from asvnav.harness import (
     TRAINING_HEADER,
     ControllerSpec,
     Scenario,
+    StartPose,
     SweepSpec,
     calm_water_scenario,
     downstream_failure_scenario,
@@ -40,7 +41,7 @@ from asvnav.harness import (
     write_mission_csv,
     write_training_csv,
 )
-from asvnav.metrics import SUITE_ORIENTATIONS, TrajectoryLog
+from asvnav.metrics import LOG_COLUMNS, SUITE_ORIENTATIONS, TrajectoryLog
 from asvnav.vehicle import NoiseSpec, VehicleParams
 
 ORIGIN = GeoPoint(34.0, -81.0)
@@ -93,6 +94,46 @@ def test_duration_limit_flags_incomplete():
     result = run_scenario(sc)
     assert not result.completed
     assert len(result.log) == 51  # partial log retained
+
+
+def test_run_from_an_explicit_start_pose():
+    """An explicit pose equal to the derived start gives the derived run
+    column for column; another pose starts the log at rest there."""
+    sc = replace(downstream_failure_scenario(), controller=ControllerSpec(kind="augmented"))
+    derived = run_scenario(sc).log
+    pose = StartPose(lat=derived.lat[0], lon=derived.lon[0], heading_deg=derived.h_t[0])
+    explicit = run_scenario(replace(sc, start=pose))
+    assert explicit.outcome == "completed"
+    assert all(getattr(explicit.log, name) == getattr(derived, name) for name in LOG_COLUMNS)
+
+    moved = StartPose(lat=pose.lat + 1e-4, lon=pose.lon, heading_deg=200.0)
+    log = run_scenario(replace(sc, start=moved, duration_limit_s=1.0)).log
+    first = tuple(getattr(log, name)[0] for name in LOG_COLUMNS[:8])
+    assert first == (0.0, moved.lat, moved.lon, 0.0, 200.0, 200.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("heading, lon, h_t, wrapped_lon", [
+    (370.0, -81.0, 10.0, -81.0),
+    (-90.0, 279.0, 270.0, -81.0),
+])
+def test_explicit_start_pose_is_wrapped(heading, lon, h_t, wrapped_lon):
+    """The heading wraps into [0, 360) and the longitude into [-180, 180)."""
+    sc = _short_scenario(start=StartPose(lat=34.0, lon=lon, heading_deg=heading),
+                         duration_limit_s=0.1)
+    log = run_scenario(sc).log
+    assert (log.course_t[0], log.h_t[0], log.lon[0]) == (h_t, h_t, wrapped_lon)
+
+
+@pytest.mark.parametrize("pose, message", [
+    (StartPose(34.0, -81.0, math.nan), "angle must be finite"),
+    (StartPose(34.0, -81.0, -math.inf), "angle must be finite"),
+    (StartPose(90.5, -81.0, 0.0), r"latitude 90.5 outside \[-90, 90\]"),
+    (StartPose(-91.0, -81.0, 0.0), r"latitude -91.0 outside \[-90, 90\]"),
+    (StartPose(34.0, math.inf, 0.0), "non-finite coordinates"),
+])
+def test_explicit_start_pose_rejected(pose, message):
+    with pytest.raises(ValueError, match=message):
+        run_scenario(_short_scenario(start=pose))
 
 
 @pytest.mark.parametrize("dt", [0.0, -0.1, 0.6])
