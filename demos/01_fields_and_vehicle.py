@@ -9,7 +9,7 @@ import math
 
 from asvnav.env import Environment, FieldSpec, ForceVector, GustSpec, sample_field
 from asvnav.geo import EnuVector, GeoPoint, distance_bearing, offset_point
-from asvnav.vehicle import ActuatorCommand, AsvState, VehicleParams, step
+from asvnav.vehicle import VehicleParams, step
 
 origin = GeoPoint(34.0, -81.0)
 
@@ -36,22 +36,21 @@ params = VehicleParams()
 current = ForceVector(0.8, 135.0)
 calm = Environment.calm()
 drifted = Environment(FieldSpec.uniform(current), FieldSpec.calm())
-cmd = ActuatorCommand(thrust=2.0 / params.max_water_speed, rudder=0.0)
+thrust = 2.0 / params.max_water_speed  # rudder amidships
 
-s_calm = AsvState(pos=origin, spd_t=2.0, course_t=30.0, h_t=30.0,
-                  through_water_speed=2.0, t=0.0)
+# A hull state is the tuple step takes apart and returns:
+# (pos, spd_t, course_t, h_t, through_water_speed, t, turn_rate).
+s_calm = (origin, 2.0, 30.0, 30.0, 2.0, 0.0, 0.0)
 ce, cn = current.enu()
-s_cur = AsvState(pos=origin, spd_t=math.hypot(2.0 * math.sin(math.radians(30)) + ce,
-                                              2.0 * math.cos(math.radians(30)) + cn),
-                 course_t=30.0, h_t=30.0, through_water_speed=2.0, t=0.0)
+spd_cur = math.hypot(2.0 * math.sin(math.radians(30)) + ce, 2.0 * math.cos(math.radians(30)) + cn)
+s_cur = (origin, spd_cur, 30.0, 30.0, 2.0, 0.0, 0.0)
 
 
-
-def advance(s: AsvState, environment: Environment) -> AsvState:
-    """One 0.1 s step of the hull under cmd, in the flows at its position."""
-    flows = environment.sample(s.pos, s.t)
-    return AsvState(*step(s.pos, s.h_t, s.through_water_speed, s.t, s.turn_rate,
-                          cmd.thrust, cmd.rudder, flows, params, 0.1))
+def advance(s: tuple, environment: Environment) -> tuple:
+    """One 0.1 s step of the hull at thrust, in the flows at its position."""
+    pos, _, _, h_t, through_water_speed, t, turn_rate = s
+    flows = environment.sample(pos, t)
+    return step(pos, h_t, through_water_speed, t, turn_rate, thrust, 0.0, flows, params, 0.1)
 
 
 T = 60.0
@@ -59,7 +58,7 @@ for _ in range(int(T / 0.1)):
     s_calm = advance(s_calm, calm)
     s_cur = advance(s_cur, drifted)
 
-predicted = offset_point(s_calm.pos, EnuVector(ce * T, cn * T))
-gap, _ = distance_bearing(predicted, s_cur.pos)
+predicted = offset_point(s_calm[0], EnuVector(ce * T, cn * T))
+gap, _ = distance_bearing(predicted, s_cur[0])
 print(f"  calm endpoint + current*T vs drifted endpoint: gap = {gap:.2e} m")
 print("  (the current only translates the trajectory; the hull model is additive)")

@@ -24,7 +24,6 @@ from .control import (
 )
 from .effects import (
     EffectModel,
-    ForceSample,
     OracleEffectModel,
     TrainingSample,
     fit,
@@ -76,8 +75,6 @@ from .metrics import (
     table_report,
 )
 from .vehicle import (
-    ActuatorCommand,
-    AsvState,
     NoiseSpec,
     VehicleParams,
     relative_to_absolute,

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geo import unit_enu, wrap_angle
+from .geo import unit_enu
 
 MODEL_FORMAT = "asvnav-effect-model"
 MODEL_VERSION = 1
@@ -47,24 +47,6 @@ RECIPE_WIDTHS = {RECIPE_ENU: len(FEATURE_NAMES), RECIPE_ENU_INTERCEPT: len(FEATU
 CORPUS_WIDTH = len(FEATURE_NAMES) + len(TARGET_NAMES)
 
 MIN_SAMPLES_PER_FEATURE = 10
-
-
-@dataclass(frozen=True)
-class ForceSample:
-    """Absolute (world-frame) current and wind as measured by the vehicle:
-    finite non-negative speeds, directions wrapped to [0, 360)."""
-
-    spd_c: float
-    dir_c: float
-    spd_w: float
-    dir_w: float
-
-    def __post_init__(self):
-        for name in ("spd_c", "spd_w"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0")
-        object.__setattr__(self, "dir_c", wrap_angle(self.dir_c))
-        object.__setattr__(self, "dir_w", wrap_angle(self.dir_w))
 
 
 @dataclass(frozen=True)

@@ -63,8 +63,8 @@ from .metrics import (
 )
 from .vehicle import (
     DEFAULT_DT,
-    AsvState,
     NoiseSpec,
+    StateFloats,
     VehicleParams,
     _check_dt,
     _clamped,
@@ -348,21 +348,27 @@ class Scenario:
                     f"{self.vehicle.max_water_speed}"
                 )
 
-    def start_state(self) -> AsvState:
-        """Initial vehicle state: explicit pose, or derived to sit just off
-        the first leg's extension, a run-up back along the leg bearing."""
+    def start_state(self) -> StateFloats:
+        """Initial vehicle state, at rest at t = 0: the explicit pose, or
+        derived to sit just off the first leg's extension, a run-up back
+        along the leg bearing. The position is checked and wrapped as a
+        GeoPoint and the heading by wrap_angle, so a bad pose raises
+        ValueError."""
         if self.start is not None:
-            return AsvState.at_rest(GeoPoint(self.start.lat, self.start.lon), self.start.heading_deg)
-        if len(self.mission) < 2:
+            pos, heading = GeoPoint(self.start.lat, self.start.lon), self.start.heading_deg
+        elif len(self.mission) < 2:
             raise ValueError("derived start needs a two-waypoint mission; give start explicitly")
-        _, leg_bearing = distance_bearing(self.mission[0].pos, self.mission[1].pos)
-        ue, un = unit_enu(leg_bearing)
-        le, ln = unit_enu(wrap_angle(leg_bearing - 90.0))  # port side of the leg
-        delta = EnuVector(
-            -self.start_runup_m * ue + self.start_offset_m * le,
-            -self.start_runup_m * un + self.start_offset_m * ln,
-        )
-        return AsvState.at_rest(offset_point(self.mission[0].pos, delta), leg_bearing)
+        else:
+            _, heading = distance_bearing(self.mission[0].pos, self.mission[1].pos)
+            ue, un = unit_enu(heading)
+            le, ln = unit_enu(wrap_angle(heading - 90.0))  # port side of the leg
+            delta = EnuVector(
+                -self.start_runup_m * ue + self.start_offset_m * le,
+                -self.start_runup_m * un + self.start_offset_m * ln,
+            )
+            pos = offset_point(self.mission[0].pos, delta)
+        heading = wrap_angle(heading)
+        return pos, 0.0, heading, heading, 0.0, 0.0, 0.0
 
 
 def load_scenario(path: str | os.PathLike) -> Scenario:
@@ -528,11 +534,7 @@ def _closed_loop(sc: Scenario, mission: list[Waypoint], model) -> tuple[Trajecto
     rng = np.random.default_rng(sc.seed)
     sample = Environment(current=sc.current, wind=sc.wind).sample
     augmented = sc.controller.kind == "augmented"
-    start = sc.start_state()
-    pos, spd_t, course_t, h_t, tw, t, turn_rate = (
-        start.pos, start.spd_t, start.course_t, start.h_t, start.through_water_speed, start.t,
-        start.turn_rate,
-    )
+    pos, spd_t, course_t, h_t, tw, t, turn_rate = sc.start_state()
     index = 0
     heading_pid = speed_pid = FRESH_PID
     line, intermediate, next_update_t = None, None, -math.inf

@@ -13,15 +13,14 @@ import io
 import math
 import os
 from array import array
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .control import DEFAULT_ACCEPT_RADIUS, Waypoint
-from .effects import ForceSample
 from .geo import GeoPoint, distance, distance_bearing, enu_columns, unit_enu
-from .vehicle import ActuatorCommand, AsvState
 
 TRAJECTORY_HEADER = (
     "t,lat,lon,spd_t,h_t,wp_index,int_lat,int_lon,int_spd,"
@@ -45,27 +44,17 @@ TABLE_COLUMNS: tuple[tuple[str, tuple[int, ...]], ...] = (
 
 SUITE_ORIENTATIONS = (0, 45, 90, 135, 180, 225, 270, 315)
 
-
-@dataclass(frozen=True)
-class LogRecord:
-    """One simulation step as written to the trajectory log."""
-
-    t: float
-    state: AsvState
-    wp_index: int
-    intermediate: Optional[Waypoint]
-    force: ForceSample
-    cmd: ActuatorCommand
-
-
-# The columns of a TrajectoryLog, in the order of a log row: the record's
-# time, the rest of the vehicle state, the active waypoint index, the
-# intermediate target (a Waypoint or None), the recovered forces and the
-# actuator command.
+# The columns of a TrajectoryLog, in the order of a log row: the row's
+# time, the rest of the vehicle state (vehicle.StateFloats, the position as
+# lat and lon), the active waypoint index, the intermediate target (a
+# Waypoint or None), the recovered forces and the actuator command.
 LOG_COLUMNS = (
     "t", "lat", "lon", "spd_t", "course_t", "h_t", "through_water_speed", "turn_rate",
     "wp_index", "intermediate", "spd_c", "dir_c", "spd_w", "dir_w", "thrust", "rudder",
 )
+# One log row with its fields named: what from_rows and append take and
+# records returns.
+LogRecord = namedtuple("LogRecord", LOG_COLUMNS)
 # Columns that hold Python objects; every other column holds doubles.
 _OBJECT_COLUMNS = ("wp_index", "intermediate")
 
@@ -101,17 +90,15 @@ class TrajectoryLog:
             setattr(log, name, list(column) if name in _OBJECT_COLUMNS else array("d", column))
         return log
 
-    def append(self, record: LogRecord) -> None:
-        if self.t and record.t <= self.t[-1]:
+    def append(self, row: Sequence) -> None:
+        """Add one row in LOG_COLUMNS order. Its time must exceed the last
+        row's and its waypoint index must not be lower; TypeError unless
+        it has one value per column."""
+        row = LogRecord._make(row)
+        if self.t and row.t <= self.t[-1]:
             raise ValueError("timestamps must be strictly increasing")
-        if self.wp_index and record.wp_index < self.wp_index[-1]:
+        if self.wp_index and row.wp_index < self.wp_index[-1]:
             raise ValueError("waypoint indices must be non-decreasing")
-        s, force, cmd = record.state, record.force, record.cmd
-        if s.t != record.t:
-            raise ValueError(f"record time {record.t} differs from its state's time {s.t}")
-        row = (record.t, s.pos.lat, s.pos.lon, s.spd_t, s.course_t, s.h_t, s.through_water_speed,
-               s.turn_rate, record.wp_index, record.intermediate, force.spd_c, force.dir_c,
-               force.spd_w, force.dir_w, cmd.thrust, cmd.rudder)
         for name, value in zip(LOG_COLUMNS, row):
             getattr(self, name).append(value)
 
@@ -120,20 +107,8 @@ class TrajectoryLog:
 
     @property
     def records(self) -> tuple[LogRecord, ...]:
-        """The log as LogRecords, built from the columns on each access."""
-        return tuple(
-            LogRecord(
-                t=t,
-                state=AsvState(GeoPoint(lat, lon), spd_t, course_t, h_t, tw, t, turn_rate),
-                wp_index=wp_index,
-                intermediate=intermediate,
-                force=ForceSample(spd_c, dir_c, spd_w, dir_w),
-                cmd=ActuatorCommand(thrust, rudder),
-            )
-            for (t, lat, lon, spd_t, course_t, h_t, tw, turn_rate, wp_index, intermediate,
-                 spd_c, dir_c, spd_w, dir_w, thrust, rudder)
-            in zip(*(getattr(self, name) for name in LOG_COLUMNS))
-        )
+        """The log as rows, built from the columns on each access."""
+        return tuple(map(LogRecord._make, zip(*(getattr(self, name) for name in LOG_COLUMNS))))
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -162,8 +137,12 @@ class TrajectoryLog:
 
     @classmethod
     def from_csv(cls, path: str | os.PathLike) -> "TrajectoryLog":
-        """Rebuild a log from its CSV, with the checks a state, a force
-        sample, a command and append make, applied to whole columns.
+        """Rebuild a log from its CSV, checked and normalised column by
+        column as the simulation makes its values: coordinates as GeoPoint
+        (finite, latitude in [-90, 90], longitude wrapped), ground speed
+        and force speeds finite and >= 0, finite times that strictly
+        increase, waypoint indices that never decrease, angles wrapped as
+        wrap_angle does, thrust and rudder clamped as vehicle._clamped does.
 
         The CSV schema does not carry course, through-water speed or turn
         rate, so those columns are zero; everything the scoring needs

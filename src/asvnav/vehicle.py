@@ -23,55 +23,17 @@ from .geo import GeoPoint, bearing_of, displaced, unit_enu, wrap_angle
 DEFAULT_DT = 0.1
 MAX_STEP_DT = 0.5
 
-
-@dataclass(frozen=True)
-class AsvState:
-    """Vehicle pose and speeds at one instant.
-
-    spd_t/course_t describe the ground-track velocity (what GPS sees);
-    h_t is the hull heading (what the compass sees). course_t is kept
-    separately because drift decouples track from heading.
-    """
-
-    pos: GeoPoint
-    spd_t: float
-    course_t: float
-    h_t: float
-    through_water_speed: float
-    t: float
-    turn_rate: float = 0.0
-
-    def __post_init__(self):
-        _check_state(self.spd_t, self.through_water_speed, self.t, self.turn_rate)
-        object.__setattr__(self, "course_t", wrap_angle(self.course_t))
-        object.__setattr__(self, "h_t", wrap_angle(self.h_t))
-
-    @classmethod
-    def at_rest(cls, pos: GeoPoint, heading: float, t: float = 0.0) -> "AsvState":
-        return cls(pos=pos, spd_t=0.0, course_t=heading, h_t=heading,
-                   through_water_speed=0.0, t=t)
-
-
-@dataclass(frozen=True)
-class ActuatorCommand:
-    """Normalized thrust [0, 1] and rudder [-1, 1]; clamped on construction."""
-
-    thrust: float
-    rudder: float
-
-    def __post_init__(self):
-        thrust, rudder = _clamped(self.thrust, self.rudder)
-        object.__setattr__(self, "thrust", thrust)
-        object.__setattr__(self, "rudder", rudder)
-
-
-# AsvState's fields in order: the vehicle state as the closed loops hold it
-# and step returns it.
+# The vehicle state as the closed loops hold it and step returns it:
+# (pos, spd_t, course_t, h_t, through_water_speed, t, turn_rate).
+# spd_t/course_t describe the ground-track velocity (what GPS sees); h_t is
+# the hull heading (what the compass sees), kept apart from course_t
+# because drift decouples track from heading.
 StateFloats = tuple[GeoPoint, float, float, float, float, float, float]
 
 
 def _check_state(spd_t: float, through_water_speed: float, t: float, turn_rate: float) -> None:
-    """AsvState's checks on plain floats."""
+    """The checks on a state's speeds, time and turn rate: speeds >= 0,
+    everything finite."""
     if spd_t < 0.0 or through_water_speed < 0.0:
         raise ValueError("speeds must be >= 0")
     if not (math.isfinite(spd_t) and math.isfinite(through_water_speed)
@@ -85,8 +47,8 @@ def _check_dt(dt: float) -> None:
 
 
 def _clamped(thrust: float, rudder: float) -> tuple[float, float]:
-    """ActuatorCommand's clamps on plain floats. Non-finite values pass
-    through unclamped, for step to reject."""
+    """A command clamped to thrust [0, 1] and rudder [-1, 1]. Non-finite
+    values pass through unclamped, for step to reject."""
     if math.isfinite(thrust):
         thrust = min(1.0, max(0.0, thrust))
     if math.isfinite(rudder):
@@ -161,8 +123,8 @@ def step(pos: GeoPoint, h_t: float, through_water_speed: float, t: float, turn_r
     """Advance the vehicle one fixed Euler step: the next
     (pos, spd_t, course_t, h_t, through_water_speed, t, turn_rate).
 
-    thrust and rudder are a command in range, as ActuatorCommand and the
-    navigators clamp it; flows are the fields sampled at the state's own
+    thrust and rudder are a command in range, as the navigators clamp it
+    (_clamped); flows are the fields sampled at the state's own
     position and time. Heading integrates the lagged turn rate (commanded
     rate is rudder times the speed-scaled turn authority), through-water
     speed relaxes toward thrust * max_water_speed, and the position
@@ -197,7 +159,7 @@ def steady_state(heading: float, water_speed: float, flows: Flows,
     """(spd_t, course_t, h_t) at t=0 of a hull already moving at
     water_speed along heading, with the ground velocity the fields impose
     there (flows sampled at its position at t=0; no turn, no thrust lag).
-    Checked as AsvState checks a state."""
+    Checked as step checks a state."""
     vg_e, vg_n = _ground_velocity(water_speed, heading, flows, params)
     spd_t = math.hypot(vg_e, vg_n)
     course_t = bearing_of(vg_e, vg_n)

@@ -31,8 +31,6 @@ from asvnav.metrics import (
     sign_changes_over_threshold,
 )
 from asvnav.vehicle import (
-    AsvState,
-    ActuatorCommand,
     NoiseSpec,
     VehicleParams,
     relative_to_absolute,
@@ -69,20 +67,16 @@ def test_criterion_1_inverse_sensing():
         current = ForceVector(rng.uniform(0, 3), rng.uniform(0, 360))
         wind = ForceVector(rng.uniform(0, 10), rng.uniform(0, 360))
         environment = Environment(FieldSpec.uniform(current), FieldSpec.uniform(wind))
-        s = AsvState(
-            pos=GeoPoint(rng.uniform(-60, 60), rng.uniform(-179, 179)),
-            spd_t=rng.uniform(0, 5),
-            course_t=rng.uniform(0, 360),
-            h_t=rng.uniform(0, 360),
-            through_water_speed=rng.uniform(0, 5),
-            t=rng.uniform(0, 1000),
-        )
-        vg_e, vg_n = track_velocity(s.spd_t, s.course_t)
+        pos = GeoPoint(rng.uniform(-60, 60), rng.uniform(-179, 179))
+        spd_t, course_t, h_t = rng.uniform(0, 5), rng.uniform(0, 360), rng.uniform(0, 360)
+        rng.uniform(0, 5)  # a through-water speed, which no sensor reads
+        t = rng.uniform(0, 1000)
+        vg_e, vg_n = track_velocity(spd_t, course_t)
         water_spd, water_dir, wind_spd, wind_dir = sense(
-            vg_e, vg_n, s.h_t, environment.sample(s.pos, s.t)
+            vg_e, vg_n, h_t, environment.sample(pos, t)
         )
-        spd_c, dir_c = relative_to_absolute(vg_e, vg_n, s.h_t, water_spd, water_dir)
-        spd_w, dir_w = relative_to_absolute(vg_e, vg_n, s.h_t, wind_spd, wind_dir)
+        spd_c, dir_c = relative_to_absolute(vg_e, vg_n, h_t, water_spd, water_dir)
+        spd_w, dir_w = relative_to_absolute(vg_e, vg_n, h_t, wind_spd, wind_dir)
         worst_speed = max(worst_speed, abs(spd_c - current.speed), abs(spd_w - wind.speed))
         if current.speed > 1e-6:
             worst_dir = max(worst_dir, abs(wrap_signed(dir_c - current.direction)))
@@ -100,7 +94,7 @@ def test_criterion_2_drift_superposition():
     current = ForceVector(0.8, 135.0)
     calm = Environment.calm()
     drifted = Environment(FieldSpec.uniform(current), FieldSpec.calm())
-    cmd = ActuatorCommand(thrust=2.0 / PARAMS.max_water_speed, rudder=0.0)
+    thrust = 2.0 / PARAMS.max_water_speed
 
     def steady(environment):
         ce, cn = (0.0, 0.0)
@@ -110,14 +104,13 @@ def test_criterion_2_drift_superposition():
 
         he, hn = unit_enu(30.0)
         vg_e, vg_n = 2.0 * he + ce, 2.0 * hn + cn
-        return AsvState(pos=equator, spd_t=math.hypot(vg_e, vg_n),
-                        course_t=bearing_of(vg_e, vg_n), h_t=30.0,
-                        through_water_speed=2.0, t=0.0)
+        # step's state tuple: (pos, spd_t, course_t, h_t, through_water_speed, t, turn_rate)
+        return equator, math.hypot(vg_e, vg_n), bearing_of(vg_e, vg_n), 30.0, 2.0, 0.0, 0.0
 
     def advance(s, environment):
-        flows = environment.sample(s.pos, s.t)
-        return AsvState(*step(s.pos, s.h_t, s.through_water_speed, s.t, s.turn_rate,
-                              cmd.thrust, cmd.rudder, flows, PARAMS, dt))
+        pos, _, _, h_t, tw, t, turn_rate = s
+        return step(pos, h_t, tw, t, turn_rate, thrust, 0.0, environment.sample(pos, t), PARAMS,
+                    dt)
 
     s_calm, s_cur = steady(calm), steady(drifted)
     steps, dt = 600, 0.1
@@ -125,8 +118,8 @@ def test_criterion_2_drift_superposition():
         s_calm = advance(s_calm, calm)
         s_cur = advance(s_cur, drifted)
     ce, cn = current.enu()
-    expected = offset_point(s_calm.pos, EnuVector(ce * steps * dt, cn * steps * dt))
-    gap, _ = distance_bearing(expected, s_cur.pos)
+    expected = offset_point(s_calm[0], EnuVector(ce * steps * dt, cn * steps * dt))
+    gap, _ = distance_bearing(expected, s_cur[0])
     elapsed = time.perf_counter() - started
     _report(2, "drift superposition", gap < 1e-6, f"endpoint gap {gap:.2e} m", elapsed, 1.0)
 
@@ -237,24 +230,20 @@ def test_criterion_7_zero_disturbance_reduction():
 
 def test_criterion_8_metrics_correctness():
     started = time.perf_counter()
-    from asvnav.effects import ForceSample
-    from asvnav.metrics import LogRecord, TrajectoryLog
+    from asvnav.metrics import TrajectoryLog
 
     origin = GeoPoint(34.0, -81.0)
     mission = [Waypoint(origin, 2.0),
                Waypoint(offset_point(origin, EnuVector(0.0, 200.0)), 2.0)]
-    idle = ActuatorCommand(0.5, 0.0)
-    calm_force = ForceSample(0.0, 0.0, 0.0, 0.0)
 
     def build_log(offsets_norths):
-        log = TrajectoryLog()
+        rows = []
         for i, (e, n) in enumerate(offsets_norths):
             pos = offset_point(origin, EnuVector(e, n)) if (e, n) != (0.0, 0.0) else origin
-            state = AsvState(pos=pos, spd_t=2.0, course_t=0.0, h_t=0.0,
-                             through_water_speed=2.0, t=float(i))
-            log.append(LogRecord(t=float(i), state=state, wp_index=1,
-                                 intermediate=None, force=calm_force, cmd=idle))
-        return log
+            # heading north at 2 m/s on leg 1, calm forces, idle command
+            rows.append((float(i), pos.lat, pos.lon, 2.0, 0.0, 0.0, 2.0, 0.0, 1, None,
+                         0.0, 0.0, 0.0, 0.0, 0.5, 0.0))
+        return TrajectoryLog.from_rows(rows)
 
     constant = build_log([(3.0, n) for n in np.linspace(0.0, 200.0, 101)])
     series = cross_track_series(constant, mission)

@@ -17,7 +17,6 @@ from asvnav.effects import EffectModel, OracleEffectModel
 from asvnav.env import Environment, FieldSpec, ForceVector
 from asvnav.geo import EnuVector, GeoPoint, enu_offset, offset_point
 from asvnav.vehicle import (
-    AsvState,
     VehicleParams,
     relative_to_absolute,
     sense,
@@ -117,22 +116,38 @@ def _mission():
     return [Waypoint(a, 2.0), Waypoint(b, 2.0)]
 
 
+# A state is step's tuple (pos, spd_t, course_t, h_t, through_water_speed,
+# t, turn_rate).
+
+
+def _at_rest(east, north):
+    """The state at rest east, north meters from ORIGIN, heading north."""
+    return offset_point(ORIGIN, EnuVector(east, north)), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
+
+
+def _pose(s):
+    """(pos, spd_t, h_t, t) of state s: what the navigators read."""
+    pos, spd_t, _, h_t, _, t, _ = s
+    return pos, spd_t, h_t, t
+
+
 def _forces(s, environment):
     """The absolute (spd_c, dir_c, spd_w, dir_w) sensed and recovered at
     state s."""
-    vg_e, vg_n = track_velocity(s.spd_t, s.course_t)
+    pos, spd_t, course_t, h_t, _, t, _ = s
+    vg_e, vg_n = track_velocity(spd_t, course_t)
     water_spd, water_dir, wind_spd, wind_dir = sense(
-        vg_e, vg_n, s.h_t, environment.sample(s.pos, s.t)
+        vg_e, vg_n, h_t, environment.sample(pos, t)
     )
-    return (*relative_to_absolute(vg_e, vg_n, s.h_t, water_spd, water_dir),
-            *relative_to_absolute(vg_e, vg_n, s.h_t, wind_spd, wind_dir))
+    return (*relative_to_absolute(vg_e, vg_n, h_t, water_spd, water_dir),
+            *relative_to_absolute(vg_e, vg_n, h_t, wind_spd, wind_dir))
 
 
 def _advance(s, thrust, rudder, environment):
     """step from state s, in the flows sampled at s."""
-    flows = environment.sample(s.pos, s.t)
-    return AsvState(*step(s.pos, s.h_t, s.through_water_speed, s.t, s.turn_rate,
-                          thrust, rudder, flows, PARAMS, 0.1))
+    pos, _, _, h_t, tw, t, turn_rate = s
+    flows = environment.sample(pos, t)
+    return step(pos, h_t, tw, t, turn_rate, thrust, rudder, flows, PARAMS, 0.1)
 
 
 def test_zero_effect_steps_bit_identical_to_baseline():
@@ -143,18 +158,13 @@ def test_zero_effect_steps_bit_identical_to_baseline():
         FieldSpec.uniform(ForceVector(0.6, 45.0)), FieldSpec.uniform(ForceVector(3.0, 200.0))
     )
     model = EffectModel.zero()
-    start = offset_point(ORIGIN, EnuVector(2.0, -40.0))
-    s_base = AsvState.at_rest(start, heading=0.0)
-    s_aug = AsvState.at_rest(start, heading=0.0)
+    s_base = s_aug = _at_rest(2.0, -40.0)
     nav, aug = FRESH_NAV, FRESH_AUG
     for _ in range(600):
         force_b = _forces(s_base, environment)
-        thrust_b, rudder_b, *nav = navigator_step(
-            s_base.pos, s_base.spd_t, s_base.h_t, mission, *nav, dt=0.1
-        )
+        thrust_b, rudder_b, *nav = navigator_step(*_pose(s_base)[:3], mission, *nav, dt=0.1)
         thrust_a, rudder_a, *aug = augmented_navigator_step(
-            s_aug.pos, s_aug.spd_t, s_aug.h_t, s_aug.t, mission, *aug, model, force_b, dt=0.1,
-            params=PARAMS,
+            *_pose(s_aug), mission, *aug, model, force_b, dt=0.1, params=PARAMS,
         )
         assert (thrust_a, rudder_a) == (thrust_b, rudder_b)
         s_base = _advance(s_base, thrust_b, rudder_b, environment)
@@ -171,13 +181,13 @@ def test_mission_advances_on_true_waypoints_only():
     environment = Environment(FieldSpec.uniform(ForceVector(0.5, 90.0)), FieldSpec.calm())
     oracle = OracleEffectModel(wind_drag_factor=PARAMS.wind_drag_factor)
     cfg = AugmentConfig(max_offset_m=100.0)
-    s = AsvState.at_rest(offset_point(ORIGIN, EnuVector(1.0, -30.0)), heading=0.0)
+    s = _at_rest(1.0, -30.0)
     aug = FRESH_AUG
     seen = []
     for _ in range(2500):
         thrust, rudder, *aug = augmented_navigator_step(
-            s.pos, s.spd_t, s.h_t, s.t, mission, *aug, oracle, _forces(s, environment), cfg=cfg,
-            params=PARAMS, dt=0.1,
+            *_pose(s), mission, *aug, oracle, _forces(s, environment), cfg=cfg, params=PARAMS,
+            dt=0.1,
         )
         index = aug[0]
         if not seen or index != seen[-1]:
@@ -193,14 +203,14 @@ def test_intermediate_target_held_between_updates():
     environment = Environment(FieldSpec.uniform(ForceVector(0.5, 90.0)), FieldSpec.calm())
     oracle = OracleEffectModel(wind_drag_factor=PARAMS.wind_drag_factor)
     cfg = AugmentConfig(max_offset_m=100.0, update_period_s=1.0)
-    s = AsvState.at_rest(offset_point(ORIGIN, EnuVector(0.0, -30.0)), heading=0.0)
+    s = _at_rest(0.0, -30.0)
     aug = FRESH_AUG
     changes = 0
     previous = None
     for i in range(100):  # 10 seconds at dt 0.1
         thrust, rudder, *aug = augmented_navigator_step(
-            s.pos, s.spd_t, s.h_t, s.t, mission, *aug, oracle, _forces(s, environment), cfg=cfg,
-            params=PARAMS, dt=0.1,
+            *_pose(s), mission, *aug, oracle, _forces(s, environment), cfg=cfg, params=PARAMS,
+            dt=0.1,
         )
         intermediate = aug[4]
         if previous is not None and intermediate != previous:

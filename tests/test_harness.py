@@ -164,8 +164,7 @@ def test_leaving_a_grid_is_a_recorded_outcome(tmp_path):
     assert result.outcome == "left_domain"
     assert not result.completed
     assert 0 < len(result.log) < 1801  # partial log kept
-    last = result.log.records[-1].state.pos
-    assert last.lat <= grid.lat0 + grid.dlat
+    assert result.log.lat[-1] <= grid.lat0 + grid.dlat
     assert result.report is not None  # the leg was acquired, so it is scored
     with open(tmp_path / "summary.json") as fh:
         summary = json.load(fh)

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from asvnav.control import Waypoint
-from asvnav.effects import ForceSample
 from asvnav.geo import EnuVector, GeoPoint, offset_point, wrap_angle
 from asvnav.metrics import (
     TRAJECTORY_HEADER,
@@ -21,11 +20,11 @@ from asvnav.metrics import (
     sign_changes_over_threshold,
     table_report,
 )
-from asvnav.vehicle import ActuatorCommand, AsvState
 
 ORIGIN = GeoPoint(34.0, -81.0)
-CALM_FORCE = ForceSample(0.0, 0.0, 0.0, 0.0)
-IDLE = ActuatorCommand(0.5, 0.0)
+# (spd_c, dir_c, spd_w, dir_w) and (thrust, rudder) of a log row
+CALM_FORCE = (0.0, 0.0, 0.0, 0.0)
+IDLE = (0.5, 0.0)
 
 
 def _mission(length=200.0, bearing=0.0):
@@ -39,14 +38,12 @@ def _mission(length=200.0, bearing=0.0):
 
 def _log_from_enu(points, dt=1.0, wp_index=1):
     """Build a log from (east, north) positions along the mission frame."""
-    log = TrajectoryLog()
+    rows = []
     for i, (e, n) in enumerate(points):
         pos = offset_point(ORIGIN, EnuVector(e, n)) if (e, n) != (0.0, 0.0) else ORIGIN
-        state = AsvState(pos=pos, spd_t=2.0, course_t=0.0, h_t=0.0,
-                         through_water_speed=2.0, t=i * dt)
-        log.append(LogRecord(t=i * dt, state=state, wp_index=wp_index,
-                             intermediate=None, force=CALM_FORCE, cmd=IDLE))
-    return log
+        rows.append((i * dt, pos.lat, pos.lon, 2.0, 0.0, 0.0, 2.0, 0.0, wp_index, None,
+                     *CALM_FORCE, *IDLE))
+    return TrajectoryLog.from_rows(rows)
 
 
 def test_on_segment_trajectory_scores_zero():
@@ -159,9 +156,8 @@ def test_trajectory_csv_round_trip(tmp_path):
     log.write_csv(path)
     loaded = TrajectoryLog.from_csv(path)
     assert len(loaded) == len(log)
-    first, last = loaded.records[0], loaded.records[-1]
-    assert first.state.pos.lat == log.records[0].state.pos.lat
-    assert last.wp_index == 1
+    assert loaded.lat[0] == log.lat[0]
+    assert loaded.wp_index[-1] == 1
     # scores agree between the in-memory and round-tripped logs
     a = score_log(log, mission)
     b = score_log(loaded, mission)
@@ -245,17 +241,15 @@ def test_trajectory_csv_reader_wraps_and_clamps(tmp_path):
     }
     log = TrajectoryLog.from_csv(_edited_trajectory(tmp_path / "trajectory.csv", edits))
     records = log.records
-    lat = records[0].state.pos.lat
-    assert [r.state.pos.lon for r in records[:3]] == [
-        GeoPoint(lat, v).lon for v in (-181.25, 190.0, 180.0)
-    ]
-    assert records[0].state.pos.lon == 178.75 and records[2].state.pos.lon == -180.0
-    assert [r.state.h_t for r in records[:4]] == [wrap_angle(v) for v in (370.5, -30.0, 360.0, -0.0)]
-    assert math.copysign(1.0, records[3].state.h_t) == 1.0
-    assert (records[0].force.dir_c, records[1].force.dir_w) == (270.0, 5.0)
-    assert records[2].force.dir_c == wrap_angle(-1e-20) == 0.0
-    thrusts = [r.cmd.thrust for r in records]
-    rudders = [r.cmd.rudder for r in records]
+    lat = records[0].lat
+    assert [r.lon for r in records[:3]] == [GeoPoint(lat, v).lon for v in (-181.25, 190.0, 180.0)]
+    assert records[0].lon == 178.75 and records[2].lon == -180.0
+    assert [r.h_t for r in records[:4]] == [wrap_angle(v) for v in (370.5, -30.0, 360.0, -0.0)]
+    assert math.copysign(1.0, records[3].h_t) == 1.0
+    assert (records[0].dir_c, records[1].dir_w) == (270.0, 5.0)
+    assert records[2].dir_c == wrap_angle(-1e-20) == 0.0
+    thrusts = [r.thrust for r in records]
+    rudders = [r.rudder for r in records]
     assert thrusts[:3] == [1.0, 0.0, math.inf] and math.isnan(thrusts[4])
     assert math.copysign(1.0, thrusts[3]) == 1.0  # -0.0 clamps to the bound 0.0
     assert rudders[:4] == [-1.0, 1.0, -math.inf, 0.0]
@@ -309,32 +303,36 @@ def test_trajectory_csv_reader_skips_blank_lines(tmp_path):
     assert len(empty) == 0
 
 
+def _row(i):
+    """A log row whose every field moves with i."""
+    pos = offset_point(ORIGIN, EnuVector(0.5, 2.0 * i + 1.0))
+    return LogRecord(
+        t=0.5 * i, lat=pos.lat, lon=pos.lon, spd_t=2.0, course_t=10.0 * i, h_t=355.0,
+        through_water_speed=1.5, turn_rate=-0.25 * i, wp_index=i // 4,
+        intermediate=None if i % 3 else Waypoint(ORIGIN, 1.5),
+        spd_c=0.1 * i, dir_c=30.0, spd_w=5.0, dir_w=200.0, thrust=0.5, rudder=-0.1 * i,
+    )
+
+
 def test_records_view_is_the_appended_records():
-    records = [
-        LogRecord(
-            t=0.5 * i,
-            state=AsvState(pos=offset_point(ORIGIN, EnuVector(0.5, 2.0 * i + 1.0)), spd_t=2.0,
-                           course_t=10.0 * i, h_t=355.0, through_water_speed=1.5, t=0.5 * i,
-                           turn_rate=-0.25 * i),
-            wp_index=i // 4,
-            intermediate=None if i % 3 else Waypoint(ORIGIN, 1.5),
-            force=ForceSample(0.1 * i, 30.0, 5.0, 200.0),
-            cmd=ActuatorCommand(0.5, -0.1 * i),
-        )
-        for i in range(10)
-    ]
+    records = [_row(i) for i in range(10)]
     log = TrajectoryLog()
     for record in records[:5]:
         log.append(record)
     assert log.records == tuple(records[:5])
     for record in records[5:]:
-        log.append(record)
+        log.append(tuple(record))  # a plain tuple in LOG_COLUMNS order is a row too
     assert log.records == tuple(records)
-    # the log has one time column: a record's state must share its time
+    assert repr(TrajectoryLog.from_rows(records).records) == repr(log.records)
+    # each rejected row leaves the log as it was
     late = records[-1]
-    with pytest.raises(ValueError):
-        log.append(LogRecord(t=late.t + 1.0, state=late.state, wp_index=late.wp_index,
-                             intermediate=None, force=late.force, cmd=late.cmd))
+    with pytest.raises(ValueError, match="timestamps must be strictly increasing"):
+        log.append(late)
+    with pytest.raises(ValueError, match="waypoint indices must be non-decreasing"):
+        log.append(late._replace(t=late.t + 1.0, wp_index=late.wp_index - 1))
+    with pytest.raises(TypeError):
+        log.append(late[:-1])
+    assert log.records == tuple(records)
 
 
 def test_trajectory_header_exact():

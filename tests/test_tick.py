@@ -14,11 +14,11 @@ import pytest
 
 from asvnav import augment, control, harness, vehicle
 from asvnav.control import FRESH_PID
-from asvnav.effects import ForceSample, OracleEffectModel
+from asvnav.effects import OracleEffectModel
 from asvnav.env import Environment, FieldSpec, ForceVector, GustSpec
 from asvnav.geo import METERS_PER_DEG_LAT
 from asvnav.metrics import LOG_COLUMNS, LogRecord, TrajectoryLog, cross_track_series, per_sample_error_csv
-from asvnav.vehicle import ActuatorCommand, AsvState, NoiseSpec, track_velocity
+from asvnav.vehicle import NoiseSpec, track_velocity
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -171,16 +171,13 @@ def calls(monkeypatch):
 
 
 def _by_hand(sc, model):
-    """LogRecords of sc from the public per-layer functions, called in the
+    """The log rows of sc from the public per-layer functions, called in the
     order run_scenario describes its tick. They are looked up on their
     modules at each call, so the calls fixture sees them."""
     rng = np.random.default_rng(sc.seed)
     environment = Environment(sc.current, sc.wind)
     mission = list(sc.mission)
-    s = sc.start_state()
-    pos, spd_t, course_t, h_t, tw, t, turn_rate = (
-        s.pos, s.spd_t, s.course_t, s.h_t, s.through_water_speed, s.t, s.turn_rate
-    )
+    pos, spd_t, course_t, h_t, tw, t, turn_rate = sc.start_state()
     index, line, heading_pid, speed_pid = 0, None, FRESH_PID, FRESH_PID
     intermediate, next_update_t = None, -math.inf
     records = []
@@ -204,9 +201,8 @@ def _by_hand(sc, model):
                 pos, spd_t, h_t, mission, index, line, heading_pid, speed_pid, gains=sc.gains,
                 dt=sc.dt_s, radius=sc.acceptance_radius_m,
             )
-        state = AsvState(pos, spd_t, course_t, h_t, tw, t, turn_rate)
-        records.append(LogRecord(t=t, state=state, wp_index=index, intermediate=intermediate,
-                                 force=ForceSample(*force), cmd=ActuatorCommand(thrust, rudder)))
+        records.append(LogRecord(t, pos.lat, pos.lon, spd_t, course_t, h_t, tw, turn_rate, index,
+                                 intermediate, *force, thrust, rudder))
         if index >= len(mission):
             break
         pos, spd_t, course_t, h_t, tw, t, turn_rate = vehicle.step(

@@ -9,10 +9,9 @@ import pytest
 from asvnav.env import Environment, FieldSpec, ForceVector
 from asvnav.geo import EnuVector, GeoPoint, distance_bearing, offset_point, wrap_signed
 from asvnav.vehicle import (
-    ActuatorCommand,
-    AsvState,
     NoiseSpec,
     VehicleParams,
+    _clamped,
     relative_to_absolute,
     sense,
     step,
@@ -21,6 +20,10 @@ from asvnav.vehicle import (
 
 ORIGIN = GeoPoint(34.0, -81.0)
 PARAMS = VehicleParams()
+
+
+# A state is step's tuple (pos, spd_t, course_t, h_t, through_water_speed,
+# t, turn_rate); a command is (thrust, rudder).
 
 
 def steady_state(heading, water_speed, environment, params=PARAMS, pos=ORIGIN):
@@ -33,66 +36,69 @@ def steady_state(heading, water_speed, environment, params=PARAMS, pos=ORIGIN):
     he, hn = unit_enu(heading)
     vg_e = water_speed * he + ce + params.wind_drag_factor * we
     vg_n = water_speed * hn + cn + params.wind_drag_factor * wn
-    return AsvState(
-        pos=pos, spd_t=math.hypot(vg_e, vg_n), course_t=bearing_of(vg_e, vg_n),
-        h_t=heading, through_water_speed=water_speed, t=0.0,
-    )
+    return pos, math.hypot(vg_e, vg_n), bearing_of(vg_e, vg_n), heading, water_speed, 0.0, 0.0
 
 
 def trim_command(water_speed, params=PARAMS):
-    return ActuatorCommand(thrust=water_speed / params.max_water_speed, rudder=0.0)
+    return water_speed / params.max_water_speed, 0.0
 
 
 def advance(s, cmd, environment, dt=0.1):
     """step from state s under cmd, in the flows sampled at s."""
-    flows = environment.sample(s.pos, s.t)
-    return AsvState(*step(s.pos, s.h_t, s.through_water_speed, s.t, s.turn_rate,
-                          cmd.thrust, cmd.rudder, flows, PARAMS, dt))
+    pos, _, _, h_t, tw, t, turn_rate = s
+    return step(pos, h_t, tw, t, turn_rate, *cmd, environment.sample(pos, t), PARAMS, dt)
+
+
+def flows_at(s, environment):
+    """The fields sampled at state s's position and time."""
+    return environment.sample(s[0], s[5])
 
 
 def read_sensors(s, flows, noise=NoiseSpec(), rng=None):
     """sense at state s: (water speed, water direction, wind speed, wind
     direction), hull-relative."""
-    return sense(*track_velocity(s.spd_t, s.course_t), s.h_t, flows, noise, rng)
+    _, spd_t, course_t, h_t, *_ = s
+    return sense(*track_velocity(spd_t, course_t), h_t, flows, noise, rng)
 
 
 def recover(s, flows):
     """relative_to_absolute of both flows sensed at state s:
     (spd_c, dir_c, spd_w, dir_w)."""
-    vg_e, vg_n = track_velocity(s.spd_t, s.course_t)
-    water_spd, water_dir, wind_spd, wind_dir = sense(vg_e, vg_n, s.h_t, flows)
-    return (*relative_to_absolute(vg_e, vg_n, s.h_t, water_spd, water_dir),
-            *relative_to_absolute(vg_e, vg_n, s.h_t, wind_spd, wind_dir))
+    _, spd_t, course_t, h_t, *_ = s
+    vg_e, vg_n = track_velocity(spd_t, course_t)
+    water_spd, water_dir, wind_spd, wind_dir = sense(vg_e, vg_n, h_t, flows)
+    return (*relative_to_absolute(vg_e, vg_n, h_t, water_spd, water_dir),
+            *relative_to_absolute(vg_e, vg_n, h_t, wind_spd, wind_dir))
 
 
 def test_step_calm_steady_state():
     environment = Environment.calm()
     s = steady_state(heading=0.0, water_speed=2.0, environment=environment)
-    s2 = advance(s, trim_command(2.0), environment)
-    rng, brg = distance_bearing(ORIGIN, s2.pos)
+    pos, spd_t, _, h_t, *_ = advance(s, trim_command(2.0), environment)
+    rng, brg = distance_bearing(ORIGIN, pos)
     assert rng == pytest.approx(0.2, abs=1e-7)
     assert brg == pytest.approx(0.0, abs=1e-6)
-    assert s2.spd_t == pytest.approx(2.0, rel=1e-12)
-    assert s2.h_t == 0.0
+    assert spd_t == pytest.approx(2.0, rel=1e-12)
+    assert h_t == 0.0
 
 
 def test_step_cross_current_vector_sum():
     environment = Environment(FieldSpec.uniform(ForceVector(0.5, 90.0)), FieldSpec.calm())
     s = steady_state(heading=0.0, water_speed=2.0, environment=environment)
-    s2 = advance(s, trim_command(2.0), environment)
-    assert s2.spd_t == pytest.approx(math.sqrt(4.25), rel=1e-12)
-    assert s2.course_t == pytest.approx(math.degrees(math.atan2(0.5, 2.0)), rel=1e-9)
-    assert s2.course_t == pytest.approx(14.0362, abs=1e-3)
-    assert s2.h_t == 0.0  # heading unchanged by drift
+    _, spd_t, course_t, h_t, *_ = advance(s, trim_command(2.0), environment)
+    assert spd_t == pytest.approx(math.sqrt(4.25), rel=1e-12)
+    assert course_t == pytest.approx(math.degrees(math.atan2(0.5, 2.0)), rel=1e-9)
+    assert course_t == pytest.approx(14.0362, abs=1e-3)
+    assert h_t == 0.0  # heading unchanged by drift
 
 
 def test_step_pure_drift():
     environment = Environment(FieldSpec.uniform(ForceVector(1.0, 180.0)), FieldSpec.calm())
     s = steady_state(heading=90.0, water_speed=0.0, environment=environment)
-    s2 = advance(s, ActuatorCommand(0.0, 0.0), environment)
-    assert s2.spd_t == pytest.approx(1.0, rel=1e-12)
-    assert s2.course_t == pytest.approx(180.0, abs=1e-9)
-    rng, brg = distance_bearing(ORIGIN, s2.pos)
+    pos, spd_t, course_t, *_ = advance(s, (0.0, 0.0), environment)
+    assert spd_t == pytest.approx(1.0, rel=1e-12)
+    assert course_t == pytest.approx(180.0, abs=1e-9)
+    rng, brg = distance_bearing(ORIGIN, pos)
     assert rng == pytest.approx(0.1, abs=1e-7)
     assert brg == pytest.approx(180.0, abs=1e-6)
 
@@ -100,9 +106,10 @@ def test_step_pure_drift():
 def test_step_rejects_bad_dt_and_commands():
     environment = Environment.calm()
     s = steady_state(0.0, 2.0, environment)
-    flows = environment.sample(s.pos, s.t)
-    state = (s.pos, s.h_t, s.through_water_speed, s.t, s.turn_rate)
-    thrust = trim_command(2.0).thrust
+    flows = flows_at(s, environment)
+    pos, _, _, h_t, tw, t, turn_rate = s
+    state = (pos, h_t, tw, t, turn_rate)
+    thrust, _ = trim_command(2.0)
     with pytest.raises(ValueError):
         step(*state, thrust, 0.0, flows, PARAMS, dt=0.0)
     with pytest.raises(ValueError):
@@ -116,8 +123,8 @@ def test_step_deterministic():
         FieldSpec.uniform(ForceVector(0.7, 230.0)), FieldSpec.uniform(ForceVector(3.0, 10.0))
     )
     s = steady_state(heading=45.0, water_speed=1.7, environment=environment)
-    a = advance(s, ActuatorCommand(0.4, 0.2), environment)
-    b = advance(s, ActuatorCommand(0.4, 0.2), environment)
+    a = advance(s, (0.4, 0.2), environment)
+    b = advance(s, (0.4, 0.2), environment)
     assert a == b
 
 
@@ -143,15 +150,15 @@ def test_drift_superposition_exact():
 
     T = steps * dt
     ce, cn = current.enu()
-    expected = offset_point(s_calm.pos, EnuVector(ce * T, cn * T))
-    gap, _ = distance_bearing(expected, s_cur.pos)
+    expected = offset_point(s_calm[0], EnuVector(ce * T, cn * T))
+    gap, _ = distance_bearing(expected, s_cur[0])
     assert gap < 1e-6
 
 
 def test_sense_stationary_vehicle():
     environment = Environment(FieldSpec.uniform(ForceVector(0.677, 180.0)), FieldSpec.calm())
-    s = AsvState.at_rest(ORIGIN, heading=0.0)
-    water_spd, water_dir, _, _ = read_sensors(s, environment.sample(s.pos, s.t))
+    s = (ORIGIN, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)  # at rest, heading north
+    water_spd, water_dir, _, _ = read_sensors(s, flows_at(s, environment))
     assert water_spd == pytest.approx(0.677, rel=1e-12)
     assert water_dir == pytest.approx(180.0, abs=1e-9)
 
@@ -159,7 +166,7 @@ def test_sense_stationary_vehicle():
 def test_sense_self_motion_only():
     environment = Environment.calm()
     s = steady_state(heading=0.0, water_speed=2.0, environment=environment)
-    water_spd, water_dir, _, _ = read_sensors(s, environment.sample(s.pos, s.t))
+    water_spd, water_dir, _, _ = read_sensors(s, flows_at(s, environment))
     assert water_spd == pytest.approx(2.0, rel=1e-12)
     assert water_dir == pytest.approx(180.0, abs=1e-9)  # from dead ahead
 
@@ -169,10 +176,10 @@ def test_sense_zero_noise_matches_analytic():
         FieldSpec.uniform(ForceVector(0.5, 60.0)), FieldSpec.uniform(ForceVector(2.0, 300.0))
     )
     s = steady_state(heading=120.0, water_speed=1.5, environment=environment)
-    clean = read_sensors(s, environment.sample(s.pos, s.t))
+    clean = read_sensors(s, flows_at(s, environment))
     rng = np.random.default_rng(1)
     untouched = rng.bit_generator.state
-    seeded = read_sensors(s, environment.sample(s.pos, s.t), NoiseSpec(0.0, 0.0), rng)
+    seeded = read_sensors(s, flows_at(s, environment), NoiseSpec(0.0, 0.0), rng)
     assert repr(clean) == repr(seeded)
     # zero noise changes no reading, so it takes no draws
     assert rng.bit_generator.state == untouched
@@ -184,24 +191,19 @@ def test_sense_noise_reproducible_and_applied():
     )
     s = steady_state(heading=120.0, water_speed=1.5, environment=environment)
     noise = NoiseSpec(sigma_speed=0.05, sigma_dir=2.0)
-    a = read_sensors(s, environment.sample(s.pos, s.t), noise, np.random.default_rng(42))
-    b = read_sensors(s, environment.sample(s.pos, s.t), noise, np.random.default_rng(42))
-    c = read_sensors(s, environment.sample(s.pos, s.t), noise, np.random.default_rng(43))
+    a = read_sensors(s, flows_at(s, environment), noise, np.random.default_rng(42))
+    b = read_sensors(s, flows_at(s, environment), noise, np.random.default_rng(42))
+    c = read_sensors(s, flows_at(s, environment), noise, np.random.default_rng(43))
     assert a == b
     assert a != c
     with pytest.raises(ValueError):
-        read_sensors(s, environment.sample(s.pos, s.t), noise, rng=None)
+        read_sensors(s, flows_at(s, environment), noise, rng=None)
 
 
 def _random_state(rng):
-    return AsvState(
-        pos=GeoPoint(rng.uniform(-60, 60), rng.uniform(-179, 179)),
-        spd_t=rng.uniform(0, 5),
-        course_t=rng.uniform(0, 360),
-        h_t=rng.uniform(0, 360),
-        through_water_speed=rng.uniform(0, 5),
-        t=rng.uniform(0, 1000),
-    )
+    pos = GeoPoint(rng.uniform(-60, 60), rng.uniform(-179, 179))
+    spd_t, course_t, h_t = rng.uniform(0, 5), rng.uniform(0, 360), rng.uniform(0, 360)
+    return pos, spd_t, course_t, h_t, rng.uniform(0, 5), rng.uniform(0, 1000), 0.0
 
 
 def test_inverse_sensing_1000_random_states():
@@ -212,7 +214,7 @@ def test_inverse_sensing_1000_random_states():
         wind = ForceVector(rng.uniform(0, 10), rng.uniform(0, 360))
         environment = Environment(FieldSpec.uniform(current), FieldSpec.uniform(wind))
         s = _random_state(rng)
-        spd_c, dir_c, spd_w, dir_w = recover(s, environment.sample(s.pos, s.t))
+        spd_c, dir_c, spd_w, dir_w = recover(s, flows_at(s, environment))
         assert abs(spd_c - current.speed) < 1e-9
         assert abs(spd_w - wind.speed) < 1e-9
         if current.speed > 1e-6:
@@ -224,15 +226,13 @@ def test_inverse_sensing_1000_random_states():
 def test_relative_to_absolute_zero_current_moving_vehicle():
     environment = Environment.calm()
     s = steady_state(heading=77.0, water_speed=3.0, environment=environment)
-    spd_c, _, spd_w, _ = recover(s, environment.sample(s.pos, s.t))
+    spd_c, _, spd_w, _ = recover(s, flows_at(s, environment))
     assert spd_c < 1e-9
     assert spd_w < 1e-9
 
 
 def test_actuator_command_clamped():
-    cmd = ActuatorCommand(thrust=1.5, rudder=-2.0)
-    assert cmd.thrust == 1.0
-    assert cmd.rudder == -1.0
+    assert _clamped(1.5, -2.0) == (1.0, -1.0)
 
 
 def test_vehicle_params_validation():
@@ -254,21 +254,21 @@ def test_turn_rate_responds_through_lag():
     to reach the commanded rate, not arrive in one step."""
     environment = Environment.calm()
     s = steady_state(heading=0.0, water_speed=2.0, environment=environment)
-    cmd = ActuatorCommand(thrust=2.0 / PARAMS.max_water_speed, rudder=1.0)
+    cmd = (2.0 / PARAMS.max_water_speed, 1.0)
     s1 = advance(s, cmd, environment)
-    assert 0.0 < s1.turn_rate < PARAMS.max_turn_rate
+    assert 0.0 < s1[-1] < PARAMS.max_turn_rate  # the turn rate
     for _ in range(100):
         s1 = advance(s1, cmd, environment)
-    assert s1.turn_rate == pytest.approx(PARAMS.max_turn_rate, rel=1e-3)
+    assert s1[-1] == pytest.approx(PARAMS.max_turn_rate, rel=1e-3)
 
 
 def test_low_water_speed_starves_turn_authority():
     environment = Environment.calm()
     slow = steady_state(heading=0.0, water_speed=0.6, environment=environment)
     fast = steady_state(heading=0.0, water_speed=2.0, environment=environment)
-    cmd_slow = ActuatorCommand(thrust=0.6 / PARAMS.max_water_speed, rudder=1.0)
-    cmd_fast = ActuatorCommand(thrust=2.0 / PARAMS.max_water_speed, rudder=1.0)
+    cmd_slow = (0.6 / PARAMS.max_water_speed, 1.0)
+    cmd_fast = (2.0 / PARAMS.max_water_speed, 1.0)
     for _ in range(50):
         slow = advance(slow, cmd_slow, environment)
         fast = advance(fast, cmd_fast, environment)
-    assert slow.turn_rate < 0.2 * fast.turn_rate
+    assert slow[-1] < 0.2 * fast[-1]  # turn rates
