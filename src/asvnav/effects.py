@@ -112,7 +112,7 @@ class EffectModel:
     """OLS coefficient matrix mapping the feature vector to the three targets.
 
     coef has shape (3, n_features); residual_rmse records the per-target
-    training residual at fit time.
+    training residual at fit time: three finite numbers >= 0.
     """
 
     coef: np.ndarray
@@ -128,7 +128,13 @@ class EffectModel:
         if coef.shape[1] != RECIPE_WIDTHS[self.recipe]:
             raise ValueError(f"recipe {self.recipe!r} takes {RECIPE_WIDTHS[self.recipe]} features, "
                              f"the coefficient matrix has {coef.shape[1]} columns")
+        rmse = self.residual_rmse
+        if not (isinstance(rmse, (tuple, list)) and len(rmse) == len(TARGET_NAMES)
+                and all(isinstance(v, (int, float)) and 0.0 <= v < math.inf for v in rmse)):
+            raise ValueError(f"residual_rmse must be {len(TARGET_NAMES)} finite numbers >= 0, "
+                             f"got {rmse!r}")
         object.__setattr__(self, "coef", coef)
+        object.__setattr__(self, "residual_rmse", tuple(rmse))
 
     @classmethod
     def zero(cls) -> "EffectModel":
@@ -225,15 +231,18 @@ def load_model(path: str | os.PathLike) -> EffectModel:
     any other file, and for a model EffectModel rejects."""
     with open(path) as fh:
         payload = json.load(fh)
-    if payload.get("format") != MODEL_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not an effect model file")
     if payload.get("version") != MODEL_VERSION:
         raise ValueError(f"{path}: unsupported model version {payload.get('version')!r}")
+    missing = [key for key in ("coef", "recipe", "residual_rmse") if key not in payload]
+    if missing:
+        raise ValueError(f"{path}: model file has no {', '.join(missing)}")
     try:
         return EffectModel(
             coef=np.asarray(payload["coef"], dtype=float),
             recipe=payload["recipe"],
-            residual_rmse=tuple(payload["residual_rmse"]),
+            residual_rmse=payload["residual_rmse"],
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None

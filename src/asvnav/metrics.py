@@ -395,7 +395,9 @@ def score(errors: np.ndarray, weights: np.ndarray, label: str = "") -> ErrorRepo
     max_error = float(np.max(np.abs(errors)))
     total = float(np.sum(weights))
     if total > 0.0:
-        pct = 100.0 * float(np.sum(weights[np.abs(errors) > ERROR_THRESHOLD_M])) / total
+        over = float(np.sum(weights[np.abs(errors) > ERROR_THRESHOLD_M]))
+        # over == total can round 100.0 * over / total to just above 100
+        pct = min(100.0, 100.0 * over / total)
     else:
         pct = 0.0
     return ErrorReport(label=label, max_error=max_error, pct_over_1m=pct)

@@ -201,19 +201,51 @@ def test_load_model_rejects_other_files(tmp_path):
         load_model(path)
 
 
-@pytest.mark.parametrize("recipe, width, message", [
-    ("polar_v0", len(FEATURE_NAMES), "unknown feature recipe 'polar_v0'"),
-    (RECIPE_ENU_INTERCEPT, len(FEATURE_NAMES), "recipe .* takes 8 features, .* has 7 columns"),
-    (RECIPE_ENU, len(FEATURE_NAMES) + 1, "recipe .* takes 7 features, .* has 8 columns"),
+def _recipe_case(recipe, width, message):
+    """A case that writes recipe and a zero coefficient matrix width columns wide."""
+    return pytest.param({"recipe": recipe, "coef": np.zeros((3, width)).tolist()}, message,
+                        id=f"{recipe}-{width}-{message}")
+
+
+DELETE = object()
+
+
+def _field_case(key, value, message):
+    """A case that sets key to value, or deletes it when value is DELETE."""
+    return pytest.param({key: value}, message,
+                        id=f"no-{key}" if value is DELETE else f"{key}={value!r}")
+
+
+@pytest.mark.parametrize("edits, message", [
+    _recipe_case("polar_v0", len(FEATURE_NAMES), "unknown feature recipe 'polar_v0'"),
+    _recipe_case(RECIPE_ENU_INTERCEPT, len(FEATURE_NAMES),
+                 "recipe .* takes 8 features, .* has 7 columns"),
+    _recipe_case(RECIPE_ENU, len(FEATURE_NAMES) + 1, "recipe .* takes 7 features, .* has 8 columns"),
+    _field_case("coef", DELETE, "model file has no coef$"),
+    _field_case("recipe", DELETE, "model file has no recipe$"),
+    _field_case("residual_rmse", DELETE, "model file has no residual_rmse$"),
+    _field_case("residual_rmse", "abc", "residual_rmse must be 3 finite numbers >= 0, got 'abc'"),
+    _field_case("residual_rmse", 0.5, "residual_rmse must be 3 finite"),
+    _field_case("residual_rmse", [0.1, 0.2], "residual_rmse must be 3 finite"),
+    _field_case("residual_rmse", [0.1, 0.2, 0.3, 0.4], "residual_rmse must be 3 finite"),
+    _field_case("residual_rmse", ["0.1", "0.2", "0.3"], "residual_rmse must be 3 finite"),
+    _field_case("residual_rmse", [0.1, -0.2, 0.3], "residual_rmse must be 3 finite"),
+    _field_case("residual_rmse", [0.1, math.nan, 0.3], "residual_rmse must be 3 finite"),
+    _field_case("residual_rmse", [0.1, 0.2, math.inf], "residual_rmse must be 3 finite"),
 ])
-def test_load_model_rejects_recipe_it_cannot_predict_with(tmp_path, recipe, width, message):
-    """A model file whose recipe is unknown, or whose coefficient width does
-    not match its recipe, fails on load naming the file, not at the first
-    feed-forward update of a run."""
+def test_load_model_rejects_recipe_it_cannot_predict_with(tmp_path, edits, message):
+    """A model file without coef, recipe or residual_rmse, with a recipe
+    that is unknown or does not match the coefficient width, or whose
+    residual_rmse is not three finite numbers >= 0 fails on load naming
+    the file, not at the first feed-forward update of a run."""
     path = tmp_path / "model.json"
     save_model(EffectModel.zero(), path)
     payload = json.loads(path.read_text())
-    payload["recipe"], payload["coef"] = recipe, np.zeros((3, width)).tolist()
+    for key, value in edits.items():
+        if value is DELETE:
+            del payload[key]
+        else:
+            payload[key] = value
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
         load_model(path)

@@ -142,6 +142,15 @@ def test_score_monotone_in_series():
     assert high.pct_over_1m >= low.pct_over_1m
 
 
+def test_score_all_over_threshold_is_100_percent():
+    """When every sample is over 1 m, 100.0 * over / total rounds above 100
+    for some totals; the share is still exactly 100."""
+    x = 201.98508331865202
+    assert 100.0 * x / x > 100.0
+    report = score(np.array([2.0, 2.0]), np.array([x / 2, x / 2]))
+    assert (report.max_error, report.pct_over_1m) == (2.0, 100.0)
+
+
 def test_sign_changes_counter():
     assert sign_changes_over_threshold(np.array([0.5, 1.5, -0.2, -1.5, 1.2])) == 2
     assert sign_changes_over_threshold(np.array([0.5, 0.9, -0.8])) == 0
