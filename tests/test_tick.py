@@ -14,7 +14,7 @@ import pytest
 
 from asvnav import augment, control, harness, vehicle
 from asvnav.control import FRESH_PID
-from asvnav.effects import OracleEffectModel
+from asvnav.effects import EffectModel, OracleEffectModel
 from asvnav.env import Environment, FieldSpec, ForceVector, GustSpec
 from asvnav.geo import METERS_PER_DEG_LAT
 from asvnav.metrics import LOG_COLUMNS, LogRecord, TrajectoryLog, cross_track_series, per_sample_error_csv
@@ -87,6 +87,47 @@ def test_trajectory_csv_read_back_pinned(tmp_path):
     log = TrajectoryLog.from_csv(path)
     assert _columns_digest(log) == READ_BACK_COLUMNS_SHA256
     assert log.to_csv() == path.read_text()
+
+
+# A fixed-coefficient EffectModel, so the fitted predict path runs: the
+# drift rows of the linear drift form, and a deficit row shaped like a
+# fitted one.
+FIXED_COEF = np.array([
+    [1.0, 0.0, 0.03, 0.0, 0.0, 0.0, 0.0],
+    [0.0, 1.0, 0.0, 0.03, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.154, 0.080],
+])
+
+
+def _pinned_run(run):
+    """The log of one of the runs COLUMNS_PINS names."""
+    if run in ("augmented", "baseline"):
+        sc = replace(_digest_scenario(), controller=harness.ControllerSpec(kind=run))
+        return harness.run_scenario(sc).log
+    if run == "fitted":
+        return harness.run_scenario(_digest_scenario(), model=EffectModel(coef=FIXED_COEF)).log
+    suite = {sc.name: sc for sc in harness.suite_scenarios(harness.standard_suite())}
+    return harness.run_scenario(suite[run]).log
+
+
+# _columns_digest and length of the in-memory log of each run, every live
+# column included (course_t, through_water_speed and turn_rate are not in
+# the trajectory CSV): _digest_scenario() under both controllers and under
+# a fixed-coefficient model, and two standard-suite legs, whose uniform
+# fields without a gust take the still-flow path of Environment.sample.
+COLUMNS_PINS = {
+    "augmented": ("58c5fed36a8e2ab75cbd3808626d100be8c2510f911ce19a5101b81c68523b05", 601),
+    "baseline": ("19e0457491ddb302ca0c021c92864838049bcc44105aaf291fd666e4db67f437", 601),
+    "fitted": ("20d5f1b1b11a3a50ece4efbe6764e0efb0ed2340b4d11519bf6b921806c154bb", 601),
+    "baseline_045": ("7cd783b67933b21b2388c415c5f12892d8e7ff4b843294e0afd1bae269b01bf1", 1323),
+    "augmented_045": ("41d9b2cbce5f1d2dadddd7f8bbfca1708ecd2d82e84e9a73cae75a16b382e33a", 1632),
+}
+
+
+@pytest.mark.parametrize("run", sorted(COLUMNS_PINS))
+def test_log_columns_pinned(run):
+    log = _pinned_run(run)
+    assert (_columns_digest(log), len(log)) == COLUMNS_PINS[run]
 
 
 def _grid_current_run():
