@@ -84,9 +84,15 @@ class TrajectoryLog:
     def from_rows(cls, rows: Sequence[tuple]) -> "TrajectoryLog":
         """Log of rows in LOG_COLUMNS order whose times strictly increase and
         whose waypoint indices never decrease, as a simulation loop makes
-        them."""
+        them. TypeError unless every row has one value per column."""
+        try:
+            columns = tuple(zip(*rows, strict=True))
+        except ValueError:
+            columns = None
+        if rows and (columns is None or len(columns) != len(LOG_COLUMNS)):
+            raise TypeError(f"every log row needs {len(LOG_COLUMNS)} values, one per column")
         log = cls()
-        for name, column in zip(LOG_COLUMNS, zip(*rows)):
+        for name, column in zip(LOG_COLUMNS, columns):
             setattr(log, name, list(column) if name in _OBJECT_COLUMNS else array("d", column))
         return log
 

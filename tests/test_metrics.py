@@ -344,6 +344,18 @@ def test_records_view_is_the_appended_records():
     assert log.records == tuple(records)
 
 
+def test_from_rows_rejects_a_row_of_the_wrong_width():
+    """A short or a long row raises TypeError, as append does, in place of
+    a log truncated to the shortest row or a value dropped."""
+    full = tuple(_row(0))
+    with pytest.raises(TypeError):
+        TrajectoryLog.from_rows([full, (1.0, 34.0, -81.0)])
+    with pytest.raises(TypeError):
+        TrajectoryLog.from_rows([full + (0.0,)])
+    assert len(TrajectoryLog.from_rows([])) == 0
+    assert TrajectoryLog.from_rows([full]).records == (_row(0),)
+
+
 def test_trajectory_header_exact():
     from asvnav.metrics import TRAJECTORY_HEADER
 
