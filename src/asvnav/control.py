@@ -60,7 +60,10 @@ def pid_step(gains: PidGains, state: PidFloats, error: float, dt: float) -> tupl
         raise ValueError(f"dt must be > 0, got {dt!r}")
     integral, prev_error = state
     integral = integral + gains.ki * error * dt
-    integral = min(gains.i_clamp, max(-gains.i_clamp, integral))
+    # min(i_clamp, max(-i_clamp, integral)) as comparisons
+    i_clamp = gains.i_clamp
+    integral = integral if integral > -i_clamp else -i_clamp
+    integral = integral if integral < i_clamp else i_clamp
     derivative = 0.0 if prev_error is None else (error - prev_error) / dt
     return gains.kp * error + integral + gains.kd * derivative, (integral, error)
 
@@ -146,7 +149,8 @@ def aim_point(lat: float, lon: float, target: GeoPoint, line: Optional[Line],
     anchor, leg_len, ue, un = line
     east, north = enu_coords(anchor.lat, anchor.lon, lat, lon)
     along = east * ue + north * un
-    ahead = min(along + lookahead_m, leg_len)
+    ahead = along + lookahead_m
+    ahead = leg_len if leg_len < ahead else ahead  # min(ahead, leg_len)
     if ahead <= 0.0:
         if leg_len < lookahead_m:
             return target.lat, target.lon

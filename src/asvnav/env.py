@@ -235,16 +235,24 @@ def _polar_sampler(field: FieldSpec) -> Sampler:
         ni, nj = field.node_east.shape
         lat0, lon0, dlat, dlon = field.lat0, field.lon0, field.dlat, field.dlon
         edge_tol = 1e-9  # grid cells; absorbs float noise at the boundary nodes
+        fi_max, fj_max = float(ni - 1), float(nj - 1)
+        fi_out, fj_out = ni - 1 + edge_tol, nj - 1 + edge_tol
+        i_max, j_max = ni - 2, nj - 2
 
         def grid(p: GeoPoint, t: float) -> tuple[float, float]:
             fi = (p.lat - lat0) / dlat
             fj = (p.lon - lon0) / dlon
-            if fi < -edge_tol or fj < -edge_tol or fi > ni - 1 + edge_tol or fj > nj - 1 + edge_tol:
+            if fi < -edge_tol or fj < -edge_tol or fi > fi_out or fj > fj_out:
                 raise LeftDomainError(f"point ({p.lat}, {p.lon}) outside grid field domain")
-            fi = min(max(fi, 0.0), float(ni - 1))
-            fj = min(max(fj, 0.0), float(nj - 1))
-            i = min(int(fi), ni - 2)
-            j = min(int(fj), nj - 2)
+            # min(max(f, 0.0), f_max) and min(int(f), i_max) as comparisons
+            fi = 0.0 if 0.0 > fi else fi
+            fi = fi_max if fi_max < fi else fi
+            fj = 0.0 if 0.0 > fj else fj
+            fj = fj_max if fj_max < fj else fj
+            i = int(fi)
+            i = i_max if i_max < i else i
+            j = int(fj)
+            j = j_max if j_max < j else j
             wi = fi - i
             wj = fj - j
             vi = 1 - wi
@@ -293,16 +301,21 @@ def _field_sampler(field: FieldSpec) -> Sampler:
 class Environment:
     """The pair of fields a simulation runs in.
 
-    Each field's sampler is built once, here; sample() is what a
-    simulation step calls.
+    Each field's sampler is built once, here, and the flows of a still pair
+    too; sample() is what a simulation step calls.
     """
 
     current: FieldSpec
     wind: FieldSpec
 
     def __post_init__(self):
-        object.__setattr__(self, "_current", _field_sampler(self.current))
-        object.__setattr__(self, "_wind", _field_sampler(self.wind))
+        current, wind = _field_sampler(self.current), _field_sampler(self.wind)
+        object.__setattr__(self, "_current", current)
+        object.__setattr__(self, "_wind", wind)
+        # two uniform fields without a gust are still: their flows are one
+        # tuple, worked out here (the samplers ignore p and t)
+        still = all(f.kind == "uniform" and f.gust is None for f in (self.current, self.wind))
+        object.__setattr__(self, "_still", (*current(None, 0.0), *wind(None, 0.0)) if still else None)
 
     def __reduce__(self):
         # the samplers are closures; pickle the fields and rebuild them
@@ -315,6 +328,8 @@ class Environment:
     def sample(self, pos: GeoPoint, t: float) -> Flows:
         """(current east, current north, wind east, wind north) in m/s at
         pos and time t. Raises LeftDomainError outside a grid field."""
+        if self._still is not None:
+            return self._still
         ce, cn = self._current(pos, t)
         we, wn = self._wind(pos, t)
         return ce, cn, we, wn

@@ -49,7 +49,10 @@ def bearing_of(east: float, north: float) -> float:
     """Compass bearing of an (east, north) vector; 0.0 for the zero vector."""
     if east == 0.0 and north == 0.0:
         return 0.0
-    return wrap_angle(math.degrees(math.atan2(east, north)))
+    deg = math.degrees(math.atan2(east, north))
+    # atan2 gives at most 180 degrees, so a positive angle is already in
+    # range: the value wrap_angle's fast path returns
+    return deg if deg > 0.0 else wrap_angle(deg)
 
 
 @dataclass(frozen=True)
@@ -59,8 +62,11 @@ class GeoPoint:
     lat: float
     lon: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "lon", point_coords(self.lat, self.lon)[1])
+    def __init__(self, lat: float, lon: float):
+        # frozen: the checked fields go straight into the instance dict, as
+        # unpickling puts them there
+        d = self.__dict__
+        d["lat"], d["lon"] = point_coords(lat, lon)
 
 
 def point_coords(lat: float, lon: float) -> tuple[float, float]:

@@ -49,10 +49,14 @@ def _check_dt(dt: float) -> None:
 def _clamped(thrust: float, rudder: float) -> tuple[float, float]:
     """A command clamped to thrust [0, 1] and rudder [-1, 1]. Non-finite
     values pass through unclamped, for step to reject."""
+    # min(1.0, max(0.0, x)) as comparisons, to the same bits (see
+    # "Hot-path clamps" in the README); likewise for the rudder
     if math.isfinite(thrust):
-        thrust = min(1.0, max(0.0, thrust))
+        thrust = thrust if thrust > 0.0 else 0.0
+        thrust = thrust if thrust < 1.0 else 1.0
     if math.isfinite(rudder):
-        rudder = min(1.0, max(-1.0, rudder))
+        rudder = rudder if rudder > -1.0 else -1.0
+        rudder = rudder if rudder < 1.0 else 1.0
     return thrust, rudder
 
 
@@ -102,7 +106,10 @@ class VehicleParams:
         dynamic pressure), saturating at 1 above it.
         """
         fraction = (through_water_speed / self.steerage_reference_speed) ** 2
-        return min(1.0, max(self.steerage_floor, fraction))
+        # min(1.0, max(steerage_floor, fraction)) as comparisons
+        floor = self.steerage_floor
+        fraction = fraction if fraction > floor else floor
+        return fraction if fraction < 1.0 else 1.0
 
 
 @dataclass(frozen=True)
@@ -215,8 +222,11 @@ def sense(
         return water_spd, water_dir, wind_spd, wind_dir
     # read as Python floats: the same IEEE arithmetic as numpy scalars
     d_ws, d_wd, d_as, d_ad = rng.standard_normal(4).tolist()
-    water_spd = max(0.0, water_spd + d_ws * noise.sigma_speed)
-    wind_spd = max(0.0, wind_spd + d_as * noise.sigma_speed)
+    # max(0.0, speed) as comparisons: a noisy speed never reads below zero
+    water_spd = water_spd + d_ws * noise.sigma_speed
+    water_spd = water_spd if water_spd > 0.0 else 0.0
+    wind_spd = wind_spd + d_as * noise.sigma_speed
+    wind_spd = wind_spd if wind_spd > 0.0 else 0.0
     return (water_spd, _flow_direction(water_spd, water_dir + d_wd * noise.sigma_dir),
             wind_spd, _flow_direction(wind_spd, wind_dir + d_ad * noise.sigma_dir))
 
