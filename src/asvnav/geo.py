@@ -55,6 +55,9 @@ def bearing_of(east: float, north: float) -> float:
     return deg if deg > 0.0 else wrap_angle(deg)
 
 
+_set_field = object.__setattr__
+
+
 @dataclass(frozen=True)
 class GeoPoint:
     """WGS84-style position. lat in [-90, 90], lon wrapped to [-180, 180)."""
@@ -63,10 +66,11 @@ class GeoPoint:
     lon: float
 
     def __init__(self, lat: float, lon: float):
-        # frozen: the checked fields go straight into the instance dict, as
-        # unpickling puts them there
-        d = self.__dict__
-        d["lat"], d["lon"] = point_coords(lat, lon)
+        # one check and wrap; frozen, so the fields are set the way the
+        # generated __init__ sets them
+        lat, lon = point_coords(lat, lon)
+        _set_field(self, "lat", lat)
+        _set_field(self, "lon", lon)
 
 
 def point_coords(lat: float, lon: float) -> tuple[float, float]:
