@@ -59,7 +59,7 @@ class GustSpec:
             raise ValueError(f"gust period must be > 0, got {self.period_s!r}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FieldSpec:
     """One disturbance field: uniform, a parabolic river profile, or a grid.
 
@@ -73,13 +73,13 @@ class FieldSpec:
     axis_origin: Optional[GeoPoint] = None
     axis_bearing: float = 0.0
     half_width: float = 0.0
-    # grid (node arrays indexed [i_lat][j_lon])
+    # grid (node rows indexed [i_lat][j_lon], as the config gives them)
     lat0: float = 0.0
     lon0: float = 0.0
     dlat: float = 0.0
     dlon: float = 0.0
-    node_east: Optional[np.ndarray] = None
-    node_north: Optional[np.ndarray] = None
+    speeds: Optional[tuple[tuple[float, ...], ...]] = None
+    directions: Optional[tuple[tuple[float, ...], ...]] = None
     gust: Optional[GustSpec] = None
 
     @classmethod
@@ -139,15 +139,14 @@ class FieldSpec:
         if np.any(spd < 0.0) or not np.all(np.isfinite(spd)) or not np.all(np.isfinite(dirs)):
             raise ValueError("grid nodes must be finite with non-negative speeds")
         _check_gust(gust, float(spd.min()))
-        rad = np.radians(dirs)
         return cls(
             kind="grid",
             lat0=lat0,
             lon0=lon0,
             dlat=dlat,
             dlon=dlon,
-            node_east=spd * np.sin(rad),
-            node_north=spd * np.cos(rad),
+            speeds=tuple(map(tuple, spd.tolist())),
+            directions=tuple(map(tuple, dirs.tolist())),
             gust=gust,
         )
 
@@ -155,21 +154,6 @@ class FieldSpec:
     def calm(cls) -> "FieldSpec":
         """Zero flow everywhere."""
         return cls.uniform(ForceVector(0.0, 0.0))
-
-    def __eq__(self, other):
-        if not isinstance(other, FieldSpec):
-            return NotImplemented
-        scalar = ("kind", "base", "axis_origin", "axis_bearing", "half_width",
-                  "lat0", "lon0", "dlat", "dlon", "gust")
-        if any(getattr(self, name) != getattr(other, name) for name in scalar):
-            return False
-        for name in ("node_east", "node_north"):
-            a, b = getattr(self, name), getattr(other, name)
-            if (a is None) != (b is None):
-                return False
-            if a is not None and not np.array_equal(a, b):
-                return False
-        return True
 
 
 def _check_gust(gust: GustSpec | None, base_speed: float) -> None:
@@ -230,9 +214,11 @@ def _polar_sampler(field: FieldSpec) -> Sampler:
         return river
     if field.kind == "grid":
         # node table as nested Python lists, nodes[i][j] = [east, north]:
-        # the same doubles, indexed per tap without numpy scalars
-        nodes = np.stack((field.node_east, field.node_north), axis=-1).tolist()
-        ni, nj = field.node_east.shape
+        # plain doubles, indexed per tap without numpy scalars
+        spd = np.array(field.speeds)
+        rad = np.radians(np.array(field.directions))
+        nodes = np.stack((spd * np.sin(rad), spd * np.cos(rad)), axis=-1).tolist()
+        ni, nj = spd.shape
         lat0, lon0, dlat, dlon = field.lat0, field.lon0, field.dlat, field.dlon
         edge_tol = 1e-9  # grid cells; absorbs float noise at the boundary nodes
         fi_max, fj_max = float(ni - 1), float(nj - 1)

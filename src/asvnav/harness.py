@@ -93,28 +93,25 @@ def field_to_dict(spec: FieldSpec) -> dict:
         out["direction"] = spec.base.direction
     elif spec.kind == "river_profile":
         out.update(
-            axis_origin={"lat": spec.axis_origin.lat, "lon": spec.axis_origin.lon},
+            axis_origin=to_dict(spec.axis_origin),
             axis_bearing=spec.axis_bearing,
             centerline_speed=spec.base.speed,
             centerline_direction=spec.base.direction,
             half_width_m=spec.half_width,
         )
     elif spec.kind == "grid":
-        speeds = np.hypot(spec.node_east, spec.node_north)
-        dirs = np.degrees(np.arctan2(spec.node_east, spec.node_north)) % 360.0
-        dirs[speeds == 0.0] = 0.0
         out.update(
             lat0=spec.lat0,
             lon0=spec.lon0,
             dlat=spec.dlat,
             dlon=spec.dlon,
-            speeds=speeds.tolist(),
-            directions=dirs.tolist(),
+            speeds=to_dict(spec.speeds),
+            directions=to_dict(spec.directions),
         )
     else:
         raise ValueError(f"unknown field kind {spec.kind!r}")
     if spec.gust is not None:
-        out["gust"] = {"amplitude": spec.gust.amplitude, "period_s": spec.gust.period_s}
+        out["gust"] = to_dict(spec.gust)
     return out
 
 
@@ -143,8 +140,6 @@ _FIELD_KEYS = {
                       "half_width_m"),
     "grid": ("lat0", "lon0", "dlat", "dlon", "speeds", "directions"),
 }
-_GUST_KEYS = ("amplitude", "period_s")
-_POINT_KEYS = ("lat", "lon")
 _WAYPOINT_KEYS = ("lat", "lon", "speed_mps")
 
 
@@ -159,18 +154,12 @@ def field_from_dict(data: dict, path: str = "") -> FieldSpec:
     _check_keys(data, ("kind", "gust", *_FIELD_KEYS[kind]), path)
     _check_required(data, _FIELD_KEYS[kind], path)
     prefix = f"{path}." if path else ""
-    gust = None
-    if data.get("gust"):
-        _check_keys(data["gust"], _GUST_KEYS, prefix + "gust")
-        _check_required(data["gust"], _GUST_KEYS, prefix + "gust")
-        gust = GustSpec(data["gust"]["amplitude"], data["gust"]["period_s"])
+    gust = _decode(Optional[GustSpec], data.get("gust"), prefix + "gust", None)
     if kind == "uniform":
         return FieldSpec.uniform(ForceVector(data["speed"], data["direction"]), gust=gust)
     if kind == "river_profile":
-        _check_keys(data["axis_origin"], _POINT_KEYS, prefix + "axis_origin")
-        _check_required(data["axis_origin"], _POINT_KEYS, prefix + "axis_origin")
         return FieldSpec.river_profile(
-            axis_origin=GeoPoint(data["axis_origin"]["lat"], data["axis_origin"]["lon"]),
+            axis_origin=_decode(GeoPoint, data["axis_origin"], prefix + "axis_origin", None),
             axis_bearing=data["axis_bearing"],
             centerline=ForceVector(data["centerline_speed"], data["centerline_direction"]),
             half_width=data["half_width_m"],
@@ -387,15 +376,22 @@ def write_mission_csv(mission: Sequence[Waypoint], path: str | os.PathLike) -> N
 
 
 def read_mission_csv(path: str | os.PathLike) -> list[Waypoint]:
+    """The waypoints of a mission CSV: the header, then one lat,lon,speed_mps
+    row per line. Blank lines are skipped; a line that is not three numbers
+    raises ValueError naming its file line."""
     with open(path) as fh:
         header = fh.readline().strip()
         if header != MISSION_HEADER:
             raise ValueError(f"{path}: expected header {MISSION_HEADER!r}, got {header!r}")
         mission = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            lat, lon, spd = (float(v) for v in line.split(","))
+            try:
+                lat, lon, spd = (float(v) for v in line.split(","))
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: expected 3 comma-separated numbers, "
+                                 f"got {line.strip()!r}") from None
             mission.append(Waypoint(GeoPoint(lat, lon), spd))
     return mission
 
@@ -763,11 +759,7 @@ def suite_to_dict(suite: SuiteSpec) -> dict:
 
 def suite_from_dict(data: dict, base_dir: Path | None = None) -> SuiteSpec:
     # the template carries no mission of its own; the suite generates them
-    placeholder = [
-        {"lat": 0.0, "lon": 0.0, "speed_mps": 1.0},
-        {"lat": 0.001, "lon": 0.0, "speed_mps": 1.0},
-    ]
-    template = {**data.get("template", {}), "mission": placeholder}
+    template = {**data.get("template", {}), "mission": to_dict(_TEMPLATE_MISSION)}
     return from_dict(SuiteSpec, {**data, "template": template}, base_dir)
 
 
@@ -787,6 +779,15 @@ CROSSWIND_MPS = 5.0
 # 25 m default suits short river legs, not these.
 SCENARIO_AUGMENT = AugmentConfig(max_offset_m=100.0)
 
+# The mission of every suite template: a Scenario needs one, but
+# suite_scenarios replaces it on every run, so it is never sailed. Its
+# 1 m/s, the speed suite files have always loaded with, keeps a suite
+# file with a slow hull loadable.
+_TEMPLATE_MISSION = (
+    Waypoint(RIVER_CENTER, 1.0),
+    Waypoint(offset_point(RIVER_CENTER, EnuVector(0.0, 200.0)), 1.0),
+)
+
 
 def standard_template(
     current_speed: float = RIVER_CURRENT_MPS,
@@ -800,24 +801,10 @@ def standard_template(
     so even the along-current legs carry some lateral disturbance for the
     baseline to mishandle.
     """
-    placeholder = (
-        Waypoint(RIVER_CENTER, DEFAULT_LEG_SPEED),
-        Waypoint(offset_point(RIVER_CENTER, EnuVector(0.0, 200.0)), DEFAULT_LEG_SPEED),
-    )
-    current = (
-        FieldSpec.uniform(ForceVector(current_speed, wrap_angle(axis)))
-        if current_speed > 0.0
-        else FieldSpec.calm()
-    )
-    wind = (
-        FieldSpec.uniform(ForceVector(wind_speed, wrap_angle(axis + 90.0)))
-        if wind_speed > 0.0
-        else FieldSpec.calm()
-    )
     return Scenario(
-        mission=placeholder,
-        current=current,
-        wind=wind,
+        mission=_TEMPLATE_MISSION,
+        current=FieldSpec.uniform(ForceVector(current_speed, axis)),
+        wind=FieldSpec.uniform(ForceVector(wind_speed, axis + 90.0)),
         augment=SCENARIO_AUGMENT,
         seed=seed,
         name="template",
@@ -951,27 +938,41 @@ def generate_training_logs(sweep: SweepSpec) -> np.ndarray:
             *_observed_targets(vg_e, vg_n, tw, h_t),
         ))
 
+    def leg(current: ForceVector, wind: ForceVector, heading: float, speed: float,
+            mission: list[Waypoint] | None) -> None:
+        """One leg from the steady state at the origin: the fixed command of
+        speed when mission is None, else navigator_step toward its goal."""
+        sample = Environment(FieldSpec.uniform(current), FieldSpec.uniform(wind)).sample
+        # the fixed command; navigator_step replaces it every step
+        thrust, rudder = _clamped(min(1.0, speed / params.max_water_speed), 0.0)
+        # the steady state's sample is the first step's: (origin, t=0)
+        flows = sample(sweep.origin, 0.0)
+        pos, t, turn_rate, tw = sweep.origin, 0.0, 0.0, speed
+        spd_t, course_t, h_t = steady_state(heading, speed, flows, params)
+        index, line = 0, None
+        heading_pid = speed_pid = FRESH_PID
+        for i in range(n_steps):
+            if i:
+                flows = sample(pos, t)
+            record(spd_t, course_t, h_t, tw, flows, speed)
+            if mission is not None:
+                thrust, rudder, index, line, heading_pid, speed_pid = navigator_step(
+                    pos, spd_t, h_t, mission, index, line, heading_pid, speed_pid,
+                    DEFAULT_GAINS, dt, DEFAULT_ACCEPT_RADIUS,
+                )
+                if index:  # the goal is reached
+                    break
+            pos, spd_t, course_t, h_t, tw, t, turn_rate = step(
+                pos, h_t, tw, t, turn_rate, thrust, rudder, flows, params, dt
+            )
+
     run_index = 0
     for current in sweep.currents:
         for heading in sweep.headings:
             for speed in sweep.speeds:
                 wind = sweep.winds[run_index % len(sweep.winds)]
                 run_index += 1
-                sample = Environment(
-                    current=FieldSpec.uniform(current), wind=FieldSpec.uniform(wind)
-                ).sample
-                thrust, rudder = _clamped(min(1.0, speed / params.max_water_speed), 0.0)
-                # the steady state's sample is the first step's: (origin, t=0)
-                flows = sample(sweep.origin, 0.0)
-                pos, t, turn_rate, tw = sweep.origin, 0.0, 0.0, speed
-                spd_t, course_t, h_t = steady_state(heading, speed, flows, params)
-                for i in range(n_steps):
-                    if i:
-                        flows = sample(pos, t)
-                    record(spd_t, course_t, h_t, tw, flows, speed)
-                    pos, spd_t, course_t, h_t, tw, t, turn_rate = step(
-                        pos, h_t, tw, t, turn_rate, thrust, rudder, flows, params, dt
-                    )
+                leg(current, wind, heading, speed, None)
 
     if sweep.include_closed_loop:
         # a few navigator-driven legs so the corpus also covers transients
@@ -980,31 +981,9 @@ def generate_training_logs(sweep: SweepSpec) -> np.ndarray:
             current = sweep.currents[run_index % len(sweep.currents)]
             wind = sweep.winds[run_index % len(sweep.winds)]
             run_index += 1
-            sample = Environment(
-                current=FieldSpec.uniform(current), wind=FieldSpec.uniform(wind)
-            ).sample
             ue, un = unit_enu(heading)
-            mission = [Waypoint(
-                offset_point(sweep.origin, EnuVector(100.0 * ue, 100.0 * un)), leg_speed
-            )]
-            flows = sample(sweep.origin, 0.0)
-            pos, t, turn_rate, tw = sweep.origin, 0.0, 0.0, leg_speed
-            spd_t, course_t, h_t = steady_state(heading, leg_speed, flows, params)
-            index, line = 0, None
-            heading_pid = speed_pid = FRESH_PID
-            for i in range(n_steps):
-                if i:
-                    flows = sample(pos, t)
-                record(spd_t, course_t, h_t, tw, flows, leg_speed)
-                thrust, rudder, index, line, heading_pid, speed_pid = navigator_step(
-                    pos, spd_t, h_t, mission, index, line, heading_pid, speed_pid, DEFAULT_GAINS,
-                    dt, DEFAULT_ACCEPT_RADIUS,
-                )
-                if index:  # the goal is reached
-                    break
-                pos, spd_t, course_t, h_t, tw, t, turn_rate = step(
-                    pos, h_t, tw, t, turn_rate, thrust, rudder, flows, params, dt
-                )
+            goal = offset_point(sweep.origin, EnuVector(100.0 * ue, 100.0 * un))
+            leg(current, wind, heading, leg_speed, [Waypoint(goal, leg_speed)])
     return _check_corpus(rows)
 
 

@@ -45,12 +45,29 @@ def test_shipped_configs_match_canonical_definitions():
 
     assert load_scenario(CONFIGS / "calm_water.json") == calm_water_scenario()
     assert load_scenario(CONFIGS / "downstream_failure.json") == downstream_failure_scenario()
-    suite = load_suite(CONFIGS / "suite.json")
-    reference = standard_suite()
-    assert suite.center == reference.center
-    assert suite.current_axis_bearing_deg == reference.current_axis_bearing_deg
-    assert suite.template.current == reference.template.current
-    assert suite.template.wind == reference.template.wind
+    assert load_suite(CONFIGS / "suite.json") == standard_suite()
+
+
+# A 2x2 grid current over the downstream failure leg and its run-up.
+GRID_CURRENT = {
+    "kind": "grid", "lat0": 33.997, "lon0": -81.004, "dlat": 0.006, "dlon": 0.008,
+    "speeds": [[0.677, 0.7], [0.8, 1.2]], "directions": [[165.0, 170.0], [170.0, 147.5]],
+}
+
+
+def test_grid_run_reruns_from_its_resolved_config(tmp_path, capsys):
+    """A grid field is written back as its config gives it, so a grid run
+    re-run from its own resolved_config.json writes the same trajectory."""
+    with open(CONFIGS / "downstream_failure_augmented.json") as fh:
+        config = {**json.load(fh), "current": GRID_CURRENT}
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", str(path), "--out", str(tmp_path / "first")]) == 0
+    resolved = tmp_path / "first" / "resolved_config.json"
+    assert json.loads(resolved.read_text())["current"] == GRID_CURRENT
+    assert main(["run", str(resolved), "--out", str(tmp_path / "again")]) == 0
+    first = (tmp_path / "first" / "trajectory.csv").read_bytes()
+    assert (tmp_path / "again" / "trajectory.csv").read_bytes() == first
 
 
 def test_shipped_configs_round_trip_exactly():

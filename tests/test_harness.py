@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -222,9 +223,7 @@ def test_field_dict_round_trip_river_and_grid():
         lat0=33.99, lon0=-81.01, dlat=0.01, dlon=0.01,
         speeds=[[0.5, 1.0], [1.0, 0.25]], directions=[[10.0, 80.0], [350.0, 200.0]],
     )
-    back = field_from_dict(field_to_dict(grid))
-    np.testing.assert_allclose(back.node_east, grid.node_east, atol=1e-12)
-    np.testing.assert_allclose(back.node_north, grid.node_north, atol=1e-12)
+    assert field_from_dict(json.loads(json.dumps(field_to_dict(grid)))) == grid
 
 
 def test_load_scenario_from_file(tmp_path):
@@ -245,6 +244,17 @@ def test_mission_csv_round_trip(tmp_path):
     assert open(path).readline().strip() == "lat,lon,speed_mps"
     back = read_mission_csv(path)
     assert back == mission
+
+
+@pytest.mark.parametrize("row", ["34.0,-81.0", "34.0,-81.0,2.0,1.0", "34.0,abc,2.0"])
+def test_read_mission_csv_names_file_and_line(tmp_path, row):
+    """A row that is not three numbers is an error naming the file and its
+    line; the header is line 1 and a blank line still counts."""
+    path = tmp_path / "mission.csv"
+    path.write_text(f"lat,lon,speed_mps\n34.0,-81.0,2.0\n\n{row}\n")
+    message = f"{path}: line 4: expected 3 comma-separated numbers, got {row!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_mission_csv(path)
 
 
 def test_suite_geometry_matches_orientation_labels(tmp_path):
@@ -313,6 +323,24 @@ def test_field_and_waypoint_dicts_reject_unknown_keys():
         field_from_dict({**river, "speed": 1.0})
 
 
+@pytest.mark.parametrize("gust", [{}, False, 0, []], ids=["empty", "false", "zero", "list"])
+def test_malformed_gust_is_an_error(gust):
+    """A present gust must be a gust: an empty or non-object value is an
+    error naming current.gust, not a field without one."""
+    scenario = to_dict(calm_water_scenario())
+    current = {"kind": "uniform", "speed": 1.0, "direction": 90.0, "gust": gust}
+    with pytest.raises(ValueError, match=r"current\.gust\b"):
+        from_dict(Scenario, {**scenario, "current": current})
+
+
+def test_null_or_absent_gust_is_no_gust():
+    scenario = to_dict(calm_water_scenario())
+    uniform = {"kind": "uniform", "speed": 1.0, "direction": 90.0}
+    for current in (uniform, {**uniform, "gust": None}):
+        back = from_dict(Scenario, {**scenario, "current": current})
+        assert back.current == FieldSpec.uniform(ForceVector(1.0, 90.0))
+
+
 def test_field_and_waypoint_dicts_name_missing_keys():
     """A missing field or waypoint key raises ValueError naming its dotted
     path, as a missing dataclass key does, not a bare KeyError."""
@@ -345,6 +373,7 @@ def test_zero_current_suite_columns_identical():
     """With zero fields the augmented controller reduces to the baseline,
     so every paired column matches."""
     suite = standard_suite(current_speed=0.0, wind_speed=0.0)
+    assert suite.template.current == suite.template.wind == FieldSpec.calm()
     result = run_suite(suite)
     assert result.all_complete
     assert result.table.baseline_max == result.table.augmented_max

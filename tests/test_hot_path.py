@@ -110,10 +110,18 @@ def _old_bearing_of(east, north):
     return wrap_angle(math.degrees(math.atan2(east, north)))
 
 
+def _grid_nodes(field):
+    """A grid field's node east/north arrays, by the sampler's expressions."""
+    spd = np.array(field.speeds)
+    rad = np.radians(np.array(field.directions))
+    return spd * np.sin(rad), spd * np.cos(rad)
+
+
 def _old_grid(field, p, t):
     """The grid sampler of _polar_sampler with its min/max index clamps."""
-    nodes = np.stack((field.node_east, field.node_north), axis=-1).tolist()
-    ni, nj = field.node_east.shape
+    node_east, node_north = _grid_nodes(field)
+    nodes = np.stack((node_east, node_north), axis=-1).tolist()
+    ni, nj = node_east.shape
     edge_tol = 1e-9
     fi = (p.lat - field.lat0) / field.dlat
     fj = (p.lon - field.lon0) / field.dlon
@@ -260,7 +268,7 @@ def _grid_field(gust=None):
 def test_grid_index_clamps_match_min_max(gust):
     field = _grid_field(gust)
     sampler = env._polar_sampler(field)
-    ni, nj = field.node_east.shape
+    ni, nj = _grid_nodes(field)[0].shape
     tol = 1e-9
     # fractional indices on the domain edges, the edge tolerance and the
     # last cell's start, each with its neighbours
