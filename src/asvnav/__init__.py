@@ -1,15 +1,15 @@
 """Planar ASV guidance simulator and controller library.
 
-Baseline PID waypoint navigation, a regression-based disturbance effect
-model, and the feed-forward intermediate-waypoint augmentation that wraps
-the baseline, plus the simulation harness and metrics to compare them.
+PID waypoint navigation, a regression-based disturbance effect model, and
+the feed-forward intermediate-waypoint augmentation of the same navigator,
+plus the simulation harness and metrics to compare the two.
 """
 
 from .augment import (
     AugmentConfig,
     adjusted_speed,
-    augmented_navigator_step,
     calc_intermediate_wp,
+    navigator_step,
 )
 from .control import (
     DEFAULT_ACCEPT_RADIUS,
@@ -18,7 +18,6 @@ from .control import (
     NavGains,
     PidGains,
     Waypoint,
-    navigator_step,
     pid_step,
     waypoint_reached,
 )

@@ -1,11 +1,12 @@
-"""Feed-forward augmentation of the baseline navigator.
+"""The waypoint navigator and its feed-forward augmentation.
 
-Instead of steering at the true goal, the augmented controller predicts
+The baseline navigator steers at the true goal. Augmented, it predicts
 the disturbance drift, places an intermediate waypoint upstream of the
 goal (offset proportional to the remaining distance) and adjusts the
-commanded speed by the predicted along-track deficit. The inner PID
-navigator is driven with that intermediate target while mission
-advancement is always judged against the true goal.
+commanded speed by the predicted along-track deficit. The PID steering is
+then driven with that intermediate target while mission advancement is
+always judged against the true goal. Both are one navigator_step: the
+baseline is the navigator without a model.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from .control import (
     NavGains,
     PidFloats,
     Waypoint,
-    _advance,
     steer_toward,
     tracking_line,
+    waypoint_reached,
 )
 from .geo import EnuVector, GeoPoint, distance, offset_point
 from .vehicle import DEFAULT_DT, VehicleParams
@@ -72,7 +73,7 @@ def calc_intermediate_wp(
     effect_x: float,
     effect_y: float,
     cfg: AugmentConfig,
-    reference_speed: float | None = None,
+    reference_speed: float,
 ) -> GeoPoint:
     """Place the intermediate waypoint for the current goal, seen from a
     vehicle at pos.
@@ -85,15 +86,13 @@ def calc_intermediate_wp(
     reference_speed should be the speed actually commanded to the inner
     loop (the deficit-adjusted one): the offset is a travel-time triangle,
     and the travel time is set by the speed the vehicle will really make
-    good. It defaults to the goal's spd_target when no adjustment applies.
+    good.
     """
     if not (math.isfinite(effect_x) and math.isfinite(effect_y)):
         raise ValueError(f"non-finite effect components ({effect_x}, {effect_y})")
     if effect_x == 0.0 and effect_y == 0.0:
         return goal.pos
     d_t = distance(pos, goal.pos)
-    if reference_speed is None:
-        reference_speed = goal.spd_target
     ref_speed = max(reference_speed, cfg.reference_speed_floor_mps)
     off_e = -cfg.gain_k * d_t * effect_x / ref_speed
     off_n = -cfg.gain_k * d_t * effect_y / ref_speed
@@ -118,7 +117,16 @@ def adjusted_speed(effect_spd: float, spd_target: float, params: VehicleParams) 
     return min(params.max_water_speed, max(MIN_SPEED_FRACTION * spd_target, raw))
 
 
-def augmented_navigator_step(
+def _advance(lat: float, lon: float, mission: Sequence[Waypoint], index: int,
+             radius: float) -> int:
+    """Index of the first waypoint from index on that a vehicle at
+    (lat, lon) has not reached."""
+    while index < len(mission) and waypoint_reached(lat, lon, mission[index], radius):
+        index += 1
+    return index
+
+
+def navigator_step(
     pos: GeoPoint,
     spd_t: float,
     h_t: float,
@@ -128,32 +136,37 @@ def augmented_navigator_step(
     line: Optional[Line],
     heading_pid: PidFloats,
     speed_pid: PidFloats,
-    intermediate: Optional[Waypoint],
-    next_update_t: float,
-    model,
-    force: tuple[float, float, float, float],
+    intermediate: Optional[Waypoint] = None,
+    next_update_t: float = -math.inf,
+    model=None,
+    force: Optional[tuple[float, float, float, float]] = None,
     cfg: AugmentConfig = AugmentConfig(),
     gains: NavGains = DEFAULT_GAINS,
     params: VehicleParams = VehicleParams(),
     dt: float = DEFAULT_DT,
     radius: float = DEFAULT_ACCEPT_RADIUS,
 ) -> tuple[float, float, int, Optional[Line], PidFloats, PidFloats, Optional[Waypoint], float]:
-    """One control step of the feed-forward augmented navigator, for a
-    vehicle at pos with ground speed spd_t and heading h_t at time t, and
-    the absolute forces as (spd_c, dir_c, spd_w, dir_w).
+    """One control step of the waypoint navigator, for a vehicle at pos
+    with ground speed spd_t and heading h_t at time t.
 
     The navigator's state is the active waypoint index, the tracking line
-    from where the held intermediate target was issued to it, both PID
-    states, the held target and the time of the next update; a fresh one
-    is (0, None, FRESH_PID, FRESH_PID, None, -inf). Every update_period_s
-    (and immediately after a waypoint advance) the pipeline runs: predict
-    -> intermediate waypoint -> adjusted speed. Between updates the last
-    intermediate target is held. The inner PID step is the baseline's
-    steer_toward, pointed at the intermediate target, while mission
-    advancement is judged against the true goals, so a zero-effect model
-    reproduces the baseline bit for bit. Returns the clamped (thrust,
-    rudder) and the new state; index == len(mission) once the mission is
-    complete, with an all-zero command and no held target.
+    (None until its target is first steered at), both PID states, the held
+    intermediate target and the time of the next update; a fresh one is
+    (0, None, FRESH_PID, FRESH_PID, None, -inf). It advances the active
+    waypoint when reached: both integrators restart, the held target is
+    dropped and the line re-anchors where the vehicle is, the way the stock
+    autopilot tracks the line from the point of waypoint acceptance.
+
+    With model None it is the baseline: it steers at the lookahead point on
+    the line to the active waypoint and holds no target. With a model and
+    the absolute forces as (spd_c, dir_c, spd_w, dir_w) it is augmented:
+    every update_period_s (and right after an advance) the feed-forward
+    update runs, predict -> adjusted speed -> intermediate waypoint, and
+    the navigator steers at the held target; advancement is still judged
+    against the true goals, so a zero-effect model reproduces the baseline
+    bit for bit. Returns the clamped (thrust, rudder) and the new state;
+    index == len(mission) once the mission is complete, with an all-zero
+    command, no line and no held target.
     """
     if not mission:
         raise ValueError("mission must contain at least one waypoint")
@@ -162,36 +175,38 @@ def augmented_navigator_step(
     lat, lon = pos.lat, pos.lon
     reached = _advance(lat, lon, mission, index, radius)
     if reached != index:
-        # New true goal: both integrators restart, the held target is
-        # dropped and refreshed right away.
+        # a new goal: both integrators restart, the held target is dropped
+        # and the line re-anchors here
         index = reached
         heading_pid = speed_pid = FRESH_PID
         line, intermediate, next_update_t = None, None, -math.inf
     if index >= len(mission):
         return 0.0, 0.0, index, None, heading_pid, speed_pid, None, -math.inf
 
-    if intermediate is None or t >= next_update_t:
-        # The feed-forward update: predict -> adjusted speed -> intermediate
-        # waypoint.
-        goal = mission[index]
-        drift_e, drift_n, deficit = model.predict(*force, goal.spd_target, h_t)
-        spd = adjusted_speed(_denoise(deficit), goal.spd_target, params)
-        aim = calc_intermediate_wp(goal, pos, _denoise(drift_e), _denoise(drift_n), cfg,
-                                   reference_speed=spd)
-        refreshed = Waypoint(aim, spd)
-        # Re-anchor only when the target actually moved; an unchanged target
-        # keeps the established tracking line (and keeps a zero-effect model
-        # bit-identical to the baseline). A moved target is a fresh goto for
-        # the inner navigator, so its heading integrator restarts too:
-        # steady-state compensation belongs to the feed-forward path, not to
-        # integral windup fighting it.
-        if refreshed != intermediate:
-            intermediate, line = refreshed, tracking_line(pos, refreshed.pos)
-            heading_pid = FRESH_PID
-        next_update_t = t + cfg.update_period_s
+    target = mission[index]
+    if model is not None:
+        if intermediate is None or t >= next_update_t:
+            # The feed-forward update: predict -> adjusted speed ->
+            # intermediate waypoint.
+            drift_e, drift_n, deficit = model.predict(*force, target.spd_target, h_t)
+            spd = adjusted_speed(_denoise(deficit), target.spd_target, params)
+            aim = calc_intermediate_wp(target, pos, _denoise(drift_e), _denoise(drift_n), cfg,
+                                       spd)
+            refreshed = Waypoint(aim, spd)
+            # Re-anchor only when the target actually moved; an unchanged
+            # target keeps the established tracking line (and keeps a
+            # zero-effect model bit-identical to the baseline). A moved
+            # target is a fresh goto, so its heading integrator restarts
+            # too: steady-state compensation belongs to the feed-forward
+            # path, not to integral windup fighting it.
+            if refreshed != intermediate:
+                intermediate, line = refreshed, None
+                heading_pid = FRESH_PID
+            next_update_t = t + cfg.update_period_s
+        target = intermediate
     if line is None:
-        line = tracking_line(pos, intermediate.pos)
+        line = tracking_line(pos, target.pos)
     thrust, rudder, heading_pid, speed_pid = steer_toward(
-        lat, lon, h_t, spd_t, intermediate, line, gains, heading_pid, speed_pid, dt
+        lat, lon, h_t, spd_t, target, line, gains, heading_pid, speed_pid, dt
     )
     return thrust, rudder, index, line, heading_pid, speed_pid, intermediate, next_update_t

@@ -1,18 +1,19 @@
-"""Baseline waypoint navigator: heading and speed PID loops steering at a
-lookahead point on the current leg.
+"""The waypoint navigator's parts: PID loops, waypoint acceptance, the
+tracking line and steering at a lookahead point on it.
 
 This mirrors a stock autopilot's behavior: it regulates GPS ground speed,
 points the compass heading at a spot on the line a fixed distance ahead,
 and carries plain clamped-integrator PIDs tuned once in calm water. Its
 weaknesses under current, especially running with it, are the point of
-comparison for the feed-forward augmentation.
+comparison for the feed-forward augmentation. augment.navigator_step puts
+the parts together.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .geo import (
     GeoPoint,
@@ -23,7 +24,7 @@ from .geo import (
     unit_enu,
     wrap_signed,
 )
-from .vehicle import DEFAULT_DT, _clamped
+from .vehicle import _clamped
 
 DEFAULT_ACCEPT_RADIUS = 2.0
 
@@ -113,15 +114,6 @@ def waypoint_reached(lat: float, lon: float, wp: Waypoint, radius: float) -> boo
     return math.hypot(*enu_coords(lat, lon, wp.pos.lat, wp.pos.lon)) <= radius
 
 
-def _advance(lat: float, lon: float, mission: Sequence[Waypoint], index: int,
-             radius: float) -> int:
-    """Index of the first waypoint from index on that a vehicle at
-    (lat, lon) has not reached."""
-    while index < len(mission) and waypoint_reached(lat, lon, mission[index], radius):
-        index += 1
-    return index
-
-
 # A tracking line: its anchor, then the length (m) and (east, north) unit
 # vector of the anchor->target leg.
 Line = tuple[GeoPoint, float, float, float]
@@ -178,49 +170,3 @@ def steer_toward(lat: float, lon: float, h_t: float, spd_t: float, target: Waypo
     speed_error = target.spd_target - spd_t
     thrust, speed_pid = pid_step(gains.speed, speed_pid, speed_error, dt)
     return *_clamped(thrust, rudder), heading_pid, speed_pid
-
-
-def navigator_step(
-    pos: GeoPoint,
-    spd_t: float,
-    h_t: float,
-    mission: Sequence[Waypoint],
-    index: int,
-    line: Optional[Line],
-    heading_pid: PidFloats,
-    speed_pid: PidFloats,
-    gains: NavGains = DEFAULT_GAINS,
-    dt: float = DEFAULT_DT,
-    radius: float = DEFAULT_ACCEPT_RADIUS,
-) -> tuple[float, float, int, Optional[Line], PidFloats, PidFloats]:
-    """One control step of the baseline navigator.
-
-    The navigator's state is the active waypoint index, the tracking line
-    (None until the waypoint is first steered at) and both PID states; a
-    fresh navigator is (0, None, FRESH_PID, FRESH_PID). It advances the
-    active waypoint when reached (integrators reset, the line re-anchored
-    where the vehicle is, the way the stock autopilot tracks the line from
-    the point of waypoint acceptance), then steers at the lookahead point
-    on the line to the active waypoint. Returns the clamped (thrust,
-    rudder) and the new state; index == len(mission) once the mission is
-    complete, with an all-zero command.
-    """
-    if not mission:
-        raise ValueError("mission must contain at least one waypoint")
-    if dt <= 0.0:
-        raise ValueError(f"dt must be > 0, got {dt!r}")
-    lat, lon = pos.lat, pos.lon
-    reached = _advance(lat, lon, mission, index, radius)
-    if reached != index:
-        # a new goal: both integrators restart and the line re-anchors here
-        index, line = reached, None
-        heading_pid = speed_pid = FRESH_PID
-    if index >= len(mission):
-        return 0.0, 0.0, index, line, heading_pid, speed_pid
-    target = mission[index]
-    if line is None:
-        line = tracking_line(pos, target.pos)
-    thrust, rudder, heading_pid, speed_pid = steer_toward(
-        lat, lon, h_t, spd_t, target, line, gains, heading_pid, speed_pid, dt
-    )
-    return thrust, rudder, index, line, heading_pid, speed_pid

@@ -20,14 +20,13 @@ from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hin
 
 import numpy as np
 
-from .augment import AugmentConfig, augmented_navigator_step
+from .augment import AugmentConfig, navigator_step
 from .control import (
     DEFAULT_ACCEPT_RADIUS,
     DEFAULT_GAINS,
     FRESH_PID,
     NavGains,
     Waypoint,
-    navigator_step,
 )
 from .effects import (
     CORPUS_WIDTH,
@@ -133,47 +132,49 @@ def _check_required(data: dict, required, path: str) -> None:
         raise ValueError(f"missing config key(s): {', '.join(missing)}")
 
 
-# JSON keys of each field kind, besides "kind" and "gust".
+_GRID = tuple[tuple[float, ...], ...]
+
+# JSON key -> type hint of each field kind, besides "kind" and "gust".
 _FIELD_KEYS = {
-    "uniform": ("speed", "direction"),
-    "river_profile": ("axis_origin", "axis_bearing", "centerline_speed", "centerline_direction",
-                      "half_width_m"),
-    "grid": ("lat0", "lon0", "dlat", "dlon", "speeds", "directions"),
+    "uniform": {"speed": float, "direction": float},
+    "river_profile": {"axis_origin": GeoPoint, "axis_bearing": float, "centerline_speed": float,
+                      "centerline_direction": float, "half_width_m": float},
+    # FieldSpec.grid's own parameter names
+    "grid": {"lat0": float, "lon0": float, "dlat": float, "dlon": float, "speeds": _GRID,
+             "directions": _GRID},
 }
 _WAYPOINT_KEYS = ("lat", "lon", "speed_mps")
 
 
 def field_from_dict(data: dict, path: str = "") -> FieldSpec:
-    """FieldSpec of its JSON form. An unknown or missing key raises
-    ValueError naming its dotted path below path, the field's own path in
-    the config."""
+    """FieldSpec of its JSON form. An unknown or missing key, or a value of
+    the wrong JSON type, raises ValueError naming its dotted path below
+    path, the field's own path in the config; a field the FieldSpec rules
+    reject raises one prefixed by path."""
     _check_required(data, ("kind",), path)
-    kind = data["kind"]
+    prefix = f"{path}." if path else ""
+    kind = _decode(str, data["kind"], prefix + "kind", None)
     if kind not in _FIELD_KEYS:
         raise ValueError(f"unknown field kind {kind!r}")
-    _check_keys(data, ("kind", "gust", *_FIELD_KEYS[kind]), path)
-    _check_required(data, _FIELD_KEYS[kind], path)
-    prefix = f"{path}." if path else ""
+    keys = _FIELD_KEYS[kind]
+    _check_keys(data, ("kind", "gust", *keys), path)
+    _check_required(data, keys, path)
     gust = _decode(Optional[GustSpec], data.get("gust"), prefix + "gust", None)
-    if kind == "uniform":
-        return FieldSpec.uniform(ForceVector(data["speed"], data["direction"]), gust=gust)
-    if kind == "river_profile":
-        return FieldSpec.river_profile(
-            axis_origin=_decode(GeoPoint, data["axis_origin"], prefix + "axis_origin", None),
-            axis_bearing=data["axis_bearing"],
-            centerline=ForceVector(data["centerline_speed"], data["centerline_direction"]),
-            half_width=data["half_width_m"],
-            gust=gust,
-        )
-    return FieldSpec.grid(
-        lat0=data["lat0"],
-        lon0=data["lon0"],
-        dlat=data["dlat"],
-        dlon=data["dlon"],
-        speeds=data["speeds"],
-        directions=data["directions"],
-        gust=gust,
-    )
+    values = {key: _decode(hint, data[key], prefix + key, None) for key, hint in keys.items()}
+    try:
+        if kind == "uniform":
+            return FieldSpec.uniform(ForceVector(values["speed"], values["direction"]), gust=gust)
+        if kind == "river_profile":
+            return FieldSpec.river_profile(
+                axis_origin=values["axis_origin"],
+                axis_bearing=values["axis_bearing"],
+                centerline=ForceVector(values["centerline_speed"], values["centerline_direction"]),
+                half_width=values["half_width_m"],
+                gust=gust,
+            )
+        return FieldSpec.grid(**values, gust=gust)
+    except ValueError as exc:
+        raise ValueError(f"config {path or 'field'}: {exc}") from None
 
 
 def _waypoint_to_dict(wp: Waypoint) -> dict:
@@ -183,7 +184,11 @@ def _waypoint_to_dict(wp: Waypoint) -> dict:
 def _waypoint_from_dict(data: dict, path: str) -> Waypoint:
     _check_keys(data, _WAYPOINT_KEYS, path)
     _check_required(data, _WAYPOINT_KEYS, path)
-    return Waypoint(GeoPoint(data["lat"], data["lon"]), data["speed_mps"])
+    lat, lon, spd = (_decode(float, data[key], f"{path}.{key}", None) for key in _WAYPOINT_KEYS)
+    try:
+        return Waypoint(GeoPoint(lat, lon), spd)
+    except ValueError as exc:
+        raise ValueError(f"config {path}: {exc}") from None
 
 
 # Types whose JSON shape is not their field layout: (encode, decode).
@@ -233,19 +238,36 @@ def to_dict(obj):
 def from_dict(cls, data: dict, base_dir: Path | None = None):
     """Build config dataclass cls from its JSON form.
 
-    Absent keys take the dataclass defaults; an unknown key raises
-    ValueError naming its dotted path. A string where a mission is expected
-    is a mission CSV path, relative to base_dir.
+    Absent keys take the dataclass defaults; an unknown key, or a value of
+    the wrong JSON type, raises ValueError naming its dotted path. Values
+    are kept as given: an int where a float is expected stays an int. A
+    string where a mission is expected is a mission CSV path, relative to
+    base_dir.
     """
     return _decode(cls, data, "", base_dir)
 
 
+# The JSON values a scalar type hint takes, and their name. A JSON true or
+# false is a Python int, but neither a number nor an integer in a config.
+_SCALARS = {
+    float: ((int, float), "a number"),
+    int: (int, "an integer"),
+    str: (str, "a string"),
+    bool: (bool, "true or false"),
+}
+
+
 def _decode(hint, value, path: str, base_dir: Path | None):
-    if hint in _CODECS:
-        return _CODECS[hint][1](value, path)
+    if hint in _SCALARS:
+        types, name = _SCALARS[hint]
+        if not isinstance(value, types) or (isinstance(value, bool) and hint is not bool):
+            raise ValueError(f"config {path} must be {name}, got {value!r}")
+        return value  # as given: an int stays an int
     if is_dataclass(hint):
         if not isinstance(value, dict):
             raise ValueError(f"config {path or 'file'} must be a JSON object")
+        if hint in _CODECS:
+            return _CODECS[hint][1](value, path)
         layout = _layout(hint)
         _check_keys(value, layout, path)
         _check_required(value, [key for key, (_, _, required) in layout.items() if required],
@@ -262,6 +284,8 @@ def _decode(hint, value, path: str, base_dir: Path | None):
     if origin is tuple:
         if args[0] is Waypoint and isinstance(value, str):
             return tuple(read_mission_csv(Path(base_dir or "") / value))
+        if not isinstance(value, list):
+            raise ValueError(f"config {path} must be a list, got {value!r}")
         return tuple(_decode(args[0], v, f"{path}[{i}]", base_dir) for i, v in enumerate(value))
     return value
 
@@ -377,8 +401,9 @@ def write_mission_csv(mission: Sequence[Waypoint], path: str | os.PathLike) -> N
 
 def read_mission_csv(path: str | os.PathLike) -> list[Waypoint]:
     """The waypoints of a mission CSV: the header, then one lat,lon,speed_mps
-    row per line. Blank lines are skipped; a line that is not three numbers
-    raises ValueError naming its file line."""
+    row per line. Blank lines are skipped; a line that is not three numbers,
+    or whose waypoint breaks a Waypoint or GeoPoint rule, raises ValueError
+    naming its file line."""
     with open(path) as fh:
         header = fh.readline().strip()
         if header != MISSION_HEADER:
@@ -392,7 +417,10 @@ def read_mission_csv(path: str | os.PathLike) -> list[Waypoint]:
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: expected 3 comma-separated numbers, "
                                  f"got {line.strip()!r}") from None
-            mission.append(Waypoint(GeoPoint(lat, lon), spd))
+            try:
+                mission.append(Waypoint(GeoPoint(lat, lon), spd))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
     return mission
 
 
@@ -504,8 +532,6 @@ class RunResult:
 
 
 def _resolve_model(sc: Scenario):
-    if sc.controller.kind != "augmented":
-        return None
     if sc.controller.model == "oracle":
         return OracleEffectModel(wind_drag_factor=sc.vehicle.wind_drag_factor)
     return load_model(sc.controller.model)
@@ -516,7 +542,7 @@ def _closed_loop(sc: Scenario, mission: list[Waypoint], model) -> tuple[Trajecto
     and the outcome.
 
     Each tick is Environment.sample, sense, relative_to_absolute (current,
-    then wind), navigator_step or augmented_navigator_step and step; a tick
+    then wind), navigator_step (with model None: the baseline) and step; a tick
     that completes the mission takes no step. Checks that can fire here:
     the dt range (first of all: the step count divides by dt), dt > 0,
     the radius, a non-finite command, a negative or non-finite state, the
@@ -529,7 +555,6 @@ def _closed_loop(sc: Scenario, mission: list[Waypoint], model) -> tuple[Trajecto
     max_steps = int(round(sc.duration_limit_s / dt))
     rng = np.random.default_rng(sc.seed)
     sample = Environment(current=sc.current, wind=sc.wind).sample
-    augmented = sc.controller.kind == "augmented"
     pos, spd_t, course_t, h_t, tw, t, turn_rate = sc.start_state()
     index = 0
     heading_pid = speed_pid = FRESH_PID
@@ -548,17 +573,11 @@ def _closed_loop(sc: Scenario, mission: list[Waypoint], model) -> tuple[Trajecto
         water_spd, water_dir, wind_spd, wind_dir = sense(vg_e, vg_n, h_t, flows, noise, rng)
         spd_c, dir_c = relative_to_absolute(vg_e, vg_n, h_t, water_spd, water_dir)
         spd_w, dir_w = relative_to_absolute(vg_e, vg_n, h_t, wind_spd, wind_dir)
-        if augmented:
-            (thrust, rudder, index, line, heading_pid, speed_pid, intermediate,
-             next_update_t) = augmented_navigator_step(
-                pos, spd_t, h_t, t, mission, index, line, heading_pid, speed_pid, intermediate,
-                next_update_t, model, (spd_c, dir_c, spd_w, dir_w), cfg, gains, params, dt,
-                radius,
-            )
-        else:
-            thrust, rudder, index, line, heading_pid, speed_pid = navigator_step(
-                pos, spd_t, h_t, mission, index, line, heading_pid, speed_pid, gains, dt, radius
-            )
+        (thrust, rudder, index, line, heading_pid, speed_pid, intermediate,
+         next_update_t) = navigator_step(
+            pos, spd_t, h_t, t, mission, index, line, heading_pid, speed_pid, intermediate,
+            next_update_t, model, (spd_c, dir_c, spd_w, dir_w), cfg, gains, params, dt, radius,
+        )
         add((t, pos.lat, pos.lon, spd_t, course_t, h_t, tw, turn_rate, index, intermediate,
              spd_c, dir_c, spd_w, dir_w, thrust, rudder))
         if index >= len(mission):
@@ -582,9 +601,12 @@ def run_scenario(
     the absolute forces, navigates, logs and steps, all from that one
     sample. Deterministic for a fixed seed. When out_dir is given, writes
     the trajectory log, per-sample errors, mission file, resolved scenario
-    and a run summary there.
+    and a run summary there. model, when given, replaces the effect model
+    the scenario names for an augmented run; a baseline run uses none.
     """
-    if model is None:
+    if sc.controller.kind == "baseline":
+        model = None  # the navigator without a model
+    elif model is None:
         model = _resolve_model(sc)
     mission = list(sc.mission)
     log, outcome = _closed_loop(sc, mission, model)
@@ -956,9 +978,8 @@ def generate_training_logs(sweep: SweepSpec) -> np.ndarray:
                 flows = sample(pos, t)
             record(spd_t, course_t, h_t, tw, flows, speed)
             if mission is not None:
-                thrust, rudder, index, line, heading_pid, speed_pid = navigator_step(
-                    pos, spd_t, h_t, mission, index, line, heading_pid, speed_pid,
-                    DEFAULT_GAINS, dt, DEFAULT_ACCEPT_RADIUS,
+                thrust, rudder, index, line, heading_pid, speed_pid, _, _ = navigator_step(
+                    pos, spd_t, h_t, t, mission, index, line, heading_pid, speed_pid, dt=dt
                 )
                 if index:  # the goal is reached
                     break

@@ -130,7 +130,7 @@ def step(pos: GeoPoint, h_t: float, through_water_speed: float, t: float, turn_r
     """Advance the vehicle one fixed Euler step: the next
     (pos, spd_t, course_t, h_t, through_water_speed, t, turn_rate).
 
-    thrust and rudder are a command in range, as the navigators clamp it
+    thrust and rudder are a command in range, as the navigator clamps it
     (_clamped); flows are the fields sampled at the state's own
     position and time. Heading integrates the lagged turn rate (commanded
     rate is rudder times the speed-scaled turn authority), through-water

@@ -9,10 +9,10 @@ import pytest
 from asvnav.augment import (
     AugmentConfig,
     adjusted_speed,
-    augmented_navigator_step,
     calc_intermediate_wp,
+    navigator_step,
 )
-from asvnav.control import FRESH_PID, Waypoint, navigator_step
+from asvnav.control import FRESH_PID, Waypoint
 from asvnav.effects import EffectModel, OracleEffectModel
 from asvnav.env import Environment, FieldSpec, ForceVector
 from asvnav.geo import EnuVector, GeoPoint, enu_offset, offset_point
@@ -27,10 +27,9 @@ from asvnav.vehicle import (
 ORIGIN = GeoPoint(34.0, -81.0)
 PARAMS = VehicleParams()
 CFG = AugmentConfig()
-# A fresh navigator: (index, line, heading_pid, speed_pid), and for the
-# augmented one also (intermediate, next_update_t).
-FRESH_NAV = (0, None, FRESH_PID, FRESH_PID)
-FRESH_AUG = (*FRESH_NAV, None, -math.inf)
+# A fresh navigator: (index, line, heading_pid, speed_pid, intermediate,
+# next_update_t).
+FRESH_NAV = (0, None, FRESH_PID, FRESH_PID, None, -math.inf)
 
 
 def _goal_north(distance=100.0, spd=2.0):
@@ -39,14 +38,14 @@ def _goal_north(distance=100.0, spd=2.0):
 
 def test_zero_effect_returns_goal_exactly():
     goal = _goal_north()
-    result = calc_intermediate_wp(goal, ORIGIN, 0.0, 0.0, CFG)
+    result = calc_intermediate_wp(goal, ORIGIN, 0.0, 0.0, CFG, goal.spd_target)
     assert result is goal.pos
 
 
 def test_offset_formula_at_clamp_boundary():
     # goal 100 m north, target 2 m/s, drift 0.5 m/s east -> 25 m west
     goal = _goal_north(100.0)
-    result = calc_intermediate_wp(goal, ORIGIN, 0.5, 0.0, CFG)
+    result = calc_intermediate_wp(goal, ORIGIN, 0.5, 0.0, CFG, goal.spd_target)
     off = enu_offset(goal.pos, result)
     assert off.east == pytest.approx(-25.0, rel=1e-6)
     assert off.north == pytest.approx(0.0, abs=1e-9)
@@ -54,7 +53,7 @@ def test_offset_formula_at_clamp_boundary():
 
 def test_offset_proportional_to_distance():
     goal = _goal_north(10.0)
-    result = calc_intermediate_wp(goal, ORIGIN, 0.5, 0.0, CFG)
+    result = calc_intermediate_wp(goal, ORIGIN, 0.5, 0.0, CFG, goal.spd_target)
     off = enu_offset(goal.pos, result)
     assert off.east == pytest.approx(-2.5, rel=1e-6)
 
@@ -65,7 +64,7 @@ def test_offset_clamped_to_max():
     rng = np.random.default_rng(5)
     for _ in range(200):
         ex, ey = rng.uniform(-3, 3, size=2)
-        result = calc_intermediate_wp(goal, ORIGIN, ex, ey, cfg)
+        result = calc_intermediate_wp(goal, ORIGIN, ex, ey, cfg, goal.spd_target)
         off = enu_offset(goal.pos, result)
         assert off.magnitude() <= 25.0 + 1e-6
 
@@ -75,7 +74,7 @@ def test_offset_monotone_in_remaining_distance():
     magnitudes = []
     for d in (200.0, 150.0, 100.0, 50.0, 10.0):
         goal = _goal_north(d)
-        result = calc_intermediate_wp(goal, ORIGIN, 0.4, 0.1, cfg)
+        result = calc_intermediate_wp(goal, ORIGIN, 0.4, 0.1, cfg, goal.spd_target)
         magnitudes.append(enu_offset(goal.pos, result).magnitude())
     assert all(a >= b - 1e-9 for a, b in zip(magnitudes, magnitudes[1:]))
 
@@ -91,8 +90,9 @@ def test_offset_uses_commanded_speed_normalization():
 
 
 def test_offset_rejects_non_finite_effect():
+    goal = _goal_north()
     with pytest.raises(ValueError):
-        calc_intermediate_wp(_goal_north(), ORIGIN, float("nan"), 0.0, CFG)
+        calc_intermediate_wp(goal, ORIGIN, float("nan"), 0.0, CFG, goal.spd_target)
 
 
 def test_adjusted_speed_identity_and_compensation():
@@ -126,7 +126,7 @@ def _at_rest(east, north):
 
 
 def _pose(s):
-    """(pos, spd_t, h_t, t) of state s: what the navigators read."""
+    """(pos, spd_t, h_t, t) of state s: what the navigator reads."""
     pos, spd_t, _, h_t, _, t, _ = s
     return pos, spd_t, h_t, t
 
@@ -159,11 +159,11 @@ def test_zero_effect_steps_bit_identical_to_baseline():
     )
     model = EffectModel.zero()
     s_base = s_aug = _at_rest(2.0, -40.0)
-    nav, aug = FRESH_NAV, FRESH_AUG
+    nav = aug = FRESH_NAV
     for _ in range(600):
         force_b = _forces(s_base, environment)
-        thrust_b, rudder_b, *nav = navigator_step(*_pose(s_base)[:3], mission, *nav, dt=0.1)
-        thrust_a, rudder_a, *aug = augmented_navigator_step(
+        thrust_b, rudder_b, *nav = navigator_step(*_pose(s_base), mission, *nav, dt=0.1)
+        thrust_a, rudder_a, *aug = navigator_step(
             *_pose(s_aug), mission, *aug, model, force_b, dt=0.1, params=PARAMS,
         )
         assert (thrust_a, rudder_a) == (thrust_b, rudder_b)
@@ -182,10 +182,10 @@ def test_mission_advances_on_true_waypoints_only():
     oracle = OracleEffectModel(wind_drag_factor=PARAMS.wind_drag_factor)
     cfg = AugmentConfig(max_offset_m=100.0)
     s = _at_rest(1.0, -30.0)
-    aug = FRESH_AUG
+    aug = FRESH_NAV
     seen = []
     for _ in range(2500):
-        thrust, rudder, *aug = augmented_navigator_step(
+        thrust, rudder, *aug = navigator_step(
             *_pose(s), mission, *aug, oracle, _forces(s, environment), cfg=cfg, params=PARAMS,
             dt=0.1,
         )
@@ -204,11 +204,11 @@ def test_intermediate_target_held_between_updates():
     oracle = OracleEffectModel(wind_drag_factor=PARAMS.wind_drag_factor)
     cfg = AugmentConfig(max_offset_m=100.0, update_period_s=1.0)
     s = _at_rest(0.0, -30.0)
-    aug = FRESH_AUG
+    aug = FRESH_NAV
     changes = 0
     previous = None
     for i in range(100):  # 10 seconds at dt 0.1
-        thrust, rudder, *aug = augmented_navigator_step(
+        thrust, rudder, *aug = navigator_step(
             *_pose(s), mission, *aug, oracle, _forces(s, environment), cfg=cfg, params=PARAMS,
             dt=0.1,
         )
@@ -226,10 +226,9 @@ def test_augmented_step_rejects_non_positive_dt_and_empty_mission():
     calm = (0.0, 0.0, 0.0, 0.0)
     for mission in (_mission()[1:], _mission()[:1]):  # steering, then completing
         with pytest.raises(ValueError):
-            augmented_navigator_step(ORIGIN, 2.0, 0.0, 0.0, mission, *FRESH_AUG, oracle, calm,
-                                     dt=0.0)
+            navigator_step(ORIGIN, 2.0, 0.0, 0.0, mission, *FRESH_NAV, oracle, calm, dt=0.0)
     with pytest.raises(ValueError):
-        augmented_navigator_step(ORIGIN, 2.0, 0.0, 0.0, [], *FRESH_AUG, oracle, calm)
+        navigator_step(ORIGIN, 2.0, 0.0, 0.0, [], *FRESH_NAV, oracle, calm)
 
 
 def test_intermediate_speed_positive():

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from asvnav.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -68,6 +70,38 @@ def test_grid_run_reruns_from_its_resolved_config(tmp_path, capsys):
     assert main(["run", str(resolved), "--out", str(tmp_path / "again")]) == 0
     first = (tmp_path / "first" / "trajectory.csv").read_bytes()
     assert (tmp_path / "again" / "trajectory.csv").read_bytes() == first
+
+
+def _set_path(config, path, value):
+    """config with the value at a dotted path (a [i] part indexes a list)
+    set to value."""
+    *parents, last = path.replace("[", ".").replace("]", "").split(".")
+    node = config
+    for part in parents:
+        node = node[int(part)] if part.isdigit() else node[part]
+    node[int(last) if last.isdigit() else last] = value
+    return config
+
+
+@pytest.mark.parametrize("path, value, message", [
+    ("current.speed", "1", "config current.speed must be a number, got '1'"),
+    ("dt_s", "0.1", "config dt_s must be a number, got '0.1'"),
+    ("seed", "1", "config seed must be an integer, got '1'"),
+    ("mission[0].speed_mps", "2", "config mission[0].speed_mps must be a number, got '2'"),
+    ("gains.heading.kp", "0.6", "config gains.heading.kp must be a number, got '0.6'"),
+    ("current", {**GRID_CURRENT, "speeds": [[0.677, 0.7], [0.8]]}, "config current: "),
+], ids=["field", "dt", "seed", "waypoint", "gain", "ragged-grid"])
+def test_config_value_of_wrong_type_names_its_path(tmp_path, capsys, path, value, message):
+    """A value of the wrong JSON type, or a grid with a ragged row, is one
+    stderr line naming its dotted path, not a traceback."""
+    with open(CONFIGS / "downstream_failure_augmented.json") as fh:
+        config = _set_path(json.load(fh), path, value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    assert main(["run", str(bad), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"asvnav: {message}") and err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
 
 
 def test_shipped_configs_round_trip_exactly():

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from asvnav.augment import navigator_step
 from asvnav.control import (
     DEFAULT_GAINS,
     FRESH_PID,
     PidGains,
     Waypoint,
-    navigator_step,
     pid_step,
     steer_toward,
     tracking_line,
@@ -78,7 +78,8 @@ def test_steering_rejects_non_positive_dt():
                      FRESH_PID, dt=0.0)
     for mission in ([goal], [Waypoint(ORIGIN, 2.0)]):  # steering, then completing
         with pytest.raises(ValueError):
-            navigator_step(ORIGIN, 2.0, 0.0, mission, 0, None, FRESH_PID, FRESH_PID, dt=0.0)
+            navigator_step(ORIGIN, 2.0, 0.0, 0.0, mission, 0, None, FRESH_PID, FRESH_PID,
+                           dt=0.0)
 
 
 def test_waypoint_reached_boundary_inclusive():
@@ -96,11 +97,11 @@ def test_waypoint_reached_boundary_inclusive():
 
 def _navigate(mission, pos=ORIGIN, heading=0.0, speed=0.0, index=0,
               heading_pid=FRESH_PID, speed_pid=FRESH_PID, gains=DEFAULT_GAINS):
-    """navigator_step at pos with ground speed and heading, the navigator
-    holding no tracking line: (thrust, rudder, index, line, heading_pid,
-    speed_pid)."""
-    return navigator_step(pos, speed, heading, mission, index, None, heading_pid, speed_pid,
-                          gains)
+    """navigator_step without a model at pos with ground speed and heading,
+    the navigator holding no tracking line: (thrust, rudder, index, line,
+    heading_pid, speed_pid, intermediate, next_update_t)."""
+    return navigator_step(pos, speed, heading, 0.0, mission, index, None, heading_pid,
+                          speed_pid, gains=gains)
 
 
 def test_navigator_zero_error_equilibrium():
@@ -133,7 +134,7 @@ def test_navigator_advances_and_resets_integrators():
     goal0 = Waypoint(ORIGIN, 2.0)
     goal1 = Waypoint(offset_point(ORIGIN, EnuVector(0.0, 100.0)), 2.0)
     # sitting on goal0
-    _, _, index, _, heading_pid, speed_pid = _navigate(
+    _, _, index, _, heading_pid, speed_pid, _, _ = _navigate(
         [goal0, goal1], index=0, heading_pid=(0.3, 4.0), speed_pid=(0.2, 1.0)
     )
     assert index == 1

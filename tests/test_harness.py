@@ -246,13 +246,26 @@ def test_mission_csv_round_trip(tmp_path):
     assert back == mission
 
 
-@pytest.mark.parametrize("row", ["34.0,-81.0", "34.0,-81.0,2.0,1.0", "34.0,abc,2.0"])
+NOT_THREE_NUMBERS = "expected 3 comma-separated numbers, got {row!r}"
+# A bad mission CSV row -> the error after its file and line.
+MISSION_ROW_ERRORS = {
+    "34.0,-81.0": NOT_THREE_NUMBERS,
+    "34.0,-81.0,2.0,1.0": NOT_THREE_NUMBERS,
+    "34.0,abc,2.0": NOT_THREE_NUMBERS,
+    "34.0,-81.0,nan": "spd_target must be > 0, got nan",
+    "34.0,-81.0,-1": "spd_target must be > 0, got -1.0",
+    "91.0,-81.0,2.0": "latitude 91.0 outside [-90, 90]",
+}
+
+
+@pytest.mark.parametrize("row", list(MISSION_ROW_ERRORS))
 def test_read_mission_csv_names_file_and_line(tmp_path, row):
-    """A row that is not three numbers is an error naming the file and its
-    line; the header is line 1 and a blank line still counts."""
+    """A row that is not three numbers, or whose waypoint breaks a Waypoint
+    or GeoPoint rule, is an error naming the file and its line; the header
+    is line 1 and a blank line still counts."""
     path = tmp_path / "mission.csv"
     path.write_text(f"lat,lon,speed_mps\n34.0,-81.0,2.0\n\n{row}\n")
-    message = f"{path}: line 4: expected 3 comma-separated numbers, got {row!r}"
+    message = f"{path}: line 4: " + MISSION_ROW_ERRORS[row].format(row=row)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         read_mission_csv(path)
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from asvnav import augment, control, harness, vehicle
+from asvnav import augment, harness, vehicle
 from asvnav.control import FRESH_PID
 from asvnav.effects import EffectModel, OracleEffectModel
 from asvnav.env import Environment, FieldSpec, ForceVector, GustSpec
@@ -178,8 +178,8 @@ def test_errors_csv_and_series_pinned(tmp_path, run):
 # The public per-layer functions a tick calls, by module.
 LAYER_STEPS = {
     "vehicle": ("sense", "relative_to_absolute", "step"),
-    "control": ("navigator_step", "steer_toward", "pid_step"),
-    "augment": ("augmented_navigator_step",),
+    "control": ("steer_toward", "pid_step"),
+    "augment": ("navigator_step",),
 }
 
 
@@ -213,8 +213,11 @@ def calls(monkeypatch):
 
 def _by_hand(sc, model):
     """The log rows of sc from the public per-layer functions, called in the
-    order run_scenario describes its tick. They are looked up on their
-    modules at each call, so the calls fixture sees them."""
+    order run_scenario describes its tick, the navigator with model only
+    when sc is augmented. They are looked up on their modules at each call,
+    so the calls fixture sees them."""
+    if sc.controller.kind == "baseline":
+        model = None
     rng = np.random.default_rng(sc.seed)
     environment = Environment(sc.current, sc.wind)
     mission = list(sc.mission)
@@ -230,18 +233,12 @@ def _by_hand(sc, model):
         )
         force = (*vehicle.relative_to_absolute(vg_e, vg_n, h_t, water_spd, water_dir),
                  *vehicle.relative_to_absolute(vg_e, vg_n, h_t, wind_spd, wind_dir))
-        if sc.controller.kind == "augmented":
-            (thrust, rudder, index, line, heading_pid, speed_pid, intermediate,
-             next_update_t) = augment.augmented_navigator_step(
-                pos, spd_t, h_t, t, mission, index, line, heading_pid, speed_pid, intermediate,
-                next_update_t, model, force, cfg=sc.augment, gains=sc.gains,
-                params=sc.vehicle, dt=sc.dt_s, radius=sc.acceptance_radius_m,
-            )
-        else:
-            thrust, rudder, index, line, heading_pid, speed_pid = control.navigator_step(
-                pos, spd_t, h_t, mission, index, line, heading_pid, speed_pid, gains=sc.gains,
-                dt=sc.dt_s, radius=sc.acceptance_radius_m,
-            )
+        (thrust, rudder, index, line, heading_pid, speed_pid, intermediate,
+         next_update_t) = augment.navigator_step(
+            pos, spd_t, h_t, t, mission, index, line, heading_pid, speed_pid, intermediate,
+            next_update_t, model, force, cfg=sc.augment, gains=sc.gains,
+            params=sc.vehicle, dt=sc.dt_s, radius=sc.acceptance_radius_m,
+        )
         records.append(LogRecord(t, pos.lat, pos.lon, spd_t, course_t, h_t, tw, turn_rate, index,
                                  intermediate, *force, thrust, rudder))
         if index >= len(mission):
@@ -285,11 +282,10 @@ def test_loop_calls_the_public_layer_functions(calls, scenario, controller):
     sc = replace(scenario(), controller=harness.ControllerSpec(kind=controller))
     result = harness.run_scenario(sc)
     ticks = len(result.log)
-    navigator = "augmented_navigator_step" if controller == "augmented" else "navigator_step"
     expected = []
     for i in range(ticks):
         expected += ["Environment.sample", "sense", "relative_to_absolute",
-                     "relative_to_absolute", navigator]
+                     "relative_to_absolute", "navigator_step"]
         if not (result.completed and i == ticks - 1):
             expected += ["steer_toward", "pid_step", "pid_step", "step"]
     assert calls == expected
