@@ -8,7 +8,7 @@ current simply translates the calm-water trajectory (drift superposition).
 import math
 
 from asvnav.env import Environment, FieldSpec, ForceVector, GustSpec, sample_field
-from asvnav.geo import EnuVector, GeoPoint, distance_bearing, offset_point
+from asvnav.geo import GeoPoint, displaced, distance_bearing
 from asvnav.vehicle import VehicleParams, step
 
 origin = GeoPoint(34.0, -81.0)
@@ -20,8 +20,8 @@ river = FieldSpec.river_profile(
 )
 for lateral in (-25, -20, -10, 0, 10, 20, 25):
     # move perpendicular to the channel axis
-    p = offset_point(origin, EnuVector(lateral * math.cos(math.radians(150.0)),
-                                       -lateral * math.sin(math.radians(150.0))))
+    p = displaced(origin, lateral * math.cos(math.radians(150.0)),
+                  -lateral * math.sin(math.radians(150.0)))
     v = sample_field(river, p, 0.0)
     bar = "#" * int(40 * v.speed)
     print(f"  {lateral:+4d} m off-axis: {v.speed:4.2f} m/s {bar}")
@@ -58,7 +58,7 @@ for _ in range(int(T / 0.1)):
     s_calm = advance(s_calm, calm)
     s_cur = advance(s_cur, drifted)
 
-predicted = offset_point(s_calm[0], EnuVector(ce * T, cn * T))
+predicted = displaced(s_calm[0], ce * T, cn * T)
 gap, _ = distance_bearing(predicted, s_cur[0])
 print(f"  calm endpoint + current*T vs drifted endpoint: gap = {gap:.2e} m")
 print("  (the current only translates the trajectory; the hull model is additive)")

@@ -38,10 +38,8 @@ from .env import (
     sample_field,
 )
 from .geo import (
-    EnuVector,
     GeoPoint,
     distance_bearing,
-    offset_point,
     wrap_angle,
     wrap_signed,
 )

@@ -27,7 +27,7 @@ from .control import (
     tracking_line,
     waypoint_reached,
 )
-from .geo import EnuVector, GeoPoint, distance, offset_point
+from .geo import GeoPoint, displaced, enu_coords
 from .vehicle import DEFAULT_DT, VehicleParams
 
 # Never command below this fraction of the requested speed: the hull must
@@ -92,7 +92,7 @@ def calc_intermediate_wp(
         raise ValueError(f"non-finite effect components ({effect_x}, {effect_y})")
     if effect_x == 0.0 and effect_y == 0.0:
         return goal.pos
-    d_t = distance(pos, goal.pos)
+    d_t = math.hypot(*enu_coords(pos.lat, pos.lon, goal.pos.lat, goal.pos.lon))
     ref_speed = max(reference_speed, cfg.reference_speed_floor_mps)
     off_e = -cfg.gain_k * d_t * effect_x / ref_speed
     off_n = -cfg.gain_k * d_t * effect_y / ref_speed
@@ -101,7 +101,7 @@ def calc_intermediate_wp(
         scale = cfg.max_offset_m / magnitude
         off_e *= scale
         off_n *= scale
-    return offset_point(goal.pos, EnuVector(off_e, off_n))
+    return displaced(goal.pos, off_e, off_n)
 
 
 def adjusted_speed(effect_spd: float, spd_target: float, params: VehicleParams) -> float:

@@ -67,8 +67,7 @@ def _cmd_report(args) -> int:
     radius = harness.DEFAULT_ACCEPT_RADIUS
     config_path = run_dir / "resolved_config.json"
     if config_path.exists():
-        with open(config_path) as fh:
-            radius = json.load(fh).get("acceptance_radius_m", radius)
+        radius = harness.load_scenario(config_path).acceptance_radius_m
     series = cross_track_series(log, mission, radius)
     report = score(series.errors, series.weights, label=run_dir.name)
     print(

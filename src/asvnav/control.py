@@ -149,7 +149,7 @@ def aim_point(lat: float, lon: float, target: GeoPoint, line: Optional[Line],
         ahead = lookahead_m
     elif ahead >= leg_len:
         return target.lat, target.lon
-    # the coordinates of the GeoPoint offset_point would return (ahead > 0,
+    # the coordinates of the GeoPoint displaced would return (ahead > 0,
     # so the offset is never zero)
     return point_coords(*offset_coords(anchor.lat, anchor.lon, ahead * ue, ahead * un))
 

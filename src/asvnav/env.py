@@ -13,9 +13,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .geo import GeoPoint, bearing_of, enu_offset, unit_enu, wrap_angle
-
-KINDS = ("uniform", "river_profile", "grid")
+from .geo import GeoPoint, bearing_of, enu_coords, unit_enu, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -201,8 +199,8 @@ def _polar_sampler(field: FieldSpec) -> Sampler:
         ue, un = unit_enu(field.base.direction)
 
         def river(p: GeoPoint, t: float) -> tuple[float, float]:
-            offset = enu_offset(origin, p)
-            lateral = offset.east * an - offset.north * ae  # signed distance off-axis
+            east, north = enu_coords(origin.lat, origin.lon, p.lat, p.lon)
+            lateral = east * an - north * ae  # signed distance off-axis
             factor = max(0.0, 1.0 - (lateral / half_width) ** 2)
             # the gust modulates the centerline speed, so the profile still
             # takes the flow to zero at the banks and keeps it on the axis

@@ -89,21 +89,6 @@ def point_coords(lat: float, lon: float) -> tuple[float, float]:
     return lat, lon
 
 
-@dataclass(frozen=True)
-class EnuVector:
-    """Planar east/north displacement in meters."""
-
-    east: float
-    north: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.east) and math.isfinite(self.north)):
-            raise ValueError(f"non-finite ENU components ({self.east}, {self.north})")
-
-    def magnitude(self) -> float:
-        return math.hypot(self.east, self.north)
-
-
 def enu_coords(lat_a: float, lon_a: float, lat_b: float, lon_b: float) -> tuple[float, float]:
     """East/north displacement (m) from point a to point b in the local plane.
 
@@ -146,16 +131,6 @@ def enu_columns(lat_a, lon_a, lat_b, lon_b) -> tuple[np.ndarray, np.ndarray]:
     return east, north
 
 
-def enu_offset(a: GeoPoint, b: GeoPoint) -> EnuVector:
-    """East/north displacement from a to b: enu_coords on GeoPoints."""
-    return EnuVector(*enu_coords(a.lat, a.lon, b.lat, b.lon))
-
-
-def distance(a: GeoPoint, b: GeoPoint) -> float:
-    """Range (m) from a to b: distance_bearing without the bearing."""
-    return math.hypot(*enu_coords(a.lat, a.lon, b.lat, b.lon))
-
-
 def distance_bearing(a: GeoPoint, b: GeoPoint) -> tuple[float, float]:
     """Range (m) and compass bearing (deg) from a to b.
 
@@ -167,7 +142,7 @@ def distance_bearing(a: GeoPoint, b: GeoPoint) -> tuple[float, float]:
 
 def offset_coords(lat: float, lon: float, east: float, north: float) -> tuple[float, float]:
     """Coordinates of the point east/north meters from (lat, lon), as
-    offset_point computes them, before GeoPoint checks them and wraps the
+    displaced computes them, before GeoPoint checks them and wraps the
     longitude (point_coords)."""
     magnitude = math.hypot(east, north)
     if magnitude >= MAX_LEG_METERS:
@@ -181,15 +156,11 @@ def displaced(origin: GeoPoint, east: float, north: float) -> GeoPoint:
     """Point displaced from origin by east/north meters; origin itself for
     a zero displacement.
 
-    Inverse of enu_offset: uses the same midpoint-latitude longitude
-    scaling, so distance_bearing(origin, result) recovers the displacement
-    exactly up to float rounding.
+    Inverse of enu_coords: uses the same midpoint-latitude longitude
+    scaling, so enu_coords from origin to the result recovers the
+    displacement exactly up to float rounding. A non-finite displacement
+    raises ValueError, from the range check or from GeoPoint.
     """
     if east == 0.0 and north == 0.0:
         return origin
     return GeoPoint(*offset_coords(origin.lat, origin.lon, east, north))
-
-
-def offset_point(origin: GeoPoint, delta: EnuVector) -> GeoPoint:
-    """Point displaced from origin by delta meters east/north (displaced)."""
-    return displaced(origin, delta.east, delta.north)

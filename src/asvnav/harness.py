@@ -12,6 +12,7 @@ import json
 import math
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import cache
 from pathlib import Path
@@ -40,11 +41,10 @@ from .effects import (
 )
 from .env import Environment, FieldSpec, Flows, ForceVector, GustSpec, LeftDomainError
 from .geo import (
-    EnuVector,
     GeoPoint,
     distance_bearing,
+    displaced,
     enu_coords,
-    offset_point,
     unit_enu,
     wrap_angle,
 )
@@ -114,6 +114,18 @@ def field_to_dict(spec: FieldSpec) -> dict:
     return out
 
 
+@contextmanager
+def _rules_of(path: str):
+    """Re-raise a ValueError of the block, a rule that the config value at
+    path breaks, as one naming path; at the root (path "") unchanged."""
+    try:
+        yield
+    except ValueError as exc:
+        if not path:
+            raise
+        raise ValueError(f"config {path}: {exc}") from None
+
+
 def _check_keys(data: dict, known, path: str) -> None:
     """Raise ValueError naming the dotted path of every key of data, the
     config value at path, that is not in known."""
@@ -149,19 +161,19 @@ _WAYPOINT_KEYS = ("lat", "lon", "speed_mps")
 def field_from_dict(data: dict, path: str = "") -> FieldSpec:
     """FieldSpec of its JSON form. An unknown or missing key, or a value of
     the wrong JSON type, raises ValueError naming its dotted path below
-    path, the field's own path in the config; a field the FieldSpec rules
-    reject raises one prefixed by path."""
+    path, the field's own path in the config; so does an unknown kind, and
+    a field the FieldSpec rules reject raises one prefixed by path."""
     _check_required(data, ("kind",), path)
     prefix = f"{path}." if path else ""
     kind = _decode(str, data["kind"], prefix + "kind", None)
     if kind not in _FIELD_KEYS:
-        raise ValueError(f"unknown field kind {kind!r}")
+        raise ValueError(f"config {prefix}kind: unknown field kind {kind!r}")
     keys = _FIELD_KEYS[kind]
     _check_keys(data, ("kind", "gust", *keys), path)
     _check_required(data, keys, path)
     gust = _decode(Optional[GustSpec], data.get("gust"), prefix + "gust", None)
     values = {key: _decode(hint, data[key], prefix + key, None) for key, hint in keys.items()}
-    try:
+    with _rules_of(path or "field"):
         if kind == "uniform":
             return FieldSpec.uniform(ForceVector(values["speed"], values["direction"]), gust=gust)
         if kind == "river_profile":
@@ -173,8 +185,6 @@ def field_from_dict(data: dict, path: str = "") -> FieldSpec:
                 gust=gust,
             )
         return FieldSpec.grid(**values, gust=gust)
-    except ValueError as exc:
-        raise ValueError(f"config {path or 'field'}: {exc}") from None
 
 
 def _waypoint_to_dict(wp: Waypoint) -> dict:
@@ -185,10 +195,8 @@ def _waypoint_from_dict(data: dict, path: str) -> Waypoint:
     _check_keys(data, _WAYPOINT_KEYS, path)
     _check_required(data, _WAYPOINT_KEYS, path)
     lat, lon, spd = (_decode(float, data[key], f"{path}.{key}", None) for key in _WAYPOINT_KEYS)
-    try:
+    with _rules_of(path):
         return Waypoint(GeoPoint(lat, lon), spd)
-    except ValueError as exc:
-        raise ValueError(f"config {path}: {exc}") from None
 
 
 # Types whose JSON shape is not their field layout: (encode, decode).
@@ -238,8 +246,9 @@ def to_dict(obj):
 def from_dict(cls, data: dict, base_dir: Path | None = None):
     """Build config dataclass cls from its JSON form.
 
-    Absent keys take the dataclass defaults; an unknown key, or a value of
-    the wrong JSON type, raises ValueError naming its dotted path. Values
+    Absent keys take the dataclass defaults; an unknown key, a value of
+    the wrong JSON type, or a value below the root that breaks its class's
+    own rule, raises ValueError naming its dotted path. Values
     are kept as given: an int where a float is expected stays an int. A
     string where a mission is expected is a mission CSV path, relative to
     base_dir.
@@ -273,10 +282,12 @@ def _decode(hint, value, path: str, base_dir: Path | None):
         _check_required(value, [key for key, (_, _, required) in layout.items() if required],
                         path)
         prefix = f"{path}." if path else ""
-        return hint(**{
+        kwargs = {
             layout[key][0]: _decode(layout[key][1], v, prefix + key, base_dir)
             for key, v in value.items()
-        })
+        }
+        with _rules_of(path):
+            return hint(**kwargs)
     origin, args = get_origin(hint), get_args(hint)
     if origin in (Union, UnionType):
         (inner,) = (a for a in args if a is not type(None))
@@ -375,11 +386,9 @@ class Scenario:
             _, heading = distance_bearing(self.mission[0].pos, self.mission[1].pos)
             ue, un = unit_enu(heading)
             le, ln = unit_enu(wrap_angle(heading - 90.0))  # port side of the leg
-            delta = EnuVector(
-                -self.start_runup_m * ue + self.start_offset_m * le,
-                -self.start_runup_m * un + self.start_offset_m * ln,
-            )
-            pos = offset_point(self.mission[0].pos, delta)
+            pos = displaced(self.mission[0].pos,
+                            -self.start_runup_m * ue + self.start_offset_m * le,
+                            -self.start_runup_m * un + self.start_offset_m * ln)
         heading = wrap_angle(heading)
         return pos, 0.0, heading, heading, 0.0, 0.0, 0.0
 
@@ -668,8 +677,8 @@ def _straight_leg(center: GeoPoint, bearing: float, length: float,
     """Two-waypoint leg of the given length, centred on center."""
     ue, un = unit_enu(bearing)
     half = 0.5 * length
-    a = offset_point(center, EnuVector(-half * ue, -half * un))
-    b = offset_point(center, EnuVector(half * ue, half * un))
+    a = displaced(center, -half * ue, -half * un)
+    b = displaced(center, half * ue, half * un)
     return (Waypoint(a, speed), Waypoint(b, speed))
 
 
@@ -807,7 +816,7 @@ SCENARIO_AUGMENT = AugmentConfig(max_offset_m=100.0)
 # file with a slow hull loadable.
 _TEMPLATE_MISSION = (
     Waypoint(RIVER_CENTER, 1.0),
-    Waypoint(offset_point(RIVER_CENTER, EnuVector(0.0, 200.0)), 1.0),
+    Waypoint(displaced(RIVER_CENTER, 0.0, 200.0), 1.0),
 )
 
 
@@ -1003,7 +1012,7 @@ def generate_training_logs(sweep: SweepSpec) -> np.ndarray:
             wind = sweep.winds[run_index % len(sweep.winds)]
             run_index += 1
             ue, un = unit_enu(heading)
-            goal = offset_point(sweep.origin, EnuVector(100.0 * ue, 100.0 * un))
+            goal = displaced(sweep.origin, 100.0 * ue, 100.0 * un)
             leg(current, wind, heading, leg_speed, [Waypoint(goal, leg_speed)])
     return _check_corpus(rows)
 

@@ -19,8 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .control import DEFAULT_ACCEPT_RADIUS, Waypoint
-from .geo import GeoPoint, distance, distance_bearing, enu_columns, unit_enu
+from .control import DEFAULT_ACCEPT_RADIUS, Waypoint, tracking_line
+from .geo import GeoPoint, enu_columns
 
 TRAJECTORY_HEADER = (
     "t,lat,lon,spd_t,h_t,wp_index,int_lat,int_lon,int_spd,"
@@ -346,12 +346,13 @@ def cross_track_series(
         raise LegNotAcquiredError("trajectory log is empty")
     if len(mission) < 2:
         raise ValueError("need at least two waypoints to define a leg")
-    for a, b in zip(mission, mission[1:]):
-        if distance(a.pos, b.pos) == 0.0:
-            raise ValueError(f"degenerate leg: coincident waypoints at ({a.pos.lat}, {a.pos.lon})")
-    # start point and (east, north) unit vector of each leg, once per leg
-    leg_table = np.array([(a.pos.lat, a.pos.lon, *unit_enu(distance_bearing(a.pos, b.pos)[1]))
-                          for a, b in zip(mission, mission[1:])])
+    # each leg as the navigator's tracking line: start point, length and
+    # (east, north) unit vector, once per leg
+    lines = [tracking_line(a.pos, b.pos) for a, b in zip(mission, mission[1:])]
+    for anchor, leg_len, _, _ in lines:
+        if leg_len == 0.0:
+            raise ValueError(f"degenerate leg: coincident waypoints at ({anchor.lat}, {anchor.lon})")
+    leg_table = np.array([(anchor.lat, anchor.lon, ue, un) for anchor, _, ue, un in lines])
     lats = np.asarray(log.lat, dtype=np.float64)
     lons = np.asarray(log.lon, dtype=np.float64)
 

@@ -14,7 +14,7 @@ import pytest
 from asvnav.control import Waypoint
 from asvnav.effects import fit
 from asvnav.env import Environment, FieldSpec, ForceVector
-from asvnav.geo import EnuVector, GeoPoint, distance_bearing, offset_point, wrap_signed
+from asvnav.geo import GeoPoint, displaced, distance_bearing, wrap_signed
 from asvnav.harness import (
     SweepSpec,
     calm_water_scenario,
@@ -118,7 +118,7 @@ def test_criterion_2_drift_superposition():
         s_calm = advance(s_calm, calm)
         s_cur = advance(s_cur, drifted)
     ce, cn = current.enu()
-    expected = offset_point(s_calm[0], EnuVector(ce * steps * dt, cn * steps * dt))
+    expected = displaced(s_calm[0], ce * steps * dt, cn * steps * dt)
     gap, _ = distance_bearing(expected, s_cur[0])
     elapsed = time.perf_counter() - started
     _report(2, "drift superposition", gap < 1e-6, f"endpoint gap {gap:.2e} m", elapsed, 1.0)
@@ -234,12 +234,12 @@ def test_criterion_8_metrics_correctness():
 
     origin = GeoPoint(34.0, -81.0)
     mission = [Waypoint(origin, 2.0),
-               Waypoint(offset_point(origin, EnuVector(0.0, 200.0)), 2.0)]
+               Waypoint(displaced(origin, 0.0, 200.0), 2.0)]
 
     def build_log(offsets_norths):
         rows = []
         for i, (e, n) in enumerate(offsets_norths):
-            pos = offset_point(origin, EnuVector(e, n)) if (e, n) != (0.0, 0.0) else origin
+            pos = displaced(origin, e, n) if (e, n) != (0.0, 0.0) else origin
             # heading north at 2 m/s on leg 1, calm forces, idle command
             rows.append((float(i), pos.lat, pos.lon, 2.0, 0.0, 0.0, 2.0, 0.0, 1, None,
                          0.0, 0.0, 0.0, 0.0, 0.5, 0.0))

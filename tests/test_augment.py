@@ -15,7 +15,7 @@ from asvnav.augment import (
 from asvnav.control import FRESH_PID, Waypoint
 from asvnav.effects import EffectModel, OracleEffectModel
 from asvnav.env import Environment, FieldSpec, ForceVector
-from asvnav.geo import EnuVector, GeoPoint, enu_offset, offset_point
+from asvnav.geo import GeoPoint, displaced, enu_coords
 from asvnav.vehicle import (
     VehicleParams,
     relative_to_absolute,
@@ -33,7 +33,12 @@ FRESH_NAV = (0, None, FRESH_PID, FRESH_PID, None, -math.inf)
 
 
 def _goal_north(distance=100.0, spd=2.0):
-    return Waypoint(offset_point(ORIGIN, EnuVector(0.0, distance)), spd)
+    return Waypoint(displaced(ORIGIN, 0.0, distance), spd)
+
+
+def _offset(a, b):
+    """East/north displacement (m) from point a to point b."""
+    return enu_coords(a.lat, a.lon, b.lat, b.lon)
 
 
 def test_zero_effect_returns_goal_exactly():
@@ -46,16 +51,16 @@ def test_offset_formula_at_clamp_boundary():
     # goal 100 m north, target 2 m/s, drift 0.5 m/s east -> 25 m west
     goal = _goal_north(100.0)
     result = calc_intermediate_wp(goal, ORIGIN, 0.5, 0.0, CFG, goal.spd_target)
-    off = enu_offset(goal.pos, result)
-    assert off.east == pytest.approx(-25.0, rel=1e-6)
-    assert off.north == pytest.approx(0.0, abs=1e-9)
+    off_e, off_n = _offset(goal.pos, result)
+    assert off_e == pytest.approx(-25.0, rel=1e-6)
+    assert off_n == pytest.approx(0.0, abs=1e-9)
 
 
 def test_offset_proportional_to_distance():
     goal = _goal_north(10.0)
     result = calc_intermediate_wp(goal, ORIGIN, 0.5, 0.0, CFG, goal.spd_target)
-    off = enu_offset(goal.pos, result)
-    assert off.east == pytest.approx(-2.5, rel=1e-6)
+    off_e, _ = _offset(goal.pos, result)
+    assert off_e == pytest.approx(-2.5, rel=1e-6)
 
 
 def test_offset_clamped_to_max():
@@ -65,8 +70,7 @@ def test_offset_clamped_to_max():
     for _ in range(200):
         ex, ey = rng.uniform(-3, 3, size=2)
         result = calc_intermediate_wp(goal, ORIGIN, ex, ey, cfg, goal.spd_target)
-        off = enu_offset(goal.pos, result)
-        assert off.magnitude() <= 25.0 + 1e-6
+        assert math.hypot(*_offset(goal.pos, result)) <= 25.0 + 1e-6
 
 
 def test_offset_monotone_in_remaining_distance():
@@ -75,7 +79,7 @@ def test_offset_monotone_in_remaining_distance():
     for d in (200.0, 150.0, 100.0, 50.0, 10.0):
         goal = _goal_north(d)
         result = calc_intermediate_wp(goal, ORIGIN, 0.4, 0.1, cfg, goal.spd_target)
-        magnitudes.append(enu_offset(goal.pos, result).magnitude())
+        magnitudes.append(math.hypot(*_offset(goal.pos, result)))
     assert all(a >= b - 1e-9 for a, b in zip(magnitudes, magnitudes[1:]))
 
 
@@ -85,8 +89,8 @@ def test_offset_uses_commanded_speed_normalization():
     cfg = AugmentConfig(max_offset_m=100.0)
     slow = calc_intermediate_wp(goal, ORIGIN, 0.5, 0.0, cfg, reference_speed=1.0)
     fast = calc_intermediate_wp(goal, ORIGIN, 0.5, 0.0, cfg, reference_speed=4.0)
-    assert enu_offset(goal.pos, slow).magnitude() == pytest.approx(50.0, rel=1e-6)
-    assert enu_offset(goal.pos, fast).magnitude() == pytest.approx(12.5, rel=1e-6)
+    assert math.hypot(*_offset(goal.pos, slow)) == pytest.approx(50.0, rel=1e-6)
+    assert math.hypot(*_offset(goal.pos, fast)) == pytest.approx(12.5, rel=1e-6)
 
 
 def test_offset_rejects_non_finite_effect():
@@ -112,7 +116,7 @@ def test_adjusted_speed_rejects_bad_target():
 
 def _mission():
     a = ORIGIN
-    b = offset_point(ORIGIN, EnuVector(0.0, 200.0))
+    b = displaced(ORIGIN, 0.0, 200.0)
     return [Waypoint(a, 2.0), Waypoint(b, 2.0)]
 
 
@@ -122,7 +126,7 @@ def _mission():
 
 def _at_rest(east, north):
     """The state at rest east, north meters from ORIGIN, heading north."""
-    return offset_point(ORIGIN, EnuVector(east, north)), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
+    return displaced(ORIGIN, east, north), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
 
 
 def _pose(s):

@@ -55,6 +55,11 @@ GRID_CURRENT = {
     "kind": "grid", "lat0": 33.997, "lon0": -81.004, "dlat": 0.006, "dlon": 0.008,
     "speeds": [[0.677, 0.7], [0.8, 1.2]], "directions": [[165.0, 170.0], [170.0, 147.5]],
 }
+# A river-profile current whose channel axis starts at latitude 91.
+RIVER_OFF_THE_GLOBE = {
+    "kind": "river_profile", "axis_origin": {"lat": 91, "lon": -81.0}, "axis_bearing": 150.0,
+    "centerline_speed": 1.0, "centerline_direction": 150.0, "half_width_m": 20.0,
+}
 
 
 def test_grid_run_reruns_from_its_resolved_config(tmp_path, capsys):
@@ -90,9 +95,17 @@ def _set_path(config, path, value):
     ("mission[0].speed_mps", "2", "config mission[0].speed_mps must be a number, got '2'"),
     ("gains.heading.kp", "0.6", "config gains.heading.kp must be a number, got '0.6'"),
     ("current", {**GRID_CURRENT, "speeds": [[0.677, 0.7], [0.8]]}, "config current: "),
-], ids=["field", "dt", "seed", "waypoint", "gain", "ragged-grid"])
+    ("gains.heading.kp", -1, "config gains.heading: gains must be >= 0"),
+    ("augment.gain_k", 0, "config augment: gain_k and max_offset_m must be > 0"),
+    ("current", RIVER_OFF_THE_GLOBE,
+     "config current.axis_origin: latitude 91 outside [-90, 90]"),
+    ("noise.sigma_speed_mps", -1, "config noise: noise sigmas must be >= 0"),
+    ("current.kind", "grd", "config current.kind: unknown field kind 'grd'"),
+], ids=["field", "dt", "seed", "waypoint", "gain", "ragged-grid", "gain-rule", "augment-rule",
+        "latitude-rule", "noise-rule", "field-kind"])
 def test_config_value_of_wrong_type_names_its_path(tmp_path, capsys, path, value, message):
-    """A value of the wrong JSON type, or a grid with a ragged row, is one
+    """A value of the wrong JSON type, a grid with a ragged row, a value
+    that breaks its class's own rule, or an unknown field kind, is one
     stderr line naming its dotted path, not a traceback."""
     with open(CONFIGS / "downstream_failure_augmented.json") as fh:
         config = _set_path(json.load(fh), path, value)
@@ -205,6 +218,26 @@ def test_bad_input_is_one_stderr_line(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
     assert err.startswith("asvnav: ") and str(missing / "trajectory.csv") in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda c: {**c, "acceptance_radius_m": "2.0"},
+     "config acceptance_radius_m must be a number, got '2.0'"),
+    (lambda c: {**c, "acceptance_radius_m": None},
+     "config acceptance_radius_m must be a number, got None"),
+    (lambda c: [c], "config file must be a JSON object"),
+], ids=["string", "null", "list"])
+def test_report_decodes_the_run_config(tmp_path, capsys, edit, message):
+    """asvnav report reads a run's resolved_config.json as asvnav run reads
+    a scenario, so a bad value there is one stderr line, not a traceback."""
+    run_dir = tmp_path / "run"
+    assert main(["run", str(CONFIGS / "calm_water.json"), "--out", str(run_dir)]) == 0
+    config_path = run_dir / "resolved_config.json"
+    config_path.write_text(json.dumps(edit(json.loads(config_path.read_text()))))
+    capsys.readouterr()
+    assert main(["report", str(run_dir)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"asvnav: {message}\n")
 
 
 def test_console_entry_exits_2_without_a_traceback(tmp_path):

@@ -14,7 +14,7 @@ from asvnav.control import (
     tracking_line,
     waypoint_reached,
 )
-from asvnav.geo import EnuVector, GeoPoint, offset_point
+from asvnav.geo import GeoPoint, displaced
 
 ORIGIN = GeoPoint(34.0, -81.0)
 
@@ -72,7 +72,7 @@ def test_pid_rejects_non_positive_dt():
 def test_steering_rejects_non_positive_dt():
     """steer_toward (through pid_step) and navigator_step reject dt <= 0,
     navigator_step also on the tick that completes the mission."""
-    goal = Waypoint(offset_point(ORIGIN, EnuVector(0.0, 100.0)), 2.0)
+    goal = Waypoint(displaced(ORIGIN, 0.0, 100.0), 2.0)
     with pytest.raises(ValueError):
         steer_toward(ORIGIN.lat, ORIGIN.lon, 0.0, 2.0, goal, None, DEFAULT_GAINS, FRESH_PID,
                      FRESH_PID, dt=0.0)
@@ -88,10 +88,10 @@ def test_waypoint_reached_boundary_inclusive():
     wp = Waypoint(ORIGIN, 2.0)
     assert waypoint_reached(ORIGIN.lat, ORIGIN.lon, wp, radius=2.0)
     # exactly at the radius counts as reached (boundary inclusive)
-    at_radius = offset_point(ORIGIN, EnuVector(2.0, 0.0))
+    at_radius = displaced(ORIGIN, 2.0, 0.0)
     exact_range, _ = distance_bearing(at_radius, wp.pos)
     assert waypoint_reached(at_radius.lat, at_radius.lon, wp, radius=exact_range)
-    outside = offset_point(ORIGIN, EnuVector(2.01, 0.0))
+    outside = displaced(ORIGIN, 2.01, 0.0)
     assert not waypoint_reached(outside.lat, outside.lon, wp, radius=2.0)
 
 
@@ -106,7 +106,7 @@ def _navigate(mission, pos=ORIGIN, heading=0.0, speed=0.0, index=0,
 
 def test_navigator_zero_error_equilibrium():
     """On the bearing line, heading at the goal, at speed: rudder ~ 0."""
-    goal = Waypoint(offset_point(ORIGIN, EnuVector(0.0, 100.0)), 2.0)
+    goal = Waypoint(displaced(ORIGIN, 0.0, 100.0), 2.0)
     thrust, rudder, *_ = _navigate([goal], heading=0.0, speed=2.0)
     assert rudder == pytest.approx(0.0, abs=1e-9)
     assert 0.0 <= thrust < 0.2  # no speed error: only trim buildup
@@ -114,7 +114,7 @@ def test_navigator_zero_error_equilibrium():
 
 def test_navigator_starboard_sign_convention():
     """Waypoint due east while heading north: positive (starboard) rudder."""
-    goal = Waypoint(offset_point(ORIGIN, EnuVector(100.0, 0.0)), 2.0)
+    goal = Waypoint(displaced(ORIGIN, 100.0, 0.0), 2.0)
     _, rudder, *_ = _navigate([goal], heading=0.0, speed=2.0)
     assert rudder > 0.0
 
@@ -122,7 +122,7 @@ def test_navigator_starboard_sign_convention():
 def test_navigator_heading_error_wrap_symmetry():
     """Errors of +179 and -179 degrees give near-equal opposite rudder."""
     gains = DEFAULT_GAINS
-    east_goal = Waypoint(offset_point(ORIGIN, EnuVector(100.0, 0.0)), 2.0)
+    east_goal = Waypoint(displaced(ORIGIN, 100.0, 0.0), 2.0)
     # goal bearing 90; heading 271 -> error +179; heading 269 -> error -179
     _, rudder_plus, *_ = _navigate([east_goal], heading=271.0, speed=2.0, gains=gains)
     _, rudder_minus, *_ = _navigate([east_goal], heading=269.0, speed=2.0, gains=gains)
@@ -132,7 +132,7 @@ def test_navigator_heading_error_wrap_symmetry():
 
 def test_navigator_advances_and_resets_integrators():
     goal0 = Waypoint(ORIGIN, 2.0)
-    goal1 = Waypoint(offset_point(ORIGIN, EnuVector(0.0, 100.0)), 2.0)
+    goal1 = Waypoint(displaced(ORIGIN, 0.0, 100.0), 2.0)
     # sitting on goal0
     _, _, index, _, heading_pid, speed_pid, _, _ = _navigate(
         [goal0, goal1], index=0, heading_pid=(0.3, 4.0), speed_pid=(0.2, 1.0)
@@ -168,24 +168,24 @@ def test_integrator_never_exceeds_clamp_random_inputs():
 
 def test_aim_point_sits_on_leg_ahead_of_projection():
     from asvnav.control import aim_point
-    from asvnav.geo import distance_bearing, enu_offset
+    from asvnav.geo import enu_coords
 
     anchor = ORIGIN
-    target = offset_point(ORIGIN, EnuVector(0.0, 200.0))
-    pos = offset_point(ORIGIN, EnuVector(5.0, 50.0))
+    target = displaced(ORIGIN, 0.0, 200.0)
+    pos = displaced(ORIGIN, 5.0, 50.0)
     aim = GeoPoint(*aim_point(pos.lat, pos.lon, target, tracking_line(anchor, target),
                               lookahead_m=25.0))
-    off = enu_offset(anchor, aim)
-    assert off.east == pytest.approx(0.0, abs=1e-6)  # on the line
-    assert off.north == pytest.approx(75.0, rel=1e-6)  # 50 along + 25 ahead
+    off_e, off_n = enu_coords(anchor.lat, anchor.lon, aim.lat, aim.lon)
+    assert off_e == pytest.approx(0.0, abs=1e-6)  # on the line
+    assert off_n == pytest.approx(75.0, rel=1e-6)  # 50 along + 25 ahead
 
 
 def test_aim_point_never_past_target():
     from asvnav.control import aim_point
 
     anchor = ORIGIN
-    target = offset_point(ORIGIN, EnuVector(0.0, 200.0))
-    pos = offset_point(ORIGIN, EnuVector(0.0, 190.0))
+    target = displaced(ORIGIN, 0.0, 200.0)
+    pos = displaced(ORIGIN, 0.0, 190.0)
     aim = GeoPoint(*aim_point(pos.lat, pos.lon, target, tracking_line(anchor, target),
                               lookahead_m=25.0))
     assert aim == target
@@ -194,5 +194,5 @@ def test_aim_point_never_past_target():
 def test_aim_point_without_anchor_is_target():
     from asvnav.control import aim_point
 
-    target = offset_point(ORIGIN, EnuVector(0.0, 200.0))
+    target = displaced(ORIGIN, 0.0, 200.0)
     assert GeoPoint(*aim_point(ORIGIN.lat, ORIGIN.lon, target, None, lookahead_m=25.0)) == target

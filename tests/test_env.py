@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from asvnav.env import Environment, FieldSpec, ForceVector, GustSpec, LeftDomainError, sample_field
-from asvnav.geo import EnuVector, GeoPoint, offset_point
+from asvnav.geo import GeoPoint, displaced
 
 ORIGIN = GeoPoint(34.0, -81.0)
 
 
 def test_uniform_field_everywhere():
     field = FieldSpec.uniform(ForceVector(0.677, 180.0))
-    for point in (ORIGIN, offset_point(ORIGIN, EnuVector(500.0, -250.0))):
+    for point in (ORIGIN, displaced(ORIGIN, 500.0, -250.0)):
         for t in (0.0, 17.3, 1e4):
             v = sample_field(field, point, t)
             assert v.speed == 0.677
@@ -38,13 +38,13 @@ def _river(half_width=20.0, speed=1.0):
 
 def test_river_profile_edge_is_zero():
     field = _river()
-    edge = offset_point(ORIGIN, EnuVector(20.0, 0.0))
+    edge = displaced(ORIGIN, 20.0, 0.0)
     assert sample_field(field, edge, 0.0).speed == pytest.approx(0.0, abs=1e-12)
 
 
 def test_river_profile_parabola():
     field = _river()
-    off_axis = offset_point(ORIGIN, EnuVector(10.0, 0.0))
+    off_axis = displaced(ORIGIN, 10.0, 0.0)
     v = sample_field(field, off_axis, 0.0)
     assert v.speed == pytest.approx(0.75, rel=1e-9)
     assert v.direction == pytest.approx(0.0)
@@ -52,7 +52,7 @@ def test_river_profile_parabola():
 
 def test_river_profile_beyond_edge_clamps_to_zero():
     field = _river()
-    outside = offset_point(ORIGIN, EnuVector(35.0, 0.0))
+    outside = displaced(ORIGIN, 35.0, 0.0)
     assert sample_field(field, outside, 0.0).speed == 0.0
 
 
@@ -105,9 +105,9 @@ def test_speed_continuity_at_1cm_steps(make_field):
     field = make_field()
     rng = np.random.default_rng(5)
     for _ in range(50):
-        base = offset_point(ORIGIN, EnuVector(rng.uniform(-300, 300), rng.uniform(-300, 300)))
+        base = displaced(ORIGIN, rng.uniform(-300, 300), rng.uniform(-300, 300))
         for de, dn in ((0.01, 0.0), (0.0, 0.01)):
-            nearby = offset_point(base, EnuVector(de, dn))
+            nearby = displaced(base, de, dn)
             jump = abs(
                 sample_field(field, base, 0.0).speed
                 - sample_field(field, nearby, 0.0).speed
@@ -147,12 +147,12 @@ def test_river_gust_scales_the_centerline():
     )
     peak = 10.0
     ue, un = -0.8660254037844387, -0.5  # unit vector of bearing 240, across the axis
-    near_bank = sample_field(field, offset_point(ORIGIN, EnuVector(18.0 * ue, 18.0 * un)), peak)
+    near_bank = sample_field(field, displaced(ORIGIN, 18.0 * ue, 18.0 * un), peak)
     assert near_bank.speed == pytest.approx((0.677 + 0.5) * (1.0 - 0.9**2), rel=1e-6)
     assert near_bank.direction == pytest.approx(150.0, abs=1e-6)
-    bank = offset_point(ORIGIN, EnuVector(20.0 * ue, 20.0 * un))
+    bank = displaced(ORIGIN, 20.0 * ue, 20.0 * un)
     assert sample_field(field, bank, peak).speed == pytest.approx(0.0, abs=1e-12)
-    outside = offset_point(ORIGIN, EnuVector(25.0 * ue, 25.0 * un))
+    outside = displaced(ORIGIN, 25.0 * ue, 25.0 * un)
     assert sample_field(field, outside, peak).speed == 0.0
     assert Environment(field, FieldSpec.calm()).sample(outside, peak) == (0.0, 0.0, 0.0, 0.0)
 
@@ -194,7 +194,7 @@ def test_environment_sample_matches_sample_field():
                        [[10.0, 40.0], [350.0, 20.0]], gust=gust),
     ]
     rng = np.random.default_rng(3)
-    points = [offset_point(ORIGIN, EnuVector(*rng.uniform(-30.0, 30.0, 2))) for _ in range(5)]
+    points = [displaced(ORIGIN, *rng.uniform(-30.0, 30.0, 2)) for _ in range(5)]
     for current in fields:
         for wind in fields[:3]:
             environment = Environment(current, wind)

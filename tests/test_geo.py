@@ -7,14 +7,12 @@ import pytest
 
 from asvnav.geo import (
     METERS_PER_DEG_LAT,
-    EnuVector,
     GeoPoint,
     bearing_of,
+    displaced,
     distance_bearing,
     enu_columns,
     enu_coords,
-    enu_offset,
-    offset_point,
     wrap_angle,
     wrap_signed,
 )
@@ -39,7 +37,7 @@ def test_distance_bearing_due_north():
 
 def test_bearing_due_east_round_trip():
     a = GeoPoint(34.0, -81.0)
-    b = offset_point(a, EnuVector(100.0, 0.0))
+    b = displaced(a, 100.0, 0.0)
     rng, brg = distance_bearing(a, b)
     assert brg == pytest.approx(90.0, abs=0.01)
     assert rng == pytest.approx(100.0, rel=1e-3)
@@ -47,12 +45,12 @@ def test_bearing_due_east_round_trip():
 
 def test_offset_point_zero_is_identity():
     p = GeoPoint(34.0, -81.0)
-    assert offset_point(p, EnuVector(0.0, 0.0)) is p
+    assert displaced(p, 0.0, 0.0) is p
 
 
 def test_offset_point_north_meters_per_degree():
     p = GeoPoint(34.0, -81.0)
-    q = offset_point(p, EnuVector(0.0, 111.1949))
+    q = displaced(p, 0.0, 111.1949)
     assert q.lat == pytest.approx(34.001, abs=1e-12)
     assert q.lon == pytest.approx(-81.0, abs=1e-12)
 
@@ -65,8 +63,7 @@ def test_offset_distance_round_trip_random():
     angles = rng.uniform(0, 2 * math.pi, size=1000)
     for lat, lon, r, ang in zip(origin_lats, origin_lons, radii, angles):
         origin = GeoPoint(lat, lon)
-        delta = EnuVector(r * math.sin(ang), r * math.cos(ang))
-        target = offset_point(origin, delta)
+        target = displaced(origin, r * math.sin(ang), r * math.cos(ang))
         rng_back, brg_back = distance_bearing(origin, target)
         assert rng_back == pytest.approx(r, rel=1e-3)
         expected_brg = math.degrees(ang) % 360.0
@@ -80,7 +77,7 @@ def test_range_symmetry():
         lat = rng.uniform(-60, 60)
         lon = rng.uniform(-179, 179)
         a = GeoPoint(lat, lon)
-        b = offset_point(a, EnuVector(rng.uniform(-5000, 5000), rng.uniform(-5000, 5000)))
+        b = displaced(a, rng.uniform(-5000, 5000), rng.uniform(-5000, 5000))
         assert distance_bearing(a, b)[0] == distance_bearing(b, a)[0]
 
 
@@ -155,14 +152,17 @@ def test_longitude_wrap_idempotent():
         assert repr(GeoPoint(0.0, wrapped).lon) == repr(wrapped)
 
 
-def test_enu_vector_rejects_non_finite():
-    with pytest.raises(ValueError):
-        EnuVector(float("inf"), 0.0)
+def test_displaced_rejects_non_finite():
+    p = GeoPoint(34.0, -81.0)
+    with pytest.raises(ValueError, match="non-finite coordinates"):
+        displaced(p, float("nan"), 0.0)
+    with pytest.raises(ValueError, match="offset inf m exceeds"):
+        displaced(p, float("inf"), 0.0)
 
 
 def test_offset_point_rejects_long_legs():
     with pytest.raises(ValueError):
-        offset_point(GeoPoint(0.0, 0.0), EnuVector(9000.0, 9000.0))
+        displaced(GeoPoint(0.0, 0.0), 9000.0, 9000.0)
 
 
 def test_bearing_of_zero_vector():
@@ -172,10 +172,10 @@ def test_bearing_of_zero_vector():
 def test_enu_offset_antisymmetric():
     a = GeoPoint(34.0, -81.0)
     b = GeoPoint(34.02, -80.98)
-    ab = enu_offset(a, b)
-    ba = enu_offset(b, a)
-    assert ab.east == -ba.east
-    assert ab.north == -ba.north
+    ab_e, ab_n = enu_coords(a.lat, a.lon, b.lat, b.lon)
+    ba_e, ba_n = enu_coords(b.lat, b.lon, a.lat, a.lon)
+    assert ab_e == -ba_e
+    assert ab_n == -ba_n
 
 
 def test_enu_columns_match_enu_coords_bit_for_bit():

@@ -14,7 +14,7 @@ from asvnav.cli import main
 from asvnav.control import Waypoint
 from asvnav.effects import FEATURE_NAMES, TARGET_NAMES, fit
 from asvnav.env import FieldSpec, ForceVector, GustSpec
-from asvnav.geo import METERS_PER_DEG_LAT, EnuVector, GeoPoint, distance_bearing, offset_point, wrap_signed
+from asvnav.geo import METERS_PER_DEG_LAT, GeoPoint, displaced, distance_bearing, wrap_signed
 from asvnav.harness import (
     TRAINING_HEADER,
     ControllerSpec,
@@ -51,7 +51,7 @@ ORIGIN = GeoPoint(34.0, -81.0)
 def _short_scenario(**overrides):
     mission = (
         Waypoint(ORIGIN, 2.0),
-        Waypoint(offset_point(ORIGIN, EnuVector(0.0, 60.0)), 2.0),
+        Waypoint(displaced(ORIGIN, 0.0, 60.0), 2.0),
     )
     base = dict(mission=mission, duration_limit_s=180.0, name="short")
     base.update(overrides)
@@ -237,7 +237,7 @@ def test_load_scenario_from_file(tmp_path):
 def test_mission_csv_round_trip(tmp_path):
     mission = [
         Waypoint(ORIGIN, 2.0),
-        Waypoint(offset_point(ORIGIN, EnuVector(50.0, 120.0)), 1.5),
+        Waypoint(displaced(ORIGIN, 50.0, 120.0), 1.5),
     ]
     path = tmp_path / "mission.csv"
     write_mission_csv(mission, path)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from asvnav.control import Waypoint
-from asvnav.geo import EnuVector, GeoPoint, offset_point, wrap_angle
+from asvnav.geo import GeoPoint, displaced, wrap_angle
 from asvnav.metrics import (
     TRAJECTORY_HEADER,
     ErrorReport,
@@ -32,7 +32,7 @@ def _mission(length=200.0, bearing=0.0):
 
     ue, un = unit_enu(bearing)
     a = ORIGIN
-    b = offset_point(ORIGIN, EnuVector(length * ue, length * un))
+    b = displaced(ORIGIN, length * ue, length * un)
     return [Waypoint(a, 2.0), Waypoint(b, 2.0)]
 
 
@@ -40,7 +40,7 @@ def _log_from_enu(points, dt=1.0, wp_index=1):
     """Build a log from (east, north) positions along the mission frame."""
     rows = []
     for i, (e, n) in enumerate(points):
-        pos = offset_point(ORIGIN, EnuVector(e, n)) if (e, n) != (0.0, 0.0) else ORIGIN
+        pos = displaced(ORIGIN, e, n) if (e, n) != (0.0, 0.0) else ORIGIN
         rows.append((i * dt, pos.lat, pos.lon, 2.0, 0.0, 0.0, 2.0, 0.0, wp_index, None,
                      *CALM_FORCE, *IDLE))
     return TrajectoryLog.from_rows(rows)
@@ -314,7 +314,7 @@ def test_trajectory_csv_reader_skips_blank_lines(tmp_path):
 
 def _row(i):
     """A log row whose every field moves with i."""
-    pos = offset_point(ORIGIN, EnuVector(0.5, 2.0 * i + 1.0))
+    pos = displaced(ORIGIN, 0.5, 2.0 * i + 1.0)
     return LogRecord(
         t=0.5 * i, lat=pos.lat, lon=pos.lon, spd_t=2.0, course_t=10.0 * i, h_t=355.0,
         through_water_speed=1.5, turn_rate=-0.25 * i, wp_index=i // 4,
@@ -437,14 +437,14 @@ def _three_waypoint_run():
     the approach logs wp_index 0, and past the last waypoint the log
     holds wp_index 3, one past the final leg."""
     rng = np.random.default_rng(7)
-    corner = offset_point(ORIGIN, EnuVector(0.0, 100.0))
-    end = offset_point(ORIGIN, EnuVector(100.0, 100.0))
+    corner = displaced(ORIGIN, 0.0, 100.0)
+    end = displaced(ORIGIN, 100.0, 100.0)
     mission = [Waypoint(ORIGIN, 2.0), Waypoint(corner, 2.0), Waypoint(end, 2.0)]
     enu = [(-1.5 + 0.1 * k, -10.0 + k) for k in range(10)]  # approach
     enu += [(rng.normal(0.0, 1.5), float(n)) for n in range(0, 100, 2)]
     enu += [(float(e), 100.0 + rng.normal(0.0, 1.5)) for e in range(0, 120, 3)]
     wp = [0] * 10 + [1] * 50 + [2] * 34 + [3] * 6
-    return _log_from_points([offset_point(ORIGIN, EnuVector(e, n)) for e, n in enu], wp), mission
+    return _log_from_points([displaced(ORIGIN, e, n) for e, n in enu], wp), mission
 
 
 def _antimeridian_run(east):
@@ -453,9 +453,9 @@ def _antimeridian_run(east):
     rng = np.random.default_rng(3 if east else 4)
     sign = 1.0 if east else -1.0
     a = GeoPoint(-12.0, 179.9994 if east else -179.9994)
-    b = offset_point(a, EnuVector(sign * 150.0, 0.0))
+    b = displaced(a, sign * 150.0, 0.0)
     assert (a.lon > 0.0) == east and (b.lon < 0.0) == east
-    points = [offset_point(a, EnuVector(sign * x, rng.normal(0.0, 0.8)))
+    points = [displaced(a, sign * x, rng.normal(0.0, 0.8))
               for x in np.arange(-8.0, 160.0, 1.7)]
     return _log_from_points(points, [1] * len(points)), [Waypoint(a, 2.0), Waypoint(b, 2.0)]
 
@@ -484,13 +484,13 @@ def test_hand_built_series_pinned(case):
 def test_to_csv_matches_per_row_repr():
     """Force columns that repeat values and alternate -0.0 with 0.0, held
     and changing intermediate targets, against a per-row f-string."""
-    target = Waypoint(offset_point(ORIGIN, EnuVector(3.0, 40.0)), 1.75)
-    other = Waypoint(offset_point(ORIGIN, EnuVector(-2.0, 80.0)), 2.25)
+    target = Waypoint(displaced(ORIGIN, 3.0, 40.0), 1.75)
+    other = Waypoint(displaced(ORIGIN, -2.0, 80.0), 2.25)
     forces = [(0.5, 90.0, 3.0, -0.0), (0.5, 90.0, 3.0, 0.0), (0.5000000000000001, -0.0, 3.0, 0.0),
               (0.0, 0.0, 3.0, -0.0), (0.5, 90.0, 1e-300, 359.99999999999994)]
     rows = []
     for i in range(23):
-        pos = offset_point(ORIGIN, EnuVector(0.1 * i, 1.9 * i))
+        pos = displaced(ORIGIN, 0.1 * i, 1.9 * i)
         intermediate = (None, target, target, other, None)[i % 5]
         rows.append((0.1 * i, pos.lat, pos.lon, 2.0 + 0.01 * i, 0.0, (7.0 * i) % 360.0, 2.0, 0.0,
                      1 + i // 12, intermediate, *forces[(3 * i) % 5], 0.5 + 0.02 * (i % 3),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from asvnav.env import Environment, FieldSpec, ForceVector
-from asvnav.geo import EnuVector, GeoPoint, distance_bearing, offset_point, wrap_signed
+from asvnav.geo import GeoPoint, displaced, distance_bearing, wrap_signed
 from asvnav.vehicle import (
     NoiseSpec,
     VehicleParams,
@@ -150,7 +150,7 @@ def test_drift_superposition_exact():
 
     T = steps * dt
     ce, cn = current.enu()
-    expected = offset_point(s_calm[0], EnuVector(ce * T, cn * T))
+    expected = displaced(s_calm[0], ce * T, cn * T)
     gap, _ = distance_bearing(expected, s_cur[0])
     assert gap < 1e-6
 
