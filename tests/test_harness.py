@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+import struct
 import warnings
 from dataclasses import replace
 
@@ -13,7 +14,7 @@ import pytest
 from asvnav.cli import main
 from asvnav.control import Waypoint
 from asvnav.effects import FEATURE_NAMES, TARGET_NAMES, fit
-from asvnav.env import FieldSpec, ForceVector, GustSpec
+from asvnav.env import Environment, FieldSpec, ForceVector, GustSpec
 from asvnav.geo import METERS_PER_DEG_LAT, GeoPoint, displaced, distance_bearing, wrap_signed
 from asvnav.harness import (
     TRAINING_HEADER,
@@ -224,6 +225,55 @@ def test_field_dict_round_trip_river_and_grid():
         speeds=[[0.5, 1.0], [1.0, 0.25]], directions=[[10.0, 80.0], [350.0, 200.0]],
     )
     assert field_from_dict(json.loads(json.dumps(field_to_dict(grid)))) == grid
+
+
+# One field of each shape -> its to_dict JSON text and the sha256 of the bits
+# of 50 Environment.sample results (10 seeded points x 5 times, the field as
+# the current beside a calm wind). A field without a gust has no gust key.
+FIELD_PINS = [
+    (FieldSpec.uniform(ForceVector(1, 400)),
+     '{"kind": "uniform", "speed": 1, "direction": 40.0}',
+     "96e61536af527d7f8c5eed43845eb931f5f53dc39c1a718e0b396431466066c5"),
+    (FieldSpec.uniform(ForceVector(0.0, 123.0)),
+     '{"kind": "uniform", "speed": 0.0, "direction": 0.0}',
+     "e61f41d57db208c5f92a35c4ce7198570924a3fc87eeba83441fceee5d6a2865"),
+    (FieldSpec.uniform(ForceVector(5.0, 240.0), GustSpec(1.5, 7.0)),
+     '{"kind": "uniform", "speed": 5.0, "direction": 240.0, '
+     '"gust": {"amplitude": 1.5, "period_s": 7.0}}',
+     "ca64e0519b0471d9c967ea0ec71543ef310a68b447dcfcb358cd965d31174742"),
+    (FieldSpec.river_profile(ORIGIN, 510, ForceVector(1.2, 150.0), 40.0, GustSpec(0.3, 11.0)),
+     '{"kind": "river_profile", "axis_origin": {"lat": 34.0, "lon": -81.0}, '
+     '"axis_bearing": 150.0, "centerline_speed": 1.2, "centerline_direction": 150.0, '
+     '"half_width_m": 40.0, "gust": {"amplitude": 0.3, "period_s": 11.0}}',
+     "bf11f6c5bc934f99bbbb4ee948188112e2eacc2e99ee4d1a8f1bf1f565d9face"),
+    (FieldSpec.river_profile(ORIGIN, 30.0, ForceVector(0.0, 77.0), 25.0),
+     '{"kind": "river_profile", "axis_origin": {"lat": 34.0, "lon": -81.0}, '
+     '"axis_bearing": 30.0, "centerline_speed": 0.0, "centerline_direction": 0.0, '
+     '"half_width_m": 25.0}',
+     "e61f41d57db208c5f92a35c4ce7198570924a3fc87eeba83441fceee5d6a2865"),
+    (FieldSpec.grid(33.999, -81.001, 0.001, 0.001, [[1, 2, 1], [2, 3, 2], [1, 2, 2]],
+                    [[0, 90, 180], [270, 45, 400], [10, 20, 30]], GustSpec(0.5, 9.0)),
+     '{"kind": "grid", "lat0": 33.999, "lon0": -81.001, "dlat": 0.001, "dlon": 0.001, '
+     '"speeds": [[1.0, 2.0, 1.0], [2.0, 3.0, 2.0], [1.0, 2.0, 2.0]], '
+     '"directions": [[0.0, 90.0, 180.0], [270.0, 45.0, 400.0], [10.0, 20.0, 30.0]], '
+     '"gust": {"amplitude": 0.5, "period_s": 9.0}}',
+     "31df022135cfc0d7c541c8dd9de1a788012709bfb76ba5f4533bb540fb050baf"),
+]
+
+
+@pytest.mark.parametrize("field, text, samples_sha256", FIELD_PINS, ids=[
+    "uniform-int", "uniform-still", "uniform-gust", "river-gust", "river-still", "grid-int"])
+def test_field_json_and_samples_pinned(field, text, samples_sha256):
+    """A field's JSON text and its samples, pinned bit for bit; the JSON
+    decodes back to the same field."""
+    assert json.dumps(to_dict(field)) == text
+    assert from_dict(FieldSpec, json.loads(text)) == field
+    rng = np.random.default_rng(18)
+    points = [displaced(ORIGIN, *rng.uniform(-60.0, 60.0, 2)) for _ in range(10)]
+    sample = Environment(field, FieldSpec.calm()).sample
+    bits = b"".join(struct.pack("4d", *sample(p, t))
+                    for p in points for t in (0.0, 1.3, 2.75, 5.5, 40.0))
+    assert hashlib.sha256(bits).hexdigest() == samples_sha256
 
 
 def test_load_scenario_from_file(tmp_path):
