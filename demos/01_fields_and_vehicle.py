@@ -16,7 +16,7 @@ origin = GeoPoint(34.0, -81.0)
 print("=== river cross-section (parabolic lateral profile) ===")
 river = FieldSpec.river_profile(
     axis_origin=origin, axis_bearing=150.0,
-    centerline=ForceVector(1.0, 150.0), half_width=20.0,
+    centerline_speed=1.0, centerline_direction=150.0, half_width_m=20.0,
 )
 for lateral in (-25, -20, -10, 0, 10, 20, 25):
     # move perpendicular to the channel axis
@@ -27,7 +27,7 @@ for lateral in (-25, -20, -10, 0, 10, 20, 25):
     print(f"  {lateral:+4d} m off-axis: {v.speed:4.2f} m/s {bar}")
 
 print("\n=== gusting wind (sinusoidal, reproducible) ===")
-wind = FieldSpec.uniform(ForceVector(4.0, 240.0), gust=GustSpec(amplitude=1.0, period_s=60.0))
+wind = FieldSpec.uniform(4.0, 240.0, gust=GustSpec(amplitude=1.0, period_s=60.0))
 for t in (0, 15, 30, 45, 60):
     print(f"  t={t:3d} s: {sample_field(wind, origin, t).speed:4.2f} m/s")
 
@@ -35,7 +35,7 @@ print("\n=== drift superposition (open loop, fixed heading and thrust) ===")
 params = VehicleParams()
 current = ForceVector(0.8, 135.0)
 calm = Environment.calm()
-drifted = Environment(FieldSpec.uniform(current), FieldSpec.calm())
+drifted = Environment(FieldSpec.uniform(current.speed, current.direction), FieldSpec.calm())
 thrust = 2.0 / params.max_water_speed  # rudder amidships
 
 # A hull state is the tuple step takes apart and returns:

@@ -17,10 +17,10 @@ from asvnav.metrics import SUITE_ORIENTATIONS
 
 out_dir = sys.argv[1] if len(sys.argv) > 1 else None
 suite = standard_suite()
-print(f"current: {suite.template.current.base.speed} m/s toward "
-      f"{suite.template.current.base.direction} deg; "
-      f"wind: {suite.template.wind.base.speed} m/s toward "
-      f"{suite.template.wind.base.direction} deg")
+print(f"current: {suite.template.current.speed} m/s toward "
+      f"{suite.template.current.direction} deg; "
+      f"wind: {suite.template.wind.speed} m/s toward "
+      f"{suite.template.wind.direction} deg")
 print(f"legs: {suite.leg_length_m:.0f} m at {suite.leg_speed_mps} m/s, "
       f"16 runs (8 orientations x 2 controllers)\n")
 

@@ -33,8 +33,11 @@ from .env import (
     Environment,
     FieldSpec,
     ForceVector,
+    GridField,
     GustSpec,
     LeftDomainError,
+    RiverProfileField,
+    UniformField,
     sample_field,
 )
 from .geo import (

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -53,105 +53,99 @@ class GustSpec:
     def __post_init__(self):
         if self.amplitude < 0.0 or not math.isfinite(self.amplitude):
             raise ValueError(f"gust amplitude must be >= 0, got {self.amplitude!r}")
-        if self.period_s <= 0.0:
+        if not self.period_s > 0.0:
             raise ValueError(f"gust period must be > 0, got {self.period_s!r}")
 
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """One disturbance field: uniform, a parabolic river profile, or a grid.
-
-    Use the uniform/river_profile/grid classmethods; the raw constructor
-    does not validate kind-specific parameters.
-    """
-
-    kind: str
-    base: Optional[ForceVector] = None
-    # river_profile
-    axis_origin: Optional[GeoPoint] = None
-    axis_bearing: float = 0.0
-    half_width: float = 0.0
-    # grid (node rows indexed [i_lat][j_lon], as the config gives them)
-    lat0: float = 0.0
-    lon0: float = 0.0
-    dlat: float = 0.0
-    dlon: float = 0.0
-    speeds: Optional[tuple[tuple[float, ...], ...]] = None
-    directions: Optional[tuple[tuple[float, ...], ...]] = None
-    gust: Optional[GustSpec] = None
-
-    @classmethod
-    def uniform(cls, vector: ForceVector, gust: GustSpec | None = None) -> "FieldSpec":
-        field = cls(kind="uniform", base=vector, gust=gust)
-        _check_gust(gust, vector.speed)
-        return field
-
-    @classmethod
-    def river_profile(
-        cls,
-        axis_origin: GeoPoint,
-        axis_bearing: float,
-        centerline: ForceVector,
-        half_width: float,
-        gust: GustSpec | None = None,
-    ) -> "FieldSpec":
-        """Channel whose speed decays parabolically off the centerline.
-
-        The centerline runs through axis_origin along axis_bearing; speed
-        reaches zero at half_width meters to either side.
-        """
-        if half_width <= 0.0:
-            raise ValueError(f"half_width must be > 0, got {half_width!r}")
-        _check_gust(gust, centerline.speed)
-        return cls(
-            kind="river_profile",
-            base=centerline,
-            axis_origin=axis_origin,
-            axis_bearing=wrap_angle(axis_bearing),
-            half_width=half_width,
-            gust=gust,
-        )
-
-    @classmethod
-    def grid(
-        cls,
-        lat0: float,
-        lon0: float,
-        dlat: float,
-        dlon: float,
-        speeds: Sequence[Sequence[float]],
-        directions: Sequence[Sequence[float]],
-        gust: GustSpec | None = None,
-    ) -> "FieldSpec":
-        """Regular lat/lon grid of flow vectors, bilinearly interpolated.
-
-        Interpolation happens on east/north components so sampled speed
-        stays continuous across cells.
-        """
-        if dlat <= 0.0 or dlon <= 0.0:
-            raise ValueError(f"grid spacing must be > 0, got dlat={dlat!r} dlon={dlon!r}")
-        spd = np.asarray(speeds, dtype=float)
-        dirs = np.asarray(directions, dtype=float)
-        if spd.ndim != 2 or spd.shape != dirs.shape or min(spd.shape) < 2:
-            raise ValueError("grid needs matching 2-D speed/direction arrays, at least 2x2")
-        if np.any(spd < 0.0) or not np.all(np.isfinite(spd)) or not np.all(np.isfinite(dirs)):
-            raise ValueError("grid nodes must be finite with non-negative speeds")
-        _check_gust(gust, float(spd.min()))
-        return cls(
-            kind="grid",
-            lat0=lat0,
-            lon0=lon0,
-            dlat=dlat,
-            dlon=dlon,
-            speeds=tuple(map(tuple, spd.tolist())),
-            directions=tuple(map(tuple, dirs.tolist())),
-            gust=gust,
-        )
+    """One disturbance field. Each kind is a subclass whose constructor
+    parameters are its JSON keys, gust last: UniformField, RiverProfileField
+    and GridField, also reached by their JSON "kind" tag as FieldSpec.uniform,
+    FieldSpec.river_profile and FieldSpec.grid (FIELD_KINDS). Each kind
+    checks its own rules."""
 
     @classmethod
     def calm(cls) -> "FieldSpec":
         """Zero flow everywhere."""
-        return cls.uniform(ForceVector(0.0, 0.0))
+        return UniformField(0.0, 0.0)
+
+
+@dataclass(frozen=True)
+class UniformField(FieldSpec):
+    """The same flow everywhere: speed (m/s) toward direction (deg),
+    direction stored as ForceVector reports it."""
+
+    speed: float
+    direction: float
+    gust: Optional[GustSpec] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "direction", ForceVector(self.speed, self.direction).direction)
+        _check_gust(self.gust, self.speed)
+
+
+@dataclass(frozen=True)
+class RiverProfileField(FieldSpec):
+    """Channel whose speed decays parabolically off the centerline.
+
+    The centerline runs through axis_origin along axis_bearing and carries
+    centerline_speed toward centerline_direction; speed reaches zero at
+    half_width_m meters to either side.
+    """
+
+    axis_origin: GeoPoint
+    axis_bearing: float
+    centerline_speed: float
+    centerline_direction: float
+    half_width_m: float
+    gust: Optional[GustSpec] = None
+
+    def __post_init__(self):
+        centerline = ForceVector(self.centerline_speed, self.centerline_direction)
+        if not self.half_width_m > 0.0:
+            raise ValueError(f"half_width must be > 0, got {self.half_width_m!r}")
+        _check_gust(self.gust, centerline.speed)
+        object.__setattr__(self, "axis_bearing", wrap_angle(self.axis_bearing))
+        object.__setattr__(self, "centerline_direction", centerline.direction)
+
+
+@dataclass(frozen=True)
+class GridField(FieldSpec):
+    """Regular lat/lon grid of flow vectors, bilinearly interpolated.
+
+    Node [i][j] sits at (lat0 + i * dlat, lon0 + j * dlon); speeds and
+    directions are stored as tuples of float rows. Interpolation happens on
+    east/north components so sampled speed stays continuous across cells.
+    """
+
+    lat0: float
+    lon0: float
+    dlat: float
+    dlon: float
+    speeds: tuple[tuple[float, ...], ...]
+    directions: tuple[tuple[float, ...], ...]
+    gust: Optional[GustSpec] = None
+
+    def __post_init__(self):
+        if not (self.dlat > 0.0 and self.dlon > 0.0):
+            raise ValueError(
+                f"grid spacing must be > 0, got dlat={self.dlat!r} dlon={self.dlon!r}"
+            )
+        spd = np.asarray(self.speeds, dtype=float)
+        dirs = np.asarray(self.directions, dtype=float)
+        if spd.ndim != 2 or spd.shape != dirs.shape or min(spd.shape) < 2:
+            raise ValueError("grid needs matching 2-D speed/direction arrays, at least 2x2")
+        if np.any(spd < 0.0) or not np.all(np.isfinite(spd)) or not np.all(np.isfinite(dirs)):
+            raise ValueError("grid nodes must be finite with non-negative speeds")
+        _check_gust(self.gust, float(spd.min()))
+        object.__setattr__(self, "speeds", tuple(map(tuple, spd.tolist())))
+        object.__setattr__(self, "directions", tuple(map(tuple, dirs.tolist())))
+
+
+# JSON "kind" tag -> field kind; FieldSpec.<tag> is the kind's class.
+FIELD_KINDS = {"uniform": UniformField, "river_profile": RiverProfileField, "grid": GridField}
+FieldSpec.uniform, FieldSpec.river_profile, FieldSpec.grid = FIELD_KINDS.values()
 
 
 def _check_gust(gust: GustSpec | None, base_speed: float) -> None:
@@ -183,8 +177,9 @@ def _polar_sampler(field: FieldSpec) -> Sampler:
     clamped at zero. Everything that does not depend on (p, t) is worked
     out here, once per field."""
     gust = field.gust
-    if field.kind == "uniform":
-        be, bn = field.base.enu()
+    if isinstance(field, UniformField):
+        ue, un = unit_enu(field.direction)
+        be, bn = field.speed * ue, field.speed * un
         base_speed, direction = math.hypot(be, bn), bearing_of(be, bn)
 
         def uniform(p: GeoPoint, t: float) -> tuple[float, float]:
@@ -193,10 +188,11 @@ def _polar_sampler(field: FieldSpec) -> Sampler:
             return max(0.0, base_speed + _gust_term(gust, t)), direction
 
         return uniform
-    if field.kind == "river_profile":
-        origin, half_width, center_speed = field.axis_origin, field.half_width, field.base.speed
+    if isinstance(field, RiverProfileField):
+        origin, half_width = field.axis_origin, field.half_width_m
+        center_speed = field.centerline_speed
         ae, an = unit_enu(field.axis_bearing)
-        ue, un = unit_enu(field.base.direction)
+        ue, un = unit_enu(field.centerline_direction)
 
         def river(p: GeoPoint, t: float) -> tuple[float, float]:
             east, north = enu_coords(origin.lat, origin.lon, p.lat, p.lon)
@@ -210,7 +206,7 @@ def _polar_sampler(field: FieldSpec) -> Sampler:
             return math.hypot(east, north), bearing_of(east, north)
 
         return river
-    if field.kind == "grid":
+    if isinstance(field, GridField):
         # node table as nested Python lists, nodes[i][j] = [east, north]:
         # plain doubles, indexed per tap without numpy scalars
         spd = np.array(field.speeds)
@@ -251,7 +247,7 @@ def _polar_sampler(field: FieldSpec) -> Sampler:
             return speed, bearing_of(east, north)
 
         return grid
-    raise ValueError(f"unknown field kind {field.kind!r}")
+    raise TypeError(f"not a field kind: {type(field).__name__}")
 
 
 def sample_field(field: FieldSpec, p: GeoPoint, t: float) -> ForceVector:
@@ -267,7 +263,7 @@ def _field_sampler(field: FieldSpec) -> Sampler:
     sample_field(field, p, t).enu(). A uniform field without a gust is
     constant, so its sampler returns a value computed once."""
     polar = _polar_sampler(field)
-    if field.kind == "uniform" and field.gust is None:
+    if isinstance(field, UniformField) and field.gust is None:
         value = ForceVector(*polar(None, 0.0)).enu()  # uniform flow ignores p and t
         return lambda p, t: value
 
@@ -298,7 +294,8 @@ class Environment:
         object.__setattr__(self, "_wind", wind)
         # two uniform fields without a gust are still: their flows are one
         # tuple, worked out here (the samplers ignore p and t)
-        still = all(f.kind == "uniform" and f.gust is None for f in (self.current, self.wind))
+        still = all(isinstance(f, UniformField) and f.gust is None
+                    for f in (self.current, self.wind))
         object.__setattr__(self, "_still", (*current(None, 0.0), *wind(None, 0.0)) if still else None)
 
     def __reduce__(self):

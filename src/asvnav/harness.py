@@ -39,7 +39,7 @@ from .effects import (
     load_model,
     make_features,
 )
-from .env import Environment, FieldSpec, Flows, ForceVector, GustSpec, LeftDomainError
+from .env import FIELD_KINDS, Environment, FieldSpec, Flows, ForceVector, LeftDomainError
 from .geo import (
     GeoPoint,
     distance_bearing,
@@ -85,35 +85,6 @@ DEFAULT_LEG_LENGTH = 200.0
 # config (de)serialization
 
 
-def field_to_dict(spec: FieldSpec) -> dict:
-    out: dict = {"kind": spec.kind}
-    if spec.kind == "uniform":
-        out["speed"] = spec.base.speed
-        out["direction"] = spec.base.direction
-    elif spec.kind == "river_profile":
-        out.update(
-            axis_origin=to_dict(spec.axis_origin),
-            axis_bearing=spec.axis_bearing,
-            centerline_speed=spec.base.speed,
-            centerline_direction=spec.base.direction,
-            half_width_m=spec.half_width,
-        )
-    elif spec.kind == "grid":
-        out.update(
-            lat0=spec.lat0,
-            lon0=spec.lon0,
-            dlat=spec.dlat,
-            dlon=spec.dlon,
-            speeds=to_dict(spec.speeds),
-            directions=to_dict(spec.directions),
-        )
-    else:
-        raise ValueError(f"unknown field kind {spec.kind!r}")
-    if spec.gust is not None:
-        out["gust"] = to_dict(spec.gust)
-    return out
-
-
 @contextmanager
 def _rules_of(path: str):
     """Re-raise a ValueError of the block, a rule that the config value at
@@ -144,47 +115,7 @@ def _check_required(data: dict, required, path: str) -> None:
         raise ValueError(f"missing config key(s): {', '.join(missing)}")
 
 
-_GRID = tuple[tuple[float, ...], ...]
-
-# JSON key -> type hint of each field kind, besides "kind" and "gust".
-_FIELD_KEYS = {
-    "uniform": {"speed": float, "direction": float},
-    "river_profile": {"axis_origin": GeoPoint, "axis_bearing": float, "centerline_speed": float,
-                      "centerline_direction": float, "half_width_m": float},
-    # FieldSpec.grid's own parameter names
-    "grid": {"lat0": float, "lon0": float, "dlat": float, "dlon": float, "speeds": _GRID,
-             "directions": _GRID},
-}
 _WAYPOINT_KEYS = ("lat", "lon", "speed_mps")
-
-
-def field_from_dict(data: dict, path: str = "") -> FieldSpec:
-    """FieldSpec of its JSON form. An unknown or missing key, or a value of
-    the wrong JSON type, raises ValueError naming its dotted path below
-    path, the field's own path in the config; so does an unknown kind, and
-    a field the FieldSpec rules reject raises one prefixed by path."""
-    _check_required(data, ("kind",), path)
-    prefix = f"{path}." if path else ""
-    kind = _decode(str, data["kind"], prefix + "kind", None)
-    if kind not in _FIELD_KEYS:
-        raise ValueError(f"config {prefix}kind: unknown field kind {kind!r}")
-    keys = _FIELD_KEYS[kind]
-    _check_keys(data, ("kind", "gust", *keys), path)
-    _check_required(data, keys, path)
-    gust = _decode(Optional[GustSpec], data.get("gust"), prefix + "gust", None)
-    values = {key: _decode(hint, data[key], prefix + key, None) for key, hint in keys.items()}
-    with _rules_of(path or "field"):
-        if kind == "uniform":
-            return FieldSpec.uniform(ForceVector(values["speed"], values["direction"]), gust=gust)
-        if kind == "river_profile":
-            return FieldSpec.river_profile(
-                axis_origin=values["axis_origin"],
-                axis_bearing=values["axis_bearing"],
-                centerline=ForceVector(values["centerline_speed"], values["centerline_direction"]),
-                half_width=values["half_width_m"],
-                gust=gust,
-            )
-        return FieldSpec.grid(**values, gust=gust)
 
 
 def _waypoint_to_dict(wp: Waypoint) -> dict:
@@ -200,10 +131,10 @@ def _waypoint_from_dict(data: dict, path: str) -> Waypoint:
 
 
 # Types whose JSON shape is not their field layout: (encode, decode).
-_CODECS = {
-    FieldSpec: (field_to_dict, field_from_dict),
-    Waypoint: (_waypoint_to_dict, _waypoint_from_dict),
-}
+_CODECS = {Waypoint: (_waypoint_to_dict, _waypoint_from_dict)}
+
+# Field kind -> its JSON "kind" tag, which to_dict writes first.
+_FIELD_TAGS = {kind: tag for tag, kind in FIELD_KINDS.items()}
 
 # JSON key of every dataclass field stored under a key other than its name.
 _KEYS = {
@@ -233,11 +164,17 @@ def _layout(cls) -> dict[str, tuple[str, object, bool]]:
 
 def to_dict(obj):
     """JSON form of a config value: dataclasses become dicts keyed per _KEYS,
-    tuples become lists. Every field is written, so nothing is hidden."""
+    tuples become lists. Every field is written, so nothing is hidden, save
+    a field kind's absent gust; a field kind leads with its "kind" tag."""
     if type(obj) in _CODECS:
         return _CODECS[type(obj)][0](obj)
     if is_dataclass(obj):
-        return {key: to_dict(getattr(obj, name)) for key, (name, _, _) in _layout(type(obj)).items()}
+        out = {key: to_dict(getattr(obj, name)) for key, (name, _, _) in _layout(type(obj)).items()}
+        if isinstance(obj, FieldSpec):
+            if obj.gust is None:
+                del out["gust"]
+            return {"kind": _FIELD_TAGS[type(obj)], **out}
+        return out
     if isinstance(obj, tuple):
         return [to_dict(v) for v in obj]
     return obj
@@ -277,11 +214,17 @@ def _decode(hint, value, path: str, base_dir: Path | None):
             raise ValueError(f"config {path or 'file'} must be a JSON object")
         if hint in _CODECS:
             return _CODECS[hint][1](value, path)
+        prefix = f"{path}." if path else ""
+        if hint is FieldSpec:  # the "kind" tag picks the field kind
+            _check_required(value, ("kind",), path)
+            tag = _decode(str, value["kind"], prefix + "kind", None)
+            if tag not in FIELD_KINDS:
+                raise ValueError(f"config {prefix}kind: unknown field kind {tag!r}")
+            hint, value = FIELD_KINDS[tag], {k: v for k, v in value.items() if k != "kind"}
         layout = _layout(hint)
         _check_keys(value, layout, path)
         _check_required(value, [key for key, (_, _, required) in layout.items() if required],
                         path)
-        prefix = f"{path}." if path else ""
         kwargs = {
             layout[key][0]: _decode(layout[key][1], v, prefix + key, base_dir)
             for key, v in value.items()
@@ -834,8 +777,8 @@ def standard_template(
     """
     return Scenario(
         mission=_TEMPLATE_MISSION,
-        current=FieldSpec.uniform(ForceVector(current_speed, axis)),
-        wind=FieldSpec.uniform(ForceVector(wind_speed, axis + 90.0)),
+        current=FieldSpec.uniform(current_speed, axis),
+        wind=FieldSpec.uniform(wind_speed, axis + 90.0),
         augment=SCENARIO_AUGMENT,
         seed=seed,
         name="template",
@@ -879,7 +822,7 @@ def downstream_failure_scenario(seed: int = 0, controller: str = "baseline") -> 
     """
     return Scenario(
         mission=_straight_leg(RIVER_CENTER, RIVER_AXIS_DEG, DEFAULT_LEG_LENGTH, 1.6),
-        current=FieldSpec.uniform(ForceVector(1.0, RIVER_AXIS_DEG)),
+        current=FieldSpec.uniform(1.0, RIVER_AXIS_DEG),
         augment=SCENARIO_AUGMENT,
         controller=ControllerSpec(kind=controller),
         start_runup_m=60.0,
@@ -973,7 +916,8 @@ def generate_training_logs(sweep: SweepSpec) -> np.ndarray:
             mission: list[Waypoint] | None) -> None:
         """One leg from the steady state at the origin: the fixed command of
         speed when mission is None, else navigator_step toward its goal."""
-        sample = Environment(FieldSpec.uniform(current), FieldSpec.uniform(wind)).sample
+        sample = Environment(FieldSpec.uniform(current.speed, current.direction),
+                             FieldSpec.uniform(wind.speed, wind.direction)).sample
         # the fixed command; navigator_step replaces it every step
         thrust, rudder = _clamped(min(1.0, speed / params.max_water_speed), 0.0)
         # the steady state's sample is the first step's: (origin, t=0)

@@ -66,7 +66,8 @@ def test_criterion_1_inverse_sensing():
     for _ in range(1000):
         current = ForceVector(rng.uniform(0, 3), rng.uniform(0, 360))
         wind = ForceVector(rng.uniform(0, 10), rng.uniform(0, 360))
-        environment = Environment(FieldSpec.uniform(current), FieldSpec.uniform(wind))
+        environment = Environment(FieldSpec.uniform(current.speed, current.direction),
+                                  FieldSpec.uniform(wind.speed, wind.direction))
         pos = GeoPoint(rng.uniform(-60, 60), rng.uniform(-179, 179))
         spd_t, course_t, h_t = rng.uniform(0, 5), rng.uniform(0, 360), rng.uniform(0, 360)
         rng.uniform(0, 5)  # a through-water speed, which no sensor reads
@@ -93,7 +94,7 @@ def test_criterion_2_drift_superposition():
     equator = GeoPoint(0.0, -81.0)
     current = ForceVector(0.8, 135.0)
     calm = Environment.calm()
-    drifted = Environment(FieldSpec.uniform(current), FieldSpec.calm())
+    drifted = Environment(FieldSpec.uniform(current.speed, current.direction), FieldSpec.calm())
     thrust = 2.0 / PARAMS.max_water_speed
 
     def steady(environment):

@@ -14,7 +14,7 @@ from asvnav.augment import (
 )
 from asvnav.control import FRESH_PID, Waypoint
 from asvnav.effects import EffectModel, OracleEffectModel
-from asvnav.env import Environment, FieldSpec, ForceVector
+from asvnav.env import Environment, FieldSpec
 from asvnav.geo import GeoPoint, displaced, enu_coords
 from asvnav.vehicle import (
     VehicleParams,
@@ -159,7 +159,7 @@ def test_zero_effect_steps_bit_identical_to_baseline():
     bit for bit, step by step."""
     mission = _mission()
     environment = Environment(
-        FieldSpec.uniform(ForceVector(0.6, 45.0)), FieldSpec.uniform(ForceVector(3.0, 200.0))
+        FieldSpec.uniform(0.6, 45.0), FieldSpec.uniform(3.0, 200.0)
     )
     model = EffectModel.zero()
     s_base = s_aug = _at_rest(2.0, -40.0)
@@ -182,7 +182,7 @@ def test_mission_advances_on_true_waypoints_only():
     """Even with a large offset pulling the intermediate target away, the
     mission sequence advances against the true goals, in order."""
     mission = _mission()
-    environment = Environment(FieldSpec.uniform(ForceVector(0.5, 90.0)), FieldSpec.calm())
+    environment = Environment(FieldSpec.uniform(0.5, 90.0), FieldSpec.calm())
     oracle = OracleEffectModel(wind_drag_factor=PARAMS.wind_drag_factor)
     cfg = AugmentConfig(max_offset_m=100.0)
     s = _at_rest(1.0, -30.0)
@@ -204,7 +204,7 @@ def test_mission_advances_on_true_waypoints_only():
 
 def test_intermediate_target_held_between_updates():
     mission = _mission()
-    environment = Environment(FieldSpec.uniform(ForceVector(0.5, 90.0)), FieldSpec.calm())
+    environment = Environment(FieldSpec.uniform(0.5, 90.0), FieldSpec.calm())
     oracle = OracleEffectModel(wind_drag_factor=PARAMS.wind_drag_factor)
     cfg = AugmentConfig(max_offset_m=100.0, update_period_s=1.0)
     s = _at_rest(0.0, -30.0)

@@ -13,7 +13,7 @@ ORIGIN = GeoPoint(34.0, -81.0)
 
 
 def test_uniform_field_everywhere():
-    field = FieldSpec.uniform(ForceVector(0.677, 180.0))
+    field = FieldSpec.uniform(0.677, 180.0)
     for point in (ORIGIN, displaced(ORIGIN, 500.0, -250.0)):
         for t in (0.0, 17.3, 1e4):
             v = sample_field(field, point, t)
@@ -22,7 +22,7 @@ def test_uniform_field_everywhere():
 
 
 def test_zero_wind_direction_convention():
-    field = FieldSpec.uniform(ForceVector(0.0, 123.0))
+    field = FieldSpec.uniform(0.0, 123.0)
     v = sample_field(field, ORIGIN, 5.0)
     assert v.speed == 0.0
     assert v.direction == 0.0
@@ -32,7 +32,7 @@ def _river(half_width=20.0, speed=1.0):
     # axis running north through the origin
     return FieldSpec.river_profile(
         axis_origin=ORIGIN, axis_bearing=0.0,
-        centerline=ForceVector(speed, 0.0), half_width=half_width,
+        centerline_speed=speed, centerline_direction=0.0, half_width_m=half_width,
     )
 
 
@@ -57,18 +57,18 @@ def test_river_profile_beyond_edge_clamps_to_zero():
 
 
 def test_gust_quarter_period_peak():
-    field = FieldSpec.uniform(ForceVector(4.0, 90.0), gust=GustSpec(amplitude=1.0, period_s=60.0))
+    field = FieldSpec.uniform(4.0, 90.0, gust=GustSpec(amplitude=1.0, period_s=60.0))
     assert sample_field(field, ORIGIN, 15.0).speed == pytest.approx(5.0, rel=1e-12)
 
 
 def test_gust_zero_at_t0():
-    field = FieldSpec.uniform(ForceVector(4.0, 90.0), gust=GustSpec(amplitude=1.0, period_s=60.0))
+    field = FieldSpec.uniform(4.0, 90.0, gust=GustSpec(amplitude=1.0, period_s=60.0))
     assert sample_field(field, ORIGIN, 0.0).speed == pytest.approx(4.0, rel=1e-12)
 
 
 def test_gust_amplitude_must_stay_below_base_speed():
     with pytest.raises(ValueError):
-        FieldSpec.uniform(ForceVector(1.0, 0.0), gust=GustSpec(amplitude=1.0, period_s=30.0))
+        FieldSpec.uniform(1.0, 0.0, gust=GustSpec(amplitude=1.0, period_s=30.0))
 
 
 def _grid_field():
@@ -124,7 +124,7 @@ def test_environment_calm():
 def test_field_parameter_validation():
     with pytest.raises(ValueError):
         FieldSpec.river_profile(axis_origin=ORIGIN, axis_bearing=0.0,
-                                centerline=ForceVector(1.0, 0.0), half_width=0.0)
+                                centerline_speed=1.0, centerline_direction=0.0, half_width_m=0.0)
     with pytest.raises(ValueError):
         FieldSpec.grid(lat0=0.0, lon0=0.0, dlat=0.0, dlon=0.01,
                        speeds=[[1.0, 1.0], [1.0, 1.0]],
@@ -142,8 +142,8 @@ def test_river_gust_scales_the_centerline():
     """A gust modulates the centerline speed; the profile still takes the
     flow to zero at the banks and keeps it along the axis."""
     field = FieldSpec.river_profile(
-        axis_origin=ORIGIN, axis_bearing=150.0, centerline=ForceVector(0.677, 150.0),
-        half_width=20.0, gust=GustSpec(amplitude=0.5, period_s=40.0),
+        axis_origin=ORIGIN, axis_bearing=150.0, centerline_speed=0.677, centerline_direction=150.0,
+        half_width_m=20.0, gust=GustSpec(amplitude=0.5, period_s=40.0),
     )
     peak = 10.0
     ue, un = -0.8660254037844387, -0.5  # unit vector of bearing 240, across the axis
@@ -160,7 +160,7 @@ def test_river_gust_scales_the_centerline():
 def test_uniform_and_grid_gusts_unchanged():
     """Gusted uniform and grid samples, pinned bit for bit (sha256 of their
     repr) from before the river gust fix and the per-field samplers."""
-    uniform = FieldSpec.uniform(ForceVector(4.0, 90.0), gust=GustSpec(1.0, 60.0))
+    uniform = FieldSpec.uniform(4.0, 90.0, gust=GustSpec(1.0, 60.0))
     grid = FieldSpec.grid(
         33.999, -81.001, 0.001, 0.001,
         [[0.5, 0.7, 0.6], [0.9, 0.8, 1.0], [0.6, 0.75, 0.55]],
@@ -185,10 +185,10 @@ def test_environment_sample_matches_sample_field():
     gust = GustSpec(0.3, 11.0)
     fields = [
         FieldSpec.calm(),
-        FieldSpec.uniform(ForceVector(0.677, 150.0)),
-        FieldSpec.uniform(ForceVector(5.0, 240.0), gust=gust),
+        FieldSpec.uniform(0.677, 150.0),
+        FieldSpec.uniform(5.0, 240.0, gust=gust),
         _river(),
-        FieldSpec.river_profile(ORIGIN, 30.0, ForceVector(1.2, 30.0), 40.0, gust=gust),
+        FieldSpec.river_profile(ORIGIN, 30.0, 1.2, 30.0, 40.0, gust=gust),
         grid,
         FieldSpec.grid(33.995, -81.005, 0.01, 0.01, [[0.5, 1.0], [1.0, 2.0]],
                        [[10.0, 40.0], [350.0, 20.0]], gust=gust),
@@ -215,7 +215,7 @@ def test_grid_out_of_domain_is_left_domain_error():
 
 def test_environment_pickles():
     field, _, _ = _grid_field()
-    environment = Environment(field, FieldSpec.uniform(ForceVector(3.0, 20.0)))
+    environment = Environment(field, FieldSpec.uniform(3.0, 20.0))
     again = pickle.loads(pickle.dumps(environment))
     assert again == environment
     assert again.sample(ORIGIN, 2.0) == environment.sample(ORIGIN, 2.0)

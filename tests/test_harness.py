@@ -24,8 +24,6 @@ from asvnav.harness import (
     SweepSpec,
     calm_water_scenario,
     downstream_failure_scenario,
-    field_from_dict,
-    field_to_dict,
     from_dict,
     generate_training_logs,
     load_scenario,
@@ -190,8 +188,8 @@ def test_coincident_waypoints_surface_degenerate_leg():
 
 def test_scenario_round_trip_through_dict():
     sc = _short_scenario(
-        current=FieldSpec.uniform(ForceVector(0.677, 180.0)),
-        wind=FieldSpec.uniform(ForceVector(4.0, 90.0), gust=GustSpec(1.0, 60.0)),
+        current=FieldSpec.uniform(0.677, 180.0),
+        wind=FieldSpec.uniform(4.0, 90.0, gust=GustSpec(1.0, 60.0)),
         noise=NoiseSpec(0.05, 2.0),
         seed=3,
         controller=ControllerSpec(kind="augmented", model="oracle"),
@@ -214,39 +212,40 @@ def test_scenario_round_trip_preserves_vehicle_params():
 def test_field_dict_round_trip_river_and_grid():
     river = FieldSpec.river_profile(
         axis_origin=ORIGIN, axis_bearing=150.0,
-        centerline=ForceVector(1.0, 150.0), half_width=20.0,
+        centerline_speed=1.0, centerline_direction=150.0, half_width_m=20.0,
     )
-    back = field_from_dict(field_to_dict(river))
+    back = from_dict(FieldSpec, to_dict(river))
     assert back.axis_bearing == river.axis_bearing
-    assert back.base == river.base
+    assert back.centerline_speed == river.centerline_speed
+    assert back.centerline_direction == river.centerline_direction
 
     grid = FieldSpec.grid(
         lat0=33.99, lon0=-81.01, dlat=0.01, dlon=0.01,
         speeds=[[0.5, 1.0], [1.0, 0.25]], directions=[[10.0, 80.0], [350.0, 200.0]],
     )
-    assert field_from_dict(json.loads(json.dumps(field_to_dict(grid)))) == grid
+    assert from_dict(FieldSpec, json.loads(json.dumps(to_dict(grid)))) == grid
 
 
 # One field of each shape -> its to_dict JSON text and the sha256 of the bits
 # of 50 Environment.sample results (10 seeded points x 5 times, the field as
 # the current beside a calm wind). A field without a gust has no gust key.
 FIELD_PINS = [
-    (FieldSpec.uniform(ForceVector(1, 400)),
+    (FieldSpec.uniform(1, 400),
      '{"kind": "uniform", "speed": 1, "direction": 40.0}',
      "96e61536af527d7f8c5eed43845eb931f5f53dc39c1a718e0b396431466066c5"),
-    (FieldSpec.uniform(ForceVector(0.0, 123.0)),
+    (FieldSpec.uniform(0.0, 123.0),
      '{"kind": "uniform", "speed": 0.0, "direction": 0.0}',
      "e61f41d57db208c5f92a35c4ce7198570924a3fc87eeba83441fceee5d6a2865"),
-    (FieldSpec.uniform(ForceVector(5.0, 240.0), GustSpec(1.5, 7.0)),
+    (FieldSpec.uniform(5.0, 240.0, GustSpec(1.5, 7.0)),
      '{"kind": "uniform", "speed": 5.0, "direction": 240.0, '
      '"gust": {"amplitude": 1.5, "period_s": 7.0}}',
      "ca64e0519b0471d9c967ea0ec71543ef310a68b447dcfcb358cd965d31174742"),
-    (FieldSpec.river_profile(ORIGIN, 510, ForceVector(1.2, 150.0), 40.0, GustSpec(0.3, 11.0)),
+    (FieldSpec.river_profile(ORIGIN, 510, 1.2, 150.0, 40.0, GustSpec(0.3, 11.0)),
      '{"kind": "river_profile", "axis_origin": {"lat": 34.0, "lon": -81.0}, '
      '"axis_bearing": 150.0, "centerline_speed": 1.2, "centerline_direction": 150.0, '
      '"half_width_m": 40.0, "gust": {"amplitude": 0.3, "period_s": 11.0}}',
      "bf11f6c5bc934f99bbbb4ee948188112e2eacc2e99ee4d1a8f1bf1f565d9face"),
-    (FieldSpec.river_profile(ORIGIN, 30.0, ForceVector(0.0, 77.0), 25.0),
+    (FieldSpec.river_profile(ORIGIN, 30.0, 0.0, 77.0, 25.0),
      '{"kind": "river_profile", "axis_origin": {"lat": 34.0, "lon": -81.0}, '
      '"axis_bearing": 30.0, "centerline_speed": 0.0, "centerline_direction": 0.0, '
      '"half_width_m": 25.0}',
@@ -376,14 +375,14 @@ def test_field_and_waypoint_dicts_reject_unknown_keys():
     mission = [*scenario["mission"][:1], {**scenario["mission"][1], "speed": 2.0}]
     with pytest.raises(ValueError, match=r"mission\[1\]\.speed\b"):
         from_dict(Scenario, {**scenario, "mission": mission})
-    river = field_to_dict(FieldSpec.river_profile(
-        axis_origin=ORIGIN, axis_bearing=150.0, centerline=ForceVector(1.0, 150.0),
-        half_width=20.0,
+    river = to_dict(FieldSpec.river_profile(
+        axis_origin=ORIGIN, axis_bearing=150.0, centerline_speed=1.0, centerline_direction=150.0,
+        half_width_m=20.0,
     ))
     with pytest.raises(ValueError, match=r"axis_origin\.alt\b"):
-        field_from_dict({**river, "axis_origin": {**river["axis_origin"], "alt": 0.0}})
+        from_dict(FieldSpec, {**river, "axis_origin": {**river["axis_origin"], "alt": 0.0}})
     with pytest.raises(ValueError, match=r"\bspeed\b"):
-        field_from_dict({**river, "speed": 1.0})
+        from_dict(FieldSpec, {**river, "speed": 1.0})
 
 
 @pytest.mark.parametrize("gust", [{}, False, 0, []], ids=["empty", "false", "zero", "list"])
@@ -401,7 +400,7 @@ def test_null_or_absent_gust_is_no_gust():
     uniform = {"kind": "uniform", "speed": 1.0, "direction": 90.0}
     for current in (uniform, {**uniform, "gust": None}):
         back = from_dict(Scenario, {**scenario, "current": current})
-        assert back.current == FieldSpec.uniform(ForceVector(1.0, 90.0))
+        assert back.current == FieldSpec.uniform(1.0, 90.0)
 
 
 def test_field_and_waypoint_dicts_name_missing_keys():
@@ -409,9 +408,9 @@ def test_field_and_waypoint_dicts_name_missing_keys():
     path, as a missing dataclass key does, not a bare KeyError."""
     scenario = to_dict(calm_water_scenario())
     uniform = {"kind": "uniform", "speed": 1.0, "direction": 90.0}
-    river = field_to_dict(FieldSpec.river_profile(
-        axis_origin=ORIGIN, axis_bearing=150.0, centerline=ForceVector(1.0, 150.0),
-        half_width=20.0, gust=GustSpec(0.5, 10.0),
+    river = to_dict(FieldSpec.river_profile(
+        axis_origin=ORIGIN, axis_bearing=150.0, centerline_speed=1.0, centerline_direction=150.0,
+        half_width_m=20.0, gust=GustSpec(0.5, 10.0),
     ))
     cases = {
         r"current\.direction$": {"current": {"kind": "uniform", "speed": 1.0}},
@@ -429,7 +428,7 @@ def test_field_and_waypoint_dicts_name_missing_keys():
         with pytest.raises(ValueError, match="missing config key\\(s\\): " + path):
             from_dict(Scenario, {**scenario, **override})
     with pytest.raises(ValueError, match=r"missing config key\(s\): kind$"):
-        field_from_dict({"speed": 1.0, "direction": 0.0})
+        from_dict(FieldSpec, {"speed": 1.0, "direction": 0.0})
 
 
 def test_zero_current_suite_columns_identical():
@@ -646,7 +645,7 @@ def test_read_training_csv_matches_per_line_float(tmp_path):
 
 
 def test_samples_from_trajectory_rebuilds_drift():
-    sc = _short_scenario(current=FieldSpec.uniform(ForceVector(0.5, 90.0)))
+    sc = _short_scenario(current=FieldSpec.uniform(0.5, 90.0))
     result = run_scenario(sc)
     corpus = samples_from_trajectory(result.log, list(sc.mission), sc.vehicle)
     assert corpus.shape == (len(result.log) - 1, len(FEATURE_NAMES) + len(TARGET_NAMES))

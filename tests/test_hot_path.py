@@ -20,7 +20,7 @@ import pytest
 
 from asvnav import control, env, vehicle
 from asvnav.control import PidGains
-from asvnav.env import Environment, FieldSpec, ForceVector, GustSpec, LeftDomainError
+from asvnav.env import Environment, FieldSpec, GustSpec, LeftDomainError
 from asvnav.geo import GeoPoint, bearing_of, enu_coords, offset_coords, point_coords, wrap_angle
 from asvnav.vehicle import NoiseSpec, VehicleParams
 
@@ -287,8 +287,8 @@ def test_grid_index_clamps_match_min_max(gust):
 
 
 def test_still_pair_samples_one_tuple():
-    current = FieldSpec.uniform(ForceVector(0.677, 150.0))
-    wind = FieldSpec.uniform(ForceVector(5.0, 240.0))
+    current = FieldSpec.uniform(0.677, 150.0)
+    wind = FieldSpec.uniform(5.0, 240.0)
     environment = Environment(current, wind)
     flows = environment.sample(GeoPoint(34.0, -81.0), 0.0)
     expected = (*env.sample_field(current, None, 0.0).enu(),
@@ -296,7 +296,7 @@ def test_still_pair_samples_one_tuple():
     assert _bits(flows) == _bits(expected)
     assert environment.sample(GeoPoint(10.0, 20.0), 99.0) is flows
     assert _bits(pickle.loads(pickle.dumps(environment)).sample(None, 0.0)) == _bits(expected)
-    gusty = Environment(current, FieldSpec.uniform(ForceVector(5.0, 240.0),
+    gusty = Environment(current, FieldSpec.uniform(5.0, 240.0,
                                                    GustSpec(amplitude=1.5, period_s=7.0)))
     assert gusty.sample(GeoPoint(34.0, -81.0), 0.0) == expected
     assert gusty.sample(GeoPoint(34.0, -81.0), 1.75) != expected

@@ -15,7 +15,7 @@ import pytest
 from asvnav import augment, harness, vehicle
 from asvnav.control import FRESH_PID
 from asvnav.effects import EffectModel, OracleEffectModel
-from asvnav.env import Environment, FieldSpec, ForceVector, GustSpec
+from asvnav.env import Environment, FieldSpec, GustSpec
 from asvnav.geo import METERS_PER_DEG_LAT
 from asvnav.metrics import LOG_COLUMNS, LogRecord, TrajectoryLog, cross_track_series, per_sample_error_csv
 from asvnav.vehicle import NoiseSpec, track_velocity
@@ -35,7 +35,7 @@ def _digest_scenario():
     directions = [[140.0 + 7.0 * i - 5.0 * j for j in range(4)] for i in range(4)]
     current = FieldSpec.grid(center.lat - 1.5 * dlat, center.lon - 1.5 * dlon, dlat, dlon,
                              speeds, directions)
-    wind = FieldSpec.uniform(ForceVector(5.0, 240.0), GustSpec(amplitude=1.5, period_s=7.0))
+    wind = FieldSpec.uniform(5.0, 240.0, GustSpec(amplitude=1.5, period_s=7.0))
     suite = harness.standard_suite()
     return replace(suite.template, mission=harness.suite_mission(suite, 0), current=current,
                    wind=wind, noise=NoiseSpec(sigma_speed=0.05, sigma_dir=2.0), seed=11,

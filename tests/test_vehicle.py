@@ -83,7 +83,7 @@ def test_step_calm_steady_state():
 
 
 def test_step_cross_current_vector_sum():
-    environment = Environment(FieldSpec.uniform(ForceVector(0.5, 90.0)), FieldSpec.calm())
+    environment = Environment(FieldSpec.uniform(0.5, 90.0), FieldSpec.calm())
     s = steady_state(heading=0.0, water_speed=2.0, environment=environment)
     _, spd_t, course_t, h_t, *_ = advance(s, trim_command(2.0), environment)
     assert spd_t == pytest.approx(math.sqrt(4.25), rel=1e-12)
@@ -93,7 +93,7 @@ def test_step_cross_current_vector_sum():
 
 
 def test_step_pure_drift():
-    environment = Environment(FieldSpec.uniform(ForceVector(1.0, 180.0)), FieldSpec.calm())
+    environment = Environment(FieldSpec.uniform(1.0, 180.0), FieldSpec.calm())
     s = steady_state(heading=90.0, water_speed=0.0, environment=environment)
     pos, spd_t, course_t, *_ = advance(s, (0.0, 0.0), environment)
     assert spd_t == pytest.approx(1.0, rel=1e-12)
@@ -120,7 +120,7 @@ def test_step_rejects_bad_dt_and_commands():
 
 def test_step_deterministic():
     environment = Environment(
-        FieldSpec.uniform(ForceVector(0.7, 230.0)), FieldSpec.uniform(ForceVector(3.0, 10.0))
+        FieldSpec.uniform(0.7, 230.0), FieldSpec.uniform(3.0, 10.0)
     )
     s = steady_state(heading=45.0, water_speed=1.7, environment=environment)
     a = advance(s, (0.4, 0.2), environment)
@@ -138,7 +138,7 @@ def test_drift_superposition_exact():
     equator = GeoPoint(0.0, -81.0)
     calm = Environment.calm()
     current = ForceVector(0.8, 135.0)
-    drifted = Environment(FieldSpec.uniform(current), FieldSpec.calm())
+    drifted = Environment(FieldSpec.uniform(current.speed, current.direction), FieldSpec.calm())
     dt, steps = 0.1, 600
 
     s_calm = steady_state(heading=30.0, water_speed=2.0, environment=calm, pos=equator)
@@ -156,7 +156,7 @@ def test_drift_superposition_exact():
 
 
 def test_sense_stationary_vehicle():
-    environment = Environment(FieldSpec.uniform(ForceVector(0.677, 180.0)), FieldSpec.calm())
+    environment = Environment(FieldSpec.uniform(0.677, 180.0), FieldSpec.calm())
     s = (ORIGIN, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)  # at rest, heading north
     water_spd, water_dir, _, _ = read_sensors(s, flows_at(s, environment))
     assert water_spd == pytest.approx(0.677, rel=1e-12)
@@ -173,7 +173,7 @@ def test_sense_self_motion_only():
 
 def test_sense_zero_noise_matches_analytic():
     environment = Environment(
-        FieldSpec.uniform(ForceVector(0.5, 60.0)), FieldSpec.uniform(ForceVector(2.0, 300.0))
+        FieldSpec.uniform(0.5, 60.0), FieldSpec.uniform(2.0, 300.0)
     )
     s = steady_state(heading=120.0, water_speed=1.5, environment=environment)
     clean = read_sensors(s, flows_at(s, environment))
@@ -187,7 +187,7 @@ def test_sense_zero_noise_matches_analytic():
 
 def test_sense_noise_reproducible_and_applied():
     environment = Environment(
-        FieldSpec.uniform(ForceVector(0.5, 60.0)), FieldSpec.uniform(ForceVector(2.0, 300.0))
+        FieldSpec.uniform(0.5, 60.0), FieldSpec.uniform(2.0, 300.0)
     )
     s = steady_state(heading=120.0, water_speed=1.5, environment=environment)
     noise = NoiseSpec(sigma_speed=0.05, sigma_dir=2.0)
@@ -212,7 +212,8 @@ def test_inverse_sensing_1000_random_states():
     for _ in range(1000):
         current = ForceVector(rng.uniform(0, 3), rng.uniform(0, 360))
         wind = ForceVector(rng.uniform(0, 10), rng.uniform(0, 360))
-        environment = Environment(FieldSpec.uniform(current), FieldSpec.uniform(wind))
+        environment = Environment(FieldSpec.uniform(current.speed, current.direction),
+                                  FieldSpec.uniform(wind.speed, wind.direction))
         s = _random_state(rng)
         spd_c, dir_c, spd_w, dir_w = recover(s, flows_at(s, environment))
         assert abs(spd_c - current.speed) < 1e-9
