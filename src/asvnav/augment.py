@@ -61,10 +61,11 @@ class AugmentConfig:
     reference_speed_floor_mps: float = 0.2
 
     def __post_init__(self):
-        if self.gain_k <= 0.0 or self.max_offset_m <= 0.0:
-            raise ValueError("gain_k and max_offset_m must be > 0")
-        if self.update_period_s <= 0.0 or self.reference_speed_floor_mps <= 0.0:
-            raise ValueError("update_period_s and reference_speed_floor_mps must be > 0")
+        if not (0.0 < self.gain_k < math.inf and 0.0 < self.max_offset_m < math.inf):
+            raise ValueError("gain_k and max_offset_m must be > 0 and finite")
+        if not (0.0 < self.update_period_s < math.inf
+                and 0.0 < self.reference_speed_floor_mps < math.inf):
+            raise ValueError("update_period_s and reference_speed_floor_mps must be > 0 and finite")
 
 
 def calc_intermediate_wp(

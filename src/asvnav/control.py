@@ -39,10 +39,10 @@ class PidGains:
     i_clamp: float
 
     def __post_init__(self):
-        if min(self.kp, self.ki, self.kd) < 0.0:
-            raise ValueError("gains must be >= 0")
-        if self.i_clamp <= 0.0:
-            raise ValueError("i_clamp must be > 0")
+        if not all(0.0 <= g < math.inf for g in (self.kp, self.ki, self.kd)):
+            raise ValueError("gains must be >= 0 and finite")
+        if not 0.0 < self.i_clamp < math.inf:
+            raise ValueError("i_clamp must be > 0 and finite")
 
 
 # A PID state: (integral, prev_error). The integral term is already scaled
@@ -95,8 +95,8 @@ class NavGains:
     lookahead_m: float = 25.0
 
     def __post_init__(self):
-        if self.lookahead_m <= 0.0:
-            raise ValueError("lookahead_m must be > 0")
+        if not 0.0 < self.lookahead_m < math.inf:
+            raise ValueError("lookahead_m must be > 0 and finite")
 
 
 # Frozen defaults, tuned once in calm water and used for every scenario.

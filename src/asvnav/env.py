@@ -53,7 +53,7 @@ class GustSpec:
     def __post_init__(self):
         if self.amplitude < 0.0 or not math.isfinite(self.amplitude):
             raise ValueError(f"gust amplitude must be >= 0, got {self.amplitude!r}")
-        if not self.period_s > 0.0:
+        if not 0.0 < self.period_s < math.inf:
             raise ValueError(f"gust period must be > 0, got {self.period_s!r}")
 
 
@@ -73,8 +73,9 @@ class FieldSpec:
 
 @dataclass(frozen=True)
 class UniformField(FieldSpec):
-    """The same flow everywhere: speed (m/s) toward direction (deg),
-    direction stored as ForceVector reports it."""
+    """The same flow everywhere: speed (m/s) toward direction (deg). The
+    direction is stored as ForceVector reports it: in [0, 360), 0.0 when
+    still."""
 
     speed: float
     direction: float
@@ -91,7 +92,8 @@ class RiverProfileField(FieldSpec):
 
     The centerline runs through axis_origin along axis_bearing and carries
     centerline_speed toward centerline_direction; speed reaches zero at
-    half_width_m meters to either side.
+    half_width_m meters to either side. Both angles are stored wrapped,
+    the direction as ForceVector reports it.
     """
 
     axis_origin: GeoPoint
@@ -103,7 +105,7 @@ class RiverProfileField(FieldSpec):
 
     def __post_init__(self):
         centerline = ForceVector(self.centerline_speed, self.centerline_direction)
-        if not self.half_width_m > 0.0:
+        if not 0.0 < self.half_width_m < math.inf:
             raise ValueError(f"half_width must be > 0, got {self.half_width_m!r}")
         _check_gust(self.gust, centerline.speed)
         object.__setattr__(self, "axis_bearing", wrap_angle(self.axis_bearing))
@@ -128,10 +130,8 @@ class GridField(FieldSpec):
     gust: Optional[GustSpec] = None
 
     def __post_init__(self):
-        if not (self.dlat > 0.0 and self.dlon > 0.0):
-            raise ValueError(
-                f"grid spacing must be > 0, got dlat={self.dlat!r} dlon={self.dlon!r}"
-            )
+        if not (0.0 < self.dlat < math.inf and 0.0 < self.dlon < math.inf):
+            raise ValueError(f"grid spacing must be > 0, got dlat={self.dlat!r} dlon={self.dlon!r}")
         spd = np.asarray(self.speeds, dtype=float)
         dirs = np.asarray(self.directions, dtype=float)
         if spd.ndim != 2 or spd.shape != dirs.shape or min(spd.shape) < 2:

@@ -304,8 +304,9 @@ class Scenario:
     def __post_init__(self):
         if not self.mission:
             raise ValueError("mission must contain at least one waypoint")
-        if self.duration_limit_s <= 0.0:
-            raise ValueError("duration_limit_s must be > 0")
+        for key in ("duration_limit_s", "acceptance_radius_m"):
+            if not 0.0 < getattr(self, key) < math.inf:
+                raise ValueError(f"{key} must be > 0 and finite, got {getattr(self, key)!r}")
         if self.augment.update_period_s < self.dt_s:
             raise ValueError("augment update period must be >= simulation dt")
         for wp in self.mission:

@@ -90,14 +90,16 @@ class VehicleParams:
     turn_time_constant: float = 1.0
 
     def __post_init__(self):
-        if min(self.max_water_speed, self.thrust_time_constant, self.max_turn_rate) <= 0.0:
-            raise ValueError("vehicle parameters must be positive")
+        if not all(0.0 < x < math.inf for x in (
+                self.max_water_speed, self.thrust_time_constant, self.max_turn_rate)):
+            raise ValueError("vehicle parameters must be positive and finite")
         if not 0.0 <= self.wind_drag_factor <= 0.2:
             raise ValueError(f"wind_drag_factor {self.wind_drag_factor} outside [0, 0.2]")
-        if self.steerage_reference_speed <= 0.0 or not 0.0 <= self.steerage_floor <= 1.0:
+        if not (0.0 < self.steerage_reference_speed < math.inf
+                and 0.0 <= self.steerage_floor <= 1.0):
             raise ValueError("steerage_reference_speed must be > 0 and steerage_floor in [0, 1]")
-        if self.turn_time_constant <= 0.0:
-            raise ValueError("turn_time_constant must be > 0")
+        if not 0.0 < self.turn_time_constant < math.inf:
+            raise ValueError("turn_time_constant must be > 0 and finite")
 
     def steerage_effectiveness(self, through_water_speed: float) -> float:
         """Fraction of max_turn_rate available at a given water speed.
@@ -120,8 +122,8 @@ class NoiseSpec:
     sigma_dir: float = 0.0
 
     def __post_init__(self):
-        if self.sigma_speed < 0.0 or self.sigma_dir < 0.0:
-            raise ValueError("noise sigmas must be >= 0")
+        if not (0.0 <= self.sigma_speed < math.inf and 0.0 <= self.sigma_dir < math.inf):
+            raise ValueError("noise sigmas must be >= 0 and finite")
 
 
 def step(pos: GeoPoint, h_t: float, through_water_speed: float, t: float, turn_rate: float,

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -101,12 +102,32 @@ def _set_path(config, path, value):
      "config current.axis_origin: latitude 91 outside [-90, 90]"),
     ("noise.sigma_speed_mps", -1, "config noise: noise sigmas must be >= 0"),
     ("current.kind", "grd", "config current.kind: unknown field kind 'grd'"),
+    # JSON NaN and Infinity break the rules of the classes that hold them
+    ("duration_limit_s", math.inf, "duration_limit_s must be > 0 and finite, got inf"),
+    ("duration_limit_s", math.nan, "duration_limit_s must be > 0 and finite, got nan"),
+    ("augment.max_offset_m", math.nan, "config augment: gain_k and max_offset_m must be > 0"),
+    ("augment.update_period_s", math.nan,
+     "config augment: update_period_s and reference_speed_floor_mps must be > 0"),
+    ("vehicle.thrust_time_constant_s", math.inf,
+     "config vehicle: vehicle parameters must be positive"),
+    ("acceptance_radius_m", -1, "acceptance_radius_m must be > 0 and finite, got -1\n"),
+    ("acceptance_radius_m", math.inf, "acceptance_radius_m must be > 0 and finite, got inf"),
+    ("noise.sigma_speed_mps", math.nan, "config noise: noise sigmas must be >= 0"),
+    ("current.gust", {"amplitude": 0.5, "period_s": math.nan},
+     "config current.gust: gust period must be > 0, got nan"),
+    ("current", {**RIVER_OFF_THE_GLOBE, "axis_origin": {"lat": 34.0, "lon": -81.0},
+                 "half_width_m": math.nan}, "config current: half_width must be > 0, got nan"),
+    ("current", {**GRID_CURRENT, "dlat": math.nan},
+     "config current: grid spacing must be > 0, got dlat=nan"),
 ], ids=["field", "dt", "seed", "waypoint", "gain", "ragged-grid", "gain-rule", "augment-rule",
-        "latitude-rule", "noise-rule", "field-kind"])
+        "latitude-rule", "noise-rule", "field-kind", "duration-inf", "duration-nan",
+        "max-offset-nan", "update-period-nan", "thrust-time-constant-inf", "radius-negative",
+        "radius-inf", "noise-nan", "gust-period-nan", "half-width-nan", "grid-spacing-nan"])
 def test_config_value_of_wrong_type_names_its_path(tmp_path, capsys, path, value, message):
     """A value of the wrong JSON type, a grid with a ragged row, a value
-    that breaks its class's own rule, or an unknown field kind, is one
-    stderr line naming its dotted path, not a traceback."""
+    that breaks its class's own rule (NaN and infinity included), or an
+    unknown field kind, is one stderr line naming its dotted path or key,
+    not a traceback."""
     with open(CONFIGS / "downstream_failure_augmented.json") as fh:
         config = _set_path(json.load(fh), path, value)
     bad = tmp_path / "bad.json"
@@ -226,7 +247,11 @@ def test_bad_input_is_one_stderr_line(tmp_path, capsys):
     (lambda c: {**c, "acceptance_radius_m": None},
      "config acceptance_radius_m must be a number, got None"),
     (lambda c: [c], "config file must be a JSON object"),
-], ids=["string", "null", "list"])
+    (lambda c: {**c, "acceptance_radius_m": -1},
+     "acceptance_radius_m must be > 0 and finite, got -1"),
+    (lambda c: {**c, "acceptance_radius_m": math.inf},
+     "acceptance_radius_m must be > 0 and finite, got inf"),
+], ids=["string", "null", "list", "negative-radius", "infinite-radius"])
 def test_report_decodes_the_run_config(tmp_path, capsys, edit, message):
     """asvnav report reads a run's resolved_config.json as asvnav run reads
     a scenario, so a bad value there is one stderr line, not a traceback."""

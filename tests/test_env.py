@@ -1,6 +1,7 @@
 """Disturbance fields: profile math, grid interpolation, gusts."""
 
 import hashlib
+import math
 import pickle
 
 import numpy as np
@@ -129,6 +130,14 @@ def test_field_parameter_validation():
         FieldSpec.grid(lat0=0.0, lon0=0.0, dlat=0.0, dlon=0.01,
                        speeds=[[1.0, 1.0], [1.0, 1.0]],
                        directions=[[0.0, 0.0], [0.0, 0.0]])
+    # an infinite width, spacing or period is not a way to write a uniform
+    # flow, one cell or no gust
+    with pytest.raises(ValueError, match="half_width must be > 0, got inf"):
+        FieldSpec.river_profile(ORIGIN, 0.0, 1.0, 0.0, math.inf)
+    with pytest.raises(ValueError, match="grid spacing must be > 0"):
+        FieldSpec.grid(0.0, 0.0, 0.01, math.inf, [[1.0, 1.0], [1.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="gust period must be > 0, got inf"):
+        GustSpec(0.5, math.inf)
 
 
 def test_force_vector_validation():
