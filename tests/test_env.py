@@ -167,8 +167,9 @@ def test_river_gust_scales_the_centerline():
 
 
 def test_uniform_and_grid_gusts_unchanged():
-    """Gusted uniform and grid samples, pinned bit for bit (sha256 of their
-    repr) from before the river gust fix and the per-field samplers."""
+    """Gusted uniform and grid samples, pinned bit for bit (sha256 of the
+    repr of their east/north flows) from before the one east/north
+    sampling path."""
     uniform = FieldSpec.uniform(4.0, 90.0, gust=GustSpec(1.0, 60.0))
     grid = FieldSpec.grid(
         33.999, -81.001, 0.001, 0.001,
@@ -179,12 +180,12 @@ def test_uniform_and_grid_gusts_unchanged():
     points = [ORIGIN, GeoPoint(34.00037, -80.99962), GeoPoint(33.99951, -81.00083)]
     samples = []
     for field in (uniform, grid):
+        environment = Environment(field, FieldSpec.calm())
         for p in points:
             for t in (0.0, 2.25, 3.7, 15.0):
-                v = sample_field(field, p, t)
-                samples.append((v.speed, v.direction))
+                samples.append(environment.sample(p, t)[:2])
     digest = hashlib.sha256(repr(samples).encode()).hexdigest()
-    assert digest == "51152bec93b933694b1882fe189fddd0d1e0fabfefd1e8c50d5aed8f4f3f7a41"
+    assert digest == "06ce3bed611944e996516da5b18d6a16900bc8b3318c2fb7fdb658a2eece4944"
 
 
 def test_environment_sample_matches_sample_field():
