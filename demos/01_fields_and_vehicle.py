@@ -7,7 +7,7 @@ current simply translates the calm-water trajectory (drift superposition).
 
 import math
 
-from asvnav.env import Environment, FieldSpec, ForceVector, GustSpec, sample_field
+from asvnav.env import Environment, FieldSpec, ForceVector, GustSpec
 from asvnav.geo import GeoPoint, displaced, distance_bearing
 from asvnav.vehicle import VehicleParams, step
 
@@ -22,14 +22,17 @@ for lateral in (-25, -20, -10, 0, 10, 20, 25):
     # move perpendicular to the channel axis
     p = displaced(origin, lateral * math.cos(math.radians(150.0)),
                   -lateral * math.sin(math.radians(150.0)))
-    v = sample_field(river, p, 0.0)
-    bar = "#" * int(40 * v.speed)
-    print(f"  {lateral:+4d} m off-axis: {v.speed:4.2f} m/s {bar}")
+    east, north, _, _ = Environment(river, FieldSpec.calm()).sample(p, 0.0)
+    speed = math.hypot(east, north)
+    bar = "#" * int(40 * speed)
+    print(f"  {lateral:+4d} m off-axis: {speed:4.2f} m/s {bar}")
 
 print("\n=== gusting wind (sinusoidal, reproducible) ===")
 wind = FieldSpec.uniform(4.0, 240.0, gust=GustSpec(amplitude=1.0, period_s=60.0))
+gusty = Environment(FieldSpec.calm(), wind)
 for t in (0, 15, 30, 45, 60):
-    print(f"  t={t:3d} s: {sample_field(wind, origin, t).speed:4.2f} m/s")
+    _, _, we, wn = gusty.sample(origin, t)
+    print(f"  t={t:3d} s: {math.hypot(we, wn):4.2f} m/s")
 
 print("\n=== drift superposition (open loop, fixed heading and thrust) ===")
 params = VehicleParams()

@@ -38,7 +38,6 @@ from .env import (
     LeftDomainError,
     RiverProfileField,
     UniformField,
-    sample_field,
 )
 from .geo import (
     GeoPoint,

@@ -12,15 +12,10 @@ from . import effects, harness
 from .metrics import TrajectoryLog, cross_track_series, score, sign_changes_over_threshold
 
 
-def _apply_overrides(scenario, args):
-    if args.seed is not None:
-        scenario = replace(scenario, seed=args.seed)
-    return scenario
-
-
 def _cmd_run(args) -> int:
     scenario = harness.load_scenario(args.scenario)
-    scenario = _apply_overrides(scenario, args)
+    if args.seed is not None:
+        scenario = replace(scenario, seed=args.seed)
     result = harness.run_scenario(scenario, out_dir=args.out)
     print(json.dumps(result.summary(), indent=2, sort_keys=True))
     return 0 if result.completed else 1

@@ -172,22 +172,29 @@ def _gust_term(gust: GustSpec, t: float) -> float:
     return gust.amplitude * math.sin(2.0 * math.pi * t / gust.period_s)
 
 
-def _polar_sampler(field: FieldSpec) -> Sampler:
-    """(speed, direction) of the field at (p, t), gusts included, speed
-    clamped at zero. Everything that does not depend on (p, t) is worked
-    out here, once per field."""
+def _flow(speed: float, direction: float) -> tuple[float, float]:
+    """(east, north) of a flow of speed >= 0 (m/s) toward direction in
+    [0, 360) (deg): ForceVector(speed, direction).enu(), bit for bit."""
+    if speed > 0.0:
+        ue, un = unit_enu(direction)
+        return speed * ue, speed * un
+    return 0.0, 0.0  # ForceVector reports a still flow as direction 0
+
+
+def _sampler(field: FieldSpec) -> Sampler:
+    """(east, north) flow of the field at (p, t), gusts included, speed
+    clamped at zero: each kind works out a speed and direction for _flow.
+    What does not depend on (p, t) is worked out here, once per field, so a
+    uniform field without a gust returns one value."""
     gust = field.gust
     if isinstance(field, UniformField):
         ue, un = unit_enu(field.direction)
         be, bn = field.speed * ue, field.speed * un
         base_speed, direction = math.hypot(be, bn), bearing_of(be, bn)
-
-        def uniform(p: GeoPoint, t: float) -> tuple[float, float]:
-            if gust is None:
-                return base_speed, direction
-            return max(0.0, base_speed + _gust_term(gust, t)), direction
-
-        return uniform
+        if gust is None:
+            value = _flow(base_speed, direction)
+            return lambda p, t: value
+        return lambda p, t: _flow(max(0.0, base_speed + _gust_term(gust, t)), direction)
     if isinstance(field, RiverProfileField):
         origin, half_width = field.axis_origin, field.half_width_m
         center_speed = field.centerline_speed
@@ -203,7 +210,7 @@ def _polar_sampler(field: FieldSpec) -> Sampler:
             speed = center_speed if gust is None else max(0.0, center_speed + _gust_term(gust, t))
             east = speed * ue * factor
             north = speed * un * factor
-            return math.hypot(east, north), bearing_of(east, north)
+            return _flow(math.hypot(east, north), bearing_of(east, north))
 
         return river
     if isinstance(field, GridField):
@@ -244,37 +251,10 @@ def _polar_sampler(field: FieldSpec) -> Sampler:
             speed = math.hypot(east, north)
             if gust is not None:
                 speed = max(0.0, speed + _gust_term(gust, t))
-            return speed, bearing_of(east, north)
+            return _flow(speed, bearing_of(east, north))
 
         return grid
     raise TypeError(f"not a field kind: {type(field).__name__}")
-
-
-def sample_field(field: FieldSpec, p: GeoPoint, t: float) -> ForceVector:
-    """Flow at point p and time t, gusts included, speed clamped at zero.
-
-    Raises LeftDomainError for a point outside a grid field.
-    """
-    return ForceVector(*_polar_sampler(field)(p, t))
-
-
-def _field_sampler(field: FieldSpec) -> Sampler:
-    """(east, north) flow components at (p, t), equal bit for bit to
-    sample_field(field, p, t).enu(). A uniform field without a gust is
-    constant, so its sampler returns a value computed once."""
-    polar = _polar_sampler(field)
-    if isinstance(field, UniformField) and field.gust is None:
-        value = ForceVector(*polar(None, 0.0)).enu()  # uniform flow ignores p and t
-        return lambda p, t: value
-
-    def sampler(p: GeoPoint, t: float) -> tuple[float, float]:
-        speed, direction = polar(p, t)
-        if speed > 0.0:
-            ue, un = unit_enu(direction)
-            return speed * ue, speed * un
-        return 0.0, 0.0  # ForceVector reports a still flow as direction 0
-
-    return sampler
 
 
 @dataclass(frozen=True)
@@ -289,7 +269,7 @@ class Environment:
     wind: FieldSpec
 
     def __post_init__(self):
-        current, wind = _field_sampler(self.current), _field_sampler(self.wind)
+        current, wind = _sampler(self.current), _sampler(self.wind)
         object.__setattr__(self, "_current", current)
         object.__setattr__(self, "_wind", wind)
         # two uniform fields without a gust are still: their flows are one

@@ -62,6 +62,7 @@ from .metrics import (
 )
 from .vehicle import (
     DEFAULT_DT,
+    MAX_STEP_DT,
     NoiseSpec,
     StateFloats,
     VehicleParams,
@@ -302,6 +303,9 @@ class Scenario:
     name: str = "scenario"
 
     def __post_init__(self):
+        # first: NaN passes the update period comparison below
+        if not 0.0 < self.dt_s <= MAX_STEP_DT:
+            raise ValueError(f"dt_s must be in (0, {MAX_STEP_DT}], got {self.dt_s!r}")
         if not self.mission:
             raise ValueError("mission must contain at least one waypoint")
         for key in ("duration_limit_s", "acceptance_radius_m"):
@@ -496,15 +500,14 @@ def _closed_loop(sc: Scenario, mission: list[Waypoint], model) -> tuple[Trajecto
 
     Each tick is Environment.sample, sense, relative_to_absolute (current,
     then wind), navigator_step (with model None: the baseline) and step; a tick
-    that completes the mission takes no step. Checks that can fire here:
-    the dt range (first of all: the step count divides by dt), dt > 0,
-    the radius, a non-finite command, a negative or non-finite state, the
-    offset and latitude limits of each move, and LeftDomainError, which
-    ends the run.
+    that completes the mission takes no step. The Scenario has checked dt
+    (the step count divides by it) and the radius. Checks that can fire
+    here: a non-finite command, a negative or non-finite state, the offset
+    and latitude limits of each move, and LeftDomainError, which ends the
+    run.
     """
     dt, params, gains, noise, cfg = sc.dt_s, sc.vehicle, sc.gains, sc.noise, sc.augment
     radius = sc.acceptance_radius_m
-    _check_dt(dt)
     max_steps = int(round(sc.duration_limit_s / dt))
     rng = np.random.default_rng(sc.seed)
     sample = Environment(current=sc.current, wind=sc.wind).sample
@@ -764,19 +767,19 @@ _TEMPLATE_MISSION = (
 )
 
 
-def standard_template(
+def standard_suite(
     current_speed: float = RIVER_CURRENT_MPS,
     axis: float = RIVER_AXIS_DEG,
     wind_speed: float = CROSSWIND_MPS,
     seed: int = 0,
-) -> Scenario:
-    """Shared scenario template for the paired eight-orientation suite.
+) -> SuiteSpec:
+    """The paired comparison experiment: 8 orientations x 2 controllers.
 
     Uniform current along the river axis plus a light uniform crosswind,
     so even the along-current legs carry some lateral disturbance for the
     baseline to mishandle.
     """
-    return Scenario(
+    template = Scenario(
         mission=_TEMPLATE_MISSION,
         current=FieldSpec.uniform(current_speed, axis),
         wind=FieldSpec.uniform(wind_speed, axis + 90.0),
@@ -784,20 +787,7 @@ def standard_template(
         seed=seed,
         name="template",
     )
-
-
-def standard_suite(
-    current_speed: float = RIVER_CURRENT_MPS,
-    axis: float = RIVER_AXIS_DEG,
-    wind_speed: float = CROSSWIND_MPS,
-    seed: int = 0,
-) -> SuiteSpec:
-    """The paired comparison experiment: 8 orientations x 2 controllers."""
-    return SuiteSpec(
-        center=RIVER_CENTER,
-        current_axis_bearing_deg=axis,
-        template=standard_template(current_speed, axis, wind_speed, seed=seed),
-    )
+    return SuiteSpec(center=RIVER_CENTER, current_axis_bearing_deg=axis, template=template)
 
 
 def calm_water_scenario(seed: int = 0, controller: str = "baseline") -> Scenario:

@@ -153,15 +153,19 @@ class TrajectoryLog:
         The CSV schema does not carry course, through-water speed or turn
         rate, so those columns are zero; everything the scoring needs
         (time, position, waypoint index) survives the round trip. Blank
-        lines are skipped. A rejection raises ValueError naming the path
-        and the file line of the first offending row.
+        and whitespace-only lines are skipped. A rejection raises
+        ValueError naming the path and the file line of the first offending
+        row.
         """
         with open(path) as fh:
             header = fh.readline().rstrip("\n").split(",")
             if header != _CSV_COLUMNS:
                 raise ValueError(f"{path}: line 1: unexpected trajectory header {header}")
             text = fh.read()
-        lines = [line for line in text.split("\n") if line]
+        # (file line, text) of each row: the header is line 1, and blank or
+        # whitespace-only lines count in the file but hold no row
+        rows = [(n, line) for n, line in enumerate(text.split("\n"), start=2) if line.strip()]
+        lines = [line for _, line in rows]
         log = cls()
         if not lines:
             return log
@@ -172,9 +176,7 @@ class TrajectoryLog:
                 raise _RowError(row, f"expected {width} fields, got {lines[row].count(',') + 1}")
             columns, log.wp_index, log.intermediate = _trajectory_columns(lines)
         except _RowError as exc:
-            # the header is line 1; blank lines count in the file but hold no row
-            lineno = [n for n, line in enumerate(text.split("\n"), start=2) if line][exc.row]
-            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            raise ValueError(f"{path}: line {rows[exc.row][0]}: {exc}") from None
         for name, column in columns.items():
             setattr(log, name, array("d", column.tobytes()))
         return log

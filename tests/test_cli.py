@@ -119,10 +119,14 @@ def _set_path(config, path, value):
                  "half_width_m": math.nan}, "config current: half_width must be > 0, got nan"),
     ("current", {**GRID_CURRENT, "dlat": math.nan},
      "config current: grid spacing must be > 0, got dlat=nan"),
+    ("dt_s", math.nan, "dt_s must be in (0, 0.5], got nan"),
+    ("dt_s", 0, "dt_s must be in (0, 0.5], got 0\n"),
+    ("dt_s", 0.7, "dt_s must be in (0, 0.5], got 0.7"),
 ], ids=["field", "dt", "seed", "waypoint", "gain", "ragged-grid", "gain-rule", "augment-rule",
         "latitude-rule", "noise-rule", "field-kind", "duration-inf", "duration-nan",
         "max-offset-nan", "update-period-nan", "thrust-time-constant-inf", "radius-negative",
-        "radius-inf", "noise-nan", "gust-period-nan", "half-width-nan", "grid-spacing-nan"])
+        "radius-inf", "noise-nan", "gust-period-nan", "half-width-nan", "grid-spacing-nan",
+        "dt-nan", "dt-zero", "dt-over-max"])
 def test_config_value_of_wrong_type_names_its_path(tmp_path, capsys, path, value, message):
     """A value of the wrong JSON type, a grid with a ragged row, a value
     that breaks its class's own rule (NaN and infinity included), or an

@@ -135,8 +135,9 @@ def test_explicit_start_pose_rejected(pose, message):
 
 @pytest.mark.parametrize("dt", [0.0, -0.1, 0.6])
 def test_run_rejects_dt_out_of_range(dt):
-    # the dt check runs before the step count divides by dt
-    with pytest.raises(ValueError, match=r"dt must be in \(0, 0.5\]"):
+    # the scenario checks dt_s when it is built, so no run divides its step
+    # count by a bad one
+    with pytest.raises(ValueError, match=r"^dt_s must be in \(0, 0.5\], got "):
         run_scenario(_short_scenario(dt_s=dt))
 
 

@@ -20,7 +20,7 @@ import pytest
 
 from asvnav import control, env, vehicle
 from asvnav.control import PidGains
-from asvnav.env import Environment, FieldSpec, GustSpec, LeftDomainError
+from asvnav.env import Environment, FieldSpec, ForceVector, GustSpec, LeftDomainError
 from asvnav.geo import GeoPoint, bearing_of, enu_coords, offset_coords, point_coords, wrap_angle
 from asvnav.vehicle import NoiseSpec, VehicleParams
 
@@ -118,7 +118,8 @@ def _grid_nodes(field):
 
 
 def _old_grid(field, p, t):
-    """The grid sampler of _polar_sampler with its min/max index clamps."""
+    """The grid sampler with its min/max index clamps, its flow turned to
+    east/north by ForceVector."""
     node_east, node_north = _grid_nodes(field)
     nodes = np.stack((node_east, node_north), axis=-1).tolist()
     ni, nj = node_east.shape
@@ -142,7 +143,7 @@ def _old_grid(field, p, t):
     speed = math.hypot(east, north)
     if field.gust is not None:
         speed = max(0.0, speed + env._gust_term(field.gust, t))
-    return speed, _old_bearing_of(east, north)
+    return ForceVector(speed, _old_bearing_of(east, north)).enu()
 
 
 @dataclass(frozen=True)
@@ -267,7 +268,7 @@ def _grid_field(gust=None):
 @pytest.mark.parametrize("gust", [None, GustSpec(amplitude=0.5, period_s=7.0)])
 def test_grid_index_clamps_match_min_max(gust):
     field = _grid_field(gust)
-    sampler = env._polar_sampler(field)
+    sampler = env._sampler(field)
     ni, nj = _grid_nodes(field)[0].shape
     tol = 1e-9
     # fractional indices on the domain edges, the edge tolerance and the
@@ -286,13 +287,27 @@ def test_grid_index_clamps_match_min_max(gust):
             assert _outcome(sampler, p, t) == _outcome(_old_grid, field, p, t), (lat, lon, t)
 
 
+def test_flow_matches_force_vector_enu():
+    # what a sampler hands _flow: speeds from hypot or max(0.0, ...) and
+    # directions from bearing_of, so >= 0 and never -0.0
+    def signless(values):
+        return [v for v in values if v >= 0.0 and _bits(v) != _bits(-0.0)]
+
+    speeds = signless(_around(1.0) + _random(0.0, 8.0, 100) + [5e-324, 1e300])
+    directions = [d for d in signless(_around(90.0, 180.0, 270.0, 360.0) + _random(0.0, 360.0, 100))
+                  if d < 360.0]
+    for speed in speeds:
+        for direction in directions:
+            assert _bits(env._flow(speed, direction)) == \
+                _bits(ForceVector(speed, direction).enu()), (speed, direction)
+
+
 def test_still_pair_samples_one_tuple():
     current = FieldSpec.uniform(0.677, 150.0)
     wind = FieldSpec.uniform(5.0, 240.0)
     environment = Environment(current, wind)
     flows = environment.sample(GeoPoint(34.0, -81.0), 0.0)
-    expected = (*env.sample_field(current, None, 0.0).enu(),
-                *env.sample_field(wind, None, 0.0).enu())
+    expected = (*env._sampler(current)(None, 0.0), *env._sampler(wind)(None, 0.0))
     assert _bits(flows) == _bits(expected)
     assert environment.sample(GeoPoint(10.0, 20.0), 99.0) is flows
     assert _bits(pickle.loads(pickle.dumps(environment)).sample(None, 0.0)) == _bits(expected)

@@ -180,16 +180,19 @@ def _trajectory_lines():
     return [line.split(",") for line in log.to_csv().splitlines()]
 
 
-def _write_trajectory(path, lines, blank_after=()):
-    path.write_text("".join(",".join(cells) + "\n" + ("\n" if i in blank_after else "")
+def _write_trajectory(path, lines, blank_after={}):
+    """lines written as CSV; blank_after maps a line's index to the blank or
+    whitespace-only line that follows it."""
+    path.write_text("".join(",".join(cells) + "\n"
+                            + (blank_after[i] + "\n" if i in blank_after else "")
                             for i, cells in enumerate(lines)))
     return path
 
 
-def _edited_trajectory(path, edits, blank_after=()):
+def _edited_trajectory(path, edits, blank_after={}):
     """The short log's CSV with cells replaced: edits maps (row, column
     name) to text, or to None to drop the cell; rows count from 1 after
-    the header. A blank line follows each row in blank_after."""
+    the header. blank_after maps a row to the blank line that follows it."""
     lines = _trajectory_lines()
     for (row, column), text in edits.items():
         lines[row][lines[0].index(column)] = text
@@ -197,7 +200,7 @@ def _edited_trajectory(path, edits, blank_after=()):
                              blank_after)
 
 
-def _bad_rows(edits, blank_after=()):
+def _bad_rows(edits, blank_after={}):
     """A case of test_trajectory_csv_rejects_bad_rows, named by its edits."""
     name = "-".join(f"{c}={t}" for (_, c), t in edits.items())
     return pytest.param(edits, blank_after, id=name + ("-after-blank-lines" if blank_after else ""))
@@ -225,7 +228,7 @@ def _bad_rows(edits, blank_after=()):
     _bad_rows({(3, "rudder"): None}),
     _bad_rows({(3, "wp_index"): "1.0"}),
     _bad_rows({(3, "int_lat"): "34.0"}),
-    _bad_rows({(3, "t"): "1.0"}, blank_after=(0, 1, 2)),
+    _bad_rows({(3, "t"): "1.0"}, blank_after={0: "", 1: " \t ", 2: ""}),
 ])
 def test_trajectory_csv_rejects_bad_rows(tmp_path, edits, blank_after):
     """The rejection names the file and the file line of the edited row,
@@ -305,7 +308,8 @@ def test_trajectory_csv_reader_skips_blank_lines(tmp_path):
     lines = _trajectory_lines()
     plain = TrajectoryLog.from_csv(_write_trajectory(tmp_path / "plain.csv", lines))
     spaced = TrajectoryLog.from_csv(_write_trajectory(tmp_path / "spaced.csv", lines,
-                                                      blank_after=(0, 2, 3, len(lines) - 1)))
+                                                      blank_after={0: "", 2: "  ", 3: "",
+                                                                   len(lines) - 1: "\t"}))
     assert len(spaced) == len(lines) - 1
     assert spaced.records == plain.records
     empty = TrajectoryLog.from_csv(_write_trajectory(tmp_path / "empty.csv", lines[:1]))
