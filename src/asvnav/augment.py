@@ -70,14 +70,15 @@ class AugmentConfig:
 
 def calc_intermediate_wp(
     goal: Waypoint,
-    pos: GeoPoint,
+    lat: float,
+    lon: float,
     effect_x: float,
     effect_y: float,
     cfg: AugmentConfig,
     reference_speed: float,
 ) -> GeoPoint:
     """Place the intermediate waypoint for the current goal, seen from a
-    vehicle at pos.
+    vehicle at (lat, lon).
 
     The predicted drift per meter of travel is the drift velocity divided
     by the commanded ground speed; the offset opposes it, scaled by the
@@ -93,7 +94,7 @@ def calc_intermediate_wp(
         raise ValueError(f"non-finite effect components ({effect_x}, {effect_y})")
     if effect_x == 0.0 and effect_y == 0.0:
         return goal.pos
-    d_t = math.hypot(*enu_coords(pos.lat, pos.lon, goal.pos.lat, goal.pos.lon))
+    d_t = math.hypot(*enu_coords(lat, lon, goal.pos.lat, goal.pos.lon))
     ref_speed = max(reference_speed, cfg.reference_speed_floor_mps)
     off_e = -cfg.gain_k * d_t * effect_x / ref_speed
     off_n = -cfg.gain_k * d_t * effect_y / ref_speed
@@ -128,7 +129,8 @@ def _advance(lat: float, lon: float, mission: Sequence[Waypoint], index: int,
 
 
 def navigator_step(
-    pos: GeoPoint,
+    lat: float,
+    lon: float,
     spd_t: float,
     h_t: float,
     t: float,
@@ -147,8 +149,8 @@ def navigator_step(
     dt: float = DEFAULT_DT,
     radius: float = DEFAULT_ACCEPT_RADIUS,
 ) -> tuple[float, float, int, Optional[Line], PidFloats, PidFloats, Optional[Waypoint], float]:
-    """One control step of the waypoint navigator, for a vehicle at pos
-    with ground speed spd_t and heading h_t at time t.
+    """One control step of the waypoint navigator, for a vehicle at
+    (lat, lon) with ground speed spd_t and heading h_t at time t.
 
     The navigator's state is the active waypoint index, the tracking line
     (None until its target is first steered at), both PID states, the held
@@ -173,7 +175,6 @@ def navigator_step(
         raise ValueError("mission must contain at least one waypoint")
     if dt <= 0.0:
         raise ValueError(f"dt must be > 0, got {dt!r}")
-    lat, lon = pos.lat, pos.lon
     reached = _advance(lat, lon, mission, index, radius)
     if reached != index:
         # a new goal: both integrators restart, the held target is dropped
@@ -191,8 +192,8 @@ def navigator_step(
             # intermediate waypoint.
             drift_e, drift_n, deficit = model.predict(*force, target.spd_target, h_t)
             spd = adjusted_speed(_denoise(deficit), target.spd_target, params)
-            aim = calc_intermediate_wp(target, pos, _denoise(drift_e), _denoise(drift_n), cfg,
-                                       spd)
+            aim = calc_intermediate_wp(target, lat, lon, _denoise(drift_e), _denoise(drift_n),
+                                       cfg, spd)
             refreshed = Waypoint(aim, spd)
             # Re-anchor only when the target actually moved; an unchanged
             # target keeps the established tracking line (and keeps a
@@ -206,7 +207,7 @@ def navigator_step(
             next_update_t = t + cfg.update_period_s
         target = intermediate
     if line is None:
-        line = tracking_line(pos, target.pos)
+        line = tracking_line(lat, lon, target.pos)
     thrust, rudder, heading_pid, speed_pid = steer_toward(
         lat, lon, h_t, spd_t, target, line, gains, heading_pid, speed_pid, dt
     )

@@ -114,17 +114,17 @@ def waypoint_reached(lat: float, lon: float, wp: Waypoint, radius: float) -> boo
     return math.hypot(*enu_coords(lat, lon, wp.pos.lat, wp.pos.lon)) <= radius
 
 
-# A tracking line: its anchor, then the length (m) and (east, north) unit
-# vector of the anchor->target leg.
-Line = tuple[GeoPoint, float, float, float]
+# A tracking line: its anchor's lat and lon, then the length (m) and
+# (east, north) unit vector of the anchor->target leg.
+Line = tuple[float, float, float, float, float]
 
 
-def tracking_line(anchor: GeoPoint, target: GeoPoint) -> Line:
-    """The anchor->target tracking line. It holds for many ticks: callers
-    work it out once per (anchor, target)."""
-    east, north = enu_coords(anchor.lat, anchor.lon, target.lat, target.lon)
+def tracking_line(lat: float, lon: float, target: GeoPoint) -> Line:
+    """The tracking line from an anchor at (lat, lon) to target. It holds
+    for many ticks: callers work it out once per (anchor, target)."""
+    east, north = enu_coords(lat, lon, target.lat, target.lon)
     ue, un = unit_enu(bearing_of(east, north))
-    return anchor, math.hypot(east, north), ue, un
+    return lat, lon, math.hypot(east, north), ue, un
 
 
 def aim_point(lat: float, lon: float, target: GeoPoint, line: Optional[Line],
@@ -138,8 +138,8 @@ def aim_point(lat: float, lon: float, target: GeoPoint, line: Optional[Line],
     """
     if line is None:
         return target.lat, target.lon
-    anchor, leg_len, ue, un = line
-    east, north = enu_coords(anchor.lat, anchor.lon, lat, lon)
+    anchor_lat, anchor_lon, leg_len, ue, un = line
+    east, north = enu_coords(anchor_lat, anchor_lon, lat, lon)
     along = east * ue + north * un
     ahead = along + lookahead_m
     ahead = leg_len if leg_len < ahead else ahead  # min(ahead, leg_len)
@@ -151,7 +151,7 @@ def aim_point(lat: float, lon: float, target: GeoPoint, line: Optional[Line],
         return target.lat, target.lon
     # the coordinates of the GeoPoint displaced would return (ahead > 0,
     # so the offset is never zero)
-    return point_coords(*offset_coords(anchor.lat, anchor.lon, ahead * ue, ahead * un))
+    return point_coords(*offset_coords(anchor_lat, anchor_lon, ahead * ue, ahead * un))
 
 
 def steer_toward(lat: float, lon: float, h_t: float, spd_t: float, target: Waypoint,

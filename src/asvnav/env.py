@@ -160,7 +160,7 @@ class LeftDomainError(ValueError):
     """A point lies outside the domain a field is defined on."""
 
 
-Sampler = Callable[[GeoPoint, float], tuple[float, float]]
+Sampler = Callable[[float, float, float], tuple[float, float]]
 
 # (current east, current north, wind east, wind north) in m/s at one point
 # and time: what Environment.sample returns once per tick, for sense and
@@ -181,28 +181,27 @@ def _flow(speed: float, direction: float) -> tuple[float, float]:
     return 0.0, 0.0  # ForceVector reports a still flow as direction 0
 
 
-def _sampler(field: FieldSpec) -> Sampler:
-    """(east, north) flow of the field at (p, t), gusts included, speed
-    clamped at zero: each kind works out a speed and direction for _flow.
-    What does not depend on (p, t) is worked out here, once per field, so a
-    uniform field without a gust returns one value."""
+def _sampler(field: FieldSpec) -> Sampler | tuple[float, float]:
+    """(east, north) flow of the field at (lat, lon, t), gusts included,
+    speed clamped at zero: each kind works out a speed and direction for
+    _flow. What does not depend on (lat, lon, t) is worked out here, once
+    per field, so a uniform field without a gust is its one value."""
     gust = field.gust
     if isinstance(field, UniformField):
         ue, un = unit_enu(field.direction)
         be, bn = field.speed * ue, field.speed * un
         base_speed, direction = math.hypot(be, bn), bearing_of(be, bn)
         if gust is None:
-            value = _flow(base_speed, direction)
-            return lambda p, t: value
-        return lambda p, t: _flow(max(0.0, base_speed + _gust_term(gust, t)), direction)
+            return _flow(base_speed, direction)
+        return lambda lat, lon, t: _flow(max(0.0, base_speed + _gust_term(gust, t)), direction)
     if isinstance(field, RiverProfileField):
         origin, half_width = field.axis_origin, field.half_width_m
         center_speed = field.centerline_speed
         ae, an = unit_enu(field.axis_bearing)
         ue, un = unit_enu(field.centerline_direction)
 
-        def river(p: GeoPoint, t: float) -> tuple[float, float]:
-            east, north = enu_coords(origin.lat, origin.lon, p.lat, p.lon)
+        def river(lat: float, lon: float, t: float) -> tuple[float, float]:
+            east, north = enu_coords(origin.lat, origin.lon, lat, lon)
             lateral = east * an - north * ae  # signed distance off-axis
             factor = max(0.0, 1.0 - (lateral / half_width) ** 2)
             # the gust modulates the centerline speed, so the profile still
@@ -226,11 +225,11 @@ def _sampler(field: FieldSpec) -> Sampler:
         fi_out, fj_out = ni - 1 + edge_tol, nj - 1 + edge_tol
         i_max, j_max = ni - 2, nj - 2
 
-        def grid(p: GeoPoint, t: float) -> tuple[float, float]:
-            fi = (p.lat - lat0) / dlat
-            fj = (p.lon - lon0) / dlon
+        def grid(lat: float, lon: float, t: float) -> tuple[float, float]:
+            fi = (lat - lat0) / dlat
+            fj = (lon - lon0) / dlon
             if fi < -edge_tol or fj < -edge_tol or fi > fi_out or fj > fj_out:
-                raise LeftDomainError(f"point ({p.lat}, {p.lon}) outside grid field domain")
+                raise LeftDomainError(f"point ({lat}, {lon}) outside grid field domain")
             # min(max(f, 0.0), f_max) and min(int(f), i_max) as comparisons
             fi = 0.0 if 0.0 > fi else fi
             fi = fi_max if fi_max < fi else fi
@@ -257,26 +256,35 @@ def _sampler(field: FieldSpec) -> Sampler:
     raise TypeError(f"not a field kind: {type(field).__name__}")
 
 
+def _pair_sampler(current, wind) -> Callable[[float, float, float], Flows]:
+    """One sampler of both flows at (lat, lon, t) from the fields' _sampler
+    results, a constant's value folded in: a still pair returns one tuple."""
+    if isinstance(wind, tuple):
+        we, wn = wind
+        if isinstance(current, tuple):
+            flows = (*current, we, wn)
+            return lambda lat, lon, t: flows
+
+        def sample(lat: float, lon: float, t: float) -> Flows:
+            ce, cn = current(lat, lon, t)
+            return ce, cn, we, wn
+        return sample
+    if isinstance(current, tuple):
+        ce, cn = current
+        return lambda lat, lon, t: (ce, cn, *wind(lat, lon, t))
+    return lambda lat, lon, t: (*current(lat, lon, t), *wind(lat, lon, t))
+
+
 @dataclass(frozen=True)
 class Environment:
-    """The pair of fields a simulation runs in.
-
-    Each field's sampler is built once, here, and the flows of a still pair
-    too; sample() is what a simulation step calls.
-    """
+    """The pair of fields a simulation runs in; sample() runs their one sampler, built here."""
 
     current: FieldSpec
     wind: FieldSpec
 
     def __post_init__(self):
         current, wind = _sampler(self.current), _sampler(self.wind)
-        object.__setattr__(self, "_current", current)
-        object.__setattr__(self, "_wind", wind)
-        # two uniform fields without a gust are still: their flows are one
-        # tuple, worked out here (the samplers ignore p and t)
-        still = all(isinstance(f, UniformField) and f.gust is None
-                    for f in (self.current, self.wind))
-        object.__setattr__(self, "_still", (*current(None, 0.0), *wind(None, 0.0)) if still else None)
+        object.__setattr__(self, "_sample", _pair_sampler(current, wind))
 
     def __reduce__(self):
         # the samplers are closures; pickle the fields and rebuild them
@@ -286,11 +294,7 @@ class Environment:
     def calm(cls) -> "Environment":
         return cls(FieldSpec.calm(), FieldSpec.calm())
 
-    def sample(self, pos: GeoPoint, t: float) -> Flows:
+    def sample(self, lat: float, lon: float, t: float) -> Flows:
         """(current east, current north, wind east, wind north) in m/s at
-        pos and time t. Raises LeftDomainError outside a grid field."""
-        if self._still is not None:
-            return self._still
-        ce, cn = self._current(pos, t)
-        we, wn = self._wind(pos, t)
-        return ce, cn, we, wn
+        (lat, lon) and time t. Raises LeftDomainError outside a grid field."""
+        return self._sample(lat, lon, t)

@@ -62,12 +62,12 @@ from .metrics import (
 )
 from .vehicle import (
     DEFAULT_DT,
-    MAX_STEP_DT,
     NoiseSpec,
     StateFloats,
     VehicleParams,
     _check_dt,
     _clamped,
+    noise_draws,
     relative_to_absolute,
     sense,
     steady_state,
@@ -303,9 +303,7 @@ class Scenario:
     name: str = "scenario"
 
     def __post_init__(self):
-        # first: NaN passes the update period comparison below
-        if not 0.0 < self.dt_s <= MAX_STEP_DT:
-            raise ValueError(f"dt_s must be in (0, {MAX_STEP_DT}], got {self.dt_s!r}")
+        _check_dt(self.dt_s, "dt_s")  # first: NaN passes the update period comparison below
         if not self.mission:
             raise ValueError("mission must contain at least one waypoint")
         for key in ("duration_limit_s", "acceptance_radius_m"):
@@ -338,7 +336,7 @@ class Scenario:
                             -self.start_runup_m * ue + self.start_offset_m * le,
                             -self.start_runup_m * un + self.start_offset_m * ln)
         heading = wrap_angle(heading)
-        return pos, 0.0, heading, heading, 0.0, 0.0, 0.0
+        return pos.lat, pos.lon, 0.0, heading, heading, 0.0, 0.0, 0.0
 
 
 def load_scenario(path: str | os.PathLike) -> Scenario:
@@ -500,18 +498,18 @@ def _closed_loop(sc: Scenario, mission: list[Waypoint], model) -> tuple[Trajecto
 
     Each tick is Environment.sample, sense, relative_to_absolute (current,
     then wind), navigator_step (with model None: the baseline) and step; a tick
-    that completes the mission takes no step. The Scenario has checked dt
-    (the step count divides by it) and the radius. Checks that can fire
-    here: a non-finite command, a negative or non-finite state, the offset
-    and latitude limits of each move, and LeftDomainError, which ends the
-    run.
+    that completes the mission takes no step; noise_draws hands out the
+    run's own noise. The Scenario has checked dt (the step count divides by
+    it) and the radius. Checks that can fire here: a non-finite command, a
+    negative or non-finite state, the offset and latitude limits of each
+    move, and LeftDomainError, which ends the run.
     """
     dt, params, gains, noise, cfg = sc.dt_s, sc.vehicle, sc.gains, sc.noise, sc.augment
     radius = sc.acceptance_radius_m
     max_steps = int(round(sc.duration_limit_s / dt))
-    rng = np.random.default_rng(sc.seed)
+    draw = noise_draws(noise, np.random.default_rng(sc.seed)).__next__
     sample = Environment(current=sc.current, wind=sc.wind).sample
-    pos, spd_t, course_t, h_t, tw, t, turn_rate = sc.start_state()
+    lat, lon, spd_t, course_t, h_t, tw, t, turn_rate = sc.start_state()
     index = 0
     heading_pid = speed_pid = FRESH_PID
     line, intermediate, next_update_t = None, None, -math.inf
@@ -521,26 +519,26 @@ def _closed_loop(sc: Scenario, mission: list[Waypoint], model) -> tuple[Trajecto
     outcome = "incomplete"
     for _ in range(max_steps + 1):
         try:
-            flows = sample(pos, t)
+            flows = sample(lat, lon, t)
         except LeftDomainError:
             outcome = "left_domain"
             break
         vg_e, vg_n = track_velocity(spd_t, course_t)
-        water_spd, water_dir, wind_spd, wind_dir = sense(vg_e, vg_n, h_t, flows, noise, rng)
+        water_spd, water_dir, wind_spd, wind_dir = sense(vg_e, vg_n, h_t, flows, noise, draw())
         spd_c, dir_c = relative_to_absolute(vg_e, vg_n, h_t, water_spd, water_dir)
         spd_w, dir_w = relative_to_absolute(vg_e, vg_n, h_t, wind_spd, wind_dir)
         (thrust, rudder, index, line, heading_pid, speed_pid, intermediate,
          next_update_t) = navigator_step(
-            pos, spd_t, h_t, t, mission, index, line, heading_pid, speed_pid, intermediate,
+            lat, lon, spd_t, h_t, t, mission, index, line, heading_pid, speed_pid, intermediate,
             next_update_t, model, (spd_c, dir_c, spd_w, dir_w), cfg, gains, params, dt, radius,
         )
-        add((t, pos.lat, pos.lon, spd_t, course_t, h_t, tw, turn_rate, index, intermediate,
+        add((t, lat, lon, spd_t, course_t, h_t, tw, turn_rate, index, intermediate,
              spd_c, dir_c, spd_w, dir_w, thrust, rudder))
         if index >= len(mission):
             outcome = "completed"
             break
-        pos, spd_t, course_t, h_t, tw, t, turn_rate = step(
-            pos, h_t, tw, t, turn_rate, thrust, rudder, flows, params, dt
+        lat, lon, spd_t, course_t, h_t, tw, t, turn_rate = step(
+            lat, lon, h_t, tw, t, turn_rate, thrust, rudder, flows, params, dt
         )
     return TrajectoryLog.from_rows(rows), outcome
 
@@ -853,7 +851,7 @@ class SweepSpec:
             raise ValueError("sweep grid must be non-empty")
         if not self.duration_s > 0.0:
             raise ValueError(f"sweep duration_s must be > 0, got {self.duration_s!r}")
-        _check_dt(self.dt_s)
+        _check_dt(self.dt_s, "dt_s")
 
 
 def _observed_targets(vg_e: float, vg_n: float, water_speed: float,
@@ -873,9 +871,10 @@ def generate_training_logs(sweep: SweepSpec) -> np.ndarray:
     moves by step (and navigator_step on the closed-loop legs), with one
     field sample per logged step.
     """
-    rng = np.random.default_rng(sweep.seed)
     rows: list[tuple[float, ...]] = []
     dt, params, noise = sweep.dt_s, sweep.vehicle, sweep.noise
+    # one stream of noise draws for the whole sweep, a tick's four per row
+    draw = noise_draws(noise, np.random.default_rng(sweep.seed)).__next__
     n_steps = int(round(sweep.duration_s / dt))
     # Without noise a row is a pure function of record's arguments, and a
     # steady leg repeats them from its second step on. With noise every row
@@ -894,7 +893,7 @@ def generate_training_logs(sweep: SweepSpec) -> np.ndarray:
                 return
             last_inputs = inputs
         vg_e, vg_n = track_velocity(spd_t, course_t)
-        water_spd, water_dir, wind_spd, wind_dir = sense(vg_e, vg_n, h_t, flows, noise, rng)
+        water_spd, water_dir, wind_spd, wind_dir = sense(vg_e, vg_n, h_t, flows, noise, draw())
         rows.append((
             *make_features(
                 *relative_to_absolute(vg_e, vg_n, h_t, water_spd, water_dir),
@@ -912,23 +911,23 @@ def generate_training_logs(sweep: SweepSpec) -> np.ndarray:
         # the fixed command; navigator_step replaces it every step
         thrust, rudder = _clamped(min(1.0, speed / params.max_water_speed), 0.0)
         # the steady state's sample is the first step's: (origin, t=0)
-        flows = sample(sweep.origin, 0.0)
-        pos, t, turn_rate, tw = sweep.origin, 0.0, 0.0, speed
+        lat, lon, t, turn_rate, tw = sweep.origin.lat, sweep.origin.lon, 0.0, 0.0, speed
+        flows = sample(lat, lon, t)
         spd_t, course_t, h_t = steady_state(heading, speed, flows, params)
         index, line = 0, None
         heading_pid = speed_pid = FRESH_PID
         for i in range(n_steps):
             if i:
-                flows = sample(pos, t)
+                flows = sample(lat, lon, t)
             record(spd_t, course_t, h_t, tw, flows, speed)
             if mission is not None:
                 thrust, rudder, index, line, heading_pid, speed_pid, _, _ = navigator_step(
-                    pos, spd_t, h_t, t, mission, index, line, heading_pid, speed_pid, dt=dt
+                    lat, lon, spd_t, h_t, t, mission, index, line, heading_pid, speed_pid, dt=dt
                 )
                 if index:  # the goal is reached
                     break
-            pos, spd_t, course_t, h_t, tw, t, turn_rate = step(
-                pos, h_t, tw, t, turn_rate, thrust, rudder, flows, params, dt
+            lat, lon, spd_t, course_t, h_t, tw, t, turn_rate = step(
+                lat, lon, h_t, tw, t, turn_rate, thrust, rudder, flows, params, dt
             )
 
     run_index = 0

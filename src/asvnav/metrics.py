@@ -350,11 +350,11 @@ def cross_track_series(
         raise ValueError("need at least two waypoints to define a leg")
     # each leg as the navigator's tracking line: start point, length and
     # (east, north) unit vector, once per leg
-    lines = [tracking_line(a.pos, b.pos) for a, b in zip(mission, mission[1:])]
-    for anchor, leg_len, _, _ in lines:
+    lines = [tracking_line(a.pos.lat, a.pos.lon, b.pos) for a, b in zip(mission, mission[1:])]
+    for lat, lon, leg_len, _, _ in lines:
         if leg_len == 0.0:
-            raise ValueError(f"degenerate leg: coincident waypoints at ({anchor.lat}, {anchor.lon})")
-    leg_table = np.array([(anchor.lat, anchor.lon, ue, un) for anchor, _, ue, un in lines])
+            raise ValueError(f"degenerate leg: coincident waypoints at ({lat}, {lon})")
+    leg_table = np.array([(lat, lon, ue, un) for lat, lon, _, ue, un in lines])
     lats = np.asarray(log.lat, dtype=np.float64)
     lons = np.asarray(log.lon, dtype=np.float64)
 

@@ -13,22 +13,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .env import Flows, _flow_direction
-from .geo import GeoPoint, bearing_of, displaced, unit_enu, wrap_angle
+from .geo import bearing_of, offset_coords, point_coords, unit_enu, wrap_angle
 
 # Simulation time step (s): the default, and the largest one step accepts.
 DEFAULT_DT = 0.1
 MAX_STEP_DT = 0.5
+NOISE_BLOCK = 64  # ticks of sensor noise noise_draws takes from a generator at once
 
 # The vehicle state as the closed loops hold it and step returns it:
-# (pos, spd_t, course_t, h_t, through_water_speed, t, turn_rate).
+# (lat, lon, spd_t, course_t, h_t, through_water_speed, t, turn_rate).
 # spd_t/course_t describe the ground-track velocity (what GPS sees); h_t is
 # the hull heading (what the compass sees), kept apart from course_t
 # because drift decouples track from heading.
-StateFloats = tuple[GeoPoint, float, float, float, float, float, float]
+StateFloats = tuple[float, float, float, float, float, float, float, float]
 
 
 def _check_state(spd_t: float, through_water_speed: float, t: float, turn_rate: float) -> None:
@@ -41,9 +43,9 @@ def _check_state(spd_t: float, through_water_speed: float, t: float, turn_rate: 
         raise ValueError("non-finite state component")
 
 
-def _check_dt(dt: float) -> None:
+def _check_dt(dt: float, name: str = "dt") -> None:
     if not 0.0 < dt <= MAX_STEP_DT:
-        raise ValueError(f"dt must be in (0, {MAX_STEP_DT}], got {dt!r}")
+        raise ValueError(f"{name} must be in (0, {MAX_STEP_DT}], got {dt!r}")
 
 
 def _clamped(thrust: float, rudder: float) -> tuple[float, float]:
@@ -126,19 +128,19 @@ class NoiseSpec:
             raise ValueError("noise sigmas must be >= 0 and finite")
 
 
-def step(pos: GeoPoint, h_t: float, through_water_speed: float, t: float, turn_rate: float,
-         thrust: float, rudder: float, flows: Flows, params: VehicleParams,
+def step(lat: float, lon: float, h_t: float, through_water_speed: float, t: float,
+         turn_rate: float, thrust: float, rudder: float, flows: Flows, params: VehicleParams,
          dt: float) -> StateFloats:
     """Advance the vehicle one fixed Euler step: the next
-    (pos, spd_t, course_t, h_t, through_water_speed, t, turn_rate).
+    (lat, lon, spd_t, course_t, h_t, through_water_speed, t, turn_rate).
 
     thrust and rudder are a command in range, as the navigator clamps it
     (_clamped); flows are the fields sampled at the state's own
     position and time. Heading integrates the lagged turn rate (commanded
     rate is rudder times the speed-scaled turn authority), through-water
-    speed relaxes toward thrust * max_water_speed, and the position
-    advances along the summed ground velocity. Deterministic: identical
-    inputs give bit-identical outputs.
+    speed relaxes toward thrust * max_water_speed, and the position moves
+    along the summed ground velocity as geo.displaced moves a point.
+    Deterministic: identical inputs give bit-identical outputs.
     """
     _check_dt(dt)
     if not (math.isfinite(thrust) and math.isfinite(rudder)):
@@ -155,12 +157,14 @@ def step(pos: GeoPoint, h_t: float, through_water_speed: float, t: float, turn_r
     )
 
     vg_e, vg_n = _ground_velocity(tw, heading, flows, params)
-    pos = displaced(pos, vg_e * dt, vg_n * dt)
+    east, north = vg_e * dt, vg_n * dt
+    if east != 0.0 or north != 0.0:
+        lat, lon = point_coords(*offset_coords(lat, lon, east, north))
     spd_t = math.hypot(vg_e, vg_n)
     course_t = bearing_of(vg_e, vg_n)
     t = t + dt
     _check_state(spd_t, tw, t, turn_rate)
-    return pos, spd_t, course_t, heading, tw, t, turn_rate
+    return lat, lon, spd_t, course_t, heading, tw, t, turn_rate
 
 
 def steady_state(heading: float, water_speed: float, flows: Flows,
@@ -193,13 +197,22 @@ def _to_hull_frame(vec_e: float, vec_n: float, heading: float) -> tuple[float, f
     return speed, wrap_angle(bearing_of(vec_e, vec_n) - heading)
 
 
+def noise_draws(noise: NoiseSpec, rng: np.random.Generator) -> Iterator[list[float] | None]:
+    """Each tick's four sensor noise draws for sense, taken from rng
+    NOISE_BLOCK ticks at a time: the bits of one standard_normal(4) call a
+    tick, as a generator fills arrays in order. None a tick for no noise."""
+    noisy = noise.sigma_speed > 0.0 or noise.sigma_dir > 0.0
+    while True:
+        yield from rng.standard_normal((NOISE_BLOCK, 4)).tolist() if noisy else [None] * NOISE_BLOCK
+
+
 def sense(
     vg_e: float,
     vg_n: float,
     h_t: float,
     flows: Flows,
     noise: NoiseSpec = NoiseSpec(),
-    rng: np.random.Generator | None = None,
+    draws: list[float] | None = None,
 ) -> tuple[float, float, float, float]:
     """Read the simulated flow sensors of a hull with ground velocity
     (vg_e, vg_n) and heading h_t: (water speed, water direction, wind
@@ -209,21 +222,21 @@ def sense(
     flows are the fields sampled at the state's own position and time.
     The paddle wheel and anemometer physically measure flow relative to
     the moving hull, so both relative vectors subtract the ground
-    velocity. Noise draws are taken in a fixed order (four per call) so
-    runs stay reproducible for a given generator; all-zero noise takes
-    none.
+    velocity. draws are the tick's four standard normals, as noise_draws
+    hands them out (water speed, water direction, wind speed, wind
+    direction); all-zero noise needs none.
     """
     ce, cn, we, wn = flows
     water_spd, water_dir = _to_hull_frame(ce - vg_e, cn - vg_n, h_t)
     wind_spd, wind_dir = _to_hull_frame(we - vg_e, wn - vg_n, h_t)
-    if rng is None or (noise.sigma_speed == 0.0 and noise.sigma_dir == 0.0):
+    if draws is None or (noise.sigma_speed == 0.0 and noise.sigma_dir == 0.0):
         # zero noise would add d * 0.0 to each reading, which changes
-        # nothing, so no draws are taken
+        # nothing, so no draws are read
         if noise.sigma_speed > 0.0 or noise.sigma_dir > 0.0:
-            raise ValueError("noisy sensing requires an explicit rng")
+            raise ValueError("noisy sensing requires the tick's noise draws")
         return water_spd, water_dir, wind_spd, wind_dir
-    # read as Python floats: the same IEEE arithmetic as numpy scalars
-    d_ws, d_wd, d_as, d_ad = rng.standard_normal(4).tolist()
+    # Python floats: the same IEEE arithmetic as numpy scalars
+    d_ws, d_wd, d_as, d_ad = draws
     # max(0.0, speed) as comparisons: a noisy speed never reads below zero
     water_spd = water_spd + d_ws * noise.sigma_speed
     water_spd = water_spd if water_spd > 0.0 else 0.0

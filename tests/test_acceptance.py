@@ -74,7 +74,7 @@ def test_criterion_1_inverse_sensing():
         t = rng.uniform(0, 1000)
         vg_e, vg_n = track_velocity(spd_t, course_t)
         water_spd, water_dir, wind_spd, wind_dir = sense(
-            vg_e, vg_n, h_t, environment.sample(pos, t)
+            vg_e, vg_n, h_t, environment.sample(pos.lat, pos.lon, t)
         )
         spd_c, dir_c = relative_to_absolute(vg_e, vg_n, h_t, water_spd, water_dir)
         spd_w, dir_w = relative_to_absolute(vg_e, vg_n, h_t, wind_spd, wind_dir)
@@ -105,13 +105,15 @@ def test_criterion_2_drift_superposition():
 
         he, hn = unit_enu(30.0)
         vg_e, vg_n = 2.0 * he + ce, 2.0 * hn + cn
-        # step's state tuple: (pos, spd_t, course_t, h_t, through_water_speed, t, turn_rate)
-        return equator, math.hypot(vg_e, vg_n), bearing_of(vg_e, vg_n), 30.0, 2.0, 0.0, 0.0
+        # step's state tuple: (lat, lon, spd_t, course_t, h_t, through_water_speed, t,
+        # turn_rate)
+        return (equator.lat, equator.lon, math.hypot(vg_e, vg_n), bearing_of(vg_e, vg_n), 30.0,
+                2.0, 0.0, 0.0)
 
     def advance(s, environment):
-        pos, _, _, h_t, tw, t, turn_rate = s
-        return step(pos, h_t, tw, t, turn_rate, thrust, 0.0, environment.sample(pos, t), PARAMS,
-                    dt)
+        lat, lon, _, _, h_t, tw, t, turn_rate = s
+        return step(lat, lon, h_t, tw, t, turn_rate, thrust, 0.0,
+                    environment.sample(lat, lon, t), PARAMS, dt)
 
     s_calm, s_cur = steady(calm), steady(drifted)
     steps, dt = 600, 0.1
@@ -119,8 +121,8 @@ def test_criterion_2_drift_superposition():
         s_calm = advance(s_calm, calm)
         s_cur = advance(s_cur, drifted)
     ce, cn = current.enu()
-    expected = displaced(s_calm[0], ce * steps * dt, cn * steps * dt)
-    gap, _ = distance_bearing(expected, s_cur[0])
+    expected = displaced(GeoPoint(*s_calm[:2]), ce * steps * dt, cn * steps * dt)
+    gap, _ = distance_bearing(expected, GeoPoint(*s_cur[:2]))
     elapsed = time.perf_counter() - started
     _report(2, "drift superposition", gap < 1e-6, f"endpoint gap {gap:.2e} m", elapsed, 1.0)
 

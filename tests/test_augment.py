@@ -43,14 +43,14 @@ def _offset(a, b):
 
 def test_zero_effect_returns_goal_exactly():
     goal = _goal_north()
-    result = calc_intermediate_wp(goal, ORIGIN, 0.0, 0.0, CFG, goal.spd_target)
+    result = calc_intermediate_wp(goal, ORIGIN.lat, ORIGIN.lon, 0.0, 0.0, CFG, goal.spd_target)
     assert result is goal.pos
 
 
 def test_offset_formula_at_clamp_boundary():
     # goal 100 m north, target 2 m/s, drift 0.5 m/s east -> 25 m west
     goal = _goal_north(100.0)
-    result = calc_intermediate_wp(goal, ORIGIN, 0.5, 0.0, CFG, goal.spd_target)
+    result = calc_intermediate_wp(goal, ORIGIN.lat, ORIGIN.lon, 0.5, 0.0, CFG, goal.spd_target)
     off_e, off_n = _offset(goal.pos, result)
     assert off_e == pytest.approx(-25.0, rel=1e-6)
     assert off_n == pytest.approx(0.0, abs=1e-9)
@@ -58,7 +58,7 @@ def test_offset_formula_at_clamp_boundary():
 
 def test_offset_proportional_to_distance():
     goal = _goal_north(10.0)
-    result = calc_intermediate_wp(goal, ORIGIN, 0.5, 0.0, CFG, goal.spd_target)
+    result = calc_intermediate_wp(goal, ORIGIN.lat, ORIGIN.lon, 0.5, 0.0, CFG, goal.spd_target)
     off_e, _ = _offset(goal.pos, result)
     assert off_e == pytest.approx(-2.5, rel=1e-6)
 
@@ -69,7 +69,7 @@ def test_offset_clamped_to_max():
     rng = np.random.default_rng(5)
     for _ in range(200):
         ex, ey = rng.uniform(-3, 3, size=2)
-        result = calc_intermediate_wp(goal, ORIGIN, ex, ey, cfg, goal.spd_target)
+        result = calc_intermediate_wp(goal, ORIGIN.lat, ORIGIN.lon, ex, ey, cfg, goal.spd_target)
         assert math.hypot(*_offset(goal.pos, result)) <= 25.0 + 1e-6
 
 
@@ -78,7 +78,7 @@ def test_offset_monotone_in_remaining_distance():
     magnitudes = []
     for d in (200.0, 150.0, 100.0, 50.0, 10.0):
         goal = _goal_north(d)
-        result = calc_intermediate_wp(goal, ORIGIN, 0.4, 0.1, cfg, goal.spd_target)
+        result = calc_intermediate_wp(goal, ORIGIN.lat, ORIGIN.lon, 0.4, 0.1, cfg, goal.spd_target)
         magnitudes.append(math.hypot(*_offset(goal.pos, result)))
     assert all(a >= b - 1e-9 for a, b in zip(magnitudes, magnitudes[1:]))
 
@@ -87,8 +87,8 @@ def test_offset_uses_commanded_speed_normalization():
     """The travel-time triangle divides by the speed actually commanded."""
     goal = _goal_north(100.0)
     cfg = AugmentConfig(max_offset_m=100.0)
-    slow = calc_intermediate_wp(goal, ORIGIN, 0.5, 0.0, cfg, reference_speed=1.0)
-    fast = calc_intermediate_wp(goal, ORIGIN, 0.5, 0.0, cfg, reference_speed=4.0)
+    slow = calc_intermediate_wp(goal, ORIGIN.lat, ORIGIN.lon, 0.5, 0.0, cfg, reference_speed=1.0)
+    fast = calc_intermediate_wp(goal, ORIGIN.lat, ORIGIN.lon, 0.5, 0.0, cfg, reference_speed=4.0)
     assert math.hypot(*_offset(goal.pos, slow)) == pytest.approx(50.0, rel=1e-6)
     assert math.hypot(*_offset(goal.pos, fast)) == pytest.approx(12.5, rel=1e-6)
 
@@ -96,7 +96,7 @@ def test_offset_uses_commanded_speed_normalization():
 def test_offset_rejects_non_finite_effect():
     goal = _goal_north()
     with pytest.raises(ValueError):
-        calc_intermediate_wp(goal, ORIGIN, float("nan"), 0.0, CFG, goal.spd_target)
+        calc_intermediate_wp(goal, ORIGIN.lat, ORIGIN.lon, float("nan"), 0.0, CFG, goal.spd_target)
 
 
 def test_adjusted_speed_identity_and_compensation():
@@ -120,28 +120,29 @@ def _mission():
     return [Waypoint(a, 2.0), Waypoint(b, 2.0)]
 
 
-# A state is step's tuple (pos, spd_t, course_t, h_t, through_water_speed,
-# t, turn_rate).
+# A state is step's tuple (lat, lon, spd_t, course_t, h_t,
+# through_water_speed, t, turn_rate).
 
 
 def _at_rest(east, north):
     """The state at rest east, north meters from ORIGIN, heading north."""
-    return displaced(ORIGIN, east, north), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
+    pos = displaced(ORIGIN, east, north)
+    return pos.lat, pos.lon, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
 
 
 def _pose(s):
-    """(pos, spd_t, h_t, t) of state s: what the navigator reads."""
-    pos, spd_t, _, h_t, _, t, _ = s
-    return pos, spd_t, h_t, t
+    """(lat, lon, spd_t, h_t, t) of state s: what the navigator reads."""
+    lat, lon, spd_t, _, h_t, _, t, _ = s
+    return lat, lon, spd_t, h_t, t
 
 
 def _forces(s, environment):
     """The absolute (spd_c, dir_c, spd_w, dir_w) sensed and recovered at
     state s."""
-    pos, spd_t, course_t, h_t, _, t, _ = s
+    lat, lon, spd_t, course_t, h_t, _, t, _ = s
     vg_e, vg_n = track_velocity(spd_t, course_t)
     water_spd, water_dir, wind_spd, wind_dir = sense(
-        vg_e, vg_n, h_t, environment.sample(pos, t)
+        vg_e, vg_n, h_t, environment.sample(lat, lon, t)
     )
     return (*relative_to_absolute(vg_e, vg_n, h_t, water_spd, water_dir),
             *relative_to_absolute(vg_e, vg_n, h_t, wind_spd, wind_dir))
@@ -149,9 +150,9 @@ def _forces(s, environment):
 
 def _advance(s, thrust, rudder, environment):
     """step from state s, in the flows sampled at s."""
-    pos, _, _, h_t, tw, t, turn_rate = s
-    flows = environment.sample(pos, t)
-    return step(pos, h_t, tw, t, turn_rate, thrust, rudder, flows, PARAMS, 0.1)
+    lat, lon, _, _, h_t, tw, t, turn_rate = s
+    flows = environment.sample(lat, lon, t)
+    return step(lat, lon, h_t, tw, t, turn_rate, thrust, rudder, flows, PARAMS, 0.1)
 
 
 def test_zero_effect_steps_bit_identical_to_baseline():
@@ -230,9 +231,10 @@ def test_augmented_step_rejects_non_positive_dt_and_empty_mission():
     calm = (0.0, 0.0, 0.0, 0.0)
     for mission in (_mission()[1:], _mission()[:1]):  # steering, then completing
         with pytest.raises(ValueError):
-            navigator_step(ORIGIN, 2.0, 0.0, 0.0, mission, *FRESH_NAV, oracle, calm, dt=0.0)
+            navigator_step(ORIGIN.lat, ORIGIN.lon, 2.0, 0.0, 0.0, mission, *FRESH_NAV, oracle,
+                           calm, dt=0.0)
     with pytest.raises(ValueError):
-        navigator_step(ORIGIN, 2.0, 0.0, 0.0, [], *FRESH_NAV, oracle, calm)
+        navigator_step(ORIGIN.lat, ORIGIN.lon, 2.0, 0.0, 0.0, [], *FRESH_NAV, oracle, calm)
 
 
 def test_intermediate_speed_positive():

@@ -224,9 +224,9 @@ def test_fitted_model_drives_augmented_run(tmp_path, capsys):
     assert out["sign_changes_over_1m"] < 2
 
 
-def _bad_sweep(tmp_path):
+def _bad_sweep(tmp_path, key="duration_s", value=0):
     sweep = json.loads((CONFIGS / "training_sweep.json").read_text())
-    sweep["duration_s"] = 0
+    sweep[key] = value
     path = tmp_path / "bad_sweep.json"
     path.write_text(json.dumps(sweep))
     return path
@@ -243,6 +243,22 @@ def test_bad_input_is_one_stderr_line(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
     assert err.startswith("asvnav: ") and str(missing / "trajectory.csv") in err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("duration_s", 0, "sweep duration_s must be > 0, got 0"),
+    ("duration_s", math.nan, "sweep duration_s must be > 0, got nan"),
+    ("dt_s", math.nan, "dt_s must be in (0, 0.5], got nan"),
+    ("dt_s", 0, "dt_s must be in (0, 0.5], got 0"),
+    ("dt_s", 0.7, "dt_s must be in (0, 0.5], got 0.7"),
+    ("dt_s", "0.1", "config dt_s must be a number, got '0.1'"),
+], ids=["duration-zero", "duration-nan", "dt-nan", "dt-zero", "dt-over-max", "dt-string"])
+def test_bad_sweep_value_is_one_stderr_line(tmp_path, capsys, key, value, message):
+    """asvnav train on a sweep with a value that breaks its rule prints one
+    stderr line naming the key, and writes no training CSV."""
+    assert main(["train", str(_bad_sweep(tmp_path, key, value)), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr() == ("", f"asvnav: {message}\n")
+    assert not (tmp_path / "training.csv").exists()
 
 
 @pytest.mark.parametrize("edit, message", [

@@ -78,8 +78,8 @@ def test_steering_rejects_non_positive_dt():
                      FRESH_PID, dt=0.0)
     for mission in ([goal], [Waypoint(ORIGIN, 2.0)]):  # steering, then completing
         with pytest.raises(ValueError):
-            navigator_step(ORIGIN, 2.0, 0.0, 0.0, mission, 0, None, FRESH_PID, FRESH_PID,
-                           dt=0.0)
+            navigator_step(ORIGIN.lat, ORIGIN.lon, 2.0, 0.0, 0.0, mission, 0, None, FRESH_PID,
+                           FRESH_PID, dt=0.0)
 
 
 def test_waypoint_reached_boundary_inclusive():
@@ -100,8 +100,8 @@ def _navigate(mission, pos=ORIGIN, heading=0.0, speed=0.0, index=0,
     """navigator_step without a model at pos with ground speed and heading,
     the navigator holding no tracking line: (thrust, rudder, index, line,
     heading_pid, speed_pid, intermediate, next_update_t)."""
-    return navigator_step(pos, speed, heading, 0.0, mission, index, None, heading_pid,
-                          speed_pid, gains=gains)
+    return navigator_step(pos.lat, pos.lon, speed, heading, 0.0, mission, index, None,
+                          heading_pid, speed_pid, gains=gains)
 
 
 def test_navigator_zero_error_equilibrium():
@@ -173,8 +173,8 @@ def test_aim_point_sits_on_leg_ahead_of_projection():
     anchor = ORIGIN
     target = displaced(ORIGIN, 0.0, 200.0)
     pos = displaced(ORIGIN, 5.0, 50.0)
-    aim = GeoPoint(*aim_point(pos.lat, pos.lon, target, tracking_line(anchor, target),
-                              lookahead_m=25.0))
+    line = tracking_line(anchor.lat, anchor.lon, target)
+    aim = GeoPoint(*aim_point(pos.lat, pos.lon, target, line, lookahead_m=25.0))
     off_e, off_n = enu_coords(anchor.lat, anchor.lon, aim.lat, aim.lon)
     assert off_e == pytest.approx(0.0, abs=1e-6)  # on the line
     assert off_n == pytest.approx(75.0, rel=1e-6)  # 50 along + 25 ahead
@@ -186,8 +186,8 @@ def test_aim_point_never_past_target():
     anchor = ORIGIN
     target = displaced(ORIGIN, 0.0, 200.0)
     pos = displaced(ORIGIN, 0.0, 190.0)
-    aim = GeoPoint(*aim_point(pos.lat, pos.lon, target, tracking_line(anchor, target),
-                              lookahead_m=25.0))
+    line = tracking_line(anchor.lat, anchor.lon, target)
+    aim = GeoPoint(*aim_point(pos.lat, pos.lon, target, line, lookahead_m=25.0))
     assert aim == target
 
 

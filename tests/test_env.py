@@ -16,7 +16,7 @@ ORIGIN = GeoPoint(34.0, -81.0)
 def _speed_direction(field, p, t):
     """(speed, direction) of the field's flow at (p, t), from the east/north
     pair Environment.sample returns for it."""
-    east, north = Environment(field, FieldSpec.calm()).sample(p, t)[:2]
+    east, north = Environment(field, FieldSpec.calm()).sample(p.lat, p.lon, t)[:2]
     return math.hypot(east, north), bearing_of(east, north)
 
 
@@ -170,7 +170,8 @@ def test_river_gust_scales_the_centerline():
     assert _speed_direction(field, bank, peak)[0] == pytest.approx(0.0, abs=1e-12)
     outside = displaced(ORIGIN, 25.0 * ue, 25.0 * un)
     assert _speed_direction(field, outside, peak)[0] == 0.0
-    assert Environment(field, FieldSpec.calm()).sample(outside, peak) == (0.0, 0.0, 0.0, 0.0)
+    sample = Environment(field, FieldSpec.calm()).sample
+    assert sample(outside.lat, outside.lon, peak) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_uniform_and_grid_gusts_unchanged():
@@ -190,7 +191,7 @@ def test_uniform_and_grid_gusts_unchanged():
         environment = Environment(field, FieldSpec.calm())
         for p in points:
             for t in (0.0, 2.25, 3.7, 15.0):
-                samples.append(environment.sample(p, t)[:2])
+                samples.append(environment.sample(p.lat, p.lon, t)[:2])
     digest = hashlib.sha256(repr(samples).encode()).hexdigest()
     assert digest == "06ce3bed611944e996516da5b18d6a16900bc8b3318c2fb7fdb658a2eece4944"
 
@@ -201,7 +202,7 @@ def test_grid_out_of_domain_is_left_domain_error():
     with pytest.raises(LeftDomainError, match="outside grid"):
         _speed_direction(field, outside, 0.0)
     with pytest.raises(LeftDomainError):
-        Environment(FieldSpec.calm(), field).sample(outside, 0.0)
+        Environment(FieldSpec.calm(), field).sample(outside.lat, outside.lon, 0.0)
 
 
 def test_environment_pickles():
@@ -209,4 +210,5 @@ def test_environment_pickles():
     environment = Environment(field, FieldSpec.uniform(3.0, 20.0))
     again = pickle.loads(pickle.dumps(environment))
     assert again == environment
-    assert again.sample(ORIGIN, 2.0) == environment.sample(ORIGIN, 2.0)
+    assert again.sample(ORIGIN.lat, ORIGIN.lon, 2.0) == \
+        environment.sample(ORIGIN.lat, ORIGIN.lon, 2.0)

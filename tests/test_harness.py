@@ -271,7 +271,7 @@ def test_field_json_and_samples_pinned(field, text, samples_sha256):
     rng = np.random.default_rng(18)
     points = [displaced(ORIGIN, *rng.uniform(-60.0, 60.0, 2)) for _ in range(10)]
     sample = Environment(field, FieldSpec.calm()).sample
-    bits = b"".join(struct.pack("4d", *sample(p, t))
+    bits = b"".join(struct.pack("4d", *sample(p.lat, p.lon, t))
                     for p in points for t in (0.0, 1.3, 2.75, 5.5, 40.0))
     assert hashlib.sha256(bits).hexdigest() == samples_sha256
 
@@ -490,8 +490,8 @@ def test_training_sweep_run_count():
 ])
 def test_sweep_rejects_bad_time_step_and_duration(tmp_path, capsys, key, value):
     bad = {key: value}
-    match = "dt must be in" if key == "dt_s" else "duration_s must be > 0"
-    with pytest.raises(ValueError, match=match):
+    match = "dt_s must be in (0, 0.5], got " if key == "dt_s" else "duration_s must be > 0"
+    with pytest.raises(ValueError, match=re.escape(match)):
         replace(_small_sweep(), **bad)
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps({**to_dict(_small_sweep()), **bad}))

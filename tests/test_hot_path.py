@@ -1,5 +1,6 @@
-"""The per-tick clamps, bearing_of and GeoPoint against their min/max and
-wrap_angle reference forms, written out here, bit for bit.
+"""The per-tick clamps, bearing_of, GeoPoint, the pair sampler and the
+block noise draws against their min/max, wrap_angle and one-call-per-tick
+reference forms, written out here, bit for bit.
 
 max(a, b) returns a unless b > a, and min(a, b) returns a unless b < a, so
 a clamp written as comparisons in the same argument order gives the same
@@ -18,7 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from asvnav import control, env, vehicle
+from asvnav import control, env, geo, vehicle
 from asvnav.control import PidGains
 from asvnav.env import Environment, FieldSpec, ForceVector, GustSpec, LeftDomainError
 from asvnav.geo import GeoPoint, bearing_of, enu_coords, offset_coords, point_coords, wrap_angle
@@ -91,8 +92,8 @@ def _old_pid_step(gains, state, error, dt):
 def _old_aim_point(lat, lon, target, line, lookahead_m):
     if line is None:
         return target.lat, target.lon
-    anchor, leg_len, ue, un = line
-    east, north = enu_coords(anchor.lat, anchor.lon, lat, lon)
+    anchor_lat, anchor_lon, leg_len, ue, un = line
+    east, north = enu_coords(anchor_lat, anchor_lon, lat, lon)
     along = east * ue + north * un
     ahead = min(along + lookahead_m, leg_len)
     if ahead <= 0.0:
@@ -101,7 +102,7 @@ def _old_aim_point(lat, lon, target, line, lookahead_m):
         ahead = lookahead_m
     elif ahead >= leg_len:
         return target.lat, target.lon
-    return point_coords(*offset_coords(anchor.lat, anchor.lon, ahead * ue, ahead * un))
+    return point_coords(*offset_coords(anchor_lat, anchor_lon, ahead * ue, ahead * un))
 
 
 def _old_bearing_of(east, north):
@@ -117,17 +118,17 @@ def _grid_nodes(field):
     return spd * np.sin(rad), spd * np.cos(rad)
 
 
-def _old_grid(field, p, t):
+def _old_grid(field, lat, lon, t):
     """The grid sampler with its min/max index clamps, its flow turned to
     east/north by ForceVector."""
     node_east, node_north = _grid_nodes(field)
     nodes = np.stack((node_east, node_north), axis=-1).tolist()
     ni, nj = node_east.shape
     edge_tol = 1e-9
-    fi = (p.lat - field.lat0) / field.dlat
-    fj = (p.lon - field.lon0) / field.dlon
+    fi = (lat - field.lat0) / field.dlat
+    fj = (lon - field.lon0) / field.dlon
     if fi < -edge_tol or fj < -edge_tol or fi > ni - 1 + edge_tol or fj > nj - 1 + edge_tol:
-        raise LeftDomainError(f"point ({p.lat}, {p.lon}) outside grid field domain")
+        raise LeftDomainError(f"point ({lat}, {lon}) outside grid field domain")
     fi = min(max(fi, 0.0), float(ni - 1))
     fj = min(max(fj, 0.0), float(nj - 1))
     i = min(int(fi), ni - 2)
@@ -185,17 +186,6 @@ def test_steerage_effectiveness_matches_min_max():
                 _outcome(_old_steerage, params, tw), (floor, tw)
 
 
-class _Draws:
-    """A stand-in generator whose next standard_normal(4) is set by hand."""
-
-    def __init__(self, draws):
-        self.draws = draws
-
-    def standard_normal(self, size):
-        assert size == 4
-        return np.array(self.draws, dtype=np.float64)
-
-
 def _old_noisy_sense(vg_e, vg_n, h_t, flows, noise, draws):
     """sense's noisy branch with max(0.0, ...), from the noise-free readings."""
     water_spd, water_dir, wind_spd, wind_dir = vehicle.sense(vg_e, vg_n, h_t, flows)
@@ -217,8 +207,41 @@ def test_noisy_sense_speed_clamp_matches_max():
                INF, -INF, NAN] + _random(-8.0, 2.0, 200)
     for d_speed in offsets:
         for draws in ((d_speed, 0.3, d_speed, -0.7), (d_speed, -1.1, -d_speed, 0.2)):
-            got = _outcome(vehicle.sense, vg_e, vg_n, h_t, flows, noise, _Draws(draws))
+            got = _outcome(vehicle.sense, vg_e, vg_n, h_t, flows, noise, list(draws))
             assert got == _outcome(_old_noisy_sense, vg_e, vg_n, h_t, flows, noise, draws), draws
+
+
+def test_step_moves_as_displaced():
+    """step's (lat, lon) is the point geo.displaced returns for the step's
+    move, bit for bit: a zero move (either zero's sign) keeps a -0.0
+    latitude, which adding the zero move would turn into 0.0."""
+    params, dt = VehicleParams(), 0.1
+    tiny = 5e-324
+    currents = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (tiny, 0.0), (0.0, -tiny),
+                (1.3, -0.4), (-2.0, 0.7)]
+    points = [(-0.0, 10.0), (0.0, -0.0), (34.0, -81.0), (-12.5, 179.99999), (89.9999, -180.0)]
+    for lat, lon in map(point_coords, *zip(*points)):  # a state's position, as GeoPoint has it
+        for ce, cn in currents:
+            flows = (ce, cn, 0.0, 0.0)
+            # at rest, heading north, no thrust or rudder: the ground
+            # velocity is the current's
+            got = vehicle.step(lat, lon, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, flows, params, dt)[:2]
+            vg_e, vg_n = vehicle._ground_velocity(0.0, 0.0, flows, params)
+            moved = geo.displaced(GeoPoint(lat, lon), vg_e * dt, vg_n * dt)
+            assert _bits(got) == _bits((moved.lat, moved.lon)), (lat, lon, ce, cn)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 11, RNG_SEED])
+def test_noise_blocks_are_the_per_call_draws(seed):
+    """noise_draws hands out, tick by tick, the bits one standard_normal(4)
+    call per tick gives, over more than two blocks and a partial one."""
+    ticks = 2 * vehicle.NOISE_BLOCK + 37
+    draws = vehicle.noise_draws(NoiseSpec(sigma_speed=0.05, sigma_dir=2.0),
+                                np.random.default_rng(seed))
+    got = [tuple(next(draws)) for _ in range(ticks)]
+    rng = np.random.default_rng(seed)
+    expected = [tuple(rng.standard_normal(4).tolist()) for _ in range(ticks)]
+    assert _bits(tuple(got)) == _bits(tuple(expected))
 
 
 # --------------------------------------------------------------------------
@@ -239,7 +262,7 @@ def test_pid_integral_clamp_matches_min_max():
 def test_aim_point_ahead_clamp_matches_min():
     anchor = GeoPoint(34.0, -81.0)
     target = GeoPoint(34.0018, -80.9991)
-    _, _, ue, un = control.tracking_line(anchor, target)
+    _, _, _, ue, un = control.tracking_line(anchor.lat, anchor.lon, target)
     lookahead = 25.0
     rng = np.random.default_rng(RNG_SEED)
     for along_m in (-40.0, -25.0, -0.0, 0.0, 3.0, 150.0, 260.0):
@@ -250,7 +273,7 @@ def test_aim_point_ahead_clamp_matches_min():
         # leg lengths on the aim distance, beside it, and at the edges
         for leg_len in (_around(ahead, lookahead, -ahead) + [INF, NAN]
                         + rng.uniform(0.0, 300.0, 50).tolist()):
-            line = (anchor, leg_len, ue, un)
+            line = (anchor.lat, anchor.lon, leg_len, ue, un)
             assert _outcome(control.aim_point, lat, lon, target, line, lookahead) == \
                 _outcome(_old_aim_point, lat, lon, target, line, lookahead), (along_m, leg_len)
 
@@ -282,9 +305,9 @@ def test_grid_index_clamps_match_min_max(gust):
     points += [(field.lat0, field.lon0), (field.lat0 + 3 * field.dlat, field.lon0 + 3 * field.dlon)]
     points += [(x, field.lon0) for x in NON_FINITE] + [(field.lat0, x) for x in NON_FINITE]
     for lat, lon in points:
-        p = SimpleNamespace(lat=lat, lon=lon)  # the sampler reads lat and lon only
         for t in (0.0, 1.75):
-            assert _outcome(sampler, p, t) == _outcome(_old_grid, field, p, t), (lat, lon, t)
+            assert _outcome(sampler, lat, lon, t) == _outcome(_old_grid, field, lat, lon, t), \
+                (lat, lon, t)
 
 
 def test_flow_matches_force_vector_enu():
@@ -306,15 +329,38 @@ def test_still_pair_samples_one_tuple():
     current = FieldSpec.uniform(0.677, 150.0)
     wind = FieldSpec.uniform(5.0, 240.0)
     environment = Environment(current, wind)
-    flows = environment.sample(GeoPoint(34.0, -81.0), 0.0)
-    expected = (*env._sampler(current)(None, 0.0), *env._sampler(wind)(None, 0.0))
+    flows = environment.sample(34.0, -81.0, 0.0)
+    # a uniform field without a gust is constant: its sampler is its value
+    expected = (*env._sampler(current), *env._sampler(wind))
     assert _bits(flows) == _bits(expected)
-    assert environment.sample(GeoPoint(10.0, 20.0), 99.0) is flows
-    assert _bits(pickle.loads(pickle.dumps(environment)).sample(None, 0.0)) == _bits(expected)
+    assert environment.sample(10.0, 20.0, 99.0) is flows
+    assert _bits(pickle.loads(pickle.dumps(environment)).sample(0.0, 0.0, 0.0)) == _bits(expected)
     gusty = Environment(current, FieldSpec.uniform(5.0, 240.0,
                                                    GustSpec(amplitude=1.5, period_s=7.0)))
-    assert gusty.sample(GeoPoint(34.0, -81.0), 0.0) == expected
-    assert gusty.sample(GeoPoint(34.0, -81.0), 1.75) != expected
+    assert gusty.sample(34.0, -81.0, 0.0) == expected
+    assert gusty.sample(34.0, -81.0, 1.75) != expected
+
+
+def test_pair_sampler_matches_each_field_sampled_alone():
+    """Environment.sample is the two field samplers' flows, whichever of
+    them is folded in as a constant, bit for bit, LeftDomainError too."""
+    gust = GustSpec(amplitude=0.5, period_s=7.0)
+    fields = (FieldSpec.uniform(0.677, 150.0), FieldSpec.uniform(0.9, 20.0, gust),
+              _grid_field(), _grid_field(gust))
+
+    def alone(field, lat, lon, t):
+        sampler = env._sampler(field)
+        return sampler if isinstance(sampler, tuple) else sampler(lat, lon, t)
+
+    rng = np.random.default_rng(RNG_SEED)
+    points = [(34.0 + 3e-3 * a, -81.0 + 3.6e-3 * b) for a, b in rng.uniform(-0.1, 1.1, (40, 2))]
+    for current in fields:
+        for wind in fields:
+            sample = Environment(current, wind).sample
+            for lat, lon in points:
+                for t in (0.0, 1.75):
+                    assert _outcome(sample, lat, lon, t) == _outcome(
+                        lambda *p: (*alone(current, *p), *alone(wind, *p)), lat, lon, t)
 
 
 # --------------------------------------------------------------------------
@@ -334,6 +380,33 @@ def test_bearing_of_matches_wrap_angle_of_atan2():
     for east, north in pairs:
         assert _outcome(bearing_of, east, north) == _outcome(_old_bearing_of, east, north), \
             (east, north)
+    with pytest.raises(ValueError):
+        bearing_of(NAN, 1.0)
+
+
+# (east, north) pairs whose math.degrees(math.atan2(east, north)) sits on
+# an edge of bearing_of's deg + 360.0 branch: -180.0, its neighbour, an
+# angle whose deg + 360.0 rounds to 360.0, a subnormal and -0.0
+NEGATIVE_EDGES = (
+    ((-0.0, -1.0), -180.0),
+    ((-3.452271214393104e-16, -1.0), math.nextafter(-180.0, 0.0)),
+    ((-1.7453292519943295e-16, 1.0), -1e-14),
+    ((-5e-324, 1.0), -2.8e-322),
+    ((-0.0, 1.0), -0.0),
+)
+
+
+def test_bearing_of_negative_branch_edges(monkeypatch):
+    for (east, north), deg in NEGATIVE_EDGES:
+        assert _bits(math.degrees(math.atan2(east, north))) == _bits(deg)
+        assert _outcome(bearing_of, east, north) == _outcome(_old_bearing_of, east, north), deg
+    # atan2 and degrees as the identity, so bearing_of sees any deg as it
+    # is: each edge, -5e-324 and NaN against _old_bearing_of's wrap_angle
+    monkeypatch.setattr(geo, "math", SimpleNamespace(
+        atan2=lambda east, north: east, degrees=lambda rad: rad, isfinite=math.isfinite))
+    degs = [deg for _, deg in NEGATIVE_EDGES] + [-5e-324, -1e-14, -90.0, -179.5, NAN]
+    for deg in degs:
+        assert _outcome(bearing_of, deg, 1.0) == _outcome(wrap_angle, deg), deg
     with pytest.raises(ValueError):
         bearing_of(NAN, 1.0)
 

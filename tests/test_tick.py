@@ -215,36 +215,40 @@ def _by_hand(sc, model):
     """The log rows of sc from the public per-layer functions, called in the
     order run_scenario describes its tick, the navigator with model only
     when sc is augmented. They are looked up on their modules at each call,
-    so the calls fixture sees them."""
+    so the calls fixture sees them. The noise draws are one
+    standard_normal(4) call per tick on a generator seeded with sc.seed:
+    the stream the run's noise blocks must hand out."""
     if sc.controller.kind == "baseline":
         model = None
     rng = np.random.default_rng(sc.seed)
+    noisy = sc.noise.sigma_speed > 0.0 or sc.noise.sigma_dir > 0.0
     environment = Environment(sc.current, sc.wind)
     mission = list(sc.mission)
-    pos, spd_t, course_t, h_t, tw, t, turn_rate = sc.start_state()
+    lat, lon, spd_t, course_t, h_t, tw, t, turn_rate = sc.start_state()
     index, line, heading_pid, speed_pid = 0, None, FRESH_PID, FRESH_PID
     intermediate, next_update_t = None, -math.inf
     records = []
     for _ in range(int(round(sc.duration_limit_s / sc.dt_s)) + 1):
-        flows = environment.sample(pos, t)
+        flows = environment.sample(lat, lon, t)
         vg_e, vg_n = track_velocity(spd_t, course_t)
+        draws = rng.standard_normal(4).tolist() if noisy else None
         water_spd, water_dir, wind_spd, wind_dir = vehicle.sense(
-            vg_e, vg_n, h_t, flows, sc.noise, rng
+            vg_e, vg_n, h_t, flows, sc.noise, draws
         )
         force = (*vehicle.relative_to_absolute(vg_e, vg_n, h_t, water_spd, water_dir),
                  *vehicle.relative_to_absolute(vg_e, vg_n, h_t, wind_spd, wind_dir))
         (thrust, rudder, index, line, heading_pid, speed_pid, intermediate,
          next_update_t) = augment.navigator_step(
-            pos, spd_t, h_t, t, mission, index, line, heading_pid, speed_pid, intermediate,
+            lat, lon, spd_t, h_t, t, mission, index, line, heading_pid, speed_pid, intermediate,
             next_update_t, model, force, cfg=sc.augment, gains=sc.gains,
             params=sc.vehicle, dt=sc.dt_s, radius=sc.acceptance_radius_m,
         )
-        records.append(LogRecord(t, pos.lat, pos.lon, spd_t, course_t, h_t, tw, turn_rate, index,
+        records.append(LogRecord(t, lat, lon, spd_t, course_t, h_t, tw, turn_rate, index,
                                  intermediate, *force, thrust, rudder))
         if index >= len(mission):
             break
-        pos, spd_t, course_t, h_t, tw, t, turn_rate = vehicle.step(
-            pos, h_t, tw, t, turn_rate, thrust, rudder, flows, sc.vehicle, sc.dt_s
+        lat, lon, spd_t, course_t, h_t, tw, t, turn_rate = vehicle.step(
+            lat, lon, h_t, tw, t, turn_rate, thrust, rudder, flows, sc.vehicle, sc.dt_s
         )
     return tuple(records)
 
@@ -267,6 +271,28 @@ def test_loop_is_the_public_api_stepped_by_hand(calls, scenario, controller):
     assert records == expected
     # repr tells every double apart, -0.0 from 0.0 included: bit for bit
     assert repr(records) == repr(expected)
+
+
+def test_noise_blocks_belong_to_their_run():
+    """Two noisy runs back to back in one process, in either order, each
+    log what the run logs alone (stepped by hand on its own generator): a
+    run's noise blocks come from its own generator and none outlives it.
+    Each run's 401 ticks end partway through a block."""
+    runs = [replace(_digest_scenario(), duration_limit_s=40.0),
+            replace(_grid_current_run(), duration_limit_s=40.0)]
+    model = OracleEffectModel(wind_drag_factor=runs[0].vehicle.wind_drag_factor)
+
+    # sha256 of each log's repr, which tells every double apart; a digest
+    # keeps the report of a mismatch short
+    def digest(records):
+        return hashlib.sha256(repr(tuple(records)).encode()).hexdigest()
+
+    alone = {sc.name: digest(_by_hand(sc, model)) for sc in runs}
+    for pair in (runs, runs[::-1]):
+        for sc in pair:
+            log = harness.run_scenario(sc, model=model).log
+            assert len(log) == 401 and len(log) % vehicle.NOISE_BLOCK
+            assert digest(log.records) == alone[sc.name], sc.name
 
 
 @pytest.mark.parametrize("controller", ["baseline", "augmented"])
@@ -301,9 +327,9 @@ def sample_calls(monkeypatch):
     calls = []
     sample = Environment.sample
 
-    def counted(self, pos, t):
+    def counted(self, lat, lon, t):
         calls.append(t)
-        return sample(self, pos, t)
+        return sample(self, lat, lon, t)
 
     monkeypatch.setattr(Environment, "sample", counted)
     return calls

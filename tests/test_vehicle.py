@@ -12,6 +12,7 @@ from asvnav.vehicle import (
     NoiseSpec,
     VehicleParams,
     _clamped,
+    noise_draws,
     relative_to_absolute,
     sense,
     step,
@@ -22,19 +23,20 @@ ORIGIN = GeoPoint(34.0, -81.0)
 PARAMS = VehicleParams()
 
 
-# A state is step's tuple (pos, spd_t, course_t, h_t, through_water_speed,
-# t, turn_rate); a command is (thrust, rudder).
+# A state is step's tuple (lat, lon, spd_t, course_t, h_t,
+# through_water_speed, t, turn_rate); a command is (thrust, rudder).
 
 
 def steady_state(heading, water_speed, environment, params=PARAMS, pos=ORIGIN):
     """State whose ground velocity is consistent with the fields at t=0."""
     from asvnav.geo import bearing_of, unit_enu
 
-    ce, cn, we, wn = environment.sample(pos, 0.0)
+    ce, cn, we, wn = environment.sample(pos.lat, pos.lon, 0.0)
     he, hn = unit_enu(heading)
     vg_e = water_speed * he + ce + params.wind_drag_factor * we
     vg_n = water_speed * hn + cn + params.wind_drag_factor * wn
-    return pos, math.hypot(vg_e, vg_n), bearing_of(vg_e, vg_n), heading, water_speed, 0.0, 0.0
+    return (pos.lat, pos.lon, math.hypot(vg_e, vg_n), bearing_of(vg_e, vg_n), heading,
+            water_speed, 0.0, 0.0)
 
 
 def trim_command(water_speed, params=PARAMS):
@@ -43,26 +45,27 @@ def trim_command(water_speed, params=PARAMS):
 
 def advance(s, cmd, environment, dt=0.1):
     """step from state s under cmd, in the flows sampled at s."""
-    pos, _, _, h_t, tw, t, turn_rate = s
-    return step(pos, h_t, tw, t, turn_rate, *cmd, environment.sample(pos, t), PARAMS, dt)
+    lat, lon, _, _, h_t, tw, t, turn_rate = s
+    return step(lat, lon, h_t, tw, t, turn_rate, *cmd, environment.sample(lat, lon, t), PARAMS,
+                dt)
 
 
 def flows_at(s, environment):
     """The fields sampled at state s's position and time."""
-    return environment.sample(s[0], s[5])
+    return environment.sample(s[0], s[1], s[6])
 
 
-def read_sensors(s, flows, noise=NoiseSpec(), rng=None):
+def read_sensors(s, flows, noise=NoiseSpec(), draws=None):
     """sense at state s: (water speed, water direction, wind speed, wind
     direction), hull-relative."""
-    _, spd_t, course_t, h_t, *_ = s
-    return sense(*track_velocity(spd_t, course_t), h_t, flows, noise, rng)
+    _, _, spd_t, course_t, h_t, *_ = s
+    return sense(*track_velocity(spd_t, course_t), h_t, flows, noise, draws)
 
 
 def recover(s, flows):
     """relative_to_absolute of both flows sensed at state s:
     (spd_c, dir_c, spd_w, dir_w)."""
-    _, spd_t, course_t, h_t, *_ = s
+    _, _, spd_t, course_t, h_t, *_ = s
     vg_e, vg_n = track_velocity(spd_t, course_t)
     water_spd, water_dir, wind_spd, wind_dir = sense(vg_e, vg_n, h_t, flows)
     return (*relative_to_absolute(vg_e, vg_n, h_t, water_spd, water_dir),
@@ -72,8 +75,8 @@ def recover(s, flows):
 def test_step_calm_steady_state():
     environment = Environment.calm()
     s = steady_state(heading=0.0, water_speed=2.0, environment=environment)
-    pos, spd_t, _, h_t, *_ = advance(s, trim_command(2.0), environment)
-    rng, brg = distance_bearing(ORIGIN, pos)
+    lat, lon, spd_t, _, h_t, *_ = advance(s, trim_command(2.0), environment)
+    rng, brg = distance_bearing(ORIGIN, GeoPoint(lat, lon))
     assert rng == pytest.approx(0.2, abs=1e-7)
     assert brg == pytest.approx(0.0, abs=1e-6)
     assert spd_t == pytest.approx(2.0, rel=1e-12)
@@ -83,7 +86,7 @@ def test_step_calm_steady_state():
 def test_step_cross_current_vector_sum():
     environment = Environment(FieldSpec.uniform(0.5, 90.0), FieldSpec.calm())
     s = steady_state(heading=0.0, water_speed=2.0, environment=environment)
-    _, spd_t, course_t, h_t, *_ = advance(s, trim_command(2.0), environment)
+    _, _, spd_t, course_t, h_t, *_ = advance(s, trim_command(2.0), environment)
     assert spd_t == pytest.approx(math.sqrt(4.25), rel=1e-12)
     assert course_t == pytest.approx(math.degrees(math.atan2(0.5, 2.0)), rel=1e-9)
     assert course_t == pytest.approx(14.0362, abs=1e-3)
@@ -93,10 +96,10 @@ def test_step_cross_current_vector_sum():
 def test_step_pure_drift():
     environment = Environment(FieldSpec.uniform(1.0, 180.0), FieldSpec.calm())
     s = steady_state(heading=90.0, water_speed=0.0, environment=environment)
-    pos, spd_t, course_t, *_ = advance(s, (0.0, 0.0), environment)
+    lat, lon, spd_t, course_t, *_ = advance(s, (0.0, 0.0), environment)
     assert spd_t == pytest.approx(1.0, rel=1e-12)
     assert course_t == pytest.approx(180.0, abs=1e-9)
-    rng, brg = distance_bearing(ORIGIN, pos)
+    rng, brg = distance_bearing(ORIGIN, GeoPoint(lat, lon))
     assert rng == pytest.approx(0.1, abs=1e-7)
     assert brg == pytest.approx(180.0, abs=1e-6)
 
@@ -105,8 +108,8 @@ def test_step_rejects_bad_dt_and_commands():
     environment = Environment.calm()
     s = steady_state(0.0, 2.0, environment)
     flows = flows_at(s, environment)
-    pos, _, _, h_t, tw, t, turn_rate = s
-    state = (pos, h_t, tw, t, turn_rate)
+    lat, lon, _, _, h_t, tw, t, turn_rate = s
+    state = (lat, lon, h_t, tw, t, turn_rate)
     thrust, _ = trim_command(2.0)
     with pytest.raises(ValueError):
         step(*state, thrust, 0.0, flows, PARAMS, dt=0.0)
@@ -148,14 +151,14 @@ def test_drift_superposition_exact():
 
     T = steps * dt
     ce, cn = current.enu()
-    expected = displaced(s_calm[0], ce * T, cn * T)
-    gap, _ = distance_bearing(expected, s_cur[0])
+    expected = displaced(GeoPoint(*s_calm[:2]), ce * T, cn * T)
+    gap, _ = distance_bearing(expected, GeoPoint(*s_cur[:2]))
     assert gap < 1e-6
 
 
 def test_sense_stationary_vehicle():
     environment = Environment(FieldSpec.uniform(0.677, 180.0), FieldSpec.calm())
-    s = (ORIGIN, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)  # at rest, heading north
+    s = (ORIGIN.lat, ORIGIN.lon, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)  # at rest, heading north
     water_spd, water_dir, _, _ = read_sensors(s, flows_at(s, environment))
     assert water_spd == pytest.approx(0.677, rel=1e-12)
     assert water_dir == pytest.approx(180.0, abs=1e-9)
@@ -177,10 +180,14 @@ def test_sense_zero_noise_matches_analytic():
     clean = read_sensors(s, flows_at(s, environment))
     rng = np.random.default_rng(1)
     untouched = rng.bit_generator.state
-    seeded = read_sensors(s, flows_at(s, environment), NoiseSpec(0.0, 0.0), rng)
+    draws = next(noise_draws(NoiseSpec(0.0, 0.0), rng))
+    seeded = read_sensors(s, flows_at(s, environment), NoiseSpec(0.0, 0.0), draws)
     assert repr(clean) == repr(seeded)
-    # zero noise changes no reading, so it takes no draws
+    # zero noise changes no reading, so it takes no draws and reads none
+    assert draws is None
     assert rng.bit_generator.state == untouched
+    given = read_sensors(s, flows_at(s, environment), NoiseSpec(0.0, 0.0), [1.0, -2.0, 0.5, 3.0])
+    assert repr(clean) == repr(given)
 
 
 def test_sense_noise_reproducible_and_applied():
@@ -189,19 +196,20 @@ def test_sense_noise_reproducible_and_applied():
     )
     s = steady_state(heading=120.0, water_speed=1.5, environment=environment)
     noise = NoiseSpec(sigma_speed=0.05, sigma_dir=2.0)
-    a = read_sensors(s, flows_at(s, environment), noise, np.random.default_rng(42))
-    b = read_sensors(s, flows_at(s, environment), noise, np.random.default_rng(42))
-    c = read_sensors(s, flows_at(s, environment), noise, np.random.default_rng(43))
+    a, b, c = (read_sensors(s, flows_at(s, environment), noise,
+                            next(noise_draws(noise, np.random.default_rng(seed))))
+               for seed in (42, 42, 43))
     assert a == b
     assert a != c
+    assert a != read_sensors(s, flows_at(s, environment))
     with pytest.raises(ValueError):
-        read_sensors(s, flows_at(s, environment), noise, rng=None)
+        read_sensors(s, flows_at(s, environment), noise, draws=None)
 
 
 def _random_state(rng):
     pos = GeoPoint(rng.uniform(-60, 60), rng.uniform(-179, 179))
     spd_t, course_t, h_t = rng.uniform(0, 5), rng.uniform(0, 360), rng.uniform(0, 360)
-    return pos, spd_t, course_t, h_t, rng.uniform(0, 5), rng.uniform(0, 1000), 0.0
+    return pos.lat, pos.lon, spd_t, course_t, h_t, rng.uniform(0, 5), rng.uniform(0, 1000), 0.0
 
 
 def test_inverse_sensing_1000_random_states():
