@@ -181,18 +181,19 @@ def _flow(speed: float, direction: float) -> tuple[float, float]:
     return 0.0, 0.0  # ForceVector reports a still flow as direction 0
 
 
-def _sampler(field: FieldSpec) -> Sampler | tuple[float, float]:
+def _sampler(field: FieldSpec) -> Sampler:
     """(east, north) flow of the field at (lat, lon, t), gusts included,
     speed clamped at zero: each kind works out a speed and direction for
     _flow. What does not depend on (lat, lon, t) is worked out here, once
-    per field, so a uniform field without a gust is its one value."""
+    per field, so a uniform field without a gust returns one value."""
     gust = field.gust
     if isinstance(field, UniformField):
         ue, un = unit_enu(field.direction)
         be, bn = field.speed * ue, field.speed * un
         base_speed, direction = math.hypot(be, bn), bearing_of(be, bn)
         if gust is None:
-            return _flow(base_speed, direction)
+            value = _flow(base_speed, direction)
+            return lambda lat, lon, t: value
         return lambda lat, lon, t: _flow(max(0.0, base_speed + _gust_term(gust, t)), direction)
     if isinstance(field, RiverProfileField):
         origin, half_width = field.axis_origin, field.half_width_m
@@ -256,35 +257,27 @@ def _sampler(field: FieldSpec) -> Sampler | tuple[float, float]:
     raise TypeError(f"not a field kind: {type(field).__name__}")
 
 
-def _pair_sampler(current, wind) -> Callable[[float, float, float], Flows]:
-    """One sampler of both flows at (lat, lon, t) from the fields' _sampler
-    results, a constant's value folded in: a still pair returns one tuple."""
-    if isinstance(wind, tuple):
-        we, wn = wind
-        if isinstance(current, tuple):
-            flows = (*current, we, wn)
-            return lambda lat, lon, t: flows
-
-        def sample(lat: float, lon: float, t: float) -> Flows:
-            ce, cn = current(lat, lon, t)
-            return ce, cn, we, wn
-        return sample
-    if isinstance(current, tuple):
-        ce, cn = current
-        return lambda lat, lon, t: (ce, cn, *wind(lat, lon, t))
-    return lambda lat, lon, t: (*current(lat, lon, t), *wind(lat, lon, t))
-
-
 @dataclass(frozen=True)
 class Environment:
-    """The pair of fields a simulation runs in; sample() runs their one sampler, built here."""
+    """The pair of fields a simulation runs in.
+
+    Each field's sampler is built once, here, and the flows of a still pair
+    too; sample() is what a simulation step calls.
+    """
 
     current: FieldSpec
     wind: FieldSpec
 
     def __post_init__(self):
         current, wind = _sampler(self.current), _sampler(self.wind)
-        object.__setattr__(self, "_sample", _pair_sampler(current, wind))
+        object.__setattr__(self, "_current", current)
+        object.__setattr__(self, "_wind", wind)
+        # two uniform fields without a gust are still: their flows are one
+        # tuple, worked out here (the samplers ignore lat, lon and t)
+        still = all(isinstance(f, UniformField) and f.gust is None
+                    for f in (self.current, self.wind))
+        object.__setattr__(self, "_still",
+                           (*current(0.0, 0.0, 0.0), *wind(0.0, 0.0, 0.0)) if still else None)
 
     def __reduce__(self):
         # the samplers are closures; pickle the fields and rebuild them
@@ -297,4 +290,8 @@ class Environment:
     def sample(self, lat: float, lon: float, t: float) -> Flows:
         """(current east, current north, wind east, wind north) in m/s at
         (lat, lon) and time t. Raises LeftDomainError outside a grid field."""
-        return self._sample(lat, lon, t)
+        if self._still is not None:
+            return self._still
+        ce, cn = self._current(lat, lon, t)
+        we, wn = self._wind(lat, lon, t)
+        return ce, cn, we, wn

@@ -50,12 +50,9 @@ def bearing_of(east: float, north: float) -> float:
     if east == 0.0 and north == 0.0:
         return 0.0
     deg = math.degrees(math.atan2(east, north))
-    # wrap_angle's value without the call: atan2's positive angles (<= 180) as they are, and
-    # deg + 360.0 on [-180, 0] (360.0 wraps to 0.0); NaN goes to wrap_angle, which raises
-    if deg > 0.0:
-        return deg
-    deg = deg + 360.0 if deg >= -180.0 else wrap_angle(deg)
-    return deg if deg < 360.0 else 0.0
+    # atan2 gives at most 180 degrees, so a positive angle is already in
+    # range: the value wrap_angle's fast path returns
+    return deg if deg > 0.0 else wrap_angle(deg)
 
 
 _set_field = object.__setattr__

@@ -139,8 +139,9 @@ def step(lat: float, lon: float, h_t: float, through_water_speed: float, t: floa
     position and time. Heading integrates the lagged turn rate (commanded
     rate is rudder times the speed-scaled turn authority), through-water
     speed relaxes toward thrust * max_water_speed, and the position moves
-    along the summed ground velocity as geo.displaced moves a point.
-    Deterministic: identical inputs give bit-identical outputs.
+    along the summed ground velocity as geo.displaced moves a point; the
+    new position passes point_coords, moved or not. Deterministic:
+    identical inputs give bit-identical outputs.
     """
     _check_dt(dt)
     if not (math.isfinite(thrust) and math.isfinite(rudder)):
@@ -158,8 +159,9 @@ def step(lat: float, lon: float, h_t: float, through_water_speed: float, t: floa
 
     vg_e, vg_n = _ground_velocity(tw, heading, flows, params)
     east, north = vg_e * dt, vg_n * dt
-    if east != 0.0 or north != 0.0:
-        lat, lon = point_coords(*offset_coords(lat, lon, east, north))
+    if east != 0.0 or north != 0.0:  # displaced's zero-move shortcut: a -0.0 latitude stays
+        lat, lon = offset_coords(lat, lon, east, north)
+    lat, lon = point_coords(lat, lon)  # a point at rest is checked as a moved one
     spd_t = math.hypot(vg_e, vg_n)
     course_t = bearing_of(vg_e, vg_n)
     t = t + dt

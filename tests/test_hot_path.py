@@ -1,6 +1,6 @@
-"""The per-tick clamps, bearing_of, GeoPoint, the pair sampler and the
-block noise draws against their min/max, wrap_angle and one-call-per-tick
-reference forms, written out here, bit for bit.
+"""The per-tick clamps, bearing_of, GeoPoint, step's move and the block
+noise draws against their min/max, wrap_angle, displaced and
+one-call-per-tick reference forms, written out here, bit for bit.
 
 max(a, b) returns a unless b > a, and min(a, b) returns a unless b < a, so
 a clamp written as comparisons in the same argument order gives the same
@@ -14,7 +14,6 @@ import math
 import pickle
 import struct
 from dataclasses import dataclass, replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -330,8 +329,7 @@ def test_still_pair_samples_one_tuple():
     wind = FieldSpec.uniform(5.0, 240.0)
     environment = Environment(current, wind)
     flows = environment.sample(34.0, -81.0, 0.0)
-    # a uniform field without a gust is constant: its sampler is its value
-    expected = (*env._sampler(current), *env._sampler(wind))
+    expected = (*env._sampler(current)(0.0, 0.0, 0.0), *env._sampler(wind)(0.0, 0.0, 0.0))
     assert _bits(flows) == _bits(expected)
     assert environment.sample(10.0, 20.0, 99.0) is flows
     assert _bits(pickle.loads(pickle.dumps(environment)).sample(0.0, 0.0, 0.0)) == _bits(expected)
@@ -339,28 +337,6 @@ def test_still_pair_samples_one_tuple():
                                                    GustSpec(amplitude=1.5, period_s=7.0)))
     assert gusty.sample(34.0, -81.0, 0.0) == expected
     assert gusty.sample(34.0, -81.0, 1.75) != expected
-
-
-def test_pair_sampler_matches_each_field_sampled_alone():
-    """Environment.sample is the two field samplers' flows, whichever of
-    them is folded in as a constant, bit for bit, LeftDomainError too."""
-    gust = GustSpec(amplitude=0.5, period_s=7.0)
-    fields = (FieldSpec.uniform(0.677, 150.0), FieldSpec.uniform(0.9, 20.0, gust),
-              _grid_field(), _grid_field(gust))
-
-    def alone(field, lat, lon, t):
-        sampler = env._sampler(field)
-        return sampler if isinstance(sampler, tuple) else sampler(lat, lon, t)
-
-    rng = np.random.default_rng(RNG_SEED)
-    points = [(34.0 + 3e-3 * a, -81.0 + 3.6e-3 * b) for a, b in rng.uniform(-0.1, 1.1, (40, 2))]
-    for current in fields:
-        for wind in fields:
-            sample = Environment(current, wind).sample
-            for lat, lon in points:
-                for t in (0.0, 1.75):
-                    assert _outcome(sample, lat, lon, t) == _outcome(
-                        lambda *p: (*alone(current, *p), *alone(wind, *p)), lat, lon, t)
 
 
 # --------------------------------------------------------------------------
@@ -377,36 +353,13 @@ def test_bearing_of_matches_wrap_angle_of_atan2():
     for e, n in ((0.0, 1.0), (1.0, 0.0), (0.0, -1.0), (-1.0, 0.0)):
         for d in (tiny, -tiny, 1e-17, -1e-17):
             pairs += [(e + d, n + d), (e + d, n - d), (e - d, n + d)]
+    # atan2 in degrees at -180.0, its neighbour, -1e-14 (where + 360.0
+    # rounds to 360.0) and a subnormal: the edges of wrap_angle's full path
+    pairs += [(-0.0, -1.0), (-3.452271214393104e-16, -1.0), (-1.7453292519943295e-16, 1.0),
+              (-5e-324, 1.0)]
     for east, north in pairs:
         assert _outcome(bearing_of, east, north) == _outcome(_old_bearing_of, east, north), \
             (east, north)
-    with pytest.raises(ValueError):
-        bearing_of(NAN, 1.0)
-
-
-# (east, north) pairs whose math.degrees(math.atan2(east, north)) sits on
-# an edge of bearing_of's deg + 360.0 branch: -180.0, its neighbour, an
-# angle whose deg + 360.0 rounds to 360.0, a subnormal and -0.0
-NEGATIVE_EDGES = (
-    ((-0.0, -1.0), -180.0),
-    ((-3.452271214393104e-16, -1.0), math.nextafter(-180.0, 0.0)),
-    ((-1.7453292519943295e-16, 1.0), -1e-14),
-    ((-5e-324, 1.0), -2.8e-322),
-    ((-0.0, 1.0), -0.0),
-)
-
-
-def test_bearing_of_negative_branch_edges(monkeypatch):
-    for (east, north), deg in NEGATIVE_EDGES:
-        assert _bits(math.degrees(math.atan2(east, north))) == _bits(deg)
-        assert _outcome(bearing_of, east, north) == _outcome(_old_bearing_of, east, north), deg
-    # atan2 and degrees as the identity, so bearing_of sees any deg as it
-    # is: each edge, -5e-324 and NaN against _old_bearing_of's wrap_angle
-    monkeypatch.setattr(geo, "math", SimpleNamespace(
-        atan2=lambda east, north: east, degrees=lambda rad: rad, isfinite=math.isfinite))
-    degs = [deg for _, deg in NEGATIVE_EDGES] + [-5e-324, -1e-14, -90.0, -179.5, NAN]
-    for deg in degs:
-        assert _outcome(bearing_of, deg, 1.0) == _outcome(wrap_angle, deg), deg
     with pytest.raises(ValueError):
         bearing_of(NAN, 1.0)
 

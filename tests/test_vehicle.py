@@ -119,6 +119,19 @@ def test_step_rejects_bad_dt_and_commands():
         step(*state, float("nan"), 0.0, flows, PARAMS, dt=0.1)
 
 
+
+def test_step_checks_a_position_at_rest():
+    """A hull at rest in still water does not move, and its position still
+    passes point_coords: a latitude out of range raises, a longitude wraps."""
+    calm = Environment.calm().sample(0.0, 0.0, 0.0)
+    at_rest = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, calm, PARAMS, 0.1)
+    assert step(34.0, -81.0, *at_rest)[:2] == (34.0, -81.0)
+    assert step(-0.0, 10.0, *at_rest)[0] == -0.0
+    assert step(34.0, 500.0, *at_rest)[:2] == (34.0, 140.0)
+    with pytest.raises(ValueError, match="latitude"):
+        step(95.0, 10.0, *at_rest)
+
+
 def test_step_deterministic():
     environment = Environment(
         FieldSpec.uniform(0.7, 230.0), FieldSpec.uniform(3.0, 10.0)
