@@ -6,7 +6,9 @@ plus the simulation harness and metrics to compare the two.
 """
 
 from .augment import (
+    FRESH_NAV,
     AugmentConfig,
+    Navigator,
     adjusted_speed,
     calc_intermediate_wp,
     navigator_step,

@@ -6,7 +6,7 @@ goal (offset proportional to the remaining distance) and adjusts the
 commanded speed by the predicted along-track deficit. The PID steering is
 then driven with that intermediate target while mission advancement is
 always judged against the true goal. Both are one navigator_step: the
-baseline is the navigator without a model.
+baseline is the Navigator without a model.
 """
 
 from __future__ import annotations
@@ -128,54 +128,61 @@ def _advance(lat: float, lon: float, mission: Sequence[Waypoint], index: int,
     return index
 
 
-def navigator_step(
-    lat: float,
-    lon: float,
-    spd_t: float,
-    h_t: float,
-    t: float,
-    mission: Sequence[Waypoint],
-    index: int,
-    line: Optional[Line],
-    heading_pid: PidFloats,
-    speed_pid: PidFloats,
-    intermediate: Optional[Waypoint] = None,
-    next_update_t: float = -math.inf,
-    model=None,
-    force: Optional[tuple[float, float, float, float]] = None,
-    cfg: AugmentConfig = AugmentConfig(),
-    gains: NavGains = DEFAULT_GAINS,
-    params: VehicleParams = VehicleParams(),
-    dt: float = DEFAULT_DT,
-    radius: float = DEFAULT_ACCEPT_RADIUS,
-) -> tuple[float, float, int, Optional[Line], PidFloats, PidFloats, Optional[Waypoint], float]:
-    """One control step of the waypoint navigator, for a vehicle at
-    (lat, lon) with ground speed spd_t and heading h_t at time t.
+# The navigator's state: (index, line, heading_pid, speed_pid,
+# intermediate, next_update_t). A run starts at FRESH_NAV.
+NavState = tuple[int, Optional[Line], PidFloats, PidFloats, Optional[Waypoint], float]
+FRESH_NAV: NavState = (0, None, FRESH_PID, FRESH_PID, None, -math.inf)
 
-    The navigator's state is the active waypoint index, the tracking line
+
+@dataclass(frozen=True, slots=True)
+class Navigator:
+    """The constants of one run's navigator (with model None: the
+    baseline), checked once when built."""
+
+    mission: Sequence[Waypoint]
+    model: object = None
+    cfg: AugmentConfig = AugmentConfig()
+    gains: NavGains = DEFAULT_GAINS
+    params: VehicleParams = VehicleParams()
+    dt: float = DEFAULT_DT
+    radius: float = DEFAULT_ACCEPT_RADIUS
+
+    def __post_init__(self):
+        if not self.mission:
+            raise ValueError("mission must contain at least one waypoint")
+        if self.dt <= 0.0:
+            raise ValueError(f"dt must be > 0, got {self.dt!r}")
+
+
+def navigator_step(nav: Navigator, lat: float, lon: float, spd_t: float, h_t: float, t: float,
+                   force: Optional[tuple[float, float, float, float]],
+                   state: NavState) -> tuple[float, float, NavState]:
+    """One control step of the navigator nav, for a vehicle at (lat, lon)
+    with ground speed spd_t and heading h_t at time t.
+
+    state is the NavState: the active waypoint index, the tracking line
     (None until its target is first steered at), both PID states, the held
-    intermediate target and the time of the next update; a fresh one is
-    (0, None, FRESH_PID, FRESH_PID, None, -inf). It advances the active
-    waypoint when reached: both integrators restart, the held target is
-    dropped and the line re-anchors where the vehicle is, the way the stock
-    autopilot tracks the line from the point of waypoint acceptance.
+    intermediate target and the time of the next update; a run starts at
+    FRESH_NAV. It advances the active waypoint when reached: both
+    integrators restart, the held target is dropped and the line re-anchors
+    where the vehicle is, the way the stock autopilot tracks the line from
+    the point of waypoint acceptance.
 
-    With model None it is the baseline: it steers at the lookahead point on
-    the line to the active waypoint and holds no target. With a model and
-    the absolute forces as (spd_c, dir_c, spd_w, dir_w) it is augmented:
-    every update_period_s (and right after an advance) the feed-forward
-    update runs, predict -> adjusted speed -> intermediate waypoint, and
-    the navigator steers at the held target; advancement is still judged
-    against the true goals, so a zero-effect model reproduces the baseline
-    bit for bit. Returns the clamped (thrust, rudder) and the new state;
-    index == len(mission) once the mission is complete, with an all-zero
-    command, no line and no held target.
+    With nav.model None it is the baseline: it steers at the lookahead
+    point on the line to the active waypoint and holds no target, and force
+    is not read. With a model and the absolute forces as (spd_c, dir_c,
+    spd_w, dir_w) it is augmented: every update_period_s (and right after
+    an advance) the feed-forward update runs, predict -> adjusted speed ->
+    intermediate waypoint, and the navigator steers at the held target;
+    advancement is still judged against the true goals, so a zero-effect
+    model reproduces the baseline bit for bit. Returns the clamped
+    (thrust, rudder) and the new state; index == len(mission) once the
+    mission is complete, with an all-zero command, no line and no held
+    target.
     """
-    if not mission:
-        raise ValueError("mission must contain at least one waypoint")
-    if dt <= 0.0:
-        raise ValueError(f"dt must be > 0, got {dt!r}")
-    reached = _advance(lat, lon, mission, index, radius)
+    index, line, heading_pid, speed_pid, intermediate, next_update_t = state
+    mission = nav.mission
+    reached = _advance(lat, lon, mission, index, nav.radius)
     if reached != index:
         # a new goal: both integrators restart, the held target is dropped
         # and the line re-anchors here
@@ -183,17 +190,18 @@ def navigator_step(
         heading_pid = speed_pid = FRESH_PID
         line, intermediate, next_update_t = None, None, -math.inf
     if index >= len(mission):
-        return 0.0, 0.0, index, None, heading_pid, speed_pid, None, -math.inf
+        return 0.0, 0.0, (index, None, heading_pid, speed_pid, None, -math.inf)
 
     target = mission[index]
+    model = nav.model
     if model is not None:
         if intermediate is None or t >= next_update_t:
             # The feed-forward update: predict -> adjusted speed ->
             # intermediate waypoint.
             drift_e, drift_n, deficit = model.predict(*force, target.spd_target, h_t)
-            spd = adjusted_speed(_denoise(deficit), target.spd_target, params)
+            spd = adjusted_speed(_denoise(deficit), target.spd_target, nav.params)
             aim = calc_intermediate_wp(target, lat, lon, _denoise(drift_e), _denoise(drift_n),
-                                       cfg, spd)
+                                       nav.cfg, spd)
             refreshed = Waypoint(aim, spd)
             # Re-anchor only when the target actually moved; an unchanged
             # target keeps the established tracking line (and keeps a
@@ -204,11 +212,11 @@ def navigator_step(
             if refreshed != intermediate:
                 intermediate, line = refreshed, None
                 heading_pid = FRESH_PID
-            next_update_t = t + cfg.update_period_s
+            next_update_t = t + nav.cfg.update_period_s
         target = intermediate
     if line is None:
         line = tracking_line(lat, lon, target.pos)
     thrust, rudder, heading_pid, speed_pid = steer_toward(
-        lat, lon, h_t, spd_t, target, line, gains, heading_pid, speed_pid, dt
+        lat, lon, h_t, spd_t, target, line, nav.gains, heading_pid, speed_pid, nav.dt
     )
-    return thrust, rudder, index, line, heading_pid, speed_pid, intermediate, next_update_t
+    return thrust, rudder, (index, line, heading_pid, speed_pid, intermediate, next_update_t)

@@ -21,11 +21,10 @@ from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hin
 
 import numpy as np
 
-from .augment import AugmentConfig, navigator_step
+from .augment import FRESH_NAV, AugmentConfig, Navigator, navigator_step
 from .control import (
     DEFAULT_ACCEPT_RADIUS,
     DEFAULT_GAINS,
-    FRESH_PID,
     NavGains,
     Waypoint,
 )
@@ -500,19 +499,18 @@ def _closed_loop(sc: Scenario, mission: list[Waypoint], model) -> tuple[Trajecto
     then wind), navigator_step (with model None: the baseline) and step; a tick
     that completes the mission takes no step; noise_draws hands out the
     run's own noise. The Scenario has checked dt (the step count divides by
-    it) and the radius. Checks that can fire here: a non-finite command, a
-    negative or non-finite state, the offset and latitude limits of each
-    move, and LeftDomainError, which ends the run.
+    it) and the radius, and the run's Navigator checks its mission and dt
+    once. Checks that can fire here: a non-finite command, a negative or
+    non-finite state, the offset and latitude limits of each move, and
+    LeftDomainError, which ends the run.
     """
-    dt, params, gains, noise, cfg = sc.dt_s, sc.vehicle, sc.gains, sc.noise, sc.augment
-    radius = sc.acceptance_radius_m
+    dt, params, noise = sc.dt_s, sc.vehicle, sc.noise
+    nav = Navigator(mission, model, sc.augment, sc.gains, params, dt, sc.acceptance_radius_m)
     max_steps = int(round(sc.duration_limit_s / dt))
     draw = noise_draws(noise, np.random.default_rng(sc.seed)).__next__
     sample = Environment(current=sc.current, wind=sc.wind).sample
     lat, lon, spd_t, course_t, h_t, tw, t, turn_rate = sc.start_state()
-    index = 0
-    heading_pid = speed_pid = FRESH_PID
-    line, intermediate, next_update_t = None, None, -math.inf
+    state = FRESH_NAV
     rows = []
     add = rows.append
 
@@ -527,11 +525,10 @@ def _closed_loop(sc: Scenario, mission: list[Waypoint], model) -> tuple[Trajecto
         water_spd, water_dir, wind_spd, wind_dir = sense(vg_e, vg_n, h_t, flows, noise, draw())
         spd_c, dir_c = relative_to_absolute(vg_e, vg_n, h_t, water_spd, water_dir)
         spd_w, dir_w = relative_to_absolute(vg_e, vg_n, h_t, wind_spd, wind_dir)
-        (thrust, rudder, index, line, heading_pid, speed_pid, intermediate,
-         next_update_t) = navigator_step(
-            lat, lon, spd_t, h_t, t, mission, index, line, heading_pid, speed_pid, intermediate,
-            next_update_t, model, (spd_c, dir_c, spd_w, dir_w), cfg, gains, params, dt, radius,
+        thrust, rudder, state = navigator_step(
+            nav, lat, lon, spd_t, h_t, t, (spd_c, dir_c, spd_w, dir_w), state
         )
+        index, intermediate = state[0], state[4]  # the active waypoint and held target
         add((t, lat, lon, spd_t, course_t, h_t, tw, turn_rate, index, intermediate,
              spd_c, dir_c, spd_w, dir_w, thrust, rudder))
         if index >= len(mission):
@@ -659,10 +656,6 @@ class SuiteResult:
     augmented: dict[int, ErrorReport]
     runs: dict[str, RunResult]
     incomplete: tuple[str, ...]
-
-    @property
-    def all_complete(self) -> bool:
-        return not self.incomplete
 
 
 def run_suite(suite: SuiteSpec, out_dir: str | os.PathLike | None = None) -> SuiteResult:
@@ -903,9 +896,9 @@ def generate_training_logs(sweep: SweepSpec) -> np.ndarray:
         ))
 
     def leg(current: ForceVector, wind: ForceVector, heading: float, speed: float,
-            mission: list[Waypoint] | None) -> None:
+            nav: Navigator | None) -> None:
         """One leg from the steady state at the origin: the fixed command of
-        speed when mission is None, else navigator_step toward its goal."""
+        speed when nav is None, else navigator_step toward its goal."""
         sample = Environment(FieldSpec.uniform(current.speed, current.direction),
                              FieldSpec.uniform(wind.speed, wind.direction)).sample
         # the fixed command; navigator_step replaces it every step
@@ -914,17 +907,14 @@ def generate_training_logs(sweep: SweepSpec) -> np.ndarray:
         lat, lon, t, turn_rate, tw = sweep.origin.lat, sweep.origin.lon, 0.0, 0.0, speed
         flows = sample(lat, lon, t)
         spd_t, course_t, h_t = steady_state(heading, speed, flows, params)
-        index, line = 0, None
-        heading_pid = speed_pid = FRESH_PID
+        state = FRESH_NAV
         for i in range(n_steps):
             if i:
                 flows = sample(lat, lon, t)
             record(spd_t, course_t, h_t, tw, flows, speed)
-            if mission is not None:
-                thrust, rudder, index, line, heading_pid, speed_pid, _, _ = navigator_step(
-                    lat, lon, spd_t, h_t, t, mission, index, line, heading_pid, speed_pid, dt=dt
-                )
-                if index:  # the goal is reached
+            if nav is not None:
+                thrust, rudder, state = navigator_step(nav, lat, lon, spd_t, h_t, t, None, state)
+                if state[0]:  # the goal is reached (the state's waypoint index)
                     break
             lat, lon, spd_t, course_t, h_t, tw, t, turn_rate = step(
                 lat, lon, h_t, tw, t, turn_rate, thrust, rudder, flows, params, dt
@@ -947,7 +937,7 @@ def generate_training_logs(sweep: SweepSpec) -> np.ndarray:
             run_index += 1
             ue, un = unit_enu(heading)
             goal = displaced(sweep.origin, 100.0 * ue, 100.0 * un)
-            leg(current, wind, heading, leg_speed, [Waypoint(goal, leg_speed)])
+            leg(current, wind, heading, leg_speed, Navigator([Waypoint(goal, leg_speed)], dt=dt))
     return _check_corpus(rows)
 
 

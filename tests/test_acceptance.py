@@ -178,7 +178,7 @@ def test_criterion_4_baseline_downstream_failure():
 
 def test_criterion_5_paired_improvement(suite_outcome):
     result, _, elapsed = suite_outcome
-    ok = result.all_complete
+    ok = not result.incomplete
     details = []
     for orientation in SUITE_ORIENTATIONS:
         base = result.baseline[orientation]

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from asvnav.augment import (
+    FRESH_NAV,
     AugmentConfig,
+    Navigator,
     adjusted_speed,
     calc_intermediate_wp,
     navigator_step,
 )
-from asvnav.control import FRESH_PID, Waypoint
+from asvnav.control import Waypoint
 from asvnav.effects import EffectModel, OracleEffectModel
 from asvnav.env import Environment, FieldSpec
 from asvnav.geo import GeoPoint, displaced, enu_coords
@@ -27,9 +29,6 @@ from asvnav.vehicle import (
 ORIGIN = GeoPoint(34.0, -81.0)
 PARAMS = VehicleParams()
 CFG = AugmentConfig()
-# A fresh navigator: (index, line, heading_pid, speed_pid, intermediate,
-# next_update_t).
-FRESH_NAV = (0, None, FRESH_PID, FRESH_PID, None, -math.inf)
 
 
 def _goal_north(distance=100.0, spd=2.0):
@@ -162,15 +161,14 @@ def test_zero_effect_steps_bit_identical_to_baseline():
     environment = Environment(
         FieldSpec.uniform(0.6, 45.0), FieldSpec.uniform(3.0, 200.0)
     )
-    model = EffectModel.zero()
+    baseline = Navigator(mission, dt=0.1)
+    augmented = Navigator(mission, EffectModel.zero(), params=PARAMS, dt=0.1)
     s_base = s_aug = _at_rest(2.0, -40.0)
     nav = aug = FRESH_NAV
     for _ in range(600):
         force_b = _forces(s_base, environment)
-        thrust_b, rudder_b, *nav = navigator_step(*_pose(s_base), mission, *nav, dt=0.1)
-        thrust_a, rudder_a, *aug = navigator_step(
-            *_pose(s_aug), mission, *aug, model, force_b, dt=0.1, params=PARAMS,
-        )
+        thrust_b, rudder_b, nav = navigator_step(baseline, *_pose(s_base), None, nav)
+        thrust_a, rudder_a, aug = navigator_step(augmented, *_pose(s_aug), force_b, aug)
         assert (thrust_a, rudder_a) == (thrust_b, rudder_b)
         s_base = _advance(s_base, thrust_b, rudder_b, environment)
         s_aug = _advance(s_aug, thrust_a, rudder_a, environment)
@@ -185,15 +183,12 @@ def test_mission_advances_on_true_waypoints_only():
     mission = _mission()
     environment = Environment(FieldSpec.uniform(0.5, 90.0), FieldSpec.calm())
     oracle = OracleEffectModel(wind_drag_factor=PARAMS.wind_drag_factor)
-    cfg = AugmentConfig(max_offset_m=100.0)
+    nav = Navigator(mission, oracle, AugmentConfig(max_offset_m=100.0), params=PARAMS, dt=0.1)
     s = _at_rest(1.0, -30.0)
     aug = FRESH_NAV
     seen = []
     for _ in range(2500):
-        thrust, rudder, *aug = navigator_step(
-            *_pose(s), mission, *aug, oracle, _forces(s, environment), cfg=cfg, params=PARAMS,
-            dt=0.1,
-        )
+        thrust, rudder, aug = navigator_step(nav, *_pose(s), _forces(s, environment), aug)
         index = aug[0]
         if not seen or index != seen[-1]:
             seen.append(index)
@@ -208,15 +203,13 @@ def test_intermediate_target_held_between_updates():
     environment = Environment(FieldSpec.uniform(0.5, 90.0), FieldSpec.calm())
     oracle = OracleEffectModel(wind_drag_factor=PARAMS.wind_drag_factor)
     cfg = AugmentConfig(max_offset_m=100.0, update_period_s=1.0)
+    nav = Navigator(mission, oracle, cfg, params=PARAMS, dt=0.1)
     s = _at_rest(0.0, -30.0)
     aug = FRESH_NAV
     changes = 0
     previous = None
     for i in range(100):  # 10 seconds at dt 0.1
-        thrust, rudder, *aug = navigator_step(
-            *_pose(s), mission, *aug, oracle, _forces(s, environment), cfg=cfg, params=PARAMS,
-            dt=0.1,
-        )
+        thrust, rudder, aug = navigator_step(nav, *_pose(s), _forces(s, environment), aug)
         intermediate = aug[4]
         if previous is not None and intermediate != previous:
             changes += 1
@@ -226,15 +219,14 @@ def test_intermediate_target_held_between_updates():
 
 
 def test_augmented_step_rejects_non_positive_dt_and_empty_mission():
-    """Also on the tick that completes the mission and steers no more."""
+    """The augmented navigator's run constants are checked when built, so
+    a mission whose first tick completes it is rejected too."""
     oracle = OracleEffectModel(wind_drag_factor=PARAMS.wind_drag_factor)
-    calm = (0.0, 0.0, 0.0, 0.0)
     for mission in (_mission()[1:], _mission()[:1]):  # steering, then completing
-        with pytest.raises(ValueError):
-            navigator_step(ORIGIN.lat, ORIGIN.lon, 2.0, 0.0, 0.0, mission, *FRESH_NAV, oracle,
-                           calm, dt=0.0)
-    with pytest.raises(ValueError):
-        navigator_step(ORIGIN.lat, ORIGIN.lon, 2.0, 0.0, 0.0, [], *FRESH_NAV, oracle, calm)
+        with pytest.raises(ValueError, match=r"^dt must be > 0, got 0\.0$"):
+            Navigator(mission, oracle, dt=0.0)
+    with pytest.raises(ValueError, match="^mission must contain at least one waypoint$"):
+        Navigator([], oracle)
 
 
 def test_intermediate_speed_positive():

@@ -1,9 +1,11 @@
 """Baseline navigator: PID arithmetic, waypoint logic, sign conventions."""
 
+import math
+
 import numpy as np
 import pytest
 
-from asvnav.augment import navigator_step
+from asvnav.augment import Navigator, navigator_step
 from asvnav.control import (
     DEFAULT_GAINS,
     FRESH_PID,
@@ -70,16 +72,16 @@ def test_pid_rejects_non_positive_dt():
 
 
 def test_steering_rejects_non_positive_dt():
-    """steer_toward (through pid_step) and navigator_step reject dt <= 0,
-    navigator_step also on the tick that completes the mission."""
+    """steer_toward rejects dt <= 0 through pid_step, on each call; the
+    navigator when its run constants are built, so also for a mission
+    whose first tick completes it."""
     goal = Waypoint(displaced(ORIGIN, 0.0, 100.0), 2.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^dt must be > 0, got 0\.0$"):
         steer_toward(ORIGIN.lat, ORIGIN.lon, 0.0, 2.0, goal, None, DEFAULT_GAINS, FRESH_PID,
                      FRESH_PID, dt=0.0)
     for mission in ([goal], [Waypoint(ORIGIN, 2.0)]):  # steering, then completing
-        with pytest.raises(ValueError):
-            navigator_step(ORIGIN.lat, ORIGIN.lon, 2.0, 0.0, 0.0, mission, 0, None, FRESH_PID,
-                           FRESH_PID, dt=0.0)
+        with pytest.raises(ValueError, match=r"^dt must be > 0, got 0\.0$"):
+            Navigator(mission, dt=0.0)
 
 
 def test_waypoint_reached_boundary_inclusive():
@@ -100,8 +102,10 @@ def _navigate(mission, pos=ORIGIN, heading=0.0, speed=0.0, index=0,
     """navigator_step without a model at pos with ground speed and heading,
     the navigator holding no tracking line: (thrust, rudder, index, line,
     heading_pid, speed_pid, intermediate, next_update_t)."""
-    return navigator_step(pos.lat, pos.lon, speed, heading, 0.0, mission, index, None,
-                          heading_pid, speed_pid, gains=gains)
+    state = (index, None, heading_pid, speed_pid, None, -math.inf)
+    thrust, rudder, state = navigator_step(Navigator(mission, gains=gains), pos.lat, pos.lon,
+                                           speed, heading, 0.0, None, state)
+    return (thrust, rudder, *state)
 
 
 def test_navigator_zero_error_equilibrium():
@@ -153,7 +157,7 @@ def test_navigator_mission_complete_zero_command():
 
 
 def test_navigator_empty_mission_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^mission must contain at least one waypoint$"):
         _navigate([])
 
 

@@ -438,7 +438,7 @@ def test_zero_current_suite_columns_identical():
     suite = standard_suite(current_speed=0.0, wind_speed=0.0)
     assert suite.template.current == suite.template.wind == FieldSpec.calm()
     result = run_suite(suite)
-    assert result.all_complete
+    assert not result.incomplete
     assert result.table.baseline_max == result.table.augmented_max
     assert result.table.baseline_pct == result.table.augmented_pct
 

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from asvnav import augment, harness, vehicle
-from asvnav.control import FRESH_PID
 from asvnav.effects import EffectModel, OracleEffectModel
 from asvnav.env import Environment, FieldSpec, GustSpec
 from asvnav.geo import METERS_PER_DEG_LAT
@@ -224,9 +223,10 @@ def _by_hand(sc, model):
     noisy = sc.noise.sigma_speed > 0.0 or sc.noise.sigma_dir > 0.0
     environment = Environment(sc.current, sc.wind)
     mission = list(sc.mission)
+    nav = augment.Navigator(mission, model, sc.augment, sc.gains, sc.vehicle, sc.dt_s,
+                            sc.acceptance_radius_m)
     lat, lon, spd_t, course_t, h_t, tw, t, turn_rate = sc.start_state()
-    index, line, heading_pid, speed_pid = 0, None, FRESH_PID, FRESH_PID
-    intermediate, next_update_t = None, -math.inf
+    state = augment.FRESH_NAV
     records = []
     for _ in range(int(round(sc.duration_limit_s / sc.dt_s)) + 1):
         flows = environment.sample(lat, lon, t)
@@ -237,12 +237,8 @@ def _by_hand(sc, model):
         )
         force = (*vehicle.relative_to_absolute(vg_e, vg_n, h_t, water_spd, water_dir),
                  *vehicle.relative_to_absolute(vg_e, vg_n, h_t, wind_spd, wind_dir))
-        (thrust, rudder, index, line, heading_pid, speed_pid, intermediate,
-         next_update_t) = augment.navigator_step(
-            lat, lon, spd_t, h_t, t, mission, index, line, heading_pid, speed_pid, intermediate,
-            next_update_t, model, force, cfg=sc.augment, gains=sc.gains,
-            params=sc.vehicle, dt=sc.dt_s, radius=sc.acceptance_radius_m,
-        )
+        thrust, rudder, state = augment.navigator_step(nav, lat, lon, spd_t, h_t, t, force, state)
+        index, intermediate = state[0], state[4]
         records.append(LogRecord(t, lat, lon, spd_t, course_t, h_t, tw, turn_rate, index,
                                  intermediate, *force, thrust, rudder))
         if index >= len(mission):
