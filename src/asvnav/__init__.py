@@ -71,7 +71,7 @@ from .metrics import (
     TrajectoryLog,
     cross_track_series,
     score,
-    score_log,
+    score_run,
     sign_changes_over_threshold,
     table_report,
 )

@@ -150,7 +150,7 @@ class Navigator:
     def __post_init__(self):
         if not self.mission:
             raise ValueError("mission must contain at least one waypoint")
-        if self.dt <= 0.0:
+        if not self.dt > 0.0:
             raise ValueError(f"dt must be > 0, got {self.dt!r}")
 
 

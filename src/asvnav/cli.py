@@ -9,7 +9,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import effects, harness
-from .metrics import TrajectoryLog, cross_track_series, score, sign_changes_over_threshold
+from .metrics import TrajectoryLog, score_run
 
 
 def _cmd_run(args) -> int:
@@ -63,15 +63,14 @@ def _cmd_report(args) -> int:
     config_path = run_dir / "resolved_config.json"
     if config_path.exists():
         radius = harness.load_scenario(config_path).acceptance_radius_m
-    series = cross_track_series(log, mission, radius)
-    report = score(series.errors, series.weights, label=run_dir.name)
+    series, report, sign_changes = score_run(log, mission, radius, run_dir.name)
     print(
         json.dumps(
             {
                 "run": run_dir.name,
                 "max_error_m": report.max_error,
                 "pct_over_1m": report.pct_over_1m,
-                "sign_changes_over_1m": sign_changes_over_threshold(series.errors),
+                "sign_changes_over_1m": sign_changes,
                 "samples_scored": int(series.errors.size),
             },
             indent=2,

@@ -57,7 +57,7 @@ def pid_step(gains: PidGains, state: PidFloats, error: float, dt: float) -> tupl
     The integral term accumulates ki * error * dt and is clamped to
     +/- i_clamp. The derivative is zero on the first call.
     """
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError(f"dt must be > 0, got {dt!r}")
     integral, prev_error = state
     integral = integral + gains.ki * error * dt

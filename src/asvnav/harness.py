@@ -53,10 +53,8 @@ from .metrics import (
     ErrorReport,
     LegNotAcquiredError,
     TrajectoryLog,
-    cross_track_series,
     per_sample_error_csv,
-    score,
-    sign_changes_over_threshold,
+    score_run,
     table_report,
 )
 from .vehicle import (
@@ -74,7 +72,9 @@ from .vehicle import (
     track_velocity,
 )
 
-MISSION_HEADER = "lat,lon,speed_mps"
+# A waypoint's keys in a config and its columns in a mission CSV.
+_WAYPOINT_KEYS = ("lat", "lon", "speed_mps")
+MISSION_HEADER = ",".join(_WAYPOINT_KEYS)
 TRAINING_HEADER = ",".join(FEATURE_NAMES + TARGET_NAMES)
 
 DEFAULT_LEG_SPEED = 2.0
@@ -115,11 +115,8 @@ def _check_required(data: dict, required, path: str) -> None:
         raise ValueError(f"missing config key(s): {', '.join(missing)}")
 
 
-_WAYPOINT_KEYS = ("lat", "lon", "speed_mps")
-
-
 def _waypoint_to_dict(wp: Waypoint) -> dict:
-    return {"lat": wp.pos.lat, "lon": wp.pos.lon, "speed_mps": wp.spd_target}
+    return dict(zip(_WAYPOINT_KEYS, (wp.pos.lat, wp.pos.lon, wp.spd_target)))
 
 
 def _waypoint_from_dict(data: dict, path: str) -> Waypoint:
@@ -350,12 +347,12 @@ def write_mission_csv(mission: Sequence[Waypoint], path: str | os.PathLike) -> N
     with open(path, "w", newline="") as fh:
         fh.write(MISSION_HEADER + "\n")
         for wp in mission:
-            fh.write(f"{repr(float(wp.pos.lat))},{repr(float(wp.pos.lon))},{repr(float(wp.spd_target))}\n")
+            fh.write(",".join(repr(float(v)) for v in _waypoint_to_dict(wp).values()) + "\n")
 
 
 def read_mission_csv(path: str | os.PathLike) -> list[Waypoint]:
-    """The waypoints of a mission CSV: the header, then one lat,lon,speed_mps
-    row per line. Blank lines are skipped; a line that is not three numbers,
+    """The waypoints of a mission CSV: MISSION_HEADER, then one row of its
+    columns per line. Blank lines are skipped; a line that is not three numbers,
     or whose waypoint breaks a Waypoint or GeoPoint rule, raises ValueError
     naming its file line."""
     with open(path) as fh:
@@ -504,10 +501,10 @@ def _closed_loop(sc: Scenario, mission: list[Waypoint], model) -> tuple[Trajecto
     non-finite state, the offset and latitude limits of each move, and
     LeftDomainError, which ends the run.
     """
-    dt, params, noise = sc.dt_s, sc.vehicle, sc.noise
+    dt, params = sc.dt_s, sc.vehicle
     nav = Navigator(mission, model, sc.augment, sc.gains, params, dt, sc.acceptance_radius_m)
     max_steps = int(round(sc.duration_limit_s / dt))
-    draw = noise_draws(noise, np.random.default_rng(sc.seed)).__next__
+    draw = noise_draws(sc.noise, np.random.default_rng(sc.seed)).__next__
     sample = Environment(current=sc.current, wind=sc.wind).sample
     lat, lon, spd_t, course_t, h_t, tw, t, turn_rate = sc.start_state()
     state = FRESH_NAV
@@ -522,7 +519,7 @@ def _closed_loop(sc: Scenario, mission: list[Waypoint], model) -> tuple[Trajecto
             outcome = "left_domain"
             break
         vg_e, vg_n = track_velocity(spd_t, course_t)
-        water_spd, water_dir, wind_spd, wind_dir = sense(vg_e, vg_n, h_t, flows, noise, draw())
+        water_spd, water_dir, wind_spd, wind_dir = sense(vg_e, vg_n, h_t, flows, draw())
         spd_c, dir_c = relative_to_absolute(vg_e, vg_n, h_t, water_spd, water_dir)
         spd_w, dir_w = relative_to_absolute(vg_e, vg_n, h_t, wind_spd, wind_dir)
         thrust, rudder, state = navigator_step(
@@ -562,17 +559,13 @@ def run_scenario(
     mission = list(sc.mission)
     log, outcome = _closed_loop(sc, mission, model)
 
-    report = None
-    sign_changes = 0
-    series = None
+    series, report, sign_changes = None, None, 0
     if len(mission) >= 2:  # a single waypoint defines no leg to score
         try:
-            series = cross_track_series(log, mission, sc.acceptance_radius_m)
+            series, report, sign_changes = score_run(log, mission, sc.acceptance_radius_m,
+                                                     sc.name)
         except LegNotAcquiredError:
             pass  # keep the partial log anyway
-    if series is not None:
-        report = score(series.errors, series.weights, label=sc.name)
-        sign_changes = sign_changes_over_threshold(series.errors)
 
     result = RunResult(
         scenario=sc,
@@ -610,8 +603,9 @@ class SuiteSpec:
     leg_speed_mps: float = DEFAULT_LEG_SPEED
 
     def __post_init__(self):
-        if self.leg_length_m < 20.0 * self.template.acceptance_radius_m:
-            raise ValueError("leg length must be at least 20x the acceptance radius")
+        if not self.leg_length_m >= 20.0 * self.template.acceptance_radius_m:  # NaN fails too
+            raise ValueError(f"leg_length_m must be at least 20x the acceptance radius, "
+                             f"got {self.leg_length_m!r}")
 
 
 def _straight_leg(center: GeoPoint, bearing: float, length: float,
@@ -666,8 +660,8 @@ def run_suite(suite: SuiteSpec, out_dir: str | os.PathLike | None = None) -> Sui
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
 
-    baseline: dict[int, ErrorReport] = {}
-    augmented: dict[int, ErrorReport] = {}
+    # controller kind -> orientation -> report
+    reports: dict[str, dict[int, ErrorReport]] = {"baseline": {}, "augmented": {}}
     runs: dict[str, RunResult] = {}
     incomplete: list[str] = []
     for sc in suite_scenarios(suite):
@@ -682,16 +676,13 @@ def run_suite(suite: SuiteSpec, out_dir: str | os.PathLike | None = None) -> Sui
             # Unscoreable run: keep the table emittable but make the cell
             # impossible to mistake for a good result.
             report = ErrorReport(label=f"{sc.name} (no data)", max_error=math.inf, pct_over_1m=100.0)
-        if sc.controller.kind == "baseline":
-            baseline[orientation] = report
-        else:
-            augmented[orientation] = report
+        reports[sc.controller.kind][orientation] = report
 
-    table = table_report(baseline, augmented)
+    table = table_report(reports["baseline"], reports["augmented"])
     result = SuiteResult(
         table=table,
-        baseline=baseline,
-        augmented=augmented,
+        baseline=reports["baseline"],
+        augmented=reports["augmented"],
         runs=runs,
         incomplete=tuple(incomplete),
     )
@@ -842,8 +833,8 @@ class SweepSpec:
     def __post_init__(self):
         if not (self.currents and self.winds and self.headings and self.speeds):
             raise ValueError("sweep grid must be non-empty")
-        if not self.duration_s > 0.0:
-            raise ValueError(f"sweep duration_s must be > 0, got {self.duration_s!r}")
+        if not 0.0 < self.duration_s < math.inf:
+            raise ValueError(f"sweep duration_s must be > 0 and finite, got {self.duration_s!r}")
         _check_dt(self.dt_s, "dt_s")
 
 
@@ -865,28 +856,28 @@ def generate_training_logs(sweep: SweepSpec) -> np.ndarray:
     field sample per logged step.
     """
     rows: list[tuple[float, ...]] = []
-    dt, params, noise = sweep.dt_s, sweep.vehicle, sweep.noise
-    # one stream of noise draws for the whole sweep, a tick's four per row
-    draw = noise_draws(noise, np.random.default_rng(sweep.seed)).__next__
+    dt, params = sweep.dt_s, sweep.vehicle
+    # one stream of noise offsets for the whole sweep, a tick's four per row
+    draw = noise_draws(sweep.noise, np.random.default_rng(sweep.seed)).__next__
     n_steps = int(round(sweep.duration_s / dt))
-    # Without noise a row is a pure function of record's arguments, and a
-    # steady leg repeats them from its second step on. With noise every row
-    # takes its own four draws.
-    noiseless = noise.sigma_speed == 0.0 and noise.sigma_dir == 0.0
     pack_inputs = struct.Struct("9d").pack  # record's arguments as bytes
     last_inputs = None
 
     def record(spd_t: float, course_t: float, h_t: float, tw: float, flows: Flows,
                speed: float) -> None:
         nonlocal last_inputs
-        if noiseless:
+        offsets = draw()
+        # Without noise a row is a pure function of record's arguments, and a
+        # steady leg repeats them from its second step on. With noise every row
+        # takes its own offsets.
+        if offsets is None:
             inputs = pack_inputs(spd_t, course_t, h_t, tw, *flows, speed)  # bits: -0.0 != 0.0
             if inputs == last_inputs:
                 rows.append(rows[-1])
                 return
             last_inputs = inputs
         vg_e, vg_n = track_velocity(spd_t, course_t)
-        water_spd, water_dir, wind_spd, wind_dir = sense(vg_e, vg_n, h_t, flows, noise, draw())
+        water_spd, water_dir, wind_spd, wind_dir = sense(vg_e, vg_n, h_t, flows, offsets)
         rows.append((
             *make_features(
                 *relative_to_absolute(vg_e, vg_n, h_t, water_spd, water_dir),

@@ -44,6 +44,21 @@ TABLE_COLUMNS: tuple[tuple[str, tuple[int, ...]], ...] = (
 
 SUITE_ORIENTATIONS = (0, 45, 90, 135, 180, 225, 270, 315)
 
+# The comparison table's rows: the ComparisonTable field, the report.csv
+# name, the text label and format, and the controller and ErrorReport
+# statistic shown.
+TableRow = namedtuple("TableRow", "field csv_name label fmt controller statistic")
+TABLE_ROWS = (
+    TableRow("baseline_max", "baseline_max_error_m", "WP Navigator w/ PID: max error (m)",
+             "{:.2f}", "baseline", "max_error"),
+    TableRow("baseline_pct", "baseline_pct_over_1m", "WP Navigator w/ PID: % path > 1 m",
+             "{:.1f}", "baseline", "pct_over_1m"),
+    TableRow("augmented_max", "augmented_max_error_m", "Augmented WP Navigator: max error (m)",
+             "{:.2f}", "augmented", "max_error"),
+    TableRow("augmented_pct", "augmented_pct_over_1m", "Augmented WP Navigator: % path > 1 m",
+             "{:.1f}", "augmented", "pct_over_1m"),
+)
+
 # The columns of a TrajectoryLog, in the order of a log row: the row's
 # time, the rest of the vehicle state (vehicle.StateFloats, the position as
 # lat and lon), the active waypoint index, the intermediate target (a
@@ -412,17 +427,6 @@ def score(errors: np.ndarray, weights: np.ndarray, label: str = "") -> ErrorRepo
     return ErrorReport(label=label, max_error=max_error, pct_over_1m=pct)
 
 
-def score_log(
-    log: TrajectoryLog,
-    mission: Sequence[Waypoint],
-    acceptance_radius: float = DEFAULT_ACCEPT_RADIUS,
-    label: str = "",
-) -> ErrorReport:
-    """Aggregate report over every scored sample of a run."""
-    series = cross_track_series(log, mission, acceptance_radius)
-    return score(series.errors, series.weights, label=label)
-
-
 def sign_changes_over_threshold(errors: np.ndarray, threshold: float = ERROR_THRESHOLD_M) -> int:
     """Count sign flips between successive excursions beyond +/- threshold.
 
@@ -432,6 +436,20 @@ def sign_changes_over_threshold(errors: np.ndarray, threshold: float = ERROR_THR
     errors = np.asarray(errors, dtype=np.float64)
     positive = errors[np.abs(errors) > threshold] > 0.0  # NaN is never an excursion
     return int(np.count_nonzero(positive[1:] != positive[:-1]))
+
+
+def score_run(
+    log: TrajectoryLog,
+    mission: Sequence[Waypoint],
+    acceptance_radius: float = DEFAULT_ACCEPT_RADIUS,
+    label: str = "",
+) -> tuple[CrossTrackSeries, ErrorReport, int]:
+    """The scoring of a run: its cross-track series, the report over every
+    scored sample, and the sign changes beyond ERROR_THRESHOLD_M. Raises as
+    cross_track_series does."""
+    series = cross_track_series(log, mission, acceptance_radius)
+    report = score(series.errors, series.weights, label=label)
+    return series, report, sign_changes_over_threshold(series.errors)
 
 
 def per_sample_error_csv(series: CrossTrackSeries, log: TrajectoryLog) -> str:
@@ -455,30 +473,21 @@ class ComparisonTable:
     augmented_pct: tuple[float, ...]
 
     def to_text(self) -> str:
-        rows = (
-            ("WP Navigator w/ PID: max error (m)", self.baseline_max, "{:.2f}"),
-            ("WP Navigator w/ PID: % path > 1 m", self.baseline_pct, "{:.1f}"),
-            ("Augmented WP Navigator: max error (m)", self.augmented_max, "{:.2f}"),
-            ("Augmented WP Navigator: % path > 1 m", self.augmented_pct, "{:.1f}"),
-        )
-        label_w = max(len(label) for label, _, _ in rows) + 2
+        label_w = max(len(row.label) for row in TABLE_ROWS) + 2
         width = max(len(c) for c in self.columns) + 2
         lines = ["Trajectory relative to current".rjust(label_w + width)]
         lines.append(" " * label_w + "".join(c.rjust(width) for c in self.columns))
-        for label, values, fmt in rows:
-            lines.append(label.ljust(label_w) + "".join(fmt.format(v).rjust(width) for v in values))
+        for row in TABLE_ROWS:
+            lines.append(row.label.ljust(label_w) + "".join(
+                row.fmt.format(v).rjust(width) for v in getattr(self, row.field)))
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write("metric," + ",".join(self.columns) + "\n")
-        for name, values in (
-            ("baseline_max_error_m", self.baseline_max),
-            ("baseline_pct_over_1m", self.baseline_pct),
-            ("augmented_max_error_m", self.augmented_max),
-            ("augmented_pct_over_1m", self.augmented_pct),
-        ):
-            buf.write(name + "," + ",".join(repr(float(v)) for v in values) + "\n")
+        for row in TABLE_ROWS:
+            buf.write(row.csv_name + ","
+                      + ",".join(repr(float(v)) for v in getattr(self, row.field)) + "\n")
         return buf.getvalue()
 
 
@@ -495,19 +504,18 @@ def table_report(
     Both inputs must cover all eight orientations; the perpendicular pair
     is averaged into one column.
     """
+    by_controller = {"baseline": baseline, "augmented": augmented}
     missing = [
         f"{name}:{o}"
-        for name, reports in (("baseline", baseline), ("augmented", augmented))
+        for name, reports in by_controller.items()
         for o in SUITE_ORIENTATIONS
         if o not in reports
     ]
     if missing:
         raise ValueError(f"missing orientation runs: {missing}")
-    columns = tuple(name for name, _ in TABLE_COLUMNS)
     return ComparisonTable(
-        columns=columns,
-        baseline_max=tuple(_column_value(baseline, o, "max_error") for _, o in TABLE_COLUMNS),
-        baseline_pct=tuple(_column_value(baseline, o, "pct_over_1m") for _, o in TABLE_COLUMNS),
-        augmented_max=tuple(_column_value(augmented, o, "max_error") for _, o in TABLE_COLUMNS),
-        augmented_pct=tuple(_column_value(augmented, o, "pct_over_1m") for _, o in TABLE_COLUMNS),
+        columns=tuple(name for name, _ in TABLE_COLUMNS),
+        **{row.field: tuple(_column_value(by_controller[row.controller], o, row.statistic)
+                            for _, o in TABLE_COLUMNS)
+           for row in TABLE_ROWS},
     )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator
 
 import numpy as np
@@ -200,12 +201,16 @@ def _to_hull_frame(vec_e: float, vec_n: float, heading: float) -> tuple[float, f
 
 
 def noise_draws(noise: NoiseSpec, rng: np.random.Generator) -> Iterator[list[float] | None]:
-    """Each tick's four sensor noise draws for sense, taken from rng
-    NOISE_BLOCK ticks at a time: the bits of one standard_normal(4) call a
-    tick, as a generator fills arrays in order. None a tick for no noise."""
-    noisy = noise.sigma_speed > 0.0 or noise.sigma_dir > 0.0
+    """The sensor-noise model, the one reader of a NoiseSpec's sigmas: each
+    tick's offsets for sense, one row of rng.standard_normal((NOISE_BLOCK,
+    4)) * (sigma_speed, sigma_dir, sigma_speed, sigma_dir). A block holds the
+    bits of one standard_normal(4) call a tick, as a generator fills arrays
+    in order. None a tick, and no draws, for all-zero noise."""
+    if not (noise.sigma_speed > 0.0 or noise.sigma_dir > 0.0):
+        yield from repeat(None)
+    sigmas = (noise.sigma_speed, noise.sigma_dir, noise.sigma_speed, noise.sigma_dir)
     while True:
-        yield from rng.standard_normal((NOISE_BLOCK, 4)).tolist() if noisy else [None] * NOISE_BLOCK
+        yield from (rng.standard_normal((NOISE_BLOCK, 4)) * sigmas).tolist()
 
 
 def sense(
@@ -213,8 +218,7 @@ def sense(
     vg_n: float,
     h_t: float,
     flows: Flows,
-    noise: NoiseSpec = NoiseSpec(),
-    draws: list[float] | None = None,
+    offsets: list[float] | None = None,
 ) -> tuple[float, float, float, float]:
     """Read the simulated flow sensors of a hull with ground velocity
     (vg_e, vg_n) and heading h_t: (water speed, water direction, wind
@@ -224,28 +228,23 @@ def sense(
     flows are the fields sampled at the state's own position and time.
     The paddle wheel and anemometer physically measure flow relative to
     the moving hull, so both relative vectors subtract the ground
-    velocity. draws are the tick's four standard normals, as noise_draws
-    hands them out (water speed, water direction, wind speed, wind
-    direction); all-zero noise needs none.
+    velocity. offsets are the tick's sensor noise in the reading's order,
+    as noise_draws hands them out, added to the readings; None reads the
+    sensors without noise.
     """
     ce, cn, we, wn = flows
     water_spd, water_dir = _to_hull_frame(ce - vg_e, cn - vg_n, h_t)
     wind_spd, wind_dir = _to_hull_frame(we - vg_e, wn - vg_n, h_t)
-    if draws is None or (noise.sigma_speed == 0.0 and noise.sigma_dir == 0.0):
-        # zero noise would add d * 0.0 to each reading, which changes
-        # nothing, so no draws are read
-        if noise.sigma_speed > 0.0 or noise.sigma_dir > 0.0:
-            raise ValueError("noisy sensing requires the tick's noise draws")
+    if offsets is None:
         return water_spd, water_dir, wind_spd, wind_dir
-    # Python floats: the same IEEE arithmetic as numpy scalars
-    d_ws, d_wd, d_as, d_ad = draws
+    o_ws, o_wd, o_as, o_ad = offsets
     # max(0.0, speed) as comparisons: a noisy speed never reads below zero
-    water_spd = water_spd + d_ws * noise.sigma_speed
+    water_spd = water_spd + o_ws
     water_spd = water_spd if water_spd > 0.0 else 0.0
-    wind_spd = wind_spd + d_as * noise.sigma_speed
+    wind_spd = wind_spd + o_as
     wind_spd = wind_spd if wind_spd > 0.0 else 0.0
-    return (water_spd, _flow_direction(water_spd, water_dir + d_wd * noise.sigma_dir),
-            wind_spd, _flow_direction(wind_spd, wind_dir + d_ad * noise.sigma_dir))
+    return (water_spd, _flow_direction(water_spd, water_dir + o_wd),
+            wind_spd, _flow_direction(wind_spd, wind_dir + o_ad))
 
 
 def relative_to_absolute(vg_e: float, vg_n: float, h_t: float, speed: float,

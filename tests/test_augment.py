@@ -223,8 +223,9 @@ def test_augmented_step_rejects_non_positive_dt_and_empty_mission():
     a mission whose first tick completes it is rejected too."""
     oracle = OracleEffectModel(wind_drag_factor=PARAMS.wind_drag_factor)
     for mission in (_mission()[1:], _mission()[:1]):  # steering, then completing
-        with pytest.raises(ValueError, match=r"^dt must be > 0, got 0\.0$"):
-            Navigator(mission, oracle, dt=0.0)
+        for dt in (0.0, math.nan):
+            with pytest.raises(ValueError, match=rf"^dt must be > 0, got {dt!r}$"):
+                Navigator(mission, oracle, dt=dt)
     with pytest.raises(ValueError, match="^mission must contain at least one waypoint$"):
         Navigator([], oracle)
 

@@ -170,6 +170,15 @@ def test_suite_command(tmp_path, capsys):
     assert "Perpendicular" in text
     assert (tmp_path / "suite" / "report.csv").exists()
     assert (tmp_path / "suite" / "runs" / "baseline_000" / "trajectory.csv").exists()
+    # asvnav report on each run directory scores the run as the suite did
+    run_dirs = sorted((tmp_path / "suite" / "runs").iterdir())
+    assert len(run_dirs) == 16
+    for run_dir in run_dirs:
+        assert main(["report", str(run_dir)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        summary = json.loads((run_dir / "summary.json").read_text())
+        for key in ("max_error_m", "pct_over_1m", "sign_changes_over_1m"):
+            assert report[key] == summary[key], (run_dir.name, key)
 
 
 def test_train_fit_report_chain(tmp_path, capsys):
@@ -235,7 +244,7 @@ def _bad_sweep(tmp_path, key="duration_s", value=0):
 def test_bad_input_is_one_stderr_line(tmp_path, capsys):
     assert main(["train", str(_bad_sweep(tmp_path)), "--out", str(tmp_path)]) == 2
     out, err = capsys.readouterr()
-    assert (out, err) == ("", "asvnav: sweep duration_s must be > 0, got 0\n")
+    assert (out, err) == ("", "asvnav: sweep duration_s must be > 0 and finite, got 0\n")
     assert not (tmp_path / "training.csv").exists()
 
     missing = tmp_path / "no_such_run"
@@ -246,13 +255,14 @@ def test_bad_input_is_one_stderr_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("duration_s", 0, "sweep duration_s must be > 0, got 0"),
-    ("duration_s", math.nan, "sweep duration_s must be > 0, got nan"),
+    ("duration_s", 0, "sweep duration_s must be > 0 and finite, got 0"),
+    ("duration_s", math.nan, "sweep duration_s must be > 0 and finite, got nan"),
+    ("duration_s", math.inf, "sweep duration_s must be > 0 and finite, got inf"),
     ("dt_s", math.nan, "dt_s must be in (0, 0.5], got nan"),
     ("dt_s", 0, "dt_s must be in (0, 0.5], got 0"),
     ("dt_s", 0.7, "dt_s must be in (0, 0.5], got 0.7"),
     ("dt_s", "0.1", "config dt_s must be a number, got '0.1'"),
-], ids=["duration-zero", "duration-nan", "dt-nan", "dt-zero", "dt-over-max", "dt-string"])
+], ids=["duration-zero", "duration-nan", "duration-inf", "dt-nan", "dt-zero", "dt-over-max", "dt-string"])
 def test_bad_sweep_value_is_one_stderr_line(tmp_path, capsys, key, value, message):
     """asvnav train on a sweep with a value that breaks its rule prints one
     stderr line naming the key, and writes no training CSV."""

@@ -67,8 +67,9 @@ def test_pid_derivative_first_step_is_zero():
 
 def test_pid_rejects_non_positive_dt():
     gains = PidGains(kp=1.0, ki=0.0, kd=0.0, i_clamp=1.0)
-    with pytest.raises(ValueError):
-        pid_step(gains, FRESH_PID, 1.0, dt=0.0)
+    for dt in (0.0, -0.1, math.nan):
+        with pytest.raises(ValueError, match=rf"^dt must be > 0, got {dt!r}$"):
+            pid_step(gains, FRESH_PID, 1.0, dt=dt)
 
 
 def test_steering_rejects_non_positive_dt():
@@ -76,12 +77,13 @@ def test_steering_rejects_non_positive_dt():
     navigator when its run constants are built, so also for a mission
     whose first tick completes it."""
     goal = Waypoint(displaced(ORIGIN, 0.0, 100.0), 2.0)
-    with pytest.raises(ValueError, match=r"^dt must be > 0, got 0\.0$"):
-        steer_toward(ORIGIN.lat, ORIGIN.lon, 0.0, 2.0, goal, None, DEFAULT_GAINS, FRESH_PID,
-                     FRESH_PID, dt=0.0)
-    for mission in ([goal], [Waypoint(ORIGIN, 2.0)]):  # steering, then completing
-        with pytest.raises(ValueError, match=r"^dt must be > 0, got 0\.0$"):
-            Navigator(mission, dt=0.0)
+    for dt in (0.0, math.nan):
+        with pytest.raises(ValueError, match=rf"^dt must be > 0, got {dt!r}$"):
+            steer_toward(ORIGIN.lat, ORIGIN.lon, 0.0, 2.0, goal, None, DEFAULT_GAINS, FRESH_PID,
+                         FRESH_PID, dt=dt)
+        for mission in ([goal], [Waypoint(ORIGIN, 2.0)]):  # steering, then completing
+            with pytest.raises(ValueError, match=rf"^dt must be > 0, got {dt!r}$"):
+                Navigator(mission, dt=dt)
 
 
 def test_waypoint_reached_boundary_inclusive():

@@ -338,6 +338,19 @@ def test_suite_geometry_matches_orientation_labels(tmp_path):
     assert abs(wrap_signed(bearing - suite.current_axis_bearing_deg)) < 0.01
 
 
+@pytest.mark.parametrize("length", [39.0, -200.0, math.nan])
+def test_suite_rejects_short_or_nan_leg_length(tmp_path, capsys, length):
+    """A leg shorter than 20 acceptance radii, or NaN, is rejected at load
+    with one stderr line naming the value, not a non-finite waypoint later."""
+    message = f"leg_length_m must be at least 20x the acceptance radius, got {length!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        replace(standard_suite(), leg_length_m=length)
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({**suite_to_dict(standard_suite()), "leg_length_m": length}))
+    assert main(["suite", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == ("", f"asvnav: {message}\n")
+
+
 def test_suite_dict_round_trip():
     suite = standard_suite(seed=5)
     back = suite_from_dict(json.loads(json.dumps(suite_to_dict(suite))))
@@ -486,7 +499,7 @@ def test_training_sweep_run_count():
 
 @pytest.mark.parametrize("key, value", [
     ("dt_s", 0.0), ("dt_s", -0.1), ("dt_s", math.nan),
-    ("duration_s", 0.0), ("duration_s", -1.0), ("duration_s", math.nan),
+    ("duration_s", 0.0), ("duration_s", -1.0), ("duration_s", math.nan), ("duration_s", math.inf),
 ])
 def test_sweep_rejects_bad_time_step_and_duration(tmp_path, capsys, key, value):
     bad = {key: value}

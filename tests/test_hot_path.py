@@ -185,29 +185,28 @@ def test_steerage_effectiveness_matches_min_max():
                 _outcome(_old_steerage, params, tw), (floor, tw)
 
 
-def _old_noisy_sense(vg_e, vg_n, h_t, flows, noise, draws):
+def _old_noisy_sense(vg_e, vg_n, h_t, flows, offsets):
     """sense's noisy branch with max(0.0, ...), from the noise-free readings."""
     water_spd, water_dir, wind_spd, wind_dir = vehicle.sense(vg_e, vg_n, h_t, flows)
-    d_ws, d_wd, d_as, d_ad = draws
-    water_spd = max(0.0, water_spd + d_ws * noise.sigma_speed)
-    wind_spd = max(0.0, wind_spd + d_as * noise.sigma_speed)
-    return (water_spd, env._flow_direction(water_spd, water_dir + d_wd * noise.sigma_dir),
-            wind_spd, env._flow_direction(wind_spd, wind_dir + d_ad * noise.sigma_dir))
+    o_ws, o_wd, o_as, o_ad = offsets
+    water_spd = max(0.0, water_spd + o_ws)
+    wind_spd = max(0.0, wind_spd + o_as)
+    return (water_spd, env._flow_direction(water_spd, water_dir + o_wd),
+            wind_spd, env._flow_direction(wind_spd, wind_dir + o_ad))
 
 
 def test_noisy_sense_speed_clamp_matches_max():
     flows = (0.4, -0.5, -4.3, -2.5)
     vg_e, vg_n, h_t = 1.2, 0.7, 33.0
-    noise = NoiseSpec(sigma_speed=1.0, sigma_dir=2.0)
     water, _, wind, _ = vehicle.sense(vg_e, vg_n, h_t, flows)
-    # speed draws that put each noisy speed on zero, beside it, and beyond
-    offsets = [-water, -wind, math.nextafter(-water, -INF), math.nextafter(-water, INF),
-               math.nextafter(-wind, -INF), math.nextafter(-wind, INF), 0.0, -0.0,
-               INF, -INF, NAN] + _random(-8.0, 2.0, 200)
-    for d_speed in offsets:
-        for draws in ((d_speed, 0.3, d_speed, -0.7), (d_speed, -1.1, -d_speed, 0.2)):
-            got = _outcome(vehicle.sense, vg_e, vg_n, h_t, flows, noise, list(draws))
-            assert got == _outcome(_old_noisy_sense, vg_e, vg_n, h_t, flows, noise, draws), draws
+    # speed offsets that put each noisy speed on zero, beside it, and beyond
+    speed_offsets = [-water, -wind, math.nextafter(-water, -INF), math.nextafter(-water, INF),
+                     math.nextafter(-wind, -INF), math.nextafter(-wind, INF), 0.0, -0.0,
+                     INF, -INF, NAN] + _random(-8.0, 2.0, 200)
+    for o_speed in speed_offsets:
+        for offsets in ((o_speed, 0.6, o_speed, -1.4), (o_speed, -2.2, -o_speed, 0.4)):
+            got = _outcome(vehicle.sense, vg_e, vg_n, h_t, flows, list(offsets))
+            assert got == _outcome(_old_noisy_sense, vg_e, vg_n, h_t, flows, offsets), offsets
 
 
 def test_step_moves_as_displaced():
@@ -232,14 +231,16 @@ def test_step_moves_as_displaced():
 
 @pytest.mark.parametrize("seed", [0, 1, 11, RNG_SEED])
 def test_noise_blocks_are_the_per_call_draws(seed):
-    """noise_draws hands out, tick by tick, the bits one standard_normal(4)
-    call per tick gives, over more than two blocks and a partial one."""
+    """noise_draws hands out, tick by tick, the bits of one
+    standard_normal(4) call per tick times (sigma_speed, sigma_dir,
+    sigma_speed, sigma_dir), over more than two blocks and a partial one."""
     ticks = 2 * vehicle.NOISE_BLOCK + 37
-    draws = vehicle.noise_draws(NoiseSpec(sigma_speed=0.05, sigma_dir=2.0),
-                                np.random.default_rng(seed))
-    got = [tuple(next(draws)) for _ in range(ticks)]
+    noise = NoiseSpec(sigma_speed=0.05, sigma_dir=2.0)
+    offsets = vehicle.noise_draws(noise, np.random.default_rng(seed))
+    got = [tuple(next(offsets)) for _ in range(ticks)]
     rng = np.random.default_rng(seed)
-    expected = [tuple(rng.standard_normal(4).tolist()) for _ in range(ticks)]
+    sigmas = (noise.sigma_speed, noise.sigma_dir, noise.sigma_speed, noise.sigma_dir)
+    expected = [tuple((rng.standard_normal(4) * sigmas).tolist()) for _ in range(ticks)]
     assert _bits(tuple(got)) == _bits(tuple(expected))
 
 

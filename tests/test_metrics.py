@@ -16,7 +16,7 @@ from asvnav.metrics import (
     TrajectoryLog,
     cross_track_series,
     score,
-    score_log,
+    score_run,
     sign_changes_over_threshold,
     table_report,
 )
@@ -168,8 +168,8 @@ def test_trajectory_csv_round_trip(tmp_path):
     assert loaded.lat[0] == log.lat[0]
     assert loaded.wp_index[-1] == 1
     # scores agree between the in-memory and round-tripped logs
-    a = score_log(log, mission)
-    b = score_log(loaded, mission)
+    _, a, _ = score_run(log, mission)
+    _, b, _ = score_run(loaded, mission)
     assert a.max_error == pytest.approx(b.max_error, abs=1e-12)
     assert a.pct_over_1m == pytest.approx(b.pct_over_1m, abs=1e-12)
 

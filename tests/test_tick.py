@@ -221,6 +221,7 @@ def _by_hand(sc, model):
         model = None
     rng = np.random.default_rng(sc.seed)
     noisy = sc.noise.sigma_speed > 0.0 or sc.noise.sigma_dir > 0.0
+    sigmas = (sc.noise.sigma_speed, sc.noise.sigma_dir) * 2
     environment = Environment(sc.current, sc.wind)
     mission = list(sc.mission)
     nav = augment.Navigator(mission, model, sc.augment, sc.gains, sc.vehicle, sc.dt_s,
@@ -231,10 +232,10 @@ def _by_hand(sc, model):
     for _ in range(int(round(sc.duration_limit_s / sc.dt_s)) + 1):
         flows = environment.sample(lat, lon, t)
         vg_e, vg_n = track_velocity(spd_t, course_t)
-        draws = rng.standard_normal(4).tolist() if noisy else None
-        water_spd, water_dir, wind_spd, wind_dir = vehicle.sense(
-            vg_e, vg_n, h_t, flows, sc.noise, draws
-        )
+        # the tick's noise: one standard_normal(4) call, scaled by Python products
+        offsets = ([d * sigma for d, sigma in zip(rng.standard_normal(4).tolist(), sigmas)]
+                   if noisy else None)
+        water_spd, water_dir, wind_spd, wind_dir = vehicle.sense(vg_e, vg_n, h_t, flows, offsets)
         force = (*vehicle.relative_to_absolute(vg_e, vg_n, h_t, water_spd, water_dir),
                  *vehicle.relative_to_absolute(vg_e, vg_n, h_t, wind_spd, wind_dir))
         thrust, rudder, state = augment.navigator_step(nav, lat, lon, spd_t, h_t, t, force, state)

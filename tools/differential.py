@@ -10,16 +10,20 @@ that cover the three field kinds (uniform, river profile and grid), gusts,
 sensor noise on and off, 1-4 waypoints, several dt_s, both controllers
 and all three outcomes (completed, incomplete, left_domain), plus two
 small training sweeps, one noiseless and one noisy. Each tree runs all of
-them in its own subprocess with PYTHONPATH=TREE/src.
+them in its own subprocess with PYTHONPATH=TREE/src. Each tree then fits
+its own noiseless sweep corpus, plain and with an intercept, saves both
+models, and flies every augmented scenario again with its plain fitted
+model file in place of the oracle.
 
 Exact mode (the default) compares, run by run, the outcome and a digest
 of the float.hex of every value of every LOG_COLUMNS column (the
 intermediate target as its lat, lon and speed), the maximum cross-track
-error of each scored leg, and a digest of each column of each sweep's
-training corpus. Tolerance mode (--tolerance) prints a Markdown table of
-the largest absolute difference of each column over all runs and sweeps,
-the per-leg maximum-error differences and every outcome flip. Either mode
-exits 1 when the trees differ and 0 when they do not.
+error of each scored leg, a digest of each column of each sweep's
+training corpus, and a digest of each saved model file. Tolerance mode
+(--tolerance) prints a Markdown table of the largest absolute difference
+of each column over all runs, sweeps and fitted models, the per-leg
+maximum-error differences and every outcome flip. Either mode exits 1
+when the trees differ and 0 when they do not.
 """
 
 from __future__ import annotations
@@ -189,13 +193,15 @@ def scenario_config(rng: random.Random, i: int) -> dict:
 
 def sweep_configs(rng: random.Random) -> list[dict]:
     """Two small training sweeps over the same grid, noiseless and noisy,
-    each with its closed-loop legs."""
+    each with its closed-loop legs. Three currents and three winds, each
+    cycled against the other, give the noiseless corpus a full-rank
+    feature matrix with an intercept too, so it can be fitted."""
     base = {
         "origin": {"lat": CENTER_LAT, "lon": CENTER_LON},
         "currents": [{"speed": round(rng.uniform(0.1, 1.2), 3),
-                      "direction": round(rng.uniform(0.0, 360.0), 2)} for _ in range(2)],
+                      "direction": round(rng.uniform(0.0, 360.0), 2)} for _ in range(3)],
         "winds": [{"speed": round(rng.uniform(0.0, 8.0), 3),
-                   "direction": round(rng.uniform(0.0, 360.0), 2)} for _ in range(2)],
+                   "direction": round(rng.uniform(0.0, 360.0), 2)} for _ in range(3)],
         "headings": [round(rng.uniform(0.0, 360.0), 1) for _ in range(3)],
         "speeds": [round(rng.uniform(0.8, 3.0), 2) for _ in range(2)],
         "duration_s": 4.0,
@@ -251,6 +257,30 @@ def _leg_max_errors(log, mission, radius, metrics) -> list[float | None]:
     return [float(e.max()) if e.size else None for e in legs]
 
 
+def _run(sc, harness, metrics, columns: dict | None) -> dict:
+    """The record of one scenario run; its log columns go into columns
+    when that is given."""
+    try:
+        result = harness.run_scenario(sc)
+    except Exception as exc:  # a run that raises is an outcome of its own
+        return {"name": sc.name, "outcome": f"error: {type(exc).__name__}: {exc}",
+                "ticks": 0, "waypoints": len(sc.mission), "noisy": False,
+                "digests": {}, "leg_max_errors": []}
+    cols = _log_columns(result.log, metrics.LOG_COLUMNS)
+    if columns is not None:
+        columns.update({f"{sc.name}:{name}": np.array(v) for name, v in cols.items()})
+    return {
+        "name": sc.name,
+        "outcome": result.outcome,
+        "ticks": len(result.log),
+        "waypoints": len(sc.mission),
+        "noisy": sc.noise.sigma_speed > 0.0 or sc.noise.sigma_dir > 0.0,
+        "digests": {name: _digest(values) for name, values in cols.items()},
+        "leg_max_errors": _leg_max_errors(result.log, list(sc.mission),
+                                          sc.acceptance_radius_m, metrics),
+    }
+
+
 def work(tree: Path, cases_path: Path, out_path: Path, keep_columns: bool) -> None:
     import asvnav
     from asvnav import effects, harness, metrics
@@ -259,40 +289,49 @@ def work(tree: Path, cases_path: Path, out_path: Path, keep_columns: bool) -> No
     if not here.is_relative_to((tree / "src").resolve()):
         raise SystemExit(f"asvnav imported from {here}, not from {tree}/src")
     data = json.loads(cases_path.read_text())
-    runs, columns = [], {}
-    for config in data["scenarios"]:
-        sc = harness.from_dict(harness.Scenario, config)
-        try:
-            result = harness.run_scenario(sc)
-        except Exception as exc:  # a run that raises is an outcome of its own
-            runs.append({"name": sc.name, "outcome": f"error: {type(exc).__name__}: {exc}",
-                         "ticks": 0, "waypoints": len(sc.mission), "noisy": False,
-                         "digests": {}, "leg_max_errors": []})
-            continue
-        cols = _log_columns(result.log, metrics.LOG_COLUMNS)
-        runs.append({
-            "name": sc.name,
-            "outcome": result.outcome,
-            "ticks": len(result.log),
-            "waypoints": len(sc.mission),
-            "noisy": sc.noise.sigma_speed > 0.0 or sc.noise.sigma_dir > 0.0,
-            "digests": {name: _digest(values) for name, values in cols.items()},
-            "leg_max_errors": _leg_max_errors(result.log, list(sc.mission),
-                                              sc.acceptance_radius_m, metrics),
-        })
-        if keep_columns:
-            columns.update({f"{sc.name}:{name}": np.array(v) for name, v in cols.items()})
+    columns = {} if keep_columns else None
+    runs = [_run(harness.from_dict(harness.Scenario, config), harness, metrics, columns)
+            for config in data["scenarios"]]
     names = list(effects.FEATURE_NAMES) + list(effects.TARGET_NAMES)
-    sweeps = []
+    sweeps, corpora = [], []
     for k, config in enumerate(data["sweeps"]):
         corpus = harness.generate_training_logs(harness.from_dict(harness.SweepSpec, config))
+        corpora.append(corpus)
         label = f"sweep{k}"
         cols = {name: corpus[:, j].tolist() for j, name in enumerate(names)}
         sweeps.append({"name": label, "rows": len(corpus),
                        "digests": {name: _digest(v) for name, v in cols.items()}})
         if keep_columns:
             columns.update({f"{label}:{name}": np.array(v) for name, v in cols.items()})
-    out_path.write_text(json.dumps({"runs": runs, "sweeps": sweeps}))
+
+    # the tree's own fit of the noiseless sweep (the first), saved as asvnav fit saves it
+    models, plain = [], None
+    for label, intercept in (("plain", False), ("intercept", True)):
+        path = out_path.with_name(f"{out_path.stem}.model_{label}.json")
+        try:
+            effects.save_model(effects.fit(corpora[0], include_intercept=intercept), path)
+        except ValueError as exc:  # a fit that raises is a result of its own
+            models.append({"name": f"model_{label}", "digest": f"error: {exc}"})
+            continue
+        text = path.read_text()
+        models.append({"name": f"model_{label}",
+                       "digest": hashlib.sha256(text.encode()).hexdigest()})
+        if keep_columns:
+            payload = json.loads(text)
+            columns[f"model_{label}:coef"] = np.array(payload["coef"]).ravel()
+            columns[f"model_{label}:residual_rmse"] = np.array(payload["residual_rmse"])
+        if not intercept:
+            plain = path
+    # the augmented scenarios again, each naming the plain model file
+    fitted_runs = [] if plain is None else [
+        _run(harness.from_dict(harness.Scenario, {
+            **config, "name": f"{config['name']}+fitted",
+            "controller": {"kind": "augmented", "model": str(plain)},
+        }), harness, metrics, columns)
+        for config in data["scenarios"] if config["controller"]["kind"] == "augmented"
+    ]
+    out_path.write_text(json.dumps({"runs": runs, "fitted_runs": fitted_runs,
+                                    "sweeps": sweeps, "models": models}))
     if keep_columns:
         np.savez(out_path.with_suffix(".npz"), **columns)
 
@@ -338,16 +377,28 @@ def _coverage(case_data: dict, side: dict) -> str:
     noisy = sum(r["noisy"] for r in runs)
     ticks = sum(r["ticks"] for r in runs)
     rows = sum(s["rows"] for s in side["sweeps"])
+    fitted = side["fitted_runs"]
+    fits = [m["name"] for m in side["models"] if not m["digest"].startswith("error")]
     return (f"{len(runs)} scenarios, {ticks} ticks (outcomes: {outcomes}; current fields: "
             + ", ".join(f"{k} {v}" for k, v in sorted(kinds.items()))
             + f"; {waypoints[0]}-{waypoints[-1]} waypoints; noise on {noisy}, off "
-            f"{len(runs) - noisy}) and {len(side['sweeps'])} sweeps of {rows} rows")
+            f"{len(runs) - noisy}) and {len(side['sweeps'])} sweeps of {rows} rows; "
+            f"{len(fits)} fitted models ({', '.join(fits) or 'none'}), and the "
+            f"{len(fitted)} augmented scenarios again with model_plain, "
+            f"{sum(r['ticks'] for r in fitted)} ticks")
 
 
 def exact_report(old: dict, new: dict) -> list[str]:
-    """One line per run or sweep that differs, naming what differs."""
+    """One line per run, sweep or fitted model that differs, naming what
+    differs."""
     lines = []
-    for a, b in zip(old["runs"], new["runs"]):
+    for a, b in zip(old["models"], new["models"]):
+        if a["digest"] != b["digest"]:
+            lines.append(f"- {a['name']}: saved model file {a['digest'][:12]} -> "
+                         f"{b['digest'][:12]}")
+    if len(old["fitted_runs"]) != len(new["fitted_runs"]):
+        lines.append(f"- fitted runs: {len(old['fitted_runs'])} -> {len(new['fitted_runs'])}")
+    for a, b in zip(old["runs"] + old["fitted_runs"], new["runs"] + new["fitted_runs"]):
         moved = [name for name in a["digests"] if a["digests"][name] != b["digests"].get(name)]
         what = []
         if a["outcome"] != b["outcome"]:
@@ -395,9 +446,10 @@ def tolerance_report(old: dict, new: dict) -> list[str]:
     per_column: dict[str, list] = {}  # column -> [differing runs, max |d|, where]
     for key in dict.fromkeys([*cols_a, *cols_b]):  # a run that raised has no columns
         owner, name = key.split(":", 1)
-        scope = f"sweep {name}" if owner.startswith("sweep") else name
+        kind = next((k for k in ("sweep", "model") if owner.startswith(k)), None)
+        scope = f"{kind} {name}" if kind else name
         a, b = cols_a.get(key, np.empty(0)), cols_b.get(key, np.empty(0))
-        d, i = _max_abs_diff(a, b, name in ANGLE_COLUMNS and not owner.startswith("sweep"))
+        d, i = _max_abs_diff(a, b, name in ANGLE_COLUMNS and kind is None)
         if d == 0.0 and len(a) == len(b):
             continue
         entry = per_column.setdefault(scope, [0, 0.0, ""])
@@ -409,12 +461,13 @@ def tolerance_report(old: dict, new: dict) -> list[str]:
             entry[1:] = [d, where]
     lines = []
     if per_column:
-        lines += ["| column | runs or sweeps that differ | max \\|Δ\\| | at |",
+        lines += ["| column | runs, sweeps or models that differ | max \\|Δ\\| | at |",
                   "|---|---|---|---|"]
         lines += [f"| {name} | {n} | {d:.3g} | {where} |"
                   for name, (n, d, where) in per_column.items()]
     legs = []
-    for a, b in zip(old["runs"], new["runs"]):
+    runs_a, runs_b = old["runs"] + old["fitted_runs"], new["runs"] + new["fitted_runs"]
+    for a, b in zip(runs_a, runs_b):
         for leg, (ea, eb) in enumerate(zip(a["leg_max_errors"], b["leg_max_errors"]), start=1):
             if ea != eb:
                 delta = "scored on one side" if ea is None or eb is None else f"{eb - ea:+.3g}"
@@ -425,7 +478,7 @@ def tolerance_report(old: dict, new: dict) -> list[str]:
         lines += [f"| {name} | {leg} | {_m(ea)} | {_m(eb)} | {delta} |"
                   for name, leg, ea, eb, delta in legs]
     flips = [(a["name"], a["outcome"], b["outcome"])
-             for a, b in zip(old["runs"], new["runs"]) if a["outcome"] != b["outcome"]]
+             for a, b in zip(runs_a, runs_b) if a["outcome"] != b["outcome"]]
     if flips:
         lines += ["", "| run | outcome old | outcome new |", "|---|---|---|"]
         lines += [f"| {name} | {oa} | {ob} |" for name, oa, ob in flips]
