@@ -43,7 +43,6 @@ from .geo import (
     GeoPoint,
     distance_bearing,
     displaced,
-    enu_coords,
     unit_enu,
     wrap_angle,
 )
@@ -603,9 +602,14 @@ class SuiteSpec:
     leg_speed_mps: float = DEFAULT_LEG_SPEED
 
     def __post_init__(self):
-        if not self.leg_length_m >= 20.0 * self.template.acceptance_radius_m:  # NaN fails too
-            raise ValueError(f"leg_length_m must be at least 20x the acceptance radius, "
-                             f"got {self.leg_length_m!r}")
+        # chained comparisons, so NaN fails each check too
+        if not 20.0 * self.template.acceptance_radius_m <= self.leg_length_m < math.inf:
+            raise ValueError(f"leg_length_m must be finite and at least 20x the acceptance "
+                             f"radius, got {self.leg_length_m!r}")
+        max_speed = self.template.vehicle.max_water_speed
+        if not 0.0 < self.leg_speed_mps <= max_speed:
+            raise ValueError(f"leg_speed_mps must be in (0, {max_speed}], "
+                             f"got {self.leg_speed_mps!r}")
 
 
 def _straight_leg(center: GeoPoint, bearing: float, length: float,
@@ -718,9 +722,13 @@ def suite_to_dict(suite: SuiteSpec) -> dict:
 
 
 def suite_from_dict(data: dict, base_dir: Path | None = None) -> SuiteSpec:
-    # the template carries no mission of its own; the suite generates them
-    template = {**data.get("template", {}), "mission": to_dict(_TEMPLATE_MISSION)}
-    return from_dict(SuiteSpec, {**data, "template": template}, base_dir)
+    """Build a SuiteSpec from its suite_to_dict form: a template without
+    mission or start, which the suite generates for every run."""
+    template = data.get("template") if isinstance(data, dict) else None
+    if isinstance(template, dict):
+        _check_keys(template, _layout(Scenario).keys() - {"mission", "start"}, "template")
+        data = {**data, "template": {**template, "mission": to_dict(_TEMPLATE_MISSION)}}
+    return from_dict(SuiteSpec, data, base_dir)
 
 
 def load_suite(path: str | os.PathLike) -> SuiteSpec:
@@ -838,14 +846,6 @@ class SweepSpec:
         _check_dt(self.dt_s, "dt_s")
 
 
-def _observed_targets(vg_e: float, vg_n: float, water_speed: float,
-                      heading: float) -> tuple[float, float, float]:
-    """Targets of the ground-truth drift: ground velocity minus the
-    through-water velocity along the heading."""
-    he, hn = unit_enu(heading)
-    return drift_targets(vg_e - water_speed * he, vg_n - water_speed * hn, heading)
-
-
 def generate_training_logs(sweep: SweepSpec) -> np.ndarray:
     """Run the sweep and return its training corpus (effects._check_corpus):
     one row of features and targets per logged control step.
@@ -878,13 +878,14 @@ def generate_training_logs(sweep: SweepSpec) -> np.ndarray:
             last_inputs = inputs
         vg_e, vg_n = track_velocity(spd_t, course_t)
         water_spd, water_dir, wind_spd, wind_dir = sense(vg_e, vg_n, h_t, flows, offsets)
-        rows.append((
-            *make_features(
-                *relative_to_absolute(vg_e, vg_n, h_t, water_spd, water_dir),
-                *relative_to_absolute(vg_e, vg_n, h_t, wind_spd, wind_dir), speed, h_t,
-            ),
-            *_observed_targets(vg_e, vg_n, tw, h_t),
-        ))
+        features = make_features(
+            *relative_to_absolute(vg_e, vg_n, h_t, water_spd, water_dir),
+            *relative_to_absolute(vg_e, vg_n, h_t, wind_spd, wind_dir), speed, h_t,
+        )
+        # the targets: the ground-truth drift, ground velocity minus the
+        # through-water velocity along the heading
+        he, hn = unit_enu(h_t)
+        rows.append((*features, *drift_targets(vg_e - tw * he, vg_n - tw * hn, h_t)))
 
     def leg(current: ForceVector, wind: ForceVector, heading: float, speed: float,
             nav: Navigator | None) -> None:
@@ -934,40 +935,3 @@ def generate_training_logs(sweep: SweepSpec) -> np.ndarray:
 
 def load_sweep(path: str | os.PathLike) -> SweepSpec:
     return from_dict(SweepSpec, *_read_config(path))
-
-
-def samples_from_trajectory(
-    log: TrajectoryLog,
-    mission: Sequence[Waypoint],
-    params: VehicleParams,
-) -> np.ndarray:
-    """Rebuild a training corpus (effects._check_corpus) from a trajectory
-    log alone, one row per pair of consecutive records.
-
-    The log schema does not carry through-water speed, so it is
-    reconstructed by integrating the thrust history through the hull's
-    first-order response from rest, and the ground velocity comes from
-    differencing consecutive positions. Good enough for refitting from
-    archived runs; sweeps give exact targets.
-    """
-    if len(log) < 2:
-        raise ValueError("need at least two records to difference positions")
-    rows = []
-    tw = 0.0
-    for (t, t_next, lat, lon, lat_next, lon_next, h_t, h_next, wp_index, thrust,
-         spd_c, dir_c, spd_w, dir_w) in zip(
-        log.t, log.t[1:], log.lat, log.lon, log.lat[1:], log.lon[1:], log.h_t, log.h_t[1:],
-        log.wp_index, log.thrust, log.spd_c, log.dir_c, log.spd_w, log.dir_w,
-    ):
-        dt = t_next - t
-        wp = min(max(wp_index, 0), len(mission) - 1)
-        commanded = mission[wp].spd_target
-        # the step applies thrust and heading before moving, so the interval
-        # displacement reflects the post-update values
-        tw += (thrust * params.max_water_speed - tw) * (dt / params.thrust_time_constant)
-        east, north = enu_coords(lat, lon, lat_next, lon_next)
-        rows.append((
-            *make_features(spd_c, dir_c, spd_w, dir_w, commanded, h_t),
-            *_observed_targets(east / dt, north / dt, tw, h_next),
-        ))
-    return _check_corpus(rows)

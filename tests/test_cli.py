@@ -233,6 +233,52 @@ def test_fitted_model_drives_augmented_run(tmp_path, capsys):
     assert out["sign_changes_over_1m"] < 2
 
 
+def _mission_csv_scenario(tmp_path, rows=None):
+    """The augmented downstream-failure scenario in tmp_path/scenario.json,
+    with its mission given as the path "route.csv", a file next to it
+    holding the inline mission's rows (or rows, when given)."""
+    config = json.loads((CONFIGS / "downstream_failure_augmented.json").read_text())
+    if rows is None:
+        rows = [",".join(repr(float(wp[key])) for key in ("lat", "lon", "speed_mps"))
+                for wp in config["mission"]]
+    (tmp_path / "route.csv").write_text("lat,lon,speed_mps\n" + "".join(f"{r}\n" for r in rows))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**config, "mission": "route.csv"}))
+    return path
+
+
+def test_mission_csv_path_flies_as_the_inline_mission(tmp_path, capsys):
+    """A scenario's mission may be the path of a mission CSV, relative to
+    the config file: it loads the inline form's waypoints and flies the
+    same trajectory."""
+    from asvnav.harness import load_scenario
+
+    path = _mission_csv_scenario(tmp_path)
+    inline = CONFIGS / "downstream_failure_augmented.json"
+    assert load_scenario(path) == load_scenario(inline)
+    assert main(["run", str(path), "--out", str(tmp_path / "from_csv")]) == 0
+    assert main(["run", str(inline), "--out", str(tmp_path / "inline")]) == 0
+    for name in ("trajectory.csv", "mission.csv", "resolved_config.json"):
+        from_csv = (tmp_path / "from_csv" / name).read_bytes()
+        assert from_csv == (tmp_path / "inline" / name).read_bytes()
+
+
+def test_bad_mission_csv_is_one_stderr_line(tmp_path, capsys):
+    """A mission CSV row that breaks a waypoint rule names the file and its
+    line; a missing mission CSV names the file. Both exit 2."""
+    path = _mission_csv_scenario(tmp_path, ["34.0,-81.0,1.6", "34.0,-81.0,nan"])
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    route = tmp_path / "route.csv"
+    assert capsys.readouterr() == (
+        "", f"asvnav: {route}: line 3: spd_target must be > 0, got nan\n")
+    route.unlink()
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("asvnav: ") and str(route) in err
+    assert not (tmp_path / "out").exists()
+
+
 def _bad_sweep(tmp_path, key="duration_s", value=0):
     sweep = json.loads((CONFIGS / "training_sweep.json").read_text())
     sweep[key] = value

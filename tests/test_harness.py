@@ -15,7 +15,14 @@ from asvnav.cli import main
 from asvnav.control import Waypoint
 from asvnav.effects import FEATURE_NAMES, TARGET_NAMES, fit
 from asvnav.env import Environment, FieldSpec, ForceVector, GustSpec
-from asvnav.geo import METERS_PER_DEG_LAT, GeoPoint, displaced, distance_bearing, wrap_signed
+from asvnav.geo import (
+    METERS_PER_DEG_LAT,
+    GeoPoint,
+    displaced,
+    distance_bearing,
+    unit_enu,
+    wrap_signed,
+)
 from asvnav.harness import (
     TRAINING_HEADER,
     ControllerSpec,
@@ -31,7 +38,6 @@ from asvnav.harness import (
     read_training_csv,
     run_scenario,
     run_suite,
-    samples_from_trajectory,
     standard_suite,
     suite_from_dict,
     suite_mission,
@@ -42,7 +48,7 @@ from asvnav.harness import (
     write_training_csv,
 )
 from asvnav.metrics import LOG_COLUMNS, SUITE_ORIENTATIONS, TrajectoryLog
-from asvnav.vehicle import NoiseSpec, VehicleParams
+from asvnav.vehicle import NoiseSpec, VehicleParams, track_velocity
 
 ORIGIN = GeoPoint(34.0, -81.0)
 
@@ -338,15 +344,64 @@ def test_suite_geometry_matches_orientation_labels(tmp_path):
     assert abs(wrap_signed(bearing - suite.current_axis_bearing_deg)) < 0.01
 
 
-@pytest.mark.parametrize("length", [39.0, -200.0, math.nan])
+@pytest.mark.parametrize("length", [39.0, -200.0, math.nan, math.inf])
 def test_suite_rejects_short_or_nan_leg_length(tmp_path, capsys, length):
-    """A leg shorter than 20 acceptance radii, or NaN, is rejected at load
-    with one stderr line naming the value, not a non-finite waypoint later."""
-    message = f"leg_length_m must be at least 20x the acceptance radius, got {length!r}"
+    """A leg shorter than 20 acceptance radii, NaN or infinite, is rejected
+    at load with one stderr line naming the value, not a non-finite
+    waypoint or an offset beyond geo's limit later."""
+    message = (f"leg_length_m must be finite and at least 20x the acceptance radius, "
+               f"got {length!r}")
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         replace(standard_suite(), leg_length_m=length)
     path = tmp_path / "suite.json"
     path.write_text(json.dumps({**suite_to_dict(standard_suite()), "leg_length_m": length}))
+    assert main(["suite", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == ("", f"asvnav: {message}\n")
+
+
+@pytest.mark.parametrize("speed", [10.0, 6.26, 0.0, -1.0, math.nan, math.inf])
+def test_suite_rejects_leg_speed_outside_the_hull_range(tmp_path, capsys, speed):
+    """A leg speed must be in (0, the template hull's maximum]: outside it
+    the suite is rejected at load with one stderr line naming the key and
+    the value, not a waypoint error from the first run."""
+    message = f"leg_speed_mps must be in (0, 6.25], got {speed!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        replace(standard_suite(), leg_speed_mps=speed)
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({**suite_to_dict(standard_suite()), "leg_speed_mps": speed}))
+    assert main(["suite", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == ("", f"asvnav: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_suite_leg_speed_may_equal_the_hull_maximum():
+    suite = replace(standard_suite(), leg_speed_mps=6.25)
+    assert {wp.spd_target for wp in suite_mission(suite, 0)} == {6.25}
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda s: {**s, "template": []}, "config template must be a JSON object"),
+    (lambda s: {**s, "template": "template.json"}, "config template must be a JSON object"),
+    (lambda s: {**s, "template": None}, "config template must be a JSON object"),
+    (lambda s: [s], "config file must be a JSON object"),
+    (lambda s: {**s, "template": {**s["template"], "mission": "route.csv"}},
+     "unknown config key(s): template.mission"),
+    (lambda s: {**s, "template": {**s["template"],
+                                  "start": {"lat": 34.0, "lon": -81.0, "heading_deg": 0.0}}},
+     "unknown config key(s): template.start"),
+    (lambda s: {k: v for k, v in s.items() if k != "template"},
+     "missing config key(s): template"),
+], ids=["template-list", "template-string", "template-null", "file-list", "template-mission",
+        "template-start", "no-template"])
+def test_suite_file_of_the_wrong_shape_is_one_stderr_line(tmp_path, capsys, edit, message):
+    """A suite file decodes through the config codec: a template that is
+    not an object, or that holds the mission or start the suite generates,
+    and a file without one, are each one stderr line and exit 2."""
+    data = edit(suite_to_dict(standard_suite()))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        suite_from_dict(data)
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(data))
     assert main(["suite", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr() == ("", f"asvnav: {message}\n")
 
@@ -658,16 +713,47 @@ def test_read_training_csv_matches_per_line_float(tmp_path):
     assert back.tobytes() == reference.tobytes() == corpus.tobytes()
 
 
-def test_samples_from_trajectory_rebuilds_drift():
-    sc = _short_scenario(current=FieldSpec.uniform(0.5, 90.0))
-    result = run_scenario(sc)
-    corpus = samples_from_trajectory(result.log, list(sc.mission), sc.vehicle)
-    assert corpus.shape == (len(result.log) - 1, len(FEATURE_NAMES) + len(TARGET_NAMES))
-    drift = corpus[:, len(FEATURE_NAMES):len(FEATURE_NAMES) + 2]
-    # skip the spin-up where the reconstructed water speed still settles
-    steady = drift[len(drift) // 2 :]
-    assert np.median(steady[:, 0]) == pytest.approx(0.5, abs=0.05)
-    assert np.median(steady[:, 1]) == pytest.approx(0.0, abs=0.05)
+def _noisy_grid(half_m=150.0, n=5, seed=3):
+    """n x n grid field spanning +/- half_m around ORIGIN, with seeded
+    random node speeds and directions."""
+    rng = np.random.default_rng(seed)
+    m_per_deg_lon = METERS_PER_DEG_LAT * math.cos(math.radians(ORIGIN.lat))
+    return FieldSpec.grid(
+        lat0=ORIGIN.lat - half_m / METERS_PER_DEG_LAT,
+        lon0=ORIGIN.lon - half_m / m_per_deg_lon,
+        dlat=2.0 * half_m / (n - 1) / METERS_PER_DEG_LAT,
+        dlon=2.0 * half_m / (n - 1) / m_per_deg_lon,
+        speeds=rng.uniform(0.2, 0.8, (n, n)).tolist(),
+        directions=rng.uniform(0.0, 360.0, (n, n)).tolist(),
+    )
+
+
+@pytest.mark.parametrize("controller", ["baseline", "augmented"])
+@pytest.mark.parametrize("current, noise", [
+    (FieldSpec.uniform(0.5, 90.0), NoiseSpec()),
+    (_noisy_grid(), NoiseSpec(sigma_speed=0.05, sigma_dir=2.0)),
+], ids=["uniform", "noisy-grid"])
+def test_log_rows_carry_the_imposed_drift(controller, current, noise):
+    """From the second row on, a log row's ground velocity minus its
+    through-water velocity along its heading is the drift the fields
+    imposed over the step into it: the current plus the wind-drag fraction
+    of the wind, sampled at the previous row's position and time. So a
+    log's own state gives a regression its drift targets, with nothing
+    re-integrated."""
+    sc = _short_scenario(current=current, wind=FieldSpec.uniform(5.0, 240.0), noise=noise,
+                         controller=ControllerSpec(kind=controller))
+    log = run_scenario(sc).log
+    assert len(log) > 100
+    sample = Environment(sc.current, sc.wind).sample
+    k = sc.vehicle.wind_drag_factor
+    worst = 0.0
+    for i in range(1, len(log)):
+        ce, cn, we, wn = sample(log.lat[i - 1], log.lon[i - 1], log.t[i - 1])
+        vg_e, vg_n = track_velocity(log.spd_t[i], log.course_t[i])
+        he, hn = unit_enu(log.h_t[i])
+        tw = log.through_water_speed[i]
+        worst = max(worst, abs(vg_e - tw * he - (ce + k * we)), abs(vg_n - tw * hn - (cn + k * wn)))
+    assert worst <= 1e-12
 
 
 def test_downstream_pair_oscillation_contrast():
