@@ -127,17 +127,11 @@ def tracking_line(lat: float, lon: float, target: GeoPoint) -> Line:
     return lat, lon, math.hypot(east, north), ue, un
 
 
-def aim_point(lat: float, lon: float, target: GeoPoint, line: Optional[Line],
+def aim_point(lat: float, lon: float, target: GeoPoint, line: Line,
               lookahead_m: float) -> tuple[float, float]:
-    """Coordinates of the point a vehicle at (lat, lon) steers at.
-
-    On a tracking line to target the aim point sits on the line,
-    lookahead_m ahead of the vehicle's along-track projection (never past
-    the target itself). Without a line (None: no anchor) the aim point is
-    the target: plain pursuit of the goal.
-    """
-    if line is None:
-        return target.lat, target.lon
+    """Coordinates of the point a vehicle at (lat, lon) steers at: on the
+    tracking line to target, lookahead_m ahead of the vehicle's
+    along-track projection (never past the target itself)."""
     anchor_lat, anchor_lon, leg_len, ue, un = line
     east, north = enu_coords(anchor_lat, anchor_lon, lat, lon)
     along = east * ue + north * un
@@ -155,13 +149,12 @@ def aim_point(lat: float, lon: float, target: GeoPoint, line: Optional[Line],
 
 
 def steer_toward(lat: float, lon: float, h_t: float, spd_t: float, target: Waypoint,
-                 line: Optional[Line], gains: NavGains, heading_pid: PidFloats,
+                 line: Line, gains: NavGains, heading_pid: PidFloats,
                  speed_pid: PidFloats, dt: float) -> tuple[float, float, PidFloats, PidFloats]:
-    """PID step toward a target along its tracking line (None: no
-    anchor): bearing to the lookahead aim point drives the rudder,
-    ground-speed error drives the thrust. No waypoint bookkeeping. Returns
-    the clamped (thrust, rudder) and both PID states; pid_step rejects a
-    dt <= 0."""
+    """PID step toward a target along its tracking line: bearing to the
+    lookahead aim point drives the rudder, ground-speed error drives the
+    thrust. No waypoint bookkeeping. Returns the clamped (thrust, rudder)
+    and both PID states; pid_step rejects a dt <= 0."""
     aim_lat, aim_lon = aim_point(lat, lon, target.pos, line, gains.lookahead_m)
     to_aim_e, to_aim_n = enu_coords(lat, lon, aim_lat, aim_lon)
     heading_error = wrap_signed(bearing_of(to_aim_e, to_aim_n) - h_t)

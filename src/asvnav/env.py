@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geo import GeoPoint, bearing_of, enu_coords, unit_enu, wrap_angle
+from .geo import GeoPoint, bearing_of, enu_coords, point_coords, unit_enu, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -130,6 +130,7 @@ class GridField(FieldSpec):
     gust: Optional[GustSpec] = None
 
     def __post_init__(self):
+        point_coords(self.lat0, self.lon0)  # GeoPoint's rules; kept as given
         if not (0.0 < self.dlat < math.inf and 0.0 < self.dlon < math.inf):
             raise ValueError(f"grid spacing must be > 0, got dlat={self.dlat!r} dlon={self.dlon!r}")
         spd = np.asarray(self.speeds, dtype=float)

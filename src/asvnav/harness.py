@@ -43,6 +43,7 @@ from .geo import (
     GeoPoint,
     distance_bearing,
     displaced,
+    point_coords,
     unit_enu,
     wrap_angle,
 )
@@ -62,7 +63,6 @@ from .vehicle import (
     StateFloats,
     VehicleParams,
     _check_dt,
-    _clamped,
     noise_draws,
     relative_to_absolute,
     sense,
@@ -271,14 +271,23 @@ class ControllerSpec:
 
 @dataclass(frozen=True)
 class StartPose:
+    """An explicit start pose, kept as given (start_state wraps it) and
+    checked by GeoPoint's and wrap_angle's rules."""
+
     lat: float
     lon: float
     heading_deg: float
 
+    def __post_init__(self):
+        point_coords(self.lat, self.lon)
+        wrap_angle(self.heading_deg)
+
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything one closed-loop run needs."""
+    """Everything one closed-loop run needs. With an empty mission it is a
+    suite template, which the suite gives a mission on every run; the run's
+    Navigator rejects an empty mission before any tick."""
 
     mission: tuple[Waypoint, ...]
     current: FieldSpec = field(default_factory=FieldSpec.calm)
@@ -299,8 +308,6 @@ class Scenario:
 
     def __post_init__(self):
         _check_dt(self.dt_s, "dt_s")  # first: NaN passes the update period comparison below
-        if not self.mission:
-            raise ValueError("mission must contain at least one waypoint")
         for key in ("duration_limit_s", "acceptance_radius_m"):
             if not 0.0 < getattr(self, key) < math.inf:
                 raise ValueError(f"{key} must be > 0 and finite, got {getattr(self, key)!r}")
@@ -316,9 +323,8 @@ class Scenario:
     def start_state(self) -> StateFloats:
         """Initial vehicle state, at rest at t = 0: the explicit pose, or
         derived to sit just off the first leg's extension, a run-up back
-        along the leg bearing. The position is checked and wrapped as a
-        GeoPoint and the heading by wrap_angle, so a bad pose raises
-        ValueError."""
+        along the leg bearing. The position is wrapped as a GeoPoint and
+        the heading by wrap_angle."""
         if self.start is not None:
             pos, heading = GeoPoint(self.start.lat, self.start.lon), self.start.heading_deg
         elif len(self.mission) < 2:
@@ -591,6 +597,13 @@ def run_scenario(
 # eight-orientation suite
 
 
+def _check_hull_speed(speed: float, params: VehicleParams, name: str) -> None:
+    """Raise ValueError naming name unless speed is in (0, the hull's
+    maximum]: a chained comparison, so NaN fails too."""
+    if not 0.0 < speed <= params.max_water_speed:
+        raise ValueError(f"{name} must be in (0, {params.max_water_speed}], got {speed!r}")
+
+
 @dataclass(frozen=True)
 class SuiteSpec:
     """The eight-orientation paired experiment around one center point."""
@@ -602,14 +615,11 @@ class SuiteSpec:
     leg_speed_mps: float = DEFAULT_LEG_SPEED
 
     def __post_init__(self):
-        # chained comparisons, so NaN fails each check too
+        # a chained comparison, so NaN fails too
         if not 20.0 * self.template.acceptance_radius_m <= self.leg_length_m < math.inf:
             raise ValueError(f"leg_length_m must be finite and at least 20x the acceptance "
                              f"radius, got {self.leg_length_m!r}")
-        max_speed = self.template.vehicle.max_water_speed
-        if not 0.0 < self.leg_speed_mps <= max_speed:
-            raise ValueError(f"leg_speed_mps must be in (0, {max_speed}], "
-                             f"got {self.leg_speed_mps!r}")
+        _check_hull_speed(self.leg_speed_mps, self.template.vehicle, "leg_speed_mps")
 
 
 def _straight_leg(center: GeoPoint, bearing: float, length: float,
@@ -727,7 +737,7 @@ def suite_from_dict(data: dict, base_dir: Path | None = None) -> SuiteSpec:
     template = data.get("template") if isinstance(data, dict) else None
     if isinstance(template, dict):
         _check_keys(template, _layout(Scenario).keys() - {"mission", "start"}, "template")
-        data = {**data, "template": {**template, "mission": to_dict(_TEMPLATE_MISSION)}}
+        data = {**data, "template": {**template, "mission": []}}
     return from_dict(SuiteSpec, data, base_dir)
 
 
@@ -747,15 +757,6 @@ CROSSWIND_MPS = 5.0
 # 25 m default suits short river legs, not these.
 SCENARIO_AUGMENT = AugmentConfig(max_offset_m=100.0)
 
-# The mission of every suite template: a Scenario needs one, but
-# suite_scenarios replaces it on every run, so it is never sailed. Its
-# 1 m/s, the speed suite files have always loaded with, keeps a suite
-# file with a slow hull loadable.
-_TEMPLATE_MISSION = (
-    Waypoint(RIVER_CENTER, 1.0),
-    Waypoint(displaced(RIVER_CENTER, 0.0, 200.0), 1.0),
-)
-
 
 def standard_suite(
     current_speed: float = RIVER_CURRENT_MPS,
@@ -770,7 +771,7 @@ def standard_suite(
     baseline to mishandle.
     """
     template = Scenario(
-        mission=_TEMPLATE_MISSION,
+        mission=(),
         current=FieldSpec.uniform(current_speed, axis),
         wind=FieldSpec.uniform(wind_speed, axis + 90.0),
         augment=SCENARIO_AUGMENT,
@@ -844,6 +845,11 @@ class SweepSpec:
         if not 0.0 < self.duration_s < math.inf:
             raise ValueError(f"sweep duration_s must be > 0 and finite, got {self.duration_s!r}")
         _check_dt(self.dt_s, "dt_s")
+        for speed in self.speeds:
+            _check_hull_speed(speed, self.vehicle, "sweep speeds")
+        for heading in self.headings:
+            if not math.isfinite(heading):
+                raise ValueError(f"sweep headings must be finite, got {heading!r}")
 
 
 def generate_training_logs(sweep: SweepSpec) -> np.ndarray:
@@ -893,8 +899,9 @@ def generate_training_logs(sweep: SweepSpec) -> np.ndarray:
         speed when nav is None, else navigator_step toward its goal."""
         sample = Environment(FieldSpec.uniform(current.speed, current.direction),
                              FieldSpec.uniform(wind.speed, wind.direction)).sample
-        # the fixed command; navigator_step replaces it every step
-        thrust, rudder = _clamped(min(1.0, speed / params.max_water_speed), 0.0)
+        # the fixed command, thrust in (0, 1] by the sweep's speed rule;
+        # navigator_step replaces it every step
+        thrust, rudder = speed / params.max_water_speed, 0.0
         # the steady state's sample is the first step's: (origin, t=0)
         lat, lon, t, turn_rate, tw = sweep.origin.lat, sweep.origin.lon, 0.0, 0.0, speed
         flows = sample(lat, lon, t)

@@ -122,11 +122,23 @@ def _set_path(config, path, value):
     ("dt_s", math.nan, "dt_s must be in (0, 0.5], got nan"),
     ("dt_s", 0, "dt_s must be in (0, 0.5], got 0\n"),
     ("dt_s", 0.7, "dt_s must be in (0, 0.5], got 0.7"),
+    ("current", {**GRID_CURRENT, "lat0": math.nan},
+     "config current: non-finite coordinates (nan, -81.004)"),
+    ("current", {**GRID_CURRENT, "lat0": math.inf},
+     "config current: non-finite coordinates (inf, -81.004)"),
+    ("current", {**GRID_CURRENT, "lat0": 91.0}, "config current: latitude 91.0 outside [-90, 90]"),
+    ("start", {"lat": 200.0, "lon": -81.0, "heading_deg": 0.0},
+     "config start: latitude 200.0 outside [-90, 90]"),
+    ("start", {"lat": 34.0, "lon": -81.0, "heading_deg": math.nan},
+     "config start: angle must be finite, got nan"),
+    ("vehicle.max_water_speed_mps", 1.5, "waypoint speed 1.6 exceeds hull maximum 1.5"),
 ], ids=["field", "dt", "seed", "waypoint", "gain", "ragged-grid", "gain-rule", "augment-rule",
         "latitude-rule", "noise-rule", "field-kind", "duration-inf", "duration-nan",
         "max-offset-nan", "update-period-nan", "thrust-time-constant-inf", "radius-negative",
         "radius-inf", "noise-nan", "gust-period-nan", "half-width-nan", "grid-spacing-nan",
-        "dt-nan", "dt-zero", "dt-over-max"])
+        "dt-nan", "dt-zero", "dt-over-max", "grid-lat0-nan", "grid-lat0-inf",
+        "grid-lat0-off-the-globe", "start-latitude", "start-heading-nan",
+        "waypoint-over-hull-maximum"])
 def test_config_value_of_wrong_type_names_its_path(tmp_path, capsys, path, value, message):
     """A value of the wrong JSON type, a grid with a ragged row, a value
     that breaks its class's own rule (NaN and infinity included), or an
@@ -140,6 +152,53 @@ def test_config_value_of_wrong_type_names_its_path(tmp_path, capsys, path, value
     err = capsys.readouterr().err
     assert err.startswith(f"asvnav: {message}") and err.count("\n") == 1
     assert not (tmp_path / "run").exists()
+
+
+def test_empty_mission_is_one_stderr_line_at_run_start(tmp_path, capsys):
+    """A scenario file's mission key is required, but an empty list loads:
+    the run's Navigator rejects it before any tick, and nothing is written."""
+    with open(CONFIGS / "calm_water.json") as fh:
+        config = json.load(fh)
+    path = tmp_path / "no_mission.json"
+    path.write_text(json.dumps({**config, "mission": []}))
+    assert main(["run", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr() == ("", "asvnav: mission must contain at least one waypoint\n")
+    assert not (tmp_path / "run").exists()
+    del config["mission"]
+    path.write_text(json.dumps(config))
+    assert main(["run", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr() == ("", "asvnav: missing config key(s): mission\n")
+
+
+def _slow_hull_suite():
+    """configs/suite.json with a 0.8 m/s hull on 0.5 m/s legs, in calm water."""
+    suite = json.loads((CONFIGS / "suite.json").read_text())
+    suite["leg_speed_mps"] = 0.5
+    suite["template"]["vehicle"]["max_water_speed_mps"] = 0.8
+    suite["template"]["current"]["speed"] = suite["template"]["wind"]["speed"] = 0.0
+    return suite
+
+
+def test_slow_hull_suite_flies_its_legs(tmp_path, capsys):
+    """A suite template carries no mission, so its hull is checked only
+    against the legs the suite flies: a 0.8 m/s hull on 0.5 m/s legs
+    completes all 16 runs, and its resolved suite reloads equal."""
+    from asvnav.harness import load_suite
+
+    path = tmp_path / "slow_hull_suite.json"
+    path.write_text(json.dumps(_slow_hull_suite()))
+    out = tmp_path / "suite"
+    assert main(["suite", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    summaries = [json.loads((run / "summary.json").read_text())
+                 for run in (out / "runs").iterdir()]
+    assert len(summaries) == 16 and all(s["completed"] for s in summaries)
+    assert load_suite(out / "resolved_suite.json") == load_suite(path)
+
+    # legs faster than the hull are still rejected, by the suite's own rule
+    path.write_text(json.dumps({**_slow_hull_suite(), "leg_speed_mps": 1.0}))
+    assert main(["suite", str(path), "--out", str(tmp_path / "fast")]) == 2
+    assert capsys.readouterr() == ("", "asvnav: leg_speed_mps must be in (0, 0.8], got 1.0\n")
 
 
 def test_shipped_configs_round_trip_exactly():
@@ -308,13 +367,21 @@ def test_bad_input_is_one_stderr_line(tmp_path, capsys):
     ("dt_s", 0, "dt_s must be in (0, 0.5], got 0"),
     ("dt_s", 0.7, "dt_s must be in (0, 0.5], got 0.7"),
     ("dt_s", "0.1", "config dt_s must be a number, got '0.1'"),
-], ids=["duration-zero", "duration-nan", "duration-inf", "dt-nan", "dt-zero", "dt-over-max", "dt-string"])
+    ("speeds", [10.0], "sweep speeds must be in (0, 6.25], got 10.0"),
+    ("speeds", [0.0, 2.0], "sweep speeds must be in (0, 6.25], got 0.0"),
+    ("speeds", [2.0, math.nan], "sweep speeds must be in (0, 6.25], got nan"),
+    ("headings", [math.inf], "sweep headings must be finite, got inf"),
+    ("headings", [0.0, math.nan], "sweep headings must be finite, got nan"),
+], ids=["duration-zero", "duration-nan", "duration-inf", "dt-nan", "dt-zero", "dt-over-max",
+        "dt-string", "speed-over-hull-maximum", "speed-zero", "speed-nan", "heading-inf",
+        "heading-nan"])
 def test_bad_sweep_value_is_one_stderr_line(tmp_path, capsys, key, value, message):
     """asvnav train on a sweep with a value that breaks its rule prints one
-    stderr line naming the key, and writes no training CSV."""
-    assert main(["train", str(_bad_sweep(tmp_path, key, value)), "--out", str(tmp_path)]) == 2
+    stderr line naming the key, and makes no output directory."""
+    out = tmp_path / "out"
+    assert main(["train", str(_bad_sweep(tmp_path, key, value)), "--out", str(out)]) == 2
     assert capsys.readouterr() == ("", f"asvnav: {message}\n")
-    assert not (tmp_path / "training.csv").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("edit, message", [

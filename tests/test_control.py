@@ -77,9 +77,10 @@ def test_steering_rejects_non_positive_dt():
     navigator when its run constants are built, so also for a mission
     whose first tick completes it."""
     goal = Waypoint(displaced(ORIGIN, 0.0, 100.0), 2.0)
+    line = tracking_line(ORIGIN.lat, ORIGIN.lon, goal.pos)
     for dt in (0.0, math.nan):
         with pytest.raises(ValueError, match=rf"^dt must be > 0, got {dt!r}$"):
-            steer_toward(ORIGIN.lat, ORIGIN.lon, 0.0, 2.0, goal, None, DEFAULT_GAINS, FRESH_PID,
+            steer_toward(ORIGIN.lat, ORIGIN.lon, 0.0, 2.0, goal, line, DEFAULT_GAINS, FRESH_PID,
                          FRESH_PID, dt=dt)
         for mission in ([goal], [Waypoint(ORIGIN, 2.0)]):  # steering, then completing
             with pytest.raises(ValueError, match=rf"^dt must be > 0, got {dt!r}$"):
@@ -195,10 +196,3 @@ def test_aim_point_never_past_target():
     line = tracking_line(anchor.lat, anchor.lon, target)
     aim = GeoPoint(*aim_point(pos.lat, pos.lon, target, line, lookahead_m=25.0))
     assert aim == target
-
-
-def test_aim_point_without_anchor_is_target():
-    from asvnav.control import aim_point
-
-    target = displaced(ORIGIN, 0.0, 200.0)
-    assert GeoPoint(*aim_point(ORIGIN.lat, ORIGIN.lon, target, None, lookahead_m=25.0)) == target

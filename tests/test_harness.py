@@ -118,25 +118,36 @@ def test_run_from_an_explicit_start_pose():
     assert first == (0.0, moved.lat, moved.lon, 0.0, 200.0, 200.0, 0.0, 0.0)
 
 
-@pytest.mark.parametrize("heading, lon, h_t", [(370.0, -81.0, 10.0), (-90.0, 279.0, 270.0)])
-def test_explicit_start_pose_is_wrapped(heading, lon, h_t):
-    """The heading wraps into [0, 360) and the longitude into [-180, 180)."""
+@pytest.mark.parametrize("heading, lon, h_t", [(370.0, -81.0, 10.0), (-90.0, 279.0, 270.0),
+                                             (510.0, -81.0, 150.0)])
+def test_explicit_start_pose_is_wrapped(tmp_path, heading, lon, h_t):
+    """The heading wraps into [0, 360) and the longitude into [-180, 180)
+    when the run starts; the pose is kept as given, so the resolved config
+    writes it back unwrapped."""
     sc = _short_scenario(start=StartPose(lat=34.0, lon=lon, heading_deg=heading),
                          duration_limit_s=0.1)
-    log = run_scenario(sc).log
+    log = run_scenario(sc, out_dir=tmp_path).log
     assert (log.course_t[0], log.h_t[0], log.lon[0]) == (h_t, h_t, -81.0)
+    resolved = json.loads((tmp_path / "resolved_config.json").read_text())
+    assert resolved["start"] == {"lat": 34.0, "lon": lon, "heading_deg": heading}
 
 
 @pytest.mark.parametrize("pose, message", [
-    (StartPose(34.0, -81.0, math.nan), "angle must be finite"),
-    (StartPose(34.0, -81.0, -math.inf), "angle must be finite"),
-    (StartPose(90.5, -81.0, 0.0), r"latitude 90.5 outside \[-90, 90\]"),
-    (StartPose(-91.0, -81.0, 0.0), r"latitude -91.0 outside \[-90, 90\]"),
-    (StartPose(34.0, math.inf, 0.0), "non-finite coordinates"),
+    ((34.0, -81.0, math.nan), "angle must be finite"),
+    ((34.0, -81.0, -math.inf), "angle must be finite"),
+    ((90.5, -81.0, 0.0), r"latitude 90.5 outside \[-90, 90\]"),
+    ((-91.0, -81.0, 0.0), r"latitude -91.0 outside \[-90, 90\]"),
+    ((34.0, math.inf, 0.0), "non-finite coordinates"),
 ])
 def test_explicit_start_pose_rejected(pose, message):
+    """A bad pose is rejected when the StartPose is built, so a scenario
+    file's start is rejected at load, naming its path."""
     with pytest.raises(ValueError, match=message):
-        run_scenario(_short_scenario(start=pose))
+        StartPose(*pose)
+    config = {**to_dict(_short_scenario()),
+              "start": dict(zip(("lat", "lon", "heading_deg"), pose))}
+    with pytest.raises(ValueError, match=f"^config start: {message}"):
+        from_dict(Scenario, config)
 
 
 @pytest.mark.parametrize("dt", [0.0, -0.1, 0.6])
@@ -377,6 +388,26 @@ def test_suite_rejects_leg_speed_outside_the_hull_range(tmp_path, capsys, speed)
 def test_suite_leg_speed_may_equal_the_hull_maximum():
     suite = replace(standard_suite(), leg_speed_mps=6.25)
     assert {wp.spd_target for wp in suite_mission(suite, 0)} == {6.25}
+
+
+def test_scenario_without_a_mission_is_a_template(tmp_path):
+    """A Scenario with an empty mission is a valid value, a suite template;
+    run_scenario rejects it through the Navigator before any tick and
+    writes nothing."""
+    template = _short_scenario(mission=())
+    assert standard_suite().template.mission == ()
+    with pytest.raises(ValueError, match="^mission must contain at least one waypoint$"):
+        run_scenario(template, out_dir=tmp_path / "run")
+    assert not (tmp_path / "run").exists()
+
+
+def test_waypoint_faster_than_the_hull_is_rejected():
+    """A waypoint speed above the hull's maximum is rejected when the
+    Scenario is built; a speed at the maximum is not."""
+    slow = VehicleParams(max_water_speed=1.5)
+    with pytest.raises(ValueError, match=r"^waypoint speed 2\.0 exceeds hull maximum 1\.5$"):
+        _short_scenario(vehicle=slow)
+    _short_scenario(vehicle=VehicleParams(max_water_speed=2.0))
 
 
 @pytest.mark.parametrize("edit, message", [
