@@ -27,7 +27,7 @@ from .control import (
     tracking_line,
     waypoint_reached,
 )
-from .geo import GeoPoint, displaced, enu_coords
+from .geo import METERS_PER_DEG_LAT, GeoPoint, displaced, enu_coords
 from .vehicle import DEFAULT_DT, VehicleParams
 
 # Never command below this fraction of the requested speed: the hull must
@@ -119,15 +119,6 @@ def adjusted_speed(effect_spd: float, spd_target: float, params: VehicleParams) 
     return min(params.max_water_speed, max(MIN_SPEED_FRACTION * spd_target, raw))
 
 
-def _advance(lat: float, lon: float, mission: Sequence[Waypoint], index: int,
-             radius: float) -> int:
-    """Index of the first waypoint from index on that a vehicle at
-    (lat, lon) has not reached."""
-    while index < len(mission) and waypoint_reached(lat, lon, mission[index], radius):
-        index += 1
-    return index
-
-
 # The navigator's state: (index, line, heading_pid, speed_pid,
 # intermediate, next_update_t). A run starts at FRESH_NAV.
 NavState = tuple[int, Optional[Line], PidFloats, PidFloats, Optional[Waypoint], float]
@@ -179,10 +170,29 @@ def navigator_step(nav: Navigator, lat: float, lon: float, spd_t: float, h_t: fl
     (thrust, rudder) and the new state; index == len(mission) once the
     mission is complete, with an all-zero command, no line and no held
     target.
+
+    The advance is control.waypoint_reached on each waypoint from index
+    on, its enu_coords written out here, bit for bit
+    (tests/test_hot_path.py); a radius <= 0 calls it to raise its message.
     """
     index, line, heading_pid, speed_pid, intermediate, next_update_t = state
     mission = nav.mission
-    reached = _advance(lat, lon, mission, index, nav.radius)
+    radius = nav.radius
+    reached = index
+    while reached < len(mission):
+        pos = mission[reached].pos
+        if radius <= 0.0:
+            waypoint_reached(lat, lon, mission[reached], radius)
+        # math.hypot(*enu_coords(lat, lon, pos.lat, pos.lon)) <= radius
+        dlon = pos.lon - lon
+        if dlon >= 180.0:
+            dlon -= 360.0
+        elif dlon < -180.0:
+            dlon += 360.0
+        east = dlon * METERS_PER_DEG_LAT * math.cos(math.radians(0.5 * (lat + pos.lat)))
+        if not math.hypot(east, (pos.lat - lat) * METERS_PER_DEG_LAT) <= radius:
+            break
+        reached += 1
     if reached != index:
         # a new goal: both integrators restart, the held target is dropped
         # and the line re-anchors here

@@ -16,15 +16,16 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .geo import (
+    METERS_PER_DEG_LAT,
+    MAX_LEG_METERS,
     GeoPoint,
     bearing_of,
     enu_coords,
     offset_coords,
     point_coords,
     unit_enu,
-    wrap_signed,
+    wrap_angle,
 )
-from .vehicle import _clamped
 
 DEFAULT_ACCEPT_RADIUS = 2.0
 
@@ -154,12 +155,89 @@ def steer_toward(lat: float, lon: float, h_t: float, spd_t: float, target: Waypo
     """PID step toward a target along its tracking line: bearing to the
     lookahead aim point drives the rudder, ground-speed error drives the
     thrust. No waypoint bookkeeping. Returns the clamped (thrust, rudder)
-    and both PID states; pid_step rejects a dt <= 0."""
-    aim_lat, aim_lon = aim_point(lat, lon, target.pos, line, gains.lookahead_m)
-    to_aim_e, to_aim_n = enu_coords(lat, lon, aim_lat, aim_lon)
-    heading_error = wrap_signed(bearing_of(to_aim_e, to_aim_n) - h_t)
+    and both PID states; pid_step rejects a dt <= 0.
+
+    A tick's hot path: aim_point, the geodesy (enu_coords, offset_coords,
+    point_coords, bearing_of and wrap_signed) and vehicle._clamped are
+    written out here, bit for bit (tests/test_hot_path.py); a check that
+    fails calls its helper to raise the helper's own message. Every angle
+    wrapped is a float, so wrap_angle's + 0.0 would change no bit.
+    """
+    # aim_point(lat, lon, target.pos, line, gains.lookahead_m)
+    pos, lookahead_m = target.pos, gains.lookahead_m
+    anchor_lat, anchor_lon, leg_len, ue, un = line
+    # enu_coords(anchor_lat, anchor_lon, lat, lon)
+    dlon = lon - anchor_lon
+    if dlon >= 180.0:
+        dlon -= 360.0
+    elif dlon < -180.0:
+        dlon += 360.0
+    east = dlon * METERS_PER_DEG_LAT * math.cos(math.radians(0.5 * (anchor_lat + lat)))
+    north = (lat - anchor_lat) * METERS_PER_DEG_LAT
+    along = east * ue + north * un
+    ahead = along + lookahead_m
+    ahead = leg_len if leg_len < ahead else ahead  # min(ahead, leg_len)
+    if ahead <= 0.0:
+        at_target = leg_len < lookahead_m
+        ahead = lookahead_m
+    else:
+        at_target = ahead >= leg_len
+    if at_target:
+        aim_lat, aim_lon = pos.lat, pos.lon
+    else:
+        # point_coords(*offset_coords(anchor_lat, anchor_lon, ahead * ue,
+        # ahead * un)): the coordinates of the GeoPoint displaced would
+        # return (ahead > 0, so the offset is never zero)
+        east, north = ahead * ue, ahead * un
+        if math.hypot(east, north) >= MAX_LEG_METERS:
+            offset_coords(anchor_lat, anchor_lon, east, north)
+        aim_lat = anchor_lat + north / METERS_PER_DEG_LAT
+        mid_lat = 0.5 * (anchor_lat + aim_lat)
+        aim_lon = anchor_lon + east / (METERS_PER_DEG_LAT * math.cos(math.radians(mid_lat)))
+        if not (-90.0 <= aim_lat <= 90.0 and math.isfinite(aim_lon)):
+            point_coords(aim_lat, aim_lon)
+        aim_lon = (aim_lon + 180.0) % 360.0 - 180.0
+        if aim_lon == 180.0:
+            aim_lon = -180.0
+    # enu_coords(lat, lon, aim_lat, aim_lon)
+    dlon = aim_lon - lon
+    if dlon >= 180.0:
+        dlon -= 360.0
+    elif dlon < -180.0:
+        dlon += 360.0
+    east = dlon * METERS_PER_DEG_LAT * math.cos(math.radians(0.5 * (lat + aim_lat)))
+    north = (aim_lat - lat) * METERS_PER_DEG_LAT
+    # wrap_signed(bearing_of(east, north) - h_t)
+    if east == 0.0 and north == 0.0:
+        heading_error = 0.0
+    else:
+        heading_error = math.degrees(math.atan2(east, north))
+        if not heading_error > 0.0:
+            if not math.isfinite(heading_error):
+                wrap_angle(heading_error)
+            heading_error %= 360.0
+            if heading_error == 360.0:
+                heading_error = 0.0
+    heading_error = heading_error - h_t
+    if not 0.0 < heading_error < 360.0:
+        if not math.isfinite(heading_error):
+            wrap_angle(heading_error)
+        heading_error %= 360.0
+        if heading_error == 360.0:
+            heading_error = 0.0
+    if heading_error > 180.0:
+        heading_error = heading_error - 360.0
     rudder, heading_pid = pid_step(gains.heading, heading_pid, heading_error, dt)
 
     speed_error = target.spd_target - spd_t
     thrust, speed_pid = pid_step(gains.speed, speed_pid, speed_error, dt)
-    return *_clamped(thrust, rudder), heading_pid, speed_pid
+    # vehicle._clamped(thrust, rudder): min(1.0, max(0.0, x)) as
+    # comparisons (see "Hot-path clamps" in the README); likewise for the
+    # rudder
+    if math.isfinite(thrust):
+        thrust = thrust if thrust > 0.0 else 0.0
+        thrust = thrust if thrust < 1.0 else 1.0
+    if math.isfinite(rudder):
+        rudder = rudder if rudder > -1.0 else -1.0
+        rudder = rudder if rudder < 1.0 else 1.0
+    return thrust, rudder, heading_pid, speed_pid

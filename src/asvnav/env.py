@@ -195,7 +195,17 @@ def _sampler(field: FieldSpec) -> Sampler:
         if gust is None:
             value = _flow(base_speed, direction)
             return lambda lat, lon, t: value
-        return lambda lat, lon, t: _flow(max(0.0, base_speed + _gust_term(gust, t)), direction)
+        ue, un = unit_enu(direction)
+
+        def gusted(lat: float, lon: float, t: float) -> tuple[float, float]:
+            # _flow(speed, direction), the direction's unit vector worked out
+            # once: the same bits
+            speed = max(0.0, base_speed + _gust_term(gust, t))
+            if speed > 0.0:
+                return speed * ue, speed * un
+            return 0.0, 0.0
+
+        return gusted
     if isinstance(field, RiverProfileField):
         origin, half_width = field.axis_origin, field.half_width_m
         center_speed = field.centerline_speed
@@ -222,6 +232,11 @@ def _sampler(field: FieldSpec) -> Sampler:
         nodes = np.stack((spd * np.sin(rad), spd * np.cos(rad)), axis=-1).tolist()
         ni, nj = spd.shape
         lat0, lon0, dlat, dlon = field.lat0, field.lon0, field.dlat, field.dlon
+        if not -180.0 <= lon0 < 180.0:
+            # the vehicle's longitude is wrapped to [-180, 180); a lon0 given
+            # on another turn of the globe is wrapped as point_coords wraps
+            # it, and one already in range keeps its bits
+            lon0 = point_coords(lat0, lon0)[1]
         edge_tol = 1e-9  # grid cells; absorbs float noise at the boundary nodes
         fi_max, fj_max = float(ni - 1), float(nj - 1)
         fi_out, fj_out = ni - 1 + edge_tol, nj - 1 + edge_tol
@@ -252,7 +267,22 @@ def _sampler(field: FieldSpec) -> Sampler:
             speed = math.hypot(east, north)
             if gust is not None:
                 speed = max(0.0, speed + _gust_term(gust, t))
-            return _flow(speed, bearing_of(east, north))
+            # _flow(speed, bearing_of(east, north)), written out bit for bit
+            # (tests/test_hot_path.py)
+            if east == 0.0 and north == 0.0:
+                direction = 0.0
+            else:
+                direction = math.degrees(math.atan2(east, north))
+                if not direction > 0.0:
+                    if not math.isfinite(direction):
+                        wrap_angle(direction)
+                    direction %= 360.0
+                    if direction == 360.0:
+                        direction = 0.0
+            if speed > 0.0:
+                rad = math.radians(direction)
+                return speed * math.sin(rad), speed * math.cos(rad)
+            return 0.0, 0.0
 
         return grid
     raise TypeError(f"not a field kind: {type(field).__name__}")

@@ -523,7 +523,8 @@ def _closed_loop(sc: Scenario, mission: list[Waypoint], model) -> tuple[Trajecto
         except LeftDomainError:
             outcome = "left_domain"
             break
-        vg_e, vg_n = track_velocity(spd_t, course_t)
+        rad = math.radians(course_t)  # track_velocity(spd_t, course_t), written out
+        vg_e, vg_n = spd_t * math.sin(rad), spd_t * math.cos(rad)
         water_spd, water_dir, wind_spd, wind_dir = sense(vg_e, vg_n, h_t, flows, draw())
         spd_c, dir_c = relative_to_absolute(vg_e, vg_n, h_t, water_spd, water_dir)
         spd_w, dir_w = relative_to_absolute(vg_e, vg_n, h_t, wind_spd, wind_dir)

@@ -18,8 +18,16 @@ from typing import Iterator
 
 import numpy as np
 
-from .env import Flows, _flow_direction
-from .geo import bearing_of, offset_coords, point_coords, unit_enu, wrap_angle
+from .env import Flows
+from .geo import (
+    MAX_LEG_METERS,
+    METERS_PER_DEG_LAT,
+    bearing_of,
+    offset_coords,
+    point_coords,
+    unit_enu,
+    wrap_angle,
+)
 
 # Simulation time step (s): the default, and the largest one step accepts.
 DEFAULT_DT = 0.1
@@ -143,30 +151,77 @@ def step(lat: float, lon: float, h_t: float, through_water_speed: float, t: floa
     along the summed ground velocity as geo.displaced moves a point; the
     new position passes point_coords, moved or not. Deterministic:
     identical inputs give bit-identical outputs.
+
+    A tick's hot path: the helpers named in the comments are written out
+    here, bit for bit (tests/test_hot_path.py); a check that fails calls
+    its helper to raise the helper's own message.
     """
-    _check_dt(dt)
+    if not 0.0 < dt <= MAX_STEP_DT:
+        _check_dt(dt)
     if not (math.isfinite(thrust) and math.isfinite(rudder)):
         raise ValueError(f"non-finite actuator command (thrust={thrust!r}, rudder={rudder!r})")
-    turn_authority = params.max_turn_rate * params.steerage_effectiveness(through_water_speed)
+    # params.steerage_effectiveness(through_water_speed)
+    fraction = (through_water_speed / params.steerage_reference_speed) ** 2
+    floor = params.steerage_floor
+    fraction = fraction if fraction > floor else floor
+    fraction = fraction if fraction < 1.0 else 1.0
+    turn_authority = params.max_turn_rate * fraction
     commanded_rate = rudder * turn_authority
     # yaw responds through a first-order lag: the hull cannot reverse a
     # turn instantaneously
     turn_rate = turn_rate + (commanded_rate - turn_rate) * (dt / params.turn_time_constant)
-    heading = wrap_angle(h_t + turn_rate * dt)
+    # wrap_angle(h_t + turn_rate * dt); a float, so the fast path's + 0.0
+    # would change no bit
+    heading = h_t + turn_rate * dt
+    if not 0.0 < heading < 360.0:
+        if not math.isfinite(heading):
+            wrap_angle(heading)
+        heading %= 360.0
+        if heading == 360.0:
+            heading = 0.0
     target_tw = thrust * params.max_water_speed
     tw = through_water_speed + (target_tw - through_water_speed) * (
         dt / params.thrust_time_constant
     )
 
-    vg_e, vg_n = _ground_velocity(tw, heading, flows, params)
+    # _ground_velocity(tw, heading, flows, params)
+    ce, cn, we, wn = flows
+    rad = math.radians(heading)
+    drag = params.wind_drag_factor
+    vg_e = tw * math.sin(rad) + ce + drag * we
+    vg_n = tw * math.cos(rad) + cn + drag * wn
     east, north = vg_e * dt, vg_n * dt
     if east != 0.0 or north != 0.0:  # displaced's zero-move shortcut: a -0.0 latitude stays
-        lat, lon = offset_coords(lat, lon, east, north)
-    lat, lon = point_coords(lat, lon)  # a point at rest is checked as a moved one
+        # offset_coords(lat, lon, east, north)
+        if math.hypot(east, north) >= MAX_LEG_METERS:
+            offset_coords(lat, lon, east, north)
+        lat_b = lat + north / METERS_PER_DEG_LAT
+        mid_lat = 0.5 * (lat + lat_b)
+        lat, lon = lat_b, lon + east / (METERS_PER_DEG_LAT * math.cos(math.radians(mid_lat)))
+    # point_coords(lat, lon): a point at rest is checked as a moved one; the
+    # latitude range test fails on a non-finite latitude too
+    if not (-90.0 <= lat <= 90.0 and math.isfinite(lon)):
+        point_coords(lat, lon)
+    lon = (lon + 180.0) % 360.0 - 180.0
+    if lon == 180.0:
+        lon = -180.0
     spd_t = math.hypot(vg_e, vg_n)
-    course_t = bearing_of(vg_e, vg_n)
+    # bearing_of(vg_e, vg_n)
+    if vg_e == 0.0 and vg_n == 0.0:
+        course_t = 0.0
+    else:
+        course_t = math.degrees(math.atan2(vg_e, vg_n))
+        if not course_t > 0.0:
+            if not math.isfinite(course_t):
+                wrap_angle(course_t)
+            course_t %= 360.0
+            if course_t == 360.0:
+                course_t = 0.0
     t = t + dt
-    _check_state(spd_t, tw, t, turn_rate)
+    # _check_state(spd_t, tw, t, turn_rate)
+    if spd_t < 0.0 or tw < 0.0 or not (math.isfinite(spd_t) and math.isfinite(tw)
+                                       and math.isfinite(t) and math.isfinite(turn_rate)):
+        _check_state(spd_t, tw, t, turn_rate)
     return lat, lon, spd_t, course_t, heading, tw, t, turn_rate
 
 
@@ -190,14 +245,6 @@ def _ground_velocity(tw: float, heading: float, flows: Flows,
     ce, cn, we, wn = flows
     he, hn = unit_enu(heading)
     return tw * he + ce + params.wind_drag_factor * we, tw * hn + cn + params.wind_drag_factor * wn
-
-
-def _to_hull_frame(vec_e: float, vec_n: float, heading: float) -> tuple[float, float]:
-    """(speed, direction-from-bow) of a world-frame vector."""
-    speed = math.hypot(vec_e, vec_n)
-    if speed == 0.0:
-        return 0.0, 0.0
-    return speed, wrap_angle(bearing_of(vec_e, vec_n) - heading)
 
 
 def noise_draws(noise: NoiseSpec, rng: np.random.Generator) -> Iterator[list[float] | None]:
@@ -231,10 +278,54 @@ def sense(
     velocity. offsets are the tick's sensor noise in the reading's order,
     as noise_draws hands them out, added to the readings; None reads the
     sensors without noise.
+
+    Each reading is a world-frame vector's (speed, bearing_of(vector) -
+    h_t wrapped by wrap_angle) in the hull frame, (0.0, 0.0) for a zero
+    vector; a noisy direction is env._flow_direction of its noisy speed.
+    Those helpers are written out here, bit for bit
+    (tests/test_hot_path.py). A non-zero speed means a non-zero vector,
+    so bearing_of's zero-vector test cannot fire, and every angle wrapped
+    is a float, so wrap_angle's + 0.0 would change no bit.
     """
     ce, cn, we, wn = flows
-    water_spd, water_dir = _to_hull_frame(ce - vg_e, cn - vg_n, h_t)
-    wind_spd, wind_dir = _to_hull_frame(we - vg_e, wn - vg_n, h_t)
+    vec_e, vec_n = ce - vg_e, cn - vg_n
+    water_spd = math.hypot(vec_e, vec_n)
+    if water_spd == 0.0:
+        water_dir = 0.0
+    else:
+        water_dir = math.degrees(math.atan2(vec_e, vec_n))
+        if not water_dir > 0.0:
+            if not math.isfinite(water_dir):
+                wrap_angle(water_dir)
+            water_dir %= 360.0
+            if water_dir == 360.0:
+                water_dir = 0.0
+        water_dir = water_dir - h_t
+        if not 0.0 < water_dir < 360.0:
+            if not math.isfinite(water_dir):
+                wrap_angle(water_dir)
+            water_dir %= 360.0
+            if water_dir == 360.0:
+                water_dir = 0.0
+    vec_e, vec_n = we - vg_e, wn - vg_n
+    wind_spd = math.hypot(vec_e, vec_n)
+    if wind_spd == 0.0:
+        wind_dir = 0.0
+    else:
+        wind_dir = math.degrees(math.atan2(vec_e, vec_n))
+        if not wind_dir > 0.0:
+            if not math.isfinite(wind_dir):
+                wrap_angle(wind_dir)
+            wind_dir %= 360.0
+            if wind_dir == 360.0:
+                wind_dir = 0.0
+        wind_dir = wind_dir - h_t
+        if not 0.0 < wind_dir < 360.0:
+            if not math.isfinite(wind_dir):
+                wrap_angle(wind_dir)
+            wind_dir %= 360.0
+            if wind_dir == 360.0:
+                wind_dir = 0.0
     if offsets is None:
         return water_spd, water_dir, wind_spd, wind_dir
     o_ws, o_wd, o_as, o_ad = offsets
@@ -243,8 +334,29 @@ def sense(
     water_spd = water_spd if water_spd > 0.0 else 0.0
     wind_spd = wind_spd + o_as
     wind_spd = wind_spd if wind_spd > 0.0 else 0.0
-    return (water_spd, _flow_direction(water_spd, water_dir + o_wd),
-            wind_spd, _flow_direction(wind_spd, wind_dir + o_ad))
+    # _flow_direction(speed, direction + offset): the direction a noisy
+    # speed above zero has, else 0.0
+    if water_spd > 0.0:
+        water_dir = water_dir + o_wd
+        if not 0.0 < water_dir < 360.0:
+            if not math.isfinite(water_dir):
+                wrap_angle(water_dir)
+            water_dir %= 360.0
+            if water_dir == 360.0:
+                water_dir = 0.0
+    else:
+        water_dir = 0.0
+    if wind_spd > 0.0:
+        wind_dir = wind_dir + o_ad
+        if not 0.0 < wind_dir < 360.0:
+            if not math.isfinite(wind_dir):
+                wrap_angle(wind_dir)
+            wind_dir %= 360.0
+            if wind_dir == 360.0:
+                wind_dir = 0.0
+    else:
+        wind_dir = 0.0
+    return water_spd, water_dir, wind_spd, wind_dir
 
 
 def relative_to_absolute(vg_e: float, vg_n: float, h_t: float, speed: float,
@@ -254,8 +366,30 @@ def relative_to_absolute(vg_e: float, vg_n: float, h_t: float, speed: float,
 
     Exact inverse of sense at zero noise: the hull-frame vector is rotated
     back by the heading and the ground velocity is added.
+
+    unit_enu(wrap_angle(direction + h_t)) and bearing_of are written out
+    here, bit for bit (tests/test_hot_path.py). The wrapped angle only
+    feeds math.radians, which takes an int as the float that wrap_angle's
+    + 0.0 makes of it.
     """
-    ue, un = unit_enu(wrap_angle(direction + h_t))
-    vec_e = speed * ue + vg_e
-    vec_n = speed * un + vg_n
-    return math.hypot(vec_e, vec_n), bearing_of(vec_e, vec_n)
+    direction = direction + h_t
+    if not 0.0 < direction < 360.0:
+        if not math.isfinite(direction):
+            wrap_angle(direction)
+        direction %= 360.0
+        if direction == 360.0:
+            direction = 0.0
+    rad = math.radians(direction)
+    vec_e = speed * math.sin(rad) + vg_e
+    vec_n = speed * math.cos(rad) + vg_n
+    spd = math.hypot(vec_e, vec_n)
+    if vec_e == 0.0 and vec_n == 0.0:
+        return spd, 0.0
+    deg = math.degrees(math.atan2(vec_e, vec_n))
+    if not deg > 0.0:
+        if not math.isfinite(deg):
+            wrap_angle(deg)
+        deg %= 360.0
+        if deg == 360.0:
+            deg = 0.0
+    return spd, deg

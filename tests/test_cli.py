@@ -78,6 +78,29 @@ def test_grid_run_reruns_from_its_resolved_config(tmp_path, capsys):
     assert (tmp_path / "again" / "trajectory.csv").read_bytes() == first
 
 
+def test_grid_lon0_a_turn_east_runs_as_the_wrapped_one(tmp_path, capsys):
+    """A grid current whose lon0 is written a turn of the globe east (278.996
+    for -81.004) is sampled where it lies: its run completes as the -81.004
+    run does, with the same ticks and maximum error, and its resolved config
+    keeps lon0 as given."""
+    from asvnav.metrics import TrajectoryLog
+
+    with open(CONFIGS / "downstream_failure_augmented.json") as fh:
+        config = json.load(fh)
+    runs = {}
+    for lon0 in (-81.004, 278.996):
+        path = tmp_path / f"grid_{lon0}.json"
+        path.write_text(json.dumps({**config, "current": {**GRID_CURRENT, "lon0": lon0}}))
+        out = tmp_path / f"out_{lon0}"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        ticks = len(TrajectoryLog.from_csv(out / "trajectory.csv"))
+        runs[lon0] = (summary["outcome"], ticks, round(summary["max_error_m"], 4))
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert resolved["current"]["lon0"] == lon0
+    assert runs[278.996] == runs[-81.004] == ("completed", 2647, 9.4724)
+
+
 def _set_path(config, path, value):
     """config with the value at a dotted path (a [i] part indexes a list)
     set to value."""

@@ -4,6 +4,7 @@ difference; a copy with one constant nudged shows the columns that moved,
 and a copy whose fitted-model prediction is nudged shows the runs flown
 with the fitted model, and only those."""
 
+import importlib.util
 import re
 import shutil
 import subprocess
@@ -35,6 +36,30 @@ def test_tree_against_itself_shows_no_difference(mode):
     assert re.search(r"and 2 sweeps of [1-9]\d* rows", out), out
     assert "2 fitted models (model_plain, model_intercept)" in out, out
     assert int(re.search(r"the (\d+) augmented scenarios again", out).group(1)) >= 1, out
+
+
+def test_generated_scenarios_draw_gains_and_hulls():
+    """Every generated scenario flies its own PID gains (kd above zero),
+    lookahead and hull, and the sweeps one hull, so a written-out block
+    that reads a default in place of its field shows as a difference."""
+    spec = importlib.util.spec_from_file_location("differential", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    from asvnav.control import DEFAULT_GAINS
+    from asvnav.harness import Scenario, SweepSpec, from_dict
+    from asvnav.vehicle import VehicleParams
+
+    data = tool.cases(20, 0)
+    scenarios = [from_dict(Scenario, config) for config in data["scenarios"]]
+    for sc in scenarios:
+        assert sc.gains.heading.kd > 0.0 and sc.gains.speed.kd > 0.0
+        assert sc.gains.heading != DEFAULT_GAINS.heading
+        assert sc.gains.speed != DEFAULT_GAINS.speed
+        assert sc.vehicle != VehicleParams()
+    assert len({sc.gains.lookahead_m for sc in scenarios}) == len(scenarios)
+    assert len({sc.vehicle for sc in scenarios}) == len(scenarios)
+    sweeps = [from_dict(SweepSpec, config) for config in data["sweeps"]]
+    assert sweeps[0].vehicle == sweeps[1].vehicle != VehicleParams()
 
 
 def _copy_src(tmp_path, module, old, new):

@@ -4,6 +4,7 @@ that is the public per-layer API stepped by hand."""
 
 import hashlib
 import importlib
+import inspect
 import math
 import sys
 from dataclasses import replace
@@ -316,6 +317,64 @@ def test_loop_calls_the_public_layer_functions(calls, scenario, controller):
     assert calls.count("relative_to_absolute") == 2 * ticks
     assert calls.count("step") == ticks - result.completed
     assert calls.count("pid_step") == 2 * calls.count("steer_toward")
+
+
+# Where a tick may still call into geo: re-anchoring the tracking line, and
+# the feed-forward update (predict's features, the intermediate waypoint).
+GEO_PER_TICK_CALLERS = {"tracking_line", "predict", "calc_intermediate_wp"}
+# What the tick loop calls each tick; its other callees are its set-up (the
+# start state, the Environment and the Navigator).
+TICK_STEPS = {"sample", "noise_draws", "sense", "relative_to_absolute", "navigator_step", "step"}
+
+
+@pytest.mark.parametrize("controller", ["baseline", "augmented"])
+def test_tick_calls_geo_only_for_the_line_and_the_feed_forward(monkeypatch, controller):
+    """Every call of a public geo function made inside the tick loop is
+    counted with the chain of calls that led to it. Inside a tick, geo is
+    called only under tracking_line or the feed-forward update: the layer
+    steps work their geodesy out inline."""
+    from asvnav import geo
+
+    loop_code = harness._closed_loop.__code__
+    chains = {}  # (geo function, callers from the loop's callee down) -> calls
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            callers, frame = [], sys._getframe(1)
+            while frame is not None and frame.f_code is not loop_code:
+                if frame.f_code is not counted.__code__:
+                    callers.append(frame.f_code.co_name)
+                frame = frame.f_back
+            if frame is not None:
+                key = (name, tuple(reversed(callers)))
+                chains[key] = chains.get(key, 0) + 1
+            return fn(*args, **kwargs)
+        return counted
+
+    modules = [mod for name, mod in sys.modules.items()
+               if mod is not None and (name == "asvnav" or name.startswith("asvnav."))]
+    for name, fn in list(vars(geo).items()):
+        if name.startswith("_") or not inspect.isfunction(fn) or fn.__module__ != geo.__name__:
+            continue
+        wrapper = counting(name, fn)
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, wrapper)
+
+    sc = replace(_digest_scenario(), controller=harness.ControllerSpec(kind=controller))
+    assert len(harness.run_scenario(sc).log) == 601
+    in_tick = {key: n for key, n in chains.items() if key[1][0] in TICK_STEPS}
+    elsewhere = {key: n for key, n in in_tick.items()
+                 if not GEO_PER_TICK_CALLERS.intersection(key[1])}
+    assert not elsewhere, elsewhere
+    # the counting sees the calls that remain
+    callers = {caller for _, chain in in_tick for caller in chain}
+    assert "tracking_line" in callers
+    assert ("calc_intermediate_wp" in callers) == (controller == "augmented")
+    # a few calls per re-anchor and per update: about one a tick in an
+    # augmented run, far fewer in a baseline one
+    assert sum(in_tick.values()) < 2 * 601
 
 
 @pytest.fixture

@@ -7,9 +7,11 @@ and compare what each tree produces.
 A tree is the root of a source checkout, the directory that holds
 src/asvnav. The configs are generated here, from --seed alone: N scenarios
 that cover the three field kinds (uniform, river profile and grid), gusts,
-sensor noise on and off, 1-4 waypoints, several dt_s, both controllers
-and all three outcomes (completed, incomplete, left_domain), plus two
-small training sweeps, one noiseless and one noisy. Each tree runs all of
+sensor noise on and off, 1-4 waypoints, several dt_s, both controllers,
+each with its own PID gains (kd above zero), lookahead and hull
+parameters, and all three outcomes (completed, incomplete, left_domain),
+plus two small training sweeps on one drawn hull, one noiseless and one
+noisy. Each tree runs all of
 them in its own subprocess with PYTHONPATH=TREE/src. Each tree then fits
 its own noiseless sweep corpus, plain and with an intercept, saves both
 models, and flies every augmented scenario again with its plain fitted
@@ -117,6 +119,30 @@ def _grid(rng: random.Random, points: list[tuple[float, float]], margin_m: float
     return _with_gust(field, _gust(rng, min(min(row) for row in speeds)))
 
 
+def _gains(rng: random.Random) -> dict:
+    """Heading and speed PID gains, each kd above zero, and a lookahead:
+    every value drawn, so no two fields share a default."""
+    def pid(kp, ki, kd, i_clamp):
+        return {name: round(rng.uniform(*bounds), 3)
+                for name, bounds in (("kp", kp), ("ki", ki), ("kd", kd), ("i_clamp", i_clamp))}
+
+    return {"heading": pid((0.3, 1.2), (0.05, 0.4), (0.02, 0.4), (0.15, 0.6)),
+            "speed": pid((0.3, 0.8), (0.1, 0.5), (0.02, 0.3), (0.5, 1.5)),
+            "lookahead_m": round(rng.uniform(12.0, 45.0), 1)}
+
+
+def _vehicle(rng: random.Random) -> dict:
+    """Hull parameters, every one drawn; the hull outruns the fastest
+    generated waypoint (3.6 m/s)."""
+    return {"max_water_speed_mps": round(rng.uniform(4.0, 7.5), 2),
+            "thrust_time_constant_s": round(rng.uniform(1.5, 5.0), 2),
+            "max_turn_rate_deg_s": round(rng.uniform(15.0, 45.0), 1),
+            "wind_drag_factor": round(rng.uniform(0.0, 0.08), 3),
+            "steerage_reference_speed_mps": round(rng.uniform(1.0, 3.0), 2),
+            "steerage_floor": round(rng.uniform(0.05, 0.3), 3),
+            "turn_time_constant_s": round(rng.uniform(0.5, 2.0), 2)}
+
+
 def _field(rng: random.Random, kind: str, points, top: float) -> dict:
     if kind == "uniform":
         return _uniform(rng, top)
@@ -188,6 +214,8 @@ def scenario_config(rng: random.Random, i: int) -> dict:
                    "heading_deg": round(rng.uniform(0.0, 360.0), 1)} if explicit else None),
         "start_runup_m": round(rng.uniform(20.0, 60.0), 1),
         "start_offset_m": round(rng.uniform(0.0, 10.0), 1),
+        "gains": _gains(rng),
+        "vehicle": _vehicle(rng),
     }
 
 
@@ -207,6 +235,7 @@ def sweep_configs(rng: random.Random) -> list[dict]:
         "duration_s": 4.0,
         "dt_s": rng.choice(DTS),
         "include_closed_loop": True,
+        "vehicle": _vehicle(rng),
     }
     noisy = {"sigma_speed_mps": 0.05, "sigma_dir_deg": 2.0}
     return [{**base, "seed": rng.randrange(2**31)},
