@@ -6,6 +6,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 from . import effects, harness
@@ -57,7 +58,10 @@ def _cmd_fit(args) -> int:
 
 def _cmd_report(args) -> int:
     run_dir = Path(args.run_dir)
-    log = TrajectoryLog.from_csv(run_dir / "trajectory.csv")
+    npy = run_dir / "trajectory.npy"
+    # a run directory written before trajectory.npy existed has only the CSV
+    log = (TrajectoryLog.from_npy(npy) if npy.exists()
+           else TrajectoryLog.from_csv(run_dir / "trajectory.csv"))
     mission = harness.read_mission_csv(run_dir / "mission.csv")
     radius = harness.DEFAULT_ACCEPT_RADIUS
     config_path = run_dir / "resolved_config.json"
@@ -80,7 +84,9 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process."""
     parser = argparse.ArgumentParser(prog="asvnav", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -111,8 +117,11 @@ def main(argv=None) -> int:
     p_report = sub.add_parser("report", help="score a finished run directory")
     p_report.add_argument("run_dir")
     p_report.set_defaults(func=_cmd_report)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # a bad config or input file, or a missing one

@@ -202,10 +202,12 @@ def fit(corpus: np.ndarray, include_intercept: bool = False) -> EffectModel:
             f"need at least {MIN_SAMPLES_PER_FEATURE * n_features} samples "
             f"for {n_features} features, got {len(corpus)}"
         )
-    if np.linalg.matrix_rank(x) < n_features:
+    # lstsq's rank counts the singular values above matrix_rank's cutoff,
+    # eps * max(n, m) * the largest, from the one SVD of the fit
+    coef_t, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
+    if rank < n_features:
         culprits = _degenerate_features(x, names)
         raise ValueError(f"feature matrix is rank deficient; degenerate feature(s): {culprits}")
-    coef_t, *_ = np.linalg.lstsq(x, y, rcond=None)
     residuals = y - x @ coef_t
     rmse = tuple(float(v) for v in np.sqrt(np.mean(residuals**2, axis=0)))
     recipe = RECIPE_ENU_INTERCEPT if include_intercept else RECIPE_ENU

@@ -246,7 +246,11 @@ def _sampler(field: FieldSpec) -> Sampler:
             fi = (lat - lat0) / dlat
             fj = (lon - lon0) / dlon
             if fi < -edge_tol or fj < -edge_tol or fi > fi_out or fj > fj_out:
-                raise LeftDomainError(f"point ({lat}, {lon}) outside grid field domain")
+                if fj < -edge_tol:
+                    # west of lon0 may be east of 180 on a grid that crosses it
+                    fj = (lon - lon0 + 360.0) / dlon
+                if fi < -edge_tol or fj < -edge_tol or fi > fi_out or fj > fj_out:
+                    raise LeftDomainError(f"point ({lat}, {lon}) outside grid field domain")
             # min(max(f, 0.0), f_max) and min(int(f), i_max) as comparisons
             fi = 0.0 if 0.0 > fi else fi
             fi = fi_max if fi_max < fi else fi

@@ -509,7 +509,7 @@ def _closed_loop(sc: Scenario, mission: list[Waypoint], model) -> tuple[Trajecto
     dt, params = sc.dt_s, sc.vehicle
     nav = Navigator(mission, model, sc.augment, sc.gains, params, dt, sc.acceptance_radius_m)
     max_steps = int(round(sc.duration_limit_s / dt))
-    draw = noise_draws(sc.noise, np.random.default_rng(sc.seed)).__next__
+    draw = noise_draws(sc.noise, sc.seed).__next__
     sample = Environment(current=sc.current, wind=sc.wind).sample
     lat, lon, spd_t, course_t, h_t, tw, t, turn_rate = sc.start_state()
     state = FRESH_NAV
@@ -585,6 +585,7 @@ def run_scenario(
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         log.write_csv(out / "trajectory.csv")
+        log.write_npy(out / "trajectory.npy")
         write_mission_csv(mission, out / "mission.csv")
         _write_json(to_dict(sc), out / "resolved_config.json")
         if series is not None:
@@ -865,7 +866,7 @@ def generate_training_logs(sweep: SweepSpec) -> np.ndarray:
     rows: list[tuple[float, ...]] = []
     dt, params = sweep.dt_s, sweep.vehicle
     # one stream of noise offsets for the whole sweep, a tick's four per row
-    draw = noise_draws(sweep.noise, np.random.default_rng(sweep.seed)).__next__
+    draw = noise_draws(sweep.noise, sweep.seed).__next__
     n_steps = int(round(sweep.duration_s / dt))
     pack_inputs = struct.Struct("9d").pack  # record's arguments as bytes
     last_inputs = None

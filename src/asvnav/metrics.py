@@ -72,6 +72,19 @@ LOG_COLUMNS = (
 LogRecord = namedtuple("LogRecord", LOG_COLUMNS)
 # Columns that hold Python objects; every other column holds doubles.
 _OBJECT_COLUMNS = ("wp_index", "intermediate")
+_FLOAT_COLUMNS = tuple(name for name in LOG_COLUMNS if name not in _OBJECT_COLUMNS)
+
+# The trajectory .npy's one record per log row: LOG_COLUMNS in order, the
+# doubles as float64, wp_index as int64 and the intermediate target as its
+# three numbers (all NaN when none is held), little-endian on every host.
+_NPY_TARGET = ("int_lat", "int_lon", "int_spd")
+TRAJECTORY_DTYPE = np.dtype([
+    field
+    for name in LOG_COLUMNS
+    for field in ([(target, "<f8") for target in _NPY_TARGET] if name == "intermediate"
+                  else [(name, "<i8" if name == "wp_index" else "<f8")])
+])
+_NO_TARGET = (math.nan, math.nan, math.nan)
 
 # The trajectory CSV's columns; from_csv reads the float ones with one
 # np.loadtxt and wp_index and the intermediate target's three in a Python pass.
@@ -156,14 +169,63 @@ class TrajectoryLog:
         with open(path, "w", newline="") as fh:
             fh.write(self.to_csv())
 
+    def write_npy(self, path: str | os.PathLike) -> None:
+        """Write the log as one 1-D array of TRAJECTORY_DTYPE in .npy
+        format: every column to the bit, course, through-water speed and
+        turn rate included."""
+        data = np.empty(len(self), TRAJECTORY_DTYPE)
+        for name in _FLOAT_COLUMNS:
+            data[name] = getattr(self, name)
+        data["wp_index"] = self.wp_index
+        # a target is held for many rows: one row of numbers per run of it
+        starts, held_rows, held = [], [], _NO_TARGET
+        for i, intermediate in enumerate(self.intermediate):
+            if intermediate is not held:
+                held = intermediate
+                starts.append(i)
+                held_rows.append(_NO_TARGET if intermediate is None else (
+                    float(intermediate.pos.lat), float(intermediate.pos.lon),
+                    float(intermediate.spd_target)))
+        held_rows = np.repeat(np.array(held_rows, dtype=np.float64).reshape(-1, 3),
+                              np.diff(starts + [len(self)]), axis=0)
+        for name, column in zip(_NPY_TARGET, held_rows.T):
+            data[name] = column
+        with open(path, "wb") as fh:
+            np.save(fh, data, allow_pickle=False)
+
+    @classmethod
+    def from_npy(cls, path: str | os.PathLike) -> "TrajectoryLog":
+        """Rebuild a log from the .npy file write_npy wrote, checked and
+        normalised as from_csv does (_checked_columns), with each held
+        target as a Waypoint. A file that holds anything but a 1-D array
+        of TRAJECTORY_DTYPE, or whose columns break a rule, raises
+        ValueError naming the path (and the row, from 0, of the first
+        offending one)."""
+        with open(path, "rb") as fh:
+            try:
+                data = np.load(fh, allow_pickle=False)
+            except (ValueError, EOFError) as exc:
+                raise ValueError(f"{path}: not a trajectory .npy file: {exc}") from None
+        if not isinstance(data, np.ndarray) or data.dtype != TRAJECTORY_DTYPE or data.ndim != 1:
+            got = (f"shape {data.shape} of dtype {data.dtype}" if isinstance(data, np.ndarray)
+                   else type(data).__name__)
+            raise ValueError(f"{path}: expected a 1-D array of metrics.TRAJECTORY_DTYPE, got {got}")
+        log = cls()
+        try:
+            columns = _checked_columns({name: data[name] for name in _FLOAT_COLUMNS},
+                                       data["wp_index"])
+            log.intermediate = _held_targets(*(data[name] for name in _NPY_TARGET))
+        except _RowError as exc:
+            raise ValueError(f"{path}: row {exc.row}: {exc}") from None
+        for name, column in columns.items():
+            setattr(log, name, array("d", column.tobytes()))
+        log.wp_index = data["wp_index"].tolist()
+        return log
+
     @classmethod
     def from_csv(cls, path: str | os.PathLike) -> "TrajectoryLog":
         """Rebuild a log from its CSV, checked and normalised column by
-        column as the simulation makes its values: coordinates as GeoPoint
-        (finite, latitude in [-90, 90], longitude wrapped), ground speed
-        and force speeds finite and >= 0, finite times that strictly
-        increase, waypoint indices that never decrease, angles wrapped as
-        wrap_angle does, thrust and rudder clamped as vehicle._clamped does.
+        column by _checked_columns, as from_npy is.
 
         The CSV schema does not carry course, through-water speed or turn
         rate, so those columns are zero; everything the scoring needs
@@ -251,23 +313,67 @@ def _trajectory_columns(lines: list[str]) -> tuple[dict[str, np.ndarray], list, 
     except ValueError as exc:
         raise _RowError(len(intermediate), str(exc)) from None  # each row appends its target last
 
-    lon = _point_lons(lat, lon)
-    _check_rows(~(spd_t < 0.0), "speeds must be >= 0")
-    _check_rows(np.isfinite(spd_t) & np.isfinite(t), "non-finite state component")
-    _check_rows(np.diff(t) > 0.0, "timestamps must be strictly increasing", offset=1)
-    if wp_index != sorted(wp_index):  # the row search runs on the error path only
-        _check_rows(np.diff(wp_index) >= 0, "waypoint indices must be non-decreasing", offset=1)
-    for name, speed in (("spd_c", spd_c), ("spd_w", spd_w)):
-        _check_rows((speed >= 0.0) & np.isfinite(speed), f"{name} must be finite and >= 0")
     zeros = np.zeros(len(lines))
     columns = {
-        "t": t, "lat": lat, "lon": lon, "spd_t": spd_t, "course_t": zeros, "h_t": _wrapped(h_t),
-        "through_water_speed": zeros, "turn_rate": zeros, "spd_c": spd_c,
-        "dir_c": _wrapped(dir_c), "spd_w": spd_w, "dir_w": _wrapped(dir_w),
-        "thrust": _clamped_column(thrust, 0.0, 1.0),
-        "rudder": _clamped_column(rudder, -1.0, 1.0),
+        "t": t, "lat": lat, "lon": lon, "spd_t": spd_t, "course_t": zeros, "h_t": h_t,
+        "through_water_speed": zeros, "turn_rate": zeros, "spd_c": spd_c, "dir_c": dir_c,
+        "spd_w": spd_w, "dir_w": dir_w, "thrust": thrust, "rudder": rudder,
     }
-    return columns, wp_index, intermediate
+    return _checked_columns(columns, wp_index), wp_index, intermediate
+
+
+def _checked_columns(columns: dict[str, np.ndarray], wp_index) -> dict[str, np.ndarray]:
+    """The rules a log read from a file must pass, on its float columns
+    (a name -> column dict over LOG_COLUMNS but wp_index and intermediate)
+    and its waypoint indices, with the columns normalised as the
+    simulation makes its values: coordinates as GeoPoint (finite, latitude
+    in [-90, 90], longitude wrapped), the state as vehicle._check_state
+    (speeds >= 0, speeds, time and turn rate finite), times that strictly
+    increase, waypoint indices that never decrease, force speeds finite
+    and >= 0, angles wrapped as wrap_angle does, thrust and rudder clamped
+    as vehicle._clamped does. Raises _RowError at the first offending row
+    of the first rule broken."""
+    c = columns
+    spd_t, tw, t = c["spd_t"], c["through_water_speed"], c["t"]
+    lon = _point_lons(c["lat"], c["lon"])
+    _check_rows(~((spd_t < 0.0) | (tw < 0.0)), "speeds must be >= 0")
+    _check_rows(np.isfinite(spd_t) & np.isfinite(tw) & np.isfinite(t)
+                & np.isfinite(c["turn_rate"]), "non-finite state component")
+    _check_rows(np.diff(t) > 0.0, "timestamps must be strictly increasing", offset=1)
+    _check_rows(np.diff(wp_index) >= 0, "waypoint indices must be non-decreasing", offset=1)
+    for name in ("spd_c", "spd_w"):
+        _check_rows((c[name] >= 0.0) & np.isfinite(c[name]), f"{name} must be finite and >= 0")
+    return {
+        **c, "lon": lon,
+        **{name: _wrapped(c[name]) for name in ("course_t", "h_t", "dir_c", "dir_w")},
+        "thrust": _clamped_column(c["thrust"], 0.0, 1.0),
+        "rudder": _clamped_column(c["rudder"], -1.0, 1.0),
+    }
+
+
+def _held_targets(lat: np.ndarray, lon: np.ndarray, spd: np.ndarray) -> list:
+    """The intermediate column of a .npy log from its int_lat, int_lon and
+    int_spd columns: None for a row of three NaN, else the Waypoint of the
+    three numbers, built once per run of bit-equal rows. Raises _RowError
+    for a row that mixes NaN and numbers and for a target Waypoint or
+    GeoPoint rejects."""
+    none = np.isnan(lat)
+    _check_rows((np.isnan(lon) == none) & (np.isnan(spd) == none),
+                "a held target is three numbers or three NaN")
+    rows = np.stack((lat, lon, spd), axis=1)
+    if not len(rows):
+        return []
+    bits = rows.view(np.int64)
+    starts = [0, *(np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1)) + 1).tolist()]
+    intermediate = []
+    for start, end in zip(starts, starts[1:] + [len(rows)]):
+        int_lat, int_lon, int_spd = rows[start].tolist()
+        try:
+            held = None if math.isnan(int_lat) else Waypoint(GeoPoint(int_lat, int_lon), int_spd)
+        except ValueError as exc:
+            raise _RowError(start, str(exc)) from None
+        intermediate += [held] * (end - start)
+    return intermediate
 
 
 def _repr_column(column) -> list[str]:

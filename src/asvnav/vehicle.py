@@ -247,14 +247,18 @@ def _ground_velocity(tw: float, heading: float, flows: Flows,
     return tw * he + ce + params.wind_drag_factor * we, tw * hn + cn + params.wind_drag_factor * wn
 
 
-def noise_draws(noise: NoiseSpec, rng: np.random.Generator) -> Iterator[list[float] | None]:
+def noise_draws(noise: NoiseSpec,
+                seed: int | np.random.Generator) -> Iterator[list[float] | None]:
     """The sensor-noise model, the one reader of a NoiseSpec's sigmas: each
     tick's offsets for sense, one row of rng.standard_normal((NOISE_BLOCK,
-    4)) * (sigma_speed, sigma_dir, sigma_speed, sigma_dir). A block holds the
-    bits of one standard_normal(4) call a tick, as a generator fills arrays
-    in order. None a tick, and no draws, for all-zero noise."""
+    4)) * (sigma_speed, sigma_dir, sigma_speed, sigma_dir), rng being
+    np.random.default_rng(seed) (a Generator seed is drawn from as it is).
+    A block holds the bits of one standard_normal(4) call a tick, as a
+    generator fills arrays in order. None a tick, and no generator and no
+    draws, for all-zero noise."""
     if not (noise.sigma_speed > 0.0 or noise.sigma_dir > 0.0):
         yield from repeat(None)
+    rng = np.random.default_rng(seed)
     sigmas = (noise.sigma_speed, noise.sigma_dir, noise.sigma_speed, noise.sigma_dir)
     while True:
         yield from (rng.standard_normal((NOISE_BLOCK, 4)) * sigmas).tolist()

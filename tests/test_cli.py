@@ -257,10 +257,53 @@ def test_suite_command(tmp_path, capsys):
     assert len(run_dirs) == 16
     for run_dir in run_dirs:
         assert main(["report", str(run_dir)]) == 0
-        report = json.loads(capsys.readouterr().out)
+        text = capsys.readouterr().out
+        report = json.loads(text)
         summary = json.loads((run_dir / "summary.json").read_text())
         for key in ("max_error_m", "pct_over_1m", "sign_changes_over_1m"):
             assert report[key] == summary[key], (run_dir.name, key)
+        # without trajectory.npy, report rescores from the CSV to the same text
+        (run_dir / "trajectory.npy").unlink()
+        assert main(["report", str(run_dir)]) == 0
+        assert capsys.readouterr().out == text, run_dir.name
+
+
+def test_report_reads_the_npy_and_falls_back_to_the_csv(tmp_path, capsys):
+    """report rescores from trajectory.npy when the run directory has one
+    (a broken trajectory.csv beside it is not read) and from
+    trajectory.csv when it has none, as a directory written before the
+    .npy existed."""
+    run_dir = tmp_path / "run"
+    assert main(["run", str(CONFIGS / "downstream_failure_augmented.json"),
+                 "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+    csv = (run_dir / "trajectory.csv").read_text()
+    (run_dir / "trajectory.csv").write_text("not a trajectory\n")
+    assert main(["report", str(run_dir)]) == 0
+    from_npy = capsys.readouterr().out
+    (run_dir / "trajectory.csv").write_text(csv)
+    (run_dir / "trajectory.npy").unlink()
+    assert main(["report", str(run_dir)]) == 0
+    assert capsys.readouterr().out == from_npy
+    # a broken trajectory.npy is an input error naming it, not a silent fallback
+    (run_dir / "trajectory.npy").write_text(csv)
+    assert main(["report", str(run_dir)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"asvnav: {run_dir / 'trajectory.npy'}: ")
+
+
+def test_usage_errors_exit_2_from_the_one_parser(capsys):
+    """The parser is built once per process; each usage error still exits
+    2 with argparse's usage message."""
+    from asvnav import cli
+
+    assert cli._parser() is cli._parser()
+    for argv in (["no_such_command"], ["report"], ["fit", "training.csv"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: asvnav ") and "error: " in err
 
 
 def test_train_fit_report_chain(tmp_path, capsys):
@@ -441,3 +484,28 @@ def test_console_entry_exits_2_without_a_traceback(tmp_path):
                               capture_output=True, text=True)
         assert done.returncode == 2
         assert done.stderr.startswith("asvnav: ") and done.stderr.count("\n") == 1
+
+
+def test_noise_free_commands_never_import_numpy_random(tmp_path):
+    """Without sensor noise, run, suite and report build no random
+    generator, so a fresh interpreter never imports numpy.random; a noisy
+    run does."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    noisy = json.loads((CONFIGS / "downstream_failure.json").read_text())
+    noisy["noise"] = {"sigma_speed_mps": 0.05, "sigma_dir_deg": 2.0}
+    (tmp_path / "noisy.json").write_text(json.dumps(noisy))
+    code = (
+        "import contextlib, io, sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "from asvnav.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in sys.argv[1].split(';'):\n"
+        "        main(argv.split())\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    quiet = (f"run {CONFIGS / 'downstream_failure.json'} --out {tmp_path / 'run'};"
+             f"suite {CONFIGS / 'suite.json'} --out {tmp_path / 'suite'};"
+             f"report {tmp_path / 'run'};report {tmp_path / 'suite' / 'runs' / 'augmented_045'}")
+    for argv, imported in ((quiet, "False"), (f"run {tmp_path / 'noisy.json'}", "True")):
+        done = subprocess.run([sys.executable, "-c", code, argv], capture_output=True, text=True)
+        assert (done.returncode, done.stdout.strip()) == (0, imported), done.stderr

@@ -63,6 +63,25 @@ def test_fit_zero_disturbance_is_rank_deficient():
         fit(np.array(corpus))
 
 
+def test_fit_takes_the_rank_from_its_one_least_squares_solve(monkeypatch):
+    """A full-rank fit makes one SVD, lstsq's: no matrix_rank call, the
+    same coefficients; a rank-deficient one still names its culprits."""
+    rng = np.random.default_rng(16)
+    corpus = _samples_from_linear_map(rng.uniform(-1, 1, size=(3, len(FEATURE_NAMES))), 200, rng)
+    expected = fit(corpus)
+
+    def no_rank(*args, **kwargs):
+        raise AssertionError("fit called matrix_rank on a full-rank corpus")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "matrix_rank", no_rank)
+        model = fit(corpus)
+    assert model.coef.tobytes() == expected.coef.tobytes()
+    corpus[:, 1] = 2.0 * corpus[:, 0]  # current_north follows current_east
+    with pytest.raises(ValueError, match=r"degenerate feature\(s\): \['current_east', 'current_north'\]"):
+        fit(corpus)
+
+
 def test_fit_zero_drift_targets_give_zero_drift_coefficients():
     """Full-rank disturbance features with identically zero targets."""
     rng = np.random.default_rng(4)

@@ -205,6 +205,26 @@ def test_grid_out_of_domain_is_left_domain_error():
         Environment(FieldSpec.calm(), field).sample(outside.lat, outside.lon, 0.0)
 
 
+def test_grid_across_the_antimeridian_samples_east_of_180():
+    """A grid whose columns cross 180 (lon0 179.9995, three columns 0.0005
+    apart) samples the wrapped longitudes east of 180 inside it and still
+    refuses points past either edge."""
+    field = FieldSpec.grid(lat0=0.0, lon0=179.9995, dlat=0.001, dlon=0.0005,
+                           speeds=[[0.5, 1.0, 1.5], [0.5, 1.0, 1.5]],
+                           directions=[[10.0, 40.0, 90.0], [10.0, 40.0, 90.0]])
+    west, at_180, east = (_speed_direction(field, GeoPoint(0.0, lon), 0.0)
+                          for lon in (179.99999, -180.0, -179.9995))
+    assert at_180 == pytest.approx((1.0, 40.0), abs=1e-6)  # the middle column
+    assert east == pytest.approx((1.5, 90.0), abs=1e-6)  # the east edge
+    assert 0.5 < west[0] < 1.0  # between the first two columns, as before
+    # a point between the last two columns interpolates them
+    speed, _ = _speed_direction(field, GeoPoint(0.0, -179.9997), 0.0)
+    assert 1.0 < speed < 1.5
+    for lon in (-179.999, 179.999):  # past the east edge, and west of lon0
+        with pytest.raises(LeftDomainError, match="outside grid"):
+            _speed_direction(field, GeoPoint(0.0, lon), 0.0)
+
+
 def test_environment_pickles():
     field, _, _ = _grid_field()
     environment = Environment(field, FieldSpec.uniform(3.0, 20.0))

@@ -136,13 +136,16 @@ def _grid_nodes(field):
 
 def _old_grid(field, lat, lon, t):
     """The grid sampler with its min/max index clamps, its flow turned to
-    east/north by ForceVector."""
+    east/north by ForceVector; a point west of lon0 is measured a turn
+    east again, for a grid across 180."""
     node_east, node_north = _grid_nodes(field)
     nodes = np.stack((node_east, node_north), axis=-1).tolist()
     ni, nj = node_east.shape
     edge_tol = 1e-9
     fi = (lat - field.lat0) / field.dlat
     fj = (lon - field.lon0) / field.dlon
+    if fj < -edge_tol:
+        fj = (lon - field.lon0 + 360.0) / field.dlon
     if fi < -edge_tol or fj < -edge_tol or fi > ni - 1 + edge_tol or fj > nj - 1 + edge_tol:
         raise LeftDomainError(f"point ({lat}, {lon}) outside grid field domain")
     fi = min(max(fi, 0.0), float(ni - 1))
@@ -347,7 +350,7 @@ def test_noise_blocks_are_the_per_call_draws(seed):
     sigma_speed, sigma_dir), over more than two blocks and a partial one."""
     ticks = 2 * vehicle.NOISE_BLOCK + 37
     noise = NoiseSpec(sigma_speed=0.05, sigma_dir=2.0)
-    offsets = vehicle.noise_draws(noise, np.random.default_rng(seed))
+    offsets = vehicle.noise_draws(noise, seed)
     got = [tuple(next(offsets)) for _ in range(ticks)]
     rng = np.random.default_rng(seed)
     sigmas = (noise.sigma_speed, noise.sigma_dir, noise.sigma_speed, noise.sigma_dir)

@@ -10,6 +10,8 @@ import pytest
 from asvnav.control import Waypoint
 from asvnav.geo import GeoPoint, displaced, wrap_angle
 from asvnav.metrics import (
+    LOG_COLUMNS,
+    TRAJECTORY_DTYPE,
     TRAJECTORY_HEADER,
     ErrorReport,
     LogRecord,
@@ -358,6 +360,119 @@ def test_from_rows_rejects_a_row_of_the_wrong_width():
         TrajectoryLog.from_rows([full + (0.0,)])
     assert len(TrajectoryLog.from_rows([])) == 0
     assert TrajectoryLog.from_rows([full]).records == (_row(0),)
+
+
+def _column_bits(log):
+    """Every value of every column of log, floats by float.hex (so -0.0
+    and NaN keep their bits), held targets as their three floats."""
+    return {
+        name: [None if w is None else tuple(map(float.hex, (w.pos.lat, w.pos.lon, w.spd_target)))
+               for w in column] if name == "intermediate" else
+        [(type(v), v) for v in column] if name == "wp_index" else list(map(float.hex, column))
+        for name, column in zip(LOG_COLUMNS, zip(*log.records))
+    }
+
+
+def test_trajectory_npy_round_trip_is_lossless(tmp_path):
+    """from_npy gets back what write_npy wrote, bit for bit in every
+    column: course, through-water speed and turn rate (which the CSV
+    drops) and -0.0 included, the held targets as equal Waypoints."""
+    target = Waypoint(GeoPoint(-0.0, -179.5), 1.25)
+    rows = [_row(i)._replace(course_t=0.0 if i % 2 else 359.75, turn_rate=-0.0 * (i % 2),
+                             rudder=-0.0 if i == 3 else -0.05 * i, spd_c=-0.0 if i == 5 else 0.1,
+                             through_water_speed=1.5 / 7.0 * i,
+                             intermediate=target if 4 <= i < 8 else _row(i).intermediate)
+            for i in range(12)]
+    log = TrajectoryLog.from_rows(rows)
+    path = tmp_path / "trajectory.npy"
+    log.write_npy(path)
+    loaded = TrajectoryLog.from_npy(path)
+    assert _column_bits(loaded) == _column_bits(log)
+    assert loaded.intermediate == log.intermediate
+    assert float.hex(loaded.turn_rate[1]) == "-0x0.0p+0"
+    # the file is one 1-D array of the fixed little-endian record type
+    data = np.load(path, allow_pickle=False)
+    assert data.dtype == TRAJECTORY_DTYPE and data.shape == (12,)
+    assert data.dtype.names == ("t", "lat", "lon", "spd_t", "course_t", "h_t",
+                                "through_water_speed", "turn_rate", "wp_index", "int_lat",
+                                "int_lon", "int_spd", "spd_c", "dir_c", "spd_w", "dir_w",
+                                "thrust", "rudder")
+    assert all(data.dtype[name].str in ("<f8", "<i8") for name in data.dtype.names)
+    assert np.isnan(data["int_lat"][1]) and data["int_spd"][4] == 1.25
+    TrajectoryLog().write_npy(tmp_path / "empty.npy")
+    assert len(TrajectoryLog.from_npy(tmp_path / "empty.npy")) == 0
+
+
+def _edited(array, name, row, value):
+    array = array.copy()
+    array[name][row] = value
+    return array
+
+
+def _fields_reversed(array):
+    """array with its fields in reverse order."""
+    out = np.empty(array.shape, [(name, array.dtype[name]) for name in reversed(array.dtype.names)])
+    for name in array.dtype.names:
+        out[name] = array[name]
+    return out
+
+
+def _bad_npy(name, edit, message, row=None):
+    """A case of test_trajectory_npy_rejects_bad_files."""
+    return pytest.param(edit, message, row, id=name)
+
+
+def _log_array(tmp_path):
+    """The array write_npy writes for a short log."""
+    path = tmp_path / "good.npy"
+    TrajectoryLog.from_rows([_row(i) for i in range(8)]).write_npy(path)
+    return np.load(path, allow_pickle=False)
+
+
+WRONG_TYPE = "expected a 1-D array of metrics.TRAJECTORY_DTYPE"
+
+
+@pytest.mark.parametrize("edit, message, row", [
+    _bad_npy("fields-reversed", _fields_reversed, WRONG_TYPE),
+    _bad_npy("big-endian", lambda a: a.astype(a.dtype.newbyteorder(">")), WRONG_TYPE),
+    _bad_npy("t-float32", lambda a: a.astype(
+        [(n, "<f4" if n == "t" else a.dtype[n]) for n in a.dtype.names]), WRONG_TYPE),
+    _bad_npy("2-d", lambda a: a.reshape(2, 4), WRONG_TYPE),
+    _bad_npy("object-array", lambda a: np.array(a.tolist(), dtype=object),
+             "not a trajectory .npy file"),
+    _bad_npy("t-decreasing", lambda a: _edited(a, "t", 5, 1.0),
+             "timestamps must be strictly increasing", 5),
+    _bad_npy("lat-90.5", lambda a: _edited(a, "lat", 3, 90.5), "latitude 90.5 outside [-90, 90]", 3),
+    _bad_npy("through_water_speed-negative", lambda a: _edited(a, "through_water_speed", 2, -0.5),
+             "speeds must be >= 0", 2),
+    _bad_npy("turn_rate-inf", lambda a: _edited(a, "turn_rate", 6, np.inf),
+             "non-finite state component", 6),
+    _bad_npy("course_t-nan", lambda a: _edited(a, "course_t", 4, np.nan), "angle must be finite", 4),
+    _bad_npy("wp_index-decreasing", lambda a: _edited(a, "wp_index", 7, 0),
+             "waypoint indices must be non-decreasing", 7),
+    _bad_npy("int_lon-nan-alone", lambda a: _edited(a, "int_lon", 3, np.nan),
+             "a held target is three numbers or three NaN", 3),
+    _bad_npy("int_spd-zero", lambda a: _edited(a, "int_spd", 3, 0.0), "spd_target must be > 0", 3),
+])
+def test_trajectory_npy_rejects_bad_files(tmp_path, edit, message, row):
+    """Each rejection names the path, and the row (from 0) where a column
+    breaks a rule."""
+    path = tmp_path / "trajectory.npy"
+    with open(path, "wb") as fh:
+        np.save(fh, edit(_log_array(tmp_path)), allow_pickle=True)
+    where = re.escape(f"{path}: ") + ("" if row is None else f"row {row}: ")
+    with pytest.raises(ValueError, match=f"^{where}.*{re.escape(message)}"):
+        TrajectoryLog.from_npy(path)
+
+
+def test_trajectory_npy_rejects_other_files(tmp_path):
+    path = tmp_path / "trajectory.npy"
+    path.write_text(TRAJECTORY_HEADER + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not a trajectory .npy file"):
+        TrajectoryLog.from_npy(path)
+    path.write_bytes(b"")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not a trajectory .npy file"):
+        TrajectoryLog.from_npy(path)
 
 
 def test_trajectory_header_exact():

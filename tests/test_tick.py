@@ -130,6 +130,16 @@ def test_log_columns_pinned(run):
     assert (_columns_digest(log), len(log)) == COLUMNS_PINS[run]
 
 
+@pytest.mark.parametrize("run", ["augmented", "baseline"])
+def test_trajectory_npy_read_back_is_the_pinned_log(tmp_path, run):
+    """The trajectory.npy a run writes reads back as the in-memory log,
+    every column of COLUMNS_PINS bit for bit."""
+    sc = replace(_digest_scenario(), controller=harness.ControllerSpec(kind=run))
+    harness.run_scenario(sc, out_dir=tmp_path)
+    log = TrajectoryLog.from_npy(tmp_path / "trajectory.npy")
+    assert (_columns_digest(log), len(log)) == COLUMNS_PINS[run]
+
+
 def _grid_current_run():
     """A longer noisy baseline run across _digest_scenario()'s grid current,
     on the suite's 225 degree leg with another noise seed."""
