@@ -25,7 +25,6 @@ from .control import (
     Waypoint,
     steer_toward,
     tracking_line,
-    waypoint_reached,
 )
 from .geo import METERS_PER_DEG_LAT, GeoPoint, displaced, enu_coords
 from .vehicle import DEFAULT_DT, VehicleParams
@@ -143,6 +142,8 @@ class Navigator:
             raise ValueError("mission must contain at least one waypoint")
         if not self.dt > 0.0:
             raise ValueError(f"dt must be > 0, got {self.dt!r}")
+        if not 0.0 < self.radius < math.inf:  # a chained comparison, so NaN fails too
+            raise ValueError(f"radius must be > 0 and finite, got {self.radius!r}")
 
 
 def navigator_step(nav: Navigator, lat: float, lon: float, spd_t: float, h_t: float, t: float,
@@ -173,7 +174,7 @@ def navigator_step(nav: Navigator, lat: float, lon: float, spd_t: float, h_t: fl
 
     The advance is control.waypoint_reached on each waypoint from index
     on, its enu_coords written out here, bit for bit
-    (tests/test_hot_path.py); a radius <= 0 calls it to raise its message.
+    (tests/test_hot_path.py); the Navigator has checked the radius.
     """
     index, line, heading_pid, speed_pid, intermediate, next_update_t = state
     mission = nav.mission
@@ -181,8 +182,6 @@ def navigator_step(nav: Navigator, lat: float, lon: float, spd_t: float, h_t: fl
     reached = index
     while reached < len(mission):
         pos = mission[reached].pos
-        if radius <= 0.0:
-            waypoint_reached(lat, lon, mission[reached], radius)
         # math.hypot(*enu_coords(lat, lon, pos.lat, pos.lon)) <= radius
         dlon = pos.lon - lon
         if dlon >= 180.0:

@@ -72,10 +72,10 @@ def _cmd_report(args) -> int:
         json.dumps(
             {
                 "run": run_dir.name,
-                "max_error_m": report.max_error,
-                "pct_over_1m": report.pct_over_1m,
+                "max_error_m": None if report is None else report.max_error,
+                "pct_over_1m": None if report is None else report.pct_over_1m,
                 "sign_changes_over_1m": sign_changes,
-                "samples_scored": int(series.errors.size),
+                "samples_scored": 0 if series is None else int(series.errors.size),
             },
             indent=2,
             sort_keys=True,

@@ -51,8 +51,8 @@ from .metrics import (
     SUITE_ORIENTATIONS,
     ComparisonTable,
     ErrorReport,
-    LegNotAcquiredError,
     TrajectoryLog,
+    _leg_lines,
     per_sample_error_csv,
     score_run,
     table_report,
@@ -319,6 +319,7 @@ class Scenario:
                     f"waypoint speed {wp.spd_target} exceeds hull maximum "
                     f"{self.vehicle.max_water_speed}"
                 )
+        _leg_lines(self.mission)  # the scorer's rule: no two consecutive waypoints coincide
 
     def start_state(self) -> StateFloats:
         """Initial vehicle state, at rest at t = 0: the explicit pose, or
@@ -459,7 +460,7 @@ class RunResult:
     outcome says how the run ended: "completed" (every waypoint reached),
     "incomplete" (duration limit hit) or "left_domain" (the vehicle left a
     grid field; the log stops at the last tick inside it). report is None
-    when the log holds no scoreable path.
+    when score_run finds no path to score.
     """
 
     scenario: Scenario
@@ -501,8 +502,8 @@ def _closed_loop(sc: Scenario, mission: list[Waypoint], model) -> tuple[Trajecto
     then wind), navigator_step (with model None: the baseline) and step; a tick
     that completes the mission takes no step; noise_draws hands out the
     run's own noise. The Scenario has checked dt (the step count divides by
-    it) and the radius, and the run's Navigator checks its mission and dt
-    once. Checks that can fire here: a non-finite command, a negative or
+    it), and the run's Navigator checks its mission, dt and radius once.
+    Checks that can fire here: a non-finite command, a negative or
     non-finite state, the offset and latitude limits of each move, and
     LeftDomainError, which ends the run.
     """
@@ -565,13 +566,7 @@ def run_scenario(
     mission = list(sc.mission)
     log, outcome = _closed_loop(sc, mission, model)
 
-    series, report, sign_changes = None, None, 0
-    if len(mission) >= 2:  # a single waypoint defines no leg to score
-        try:
-            series, report, sign_changes = score_run(log, mission, sc.acceptance_radius_m,
-                                                     sc.name)
-        except LegNotAcquiredError:
-            pass  # keep the partial log anyway
+    series, report, sign_changes = score_run(log, mission, sc.acceptance_radius_m, sc.name)
 
     result = RunResult(
         scenario=sc,

@@ -15,7 +15,7 @@ import os
 from array import array
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -195,10 +195,9 @@ class TrajectoryLog:
 
     @classmethod
     def from_npy(cls, path: str | os.PathLike) -> "TrajectoryLog":
-        """Rebuild a log from the .npy file write_npy wrote, checked and
-        normalised as from_csv does (_checked_columns), with each held
-        target as a Waypoint. A file that holds anything but a 1-D array
-        of TRAJECTORY_DTYPE, or whose columns break a rule, raises
+        """Rebuild a log from the .npy file write_npy wrote, every column
+        to the bit (_from_records). A file that holds anything but a 1-D
+        array of TRAJECTORY_DTYPE, or whose columns break a rule, raises
         ValueError naming the path (and the row, from 0, of the first
         offending one)."""
         with open(path, "rb") as fh:
@@ -210,22 +209,15 @@ class TrajectoryLog:
             got = (f"shape {data.shape} of dtype {data.dtype}" if isinstance(data, np.ndarray)
                    else type(data).__name__)
             raise ValueError(f"{path}: expected a 1-D array of metrics.TRAJECTORY_DTYPE, got {got}")
-        log = cls()
         try:
-            columns = _checked_columns({name: data[name] for name in _FLOAT_COLUMNS},
-                                       data["wp_index"])
-            log.intermediate = _held_targets(*(data[name] for name in _NPY_TARGET))
+            return cls._from_records(data)
         except _RowError as exc:
             raise ValueError(f"{path}: row {exc.row}: {exc}") from None
-        for name, column in columns.items():
-            setattr(log, name, array("d", column.tobytes()))
-        log.wp_index = data["wp_index"].tolist()
-        return log
 
     @classmethod
     def from_csv(cls, path: str | os.PathLike) -> "TrajectoryLog":
-        """Rebuild a log from its CSV, checked and normalised column by
-        column by _checked_columns, as from_npy is.
+        """Rebuild a log from its CSV, parsed into records
+        (_trajectory_records) that _from_records checks as from_npy's.
 
         The CSV schema does not carry course, through-water speed or turn
         rate, so those columns are zero; everything the scoring needs
@@ -243,25 +235,34 @@ class TrajectoryLog:
         # whitespace-only lines count in the file but hold no row
         rows = [(n, line) for n, line in enumerate(text.split("\n"), start=2) if line.strip()]
         lines = [line for _, line in rows]
-        log = cls()
         if not lines:
-            return log
+            return cls()
         width = len(_CSV_COLUMNS)
         try:
             if text.count(",") != (width - 1) * len(lines):
                 row = next(i for i, line in enumerate(lines) if line.count(",") != width - 1)
                 raise _RowError(row, f"expected {width} fields, got {lines[row].count(',') + 1}")
-            columns, log.wp_index, log.intermediate = _trajectory_columns(lines)
+            return cls._from_records(_trajectory_records(lines))
         except _RowError as exc:
             raise ValueError(f"{path}: line {rows[exc.row][0]}: {exc}") from None
+
+    @classmethod
+    def _from_records(cls, data: np.ndarray) -> "TrajectoryLog":
+        """The log of a 1-D array of TRAJECTORY_DTYPE, checked and
+        normalised by _checked_columns, with each held target as a Waypoint
+        (_held_targets). Raises _RowError."""
+        columns = _checked_columns(data)
+        log = cls()
+        log.intermediate = _held_targets(data)
         for name, column in columns.items():
             setattr(log, name, array("d", column.tobytes()))
+        log.wp_index = data["wp_index"].tolist()
         return log
 
 
 class _RowError(ValueError):
-    """A rejected trajectory CSV row; row counts the non-blank lines after
-    the header from 0."""
+    """A rejected trajectory row; row counts the records (a CSV's non-blank
+    lines after the header) from 0."""
 
     def __init__(self, row: int, message: str):
         super().__init__(message)
@@ -283,84 +284,79 @@ def _parses(line: str, usecols: Sequence[int]) -> bool:
     return True
 
 
-def _trajectory_columns(lines: list[str]) -> tuple[dict[str, np.ndarray], list, list]:
-    """The float columns of a log (LOG_COLUMNS but wp_index and
-    intermediate), then the wp_index and intermediate lists, of the
-    non-blank trajectory CSV lines after the header. Raises _RowError."""
+def _trajectory_records(lines: list[str]) -> np.ndarray:
+    """The TRAJECTORY_DTYPE records, unchecked, of the non-blank trajectory
+    CSV lines after the header: columns the CSV lacks are zero, and a held
+    target is its three numbers, or NaN when its fields are empty. Raises
+    _RowError for a field that is not a number or a NaN held target."""
     # np.loadtxt rejects a row short of the last float column, so with
     # from_csv's comma count every row has exactly len(_CSV_COLUMNS) fields
     try:
-        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, usecols=_CSV_FLOAT_INDEX)
+        floats = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, usecols=_CSV_FLOAT_INDEX)
     except ValueError:
         # numpy's message names no file line, so find the first bad row and cell alone
         row = next(i for i, line in enumerate(lines) if not _parses(line, _CSV_FLOAT_INDEX))
         column = next(j for j in _CSV_FLOAT_INDEX if not _parses(lines[row], (j,)))
         raise _RowError(row, f"{_CSV_COLUMNS[column]} is not a number in {lines[row]!r}") from None
-    t, lat, lon, spd_t, h_t, spd_c, dir_c, spd_w, dir_w, thrust, rudder = data.T
+    data = np.zeros(len(lines), TRAJECTORY_DTYPE)
+    for j, column in zip(_CSV_FLOAT_INDEX, floats.T):
+        data[_CSV_COLUMNS[j]] = column
 
-    wp_index, intermediate = [], []
-    held_text, held = ["", "", ""], None
+    wp_index, targets = [], []
+    held_text, held = ["", "", ""], _NO_TARGET
     try:
         for fields in (line.split(",", _CSV_INT_END) for line in lines):
             wp_index.append(int(fields[_CSV_WP]))
             if fields[_CSV_WP + 1:_CSV_INT_END] != held_text:  # a target is held for many rows
                 held_text = fields[_CSV_WP + 1:_CSV_INT_END]
-                int_lat, int_lon, int_spd = held_text
-                held = None if not int_lat else Waypoint(
-                    GeoPoint(float(int_lat), float(int_lon)), float(int_spd)
-                )
-            intermediate.append(held)
+                held = tuple(map(float, held_text)) if any(held_text) else _NO_TARGET
+                if held is not _NO_TARGET and any(map(math.isnan, held)):
+                    # NaN in a record means no target: raise the rule a literal nan breaks
+                    Waypoint(GeoPoint(held[0], held[1]), held[2])
+            targets.append(held)
     except ValueError as exc:
-        raise _RowError(len(intermediate), str(exc)) from None  # each row appends its target last
-
-    zeros = np.zeros(len(lines))
-    columns = {
-        "t": t, "lat": lat, "lon": lon, "spd_t": spd_t, "course_t": zeros, "h_t": h_t,
-        "through_water_speed": zeros, "turn_rate": zeros, "spd_c": spd_c, "dir_c": dir_c,
-        "spd_w": spd_w, "dir_w": dir_w, "thrust": thrust, "rudder": rudder,
-    }
-    return _checked_columns(columns, wp_index), wp_index, intermediate
+        raise _RowError(len(targets), str(exc)) from None  # each row appends its target last
+    data["wp_index"] = wp_index
+    data[list(_NPY_TARGET)] = targets
+    return data
 
 
-def _checked_columns(columns: dict[str, np.ndarray], wp_index) -> dict[str, np.ndarray]:
-    """The rules a log read from a file must pass, on its float columns
-    (a name -> column dict over LOG_COLUMNS but wp_index and intermediate)
-    and its waypoint indices, with the columns normalised as the
-    simulation makes its values: coordinates as GeoPoint (finite, latitude
-    in [-90, 90], longitude wrapped), the state as vehicle._check_state
-    (speeds >= 0, speeds, time and turn rate finite), times that strictly
-    increase, waypoint indices that never decrease, force speeds finite
-    and >= 0, angles wrapped as wrap_angle does, thrust and rudder clamped
-    as vehicle._clamped does. Raises _RowError at the first offending row
-    of the first rule broken."""
-    c = columns
+def _checked_columns(c: np.ndarray) -> dict[str, np.ndarray]:
+    """The rules a log read from a file must pass, on its TRAJECTORY_DTYPE
+    records c, and its float columns (LOG_COLUMNS but wp_index and
+    intermediate) by name, normalised as the simulation makes its values:
+    coordinates as GeoPoint (finite, latitude in [-90, 90], longitude
+    wrapped), the state as vehicle._check_state (speeds >= 0, speeds, time
+    and turn rate finite), times that strictly increase, waypoint indices
+    that never decrease, force speeds finite and >= 0, angles wrapped as
+    wrap_angle does, thrust and rudder clamped as vehicle._clamped does.
+    Raises _RowError at the first offending row of the first rule broken."""
     spd_t, tw, t = c["spd_t"], c["through_water_speed"], c["t"]
     lon = _point_lons(c["lat"], c["lon"])
     _check_rows(~((spd_t < 0.0) | (tw < 0.0)), "speeds must be >= 0")
     _check_rows(np.isfinite(spd_t) & np.isfinite(tw) & np.isfinite(t)
                 & np.isfinite(c["turn_rate"]), "non-finite state component")
     _check_rows(np.diff(t) > 0.0, "timestamps must be strictly increasing", offset=1)
-    _check_rows(np.diff(wp_index) >= 0, "waypoint indices must be non-decreasing", offset=1)
+    _check_rows(np.diff(c["wp_index"]) >= 0, "waypoint indices must be non-decreasing", offset=1)
     for name in ("spd_c", "spd_w"):
         _check_rows((c[name] >= 0.0) & np.isfinite(c[name]), f"{name} must be finite and >= 0")
     return {
-        **c, "lon": lon,
+        **{name: c[name] for name in _FLOAT_COLUMNS}, "lon": lon,
         **{name: _wrapped(c[name]) for name in ("course_t", "h_t", "dir_c", "dir_w")},
         "thrust": _clamped_column(c["thrust"], 0.0, 1.0),
         "rudder": _clamped_column(c["rudder"], -1.0, 1.0),
     }
 
 
-def _held_targets(lat: np.ndarray, lon: np.ndarray, spd: np.ndarray) -> list:
-    """The intermediate column of a .npy log from its int_lat, int_lon and
-    int_spd columns: None for a row of three NaN, else the Waypoint of the
+def _held_targets(data: np.ndarray) -> list:
+    """The intermediate column of a log from its records' int_lat, int_lon
+    and int_spd: None for a row of three NaN, else the Waypoint of the
     three numbers, built once per run of bit-equal rows. Raises _RowError
     for a row that mixes NaN and numbers and for a target Waypoint or
     GeoPoint rejects."""
-    none = np.isnan(lat)
-    _check_rows((np.isnan(lon) == none) & (np.isnan(spd) == none),
-                "a held target is three numbers or three NaN")
-    rows = np.stack((lat, lon, spd), axis=1)
+    rows = np.stack([data[name] for name in _NPY_TARGET], axis=1)
+    none = np.isnan(rows)
+    _check_rows((none == none[:, :1]).all(axis=1), "a held target is three numbers or three NaN")
     if not len(rows):
         return []
     bits = rows.view(np.int64)
@@ -448,9 +444,22 @@ class CrossTrackSeries:
     first_scored_record: int
 
 
+def _leg_lines(mission: Sequence[Waypoint]) -> list:
+    """Each leg of mission (each pair of consecutive waypoints) as the
+    navigator's tracking line: start point, length and (east, north) unit
+    vector. ValueError naming both waypoints of a degenerate leg, one of
+    length 0."""
+    lines = [tracking_line(a.pos.lat, a.pos.lon, b.pos) for a, b in zip(mission, mission[1:])]
+    for i, (lat, lon, leg_len, _, _) in enumerate(lines):
+        if leg_len == 0.0:
+            raise ValueError(f"degenerate leg: coincident waypoints {i} and {i + 1} "
+                             f"at ({lat}, {lon})")
+    return lines
+
+
 class LegNotAcquiredError(ValueError):
-    """No logged sample comes near the start of the first leg (an empty
-    log included), so the run has no path to score."""
+    """The run has no path to score: its mission has no leg, or no logged
+    sample comes near the start of the first leg (an empty log included)."""
 
 
 def cross_track_series(
@@ -463,19 +472,14 @@ def cross_track_series(
     Samples before the vehicle first comes within twice the acceptance
     radius of the leg start are excluded: simulated runs begin near but
     not on the line, and that initial approach is not part of the scored
-    path.
+    path. Raises LegNotAcquiredError when there is none to score, and
+    ValueError for a degenerate leg.
     """
+    if len(mission) < 2:
+        raise LegNotAcquiredError("need at least two waypoints to define a leg")
+    leg_table = np.array([(lat, lon, ue, un) for lat, lon, _, ue, un in _leg_lines(mission)])
     if not len(log):
         raise LegNotAcquiredError("trajectory log is empty")
-    if len(mission) < 2:
-        raise ValueError("need at least two waypoints to define a leg")
-    # each leg as the navigator's tracking line: start point, length and
-    # (east, north) unit vector, once per leg
-    lines = [tracking_line(a.pos.lat, a.pos.lon, b.pos) for a, b in zip(mission, mission[1:])]
-    for lat, lon, leg_len, _, _ in lines:
-        if leg_len == 0.0:
-            raise ValueError(f"degenerate leg: coincident waypoints at ({lat}, {lon})")
-    leg_table = np.array([(lat, lon, ue, un) for lat, lon, _, ue, un in lines])
     lats = np.asarray(log.lat, dtype=np.float64)
     lons = np.asarray(log.lon, dtype=np.float64)
 
@@ -549,11 +553,16 @@ def score_run(
     mission: Sequence[Waypoint],
     acceptance_radius: float = DEFAULT_ACCEPT_RADIUS,
     label: str = "",
-) -> tuple[CrossTrackSeries, ErrorReport, int]:
+) -> tuple[Optional[CrossTrackSeries], Optional[ErrorReport], int]:
     """The scoring of a run: its cross-track series, the report over every
-    scored sample, and the sign changes beyond ERROR_THRESHOLD_M. Raises as
-    cross_track_series does."""
-    series = cross_track_series(log, mission, acceptance_radius)
+    scored sample, and the sign changes beyond ERROR_THRESHOLD_M. A run
+    with no path to score, one whose mission has fewer than two waypoints
+    or whose log never acquires the first leg (an empty log included),
+    scores as (None, None, 0). Raises ValueError for a degenerate leg."""
+    try:
+        series = cross_track_series(log, mission, acceptance_radius)
+    except LegNotAcquiredError:
+        return None, None, 0
     report = score(series.errors, series.weights, label=label)
     return series, report, sign_changes_over_threshold(series.errors)
 

@@ -256,16 +256,55 @@ def test_suite_command(tmp_path, capsys):
     run_dirs = sorted((tmp_path / "suite" / "runs").iterdir())
     assert len(run_dirs) == 16
     for run_dir in run_dirs:
-        assert main(["report", str(run_dir)]) == 0
-        text = capsys.readouterr().out
-        report = json.loads(text)
-        summary = json.loads((run_dir / "summary.json").read_text())
-        for key in ("max_error_m", "pct_over_1m", "sign_changes_over_1m"):
-            assert report[key] == summary[key], (run_dir.name, key)
-        # without trajectory.npy, report rescores from the CSV to the same text
-        (run_dir / "trajectory.npy").unlink()
-        assert main(["report", str(run_dir)]) == 0
-        assert capsys.readouterr().out == text, run_dir.name
+        assert _report_agrees_with_summary(run_dir, capsys)["samples_scored"] > 0
+
+
+def _report_agrees_with_summary(run_dir, capsys):
+    """asvnav report on run_dir exits 0 with the statistics summary.json
+    holds, and then, without trajectory.npy, prints the same text from the
+    CSV. Returns the report."""
+    assert main(["report", str(run_dir)]) == 0
+    text = capsys.readouterr().out
+    report = json.loads(text)
+    summary = json.loads((run_dir / "summary.json").read_text())
+    for key in ("max_error_m", "pct_over_1m", "sign_changes_over_1m"):
+        assert report[key] == summary[key], (run_dir.name, key)
+    (run_dir / "trajectory.npy").unlink()
+    assert main(["report", str(run_dir)]) == 0
+    assert capsys.readouterr().out == text, run_dir.name
+    return report
+
+
+def _one_waypoint_run(config):
+    """config flying to its second waypoint alone, from an explicit start
+    30 m south of it, heading north."""
+    goal = config["mission"][1]
+    start = {"lat": goal["lat"] - 30.0 / 111320.0, "lon": goal["lon"], "heading_deg": 0.0}
+    return {**config, "mission": [goal], "start": start}
+
+
+@pytest.mark.parametrize("edit, outcome", [
+    (lambda c: {**c, "duration_limit_s": 1}, "incomplete"),
+    (_one_waypoint_run, "completed"),
+    (lambda c: {**c, "current": {**GRID_CURRENT, "lat0": 35.0}}, "left_domain"),
+], ids=["never-acquired", "one-waypoint", "empty-log"])
+def test_report_prints_the_nulls_of_a_run_it_cannot_score(tmp_path, capsys, edit, outcome):
+    """A run that never acquires its first leg, flies a one-waypoint
+    mission, or leaves a grid field at t = 0 with an empty log has no path
+    to score: summary.json holds null statistics, and asvnav report on its
+    directory prints the same nulls with no sample scored and exits 0."""
+    config = edit(json.loads((CONFIGS / "calm_water.json").read_text()))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(config))
+    run_dir = tmp_path / "run"
+    assert main(["run", str(path), "--out", str(run_dir)]) == (0 if outcome == "completed" else 1)
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["outcome"] == outcome
+    assert (summary["max_error_m"], summary["pct_over_1m"]) == (None, None)
+    assert not (run_dir / "errors.csv").exists()
+    report = _report_agrees_with_summary(run_dir, capsys)
+    assert report == {"run": "run", "max_error_m": None, "pct_over_1m": None,
+                      "sign_changes_over_1m": 0, "samples_scored": 0}
 
 
 def test_report_reads_the_npy_and_falls_back_to_the_csv(tmp_path, capsys):
@@ -402,6 +441,29 @@ def test_bad_mission_csv_is_one_stderr_line(tmp_path, capsys):
     assert out == "" and err.count("\n") == 1
     assert err.startswith("asvnav: ") and str(route) in err
     assert not (tmp_path / "out").exists()
+
+
+def test_repeated_waypoint_is_one_stderr_line_at_load(tmp_path, capsys):
+    """A mission whose second waypoint is repeated has a degenerate leg:
+    asvnav run rejects it when the scenario loads, inline or as a mission
+    CSV, with one stderr line naming both waypoints, before any tick and
+    without an output directory."""
+    config = json.loads((CONFIGS / "calm_water.json").read_text())
+    first, second = config["mission"]
+    message = (f"asvnav: degenerate leg: coincident waypoints 1 and 2 at "
+               f"({second['lat']}, {second['lon']})\n")
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps({**config, "mission": [first, second, second]}))
+    assert main(["run", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr() == ("", message)
+    assert not (tmp_path / "run").exists()
+
+    rows = [",".join(repr(float(wp[key])) for key in ("lat", "lon", "speed_mps"))
+            for wp in (first, second, second)]
+    path = _mission_csv_scenario(tmp_path, rows)
+    assert main(["run", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr() == ("", message)
+    assert not (tmp_path / "run").exists()
 
 
 def _bad_sweep(tmp_path, key="duration_s", value=0):

@@ -199,9 +199,17 @@ def test_suite_survives_runs_that_leave_the_grid():
 
 
 def test_coincident_waypoints_surface_degenerate_leg():
-    sc = _short_scenario(mission=(Waypoint(ORIGIN, 2.0), Waypoint(ORIGIN, 2.0)))
-    with pytest.raises(ValueError, match="degenerate leg"):
-        run_scenario(sc)
+    """Consecutive waypoints that coincide break the scorer's degenerate-leg
+    rule when the Scenario is built, before any tick: the error names both
+    waypoints. Coincident waypoints that are not consecutive make no
+    degenerate leg."""
+    far = Waypoint(displaced(ORIGIN, 0.0, 60.0), 2.0)
+    for mission, pair in (((Waypoint(ORIGIN, 2.0), Waypoint(ORIGIN, 2.0)), "0 and 1"),
+                          ((Waypoint(ORIGIN, 2.0), far, Waypoint(far.pos, 1.0)), "1 and 2")):
+        with pytest.raises(ValueError, match=f"^degenerate leg: coincident waypoints {pair} at "):
+            _short_scenario(mission=mission)
+    sc = _short_scenario(mission=(Waypoint(ORIGIN, 2.0), far, Waypoint(ORIGIN, 2.0)))
+    assert run_scenario(sc).completed
 
 
 def test_scenario_round_trip_through_dict():

@@ -21,6 +21,7 @@ and seeded random values.
 import math
 import pickle
 import struct
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -737,18 +738,32 @@ def test_waypoint_advance_matches_waypoint_reached():
     positions += [(10.0, 179.99998 - 180.0), (NAN, 179.99998), (10.0, -INF)]
     for lat, lon in positions:
         for index in range(len(mission) + 1):
-            radii = [2.0, 0.5, 0.0, -0.0, -1.0, NAN, INF]
+            radii = [2.0, 0.5]
             if index < len(mission):
                 # radii on the distance to the active waypoint and beside it
                 d = math.hypot(*enu_coords(lat, lon, mission[index].pos.lat,
                                            mission[index].pos.lon))
                 radii += [d, math.nextafter(d, 0.0), math.nextafter(d, INF)]
-            for radius in radii:
+            # a Navigator refuses the rest when built (the next test)
+            for radius in [r for r in radii if 0.0 < r < INF]:
                 nav = augment.Navigator(mission, gains=GAINS, dt=0.1, radius=radius)
                 state = (index, None, (0.1, 0.2), (0.0, None), None, -INF)
                 args = (lat, lon, 1.6, 33.0)
                 assert _outcome(augment.navigator_step, nav, *args, 5.0, None, state) == \
                     _outcome(_ref_baseline_step, nav, *args, state), (lat, lon, index, radius)
+
+
+@pytest.mark.parametrize("radius", [0.0, -0.0, -1.0, NAN, INF, -INF])
+def test_navigator_rejects_a_radius_outside_zero_to_inf(radius):
+    """A Navigator checks its radius once, when built, by Scenario's rule
+    for acceptance_radius_m: 0 < radius < inf. Before any step, NaN (which
+    never reaches a waypoint) and inf (which reaches them all on the first
+    tick) are refused with 0 and negative radii."""
+    mission = [Waypoint(GeoPoint(10.0, 179.99998), 1.6)]
+    with pytest.raises(ValueError, match=rf"^radius must be > 0 and finite, got {radius!r}$"):
+        augment.Navigator(mission, gains=GAINS, dt=0.1, radius=radius)
+    for radius in (5e-324, sys.float_info.max):  # the extremes the rule keeps
+        assert augment.Navigator(mission, gains=GAINS, dt=0.1, radius=radius).radius == radius
 
 
 @pytest.mark.parametrize("direction", [0.0, -0.0, 360.0, 180.0, math.nextafter(360.0, 0.0)])

@@ -403,6 +403,44 @@ def test_trajectory_npy_round_trip_is_lossless(tmp_path):
     assert len(TrajectoryLog.from_npy(tmp_path / "empty.npy")) == 0
 
 
+def test_both_readers_build_the_same_records(tmp_path):
+    """from_csv and from_npy of one log agree bit for bit in every column
+    the CSV carries, held targets included; the columns it lacks (course,
+    through-water speed, turn rate) read back as 0."""
+    rows = [_row(i)._replace(intermediate=Waypoint(GeoPoint(-0.0, -179.5), 1.25))
+            if 5 <= i < 8 else _row(i) for i in range(12)]
+    log = TrajectoryLog.from_rows(rows)
+    log.write_csv(tmp_path / "trajectory.csv")
+    log.write_npy(tmp_path / "trajectory.npy")
+    from_csv = _column_bits(TrajectoryLog.from_csv(tmp_path / "trajectory.csv"))
+    from_npy = _column_bits(TrajectoryLog.from_npy(tmp_path / "trajectory.npy"))
+    lacking = ("course_t", "through_water_speed", "turn_rate")
+    for name in lacking:
+        assert from_csv.pop(name) == [float.hex(0.0)] * len(rows)
+        assert from_npy.pop(name) != [float.hex(0.0)] * len(rows)
+    assert from_csv == from_npy
+
+
+@pytest.mark.parametrize("target, message", [
+    ("nan,nan,nan", "non-finite coordinates (nan, nan)"),
+    ("nan,-81.0,1.5", "non-finite coordinates (nan, -81.0)"),
+    ("34.0,-81.0,nan", "spd_target must be > 0, got nan"),
+    ("34.0,-81.0,0.0", "spd_target must be > 0, got 0.0"),
+    ("91.0,-81.0,1.5", "latitude 91.0 outside [-90, 90]"),
+    (",-81.0,1.5", "could not convert string to float: ''"),
+], ids=["all-nan", "lat-nan", "spd-nan", "spd-zero", "lat-91", "lat-empty"])
+def test_trajectory_csv_rejects_a_held_target_waypoint_rejects(tmp_path, target, message):
+    """A held target that is not empty is a Waypoint at a GeoPoint: one
+    those reject, a literal nan included (which as a record would read as
+    no target), raises their message at its file line."""
+    lines = _trajectory_lines()
+    start = lines[0].index("int_lat")
+    lines[4][start:start + 3] = target.split(",")
+    path = _write_trajectory(tmp_path / "trajectory.csv", lines)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: line 5: {message}')}$"):
+        TrajectoryLog.from_csv(path)
+
+
 def _edited(array, name, row, value):
     array = array.copy()
     array[name][row] = value
