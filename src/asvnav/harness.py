@@ -40,6 +40,7 @@ from .effects import (
 )
 from .env import FIELD_KINDS, Environment, FieldSpec, Flows, ForceVector, LeftDomainError
 from .geo import (
+    MAX_LEG_METERS,
     GeoPoint,
     distance_bearing,
     displaced,
@@ -311,6 +312,10 @@ class Scenario:
         for key in ("duration_limit_s", "acceptance_radius_m"):
             if not 0.0 < getattr(self, key) < math.inf:
                 raise ValueError(f"{key} must be > 0 and finite, got {getattr(self, key)!r}")
+        for key in ("start_runup_m", "start_offset_m"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)!r}")
+        _check_seed(self.seed)
         if self.augment.update_period_s < self.dt_s:
             raise ValueError("augment update period must be >= simulation dt")
         for wp in self.mission:
@@ -339,6 +344,13 @@ class Scenario:
                             -self.start_runup_m * un + self.start_offset_m * ln)
         heading = wrap_angle(heading)
         return pos.lat, pos.lon, 0.0, heading, heading, 0.0, 0.0, 0.0
+
+
+def _check_seed(seed: int) -> None:
+    """The one rule of a noise seed, whatever the noise: numpy's
+    default_rng takes no negative seed."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
 
 
 def load_scenario(path: str | os.PathLike) -> Scenario:
@@ -579,8 +591,9 @@ def run_scenario(
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        log.write_csv(out / "trajectory.csv")
-        log.write_npy(out / "trajectory.npy")
+        records = log._to_records()  # both trajectory files hold this one array
+        log.write_csv(out / "trajectory.csv", records)
+        log.write_npy(out / "trajectory.npy", records)
         write_mission_csv(mission, out / "mission.csv")
         _write_json(to_dict(sc), out / "resolved_config.json")
         if series is not None:
@@ -616,6 +629,9 @@ class SuiteSpec:
         if not 20.0 * self.template.acceptance_radius_m <= self.leg_length_m < math.inf:
             raise ValueError(f"leg_length_m must be finite and at least 20x the acceptance "
                              f"radius, got {self.leg_length_m!r}")
+        if self.leg_length_m >= MAX_LEG_METERS:
+            raise ValueError(f"leg_length_m must be below {MAX_LEG_METERS:.0f} m, "
+                             f"got {self.leg_length_m!r}")
         _check_hull_speed(self.leg_speed_mps, self.template.vehicle, "leg_speed_mps")
 
 
@@ -842,6 +858,7 @@ class SweepSpec:
         if not 0.0 < self.duration_s < math.inf:
             raise ValueError(f"sweep duration_s must be > 0 and finite, got {self.duration_s!r}")
         _check_dt(self.dt_s, "dt_s")
+        _check_seed(self.seed)
         for speed in self.speeds:
             _check_hull_speed(speed, self.vehicle, "sweep speeds")
         for heading in self.headings:

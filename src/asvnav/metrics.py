@@ -15,17 +15,12 @@ import os
 from array import array
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .control import DEFAULT_ACCEPT_RADIUS, Waypoint, tracking_line
 from .geo import GeoPoint, enu_columns
-
-TRAJECTORY_HEADER = (
-    "t,lat,lon,spd_t,h_t,wp_index,int_lat,int_lon,int_spd,"
-    "spd_c,dir_c,spd_w,dir_w,thrust,rudder"
-)
 
 ERROR_THRESHOLD_M = 1.0
 
@@ -86,12 +81,13 @@ TRAJECTORY_DTYPE = np.dtype([
 ])
 _NO_TARGET = (math.nan, math.nan, math.nan)
 
-# The trajectory CSV's columns; from_csv reads the float ones with one
-# np.loadtxt and wp_index and the intermediate target's three in a Python pass.
-_CSV_COLUMNS = TRAJECTORY_HEADER.split(",")
-_CSV_WP = _CSV_COLUMNS.index("wp_index")
-_CSV_INT_END = _CSV_COLUMNS.index("int_spd") + 1
-_CSV_FLOAT_INDEX = tuple(i for i in range(len(_CSV_COLUMNS)) if not _CSV_WP <= i < _CSV_INT_END)
+# The trajectory CSV's columns: the record's fields but the three it does
+# not carry, which read back as 0. A held target's three are its only
+# fields that may be empty, all three together, for no target.
+_CSV_COLUMNS = [name for name in TRAJECTORY_DTYPE.names
+                if name not in ("course_t", "through_water_speed", "turn_rate")]
+TRAJECTORY_HEADER = ",".join(_CSV_COLUMNS)
+_CSV_TARGET = slice(_CSV_COLUMNS.index(_NPY_TARGET[0]), _CSV_COLUMNS.index(_NPY_TARGET[-1]) + 1)
 
 
 class TrajectoryLog:
@@ -144,35 +140,28 @@ class TrajectoryLog:
         """The log as rows, built from the columns on each access."""
         return tuple(map(LogRecord._make, zip(*(getattr(self, name) for name in LOG_COLUMNS))))
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(TRAJECTORY_HEADER + "\n")
-        held, held_text = None, ",,"
-        # the recovered forces take few distinct values, so their text is ready-made
-        forces = zip(*(_repr_column(getattr(self, name))
-                       for name in ("spd_c", "dir_c", "spd_w", "dir_w")))
-        for (t, lat, lon, spd_t, h_t, wp_index, intermediate, (spd_c, dir_c, spd_w, dir_w),
-             thrust, rudder) in zip(self.t, self.lat, self.lon, self.spd_t, self.h_t,
-                                    self.wp_index, self.intermediate, forces, self.thrust,
-                                    self.rudder):
-            if intermediate is not held:  # a target is held for many rows
-                held = intermediate
-                held_text = ",," if intermediate is None else (
-                    f"{float(intermediate.pos.lat)!r},{float(intermediate.pos.lon)!r},"
-                    f"{float(intermediate.spd_target)!r}"
-                )
-            buf.write(f"{t!r},{lat!r},{lon!r},{spd_t!r},{h_t!r},{wp_index},{held_text},"
-                      f"{spd_c},{dir_c},{spd_w},{dir_w},{thrust!r},{rudder!r}\n")
-        return buf.getvalue()
+    def to_csv(self, records: Optional[np.ndarray] = None) -> str:
+        """The log as CSV text: TRAJECTORY_HEADER, then each record's
+        _CSV_COLUMNS as the repr of each value, a held target's three empty
+        when none is held. records, if given, is this log's _to_records()."""
+        data = self._to_records() if records is None else records
+        columns = [_repr_column(data[name], name in _NPY_TARGET) for name in _CSV_COLUMNS]
+        return "\n".join([TRAJECTORY_HEADER, *map(",".join, zip(*columns)), ""])
 
-    def write_csv(self, path: str | os.PathLike) -> None:
+    def write_csv(self, path: str | os.PathLike, records: Optional[np.ndarray] = None) -> None:
         with open(path, "w", newline="") as fh:
-            fh.write(self.to_csv())
+            fh.write(self.to_csv(records))
 
-    def write_npy(self, path: str | os.PathLike) -> None:
-        """Write the log as one 1-D array of TRAJECTORY_DTYPE in .npy
-        format: every column to the bit, course, through-water speed and
-        turn rate included."""
+    def write_npy(self, path: str | os.PathLike, records: Optional[np.ndarray] = None) -> None:
+        """Write the log's records (records, if given, is _to_records()) as
+        .npy, every column to the bit: the CSV's and the three it lacks."""
+        with open(path, "wb") as fh:
+            np.save(fh, self._to_records() if records is None else records, allow_pickle=False)
+
+    def _to_records(self) -> np.ndarray:
+        """The log as one 1-D array of TRAJECTORY_DTYPE, one record per row,
+        the inverse of _from_records: a held target as its three numbers
+        and no target as three NaN."""
         data = np.empty(len(self), TRAJECTORY_DTYPE)
         for name in _FLOAT_COLUMNS:
             data[name] = getattr(self, name)
@@ -190,8 +179,7 @@ class TrajectoryLog:
                               np.diff(starts + [len(self)]), axis=0)
         for name, column in zip(_NPY_TARGET, held_rows.T):
             data[name] = column
-        with open(path, "wb") as fh:
-            np.save(fh, data, allow_pickle=False)
+        return data
 
     @classmethod
     def from_npy(cls, path: str | os.PathLike) -> "TrajectoryLog":
@@ -216,35 +204,31 @@ class TrajectoryLog:
 
     @classmethod
     def from_csv(cls, path: str | os.PathLike) -> "TrajectoryLog":
-        """Rebuild a log from its CSV, parsed into records
-        (_trajectory_records) that _from_records checks as from_npy's.
-
-        The CSV schema does not carry course, through-water speed or turn
-        rate, so those columns are zero; everything the scoring needs
-        (time, position, waypoint index) survives the round trip. Blank
-        and whitespace-only lines are skipped. A rejection raises
-        ValueError naming the path and the file line of the first offending
-        row.
-        """
+        """Rebuild a log from its CSV: each non-blank line after the header
+        read into one record (_csv_record), the records checked by
+        _from_records as from_npy's. The columns the CSV does not carry
+        (course, through-water speed, turn rate) are zero. A rejection
+        raises ValueError naming the path and a file line: the first line
+        that does not read as a record, else the first offending row of the
+        first rule the records break."""
+        records, lines = [], []  # each record and its file line
         with open(path) as fh:
             header = fh.readline().rstrip("\n").split(",")
             if header != _CSV_COLUMNS:
                 raise ValueError(f"{path}: line 1: unexpected trajectory header {header}")
-            text = fh.read()
-        # (file line, text) of each row: the header is line 1, and blank or
-        # whitespace-only lines count in the file but hold no row
-        rows = [(n, line) for n, line in enumerate(text.split("\n"), start=2) if line.strip()]
-        lines = [line for _, line in rows]
-        if not lines:
-            return cls()
-        width = len(_CSV_COLUMNS)
+            for n, line in enumerate(fh, start=2):
+                if line.strip():
+                    try:
+                        records.append(_csv_record(line.rstrip("\n")))
+                    except ValueError as exc:
+                        raise ValueError(f"{path}: line {n}: {exc}") from None
+                    lines.append(n)
+        data = np.zeros(len(records), TRAJECTORY_DTYPE)
+        data[_CSV_COLUMNS] = records
         try:
-            if text.count(",") != (width - 1) * len(lines):
-                row = next(i for i, line in enumerate(lines) if line.count(",") != width - 1)
-                raise _RowError(row, f"expected {width} fields, got {lines[row].count(',') + 1}")
-            return cls._from_records(_trajectory_records(lines))
+            return cls._from_records(data)
         except _RowError as exc:
-            raise ValueError(f"{path}: line {rows[exc.row][0]}: {exc}") from None
+            raise ValueError(f"{path}: line {lines[exc.row]}: {exc}") from None
 
     @classmethod
     def _from_records(cls, data: np.ndarray) -> "TrajectoryLog":
@@ -275,50 +259,35 @@ def _check_rows(ok: np.ndarray, message: str, offset: int = 0) -> None:
         raise _RowError(offset + int(np.argmin(ok)), message)
 
 
-def _parses(line: str, usecols: Sequence[int]) -> bool:
-    """Whether np.loadtxt reads the usecols fields of line as numbers."""
-    try:
-        np.loadtxt([line], delimiter=",", comments=None, usecols=usecols)
-    except ValueError:
-        return False
-    return True
+def _wp_index(text: str) -> int:
+    """A CSV wp_index field by int; ValueError unless it fits an int64."""
+    value = int(text)
+    if not -2**63 <= value < 2**63:
+        raise ValueError(f"wp_index {value} outside int64")
+    return value
 
 
-def _trajectory_records(lines: list[str]) -> np.ndarray:
-    """The TRAJECTORY_DTYPE records, unchecked, of the non-blank trajectory
-    CSV lines after the header: columns the CSV lacks are zero, and a held
-    target is its three numbers, or NaN when its fields are empty. Raises
-    _RowError for a field that is not a number or a NaN held target."""
-    # np.loadtxt rejects a row short of the last float column, so with
-    # from_csv's comma count every row has exactly len(_CSV_COLUMNS) fields
-    try:
-        floats = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, usecols=_CSV_FLOAT_INDEX)
-    except ValueError:
-        # numpy's message names no file line, so find the first bad row and cell alone
-        row = next(i for i, line in enumerate(lines) if not _parses(line, _CSV_FLOAT_INDEX))
-        column = next(j for j in _CSV_FLOAT_INDEX if not _parses(lines[row], (j,)))
-        raise _RowError(row, f"{_CSV_COLUMNS[column]} is not a number in {lines[row]!r}") from None
-    data = np.zeros(len(lines), TRAJECTORY_DTYPE)
-    for j, column in zip(_CSV_FLOAT_INDEX, floats.T):
-        data[_CSV_COLUMNS[j]] = column
+_CSV_READERS = [_wp_index if name == "wp_index" else float for name in _CSV_COLUMNS]
 
-    wp_index, targets = [], []
-    held_text, held = ["", "", ""], _NO_TARGET
-    try:
-        for fields in (line.split(",", _CSV_INT_END) for line in lines):
-            wp_index.append(int(fields[_CSV_WP]))
-            if fields[_CSV_WP + 1:_CSV_INT_END] != held_text:  # a target is held for many rows
-                held_text = fields[_CSV_WP + 1:_CSV_INT_END]
-                held = tuple(map(float, held_text)) if any(held_text) else _NO_TARGET
-                if held is not _NO_TARGET and any(map(math.isnan, held)):
-                    # NaN in a record means no target: raise the rule a literal nan breaks
-                    Waypoint(GeoPoint(held[0], held[1]), held[2])
-            targets.append(held)
-    except ValueError as exc:
-        raise _RowError(len(targets), str(exc)) from None  # each row appends its target last
-    data["wp_index"] = wp_index
-    data[list(_NPY_TARGET)] = targets
-    return data
+
+def _csv_record(line: str) -> tuple:
+    """The values of one trajectory CSV line, a record's _CSV_COLUMNS,
+    unchecked: each field by its _CSV_READERS, and a held target's three
+    empty fields as three NaN. Raises ValueError for a line of the wrong
+    width, a field that does not read, and a held target with a literal
+    NaN, by the Waypoint or GeoPoint rule it breaks (as a record it would
+    read as no target)."""
+    fields = line.split(",")
+    if len(fields) != len(_CSV_COLUMNS):
+        raise ValueError(f"expected {len(_CSV_COLUMNS)} fields, got {len(fields)}")
+    held = fields[_CSV_TARGET] != ["", "", ""]
+    if not held:
+        fields[_CSV_TARGET] = ["nan"] * 3
+    record = tuple([read(text) for read, text in zip(_CSV_READERS, fields)])
+    if held and any(map(math.isnan, record[_CSV_TARGET])):
+        int_lat, int_lon, int_spd = record[_CSV_TARGET]
+        Waypoint(GeoPoint(int_lat, int_lon), int_spd)  # raises the rule a literal nan breaks
+    return record
 
 
 def _checked_columns(c: np.ndarray) -> dict[str, np.ndarray]:
@@ -372,13 +341,17 @@ def _held_targets(data: np.ndarray) -> list:
     return intermediate
 
 
-def _repr_column(column) -> list[str]:
-    """repr of each value of a float column, each distinct bit pattern
-    formatted once (so -0.0 and 0.0 stay apart)."""
-    bits = np.asarray(column, dtype=np.float64).view(np.int64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
-    return texts[inverse].tolist()
+def _repr_column(column: np.ndarray, blank_nan: bool) -> Iterable[str]:
+    """The repr of each value of a float64 or int64 column, "" for NaN when
+    blank_nan. Where values repeat, each distinct bit pattern is formatted
+    once (so -0.0 and 0.0 stay apart); a column of mostly distinct values
+    and no NaN to blank is formatted value by value as it is read, so its
+    texts are not kept."""
+    distinct, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    if not blank_nan and 2 * len(distinct) > len(column):
+        return map(repr, column.tolist())
+    texts = ["" if blank_nan and v != v else repr(v) for v in distinct.view(column.dtype).tolist()]
+    return np.array(texts, dtype=object)[inverse].tolist()
 
 
 def _point_lons(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:

@@ -155,13 +155,17 @@ def _set_path(config, path, value):
     ("start", {"lat": 34.0, "lon": -81.0, "heading_deg": math.nan},
      "config start: angle must be finite, got nan"),
     ("vehicle.max_water_speed_mps", 1.5, "waypoint speed 1.6 exceeds hull maximum 1.5"),
+    ("start_runup_m", math.nan, "start_runup_m must be finite, got nan"),
+    ("start_runup_m", math.inf, "start_runup_m must be finite, got inf"),
+    ("start_offset_m", math.nan, "start_offset_m must be finite, got nan"),
+    ("seed", -1, "seed must be >= 0, got -1"),
 ], ids=["field", "dt", "seed", "waypoint", "gain", "ragged-grid", "gain-rule", "augment-rule",
         "latitude-rule", "noise-rule", "field-kind", "duration-inf", "duration-nan",
         "max-offset-nan", "update-period-nan", "thrust-time-constant-inf", "radius-negative",
         "radius-inf", "noise-nan", "gust-period-nan", "half-width-nan", "grid-spacing-nan",
         "dt-nan", "dt-zero", "dt-over-max", "grid-lat0-nan", "grid-lat0-inf",
         "grid-lat0-off-the-globe", "start-latitude", "start-heading-nan",
-        "waypoint-over-hull-maximum"])
+        "waypoint-over-hull-maximum", "runup-nan", "runup-inf", "offset-nan", "seed-negative"])
 def test_config_value_of_wrong_type_names_its_path(tmp_path, capsys, path, value, message):
     """A value of the wrong JSON type, a grid with a ragged row, a value
     that breaks its class's own rule (NaN and infinity included), or an
@@ -534,6 +538,18 @@ def test_report_decodes_the_run_config(tmp_path, capsys, edit, message):
     assert main(["report", str(run_dir)]) == 2
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"asvnav: {message}\n")
+
+
+@pytest.mark.parametrize("command, config", [
+    ("run", "calm_water.json"), ("suite", "suite.json"), ("train", "training_sweep.json"),
+])
+def test_negative_seed_option_is_one_stderr_line(tmp_path, capsys, command, config):
+    """--seed -1 is rejected before anything runs, by the rule a file's
+    seed meets, though the shipped configs draw no noise."""
+    out = tmp_path / "out"
+    assert main([command, str(CONFIGS / config), "--seed", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "asvnav: seed must be >= 0, got -1\n")
+    assert not out.exists()
 
 
 def test_console_entry_exits_2_without_a_traceback(tmp_path):

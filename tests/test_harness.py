@@ -20,6 +20,7 @@ from asvnav.geo import (
     GeoPoint,
     displaced,
     distance_bearing,
+    enu_coords,
     unit_enu,
     wrap_signed,
 )
@@ -148,6 +149,14 @@ def test_explicit_start_pose_rejected(pose, message):
               "start": dict(zip(("lat", "lon", "heading_deg"), pose))}
     with pytest.raises(ValueError, match=f"^config start: {message}"):
         from_dict(Scenario, config)
+
+
+def test_derived_start_takes_a_negative_runup_and_offset():
+    """start_runup_m and start_offset_m need only be finite: negative ones
+    put the start ahead of the first waypoint and to starboard."""
+    lat, lon = _short_scenario(start_runup_m=-10.0, start_offset_m=-3.0).start_state()[:2]
+    east, north = enu_coords(ORIGIN.lat, ORIGIN.lon, lat, lon)
+    assert east == pytest.approx(3.0) and north == pytest.approx(10.0)
 
 
 @pytest.mark.parametrize("dt", [0.0, -0.1, 0.6])
@@ -430,12 +439,16 @@ def test_waypoint_faster_than_the_hull_is_rejected():
      "unknown config key(s): template.start"),
     (lambda s: {k: v for k, v in s.items() if k != "template"},
      "missing config key(s): template"),
+    (lambda s: {**s, "leg_length_m": 30000.0}, "leg_length_m must be below 10000 m, got 30000.0"),
+    (lambda s: {**s, "template": {**s["template"], "seed": -1}},
+     "config template: seed must be >= 0, got -1"),
 ], ids=["template-list", "template-string", "template-null", "file-list", "template-mission",
-        "template-start", "no-template"])
+        "template-start", "no-template", "leg-over-geo-limit", "seed-negative"])
 def test_suite_file_of_the_wrong_shape_is_one_stderr_line(tmp_path, capsys, edit, message):
     """A suite file decodes through the config codec: a template that is
     not an object, or that holds the mission or start the suite generates,
-    and a file without one, are each one stderr line and exit 2."""
+    a file without one, and a leg or seed its load rules reject, are each
+    one stderr line and exit 2."""
     data = edit(suite_to_dict(standard_suite()))
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         suite_from_dict(data)
@@ -594,10 +607,12 @@ def test_training_sweep_run_count():
 @pytest.mark.parametrize("key, value", [
     ("dt_s", 0.0), ("dt_s", -0.1), ("dt_s", math.nan),
     ("duration_s", 0.0), ("duration_s", -1.0), ("duration_s", math.nan), ("duration_s", math.inf),
+    ("seed", -1),
 ])
 def test_sweep_rejects_bad_time_step_and_duration(tmp_path, capsys, key, value):
     bad = {key: value}
-    match = "dt_s must be in (0, 0.5], got " if key == "dt_s" else "duration_s must be > 0"
+    match = {"dt_s": "dt_s must be in (0, 0.5], got ", "duration_s": "duration_s must be > 0",
+             "seed": "seed must be >= 0, got -1"}[key]
     with pytest.raises(ValueError, match=re.escape(match)):
         replace(_small_sweep(), **bad)
     path = tmp_path / "sweep.json"

@@ -231,12 +231,14 @@ def _bad_rows(edits, blank_after={}):
     _bad_rows({(3, "wp_index"): "1.0"}),
     _bad_rows({(3, "int_lat"): "34.0"}),
     _bad_rows({(3, "t"): "1.0"}, blank_after={0: "", 1: " \t ", 2: ""}),
+    _bad_rows({(3, "wp_index"): "100000000000000000000"}),
+    _bad_rows({(2, "spd_t"): "x", (4, "rudder"): None}),
 ])
 def test_trajectory_csv_rejects_bad_rows(tmp_path, edits, blank_after):
-    """The rejection names the file and the file line of the edited row,
-    counting the header and blank lines."""
+    """The rejection names the file and the file line of the first edited
+    row, counting the header and blank lines, whatever the fault of each."""
     path = _edited_trajectory(tmp_path / "trajectory.csv", edits, blank_after)
-    row = max(row for row, _ in edits)
+    row = min(row for row, _ in edits)
     line = 1 + row + sum(1 for after in blank_after if after < row)
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line {line}: "):
         TrajectoryLog.from_csv(path)
