@@ -26,7 +26,7 @@ from .control import (
     steer_toward,
     tracking_line,
 )
-from .geo import METERS_PER_DEG_LAT, GeoPoint, displaced, enu_coords
+from .geo import MAX_LEG_METERS, METERS_PER_DEG_LAT, GeoPoint, displaced, enu_coords
 from .vehicle import DEFAULT_DT, VehicleParams
 
 # Never command below this fraction of the requested speed: the hull must
@@ -62,6 +62,9 @@ class AugmentConfig:
     def __post_init__(self):
         if not (0.0 < self.gain_k < math.inf and 0.0 < self.max_offset_m < math.inf):
             raise ValueError("gain_k and max_offset_m must be > 0 and finite")
+        if self.max_offset_m >= MAX_LEG_METERS:  # the largest move displaced makes
+            raise ValueError(f"max_offset_m must be below {MAX_LEG_METERS:.0f} m, "
+                             f"got {self.max_offset_m!r}")
         if not (0.0 < self.update_period_s < math.inf
                 and 0.0 < self.reference_speed_floor_mps < math.inf):
             raise ValueError("update_period_s and reference_speed_floor_mps must be > 0 and finite")

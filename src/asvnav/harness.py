@@ -315,6 +315,11 @@ class Scenario:
         for key in ("start_runup_m", "start_offset_m"):
             if not math.isfinite(getattr(self, key)):
                 raise ValueError(f"{key} must be finite, got {getattr(self, key)!r}")
+        start_m = math.hypot(self.start_runup_m, self.start_offset_m)
+        if self.start is None and start_m >= MAX_LEG_METERS:  # start_state's one move
+            raise ValueError(f"start_runup_m and start_offset_m must put the derived start "
+                             f"below {MAX_LEG_METERS:.0f} m from the first waypoint, "
+                             f"got {start_m!r} m")
         _check_seed(self.seed)
         if self.augment.update_period_s < self.dt_s:
             raise ValueError("augment update period must be >= simulation dt")
@@ -586,14 +591,13 @@ def run_scenario(
         report=report,
         outcome=outcome,
         sign_changes_over_1m=sign_changes,
-        duration_s=log.t[-1] if len(log) else 0.0,
+        duration_s=float(log.data["t"][-1]) if len(log) else 0.0,
     )
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        records = log._to_records()  # both trajectory files hold this one array
-        log.write_csv(out / "trajectory.csv", records)
-        log.write_npy(out / "trajectory.npy", records)
+        log.write_csv(out / "trajectory.csv")
+        log.write_npy(out / "trajectory.npy")
         write_mission_csv(mission, out / "mission.csv")
         _write_json(to_dict(sc), out / "resolved_config.json")
         if series is not None:

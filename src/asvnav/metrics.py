@@ -65,9 +65,6 @@ LOG_COLUMNS = (
 # One log row with its fields named: what from_rows and append take and
 # records returns.
 LogRecord = namedtuple("LogRecord", LOG_COLUMNS)
-# Columns that hold Python objects; every other column holds doubles.
-_OBJECT_COLUMNS = ("wp_index", "intermediate")
-_FLOAT_COLUMNS = tuple(name for name in LOG_COLUMNS if name not in _OBJECT_COLUMNS)
 
 # The trajectory .npy's one record per log row: LOG_COLUMNS in order, the
 # doubles as float64, wp_index as int64 and the intermediate target as its
@@ -91,101 +88,102 @@ _CSV_TARGET = slice(_CSV_COLUMNS.index(_NPY_TARGET[0]), _CSV_COLUMNS.index(_NPY_
 
 
 class TrajectoryLog:
-    """Ordered per-step log, stored as one column per name in LOG_COLUMNS;
-    timestamps strictly increase and waypoint indices never decrease.
+    """Ordered per-step log; timestamps strictly increase and waypoint
+    indices never decrease.
 
-    The columns are the log. records is a LogRecord view of them, built
-    on each access and not kept.
+    data is the log: one TRAJECTORY_DTYPE record per row, the array that
+    trajectory.npy saves. Each LOG_COLUMNS name reads as a list built from
+    it on each access (intermediate as a Waypoint or None per row), and
+    records as a tuple of LogRecord.
     """
 
-    __slots__ = LOG_COLUMNS
+    __slots__ = ("data",)
 
-    def __init__(self) -> None:
-        for name in LOG_COLUMNS:
-            setattr(self, name, [] if name in _OBJECT_COLUMNS else array("d"))
+    def __init__(self, data: Optional[np.ndarray] = None) -> None:
+        self.data = np.empty(0, TRAJECTORY_DTYPE) if data is None else data
+
+    def __getattr__(self, name: str) -> list:
+        if name == "intermediate":
+            return _held_targets(self.data)
+        if name in LOG_COLUMNS:
+            return self.data[name].tolist()
+        raise AttributeError(name)
 
     @classmethod
     def from_rows(cls, rows: Sequence[tuple]) -> "TrajectoryLog":
         """Log of rows in LOG_COLUMNS order whose times strictly increase and
         whose waypoint indices never decrease, as a simulation loop makes
-        them. TypeError unless every row has one value per column."""
+        them. TypeError unless every row has one value per column and each
+        float column's value is a number."""
         try:
             columns = tuple(zip(*rows, strict=True))
         except ValueError:
             columns = None
         if rows and (columns is None or len(columns) != len(LOG_COLUMNS)):
             raise TypeError(f"every log row needs {len(LOG_COLUMNS)} values, one per column")
-        log = cls()
+        data = np.empty(len(rows), TRAJECTORY_DTYPE)
         for name, column in zip(LOG_COLUMNS, columns):
-            setattr(log, name, list(column) if name in _OBJECT_COLUMNS else array("d", column))
-        return log
+            if name == "intermediate":
+                # a target is held for many rows: one row of numbers per run of it
+                starts, held_rows, held = [], [], _NO_TARGET
+                for i, intermediate in enumerate(column):
+                    if intermediate is not held:
+                        held = intermediate
+                        starts.append(i)
+                        held_rows.append(_NO_TARGET if intermediate is None else (
+                            float(intermediate.pos.lat), float(intermediate.pos.lon),
+                            float(intermediate.spd_target)))
+                held_rows = np.repeat(np.array(held_rows, dtype=np.float64),
+                                      np.diff(starts + [len(rows)]), axis=0)
+                for target, values in zip(_NPY_TARGET, held_rows.T):
+                    data[target] = values
+            elif name == "wp_index":
+                data[name] = column
+            else:
+                data[name] = array("d", column)  # TypeError for a None, which numpy makes NaN
+        return cls(data)
 
     def append(self, row: Sequence) -> None:
         """Add one row in LOG_COLUMNS order. Its time must exceed the last
         row's and its waypoint index must not be lower; TypeError unless
-        it has one value per column."""
+        it has one value per column. Copies the log's array."""
         row = LogRecord._make(row)
-        if self.t and row.t <= self.t[-1]:
+        if len(self) and row.t <= self.data["t"][-1]:
             raise ValueError("timestamps must be strictly increasing")
-        if self.wp_index and row.wp_index < self.wp_index[-1]:
+        if len(self) and row.wp_index < self.data["wp_index"][-1]:
             raise ValueError("waypoint indices must be non-decreasing")
-        for name, value in zip(LOG_COLUMNS, row):
-            getattr(self, name).append(value)
+        self.data = np.concatenate([self.data, self.from_rows([row]).data])
 
     def __len__(self) -> int:
-        return len(self.t)
+        return len(self.data)
 
     @property
     def records(self) -> tuple[LogRecord, ...]:
-        """The log as rows, built from the columns on each access."""
+        """The log as rows, built from data on each access."""
         return tuple(map(LogRecord._make, zip(*(getattr(self, name) for name in LOG_COLUMNS))))
 
-    def to_csv(self, records: Optional[np.ndarray] = None) -> str:
+    def to_csv(self) -> str:
         """The log as CSV text: TRAJECTORY_HEADER, then each record's
         _CSV_COLUMNS as the repr of each value, a held target's three empty
-        when none is held. records, if given, is this log's _to_records()."""
-        data = self._to_records() if records is None else records
-        columns = [_repr_column(data[name], name in _NPY_TARGET) for name in _CSV_COLUMNS]
+        when none is held."""
+        columns = [_repr_column(self.data[name], name in _NPY_TARGET) for name in _CSV_COLUMNS]
         return "\n".join([TRAJECTORY_HEADER, *map(",".join, zip(*columns)), ""])
 
-    def write_csv(self, path: str | os.PathLike, records: Optional[np.ndarray] = None) -> None:
+    def write_csv(self, path: str | os.PathLike) -> None:
         with open(path, "w", newline="") as fh:
-            fh.write(self.to_csv(records))
+            fh.write(self.to_csv())
 
-    def write_npy(self, path: str | os.PathLike, records: Optional[np.ndarray] = None) -> None:
-        """Write the log's records (records, if given, is _to_records()) as
-        .npy, every column to the bit: the CSV's and the three it lacks."""
+    def write_npy(self, path: str | os.PathLike) -> None:
+        """Write data as .npy, every column to the bit: the CSV's and the
+        three it lacks."""
         with open(path, "wb") as fh:
-            np.save(fh, self._to_records() if records is None else records, allow_pickle=False)
-
-    def _to_records(self) -> np.ndarray:
-        """The log as one 1-D array of TRAJECTORY_DTYPE, one record per row,
-        the inverse of _from_records: a held target as its three numbers
-        and no target as three NaN."""
-        data = np.empty(len(self), TRAJECTORY_DTYPE)
-        for name in _FLOAT_COLUMNS:
-            data[name] = getattr(self, name)
-        data["wp_index"] = self.wp_index
-        # a target is held for many rows: one row of numbers per run of it
-        starts, held_rows, held = [], [], _NO_TARGET
-        for i, intermediate in enumerate(self.intermediate):
-            if intermediate is not held:
-                held = intermediate
-                starts.append(i)
-                held_rows.append(_NO_TARGET if intermediate is None else (
-                    float(intermediate.pos.lat), float(intermediate.pos.lon),
-                    float(intermediate.spd_target)))
-        held_rows = np.repeat(np.array(held_rows, dtype=np.float64).reshape(-1, 3),
-                              np.diff(starts + [len(self)]), axis=0)
-        for name, column in zip(_NPY_TARGET, held_rows.T):
-            data[name] = column
-        return data
+            np.save(fh, self.data, allow_pickle=False)
 
     @classmethod
     def from_npy(cls, path: str | os.PathLike) -> "TrajectoryLog":
         """Rebuild a log from the .npy file write_npy wrote, every column
-        to the bit (_from_records). A file that holds anything but a 1-D
-        array of TRAJECTORY_DTYPE, or whose columns break a rule, raises
+        to the bit. A file that holds anything but a 1-D array of
+        TRAJECTORY_DTYPE, or whose records break a rule (_checked), raises
         ValueError naming the path (and the row, from 0, of the first
         offending one)."""
         with open(path, "rb") as fh:
@@ -198,7 +196,7 @@ class TrajectoryLog:
                    else type(data).__name__)
             raise ValueError(f"{path}: expected a 1-D array of metrics.TRAJECTORY_DTYPE, got {got}")
         try:
-            return cls._from_records(data)
+            return cls(_checked(data))
         except _RowError as exc:
             raise ValueError(f"{path}: row {exc.row}: {exc}") from None
 
@@ -206,7 +204,7 @@ class TrajectoryLog:
     def from_csv(cls, path: str | os.PathLike) -> "TrajectoryLog":
         """Rebuild a log from its CSV: each non-blank line after the header
         read into one record (_csv_record), the records checked by
-        _from_records as from_npy's. The columns the CSV does not carry
+        _checked as from_npy's. The columns the CSV does not carry
         (course, through-water speed, turn rate) are zero. A rejection
         raises ValueError naming the path and a file line: the first line
         that does not read as a record, else the first offending row of the
@@ -226,22 +224,9 @@ class TrajectoryLog:
         data = np.zeros(len(records), TRAJECTORY_DTYPE)
         data[_CSV_COLUMNS] = records
         try:
-            return cls._from_records(data)
+            return cls(_checked(data))
         except _RowError as exc:
             raise ValueError(f"{path}: line {lines[exc.row]}: {exc}") from None
-
-    @classmethod
-    def _from_records(cls, data: np.ndarray) -> "TrajectoryLog":
-        """The log of a 1-D array of TRAJECTORY_DTYPE, checked and
-        normalised by _checked_columns, with each held target as a Waypoint
-        (_held_targets). Raises _RowError."""
-        columns = _checked_columns(data)
-        log = cls()
-        log.intermediate = _held_targets(data)
-        for name, column in columns.items():
-            setattr(log, name, array("d", column.tobytes()))
-        log.wp_index = data["wp_index"].tolist()
-        return log
 
 
 class _RowError(ValueError):
@@ -290,18 +275,20 @@ def _csv_record(line: str) -> tuple:
     return record
 
 
-def _checked_columns(c: np.ndarray) -> dict[str, np.ndarray]:
-    """The rules a log read from a file must pass, on its TRAJECTORY_DTYPE
-    records c, and its float columns (LOG_COLUMNS but wp_index and
-    intermediate) by name, normalised as the simulation makes its values:
-    coordinates as GeoPoint (finite, latitude in [-90, 90], longitude
-    wrapped), the state as vehicle._check_state (speeds >= 0, speeds, time
-    and turn rate finite), times that strictly increase, waypoint indices
-    that never decrease, force speeds finite and >= 0, angles wrapped as
-    wrap_angle does, thrust and rudder clamped as vehicle._clamped does.
-    Raises _RowError at the first offending row of the first rule broken."""
+def _checked(c: np.ndarray) -> np.ndarray:
+    """A copy of the TRAJECTORY_DTYPE records c of a log read from a file,
+    checked by the rules the simulation keeps and normalised as it makes
+    its values: coordinates as GeoPoint (finite, latitude in [-90, 90],
+    longitude wrapped), the state as vehicle._check_state (speeds >= 0,
+    speeds, time and turn rate finite), times that strictly increase,
+    waypoint indices that never decrease, force speeds finite and >= 0,
+    angles wrapped as wrap_angle does, thrust and rudder clamped as
+    vehicle._clamped does, and each held target a Waypoint (_held_targets)
+    with its longitude wrapped. Raises _RowError at the first offending row
+    of the first rule broken."""
     spd_t, tw, t = c["spd_t"], c["through_water_speed"], c["t"]
-    lon = _point_lons(c["lat"], c["lon"])
+    data = c.copy()
+    data["lon"] = _point_lons(c["lat"], c["lon"])
     _check_rows(~((spd_t < 0.0) | (tw < 0.0)), "speeds must be >= 0")
     _check_rows(np.isfinite(spd_t) & np.isfinite(tw) & np.isfinite(t)
                 & np.isfinite(c["turn_rate"]), "non-finite state component")
@@ -309,12 +296,16 @@ def _checked_columns(c: np.ndarray) -> dict[str, np.ndarray]:
     _check_rows(np.diff(c["wp_index"]) >= 0, "waypoint indices must be non-decreasing", offset=1)
     for name in ("spd_c", "spd_w"):
         _check_rows((c[name] >= 0.0) & np.isfinite(c[name]), f"{name} must be finite and >= 0")
-    return {
-        **{name: c[name] for name in _FLOAT_COLUMNS}, "lon": lon,
-        **{name: _wrapped(c[name]) for name in ("course_t", "h_t", "dir_c", "dir_w")},
-        "thrust": _clamped_column(c["thrust"], 0.0, 1.0),
-        "rudder": _clamped_column(c["rudder"], -1.0, 1.0),
-    }
+    for name in ("course_t", "h_t", "dir_c", "dir_w"):
+        data[name] = _wrapped(c[name])
+    data["thrust"] = _clamped_column(c["thrust"], 0.0, 1.0)
+    data["rudder"] = _clamped_column(c["rudder"], -1.0, 1.0)
+    _held_targets(c)
+    held = ~np.isnan(c["int_lat"])
+    data["int_lon"][held] = _point_lons(c["int_lat"][held], c["int_lon"][held])
+    for name in _NPY_TARGET:
+        data[name][~held] = math.nan  # no target: the three NaN from_rows writes
+    return data
 
 
 def _held_targets(data: np.ndarray) -> list:
@@ -453,8 +444,7 @@ def cross_track_series(
     leg_table = np.array([(lat, lon, ue, un) for lat, lon, _, ue, un in _leg_lines(mission)])
     if not len(log):
         raise LegNotAcquiredError("trajectory log is empty")
-    lats = np.asarray(log.lat, dtype=np.float64)
-    lons = np.asarray(log.lon, dtype=np.float64)
+    lats, lons = log.data["lat"], log.data["lon"]
 
     first = mission[0].pos
     near = _hypot(*enu_columns(lats, lons, first.lat, first.lon)) <= 2.0 * acceptance_radius
@@ -463,7 +453,7 @@ def cross_track_series(
     start = int(np.argmax(near))
 
     lats, lons = lats[start:], lons[start:]
-    legs = np.clip(np.asarray(log.wp_index[start:], dtype=np.int64), 1, len(mission) - 1)
+    legs = np.clip(log.data["wp_index"][start:], 1, len(mission) - 1)
     a_lat, a_lon, ue, un = leg_table[legs - 1].T
     east, north = enu_columns(a_lat, a_lon, lats, lons)
     # positive to starboard of the leg direction
@@ -542,9 +532,9 @@ def score_run(
 
 def per_sample_error_csv(series: CrossTrackSeries, log: TrajectoryLog) -> str:
     """Per-sample error table for external plotting."""
-    start = series.first_scored_record
-    rows = zip(log.t[start:], log.lat[start:], log.lon[start:], series.leg_indices.tolist(),
-               series.errors.tolist(), series.weights.tolist())
+    scored = log.data[series.first_scored_record:]
+    rows = zip(scored["t"].tolist(), scored["lat"].tolist(), scored["lon"].tolist(),
+               series.leg_indices.tolist(), series.errors.tolist(), series.weights.tolist())
     return "t,lat,lon,leg,cross_track_m,arc_weight_m\n" + "".join(
         ["%.3f,%.9f,%.9f,%d,%.6f,%.6f\n" % row for row in rows]
     )

@@ -159,13 +159,18 @@ def _set_path(config, path, value):
     ("start_runup_m", math.inf, "start_runup_m must be finite, got inf"),
     ("start_offset_m", math.nan, "start_offset_m must be finite, got nan"),
     ("seed", -1, "seed must be >= 0, got -1"),
+    # each would fail a run part-way, at the move displaced refuses
+    ("augment.max_offset_m", 50000, "config augment: max_offset_m must be below 10000 m, got 50000\n"),
+    ("start_runup_m", 20000, "start_runup_m and start_offset_m must put the derived start below "
+     "10000 m from the first waypoint, got 20000.002499999842 m\n"),
 ], ids=["field", "dt", "seed", "waypoint", "gain", "ragged-grid", "gain-rule", "augment-rule",
         "latitude-rule", "noise-rule", "field-kind", "duration-inf", "duration-nan",
         "max-offset-nan", "update-period-nan", "thrust-time-constant-inf", "radius-negative",
         "radius-inf", "noise-nan", "gust-period-nan", "half-width-nan", "grid-spacing-nan",
         "dt-nan", "dt-zero", "dt-over-max", "grid-lat0-nan", "grid-lat0-inf",
         "grid-lat0-off-the-globe", "start-latitude", "start-heading-nan",
-        "waypoint-over-hull-maximum", "runup-nan", "runup-inf", "offset-nan", "seed-negative"])
+        "waypoint-over-hull-maximum", "runup-nan", "runup-inf", "offset-nan", "seed-negative",
+        "max-offset-over-geo-limit", "derived-start-over-geo-limit"])
 def test_config_value_of_wrong_type_names_its_path(tmp_path, capsys, path, value, message):
     """A value of the wrong JSON type, a grid with a ragged row, a value
     that breaks its class's own rule (NaN and infinity included), or an

@@ -152,11 +152,16 @@ def test_explicit_start_pose_rejected(pose, message):
 
 
 def test_derived_start_takes_a_negative_runup_and_offset():
-    """start_runup_m and start_offset_m need only be finite: negative ones
-    put the start ahead of the first waypoint and to starboard."""
+    """start_runup_m and start_offset_m must be finite and put the derived
+    start less than geo.MAX_LEG_METERS away; negative ones put it ahead of
+    the first waypoint and to starboard. An explicit start ignores both."""
     lat, lon = _short_scenario(start_runup_m=-10.0, start_offset_m=-3.0).start_state()[:2]
     east, north = enu_coords(ORIGIN.lat, ORIGIN.lon, lat, lon)
     assert east == pytest.approx(3.0) and north == pytest.approx(10.0)
+    with pytest.raises(ValueError, match="derived start below 10000 m .* got 10000.0 m$"):
+        _short_scenario(start_runup_m=-10000.0, start_offset_m=0.0)
+    pose = StartPose(lat=34.0, lon=-81.0, heading_deg=0.0)
+    assert _short_scenario(start=pose, start_runup_m=20000.0).start_state()[:2] == (34.0, -81.0)
 
 
 @pytest.mark.parametrize("dt", [0.0, -0.1, 0.6])
@@ -442,8 +447,14 @@ def test_waypoint_faster_than_the_hull_is_rejected():
     (lambda s: {**s, "leg_length_m": 30000.0}, "leg_length_m must be below 10000 m, got 30000.0"),
     (lambda s: {**s, "template": {**s["template"], "seed": -1}},
      "config template: seed must be >= 0, got -1"),
+    (lambda s: {**s, "template": {**s["template"], "augment": {"max_offset_m": 50000}}},
+     "config template.augment: max_offset_m must be below 10000 m, got 50000"),
+    (lambda s: {**s, "template": {**s["template"], "start_offset_m": -10000.0}},
+     "config template: start_runup_m and start_offset_m must put the derived start below "
+     "10000 m from the first waypoint, got 10000.179998380028 m"),
 ], ids=["template-list", "template-string", "template-null", "file-list", "template-mission",
-        "template-start", "no-template", "leg-over-geo-limit", "seed-negative"])
+        "template-start", "no-template", "leg-over-geo-limit", "seed-negative",
+        "max-offset-over-geo-limit", "derived-start-over-geo-limit"])
 def test_suite_file_of_the_wrong_shape_is_one_stderr_line(tmp_path, capsys, edit, message):
     """A suite file decodes through the config codec: a template that is
     not an object, or that holds the mission or start the suite generates,
@@ -456,6 +467,7 @@ def test_suite_file_of_the_wrong_shape_is_one_stderr_line(tmp_path, capsys, edit
     path.write_text(json.dumps(data))
     assert main(["suite", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr() == ("", f"asvnav: {message}\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_suite_dict_round_trip():

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -354,7 +355,8 @@ def test_records_view_is_the_appended_records():
 
 def test_from_rows_rejects_a_row_of_the_wrong_width():
     """A short or a long row raises TypeError, as append does, in place of
-    a log truncated to the shortest row or a value dropped."""
+    a log truncated to the shortest row or a value dropped; so does a None
+    in a float column, in place of a NaN."""
     full = tuple(_row(0))
     with pytest.raises(TypeError):
         TrajectoryLog.from_rows([full, (1.0, 34.0, -81.0)])
@@ -362,6 +364,8 @@ def test_from_rows_rejects_a_row_of_the_wrong_width():
         TrajectoryLog.from_rows([full + (0.0,)])
     assert len(TrajectoryLog.from_rows([])) == 0
     assert TrajectoryLog.from_rows([full]).records == (_row(0),)
+    with pytest.raises(TypeError):
+        TrajectoryLog.from_rows([_row(0)._replace(spd_c=None)])
 
 
 def _column_bits(log):
@@ -401,8 +405,16 @@ def test_trajectory_npy_round_trip_is_lossless(tmp_path):
                                 "thrust", "rudder")
     assert all(data.dtype[name].str in ("<f8", "<i8") for name in data.dtype.names)
     assert np.isnan(data["int_lat"][1]) and data["int_spd"][4] == 1.25
+    assert data.tobytes() == log.data.tobytes() == loaded.data.tobytes()
     TrajectoryLog().write_npy(tmp_path / "empty.npy")
     assert len(TrajectoryLog.from_npy(tmp_path / "empty.npy")) == 0
+    # a run's log is the array its trajectory.npy holds, held targets included
+    from asvnav.harness import downstream_failure_scenario, run_scenario
+
+    sc = replace(downstream_failure_scenario(controller="augmented"), duration_limit_s=30.0)
+    run = run_scenario(sc, out_dir=tmp_path / "run")
+    saved = np.load(tmp_path / "run" / "trajectory.npy", allow_pickle=False)
+    assert saved.tobytes() == run.log.data.tobytes() and not np.isnan(saved["int_lat"]).all()
 
 
 def test_both_readers_build_the_same_records(tmp_path):
@@ -503,6 +515,24 @@ def test_trajectory_npy_rejects_bad_files(tmp_path, edit, message, row):
     where = re.escape(f"{path}: ") + ("" if row is None else f"row {row}: ")
     with pytest.raises(ValueError, match=f"^{where}.*{re.escape(message)}"):
         TrajectoryLog.from_npy(path)
+
+
+def test_trajectory_npy_normalises_the_held_targets(tmp_path):
+    """A held target's longitude loads wrapped, as a GeoPoint wraps it, and
+    no target as the NaN from_rows writes, whatever the file's NaN bits: the
+    loaded records are those from_rows makes of the same Waypoints."""
+    data = _log_array(tmp_path)
+    held = ~np.isnan(data["int_lat"])
+    unwrapped = data.copy()
+    unwrapped["int_lon"][held] += 360.0
+    for name in ("int_lat", "int_lon", "int_spd"):
+        unwrapped[name][~held] = -math.nan
+    path = tmp_path / "trajectory.npy"
+    np.save(path, unwrapped, allow_pickle=False)
+    loaded = TrajectoryLog.from_npy(path)
+    assert loaded.data.tobytes() == data.tobytes()
+    assert loaded.intermediate == TrajectoryLog(data).intermediate
+    assert held.any() and (loaded.data["int_lon"][held] != unwrapped["int_lon"][held]).all()
 
 
 def test_trajectory_npy_rejects_other_files(tmp_path):
